@@ -143,6 +143,28 @@ class HistorySet:
             self._mem_cells,
         )
 
+    def fold_layout(self) -> tuple[tuple[str, int, int], ...]:
+        """Every registered fold as ``(kind, length, width)``, in slot
+        order: what a :meth:`folded_values` tuple's positions mean."""
+        return tuple(self._slot_specs)
+
+    def register_layout(
+        self, layout: tuple[tuple[str, int, int], ...]
+    ) -> None:
+        """Register ``layout``'s folds in order, so this set's slots
+        match those of the set that produced it (registering a fold
+        that already exists is a no-op, as always)."""
+        for kind, length, width in layout:
+            if kind == "direction":
+                self.register_direction_fold(length, width)
+            elif kind == "path":
+                self.register_path_fold(width)
+            else:
+                self.register_load_path_fold(width)
+        if tuple(self._slot_specs[:len(layout)]) != layout:
+            raise ValueError("fold layout is not a prefix-compatible "
+                             "extension of the registered folds")
+
     def fold_cell(self, slot: int) -> list[int]:
         """The mutable cell behind ``slot``; element 0 is the live value.
 

@@ -138,20 +138,32 @@ class TagePredictor:
         history per probe.  Results are bit-identical either way.
         """
         self._histories = histories
-        ib = self._index_bits
-        self._idx_dir_cells = [
-            histories.fold_cell(histories.register_direction_fold(L, ib))
-            for L in self._lengths
-        ]
-        self._path_cell = histories.fold_cell(
-            histories.register_path_fold(ib)
+        idx_slots, path_slot, tag_slots = self.register_folds(
+            self.config, histories
         )
-        self._tag_dir_cells = [
-            histories.fold_cell(
-                histories.register_direction_fold(L, self.config.tag_bits - 1)
-            )
-            for L in self._lengths
+        self._idx_dir_cells = [histories.fold_cell(s) for s in idx_slots]
+        self._path_cell = histories.fold_cell(path_slot)
+        self._tag_dir_cells = [histories.fold_cell(s) for s in tag_slots]
+
+    @staticmethod
+    def register_folds(
+        config: TageConfig, histories: HistorySet
+    ) -> tuple[list[int], int, list[int]]:
+        """Register the folds a TAGE of ``config`` reads on ``histories``.
+
+        Returns ``(index_slots, path_slot, tag_slots)``.  Needs no
+        tables, so a caller can lay out a :class:`HistorySet`'s fold
+        slots exactly as a live predictor would without building one.
+        """
+        lengths = config.history_lengths()
+        ib = bit_length_for(config.entries_per_table)
+        idx_slots = [histories.register_direction_fold(L, ib) for L in lengths]
+        path_slot = histories.register_path_fold(ib)
+        tag_slots = [
+            histories.register_direction_fold(L, config.tag_bits - 1)
+            for L in lengths
         ]
+        return idx_slots, path_slot, tag_slots
 
     # ------------------------------------------------------------------
     # Indexing

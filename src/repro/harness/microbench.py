@@ -132,6 +132,7 @@ def run_benchmarks(
     from repro.eves.eves import eves_32kb
     from repro.harness.functional import run_functional
     from repro.pipeline.core import CoreModel
+    from repro.pipeline.frontend import clear_frontend_streams
     from repro.pipeline.vp import EvesAdapter
     from repro.workloads import store as trace_store
     from repro.workloads.generator import (
@@ -201,13 +202,18 @@ def run_benchmarks(
 
     trace = generate_trace(workload, length)
 
+    # The timing lanes rerun one trace object, so each repeat first
+    # drops the trace's recorded front end: every timed run pays for
+    # one full simulation, comparable with the lanes' history.
     note("baseline_sim")
-    benchmarks["baseline_sim"] = _median_ns(
-        lambda: CoreModel().run(trace), repeats
-    )
+    def baseline_sim() -> None:
+        clear_frontend_streams()
+        CoreModel().run(trace)
+    benchmarks["baseline_sim"] = _median_ns(baseline_sim, repeats)
 
     note("composite_sim")
     def composite_sim() -> None:
+        clear_frontend_streams()
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
         CoreModel(predictor=predictor).run(trace)
     benchmarks["composite_sim"] = _median_ns(composite_sim, repeats)
@@ -238,6 +244,7 @@ def run_benchmarks(
 
     note("eves32_sim")
     def eves32_sim() -> None:
+        clear_frontend_streams()
         CoreModel(predictor=EvesAdapter(eves_32kb())).run(trace)
     benchmarks["eves32_sim"] = _median_ns(eves32_sim, repeats)
 

@@ -29,6 +29,7 @@ from repro.pipeline.core import (
     SimulationInterrupted,
     simulate,
 )
+from repro.pipeline.frontend import clear_frontend_streams
 from repro.pipeline.result import SimResult
 from repro.pipeline.vp import ValuePredictorHost
 from repro.workloads.generator import (
@@ -335,8 +336,10 @@ def speedup_cell(
 def clear_caches() -> None:
     """Drop every per-process cache layer (tests and memory pressure).
 
-    Clears the baseline-result memo here, the generator's trace memo
-    and ambient trace-store handle
+    Clears the baseline-result memo here, the timing model's recorded
+    front-end streams
+    (:func:`repro.pipeline.frontend.clear_frontend_streams`), the
+    generator's trace memo and ambient trace-store handle
     (:func:`repro.workloads.generator.clear_trace_caches`), and the
     ambient results-database handle with its in-process memo and usage
     totals, so one call resets every caching layer at once.  On-disk
@@ -344,6 +347,7 @@ def clear_caches() -> None:
     ``repro-lvp cache --clear``.
     """
     _baseline_cache.clear()
+    clear_frontend_streams()
     clear_trace_caches()
     resultsdb.reset_active_db()
     resilient.reset_db_usage_totals()

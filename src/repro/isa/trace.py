@@ -74,6 +74,9 @@ class Trace:
     __slots__ = (
         "name", "seed", "metadata", "initial_memory",
         "_instructions", "_columns",
+        # Per-trace memos (the timing model's recorded front end) are
+        # weak-keyed on the trace, so they die with it.
+        "__weakref__",
     )
 
     def __init__(

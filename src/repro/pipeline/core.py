@@ -32,12 +32,25 @@ Two loop implementations compute the same pass:
   locals and precomputed per-opclass dispatch tables instead of enum
   property calls -- the hot path for generator/store traces.
 
-Both funnel every stateful step (branch unit, caches, predictor,
-memory probe resolution) through the same helpers with the same
-values in the same order, so their :class:`SimResult`\\ s are
-bit-identical (proven by randomized tests in
-``tests/test_columnar_equivalence.py``).  :meth:`CoreModel.run` picks
-the columnar path whenever the trace carries columns.
+The front end is trace-determined: histories take actual outcomes and
+each branch is predicted and trained within its own iteration, so the
+branch unit (TAGE, ITTAGE, RAS, BTB), the three history registers and
+every folded register evolve identically whatever the timing.  The
+object path drives a live :class:`BranchUnit`; the columnar path
+replays a :class:`repro.pipeline.frontend.FrontEndStream` -- per-branch
+bubbles and mispredictions, per-predictable-load history snapshots,
+final branch statistics -- recorded once per trace and shared by every
+predictor assembly run on it.  What depends on timing stays serial in
+both loops: the memory hierarchy (flushes refetch blocks, PAQ probes
+touch the L1D when their prediction is chosen) and the deferred
+predictor updates (applied once fetch passes a load's completion).
+
+Both paths funnel every stateful step (caches, predictor, memory probe
+resolution) through the same helpers with the same values in the same
+order, so their :class:`SimResult`\\ s are bit-identical (proven by
+randomized tests in ``tests/test_columnar_equivalence.py``).
+:meth:`CoreModel.run` picks the columnar path whenever the trace
+carries columns.
 """
 
 from __future__ import annotations
@@ -49,11 +62,7 @@ from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
 from repro.common.rng import DeterministicRng
-from repro.isa.columns import (
-    FLAG_IS_CALL,
-    FLAG_PREDICTABLE,
-    FLAG_TAKEN,
-)
+from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
 from repro.isa.instruction import (
     NUM_ARCH_REGS,
     OP_BRANCH_FIRST,
@@ -67,6 +76,7 @@ from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.pipeline.config import CoreConfig
+from repro.pipeline.frontend import branch_folds, branch_stats, frontend_stream
 from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import LaneScheduler, WindowTracker
 from repro.pipeline.result import SimResult
@@ -119,17 +129,20 @@ class CoreModel:
     ) -> None:
         self.config = config or CoreConfig()
         self.predictor = predictor if predictor is not None else NoPredictor()
-        rng = DeterministicRng(seed, "core")
-        self.branch_unit = BranchUnit(
-            tage_config, ittage_config, self.config.ras_entries, rng
-        )
+        self.tage_config = tage_config or TageConfig()
+        self.ittage_config = ittage_config or IttageConfig()
+        self.seed = seed
+        self._branch_unit: BranchUnit | None = None
         self.hierarchy = MemoryHierarchy(self.config.hierarchy)
-        # Let the predictor assembly register its fold widths on the
-        # live history registers, arming the incremental-folding fast
-        # paths (probes then carry pre-folded values).
+        # Let the predictor assembly register its fold widths after the
+        # branch predictors' (probes then carry pre-folded values).  The
+        # slots are laid out on a table-free HistorySet; the live branch
+        # unit, built only if the object path runs, repeats the layout.
+        histories = branch_folds(self.tage_config, self.ittage_config)
         bind = getattr(self.predictor, "bind_history", None)
         if bind is not None:
-            bind(self.branch_unit.histories)
+            bind(histories)
+        self.fold_layout = histories.fold_layout()
         self._last_correctness: dict[str, bool] = {}
         # Per-opclass dispatch table: execution latency indexed by the
         # raw opclass integer (no enum hashing in the hot loop).  LOAD
@@ -139,6 +152,19 @@ class CoreModel:
             self.config.latencies.get(OpClass(i), 0)
             for i in range(len(OpClass))
         )
+
+    @property
+    def branch_unit(self) -> BranchUnit:
+        """The live branch unit the object path drives (built on first
+        use; the columnar path replays a recorded front end instead)."""
+        if self._branch_unit is None:
+            unit = BranchUnit(
+                self.tage_config, self.ittage_config,
+                self.config.ras_entries, DeterministicRng(self.seed, "core"),
+            )
+            unit.histories.register_layout(self.fold_layout)
+            self._branch_unit = unit
+        return self._branch_unit
 
     # ------------------------------------------------------------------
     # Main loop
@@ -158,6 +184,9 @@ class CoreModel:
         returning a truthy value raises :class:`SimulationInterrupted`.
         This is the progress/cancellation seam the resilient harness
         uses for cooperative timeouts and the CLI for progress display.
+        A columnar run on a trace whose front end is not yet recorded
+        polls during the recording pass too, counting that pass's
+        instructions from zero, so a deadline holds on a cold trace.
 
         ``columnar`` selects the loop implementation: ``None`` (the
         default) takes the columnar fast path whenever the trace
@@ -496,7 +525,9 @@ class CoreModel:
             _, _, d, o, c = heapq.heappop(pending_updates)
             predictor.validate_and_train(d, o, c)
 
-        return self._finish(result, last_commit, memdep)
+        return self._finish(
+            result, last_commit, memdep, branch_stats(branch_unit)
+        )
 
     def _run_columnar(
         self,
@@ -512,15 +543,21 @@ class CoreModel:
         ``_OP_*`` constants, execution latency comes from the
         precomputed per-opclass dispatch table, and every method or
         attribute that the loop touches per instruction is prebound to
-        a local.  Keep edits in lockstep with the object path -- the
-        equivalence suite will catch any divergence.
+        a local.  The branch unit and history registers are not driven
+        live: their trace-determined outcomes are replayed from the
+        trace's :class:`~repro.pipeline.frontend.FrontEndStream`
+        (recorded on first use).  Keep edits in lockstep with the object
+        path -- the equivalence suite will catch any divergence.
         """
         cols = trace.columns
         cfg = self.config
         predictor = self.predictor
-        branch_unit = self.branch_unit
         hierarchy = self.hierarchy
-        histories = branch_unit.histories
+        layout = self.fold_layout
+        stream = frontend_stream(
+            trace, self.tage_config, self.ittage_config, cfg.ras_entries,
+            self.seed, layout, interrupt, interrupt_interval,
+        )
         l1d_hit = cfg.hierarchy.l1d.hit_latency
         l1i_hit = cfg.hierarchy.l1i.hit_latency
         depth = cfg.frontend_depth
@@ -591,7 +628,6 @@ class CoreModel:
         addrs = cols.addr
         sizes = cols.size
         values = cols.value
-        targets = cols.target
         flags_col = cols.flags
         src_offsets = cols.src_offsets
         src_regs = cols.src_regs
@@ -605,13 +641,20 @@ class CoreModel:
         stq_popleft = stq_rel.popleft
         fetch_latency = hierarchy.fetch_latency
         store_latency_fn = hierarchy.store_latency
-        push_memory = histories.push_memory
-        folded_values = histories.folded_values
         predict = predictor.predict
         validate_and_train = predictor.validate_and_train
         tick_instructions = predictor.tick_instructions
-        fetch_branch_fields = branch_unit.fetch_branch_fields
-        resolve_fields = branch_unit.resolve_fields
+        # Front-end replay cursors: ``branch`` indexes branch codes,
+        # ``probe`` predictable loads' history snapshots.
+        branch_codes = stream.branch_codes
+        snap_directions = stream.direction
+        snap_paths = stream.path
+        snap_load_paths = stream.load_path
+        snap_folds = stream.folds
+        stride = stream.stride
+        n_folds = len(layout)
+        branch = 0
+        probe = 0
         load_complete = self._load_complete
         validate_load = self._validate_load
         inflight_get = inflight_loads.get
@@ -688,22 +731,18 @@ class CoreModel:
             # ----------------------------------------------------------
             # Branch prediction / histories / value-predictor probe
             # ----------------------------------------------------------
-            branch_outcome = None
+            mispredicted = 0
             decision = None
             predictable = 0
-            snap_direction = snap_path = snap_load_path = 0
-            snap_folded = ()
             if _OP_BRANCH_LO <= op <= _OP_BRANCH_HI:
-                flags = flags_col[i]
-                taken = flags & FLAG_TAKEN
-                branch_outcome = fetch_branch_fields(
-                    pc, op, taken, targets[i], flags & FLAG_IS_CALL,
-                )
-                if branch_outcome.fetch_bubble:
+                code = branch_codes[branch]
+                branch += 1
+                mispredicted = code & 1
+                if code > 1:
                     # Taken branch missed the BTB: decode redirect.
-                    fetch_cycle += branch_outcome.fetch_bubble
+                    fetch_cycle += code >> 1
                     fetched_in_cycle = 0
-                elif taken:
+                elif flags_col[i] & FLAG_TAKEN:
                     # Can't fetch past a taken branch this cycle.
                     fetched_in_cycle = fetch_width
             elif op == _OP_LOAD:
@@ -721,14 +760,16 @@ class CoreModel:
                 while pending_updates and pending_updates[0][0] <= fetch:
                     _, _, d, o, c = heappop(pending_updates)
                     validate_and_train(d, o, c)
-                snap_direction = histories.direction
-                snap_path = histories.path
-                snap_load_path = histories.load_path
                 if predictable:
-                    # Training is deferred until the load completes, by
-                    # which point younger events have advanced the live
-                    # fold registers -- so capture their values now.
-                    snap_folded = folded_values()
+                    # The fetch-time histories, as recorded in program
+                    # order (training reuses them once the load
+                    # completes).
+                    snap_direction = snap_directions[probe]
+                    snap_path = snap_paths[probe]
+                    snap_load_path = snap_load_paths[probe]
+                    base = probe * stride
+                    snap_folded = tuple(snap_folds[base:base + n_folds])
+                    probe += 1
                     flights = inflight_get(pc)
                     inflight = 0
                     if flights:
@@ -743,9 +784,6 @@ class CoreModel:
                         inflight_same_pc=inflight,
                         folded=snap_folded,
                     ))
-                push_memory(pc)
-            elif op == _OP_STORE:
-                push_memory(pc)
 
             dispatch = fetch + depth
 
@@ -811,14 +849,12 @@ class CoreModel:
             # ----------------------------------------------------------
             # Branch resolution
             # ----------------------------------------------------------
-            if branch_outcome is not None:
-                resolve_fields(pc, taken, targets[i], branch_outcome)
-                if branch_outcome.mispredicted:
-                    n_branch_misp += 1
-                    redirect = complete + redirect_penalty
-                    if redirect > next_fetch_allowed:
-                        next_fetch_allowed = redirect
-                    current_block = -1
+            if mispredicted:
+                n_branch_misp += 1
+                redirect = complete + redirect_penalty
+                if redirect > next_fetch_allowed:
+                    next_fetch_allowed = redirect
+                current_block = -1
 
             # ----------------------------------------------------------
             # Value-prediction validation and training
@@ -905,28 +941,20 @@ class CoreModel:
         result.predictable_loads = n_predictable
         result.branch_mispredictions = n_branch_misp
         result.memory_order_violations = n_violations
-        return self._finish(result, last_commit, memdep)
+        return self._finish(
+            result, last_commit, memdep, dict(stream.branch_stats)
+        )
 
     def _finish(
-        self, result: SimResult, last_commit: int, memdep
+        self, result: SimResult, last_commit: int, memdep, branch: dict
     ) -> SimResult:
         """Fill the run's terminal cycle count and diagnostic extras."""
-        branch_unit = self.branch_unit
         hierarchy = self.hierarchy
         result.cycles = last_commit
         l1d = hierarchy.l1d.stats
         result.l1d_miss_rate = 1.0 - l1d.hit_rate
         result.extra = {
-            "branch": {
-                "conditional_predictions": branch_unit.conditional_predictions,
-                "conditional_mispredictions":
-                    branch_unit.conditional_mispredictions,
-                "indirect_mispredictions":
-                    branch_unit.indirect_mispredictions,
-                "return_mispredictions": branch_unit.return_mispredictions,
-                "btb_hit_rate": branch_unit.btb.hit_rate,
-                "accuracy": branch_unit.accuracy(),
-            },
+            "branch": branch,
             "caches": {
                 level: {
                     "accesses": cache.stats.accesses,

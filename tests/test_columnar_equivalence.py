@@ -109,6 +109,53 @@ class TestRandomizedEquivalence:
         assert_bit_identical(trace, lambda: None, config=config, seed=6)
 
 
+def _composite128():
+    return CompositePredictor(CompositeConfig().homogeneous(128))
+
+
+#: Assemblies whose fold-slot layouts relate in every way that matters:
+#: the baseline's is a prefix of all the others, CVP's of the
+#: composite's, and EVES's is a prefix of none (nor they of it).
+ASSEMBLIES = {
+    "baseline": lambda: None,
+    "composite": _composite128,
+    "cvp": lambda: SingleComponentAdapter(make_component("cvp", 128)),
+    "eves": lambda: EvesAdapter(eves_8kb()),
+}
+
+
+class TestFrontEndReplayOrder:
+    """The columnar loop replays a front end recorded once per trace;
+    which assembly ran first on the trace must not matter."""
+
+    @pytest.mark.parametrize("order", (
+        ("baseline", "composite", "cvp", "eves"),
+        ("composite", "baseline", "eves", "cvp"),
+        ("eves", "composite", "eves", "baseline", "cvp"),
+        ("cvp", "eves", "composite", "baseline"),
+    ))
+    def test_any_order_matches_fresh_object_runs(self, order):
+        trace = generate_trace("astar", 2500, 5)
+        oracle = {
+            name: asdict(CoreModel(
+                predictor=ASSEMBLIES[name](), seed=5
+            ).run(trace, columnar=False))
+            for name in set(order)
+        }
+        for name in order:
+            replayed = asdict(CoreModel(
+                predictor=ASSEMBLIES[name](), seed=5
+            ).run(trace, columnar=True))
+            diff = {
+                k: (oracle[name][k], replayed[k])
+                for k in replayed if replayed[k] != oracle[name][k]
+            }
+            assert not diff, f"{name} after {order}: {diff}"
+            assert replayed["extra"]["branch"] == (
+                oracle[name]["extra"]["branch"]
+            )
+
+
 class TestDispatch:
     def test_packed_trace_defaults_to_columnar(self):
         trace = generate_trace("astar", 1500, 0)
