@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from repro.harness.journal import atomic_write_json
+from repro.common.atomicfile import atomic_write_json
 from repro.harness.microbench import run_benchmarks
 
 

@@ -46,9 +46,10 @@ import json
 import sys
 import time
 
+from repro.common.atomicfile import atomic_write_json
 from repro.harness import experiments as exp
 from repro.harness import resilient
-from repro.harness.journal import JournalError, atomic_write_json
+from repro.harness.journal import JournalError
 from repro.harness.presets import (
     EXPLORE_GRIDS,
     FULL,

@@ -4,9 +4,18 @@ The paper specifies its hashes informally ("hashing the PC bits of a
 load", "(PC >> 2) xor (PC >> 8)").  We implement the PC-AM hashes exactly
 as printed and use a common folded-XOR scheme everywhere else, which is
 the standard hardware idiom (TAGE uses the same trick).
+
+:func:`stable_digest` is the odd one out: a content digest of plain
+data (specs, configurations), stable across processes, for keying
+journals, results-database fingerprints and durable sessions.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict, is_dataclass
+from typing import Any
 
 from repro.common.bits import fold_bits, mask, truncate  # noqa: F401 (mask re-exported for table code)
 
@@ -133,3 +142,32 @@ def path_hash(history: int, new_pc: int, width: int) -> int:
     # different bits, or same-shaped loops would alias in the path.
     contribution = ((new_pc >> 2) ^ (new_pc >> 5) ^ (new_pc >> 9)) & 0b11
     return ((history << 2) | contribution) & mask(width)
+
+
+def jsonable(obj: Any) -> Any:
+    """Reduce ``obj`` to pure JSON types for canonical hashing.
+
+    Dataclasses (e.g. a ``CompositeConfig``) are reduced via ``asdict``,
+    sets are sorted, and anything else non-JSON falls back to ``repr``.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return jsonable(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = [jsonable(v) for v in obj]
+        return sorted(items, key=repr) if isinstance(obj, (set, frozenset)) else items
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    return repr(obj)
+
+
+def stable_digest(obj: Any) -> str:
+    """A short hex digest of ``obj``, stable across processes and runs.
+
+    Used to key journal campaigns and cell specs (so ``--resume`` can
+    detect that a journal belongs to a different sweep) and to record a
+    durable session's spec.
+    """
+    canonical = json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

@@ -5,9 +5,9 @@ records.  Each record is flushed and fsync'd as it is written, so a run
 killed at any instant loses at most the record being appended -- and a
 half-written trailing line is tolerated (skipped) by :meth:`Journal.read`.
 The journal never rewrites history; "finalization" of a sweep's combined
-result goes through :func:`atomic_write_json` (write to a temp file in
-the same directory, then ``os.replace``), so readers observe either the
-old complete file or the new complete file, never a torn one.
+result goes through :func:`repro.common.atomicfile.atomic_write_json`,
+so readers observe either the old complete file or the new complete
+file, never a torn one.
 
 Record vocabulary (the resilient engine's, not enforced here):
 
@@ -26,70 +26,14 @@ Record vocabulary (the resilient engine's, not enforced here):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 
 class JournalError(RuntimeError):
     """A journal exists but cannot be used for the requested sweep."""
-
-
-def _jsonable(obj: Any) -> Any:
-    """Reduce ``obj`` to pure JSON types for canonical hashing."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = [_jsonable(v) for v in obj]
-        return sorted(items, key=repr) if isinstance(obj, (set, frozenset)) else items
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
-def stable_digest(obj: Any) -> str:
-    """A short hex digest of ``obj``, stable across processes and runs.
-
-    Dataclasses (e.g. a ``CompositeConfig``) are reduced via ``asdict``;
-    anything non-JSON falls back to ``repr``.  Used to key journal
-    campaigns and cell specs so ``--resume`` can detect that a journal
-    belongs to a different sweep.
-    """
-    canonical = json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def atomic_write_json(path: str | Path, payload: Any, indent: int = 2) -> None:
-    """Write ``payload`` as JSON to ``path`` atomically.
-
-    The bytes go to a temporary file in the destination directory, are
-    flushed and fsync'd, and the file is moved into place with
-    ``os.replace`` -- so an interrupted writer can never leave a
-    truncated or half-updated file at ``path``.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent or "."
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=indent, default=str)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class Journal:

@@ -51,7 +51,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.harness.journal import Journal, stable_digest
+from repro.common.hashing import stable_digest
+from repro.harness.journal import Journal
 from repro.harness.resultsdb import ResultsDb, active_db
 
 #: Environment variable holding the fault plan (see :func:`parse_fault_plan`).

@@ -28,20 +28,17 @@ before dispatching a cell and writes back on success, so any cell ever
 computed -- by a figure sweep, by ``repro-lvp explore``, by another
 process -- is reused everywhere.
 
-Design points (mirroring the trace store, ``repro.workloads.store``):
+Design points:
 
 * **Activation.**  Off unless ``REPRO_RESULTS_DB_DIR`` names a
   directory (created on first save).  :func:`active_db` resolves the
   ambient handle once per distinct setting; :func:`reset_active_db`
   drops it (``clear_caches`` and tests).
-* **Atomicity.**  Writes go to a ``.tmp-`` sibling and ``os.replace``
-  into place; concurrent writers of the same fingerprint race to an
-  identical file.
-* **Corruption handling.**  Every entry carries a magic, a format
-  version, its own fingerprint, and a SHA-256 checksum of the
-  canonical value bytes.  A reader that finds anything wrong deletes
-  the entry, counts a ``corrupt`` event, and reports a miss -- the
-  caller recomputes and the write-back repairs the store.
+* **File safety.**  Each entry is one JSON object carrying a magic, a
+  format version, its own fingerprint and a SHA-256 of the canonical
+  value, published and verified-or-evicted by
+  :mod:`repro.common.atomicfile`; a bad entry is counted ``corrupt``
+  and reported as a miss, and the write-back repairs it.
 * **In-process memo.**  A bounded LRU of parsed values sits above the
   disk entries so thousand-cell campaigns do not re-read and re-parse
   the same files.
@@ -58,7 +55,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.harness.journal import _jsonable
+from repro.common.atomicfile import (
+    CorruptEntryError,
+    atomic_write,
+    parse_json_object,
+    read_json_object,
+    read_or_evict,
+    remove_files,
+)
+from repro.common.hashing import jsonable
 
 #: Environment variable naming the database directory (unset = disabled).
 ENV_VAR = "REPRO_RESULTS_DB_DIR"
@@ -120,7 +125,7 @@ def cell_fingerprint(fn: str, spec: Any) -> str:
     payload = {
         "format": FORMAT_VERSION,
         "fn": fn,
-        "spec": _jsonable(spec),
+        "spec": jsonable(spec),
         "code_version": _package_version(),
         "semantics": semantics_versions(),
     }
@@ -136,10 +141,6 @@ def _value_digest(value: Any) -> str:
 # ----------------------------------------------------------------------
 # The database
 # ----------------------------------------------------------------------
-
-class CorruptEntryError(ValueError):
-    """An on-disk entry failed structural or checksum validation."""
-
 
 @dataclass
 class DbStats:
@@ -204,21 +205,17 @@ class ResultsDb:
             self.stats.hits += 1
             self.stats.memo_hits += 1
             return True, memoized
-        path = self.entry_path(fingerprint)
         try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            return False, None
-        try:
-            value = self._parse(raw, fingerprint)
-        except (CorruptEntryError, ValueError, KeyError, TypeError):
+            value = read_or_evict(
+                self.entry_path(fingerprint),
+                lambda raw: self._parse(raw, fingerprint),
+            )
+        except CorruptEntryError:
             self.stats.corrupt += 1
             self.stats.misses += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+            return False, None
+        except OSError:
+            self.stats.misses += 1
             return False, None
         self.stats.hits += 1
         self._memoize(fingerprint, value)
@@ -243,22 +240,13 @@ class ResultsDb:
             "value": value,
             "meta": meta or {},
         }
+        raw = json.dumps(record, separators=(",", ":")) + "\n"
         path = self.entry_path(fingerprint)
-        tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(record, fh, separators=(",", ":"))
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_write(path, raw.encode("utf-8"))
         except OSError:
             self.stats.save_errors += 1
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             return False
         self.stats.saves += 1
         self._memoize(fingerprint, value)
@@ -281,9 +269,7 @@ class ResultsDb:
 
     def _parse(self, raw: bytes, fingerprint: str) -> Any:
         """Decode one entry's bytes (raising on any inconsistency)."""
-        record = json.loads(raw.decode("utf-8"))
-        if not isinstance(record, dict):
-            raise CorruptEntryError("entry is not a JSON object")
+        record = parse_json_object(raw)
         if record.get("magic") != _MAGIC:
             raise CorruptEntryError("bad magic")
         if record.get("format") != FORMAT_VERSION:
@@ -356,8 +342,8 @@ class ResultsDb:
             stale = False
             unversioned = False
             try:
-                record = json.loads(path.read_bytes().decode("utf-8"))
-                meta = record.get("meta") if isinstance(record, dict) else None
+                record = read_json_object(path) or {}
+                meta = record.get("meta")
                 meta = meta if isinstance(meta, dict) else {}
                 recorded_code = meta.get("code_version")
                 recorded_semantics = meta.get("semantics")
@@ -406,17 +392,8 @@ class ResultsDb:
 
     def clear(self) -> int:
         """Delete every entry (and stale temp files); returns the count."""
-        removed = 0
-        if self.root.is_dir():
-            for pattern in (f"??/*{_SUFFIX}", "??/.tmp-*", ".tmp-*"):
-                for path in list(self.root.glob(pattern)):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
         self._memo.clear()
-        return removed
+        return remove_files(self.root, f"??/*{_SUFFIX}")
 
 
 # ----------------------------------------------------------------------

@@ -23,19 +23,20 @@ space, then the compact JSON record`` -- ``{"seq": N, "op": ...,
 "body": {...}}``.  Appends are flushed to the OS on every record
 (surviving SIGKILL) and fsync'd in batches no further apart than
 ``fsync_interval`` seconds (``0`` = every append; batching trades a
-bounded power-loss window for throughput).  Segments are created
-tmp+rename with a header record naming the session, and rotate at
-``segment_bytes``.  A torn or bit-rotted tail record fails its CRC;
-recovery truncates the file back to the last intact record and counts
-it -- mirroring ``workloads/store.py``'s corrupt-entry policy.
+bounded power-loss window for throughput).  Segments start with a
+header record naming the session and rotate at ``segment_bytes``.  A
+torn or bit-rotted tail record fails its CRC; recovery truncates the
+file back to the last intact record and counts it.
 
 **Checkpoints.**  Every ``checkpoint_every`` WAL records the full
 session state (predictor + bound histories + memory image + pending
-predictions, one pickled object graph) is written tmp+rename with a
-SHA-256 body checksum, bounding recovery cost to one unpickle plus the
-WAL tail.  A torn or corrupt checkpoint is detected, evicted, and
-recovery falls back to full replay from the ``open`` record -- WAL
-segments are retained for exactly this reason.
+predictions, one pickled object graph) is checkpointed, bounding
+recovery cost to one unpickle plus the WAL tail.  A corrupt checkpoint
+is evicted and recovery falls back to full replay from the ``open``
+record -- WAL segments are retained for exactly this reason.
+
+Segment headers, checkpoints (a sealed file) and tombstones are
+published and verified by :mod:`repro.common.atomicfile`.
 
 **Exactly-once.**  Each handle owns the session's
 :class:`~repro.serve.session.SeqTracker`; replaying the WAL rebuilds
@@ -50,13 +51,21 @@ import hashlib
 import json
 import os
 import pickle
-import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from zlib import crc32
 
-from repro.harness.journal import atomic_write_json, stable_digest
+from repro.common.atomicfile import (
+    CorruptEntryError,
+    atomic_write,
+    atomic_write_json,
+    read_json_object,
+    read_or_evict,
+    unseal,
+    write_sealed,
+)
+from repro.common.hashing import stable_digest
 from repro.serve.session import (
     SEQ_CACHE_BYTES,
     SEQ_CACHE_SIZE,
@@ -68,8 +77,11 @@ from repro.serve.session import (
     train_from_body,
 )
 
-#: WAL line / checkpoint layout version; bump on any format change.
+#: WAL line layout version; bump on any format change.
 WAL_FORMAT = 1
+
+#: Checkpoint layout version; bump on any format change.
+CHECKPOINT_FORMAT = 2
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"
@@ -79,6 +91,11 @@ _CKPT_MAGIC = b"RLVPCKP\x01"
 
 #: Ops that mutate session state and therefore hit the WAL.
 MUTATING_OPS = ("open", "apply", "predict", "train", "close")
+
+
+class ReplicationError(Exception):
+    """A WAL record stream went inconsistent: a seq gap, a record before
+    its session's ``open``, or (on a standby) a cursor or CRC mismatch."""
 
 
 def session_dir_name(session_id: str) -> str:
@@ -186,62 +203,50 @@ def scan_wal_file(path: Path) -> tuple[list[dict], int, int]:
     return records, valid, dropped
 
 
+def segment_path(directory: Path, index: int) -> Path:
+    """The WAL segment file ``index`` of one session directory."""
+    return directory / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
+
+
+def session_dirs(sessions_root: Path) -> list[tuple[str, Path]]:
+    """Sorted ``(session_id, directory)`` pairs under ``sessions_root``.
+
+    The id comes from the first segment's header line; a directory
+    without an intact one is skipped.
+    """
+    root = Path(sessions_root)
+    found = []
+    for directory in sorted(root.iterdir()) if root.is_dir() else []:
+        try:
+            with segment_path(directory, 1).open("rb") as fh:
+                record = decode_line(fh.readline())
+        except OSError:  # no segment yet, or not a directory
+            continue
+        if record is not None and record.get("op") == "_segment":
+            session_id = record.get("session")
+            if isinstance(session_id, str) and session_id:
+                found.append((session_id, directory))
+    return found
+
+
 # ----------------------------------------------------------------------
 # Checkpoints
 # ----------------------------------------------------------------------
 
 
 def write_checkpoint(path: Path, header: dict, blob: bytes) -> None:
-    """Atomically persist one checkpoint (magic + header + blob).
-
-    The header's ``blob_sha256`` seals the pickled state; the whole
-    file goes through tmp+rename so a torn writer never publishes a
-    partial checkpoint over a good one.
-    """
-    header = dict(header)
-    header["format"] = WAL_FORMAT
-    header["blob_sha256"] = hashlib.sha256(blob).hexdigest()
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Atomically persist one checkpoint: ``header`` sealing ``blob``."""
+    write_sealed(path, _CKPT_MAGIC, CHECKPOINT_FORMAT, header, blob)
 
 
-def load_checkpoint(path: Path) -> tuple[dict, bytes] | None:
+def load_checkpoint(path: Path) -> tuple[dict, memoryview] | None:
     """Load and verify one checkpoint; ``None`` (and evict) if corrupt."""
     try:
-        raw = path.read_bytes()
-    except OSError:
+        return read_or_evict(
+            path, lambda raw: unseal(raw, _CKPT_MAGIC, CHECKPOINT_FORMAT)
+        )
+    except (OSError, CorruptEntryError):
         return None
-    fixed = len(_CKPT_MAGIC) + 4
-    try:
-        if len(raw) < fixed or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-            raise ValueError("bad magic")
-        (header_len,) = struct.unpack_from("<I", raw, len(_CKPT_MAGIC))
-        if len(raw) < fixed + header_len:
-            raise ValueError("truncated header")
-        header = json.loads(raw[fixed:fixed + header_len].decode("utf-8"))
-        if header.get("format") != WAL_FORMAT:
-            raise ValueError(f"unsupported format {header.get('format')}")
-        blob = raw[fixed + header_len:]
-        if hashlib.sha256(blob).hexdigest() != header.get("blob_sha256"):
-            raise ValueError("blob checksum mismatch")
-    except (ValueError, KeyError, UnicodeDecodeError):
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return None
-    return header, blob
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +279,82 @@ def replay_record(session: PredictorSession, op: str, body: dict) -> tuple:
     except Exception as exc:  # replay must match the live path: no crash
         return ("error", "internal", f"{type(exc).__name__}: {exc}")
     return ("ok", result)
+
+
+class WalReplay:
+    """Rebuilds one session from its WAL records, one record at a time.
+
+    The apply step crash recovery and warm standbys share: seqs must be
+    contiguous from ``base_seq + 1`` (already-covered records are
+    skipped), the ``open`` record builds the session, every other op
+    re-executes through :func:`replay_record`, and the exactly-once
+    response cache is rebuilt alongside the state.  A replayed
+    successful ``close`` is kept in :attr:`closed_entry` for the caller
+    to finish.
+    """
+
+    def __init__(
+        self,
+        session_id: str,
+        tracker: SeqTracker,
+        session: PredictorSession | None,
+        base_seq: int,
+        spec_digest: str | None,
+    ) -> None:
+        self.session_id = session_id
+        self.tracker = tracker
+        self.session = session
+        self.spec_digest = spec_digest
+        self.expected = base_seq + 1
+        self.closed_entry: tuple | None = None
+        #: Records applied (skipped ones not counted).
+        self.records = 0
+
+    def apply(self, record: dict) -> None:
+        """Replay one decoded record.
+
+        Raises :class:`ReplicationError` on a seq gap or a record that
+        precedes any ``open``: nothing past that point can be trusted.
+        """
+        seq = record.get("seq")
+        op = record.get("op")
+        if op == "_segment" or not isinstance(seq, int):
+            return
+        body = record.get("body") or {}
+        if seq < self.expected:
+            # Already covered (by a checkpoint that may lack the spec
+            # digest the open record carries).
+            if op == "open" and self.spec_digest is None:
+                self.spec_digest = stable_digest(body.get("spec"))
+            return
+        if seq != self.expected:
+            raise ReplicationError(
+                f"seq gap in WAL stream: expected {self.expected}, "
+                f"got {seq}"
+            )
+        if op == "open":
+            if self.session is None:
+                self.session = PredictorSession(
+                    body.get("spec"),
+                    session_id=self.session_id,
+                    initial_memory=_resolve_initial_memory(
+                        body.get("workload")
+                    ) if body.get("workload") is not None else None,
+                )
+            self.spec_digest = stable_digest(body.get("spec"))
+            entry = ("ok", {"session": self.session_id})
+        elif self.session is None:
+            raise ReplicationError(
+                f"record seq {seq} ({op!r}) arrived before any open "
+                "record"
+            )
+        else:
+            entry = replay_record(self.session, op, body)
+            if op == "close" and entry[0] == "ok":
+                self.closed_entry = entry
+        self.tracker.record(seq, entry)
+        self.records += 1
+        self.expected = seq + 1
 
 
 class SessionDurability:
@@ -329,36 +410,27 @@ class SessionDurability:
             self.manager.stats.wal_fsyncs += 1
 
     def _rotate(self) -> None:
-        """Start the next segment via tmp+rename (never a torn header)."""
+        """Publish the next segment's header atomically, then append."""
         if self._fh is not None:
             self.maybe_fsync(force=True)
             self._fh.close()
         self._segment += 1
-        path = self._segment_path(self._segment)
+        path = segment_path(self.dir, self._segment)
         header = encode_record({
             "op": "_segment", "segment": self._segment,
             "session": self.session_id, "format": WAL_FORMAT,
         })
-        tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-        fh = tmp.open("wb")
-        fh.write(header)
-        fh.flush()
-        os.fsync(fh.fileno())
-        # The rename is path-level; the handle keeps the same inode.
-        os.replace(tmp, path)
-        self._fh = fh
+        atomic_write(path, header)
+        self._fh = path.open("ab")
         self._segment_bytes = len(header)
         self.manager.stats.wal_segments += 1
         self.manager.stats.wal_bytes += len(header)
-
-    def _segment_path(self, index: int) -> Path:
-        return self.dir / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
 
     def attach_segment(self, index: int, size: int) -> None:
         """Continue appending to a recovered (tail-repaired) segment."""
         self._segment = index
         self._segment_bytes = size
-        self._fh = self._segment_path(index).open("ab")
+        self._fh = segment_path(self.dir, index).open("ab")
 
     # -- record lifecycle ----------------------------------------------
 
@@ -455,23 +527,11 @@ class DurabilityManager:
 
     def scan_ids(self) -> list[str]:
         """Session ids of every recoverable directory under the root."""
-        ids = []
-        if not self.sessions_root.is_dir():
-            return ids
-        for directory in sorted(self.sessions_root.iterdir()):
-            if not directory.is_dir() or (directory / _TOMBSTONE).exists():
-                continue
-            segments = sorted(
-                directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}")
-            )
-            if not segments:
-                continue
-            records, _, _ = scan_wal_file(segments[0])
-            if records and records[0].get("op") == "_segment":
-                session_id = records[0].get("session")
-                if isinstance(session_id, str) and session_id:
-                    ids.append(session_id)
-        return ids
+        return [
+            session_id
+            for session_id, directory in session_dirs(self.sessions_root)
+            if not (directory / _TOMBSTONE).exists()
+        ]
 
     # -- lifecycle ------------------------------------------------------
 
@@ -520,14 +580,8 @@ class DurabilityManager:
 
     def closed_response(self, session_id: str, seq) -> tuple | None:
         """The tombstoned response for a retried ``close`` (or None)."""
-        try:
-            raw = (self.session_dir(session_id) / _TOMBSTONE).read_text(
-                encoding="utf-8"
-            )
-            tombstone = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        if tombstone.get("seq") == seq:
+        tombstone = read_json_object(self.session_dir(session_id) / _TOMBSTONE)
+        if tombstone is not None and tombstone.get("seq") == seq:
             entry = tombstone.get("entry")
             if isinstance(entry, list) and entry:
                 return tuple(entry)
@@ -564,109 +618,69 @@ class DurabilityManager:
         self.check_not_closed(session_id)
         records, last_segment, last_size = self._scan_segments(directory)
 
-        session: PredictorSession | None = None
-        spec_digest: str | None = None
-        base_seq = 0
-        tracker = SeqTracker(self.cache_size, self.cache_bytes)
+        # Without a usable checkpoint: full replay from the open record.
+        replay = WalReplay(session_id,
+                           SeqTracker(self.cache_size, self.cache_bytes),
+                           None, 0, None)
         loaded = load_checkpoint(directory / _CHECKPOINT)
         if loaded is not None:
             header, blob = loaded
             try:
-                state = pickle.loads(blob)
                 session = PredictorSession.restore(
-                    session_id, state, header.get("counters", {})
+                    session_id, pickle.loads(blob), header.get("counters", {})
                 )
                 base_seq = int(header.get("seq", 0))
-                spec_digest = header.get("spec_digest")
                 # Resume the exactly-once state where the checkpoint
                 # left it; WAL replay extends it from base_seq on.
+                tracker = SeqTracker(self.cache_size, self.cache_bytes)
                 tracker.load_entries(
                     base_seq, header.get("seq_cache"),
                     header.get("seq_cache_policy"),
                 )
+                replay = WalReplay(session_id, tracker, session, base_seq,
+                                   header.get("spec_digest"))
             except Exception:
                 self.stats.checkpoint_failures += 1
-                session = None
-                base_seq = 0
-                tracker = SeqTracker(self.cache_size, self.cache_bytes)
-        elif (directory / _CHECKPOINT).exists() is False and loaded is None:
-            pass  # no checkpoint was ever written -- full replay
         if loaded is None and (directory / _CHECKPOINT).exists():
             # load_checkpoint evicts corrupt files, so reaching here
             # means eviction failed; count it either way.
             self.stats.checkpoint_failures += 1
 
-        replayed = 0
-        closed_entry: tuple | None = None
-        expected = base_seq + 1
         for record in records:
-            seq = record.get("seq")
-            op = record.get("op")
-            if op == "_segment" or not isinstance(seq, int):
-                continue
-            if seq <= base_seq:
-                # Covered by the checkpoint; skip (but note the open
-                # record's spec digest if the checkpoint lacked one).
-                if op == "open" and spec_digest is None:
-                    spec_digest = stable_digest(
-                        record.get("body", {}).get("spec")
-                    )
-                continue
-            if seq != expected:
-                # A gap means the tail past this point is unusable.
+            try:
+                replay.apply(record)
+            except ReplicationError:
+                # The tail past a gap is unusable.
                 self.stats.corrupt_tail_records += 1
                 break
-            body = record.get("body") or {}
-            if op == "open":
-                if session is None:
-                    session = PredictorSession(
-                        body.get("spec"),
-                        session_id=session_id,
-                        initial_memory=_resolve_initial_memory(
-                            body.get("workload")
-                        ) if body.get("workload") is not None else None,
-                    )
-                spec_digest = stable_digest(body.get("spec"))
-                entry = ("ok", {"session": session_id})
-            elif session is None:
-                raise SessionError(
-                    f"durable session {session_id!r} has no checkpoint "
-                    "and no open record; cannot recover",
-                    code="unrecoverable",
-                )
-            else:
-                entry = replay_record(session, op, body)
-                if op == "close" and entry[0] == "ok":
-                    closed_entry = entry
-            tracker.record(seq, entry)
-            replayed += 1
-            expected = seq + 1
 
+        session = replay.session
         if session is None:
             raise SessionError(
                 f"durable session {session_id!r} has no recoverable "
                 "state",
                 code="unrecoverable",
             )
-        if closed_entry is not None:
+        if replay.closed_entry is not None:
             # The close was logged but the tombstone never landed;
             # finish the close now instead of resurrecting the session.
-            self.finalize_close(session_id, tracker.applied_seq,
-                                closed_entry)
+            self.finalize_close(session_id, replay.tracker.applied_seq,
+                                replay.closed_entry)
             raise SessionError(
                 f"durable session {session_id!r} was closed and cannot "
                 "be reopened",
                 code="session-closed",
             )
 
-        session.tracker = tracker
-        handle = SessionDurability(self, session_id, directory, tracker)
-        handle.spec_digest = spec_digest
+        session.tracker = replay.tracker
+        handle = SessionDurability(self, session_id, directory,
+                                   replay.tracker)
+        handle.spec_digest = replay.spec_digest
         if last_segment:
             handle.attach_segment(last_segment, last_size)
         self._handles[session_id] = handle
         self.stats.recovered_sessions += 1
-        self.stats.replayed_records += replayed
+        self.stats.replayed_records += replay.records
         return session
 
     def _scan_segments(self, directory: Path) -> tuple[list[dict], int, int]:
@@ -707,16 +721,21 @@ class DurabilityManager:
 
 
 __all__ = [
+    "CHECKPOINT_FORMAT",
     "MUTATING_OPS",
     "WAL_FORMAT",
     "DurabilityManager",
     "DurabilityStats",
+    "ReplicationError",
     "SessionDurability",
+    "WalReplay",
     "decode_line",
     "encode_record",
     "load_checkpoint",
     "replay_record",
     "scan_wal_file",
+    "segment_path",
     "session_dir_name",
+    "session_dirs",
     "write_checkpoint",
 ]

@@ -25,7 +25,6 @@ worker pids and ports.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 import signal
@@ -34,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.harness.journal import atomic_write_json
+from repro.common.atomicfile import atomic_write_json, read_json_object
 
 #: Seconds to wait for a (re)started worker to print its port.
 WORKER_START_TIMEOUT = 30.0
@@ -448,15 +447,12 @@ class ShardManager:
         the processes to vanish.  Classic replica fencing: at most one
         writer per WAL, ever.
         """
-        path = self.state_path()
-        if path is None or not path.exists():
-            return []
-        try:
-            state = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return []
-        recorded = list((state.get("workers") or {}).values())
-        recorded += list((state.get("standbys") or {}).values())
+        state = read_state(self.root) if self.root is not None else None
+        recorded = []
+        for key in ("workers", "standbys"):
+            infos = (state or {}).get(key)
+            if isinstance(infos, dict):
+                recorded += infos.values()
         fenced = []
         for info in recorded:
             pid = info.get("pid") if isinstance(info, dict) else None
@@ -499,12 +495,7 @@ def _pid_alive(pid: int) -> bool:
 
 def read_state(data_dir: str | Path) -> dict | None:
     """The tier's state file (worker pids/ports), or None."""
-    path = Path(data_dir) / STATE_FILE
-    try:
-        state = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return state if isinstance(state, dict) else None
+    return read_json_object(Path(data_dir) / STATE_FILE)
 
 
 __all__ = [

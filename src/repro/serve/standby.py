@@ -50,24 +50,21 @@ import socket
 import struct
 from pathlib import Path
 
-from repro.harness.journal import atomic_write_json, stable_digest
 from repro.serve import protocol
 from repro.serve.durability import (
     _TOMBSTONE,
     _WAL_PREFIX,
     _WAL_SUFFIX,
+    ReplicationError,
     SessionDurability,
+    WalReplay,
     decode_line,
-    replay_record,
+    segment_path,
     session_dir_name,
+    session_dirs,
 )
 from repro.serve.server import PredictionServer, ServerConfig
-from repro.serve.session import (
-    PredictorSession,
-    SeqTracker,
-    SessionError,
-    _resolve_initial_memory,
-)
+from repro.serve.session import SeqTracker, SessionError
 
 #: Default byte budget per ``wal-ship`` response (shared across
 #: sessions).  WAL lines are ASCII JSON; escaping roughly doubles them
@@ -80,30 +77,6 @@ MAX_SHIP_BYTES = 256 * 1024
 
 #: How often an idle standby re-polls its primary, seconds.
 DEFAULT_POLL_INTERVAL = 0.05
-
-
-class ReplicationError(Exception):
-    """A replica stream went inconsistent (cursor/CRC/seq mismatch)."""
-
-
-def _segment_file(directory: Path, index: int) -> Path:
-    return directory / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
-
-
-def _read_session_id(directory: Path) -> str | None:
-    """The session id a WAL directory belongs to (from the first
-    segment's header record), or None when unreadable."""
-    path = _segment_file(directory, 1)
-    try:
-        with path.open("rb") as fh:
-            line = fh.readline(4096)
-    except OSError:
-        return None
-    record = decode_line(line)
-    if record is None or record.get("op") != "_segment":
-        return None
-    session_id = record.get("session")
-    return session_id if isinstance(session_id, str) and session_id else None
 
 
 # ----------------------------------------------------------------------
@@ -132,14 +105,7 @@ def ship_wal(
         cursors = {}
     budget = max(4096, min(int(max_bytes), MAX_SHIP_BYTES))
     sessions: list[dict] = []
-    root = Path(sessions_root)
-    directories = sorted(root.iterdir()) if root.is_dir() else []
-    for directory in directories:
-        if not directory.is_dir():
-            continue
-        session_id = _read_session_id(directory)
-        if session_id is None:
-            continue
+    for session_id, directory in session_dirs(sessions_root):
         cursor = cursors.get(session_id)
         if isinstance(cursor, dict):
             segment = max(1, int(cursor.get("segment", 1)))
@@ -152,7 +118,7 @@ def ship_wal(
         }
         chunks: list[dict] = []
         while budget > 0:
-            path = _segment_file(directory, segment)
+            path = segment_path(directory, segment)
             try:
                 size = path.stat().st_size
             except OSError:
@@ -182,7 +148,7 @@ def ship_wal(
                 if budget <= 0:
                     break
             if offset >= size:
-                if _segment_file(directory, segment + 1).exists():
+                if segment_path(directory, segment + 1).exists():
                     segment += 1
                     offset = 0
                     continue
@@ -201,13 +167,14 @@ def ship_wal(
 # ----------------------------------------------------------------------
 
 
-class SessionReplica:
+class SessionReplica(WalReplay):
     """One session's live replica: cursor, local WAL copy, state.
 
     The invariant promotion depends on: the local segment files contain
     *exactly* the CRC-verified lines that have been replayed into
     ``self.session``, so attaching a WAL writer at ``(segment,
-    offset)`` resumes appends with no gap and no overlap.
+    offset)`` resumes appends with no gap and no overlap.  Replay is
+    recovery's own apply step (:class:`WalReplay`), run incrementally.
     """
 
     def __init__(
@@ -226,18 +193,16 @@ class SessionReplica:
         self._reset_state()
 
     def _reset_state(self) -> None:
+        super().__init__(
+            self.session_id, SeqTracker(self.cache_size, self.cache_bytes),
+            None, 0, None,
+        )
         self.segment = 1
         #: Verified bytes within the current segment (== the local
         #: segment file's size).  The cursor adds the pending tail so
         #: the primary never re-ships bytes we already hold.
         self.offset = 0
         self.pending = b""
-        self.session: PredictorSession | None = None
-        self.tracker = SeqTracker(self.cache_size, self.cache_bytes)
-        self.spec_digest: str | None = None
-        self.expected = 1
-        self.closed_entry: tuple | None = None
-        self.records = 0
 
     def cursor(self) -> dict:
         return {
@@ -300,7 +265,7 @@ class SessionReplica:
                     f"CRC failure on a complete line in segment "
                     f"{segment} at byte {self.offset + consumed}"
                 )
-            self._apply(record)
+            self.apply(record)
             self._write_local(line)
             consumed = newline + 1
         self.offset += consumed
@@ -310,56 +275,12 @@ class SessionReplica:
     def _write_local(self, line: bytes) -> None:
         if self._fh is None:
             self.dir.mkdir(parents=True, exist_ok=True)
-            self._fh = _segment_file(self.dir, self.segment).open("ab")
+            self._fh = segment_path(self.dir, self.segment).open("ab")
         self._fh.write(line)
 
     def flush_local(self) -> None:
         if self._fh is not None:
             self._fh.flush()
-
-    def _apply(self, record: dict) -> None:
-        """Replay one verified record into live session state.
-
-        The same loop recovery runs (see
-        :meth:`~repro.serve.durability.DurabilityManager.recover`),
-        incremental instead of batch: seqs must be contiguous, and the
-        exactly-once response cache is rebuilt alongside the state.
-        """
-        seq = record.get("seq")
-        op = record.get("op")
-        if op == "_segment" or not isinstance(seq, int):
-            return
-        if seq < self.expected:
-            return
-        if seq != self.expected:
-            raise ReplicationError(
-                f"seq gap in replica stream: expected {self.expected}, "
-                f"got {seq}"
-            )
-        body = record.get("body") or {}
-        if op == "open":
-            if self.session is None:
-                self.session = PredictorSession(
-                    body.get("spec"),
-                    session_id=self.session_id,
-                    initial_memory=_resolve_initial_memory(
-                        body.get("workload")
-                    ) if body.get("workload") is not None else None,
-                )
-            self.spec_digest = stable_digest(body.get("spec"))
-            entry = ("ok", {"session": self.session_id})
-        elif self.session is None:
-            raise ReplicationError(
-                f"record seq {seq} ({op!r}) arrived before any open "
-                "record"
-            )
-        else:
-            entry = replay_record(self.session, op, body)
-            if op == "close" and entry[0] == "ok":
-                self.closed_entry = entry
-        self.tracker.record(seq, entry)
-        self.records += 1
-        self.expected = seq + 1
 
 
 class ReplicaSet:
@@ -431,15 +352,8 @@ class ReplicaSet:
         torn final line was never acknowledged and is dropped.  Returns
         records replayed during catch-up.
         """
-        root = Path(primary_sessions_root)
-        directories = sorted(root.iterdir()) if root.is_dir() else []
         before = sum(r.records for r in self.replicas.values())
-        for directory in directories:
-            if not directory.is_dir():
-                continue
-            session_id = _read_session_id(directory)
-            if session_id is None:
-                continue
+        for session_id, directory in session_dirs(primary_sessions_root):
             replica = self.replica(session_id)
             for attempt in range(2):
                 try:
@@ -463,7 +377,7 @@ class ReplicaSet:
         self, replica: SessionReplica, directory: Path
     ) -> None:
         while True:
-            path = _segment_file(directory, replica.segment)
+            path = segment_path(directory, replica.segment)
             try:
                 data = path.read_bytes()
             except OSError:
@@ -474,7 +388,7 @@ class ReplicaSet:
                     f"replica ahead of primary segment {replica.segment}"
                 )
             replica.ingest_chunk(replica.segment, start, data[start:])
-            next_path = _segment_file(directory, replica.segment + 1)
+            next_path = segment_path(directory, replica.segment + 1)
             if not next_path.exists():
                 return
             if replica.pending:
@@ -496,14 +410,7 @@ class ReplicaSet:
         discarded, local files and all -- exactly what a cold
         restart-and-replay would forget.
         """
-        root = Path(primary_sessions_root)
-        present: set[str] = set()
-        if root.is_dir():
-            for directory in root.iterdir():
-                if directory.is_dir():
-                    session_id = _read_session_id(directory)
-                    if session_id is not None:
-                        present.add(session_id)
+        present = {sid for sid, _ in session_dirs(primary_sessions_root)}
         dropped = 0
         for session_id in list(self.replicas):
             if session_id not in present:
@@ -704,16 +611,10 @@ class StandbyServer(PredictionServer):
             if replica.session is None:
                 continue
             if replica.closed_entry is not None:
-                replica.dir.mkdir(parents=True, exist_ok=True)
-                atomic_write_json(
-                    replica.dir / _TOMBSTONE,
-                    {
-                        "session": replica.session_id,
-                        "seq": replica.tracker.applied_seq,
-                        "entry": list(replica.closed_entry),
-                    },
+                self.durability.finalize_close(
+                    replica.session_id, replica.tracker.applied_seq,
+                    replica.closed_entry,
                 )
-                self.durability.stats.closed_sessions += 1
                 closed += 1
                 continue
             session = replica.session

@@ -22,15 +22,10 @@ Design points:
   :data:`repro.workloads.generator.GENERATOR_VERSION` -- bump that
   constant when generation logic changes and stale entries simply stop
   matching (no invalidation pass).
-* **Atomicity.**  Writes go to a ``.tmp-`` sibling and ``os.replace``
-  into place, so a crashed or concurrent writer can never publish a
-  half-written entry; concurrent writers of the same key just race to
-  an identical file.
-* **Corruption handling.**  Every entry carries a magic, a format
-  version, and a SHA-256 body checksum.  A reader that finds anything
-  wrong (truncation, bit rot, foreign byte order, stale format) counts
-  a ``corrupt`` event, deletes the entry, and reports a miss -- the
-  caller regenerates and the next save repairs the store.
+* **File safety.**  Entries are sealed files published and verified by
+  :mod:`repro.common.atomicfile`; a bad entry (including a foreign byte
+  order or identity) is evicted, counted ``corrupt`` and reported as a
+  miss, and the caller's regeneration repairs the store.
 """
 
 from __future__ import annotations
@@ -38,11 +33,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.atomicfile import (
+    CorruptEntryError,
+    read_or_evict,
+    remove_files,
+    unseal,
+    write_sealed,
+)
 from repro.isa.columns import TraceColumns
 from repro.isa.trace import Trace
 
@@ -54,10 +55,6 @@ FORMAT_VERSION = 1
 
 _MAGIC = b"RLVPTRC\x01"
 _SUFFIX = ".trc"
-
-
-class CorruptEntryError(ValueError):
-    """An on-disk entry failed structural or checksum validation."""
 
 
 @dataclass
@@ -117,19 +114,13 @@ class TraceStore:
     def save(
         self, trace: Trace, length: int, generator_version: int
     ) -> Path:
-        """Persist ``trace`` (packing it if needed), atomically.
-
-        The entry is written to a unique temporary sibling and
-        ``os.replace``d into place, so concurrent writers and crashes
-        never publish partial files.
-        """
+        """Persist ``trace`` (packing it if needed), atomically."""
         columns = trace.pack()
         col_meta, buffers = columns.to_buffers()
         memory = trace.initial_memory
         mem_keys = mem_values = b""
         if memory is not None:
             mem_keys, mem_values = memory.to_packed()
-        body = b"".join(buffers) + mem_keys + mem_values
         header = {
             "name": trace.name,
             "length": length,
@@ -143,25 +134,12 @@ class TraceStore:
                 else {"keys_bytes": len(mem_keys),
                       "values_bytes": len(mem_values)}
             ),
-            "body_sha256": hashlib.sha256(body).hexdigest(),
         }
-        header_raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
         path = self.entry_path(trace.name, length, trace.seed,
                                generator_version)
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-        try:
-            with tmp.open("wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<II", FORMAT_VERSION, len(header_raw)))
-                fh.write(header_raw)
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink(missing_ok=True)
+        write_sealed(path, _MAGIC, FORMAT_VERSION, header,
+                     *buffers, mem_keys, mem_values)
         self.stats.saves += 1
         return path
 
@@ -175,22 +153,14 @@ class TraceStore:
         """
         path = self.entry_path(name, length, seed, generator_version)
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
+            trace = read_or_evict(path, lambda raw: self._parse(
+                raw, name, length, seed, generator_version))
+        except CorruptEntryError:
+            self.stats.corrupt += 1
             self.stats.misses += 1
             return None
         except OSError:
             self.stats.misses += 1
-            return None
-        try:
-            trace = self._parse(raw, name, length, seed, generator_version)
-        except (CorruptEntryError, ValueError, KeyError, TypeError) as exc:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
             return None
         self.stats.hits += 1
         return trace
@@ -202,18 +172,7 @@ class TraceStore:
         """Decode one entry's bytes (raising on any inconsistency)."""
         from repro.memory.image import MemoryImage
 
-        fixed = len(_MAGIC) + 8
-        if len(raw) < fixed or raw[: len(_MAGIC)] != _MAGIC:
-            raise CorruptEntryError("bad magic")
-        version, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
-        if version != FORMAT_VERSION:
-            raise CorruptEntryError(f"unsupported format version {version}")
-        if len(raw) < fixed + header_len:
-            raise CorruptEntryError("truncated header")
-        header = json.loads(raw[fixed:fixed + header_len].decode("utf-8"))
-        body = raw[fixed + header_len:]
-        if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
-            raise CorruptEntryError("body checksum mismatch")
+        header, body = unseal(raw, _MAGIC, FORMAT_VERSION)
         identity = (header.get("name"), header.get("length"),
                     header.get("seed"), header.get("generator_version"))
         if identity != (name, length, seed, generator_version):
@@ -274,17 +233,7 @@ class TraceStore:
 
     def clear(self) -> int:
         """Delete every entry (and stale temp files); returns the count."""
-        removed = 0
-        if self.root.is_dir():
-            for path in list(self.root.glob(f"*{_SUFFIX}")) + list(
-                self.root.glob(".tmp-*")
-            ):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return remove_files(self.root, f"*{_SUFFIX}")
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ reference for several predictor families.
 """
 
 import pytest
+from _ondisk import swap_sealed_header
 
 from repro.serve.durability import (
     DurabilityManager,
@@ -177,6 +178,13 @@ class TestCheckpointFiles:
         assert load_checkpoint(path) is None
         path.write_bytes(b"NOTMAGIC" + full[8:])
         assert load_checkpoint(path) is None
+
+    def test_non_object_header_is_evicted(self, tmp_path):
+        path = tmp_path / "checkpoint.ckpt"
+        write_checkpoint(path, {"seq": 1}, b"x" * 64)
+        path.write_bytes(swap_sealed_header(path.read_bytes(), b"[]"))
+        assert load_checkpoint(path) is None
+        assert not path.exists()
 
 
 class TestSeqTracker:
@@ -378,6 +386,37 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference[-1]
         second.durability.close_all()
 
+    def test_format_1_checkpoint_falls_back_to_full_replay(self, tmp_path):
+        """A checkpoint in the layout before CHECKPOINT_FORMAT 2 (magic,
+        u32 header length, header carrying its own format and blob
+        digest) is evicted as corrupt, never misread."""
+        import hashlib
+        import json
+        import struct
+
+        spec = SPECS[1][1]
+        chunks = chunked(make_events(36), 20)
+        reference = reference_snapshots(spec, chunks)
+        first = durable_server(tmp_path, checkpoint_every=2)
+        drive(first, "d1", spec, chunks)
+        first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        header.update(format=1,
+                      blob_sha256=hashlib.sha256(blob).hexdigest())
+        raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        ckpt.write_bytes(b"RLVPCKP\x01" + struct.pack("<I", len(raw))
+                         + raw + bytes(blob))
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 1
+        assert second.sessions.get("d1").snapshot() == reference[-1]
+        second.durability.close_all()
+
 
 class TestSegmentRotation:
     def test_rotation_and_multi_segment_recovery(self, tmp_path):
@@ -439,6 +478,17 @@ class TestCloseTombstone:
             )
         assert excinfo.value.code == "session-closed"
         second.durability.close_all()
+
+    def test_non_object_tombstone_has_no_cached_response(self, tmp_path):
+        manager = DurabilityManager(tmp_path / "state")
+        directory = manager.session_dir("d1")
+        directory.mkdir(parents=True)
+        (directory / "closed.json").write_text("[]")
+        assert manager.closed_response("d1", 1) is None
+        # The tombstone's existence alone keeps the id burned.
+        with pytest.raises(SessionError) as excinfo:
+            manager.check_not_closed("d1")
+        assert excinfo.value.code == "session-closed"
 
     def test_logged_close_without_tombstone_finishes_the_close(
         self, tmp_path

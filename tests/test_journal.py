@@ -5,12 +5,9 @@ import os
 
 import pytest
 
-from repro.harness.journal import (
-    Journal,
-    JournalError,
-    atomic_write_json,
-    stable_digest,
-)
+from repro.common.atomicfile import atomic_write_json
+from repro.common.hashing import stable_digest
+from repro.harness.journal import Journal, JournalError
 
 
 class TestStableDigest:

@@ -108,6 +108,12 @@ class TestFencing:
         manager = ShardManager(1, data_dir=tmp_path)
         assert manager.fence_stale_workers() == []
 
+    def test_non_object_state_file_is_not_fatal(self, tmp_path):
+        manager = ShardManager(1, data_dir=tmp_path)
+        for payload in ("[]", '{"workers": [], "standbys": "x"}'):
+            (tmp_path / STATE_FILE).write_text(payload)
+            assert manager.fence_stale_workers() == []
+
     def test_state_file_round_trips_extra_keys(self, tmp_path):
         manager = ShardManager(2, data_dir=tmp_path)
         manager.extra["overrides"] = {"s": "shard-01"}

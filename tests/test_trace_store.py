@@ -11,6 +11,7 @@ import json
 import os
 
 import pytest
+from _ondisk import swap_sealed_header
 
 from repro.harness import runner
 from repro.harness.resilient import Cell, ExecutionPolicy, run_cells
@@ -146,6 +147,16 @@ class TestCorruption:
             WORKLOAD, LENGTH, SEED, GENERATOR_VERSION
         ) is None
         assert trace_store.active_store().stats.corrupt == 1
+
+    def test_non_object_header_is_evicted(self):
+        _generate()
+        path = self._entry_path()
+        path.write_bytes(swap_sealed_header(path.read_bytes(), b"[]"))
+        assert trace_store.active_store().load(
+            WORKLOAD, LENGTH, SEED, GENERATOR_VERSION
+        ) is None
+        assert trace_store.active_store().stats.corrupt == 1
+        assert not path.exists()
 
 
 class TestMaintenance:
