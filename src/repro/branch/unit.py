@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.rng import DeterministicRng
-from repro.isa.instruction import Instruction, OpClass
+from repro.isa.instruction import OpClass
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.history import HistorySet
 from repro.branch.ittage import IttageConfig, IttagePredictor, IttagePrediction
@@ -81,20 +81,13 @@ class BranchUnit:
             return 0
         return self.BTB_MISS_PENALTY
 
-    def fetch_branch(self, inst: Instruction) -> BranchOutcome:
-        """Predict one fetched branch and update speculative history."""
-        return self.fetch_branch_fields(
-            inst.pc, int(inst.op), inst.taken, inst.target, inst.is_call
-        )
-
     def fetch_branch_fields(
         self, pc: int, op: int, taken: bool, target: int, is_call: bool
     ) -> BranchOutcome:
-        """Scalar-argument twin of :meth:`fetch_branch`.
+        """Predict one fetched branch and update speculative history.
 
-        The columnar simulator loop calls this directly with column
-        values, skipping :class:`Instruction` construction; ``op`` is
-        the raw :class:`OpClass` integer.
+        Takes scalar fields (the front-end recorder passes column
+        values directly); ``op`` is the raw :class:`OpClass` integer.
         """
         if op == 8:  # OpClass.BRANCH_COND
             ctx = self.tage.predict(pc, self.histories)
@@ -149,21 +142,14 @@ class BranchUnit:
         """Record a fetched load/store in the memory-path history (CAP)."""
         self.histories.push_memory(pc)
 
-    # Backwards-compatible alias.
-    note_load = note_memory_op
-
     # ------------------------------------------------------------------
     # Resolution-time training
     # ------------------------------------------------------------------
 
-    def resolve(self, inst: Instruction, outcome: BranchOutcome) -> None:
-        """Train the predictors when the branch executes."""
-        self.resolve_fields(inst.pc, inst.taken, inst.target, outcome)
-
     def resolve_fields(
         self, pc: int, taken: bool, target: int, outcome: BranchOutcome
     ) -> None:
-        """Scalar-argument twin of :meth:`resolve` (columnar loop)."""
+        """Train the predictors when the branch executes."""
         if outcome.tage_ctx is not None:
             self.tage.train(pc, taken, outcome.tage_ctx)
         if outcome.ittage_ctx is not None:

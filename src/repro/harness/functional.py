@@ -73,39 +73,84 @@ class FunctionalResult:
         return self.disagreements / self.multi_confident_loads
 
 
-def run_functional(
-    trace: Trace,
+def probe_load(histories: HistorySet, pc: int) -> LoadProbe:
+    """The program-order probe for the load at ``pc``: the current
+    histories and folds, no loads in flight."""
+    return LoadProbe(
+        pc=pc,
+        direction_history=histories.direction,
+        path_history=histories.path,
+        load_path_history=histories.load_path,
+        inflight_same_pc=0,
+        folded=histories.folded_values(),
+    )
+
+
+def judge_and_train(
     predictor: ValuePredictorHost,
-    tick_epochs: bool = True,
-    backend: str = "auto",
+    decision,
+    mem: MemoryImage,
+    addr: int,
+    size: int,
+    value: int,
+) -> tuple[dict[str, bool], list[int]]:
+    """Judge every confident component of ``decision``, then train.
+
+    A value prediction is judged by its value, an address prediction
+    by what ``mem`` holds at its address now.  The predictor trains on
+    the outcome ``(addr, size, value)`` with the histories of the
+    decision's probe.  Returns the verdicts and the speculative values
+    in confident order.
+    """
+    correctness = {}
+    speculative_values = []
+    for name, prediction in decision.confident.items():
+        if prediction.kind is PredictionKind.VALUE:
+            speculative = prediction.value
+        else:
+            speculative = mem.read(prediction.addr, prediction.size)
+        speculative_values.append(speculative)
+        correctness[name] = speculative == value
+    probe = decision.probe
+    predictor.validate_and_train(
+        decision,
+        LoadOutcome(
+            pc=probe.pc, addr=addr, size=size, value=value,
+            direction_history=probe.direction_history,
+            path_history=probe.path_history,
+            load_path_history=probe.load_path_history,
+            folded=probe.folded,
+        ),
+        correctness,
+    )
+    return correctness, speculative_values
+
+
+def run_functional(
+    trace: Trace, predictor: ValuePredictorHost
 ) -> FunctionalResult:
     """Evaluate ``predictor`` over ``trace`` in program order.
 
-    ``backend`` selects the execution strategy:
-
-    - ``"object"``: the per-instruction object interpreter below -- the
-      bit-exact oracle.
-    - ``"vector"``: the columnar batch backend
-      (:mod:`repro.harness.functional_vec`); raises ``ValueError`` if
-      the trace/predictor combination is unsupported.
-    - ``"auto"``: the vector backend when supported, else the object
-      path.  Both produce identical :class:`FunctionalResult`\\ s and
-      identical final predictor state.
+    Packs the trace (once; the columns are memoized on it) and runs the
+    vectorized batch backend (:mod:`repro.harness.functional_vec`) when
+    it supports the predictor's exact types, else
+    :func:`run_functional_objects`.  Both produce identical
+    :class:`FunctionalResult`\\ s and identical final predictor state.
     """
-    if backend not in ("auto", "object", "vector"):
-        raise ValueError(f"unknown functional backend: {backend!r}")
-    if backend != "object":
-        from repro.harness import functional_vec
+    from repro.harness import functional_vec
 
-        if functional_vec.vector_unsupported_reason(trace, predictor) is None:
-            return functional_vec.run_functional_vec(
-                trace, predictor, tick_epochs=tick_epochs
-            )
-        if backend == "vector":
-            raise ValueError(
-                "vector backend unsupported here: "
-                f"{functional_vec.vector_unsupported_reason(trace, predictor)}"
-            )
+    trace.pack()
+    if functional_vec.vector_unsupported_reason(trace, predictor) is None:
+        return functional_vec.run_functional_vec(trace, predictor)
+    return run_functional_objects(trace, predictor)
+
+
+def run_functional_objects(
+    trace: Trace, predictor: ValuePredictorHost
+) -> FunctionalResult:
+    """The per-instruction interpreter: any predictor host, one
+    :class:`~repro.isa.instruction.Instruction` at a time (the only
+    path for EVES and for assemblies the vector backend rejects)."""
     histories = HistorySet()
     bind = getattr(predictor, "bind_history", None)
     if bind is not None:
@@ -116,6 +161,8 @@ def run_functional(
         else MemoryImage()
     )
     result = FunctionalResult(workload=trace.name, instructions=len(trace))
+    confident_counts = result.per_component_confident
+    correct_counts = result.per_component_correct
 
     for inst in trace.instructions:
         op = inst.op
@@ -130,55 +177,24 @@ def run_functional(
         elif op is OpClass.LOAD:
             if inst.predictable:
                 result.loads += 1
-                probe = LoadProbe(
-                    pc=inst.pc,
-                    direction_history=histories.direction,
-                    path_history=histories.path,
-                    load_path_history=histories.load_path,
-                    inflight_same_pc=0,
-                    folded=histories.folded_values(),
+                decision = predictor.predict(probe_load(histories, inst.pc))
+                correctness, speculative_values = judge_and_train(
+                    predictor, decision, mem, inst.addr, inst.size,
+                    inst.value,
                 )
-                decision = predictor.predict(probe)
-                correctness = {}
-                speculative_values = []
-                for name, prediction in decision.confident.items():
-                    if prediction.kind is PredictionKind.VALUE:
-                        speculative = prediction.value
-                    else:
-                        speculative = mem.read(prediction.addr, prediction.size)
-                    speculative_values.append(speculative)
-                    correctness[name] = speculative == inst.value
                 if len(speculative_values) >= 2:
                     result.multi_confident_loads += 1
                     if len(set(speculative_values)) > 1:
                         result.disagreements += 1
-                count = len(decision.confident)
-                result.confident_histogram[min(count, 4)] += 1
-                for name in decision.confident:
-                    result.per_component_confident[name] = (
-                        result.per_component_confident.get(name, 0) + 1
-                    )
-                    if correctness[name]:
-                        result.per_component_correct[name] = (
-                            result.per_component_correct.get(name, 0) + 1
-                        )
+                result.confident_histogram[min(len(correctness), 4)] += 1
+                for name, correct in correctness.items():
+                    confident_counts[name] = confident_counts.get(name, 0) + 1
+                    if correct:
+                        correct_counts[name] = correct_counts.get(name, 0) + 1
                 if decision.chosen is not None:
                     result.predicted_loads += 1
                     if correctness[decision.chosen.component]:
                         result.correct_predictions += 1
-                predictor.validate_and_train(
-                    decision,
-                    LoadOutcome(
-                        pc=inst.pc, addr=inst.addr, size=inst.size,
-                        value=inst.value,
-                        direction_history=probe.direction_history,
-                        path_history=probe.path_history,
-                        load_path_history=probe.load_path_history,
-                        folded=probe.folded,
-                    ),
-                    correctness,
-                )
             histories.push_memory(inst.pc)
-        if tick_epochs:
-            predictor.tick_instructions(1)
+        predictor.tick_instructions(1)
     return result

@@ -13,10 +13,10 @@ tables are re-synchronized at epoch boundaries (table fusion operates
 on them) and at the end of the run, so a vector run leaves the
 predictor in exactly the state a pure object run would have.
 
-The object path stays the bit-exact oracle: for every supported
-assembly, :func:`run_functional_vec` produces a
+The object interpreter stays the bit-exact reference: for every
+supported assembly, :func:`run_functional_vec` produces a
 :class:`~repro.harness.functional.FunctionalResult` equal field-for-field
-to :func:`~repro.harness.functional.run_functional`
+to :func:`~repro.harness.functional.run_functional_objects`
 (``tests/test_columnar_equivalence.py`` enforces this across workloads
 x seeds x predictor specs).  Unsupported assemblies are reported by
 :func:`vector_unsupported_reason` so callers can fall back.
@@ -425,7 +425,7 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
     The vector backend replays component/monitor/fusion semantics by
     exact type; subclasses or third-party components could override
     behaviour it has inlined, so anything but the known concrete types
-    falls back to the object oracle.
+    falls back to the object interpreter.
     """
     if getattr(trace, "columns", None) is None:
         return "trace has no packed columns"
@@ -452,16 +452,13 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
 # ----------------------------------------------------------------------
 
 
-def run_functional_vec(
-    trace, predictor, tick_epochs: bool = True
-) -> FunctionalResult:
+def run_functional_vec(trace, predictor) -> FunctionalResult:
     """Vectorized-batch equivalent of
-    :func:`repro.harness.functional.run_functional`.
+    :func:`repro.harness.functional.run_functional_objects`.
 
     Raises :class:`ValueError` for unsupported trace/predictor pairs;
     callers wanting automatic fallback should consult
-    :func:`vector_unsupported_reason` first (``run_functional`` with
-    ``backend="auto"`` does).
+    :func:`vector_unsupported_reason` first (``run_functional`` does).
     """
     reason = vector_unsupported_reason(trace, predictor)
     if reason is not None:
@@ -473,7 +470,7 @@ def run_functional_vec(
     )
     result = FunctionalResult(workload=trace.name, instructions=len(trace))
     if type(predictor) is CompositePredictor:
-        _run_composite(trace.columns, predictor, mem, result, tick_epochs)
+        _run_composite(trace.columns, predictor, mem, result)
     else:
         _run_single(trace.columns, predictor, mem, result)
     return result
@@ -526,7 +523,7 @@ def _bump(confs, index, probs, cmax, coin):
 # ----------------------------------------------------------------------
 
 
-def _run_composite(columns, predictor, mem, result, tick_epochs):
+def _run_composite(columns, predictor, mem, result):
     components = predictor.components
     lvp = components.get("lvp")
     sap = components.get("sap")
@@ -679,7 +676,7 @@ def _run_composite(columns, predictor, mem, result, tick_epochs):
     # Per-load epoch accounting is only needed if a boundary can fire
     # inside this trace; otherwise the finalize block's bulk
     # ``iie += n_instructions`` is equivalent.
-    track = tick_epochs and iie + n_instr >= epoch_len
+    track = iie + n_instr >= epoch_len
 
     rep0 = repeat(0)
     rows = zip(
@@ -1231,14 +1228,13 @@ def _run_composite(columns, predictor, mem, result, tick_epochs):
     for fl, bkl in live:
         fl.absorb(bkl)
         fl.flush_to_table()
-    if tick_epochs:
-        iie += n_instr - prev_tick
-        while iie >= epoch_len:
-            iie -= epoch_len
-            monitor.end_epoch()
-            if fusion is not None:
-                fusion.end_epoch()
-        predictor._instructions_in_epoch = iie
+    iie += n_instr - prev_tick
+    while iie >= epoch_len:
+        iie -= epoch_len
+        monitor.end_epoch()
+        if fusion is not None:
+            fusion.end_epoch()
+    predictor._instructions_in_epoch = iie
 
     stats.loads += n_loads
     stats.predicted_loads += r_pred

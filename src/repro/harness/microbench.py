@@ -130,7 +130,7 @@ def run_benchmarks(
     from repro.composite.composite import CompositePredictor
     from repro.composite.config import CompositeConfig
     from repro.eves.eves import eves_32kb
-    from repro.harness.functional import run_functional
+    from repro.harness import functional, functional_vec
     from repro.pipeline.core import CoreModel
     from repro.pipeline.frontend import clear_frontend_streams
     from repro.pipeline.vp import EvesAdapter
@@ -218,13 +218,13 @@ def run_benchmarks(
         CoreModel(predictor=predictor).run(trace)
     benchmarks["composite_sim"] = _median_ns(composite_sim, repeats)
 
-    # The object lane is pinned to backend="object": it is the oracle
-    # baseline the vectorized lane is measured against (run_functional's
-    # default "auto" would otherwise route both to the vector backend).
+    # The object lane runs the per-instruction interpreter: the
+    # baseline the vectorized lane is measured against (run_functional
+    # would route both to the vector backend).
     note("functional_composite")
     def functional_composite() -> None:
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
-        run_functional(trace, predictor, backend="object")
+        functional.run_functional_objects(trace, predictor)
     benchmarks["functional_composite"] = _median_ns(
         functional_composite, repeats
     )
@@ -232,7 +232,7 @@ def run_benchmarks(
     note("functional_composite_vec")
     def functional_composite_vec() -> None:
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
-        run_functional(trace, predictor, backend="vector")
+        functional_vec.run_functional_vec(trace, predictor)
     benchmarks["functional_composite_vec"] = _median_ns(
         functional_composite_vec, repeats
     )

@@ -238,11 +238,7 @@ def run_functional_cell(spec: dict) -> dict:
     Like :func:`run_speedup_cell` but without the timing model: the
     cell measures coverage/accuracy/overlap via
     :func:`repro.harness.functional.run_functional`.  ``spec`` carries
-    ``workload``, ``length``, ``seed``, a ``predictor`` spec, and an
-    optional ``backend`` (``"auto"`` -- the default -- routes supported
-    assemblies through the vectorized columnar backend; ``"object"`` /
-    ``"vector"`` force a path).  Results are backend-independent: the
-    vector backend is bit-exact against the object oracle.
+    ``workload``, ``length``, ``seed`` and a ``predictor`` spec.
     """
     from repro.harness.functional import run_functional
 
@@ -254,9 +250,7 @@ def run_functional_cell(spec: dict) -> dict:
     trace = workload_trace(
         spec["workload"], spec["length"], spec.get("seed", 0)
     )
-    result = run_functional(
-        trace, predictor, backend=spec.get("backend", "auto")
-    )
+    result = run_functional(trace, predictor)
     return {
         "loads": result.loads,
         "predicted_loads": result.predicted_loads,
@@ -274,7 +268,6 @@ def functional_cell(
     length: int,
     predictor: dict,
     seed: int = 0,
-    backend: str = "auto",
 ) -> "resilient.Cell":
     """Build the :class:`repro.harness.resilient.Cell` for one
     functional run."""
@@ -283,7 +276,7 @@ def functional_cell(
         fn=FUNCTIONAL_CELL_FN,
         spec={
             "workload": workload, "length": length, "seed": seed,
-            "predictor": predictor, "backend": backend,
+            "predictor": predictor,
         },
     )
 

@@ -16,8 +16,8 @@ The object-based :class:`repro.isa.instruction.Instruction` path stays
 the reference oracle; :meth:`TraceColumns.materialize` reconstructs the
 exact instruction list (bit-identical fields, including validation),
 and the randomized equivalence tests in
-``tests/test_columnar_equivalence.py`` prove both simulator paths
-produce byte-identical results.
+``tests/test_columnar_equivalence.py`` prove the columnar simulator
+loop byte-identical to the object-path oracle in ``tests/oracles``.
 """
 
 from __future__ import annotations

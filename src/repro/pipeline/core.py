@@ -23,34 +23,30 @@ Value-prediction flow per predictable load (Figure 1 of the paper):
    by the *value* the probe returned, so a conflicting in-flight store
    or a wrong-but-coincidentally-equal address is decided exactly).
 
-Two loop implementations compute the same pass:
-
-* :meth:`CoreModel._run_objects` iterates ``trace.instructions`` --
-  the reference oracle, unchanged semantics since the seed;
-* :meth:`CoreModel._run_columnar` iterates the packed
-  :class:`repro.isa.columns.TraceColumns` directly, with prebound
-  locals and precomputed per-opclass dispatch tables instead of enum
-  property calls -- the hot path for generator/store traces.
+One loop computes the pass.  :meth:`CoreModel.run` iterates the packed
+:class:`repro.isa.columns.TraceColumns` (packing an object-built trace
+first; the columns are memoized on the trace) with prebound locals and
+precomputed per-opclass dispatch tables instead of enum property calls.
 
 The front end is trace-determined: histories take actual outcomes and
 each branch is predicted and trained within its own iteration, so the
 branch unit (TAGE, ITTAGE, RAS, BTB), the three history registers and
-every folded register evolve identically whatever the timing.  The
-object path drives a live :class:`BranchUnit`; the columnar path
+every folded register evolve identically whatever the timing.  The loop
 replays a :class:`repro.pipeline.frontend.FrontEndStream` -- per-branch
 bubbles and mispredictions, per-predictable-load history snapshots,
 final branch statistics -- recorded once per trace and shared by every
-predictor assembly run on it.  What depends on timing stays serial in
-both loops: the memory hierarchy (flushes refetch blocks, PAQ probes
-touch the L1D when their prediction is chosen) and the deferred
-predictor updates (applied once fetch passes a load's completion).
+predictor assembly run on it.  What depends on timing stays serial: the
+memory hierarchy (flushes refetch blocks, PAQ probes touch the L1D when
+their prediction is chosen) and the deferred predictor updates (applied
+once fetch passes a load's completion).
 
-Both paths funnel every stateful step (caches, predictor, memory probe
-resolution) through the same helpers with the same values in the same
-order, so their :class:`SimResult`\\ s are bit-identical (proven by
-randomized tests in ``tests/test_columnar_equivalence.py``).
-:meth:`CoreModel.run` picks the columnar path whenever the trace
-carries columns.
+The reference oracle is the same pass over ``trace.instructions``
+driving a live :class:`~repro.branch.unit.BranchUnit`; it lives in
+``tests/oracles/core_loop.py``, funnels every stateful step (caches,
+predictor, memory probe resolution) through this module's load helpers
+with the same values in the same order, and must produce a
+bit-identical :class:`SimResult` (randomized and property-based tests
+in ``tests/test_columnar_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -60,8 +56,6 @@ from collections import deque
 
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
-from repro.branch.unit import BranchUnit
-from repro.common.rng import DeterministicRng
 from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
 from repro.isa.instruction import (
     NUM_ARCH_REGS,
@@ -76,9 +70,9 @@ from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.frontend import branch_folds, branch_stats, frontend_stream
+from repro.pipeline.frontend import branch_folds, frontend_stream
 from repro.pipeline.memdep import StoreSetPredictor
-from repro.pipeline.resources import LaneScheduler, WindowTracker
+from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
 from repro.pipeline.vp import NoPredictor, ValuePredictorHost
 from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
@@ -91,7 +85,7 @@ from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
 TIMING_SEMANTICS_VERSION = 1
 
 # Raw opclass integers the dispatch tables key on; defined next to the
-# enum in repro.isa.instruction so the columnar loops cannot drift.
+# enum in repro.isa.instruction so the columnar loop cannot drift.
 _OP_LOAD = OP_LOAD
 _OP_STORE = OP_STORE
 _OP_BRANCH_LO = OP_BRANCH_FIRST
@@ -132,12 +126,11 @@ class CoreModel:
         self.tage_config = tage_config or TageConfig()
         self.ittage_config = ittage_config or IttageConfig()
         self.seed = seed
-        self._branch_unit: BranchUnit | None = None
         self.hierarchy = MemoryHierarchy(self.config.hierarchy)
         # Let the predictor assembly register its fold widths after the
         # branch predictors' (probes then carry pre-folded values).  The
-        # slots are laid out on a table-free HistorySet; the live branch
-        # unit, built only if the object path runs, repeats the layout.
+        # slots are laid out on a table-free HistorySet; the front-end
+        # recorder's live branch unit repeats the layout.
         histories = branch_folds(self.tage_config, self.ittage_config)
         bind = getattr(self.predictor, "bind_history", None)
         if bind is not None:
@@ -147,24 +140,11 @@ class CoreModel:
         # Per-opclass dispatch table: execution latency indexed by the
         # raw opclass integer (no enum hashing in the hot loop).  LOAD
         # has no table latency -- the hierarchy decides -- so its slot
-        # is a placeholder the loops never read.
+        # is a placeholder the loop never reads.
         self._latency_by_op = tuple(
             self.config.latencies.get(OpClass(i), 0)
             for i in range(len(OpClass))
         )
-
-    @property
-    def branch_unit(self) -> BranchUnit:
-        """The live branch unit the object path drives (built on first
-        use; the columnar path replays a recorded front end instead)."""
-        if self._branch_unit is None:
-            unit = BranchUnit(
-                self.tage_config, self.ittage_config,
-                self.config.ras_entries, DeterministicRng(self.seed, "core"),
-            )
-            unit.histories.register_layout(self.fold_layout)
-            self._branch_unit = unit
-        return self._branch_unit
 
     # ------------------------------------------------------------------
     # Main loop
@@ -175,7 +155,6 @@ class CoreModel:
         trace: Trace,
         interrupt=None,
         interrupt_interval: int = 1024,
-        columnar: bool | None = None,
     ) -> SimResult:
         """Simulate ``trace`` and return its :class:`SimResult`.
 
@@ -184,372 +163,25 @@ class CoreModel:
         returning a truthy value raises :class:`SimulationInterrupted`.
         This is the progress/cancellation seam the resilient harness
         uses for cooperative timeouts and the CLI for progress display.
-        A columnar run on a trace whose front end is not yet recorded
-        polls during the recording pass too, counting that pass's
+        A run on a trace whose front end is not yet recorded polls
+        during the recording pass too, counting that pass's
         instructions from zero, so a deadline holds on a cold trace.
 
-        ``columnar`` selects the loop implementation: ``None`` (the
-        default) takes the columnar fast path whenever the trace
-        carries packed columns, ``True`` insists on it (raising
-        :class:`ValueError` for an unpacked trace), ``False`` forces
-        the object-path reference oracle.  Both produce bit-identical
-        results.
+        The loop reads the packed columns (``trace.pack()`` builds them
+        once for an object-built trace): column values are plain
+        integers read from packed arrays, opclass tests are integer
+        compares against the module-level ``_OP_*`` constants,
+        execution latency comes from the precomputed per-opclass
+        dispatch table, and every method or attribute that the loop
+        touches per instruction is prebound to a local.  The branch
+        unit and history registers are not driven live: their
+        trace-determined outcomes are replayed from the trace's
+        :class:`~repro.pipeline.frontend.FrontEndStream` (recorded on
+        first use).  Keep edits in lockstep with the object-path oracle
+        in ``tests/oracles/core_loop.py`` -- the equivalence suite will
+        catch any divergence.
         """
-        cols = trace.columns
-        if columnar is None:
-            columnar = cols is not None
-        elif columnar and cols is None:
-            raise ValueError(
-                f"trace {trace.name!r} has no packed columns; call "
-                "trace.pack() or pass columnar=False"
-            )
-        if columnar:
-            return self._run_columnar(
-                trace, interrupt, interrupt_interval
-            )
-        return self._run_objects(trace, interrupt, interrupt_interval)
-
-    def _run_objects(
-        self,
-        trace: Trace,
-        interrupt=None,
-        interrupt_interval: int = 1024,
-    ) -> SimResult:
-        """The object-path loop over ``trace.instructions`` (oracle)."""
-        cfg = self.config
-        predictor = self.predictor
-        branch_unit = self.branch_unit
-        hierarchy = self.hierarchy
-        histories = branch_unit.histories
-        l1d_hit = cfg.hierarchy.l1d.hit_latency
-        depth = cfg.frontend_depth
-        fetch_width = cfg.fetch_width
-        commit_width = cfg.commit_width
-
-        ls_lanes = LaneScheduler(cfg.ls_lanes)
-        generic_lanes = LaneScheduler(cfg.generic_lanes)
-        rob = WindowTracker(cfg.rob_entries)
-        iq = WindowTracker(cfg.iq_entries)
-        ldq = WindowTracker(cfg.ldq_entries)
-        stq = WindowTracker(cfg.stq_entries)
-        # Value-prediction structures (Figure 1): finite, drop-on-full.
-        paq = WindowTracker(cfg.paq_entries)
-        vpe = WindowTracker(cfg.vpe_entries)
-
-        reg_avail = [0] * NUM_ARCH_REGS
-
-        # Fetch state.
-        fetch_cycle = 0
-        fetched_in_cycle = 0
-        next_fetch_allowed = 0
-        current_block = -1
-
-        # Commit state.
-        last_commit = 0
-        committed_in_cycle = 0
-
-        # Probe-time memory: the initial image plus every older store
-        # whose data existed by probe time.  A PAQ probe CAMs the store
-        # queue as well as the D-cache (as DLVP does), so visibility is
-        # keyed on store *data-ready* time; stores are applied strictly
-        # in program order, which under-approximates STQ visibility when
-        # a younger ready store hides behind a slow older one -- the
-        # conservative direction.
-        mem = (
-            trace.initial_memory.copy()
-            if isinstance(trace.initial_memory, MemoryImage)
-            else MemoryImage()
-        )
-        pending_stores: deque[tuple[int, int, int, int]] = deque()
-
-        # Store tracking per 8-byte word: (issue_cycle, data_ready, pc)
-        # of the most recent older store covering it.  Used for
-        # store-to-load forwarding, memory dependence speculation, and
-        # PAQ conflict detection (a probe drops its prediction when it
-        # CAMs a pending store whose address is already known -- DLVP's
-        # conflicting-store filter; a store whose address resolves later
-        # is invisible and the probe forwards stale data, the genuine
-        # misprediction case).
-        store_info: dict[int, tuple[int, int, int]] = {}
-
-        memdep = (
-            StoreSetPredictor(cfg.ssit_entries, cfg.lfst_entries)
-            if cfg.memory_dependence == "store-sets"
-            else None
-        )
-
-        # Per-PC in-flight loads (for SAP's inflight compensation).
-        inflight_loads: dict[int, deque[int]] = {}
-
-        # Deferred predictor updates: a load's validation/training takes
-        # effect only once fetch time passes the load's completion
-        # (the real prediction-to-update latency; Section IV-C of the
-        # paper shows why this delay matters).  Heap of
-        # (complete_cycle, seq, decision, outcome, correctness).
-        pending_updates: list = []
-        update_seq = 0
-
-        result = SimResult(workload=trace.name, instructions=len(trace), cycles=0)
-        result.predictor_storage_bits = predictor.storage_bits()
-
-        if cfg.warm_l3:
-            self._warm_l3(trace)
-
-        instructions_done = 0
-        next_interrupt_check = interrupt_interval if interrupt else None
-
-        for inst in trace.instructions:
-            if next_interrupt_check is not None:
-                instructions_done += 1
-                if instructions_done >= next_interrupt_check:
-                    next_interrupt_check += interrupt_interval
-                    if interrupt(instructions_done):
-                        raise SimulationInterrupted(
-                            trace.name, instructions_done
-                        )
-            op = inst.op
-
-            # ----------------------------------------------------------
-            # Fetch
-            # ----------------------------------------------------------
-            floor = next_fetch_allowed
-            window_floor = max(
-                rob.earliest_allocation() - depth,
-                iq.earliest_allocation() - depth,
-            )
-            if op is OpClass.LOAD:
-                window_floor = max(
-                    window_floor, ldq.earliest_allocation() - depth
-                )
-            elif op is OpClass.STORE:
-                window_floor = max(
-                    window_floor, stq.earliest_allocation() - depth
-                )
-            floor = max(floor, window_floor)
-            if fetch_cycle < floor:
-                fetch_cycle = floor
-                fetched_in_cycle = 0
-            elif fetched_in_cycle >= fetch_width:
-                fetch_cycle += 1
-                fetched_in_cycle = 0
-            block = inst.pc >> 6
-            if block != current_block:
-                current_block = block
-                extra = hierarchy.fetch_latency(inst.pc) - cfg.hierarchy.l1i.hit_latency
-                if extra > 0:
-                    fetch_cycle += extra
-                    fetched_in_cycle = 0
-            fetch = fetch_cycle
-            fetched_in_cycle += 1
-
-            # ----------------------------------------------------------
-            # Branch prediction / histories / value-predictor probe
-            # ----------------------------------------------------------
-            branch_outcome = None
-            decision = None
-            snap_direction = snap_path = snap_load_path = 0
-            snap_folded = ()
-            if op.is_branch:
-                branch_outcome = branch_unit.fetch_branch(inst)
-                if branch_outcome.fetch_bubble:
-                    # Taken branch missed the BTB: decode redirect.
-                    fetch_cycle += branch_outcome.fetch_bubble
-                    fetched_in_cycle = 0
-                elif inst.taken:
-                    # Can't fetch past a taken branch this cycle.
-                    fetched_in_cycle = fetch_width
-            elif op is OpClass.LOAD:
-                # Apply predictor updates from loads that have completed
-                # by now -- the predictor state a fetch-time probe sees.
-                while pending_updates and pending_updates[0][0] <= fetch:
-                    _, _, d, o, c = heapq.heappop(pending_updates)
-                    predictor.validate_and_train(d, o, c)
-                snap_direction = histories.direction
-                snap_path = histories.path
-                snap_load_path = histories.load_path
-                if inst.predictable:
-                    # Training is deferred until the load completes, by
-                    # which point younger events have advanced the live
-                    # fold registers -- so capture their values now.
-                    snap_folded = histories.folded_values()
-                    flights = inflight_loads.get(inst.pc)
-                    inflight = 0
-                    if flights:
-                        while flights and flights[0] <= fetch:
-                            flights.popleft()
-                        inflight = len(flights)
-                    decision = predictor.predict(LoadProbe(
-                        pc=inst.pc,
-                        direction_history=snap_direction,
-                        path_history=snap_path,
-                        load_path_history=snap_load_path,
-                        inflight_same_pc=inflight,
-                        folded=snap_folded,
-                    ))
-                branch_unit.note_memory_op(inst.pc)
-            elif op is OpClass.STORE:
-                branch_unit.note_memory_op(inst.pc)
-
-            dispatch = fetch + depth
-
-            # ----------------------------------------------------------
-            # Issue and execute
-            # ----------------------------------------------------------
-            ready = dispatch + 1
-            for src in inst.srcs:
-                avail = reg_avail[src]
-                if avail > ready:
-                    ready = avail
-            if op is OpClass.LOAD and memdep is not None:
-                # Predicted-dependent loads wait for their store set.
-                wait_until = memdep.load_wait_until(inst.pc)
-                if wait_until > ready:
-                    ready = wait_until
-            if op.is_memory:
-                issue = ls_lanes.acquire(ready)
-            else:
-                issue = generic_lanes.acquire(ready)
-
-            if op is OpClass.LOAD:
-                complete, violation_store_pc, violation_ready = (
-                    self._load_complete(inst.pc, inst.addr, inst.size,
-                                        issue, hierarchy, store_info,
-                                        memdep, cfg)
-                )
-                if violation_store_pc is not None:
-                    # Memory-order violation: the load speculated past a
-                    # store whose data was not ready.  Flush younger
-                    # work and teach the store-set predictor.
-                    result.memory_order_violations += 1
-                    memdep.record_violation(inst.pc, violation_store_pc)
-                    redirect = violation_ready + cfg.redirect_penalty
-                    if redirect > next_fetch_allowed:
-                        next_fetch_allowed = redirect
-                    current_block = -1
-                flights = inflight_loads.get(inst.pc)
-                if flights is None:
-                    flights = inflight_loads[inst.pc] = deque(maxlen=cfg.ldq_entries)
-                flights.append(complete)
-                result.loads += 1
-                if inst.predictable:
-                    result.predictable_loads += 1
-            elif op is OpClass.STORE:
-                complete = issue + cfg.latencies[OpClass.STORE]
-                word_lo = inst.addr >> 3
-                word_hi = (inst.addr + inst.size - 1) >> 3
-                for word in range(word_lo, word_hi + 1):
-                    store_info[word] = (issue, complete, inst.pc)
-                if memdep is not None:
-                    memdep.note_store(inst.pc, complete)
-            else:
-                complete = issue + cfg.latencies[op]
-
-            # ----------------------------------------------------------
-            # Branch resolution
-            # ----------------------------------------------------------
-            if branch_outcome is not None:
-                branch_unit.resolve(inst, branch_outcome)
-                if branch_outcome.mispredicted:
-                    result.branch_mispredictions += 1
-                    redirect = complete + cfg.redirect_penalty
-                    if redirect > next_fetch_allowed:
-                        next_fetch_allowed = redirect
-                    current_block = -1
-
-            # ----------------------------------------------------------
-            # Value-prediction validation and training
-            # ----------------------------------------------------------
-            if op is OpClass.LOAD:
-                writeback = complete
-                if decision is not None:
-                    self._last_correctness = {}
-                    if decision.confident:
-                        writeback = self._validate_load(
-                            inst.value, decision, dispatch, complete,
-                            mem, pending_stores, store_info, hierarchy,
-                            l1d_hit, cfg, result, fetch, paq, vpe,
-                        )
-                        if writeback < 0:  # flush sentinel
-                            writeback = complete
-                            redirect = complete + cfg.redirect_penalty
-                            if redirect > next_fetch_allowed:
-                                next_fetch_allowed = redirect
-                            current_block = -1
-                    outcome = LoadOutcome(
-                        pc=inst.pc, addr=inst.addr, size=inst.size,
-                        value=inst.value,
-                        direction_history=snap_direction,
-                        path_history=snap_path,
-                        load_path_history=snap_load_path,
-                        folded=snap_folded,
-                    )
-                    heapq.heappush(pending_updates, (
-                        complete, update_seq, decision, outcome,
-                        self._last_correctness,
-                    ))
-                    update_seq += 1
-                if inst.dest != REG_NONE:
-                    reg_avail[inst.dest] = writeback
-            elif inst.dest != REG_NONE:
-                reg_avail[inst.dest] = complete
-
-            # ----------------------------------------------------------
-            # Commit (in order, commit_width per cycle)
-            # ----------------------------------------------------------
-            commit = complete + 1
-            if commit < last_commit:
-                commit = last_commit
-            if commit == last_commit:
-                if committed_in_cycle >= commit_width:
-                    commit += 1
-                    committed_in_cycle = 1
-                else:
-                    committed_in_cycle += 1
-            else:
-                committed_in_cycle = 1
-            last_commit = commit
-
-            if op is OpClass.STORE:
-                pending_stores.append((complete, inst.addr, inst.size, inst.value))
-                hierarchy.store_latency(inst.addr)
-                stq.admit(commit)
-            elif op is OpClass.LOAD:
-                ldq.admit(commit)
-            rob.admit(commit)
-            iq.admit(issue + 1)
-            predictor.tick_instructions(1)
-
-        # Drain the remaining deferred predictor updates so predictor
-        # statistics cover every predicted load in the trace.
-        while pending_updates:
-            _, _, d, o, c = heapq.heappop(pending_updates)
-            predictor.validate_and_train(d, o, c)
-
-        return self._finish(
-            result, last_commit, memdep, branch_stats(branch_unit)
-        )
-
-    def _run_columnar(
-        self,
-        trace: Trace,
-        interrupt=None,
-        interrupt_interval: int = 1024,
-    ) -> SimResult:
-        """The columnar loop over ``trace.columns`` (the hot path).
-
-        Same pass as :meth:`_run_objects`, restructured for speed:
-        column values are plain integers read from packed arrays,
-        opclass tests are integer compares against the module-level
-        ``_OP_*`` constants, execution latency comes from the
-        precomputed per-opclass dispatch table, and every method or
-        attribute that the loop touches per instruction is prebound to
-        a local.  The branch unit and history registers are not driven
-        live: their trace-determined outcomes are replayed from the
-        trace's :class:`~repro.pipeline.frontend.FrontEndStream`
-        (recorded on first use).  Keep edits in lockstep with the object
-        path -- the equivalence suite will catch any divergence.
-        """
-        cols = trace.columns
+        cols = trace.pack()
         cfg = self.config
         predictor = self.predictor
         hierarchy = self.hierarchy
@@ -750,7 +382,7 @@ class CoreModel:
                 # Deliver the instruction ticks accumulated since the
                 # last predictor interaction.  Epoch boundaries fire in
                 # the same order relative to predict/train calls as the
-                # per-instruction reference path, so this is
+                # per-instruction oracle, so this is
                 # bit-identical -- just fewer method calls.
                 if pending_ticks:
                     tick_instructions(pending_ticks)
@@ -986,25 +618,17 @@ class CoreModel:
         block = self.hierarchy.config.l3.block_bytes
         seen: set[int] = set()
         cols = trace.columns
-        if cols is not None:
-            ops = cols.op
-            addrs = cols.addr
-            fill = l3.fill
-            for i in range(len(cols)):
-                op = ops[i]
-                if op == _OP_LOAD or op == _OP_STORE:
-                    addr = addrs[i]
-                    blk = addr // block
-                    if blk not in seen:
-                        seen.add(blk)
-                        fill(addr)
-            return
-        for inst in trace.instructions:
-            if inst.op.is_memory:
-                blk = inst.addr // block
+        ops = cols.op
+        addrs = cols.addr
+        fill = l3.fill
+        for i in range(len(cols)):
+            op = ops[i]
+            if op == _OP_LOAD or op == _OP_STORE:
+                addr = addrs[i]
+                blk = addr // block
                 if blk not in seen:
                     seen.add(blk)
-                    l3.fill(inst.addr)
+                    fill(addr)
 
     # ------------------------------------------------------------------
     # Load helpers
@@ -1142,17 +766,13 @@ def simulate(
     seed: int = 0,
     interrupt=None,
     interrupt_interval: int = 1024,
-    columnar: bool | None = None,
 ) -> SimResult:
     """Convenience wrapper: build a core and run one trace.
 
     ``interrupt`` is forwarded to :meth:`CoreModel.run`: a callable
     polled every ``interrupt_interval`` instructions whose truthy
     return aborts the run with :class:`SimulationInterrupted`.
-    ``columnar`` forwards to :meth:`CoreModel.run` (``None`` = take the
-    columnar fast path when the trace carries packed columns).
     """
     return CoreModel(config=config, predictor=predictor, seed=seed).run(
         trace, interrupt=interrupt, interrupt_interval=interrupt_interval,
-        columnar=columnar,
     )

@@ -18,7 +18,7 @@ and the core seed:
 columns -- through the unchanged :meth:`BranchUnit.fetch_branch_fields`
 / :meth:`BranchUnit.resolve_fields` and :class:`HistorySet` pushes --
 into a compact :class:`FrontEndStream`, and memoizes it on the trace.
-:meth:`repro.pipeline.core.CoreModel._run_columnar` replays the stream
+:meth:`repro.pipeline.core.CoreModel.run` replays the stream
 instead of driving a live branch unit, so a campaign that simulates one
 trace under many predictor assemblies pays for the front end once.
 

@@ -4,10 +4,12 @@ A :class:`PredictorSession` owns one predictor assembly (built from the
 same declarative specs :func:`repro.harness.runner.build_predictor`
 accepts), its speculative histories, and a private memory image, and
 exposes the predictor as a standalone online API -- ``predict(pc)`` /
-``train(outcome)`` plus a streaming ``apply_event`` form that replays
+``train(outcome)`` plus a streaming ``apply_batch`` form that replays
 instruction events (branches, stores, loads, ticks) exactly the way the
-functional harness does, so a session driven over the wire is
-bit-identical to the same spec driven in-process
+functional harness does, through the harness's own per-load step
+(:func:`repro.harness.functional.probe_load` /
+:func:`repro.harness.functional.judge_and_train`), so a session driven
+over the wire is bit-identical to the same spec driven in-process
 (``tests/test_serve_equivalence.py``).
 
 :class:`SessionManager` holds many sessions keyed by id, accounts their
@@ -32,9 +34,10 @@ from collections import OrderedDict, deque
 
 from repro.branch.history import HistorySet
 from repro.composite.config import CompositeConfig
+from repro.harness.functional import judge_and_train, probe_load
 from repro.memory.image import MemoryImage
 from repro.pipeline.vp import NoPredictor
-from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
+from repro.predictors.types import PredictionKind
 
 #: Access sizes a session accepts for load/store events (the ISA's).
 _VALID_SIZES = (1, 2, 4, 8)
@@ -240,11 +243,8 @@ def apply_events(session: "PredictorSession", events) -> dict:
     partial-failure contract: events before a bad one stay applied and
     the error names the offending index.
 
-    The replay itself is :meth:`PredictorSession.apply_batch`, which
-    inlines the per-event hot path and defers epoch ticks between
-    predictions; any event its inline checks cannot prove well-formed
-    is delegated to :meth:`PredictorSession.apply_event`, the single
-    owner of validation error messages.
+    The replay itself is :meth:`PredictorSession.apply_batch`, the one
+    code path that applies an event.
     """
     if not isinstance(events, list):
         raise SessionError(
@@ -362,6 +362,29 @@ def _field(event: dict, key: str, kind: str) -> int:
     return value
 
 
+def _memory_fields(event: dict, kind: str) -> tuple[int, int, int, int]:
+    """``(pc, addr, size, value)`` of a load or store event.
+
+    The slow half of :meth:`PredictorSession.apply_batch`'s field
+    checks: it accepts what the exact-type fast checks are stricter
+    about (int subclasses) and otherwise raises the error for the
+    first bad field.
+    """
+    pc = _field(event, "pc", kind)
+    addr = _field(event, "addr", kind)
+    size = _field(event, "size", kind)
+    if size not in _VALID_SIZES:
+        raise SessionError(
+            f"{kind} size must be one of {_VALID_SIZES}, got {size!r}"
+        )
+    value = event.get("value")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SessionError(
+            f"{kind} event needs an int 'value', got {value!r}"
+        )
+    return pc, addr, size, value
+
+
 class PredictorSession:
     """One client's predictor, histories, memory, and counters."""
 
@@ -423,12 +446,18 @@ class PredictorSession:
         (training is deferred past prediction on a real fetch path).
         Histories are *not* advanced -- the event stream drives those.
         """
-        decision = self.predictor.predict(self._probe(pc))
+        if not isinstance(pc, int) or isinstance(pc, bool) or pc < 0:
+            raise SessionError(f"pc must be a non-negative int, got {pc!r}")
+        decision = self.predictor.predict(probe_load(self.histories, pc))
         self._pending.append(decision)
         return self._record(decision, None)
 
     def train(self, addr: int, size: int, value: int) -> dict:
-        """Resolve the oldest outstanding prediction with its outcome."""
+        """Resolve the oldest outstanding prediction with its outcome.
+
+        Address predictions are judged against the session's memory as
+        it is now, at train time.
+        """
         if not self._pending:
             raise SessionError("train without a pending predict")
         if size not in _VALID_SIZES:
@@ -436,7 +465,7 @@ class PredictorSession:
                 f"train size must be one of {_VALID_SIZES}, got {size!r}"
             )
         decision = self._pending.popleft()
-        return self._validate(decision, addr, size, value)
+        return self._resolve(decision, addr, size, value)
 
     @property
     def pending(self) -> int:
@@ -447,8 +476,8 @@ class PredictorSession:
     # Streaming form: replay instruction events (the loadgen path)
     # ------------------------------------------------------------------
 
-    def apply_event(self, event: dict) -> dict | None:
-        """Apply one instruction event; returns a record for loads.
+    def apply_batch(self, events: list) -> list:
+        """Apply one ``apply`` body's events; one result per event.
 
         Event vocabulary (``k`` selects the kind):
 
@@ -459,97 +488,26 @@ class PredictorSession:
         * ``{"k": "t", "n": N}`` -- N instructions of no interest to
           the predictor (ALU work), advancing the epoch clock.
 
-        Branch/store/load events each tick the epoch clock by one, so a
-        trace replayed as events is instruction-for-instruction
+        A predictable load's result is its decision record; every
+        other event's is ``None``.  Branch/store/load events each count
+        one instruction and loads run the functional harness's per-load
+        step, so a trace replayed as events is instruction-for-instruction
         identical to :func:`repro.harness.functional.run_functional`.
-        """
-        if not isinstance(event, dict):
-            raise SessionError(
-                f"event must be a dict, got {type(event).__name__}"
-            )
-        kind = event.get("k")
-        self.events += 1
-        record = None
-        if kind == "b":
-            pc = _field(event, "pc", "branch")
-            if event.get("cond", True):
-                self.histories.push_branch(pc, bool(event.get("taken")))
-            else:
-                self.histories.push_unconditional(pc)
-        elif kind == "s":
-            pc = _field(event, "pc", "store")
-            addr = _field(event, "addr", "store")
-            size = _field(event, "size", "store")
-            if size not in _VALID_SIZES:
-                raise SessionError(
-                    f"store size must be one of {_VALID_SIZES}, got {size!r}"
-                )
-            value = event.get("value")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SessionError(
-                    f"store event needs an int 'value', got {value!r}"
-                )
-            self.memory.write(addr, size, value)
-            self.histories.push_memory(pc)
-        elif kind == "l":
-            record = self._load_event(event)
-        elif kind == "t":
-            count = _field(event, "n", "tick")
-            self.instructions += count
-            self.predictor.tick_instructions(count)
-            return None
-        else:
-            raise SessionError(f"unknown event kind {kind!r}")
-        self.instructions += 1
-        self.predictor.tick_instructions(1)
-        return record
 
-    def _load_event(self, event: dict) -> dict:
-        """One load, in run_functional's exact order of operations."""
-        pc = _field(event, "pc", "load")
-        addr = _field(event, "addr", "load")
-        size = _field(event, "size", "load")
-        if size not in _VALID_SIZES:
-            raise SessionError(
-                f"load size must be one of {_VALID_SIZES}, got {size!r}"
-            )
-        value = event.get("value")
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SessionError(
-                f"load event needs an int 'value', got {value!r}"
-            )
-        record = None
-        if event.get("pred", True):
-            decision = self.predictor.predict(self._probe(pc))
-            record = self._validate(decision, addr, size, value)
-        self.histories.push_memory(pc)
-        return record
+        Methods are bound once per batch, and the per-event epoch ticks
+        are accumulated and flushed in a single ``tick_instructions``
+        call right before the next prediction consults the predictor.
+        Epoch boundaries are only observable at prediction time -- the
+        same deferral the vectorized functional backend relies on --
+        and each event's own tick lands *after* the event, so a load's
+        flush covers strictly prior instructions.
 
-    def apply_batch(self, events: list) -> list:
-        """Replay one ``apply`` body's events (the batch fast path).
-
-        Semantically identical to calling :meth:`apply_event` once per
-        event -- same per-load records, same final predictor, history,
-        memory, and counter state, same partial-failure contract -- with
-        the per-event overhead hoisted out of the hot loop: methods are
-        bound once per batch, field validation is inlined (exact
-        ``type`` tests double as the bool rejections :func:`_field`
-        performs), and the per-event epoch ticks are accumulated and
-        flushed in a single ``tick_instructions`` call right before the
-        next prediction consults the predictor.  Epoch boundaries are
-        only observable at prediction time -- the same deferral the
-        vectorized functional backend relies on -- and each event's own
-        tick lands *after* the event, so a load's flush covers strictly
-        prior instructions.
-
-        Any event the inline checks cannot prove well-formed (including
-        the rare-but-legal ones they are stricter about, e.g. dict
-        subclasses) is handed to :meth:`apply_event` after committing
-        the deferred ticks and counters, so that single method owns
-        both the permissive edge cases and every validation error
-        message; a failure there names the offending index while
-        earlier events stay applied, exactly as the sequential loop
-        behaved.
+        Field checks are exact ``type`` tests (which double as bool
+        rejections); a field they reject goes to :func:`_field` /
+        :func:`_memory_fields`, which accept int subclasses and raise
+        the error message otherwise.  On a bad event the earlier events
+        stay applied, the error is prefixed ``event N:``, and the
+        offending event -- if it is a dict -- counts in ``events``.
         """
         histories = self.histories
         push_branch = histories.push_branch
@@ -559,147 +517,107 @@ class PredictorSession:
         predictor = self.predictor
         predict = predictor.predict
         tick = predictor.tick_instructions
-        probe = self._probe
-        validate = self._validate
+        resolve = self._resolve
         sizes = _VALID_SIZES
         results: list = []
         append = results.append
         pending_ticks = 0  # epoch ticks owed but not yet applied
-        applied = 0        # inline events since the last counter commit
+        applied = 0        # events to add to the counters
         instructions = 0   # their instruction count
-        for index, event in enumerate(events):
-            if type(event) is dict:
+        index = 0
+        try:
+            for index, event in enumerate(events):
+                if type(event) is not dict and not isinstance(event, dict):
+                    raise SessionError(
+                        f"event must be a dict, got {type(event).__name__}"
+                    )
+                applied += 1
                 kind = event.get("k")
                 if kind == "l":
                     pc = event.get("pc")
                     addr = event.get("addr")
                     size = event.get("size")
                     value = event.get("value")
-                    if (type(pc) is int and pc >= 0
+                    if not (type(pc) is int and pc >= 0
                             and type(addr) is int and addr >= 0
                             and type(size) is int and size in sizes
                             and type(value) is int):
-                        if event.get("pred", True):
-                            if pending_ticks:
-                                tick(pending_ticks)
-                                pending_ticks = 0
-                            append(validate(
-                                predict(probe(pc)), addr, size, value
-                            ))
-                        else:
-                            append(None)
-                        push_memory(pc)
-                        pending_ticks += 1
-                        applied += 1
-                        instructions += 1
-                        continue
+                        pc, addr, size, value = _memory_fields(event, "load")
+                    if event.get("pred", True):
+                        if pending_ticks:
+                            tick(pending_ticks)
+                            pending_ticks = 0
+                        append(resolve(
+                            predict(probe_load(histories, pc)),
+                            addr, size, value,
+                        ))
+                    else:
+                        append(None)
+                    push_memory(pc)
                 elif kind == "b":
                     pc = event.get("pc")
-                    if type(pc) is int and pc >= 0:
-                        if event.get("cond", True):
-                            push_branch(pc, bool(event.get("taken")))
-                        else:
-                            push_unconditional(pc)
-                        append(None)
-                        pending_ticks += 1
-                        applied += 1
-                        instructions += 1
-                        continue
+                    if type(pc) is not int or pc < 0:
+                        pc = _field(event, "pc", "branch")
+                    if event.get("cond", True):
+                        push_branch(pc, bool(event.get("taken")))
+                    else:
+                        push_unconditional(pc)
+                    append(None)
                 elif kind == "s":
                     pc = event.get("pc")
                     addr = event.get("addr")
                     size = event.get("size")
                     value = event.get("value")
-                    if (type(pc) is int and pc >= 0
+                    if not (type(pc) is int and pc >= 0
                             and type(addr) is int and addr >= 0
                             and type(size) is int and size in sizes
                             and type(value) is int):
-                        mem_write(addr, size, value)
-                        push_memory(pc)
-                        append(None)
-                        pending_ticks += 1
-                        applied += 1
-                        instructions += 1
-                        continue
+                        pc, addr, size, value = _memory_fields(event, "store")
+                    mem_write(addr, size, value)
+                    push_memory(pc)
+                    append(None)
                 elif kind == "t":
                     count = event.get("n")
-                    if type(count) is int and count >= 0:
-                        append(None)
-                        pending_ticks += count
-                        applied += 1
-                        instructions += count
-                        continue
-            # Slow path: bring the session current, then let
-            # apply_event rule on this one event.
+                    if type(count) is not int or count < 0:
+                        count = _field(event, "n", "tick")
+                    append(None)
+                    pending_ticks += count
+                    instructions += count
+                    continue
+                else:
+                    raise SessionError(f"unknown event kind {kind!r}")
+                pending_ticks += 1
+                instructions += 1
+        except SessionError as exc:
+            raise SessionError(
+                f"event {index}: {exc}", code=exc.code
+            ) from exc
+        finally:
             if pending_ticks:
                 tick(pending_ticks)
-                pending_ticks = 0
             self.events += applied
             self.instructions += instructions
-            applied = 0
-            instructions = 0
-            try:
-                append(self.apply_event(event))
-            except SessionError as exc:
-                # Earlier events in the request stay applied; the error
-                # names the offender so the client can tell.
-                raise SessionError(
-                    f"event {index}: {exc}", code=exc.code
-                ) from exc
-        if pending_ticks:
-            tick(pending_ticks)
-        self.events += applied
-        self.instructions += instructions
         return results
 
     # ------------------------------------------------------------------
     # Shared internals
     # ------------------------------------------------------------------
 
-    def _probe(self, pc: int) -> LoadProbe:
-        if not isinstance(pc, int) or isinstance(pc, bool) or pc < 0:
-            raise SessionError(f"pc must be a non-negative int, got {pc!r}")
-        h = self.histories
-        return LoadProbe(
-            pc=pc,
-            direction_history=h.direction,
-            path_history=h.path,
-            load_path_history=h.load_path,
-            inflight_same_pc=0,
-            folded=h.folded_values(),
-        )
-
-    def _validate(
+    def _resolve(
         self, decision, addr: int, size: int, value: int
     ) -> dict:
-        """Score every confident component, train, update counters."""
+        """Judge and train one load's decision, update counters, and
+        return its record."""
         self.loads += 1
-        correctness = {}
-        for name, prediction in decision.confident.items():
-            if prediction.kind is PredictionKind.VALUE:
-                speculative = prediction.value
-            else:
-                speculative = self.memory.read(prediction.addr,
-                                               prediction.size)
-            correctness[name] = speculative == value
+        correctness, _ = judge_and_train(
+            self.predictor, decision, self.memory, addr, size, value
+        )
         correct = None
         if decision.chosen is not None:
             self.predicted_loads += 1
             correct = correctness[decision.chosen.component]
             if correct:
                 self.correct_predictions += 1
-        probe = decision.probe
-        self.predictor.validate_and_train(
-            decision,
-            LoadOutcome(
-                pc=probe.pc, addr=addr, size=size, value=value,
-                direction_history=probe.direction_history,
-                path_history=probe.path_history,
-                load_path_history=probe.load_path_history,
-                folded=probe.folded,
-            ),
-            correctness,
-        )
         return self._record(decision, correct)
 
     @staticmethod

@@ -52,7 +52,6 @@ def listing1_trace(
         },
         initial_memory=initial_memory,
     )
-    # Pack the columnar view up front so Table-V replays take the
-    # simulator's columnar fast path like generator-produced traces do.
+    # Pack the columnar view up front, like generator-produced traces.
     trace.pack()
     return trace

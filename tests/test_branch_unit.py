@@ -5,6 +5,8 @@ import pytest
 from repro.branch.unit import BranchUnit
 from repro.isa.instruction import Instruction, OpClass
 
+from oracles.core_loop import fetch_branch, resolve
+
 
 def _cond(pc, taken):
     return Instruction(pc=pc, op=OpClass.BRANCH_COND, taken=taken,
@@ -16,16 +18,16 @@ class TestConditional:
         unit = BranchUnit()
         for _ in range(200):
             inst = _cond(0x1000, True)
-            outcome = unit.fetch_branch(inst)
-            unit.resolve(inst, outcome)
+            outcome = fetch_branch(unit, inst)
+            resolve(unit, inst, outcome)
         assert unit.accuracy() > 0.9
 
     def test_counts_mispredictions(self):
         unit = BranchUnit()
         inst = _cond(0x1000, True)
         for _ in range(50):
-            outcome = unit.fetch_branch(inst)
-            unit.resolve(inst, outcome)
+            outcome = fetch_branch(unit, inst)
+            resolve(unit, inst, outcome)
         assert unit.conditional_predictions == 50
         assert unit.mpki_numerator == unit.conditional_mispredictions
 
@@ -35,12 +37,12 @@ class TestUnconditional:
         unit = BranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_DIRECT, taken=True,
                            target=0x2000)
-        assert not unit.fetch_branch(inst).mispredicted
+        assert not fetch_branch(unit, inst).mispredicted
 
     def test_non_branch_rejected(self):
         unit = BranchUnit()
         with pytest.raises(ValueError):
-            unit.fetch_branch(Instruction(pc=0x1000, op=OpClass.INT_ALU))
+            fetch_branch(unit, Instruction(pc=0x1000, op=OpClass.INT_ALU))
 
 
 class TestCallsAndReturns:
@@ -50,14 +52,14 @@ class TestCallsAndReturns:
                            target=0x9000, is_call=True)
         ret = Instruction(pc=0x9010, op=OpClass.BRANCH_RETURN, taken=True,
                           target=0x1004)
-        unit.fetch_branch(call)
-        assert not unit.fetch_branch(ret).mispredicted
+        fetch_branch(unit, call)
+        assert not fetch_branch(unit, ret).mispredicted
 
     def test_mismatched_return_detected(self):
         unit = BranchUnit()
         ret = Instruction(pc=0x9010, op=OpClass.BRANCH_RETURN, taken=True,
                           target=0x1234)
-        assert unit.fetch_branch(ret).mispredicted  # empty RAS -> 0
+        assert fetch_branch(unit, ret).mispredicted  # empty RAS -> 0
 
     def test_nested_calls(self):
         unit = BranchUnit()
@@ -65,11 +67,11 @@ class TestCallsAndReturns:
             call = Instruction(pc=0x1000 + depth * 0x100,
                                op=OpClass.BRANCH_DIRECT, taken=True,
                                target=0x9000, is_call=True)
-            unit.fetch_branch(call)
+            fetch_branch(unit, call)
         for depth in reversed(range(4)):
             ret = Instruction(pc=0x9010, op=OpClass.BRANCH_RETURN, taken=True,
                               target=0x1004 + depth * 0x100)
-            assert not unit.fetch_branch(ret).mispredicted
+            assert not fetch_branch(unit, ret).mispredicted
 
 
 class TestIndirect:
@@ -78,14 +80,13 @@ class TestIndirect:
         inst = Instruction(pc=0x3000, op=OpClass.BRANCH_INDIRECT, taken=True,
                            target=0x7000)
         for _ in range(20):
-            outcome = unit.fetch_branch(inst)
-            unit.resolve(inst, outcome)
-        outcome = unit.fetch_branch(inst)
+            outcome = fetch_branch(unit, inst)
+            resolve(unit, inst, outcome)
+        outcome = fetch_branch(unit, inst)
         assert not outcome.mispredicted
 
     def test_history_updated_for_value_predictors(self):
         unit = BranchUnit()
         unit.note_memory_op(0x5004)
         assert unit.histories.load_path != 0
-        unit.note_load(0x5008)  # alias works
         assert unit.histories.load_path < (1 << 32)

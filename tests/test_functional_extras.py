@@ -37,15 +37,6 @@ class TestDisagreement:
 
 
 class TestEpochTicks:
-    def test_tick_epochs_false_skips_epoch_machinery(self):
-        predictor = _composite(accuracy_monitor="m-am")
-        fired = []
-        original = predictor.monitor.end_epoch
-        predictor.monitor.end_epoch = lambda: fired.append(1) or original()
-        run_functional(generate_trace("coremark", 5000), predictor,
-                       tick_epochs=False)
-        assert fired == []
-
     def test_tick_epochs_true_fires(self):
         predictor = _composite(accuracy_monitor="m-am")
         fired = []

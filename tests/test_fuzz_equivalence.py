@@ -1,0 +1,178 @@
+"""Fuzzed equivalence of the three evaluators over generated traces.
+
+Hypothesis builds small memory-consistent programs that aim at the
+places where a fast path could drift from its reference:
+
+* a loop body repeated many times, so components grow confident and
+  predict well inside the program, and stores that change what later
+  iterations load, so some of those predictions are wrong;
+* a handful of PCs, some of them aliasing in the predictor tables;
+* stores of every size to a few addresses that later loads read,
+  at any byte offset, and strided loads;
+* runs of branches long enough to wrap every folded history register;
+* lengths that end mid-epoch (the assemblies run 97-instruction epochs).
+
+Each program must give the same answer three ways: the columnar core
+loop against the object-path oracle, the vectorized functional backend
+against the object interpreter, and a serve session fed the program's
+events against ``run_functional``.
+"""
+
+import dataclasses
+from dataclasses import asdict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.harness.functional import run_functional, run_functional_objects
+from repro.harness.functional_vec import run_functional_vec
+from repro.harness.runner import build_predictor
+from repro.isa.instruction import Instruction, OpClass
+from repro.isa.trace import Trace
+from repro.memory.image import MemoryImage
+from repro.pipeline.core import simulate
+from repro.pipeline.vp import SingleComponentAdapter
+from repro.serve.loadgen import trace_to_events
+from repro.serve.session import PredictorSession, resolve_spec
+
+from oracles.core_loop import simulate_objects
+
+MAX_LENGTH = 300
+
+#: Eight PCs; the second four alias the first four in any table of up
+#: to 2**14 entries indexed by PC bits.
+PCS = tuple(0x1000 + 4 * i for i in range(4)) + tuple(
+    0x1000 + 4 * i + (1 << 16) for i in range(4)
+)
+#: Three 8-byte words loads and stores share (plus one never stored).
+WORDS = (0x8000, 0x8008, 0x8040, 0x9000)
+
+#: Assemblies with short epochs, so most traces end mid-epoch.
+SPECS = (
+    {"kind": "composite", "entries": 64,
+     "config": {"epoch_instructions": 97}},
+    {"kind": "composite", "entries": 64,
+     "config": {"epoch_instructions": 97, "accuracy_monitor": "m-am",
+                "confidence_delta": -2}},
+    {"kind": "component", "name": "cvp", "entries": 64},
+    {"kind": "component", "name": "sap", "entries": 64},
+)
+
+_pc = st.sampled_from(PCS)
+_size = st.sampled_from((1, 2, 4, 8))
+_addr = st.tuples(st.sampled_from(WORDS), st.integers(0, 7))
+
+_step = st.one_of(
+    st.tuples(st.just("alu"), _pc, st.integers(0, 7)),
+    st.tuples(st.just("store"), _pc, _addr, _size, st.integers(0, 2**64 - 1),
+              st.integers(0, 2)),
+    st.tuples(st.just("load"), _pc, _addr, _size, st.booleans()),
+    st.tuples(st.just("strided"), _pc, st.sampled_from((8, 24, 64))),
+    st.tuples(st.just("branches"), _pc, st.lists(st.booleans(), min_size=1,
+                                                 max_size=80)),
+    st.tuples(st.just("jump"), _pc, st.sampled_from((
+        OpClass.BRANCH_DIRECT, OpClass.BRANCH_INDIRECT,
+        OpClass.BRANCH_RETURN,
+    )), st.sampled_from(PCS)),
+)
+
+
+def _build(body, repeats, tail) -> Trace:
+    """``body`` ``repeats`` times, then ``tail``: a memory-consistent
+    trace of at most ``MAX_LENGTH`` instructions."""
+    initial = MemoryImage()
+    for i, word in enumerate(WORDS):
+        initial.write(word, 8, 0x0101010101010101 * (i + 1))
+    initial.write_words(0xA000, range(1, 1 + 64 * 40))
+    memory = initial.copy()
+    out = []
+    steps = [(i, step) for i in range(repeats) for step in body]
+    steps += [(repeats, step) for step in tail]
+    for iteration, step in steps:
+        kind, pc = step[0], step[1]
+        if kind == "alu":
+            out.append(Instruction(pc=pc, op=OpClass.INT_ALU, dest=step[2],
+                                   srcs=((step[2] + 1) % 8,)))
+        elif kind == "store":
+            (word, offset), size = step[2], step[3]
+            # A nonzero step makes the stored value change per iteration.
+            value = (step[4] + step[5] * iteration) & ((1 << (8 * size)) - 1)
+            memory.write(word + offset, size, value)
+            out.append(Instruction(pc=pc, op=OpClass.STORE, srcs=(1,),
+                                   addr=word + offset, size=size,
+                                   value=value))
+        elif kind == "load":
+            (word, offset), size, no_predict = step[2], step[3], step[4]
+            addr = word + offset
+            out.append(Instruction(pc=pc, op=OpClass.LOAD, dest=pc % 8,
+                                   srcs=(2,), addr=addr, size=size,
+                                   value=memory.read(addr, size),
+                                   no_predict=no_predict))
+        elif kind == "strided":
+            addr = 0xA000 + step[2] * iteration
+            out.append(Instruction(pc=pc, op=OpClass.LOAD, dest=pc % 8,
+                                   addr=addr, size=8,
+                                   value=memory.read(addr, 8)))
+        elif kind == "branches":
+            for i, taken in enumerate(step[2]):
+                out.append(Instruction(pc=PCS[(PCS.index(pc) + i) % 8],
+                                       op=OpClass.BRANCH_COND, srcs=(3,),
+                                       taken=taken, target=0x1000))
+        else:
+            op, target = step[2], step[3]
+            out.append(Instruction(pc=pc, op=op, taken=True, target=target,
+                                   is_call=op is not OpClass.BRANCH_RETURN))
+    trace = Trace("fuzz", out[:MAX_LENGTH])
+    trace.initial_memory = initial
+    return trace
+
+
+def _host(spec):
+    return build_predictor(resolve_spec(spec))
+
+
+def _table_state(predictor):
+    if isinstance(predictor, SingleComponentAdapter):
+        components = [predictor.component]
+    else:
+        components = list(predictor.components.values())
+    return [
+        [dataclasses.astuple(entry) for entry in table.entries()]
+        for component in components
+        for table in component._tables()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    body=st.lists(_step, min_size=1, max_size=12),
+    repeats=st.integers(1, 60),
+    tail=st.lists(_step, max_size=8),
+    spec=st.sampled_from(SPECS),
+    seed=st.integers(0, 3),
+)
+def test_fast_paths_match_their_references(body, repeats, tail, spec, seed):
+    trace = _build(body, repeats, tail)
+
+    # Timing: columnar loop vs the object-path oracle.
+    oracle = simulate_objects(trace, _host(spec), seed=seed)
+    assert asdict(simulate(trace, _host(spec), seed=seed)) == asdict(oracle)
+
+    # Functional: vector backend vs the object interpreter.
+    vec_host, obj_host = _host(spec), _host(spec)
+    vec = run_functional_vec(trace, vec_host)
+    obj = run_functional_objects(trace, obj_host)
+    assert asdict(vec) == asdict(obj)
+    assert _table_state(vec_host) == _table_state(obj_host)
+    assert (getattr(vec_host, "_instructions_in_epoch", None)
+            == getattr(obj_host, "_instructions_in_epoch", None))
+
+    # Serving: a session fed the program's events vs run_functional.
+    session = PredictorSession(spec, initial_memory=trace.initial_memory)
+    session.apply_batch(trace_to_events(trace))
+    reference = run_functional(trace, _host(spec))
+    assert (session.loads, session.predicted_loads,
+            session.correct_predictions, session.instructions) == (
+        reference.loads, reference.predicted_loads,
+        reference.correct_predictions, reference.instructions,
+    )

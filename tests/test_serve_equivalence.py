@@ -6,7 +6,7 @@ predictor spec:
 
 1. :func:`repro.harness.functional.run_functional` (the reference
    program-order evaluation loop);
-2. a local :class:`PredictorSession` fed ``apply_event`` directly;
+2. a local :class:`PredictorSession` fed ``apply_batch`` in chunks;
 3. a session on a live server, driven over TCP in chunks.
 
 All three must agree on every aggregate counter, and (2) vs (3) must
@@ -19,13 +19,15 @@ import asyncio
 
 import pytest
 
-from repro.composite.composite import CompositePredictor
-from repro.composite.config import CompositeConfig
+from repro.branch.history import HistorySet
 from repro.harness.functional import run_functional
+from repro.harness.runner import build_predictor
+from repro.isa.instruction import OpClass
+from repro.pipeline.vp import NoPredictor
 from repro.serve.client import ServeClient
 from repro.serve.loadgen import trace_to_events
 from repro.serve.server import PredictionServer, ServerConfig
-from repro.serve.session import PredictorSession, spec_from_name
+from repro.serve.session import PredictorSession, resolve_spec, spec_from_name
 from repro.workloads.generator import generate_trace
 
 WORKLOAD = "gcc2k"
@@ -43,14 +45,33 @@ def events(trace):
     return trace_to_events(trace)
 
 
-def _local_records(spec, trace, events):
+def _local_records(spec, trace, events, chunk_size=257):
     session = PredictorSession(spec, initial_memory=trace.initial_memory)
     records = []
-    for event in events:
-        record = session.apply_event(event)
-        if record is not None:
-            records.append(record)
+    for start in range(0, len(events), chunk_size):
+        applied = session.apply_batch(events[start:start + chunk_size])
+        records.extend(r for r in applied if r is not None)
     return session, records
+
+
+def _host(spec):
+    return build_predictor(resolve_spec(spec)) or NoPredictor()
+
+
+def _program_order_folds(trace, spec):
+    """The folded registers after ``trace``, for ``spec``'s fold slots."""
+    histories = HistorySet()
+    bind = getattr(_host(spec), "bind_history", None)
+    if bind is not None:
+        bind(histories)
+    for inst in trace.instructions:
+        if inst.op is OpClass.BRANCH_COND:
+            histories.push_branch(inst.pc, inst.taken)
+        elif inst.op.is_branch:
+            histories.push_unconditional(inst.pc)
+        elif inst.op.is_memory:
+            histories.push_memory(inst.pc)
+    return histories.folded_values()
 
 
 def _wire_records(spec, events, chunk_size=257):
@@ -86,29 +107,33 @@ def _wire_records(spec, events, chunk_size=257):
 class TestEventStreamEquivalence:
     def test_event_stream_preserves_instruction_count(self, trace, events):
         session = PredictorSession(None)
-        for event in events:
-            session.apply_event(event)
+        session.apply_batch(events)
         assert session.instructions == len(trace)
 
-    @pytest.mark.parametrize("predictor", ["composite", "lvp", "eves-8kb"])
-    def test_session_matches_run_functional(self, trace, events, predictor):
-        spec = spec_from_name(predictor, 256)
+    @pytest.mark.parametrize("spec", [
+        spec_from_name("composite", 256),
+        spec_from_name("lvp", 256),
+        spec_from_name("eves-8kb", 256),
+        # Tiny epochs: the session defers per-event ticks, so epoch
+        # boundaries (monitor/fusion) must land inside batches exactly
+        # where the per-instruction reference fires them.
+        {"kind": "composite", "entries": 64,
+         "config": {"epoch_instructions": 97}},
+        spec_from_name("sap", 64),
+        spec_from_name("none"),
+    ], ids=["composite", "lvp", "eves-8kb", "composite-epoch97", "sap",
+            "none"])
+    def test_session_matches_run_functional(self, trace, events, spec):
         session, _ = _local_records(spec, trace, events)
-
-        if predictor == "composite":
-            reference_host = CompositePredictor(
-                CompositeConfig().homogeneous(256)
-            )
-        else:
-            from repro.harness.runner import build_predictor
-
-            reference_host = build_predictor(spec)
-        reference = run_functional(trace, reference_host)
+        reference = run_functional(trace, _host(spec))
 
         assert session.loads == reference.loads
         assert session.predicted_loads == reference.predicted_loads
         assert session.correct_predictions == reference.correct_predictions
         assert session.instructions == reference.instructions
+        assert session.histories.folded_values() == _program_order_folds(
+            trace, spec
+        )
 
 
 class TestWireEquivalence:

@@ -104,9 +104,9 @@ class TestPredictTrain:
         session = PredictorSession(spec_from_name("cap", 64))
         # The load at 0x40 always hits address 0x1000; its correctness
         # must be judged by reading the *session's* memory image.
-        session.apply_event(
+        session.apply_batch([
             {"k": "s", "pc": 0x10, "addr": 0x1000, "size": 8, "value": 99}
-        )
+        ])
         last = None
         for _ in range(40):
             session.predict(0x40)
@@ -130,40 +130,42 @@ class TestPredictTrain:
 
 
 class TestApplyEvent:
+    """One event at a time through :meth:`PredictorSession.apply_batch`."""
+
     def _session(self, name="composite"):
         return PredictorSession(spec_from_name(name, 64))
 
     def test_store_updates_memory_for_address_predictions(self):
         session = self._session()
-        session.apply_event(
+        session.apply_batch([
             {"k": "s", "pc": 0x10, "addr": 0x2000, "size": 8, "value": 5}
-        )
+        ])
         assert session.memory.read(0x2000, 8) == 5
         assert session.instructions == 1
 
     def test_tick_advances_clock_without_history_changes(self):
         session = self._session()
         direction = session.histories.direction
-        session.apply_event({"k": "t", "n": 500})
+        session.apply_batch([{"k": "t", "n": 500}])
         assert session.instructions == 500
         assert session.histories.direction == direction
 
     def test_load_event_counts_and_records(self):
         session = self._session()
-        record = session.apply_event({
+        record = session.apply_batch([{
             "k": "l", "pc": 0x40, "addr": 0x2000, "size": 8,
             "value": 1, "pred": True,
-        })
+        }])[0]
         assert record is not None and "predicted" in record
         assert session.loads == 1
 
     def test_unpredictable_load_still_pushes_history(self):
         session = self._session()
         load_path = session.histories.load_path
-        record = session.apply_event({
+        record = session.apply_batch([{
             "k": "l", "pc": 0x40, "addr": 0x2000, "size": 8,
             "value": 1, "pred": False,
-        })
+        }])[0]
         assert record is None
         assert session.loads == 0
         assert session.histories.load_path != load_path
@@ -182,7 +184,7 @@ class TestApplyEvent:
     def test_malformed_events_raise_session_errors(self, event, fragment):
         session = self._session("lvp")
         with pytest.raises(SessionError, match=fragment):
-            session.apply_event(event)
+            session.apply_batch([event])
 
     def test_snapshot_shape(self):
         session = PredictorSession(
@@ -202,8 +204,8 @@ class TestApplyEvent:
 
 
 class TestApplyBatch:
-    """The apply fast path must be indistinguishable from per-event
-    :meth:`PredictorSession.apply_event` calls."""
+    """How events are split into batches must not matter, and the
+    partial-failure contract and permissive edges hold."""
 
     def _events(self, length=2000):
         from repro.serve.loadgen import trace_to_events
@@ -211,25 +213,21 @@ class TestApplyBatch:
 
         return trace_to_events(generate_trace("coremark", length))
 
-    def _replay(self, spec, events, batched, chunk=256):
+    def _replay(self, spec, events, chunk):
         from repro.serve.session import apply_events
 
         session = PredictorSession(spec)
         results = []
         for start in range(0, len(events), chunk):
             piece = events[start:start + chunk]
-            if batched:
-                results.extend(apply_events(session, piece)["results"])
-            else:
-                results.extend(
-                    session.apply_event(event) for event in piece
-                )
+            results.extend(apply_events(session, piece)["results"])
         return session, results
 
     @pytest.mark.parametrize("spec", [
         {"kind": "composite", "entries": 64},
-        # Tiny epochs: the batch path defers per-event ticks, so epoch
-        # boundaries (monitor/fusion) must still land identically.
+        # Tiny epochs: a batch defers per-event ticks, so epoch
+        # boundaries (monitor/fusion) must land identically whether
+        # they fall inside a batch or between one-event batches.
         {"kind": "composite", "entries": 64,
          "config": {"epoch_instructions": 97}},
         {"kind": "component", "name": "sap", "entries": 64},
@@ -237,8 +235,8 @@ class TestApplyBatch:
     ])
     def test_batch_matches_per_event_replay(self, spec):
         events = self._events()
-        batched, batched_results = self._replay(spec, events, True)
-        sequential, sequential_results = self._replay(spec, events, False)
+        batched, batched_results = self._replay(spec, events, 256)
+        sequential, sequential_results = self._replay(spec, events, 1)
         assert batched_results == sequential_results
         assert batched.snapshot() == sequential.snapshot()
         assert (batched.histories.folded_values()
