@@ -27,9 +27,11 @@ Examples::
 
 Resilient execution (long sweeps)::
 
-    repro-lvp run fig12 --scale full --journal fig12.jnl --timeout 120
-    # ... killed half-way?  finish from the journal:
-    repro-lvp run fig12 --scale full --journal fig12.jnl --resume
+    export REPRO_RESULTS_DB_DIR=~/.cache/repro-results
+    repro-lvp run fig12 --scale full --timeout 120
+    # ... killed half-way?  rerun the same command: finished cells
+    # come back from the results database, only the rest run
+    repro-lvp run fig12 --scale full --timeout 120
     # isolate cells in worker subprocesses (hangs get reaped):
     repro-lvp run table6 --workers 2 --timeout 60 --max-retries 3
 
@@ -43,13 +45,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from pathlib import Path
 
 from repro.common.atomicfile import atomic_write_json
 from repro.harness import experiments as exp
-from repro.harness import resilient
-from repro.harness.journal import JournalError
+from repro.harness import resilient, resultsdb
 from repro.harness.presets import (
     EXPLORE_GRIDS,
     FULL,
@@ -114,33 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH",
         help="also write the raw result dict as JSON (written atomically)",
     )
-    resilience = run.add_argument_group(
-        "resilient execution",
-        "fault tolerance for sweep-style experiments: per-cell "
-        "timeouts, retries, subprocess isolation, and a crash-safe "
-        "journal that --resume completes from",
-    )
-    resilience.add_argument(
-        "--journal", metavar="PATH",
-        help="append each completed sweep cell to this JSONL journal",
-    )
-    resilience.add_argument(
-        "--resume", action="store_true",
-        help="skip cells already completed in --journal (requires --journal)",
-    )
-    resilience.add_argument(
-        "--timeout", type=float, metavar="SECONDS",
-        help="per-cell wall-clock timeout (cooperative when --workers 0)",
-    )
-    resilience.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run cells in N worker subprocesses; 0 = in-process "
-             "(default). Hung workers are killed and their cells retried.",
-    )
-    resilience.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries per cell on transient failures (default: 2)",
-    )
+    _add_resilience_flags(run)
 
     sim = sub.add_parser(
         "simulate",
@@ -509,19 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", metavar="PATH",
         help="also write the ranked report as JSON (written atomically)",
     )
-    explore.add_argument(
-        "--timeout", type=float, metavar="SECONDS",
-        help="per-cell wall-clock timeout (cooperative when --workers 0)",
-    )
-    explore.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run cells in N worker subprocesses; 0 = in-process "
-             "(default)",
-    )
-    explore.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries per cell on transient failures (default: 2)",
-    )
+    _add_resilience_flags(explore)
 
     cache = sub.add_parser(
         "cache",
@@ -589,26 +554,87 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``run`` and ``explore`` share for executing sweeps."""
+    group = parser.add_argument_group(
+        "resilient execution",
+        "fault tolerance for sweep-style experiments: per-cell "
+        "timeouts, retries and subprocess isolation.  With "
+        f"{resultsdb.ENV_VAR} set, rerunning a killed command serves "
+        "its finished cells from the results database",
+    )
+    group.add_argument(
+        "--timeout", type=float, metavar="SECONDS",
+        help="per-cell wall-clock timeout, > 0 (cooperative when "
+             "--workers 0; default: none)",
+    )
+    group.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="run cells in N worker subprocesses; 0 = in-process "
+             "(default). Hung workers are killed and their cells retried.",
+    )
+    group.add_argument(
+        "--max-retries", type=int, default=2, metavar="N",
+        help="retries per cell on transient failures (default: 2)",
+    )
+
+
 def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
+def _not_a_directory(label: str, root: str | None) -> str | None:
+    """The error for a configured store root that is not a directory."""
+    if root and Path(root).exists() and not Path(root).is_dir():
+        return f"{label} path is not a directory: {root}"
+    return None
+
+
+def _sweep_setup_error(args) -> str | None:
+    """Why ``run``/``explore`` cannot start: bad flags or DB path."""
+    if args.timeout is not None and args.timeout <= 0:
+        return f"--timeout must be > 0, got {args.timeout}"
+    if args.workers < 0:
+        return f"--workers must be >= 0, got {args.workers}"
+    if args.max_retries < 0:
+        return f"--max-retries must be >= 0, got {args.max_retries}"
+    return _not_a_directory(
+        "results database", os.environ.get(resultsdb.ENV_VAR)
+    )
+
+
 def _policy_from_args(args) -> resilient.ExecutionPolicy:
     return resilient.ExecutionPolicy(
-        workers=max(0, args.workers),
+        workers=args.workers,
         timeout=args.timeout,
-        retry=resilient.RetryPolicy(max_retries=max(0, args.max_retries)),
-        journal_path=args.journal,
-        resume=args.resume,
+        retry=resilient.RetryPolicy(max_retries=args.max_retries),
         progress=(
             (lambda outcome, done, total: print(
                 f"[{done}/{total}] {outcome.id}: {outcome.status}",
                 file=sys.stderr,
             ))
-            if args.journal or args.workers else None
+            if args.workers else None
         ),
     )
+
+
+def _interrupted() -> int:
+    """Exit 130 with a hint on finishing the interrupted campaign."""
+    root = os.environ.get(resultsdb.ENV_VAR)
+    if root:
+        print(
+            f"interrupted; finished cells are in ${resultsdb.ENV_VAR} "
+            f"({root}); rerun the same command to finish",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            f"interrupted; set {resultsdb.ENV_VAR} to keep finished "
+            "cells, so a rerun of the same command computes only the rest",
+            file=sys.stderr,
+        )
+    return 130
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -671,8 +697,7 @@ def _print_db_summary() -> None:
     """One stderr line on results-database effectiveness, if it ran.
 
     Stderr only: stdout payloads must stay byte-identical between a
-    clean run and a ``--resume`` (whose journal replay skips database
-    lookups and would shift the counters).
+    clean run and a rerun that serves every cell from the database.
     """
     totals = resilient.db_usage_totals()
     if totals.lookups:
@@ -686,8 +711,9 @@ def _print_db_summary() -> None:
 
 def _run_command(args) -> int:
     """The ``run`` subcommand: one experiment under a resilience policy."""
-    if args.resume and not args.journal:
-        return _fail("--resume requires --journal PATH")
+    error = _sweep_setup_error(args)
+    if error:
+        return _fail(error)
 
     function, takes_scale = _EXPERIMENTS[args.experiment]
     scale: ExperimentScale = _SCALES[args.scale]
@@ -695,21 +721,13 @@ def _run_command(args) -> int:
     try:
         with resilient.use_policy(_policy_from_args(args)):
             result = function(scale) if takes_scale else function()
-    except JournalError as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         # Bad inputs surfaced by deeper layers (malformed predictor
         # specs, unknown workloads) are exit-code-2 material, not
         # tracebacks -- the PR-1 exit-code contract.
         return _fail(str(exc))
     except KeyboardInterrupt:
-        if args.journal:
-            print(
-                f"interrupted; completed cells are journaled in "
-                f"{args.journal} -- rerun with --resume to finish",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted()
     elapsed = time.time() - started
 
     print(json.dumps(result, indent=2, default=str))
@@ -756,15 +774,13 @@ def _explore_command(args) -> int:
         return _fail(f"--eta must be > 1.0, got {args.eta}")
     if args.rungs is not None and args.rungs < 1:
         return _fail(f"--rungs must be >= 1, got {args.rungs}")
+    error = _sweep_setup_error(args)
+    if error:
+        return _fail(error)
 
-    policy = resilient.ExecutionPolicy(
-        workers=max(0, args.workers),
-        timeout=args.timeout,
-        retry=resilient.RetryPolicy(max_retries=max(0, args.max_retries)),
-    )
     started = time.time()
     try:
-        with resilient.use_policy(policy):
+        with resilient.use_policy(_policy_from_args(args)):
             result = run_explore(
                 EXPLORE_GRIDS[args.grid], _SCALES[args.scale],
                 metric=args.metric, mode=args.mode, eta=args.eta,
@@ -773,7 +789,7 @@ def _explore_command(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     except KeyboardInterrupt:
-        return 130
+        return _interrupted()
     elapsed = time.time() - started
 
     print(json.dumps(result, indent=2, default=str))
@@ -1130,8 +1146,6 @@ def _serve_standby(args) -> int:
 
 def _check_durability_flags(args) -> str | None:
     """Shared flag validation for ``serve`` and ``crashtest``."""
-    from pathlib import Path
-
     if args.fsync_interval < 0:
         return f"--fsync-interval must be >= 0, got {args.fsync_interval}"
     if args.checkpoint_every < 1:
@@ -1385,10 +1399,6 @@ def _cache_command(args) -> int:
     ``--which all`` reports both under named keys (either may be null
     when unconfigured, but at least one must be configured).
     """
-    import os
-    from pathlib import Path
-
-    from repro.harness import resultsdb
     from repro.workloads import store as trace_store
 
     if args.which not in _CACHE_KINDS:
@@ -1415,8 +1425,9 @@ def _cache_command(args) -> int:
         )
     for label, root in (("trace store", trace_root),
                         ("results database", results_root)):
-        if root and Path(root).exists() and not Path(root).is_dir():
-            return _fail(f"{label} path is not a directory: {root}")
+        error = _not_a_directory(label, root)
+        if error:
+            return _fail(error)
 
     def trace_stats() -> dict:
         stats = trace_store.TraceStore(Path(trace_root)).scan()
@@ -1458,22 +1469,17 @@ def _db_command(args) -> int:
     longer match the running package -- their fingerprints can never be
     queried again, so they only waste disk.
     """
-    import os
-    from pathlib import Path
-
-    from repro.harness import resultsdb
-
     results_root = args.results_dir or os.environ.get(resultsdb.ENV_VAR)
     if not results_root:
         return _fail(
             "no results database configured: set "
             f"{resultsdb.ENV_VAR} or pass --results-dir PATH"
         )
-    root = Path(results_root)
-    if root.exists() and not root.is_dir():
-        return _fail(f"results database path is not a directory: {root}")
+    error = _not_a_directory("results database", results_root)
+    if error:
+        return _fail(error)
 
-    report = resultsdb.ResultsDb(root).gc(dry_run=args.dry_run)
+    report = resultsdb.ResultsDb(Path(results_root)).gc(dry_run=args.dry_run)
     print(json.dumps(report, indent=2))
     if args.dry_run:
         print(

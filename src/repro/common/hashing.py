@@ -6,8 +6,9 @@ as printed and use a common folded-XOR scheme everywhere else, which is
 the standard hardware idiom (TAGE uses the same trick).
 
 :func:`stable_digest` is the odd one out: a content digest of plain
-data (specs, configurations), stable across processes, for keying
-journals, results-database fingerprints and durable sessions.
+data (specs, configurations), stable across processes, for recording
+a durable session's spec.  Results-database fingerprints canonicalize
+with the same :func:`jsonable` reduction.
 """
 
 from __future__ import annotations
@@ -165,9 +166,8 @@ def jsonable(obj: Any) -> Any:
 def stable_digest(obj: Any) -> str:
     """A short hex digest of ``obj``, stable across processes and runs.
 
-    Used to key journal campaigns and cell specs (so ``--resume`` can
-    detect that a journal belongs to a different sweep) and to record a
-    durable session's spec.
+    Used to record a durable session's spec, so reopening a session
+    under a different spec is detected.
     """
     canonical = json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

@@ -9,8 +9,9 @@ Timing sweeps (everything built on per-(workload, config) speedup
 runs) are decomposed into independent **cells** and executed through
 :mod:`repro.harness.resilient`: under the default policy they run
 in-process exactly as the historical loops did, but the CLI can arm
-per-cell timeouts, retries, worker subprocesses, and a crash-safe
-journal (``--resume``) around any of them.  When cells fail
+per-cell timeouts, retries and worker subprocesses around any of
+them, and with ``REPRO_RESULTS_DB_DIR`` set a killed campaign finishes
+by rerunning it against the results database.  When cells fail
 terminally, the experiment still returns its aggregate over the
 surviving cells plus a structured ``"failures"`` summary.
 """

@@ -15,21 +15,21 @@ actually hit:
   (``workers == 0``) arms a *cooperative* deadline that the timing
   model polls via its interrupt hook
   (:class:`repro.pipeline.core.SimulationInterrupted`);
-* the whole campaign is killed -> every finished cell was already
-  durably appended to a :class:`repro.harness.journal.Journal`, so a
-  relaunch with ``resume=True`` skips completed cells and reproduces
-  the uninterrupted result exactly (fresh results are JSON
-  round-tripped before aggregation so replayed and recomputed values
-  are byte-identical);
+* the whole campaign is killed -> with ``REPRO_RESULTS_DB_DIR`` set,
+  every finished cell was already written to the content-addressed
+  results database (:mod:`repro.harness.resultsdb`), so rerunning the
+  same sweep serves those cells as database hits, computes only the
+  rest, and reproduces the uninterrupted result exactly (fresh results
+  are JSON round-tripped before aggregation so served and recomputed
+  values are byte-identical);
 * some cells fail permanently -> the sweep still returns every
   successful cell plus a structured failure report instead of raising.
 
-When ``REPRO_RESULTS_DB_DIR`` is set, the supervisor also consults the
-content-addressed results database (:mod:`repro.harness.resultsdb`)
-before dispatching each cell and writes fresh results back on success,
-so identical cells are reused *across* campaigns and processes.
-Journal replay still wins inside a campaign; database hits are
-journaled as ``cached`` cells so ``resume`` stays byte-identical.
+The database is the one record of finished cells: the supervisor
+consults it before dispatching each cell and writes fresh results back
+on success, so identical cells are reused across campaigns and
+processes, and a stale entry (recorded under other code or semantics
+versions) simply misses.
 
 Fault injection (for tests and drills) is driven by the
 ``REPRO_FAULT_PLAN`` environment variable -- see
@@ -51,8 +51,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.common.hashing import stable_digest
-from repro.harness.journal import Journal
 from repro.harness.resultsdb import ResultsDb, active_db
 
 #: Environment variable holding the fault plan (see :func:`parse_fault_plan`).
@@ -85,8 +83,7 @@ class FaultRule:
     ``pattern`` is an ``fnmatch`` glob over cell ids; ``action`` is one
     of ``fail`` (raise :class:`FaultInjected`), ``hang`` (sleep far past
     any sane timeout), ``crash`` (``os._exit`` -- kills the worker, or
-    the whole campaign when inline), or ``corrupt-journal`` (tear the
-    cell's journal record mid-write).  The rule applies while the cell's
+    the whole campaign when inline).  The rule applies while the cell's
     attempt number is below ``count`` -- ``count=1`` is "fail once,
     then succeed", the canonical transient fault.
     """
@@ -96,7 +93,7 @@ class FaultRule:
     count: int = 1
 
 
-_ACTIONS = ("fail", "hang", "crash", "corrupt-journal")
+_ACTIONS = ("fail", "hang", "crash")
 
 # True while the supervisor is executing cells in-process; lets the
 # ``hang`` action honor the cooperative deadline instead of deadlocking
@@ -194,19 +191,16 @@ class Cell:
     """One independent unit of a sweep.
 
     ``fn`` is a ``"package.module:function"`` reference resolved inside
-    the worker (so cells stay picklable and journal-stable); the
-    function receives ``spec`` as its single argument and must return a
-    JSON-serializable value.  ``id`` must be unique within the sweep
-    and stable across runs -- it keys journal replay.
+    the worker (so cells stay picklable); the function receives
+    ``spec`` as its single argument and must return a JSON-serializable
+    value.  ``id`` must be unique within the sweep and stable across
+    runs -- it keys the report, fault plans and retry jitter.  The
+    results database keys on ``fn`` and ``spec`` alone.
     """
 
     id: str
     fn: str
     spec: Any = None
-
-    def digest(self) -> str:
-        """Stable digest of the cell's work (fn + spec), for campaigns."""
-        return stable_digest({"fn": self.fn, "spec": self.spec})
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,7 @@ class RetryPolicy:
     dead workers) are retried; deterministic exceptions from the cell
     function fail immediately unless ``retry_all`` is set.  Jitter is
     derived from the (cell id, attempt) pair, not a live RNG, so a
-    resumed campaign backs off identically to the original.
+    rerun campaign backs off identically to the original.
     """
 
     max_retries: int = 2
@@ -241,21 +235,18 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a sweep executes: workers, timeout, retries, journaling.
+    """How a sweep executes: workers, timeout, retries, progress.
 
     ``workers == 0`` (the default) runs cells in-process -- same
     determinism and per-process caches as the historical inline loops,
     with *cooperative* timeouts only.  ``workers >= 1`` isolates cells
     in subprocesses where hangs and crashes cannot take down the
-    campaign.  ``journal_path`` enables crash-safe journaling;
-    ``resume`` replays completed cells from it.
+    campaign.
     """
 
     workers: int = 0
     timeout: float | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    journal_path: str | None = None
-    resume: bool = False
     progress: Callable[["CellOutcome", int, int], None] | None = None
 
 
@@ -264,21 +255,19 @@ class CellOutcome:
     """Terminal state of one cell after the sweep finishes."""
 
     id: str
-    status: str  #: ``ok``, ``failed``, or ``cached`` (journal or results DB)
+    status: str  #: ``ok``, ``failed``, or ``cached`` (results DB)
     value: Any = None
     attempts: int = 0
     elapsed: float = 0.0
     error: str | None = None
-    source: str = "fresh"  #: ``fresh``, ``journal``, or ``db``
+    source: str = "fresh"  #: ``fresh`` or ``db``
 
 
 @dataclass
 class DbUsage:
     """Results-database effectiveness counters for one sweep (or totals).
 
-    ``lookups``/``hits`` count database consultations for cells not
-    already satisfied by journal replay; ``journal_replayed`` counts
-    cells the journal satisfied first (never sent to the database);
+    ``lookups``/``hits`` count database consultations (one per cell);
     ``computed`` counts cells that actually ran; ``stored`` counts
     successful write-backs.
     """
@@ -286,7 +275,6 @@ class DbUsage:
     lookups: int = 0
     hits: int = 0
     computed: int = 0
-    journal_replayed: int = 0
     stored: int = 0
 
     @property
@@ -299,16 +287,13 @@ class DbUsage:
         self.lookups += other.lookups
         self.hits += other.hits
         self.computed += other.computed
-        self.journal_replayed += other.journal_replayed
         self.stored += other.stored
 
     def as_dict(self) -> dict:
         """JSON-friendly snapshot including the derived hit rate."""
         return {
             "lookups": self.lookups, "hits": self.hits,
-            "computed": self.computed,
-            "journal_replayed": self.journal_replayed,
-            "stored": self.stored, "hit_rate": round(self.hit_rate, 4),
+            "computed": self.computed, "stored": self.stored, "hit_rate": round(self.hit_rate, 4),
         }
 
 
@@ -357,7 +342,7 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        """True when every cell completed (fresh or from the journal)."""
+        """True when every cell completed (fresh or from the results DB)."""
         return not self.failures
 
     def failure_summary(self) -> dict:
@@ -448,8 +433,8 @@ def run_cells(
 
     Never raises for cell-level failures: failed cells appear in the
     report's :attr:`SweepReport.failures` and everything else completes.
-    Raises :class:`repro.harness.journal.JournalError` when asked to
-    resume from a journal that belongs to a different sweep.
+    With a results database active, cells it already holds are served
+    as ``cached`` and only the rest are dispatched.
     """
     policy = policy or current_policy()
     cells = list(cells)
@@ -459,66 +444,27 @@ def run_cells(
         raise ValueError(f"duplicate cell ids in sweep: {dupes}")
 
     outcomes: dict[str, CellOutcome] = {}
-    journal: Journal | None = None
+    total = len(cells)
     pending = cells
-    if policy.journal_path:
-        campaign = stable_digest(sorted((c.id, c.digest()) for c in cells))
-        journal = Journal(policy.journal_path)
-        if policy.resume and journal.path.exists():
-            completed = journal.load_completed(campaign)
-            for cell in cells:
-                if cell.id in completed:
-                    outcomes[cell.id] = CellOutcome(
-                        id=cell.id, status="cached",
-                        value=completed[cell.id], source="journal",
-                    )
-            pending = [c for c in cells if c.id not in outcomes]
-            if policy.progress is not None:
-                done = 0
-                for cell in cells:
-                    if cell.id in outcomes:
-                        done += 1
-                        policy.progress(outcomes[cell.id], done, len(cells))
-            journal.open_append()
-            journal.append({
-                "type": "campaign", "campaign": campaign,
-                "cells": len(cells), "resumed": True,
-                "replayed": len(outcomes),
-            })
-        else:
-            journal.start({
-                "type": "campaign", "campaign": campaign, "cells": len(cells),
-            })
-
     db = active_db()
-    usage = DbUsage(journal_replayed=len(outcomes))
-    if db is not None and pending:
-        # Consult the cross-campaign results DB for whatever the
-        # journal didn't satisfy; hits are journaled as ``cached``
-        # cells so a later resume replays them identically.
-        still_pending = []
-        for cell in pending:
+    usage = DbUsage()
+    if db is not None:
+        pending = []
+        for cell in cells:
             usage.lookups += 1
             hit, value = db.lookup_cell(cell)
             if hit:
                 usage.hits += 1
-                _record_outcome(outcomes, journal, policy, CellOutcome(
+                _record_outcome(outcomes, policy, CellOutcome(
                     id=cell.id, status="cached", value=value, source="db",
-                ), len(cells))
+                ), total)
             else:
-                still_pending.append(cell)
-        pending = still_pending
+                pending.append(cell)
 
+    run = _run_pool if policy.workers and policy.workers > 0 else _run_inline
     try:
-        if policy.workers and policy.workers > 0:
-            _run_pool(pending, policy, outcomes, journal, total=len(cells),
-                      db=db, usage=usage)
-        else:
-            _run_inline(pending, policy, outcomes, journal, total=len(cells),
-                        db=db, usage=usage)
+        run(pending, policy, outcomes, total, db, usage)
     finally:
-        if journal is not None:
-            journal.close()
         if db is not None:
             _DB_TOTALS.add(usage)
 
@@ -529,53 +475,22 @@ def run_cells(
 
 
 def _record_outcome(
-    outcomes: dict,
-    journal: Journal | None,
-    policy: ExecutionPolicy,
-    outcome: CellOutcome,
-    total: int,
+    outcomes: dict, policy: ExecutionPolicy, outcome: CellOutcome, total: int
 ) -> None:
     outcomes[outcome.id] = outcome
-    if journal is not None:
-        record = {
-            "type": "cell", "id": outcome.id, "status": outcome.status,
-            "attempt": outcome.attempts, "elapsed": round(outcome.elapsed, 6),
-        }
-        if outcome.status in ("ok", "cached"):
-            record["value"] = outcome.value
-        else:
-            record["error"] = outcome.error
-        rules = _plan_from_env()
-        if _matching_rule(rules, outcome.id, 0, "corrupt-journal") and not getattr(
-            journal, "_corrupted_once", False
-        ):
-            journal._corrupted_once = True
-            journal.append_corrupted(record)
-        else:
-            journal.append(record)
     if policy.progress is not None:
         policy.progress(outcome, len(outcomes), total)
 
 
-def _journal_retry(
-    journal: Journal | None, cell: Cell, attempt: int, error: str, delay: float
-) -> None:
-    if journal is not None:
-        journal.append({
-            "type": "retry", "id": cell.id, "attempt": attempt,
-            "error": error, "delay": round(delay, 6),
-        })
-
-
 def _normalize(value: Any) -> Any:
     # JSON round-trip fresh results so they are byte-identical to
-    # journal-replayed ones (tuples become lists, NaN/Inf rejected).
+    # database-served ones (tuples become lists, non-JSON values
+    # become strings).
     return json.loads(json.dumps(value, default=str))
 
 
 def _complete_fresh(
     outcomes: dict,
-    journal: Journal | None,
     policy: ExecutionPolicy,
     cell: Cell,
     value: Any,
@@ -590,7 +505,7 @@ def _complete_fresh(
     usage.computed += 1
     if db is not None and db.store_cell(cell, normalized):
         usage.stored += 1
-    _record_outcome(outcomes, journal, policy, CellOutcome(
+    _record_outcome(outcomes, policy, CellOutcome(
         id=cell.id, status="ok", value=normalized,
         attempts=attempts, elapsed=elapsed,
     ), total)
@@ -600,13 +515,11 @@ def _run_inline(
     pending: Sequence[Cell],
     policy: ExecutionPolicy,
     outcomes: dict,
-    journal: Journal | None,
     total: int,
-    db: ResultsDb | None = None,
-    usage: DbUsage | None = None,
+    db: ResultsDb | None,
+    usage: DbUsage,
 ) -> None:
     global _INLINE
-    usage = usage if usage is not None else DbUsage()
     for cell in pending:
         attempt = 0
         started_total = time.monotonic()
@@ -624,12 +537,10 @@ def _run_inline(
                 transient = policy.retry.is_transient(exc)
                 error = f"{type(exc).__name__}: {exc}"
                 if transient and attempt < policy.retry.max_retries:
-                    delay = policy.retry.delay(cell.id, attempt)
-                    _journal_retry(journal, cell, attempt, error, delay)
-                    time.sleep(delay)
+                    time.sleep(policy.retry.delay(cell.id, attempt))
                     attempt += 1
                     continue
-                _record_outcome(outcomes, journal, policy, CellOutcome(
+                _record_outcome(outcomes, policy, CellOutcome(
                     id=cell.id, status="failed", attempts=attempt + 1,
                     elapsed=time.monotonic() - started_total, error=error,
                 ), total)
@@ -637,7 +548,7 @@ def _run_inline(
             else:
                 _INLINE = False
                 _complete_fresh(
-                    outcomes, journal, policy, cell, value, attempt + 1,
+                    outcomes, policy, cell, value, attempt + 1,
                     time.monotonic() - started_total, total, db, usage,
                 )
                 break
@@ -690,12 +601,10 @@ def _run_pool(
     pending: Sequence[Cell],
     policy: ExecutionPolicy,
     outcomes: dict,
-    journal: Journal | None,
     total: int,
-    db: ResultsDb | None = None,
-    usage: DbUsage | None = None,
+    db: ResultsDb | None,
+    usage: DbUsage,
 ) -> None:
-    usage = usage if usage is not None else DbUsage()
     queue: deque[tuple[Cell, int, float]] = deque(
         (cell, 0, 0.0) for cell in pending
     )  # (cell, attempt, not-before)
@@ -705,7 +614,7 @@ def _run_pool(
     inflight: dict = {}  # future -> (cell, attempt, deadline)
 
     def terminal(cell: Cell, attempt: int, error: str) -> None:
-        _record_outcome(outcomes, journal, policy, CellOutcome(
+        _record_outcome(outcomes, policy, CellOutcome(
             id=cell.id, status="failed", attempts=attempt + 1,
             elapsed=time.monotonic() - first_started.get(cell.id, time.monotonic()),
             error=error,
@@ -718,7 +627,6 @@ def _run_pool(
         )
         if transient and attempt < policy.retry.max_retries:
             delay = policy.retry.delay(cell.id, attempt)
-            _journal_retry(journal, cell, attempt, error, delay)
             queue.append((cell, attempt + 1, time.monotonic() + delay))
         else:
             terminal(cell, attempt, error)
@@ -780,7 +688,7 @@ def _run_pool(
                     failed(cell, attempt, exc, policy.retry.is_transient(exc))
                 else:
                     _complete_fresh(
-                        outcomes, journal, policy, cell, value, attempt + 1,
+                        outcomes, policy, cell, value, attempt + 1,
                         time.monotonic() - first_started[cell.id], total,
                         db, usage,
                     )

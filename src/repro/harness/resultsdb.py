@@ -3,10 +3,9 @@
 Every sweep cell in this repository is a pure function of its inputs:
 a picklable ``"module:function"`` reference plus a declarative spec
 (workload name, trace length, seed, predictor configuration,
-functional-vs-cycle mode).  The resilient supervisor's journal already
-replays completed cells *within* a campaign, but every new campaign --
-a different figure, a design-space search, a rerun on another day --
-used to recompute identical cells from scratch.
+functional-vs-cycle mode), so a finished cell never needs computing
+twice: not by a rerun of a killed campaign, a different figure, a
+design-space search, or a rerun on another day.
 
 This module persists cell results on disk keyed by a SHA-256
 **fingerprint** of everything that determines the value:
@@ -26,7 +25,9 @@ Layered *under* :mod:`repro.harness.resilient`, the database turns
 "rerun Figure 9" into "query the DB": the supervisor consults it
 before dispatching a cell and writes back on success, so any cell ever
 computed -- by a figure sweep, by ``repro-lvp explore``, by another
-process -- is reused everywhere.
+process -- is reused everywhere.  It is the one record of finished
+cells: a campaign killed mid-run finishes by rerunning the same
+command, which serves every stored cell and computes only the rest.
 
 Design points:
 

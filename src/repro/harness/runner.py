@@ -121,7 +121,7 @@ def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
     """Construct a predictor assembly from a declarative spec.
 
     Specs are small picklable dicts so sweeps can ship them to worker
-    subprocesses and digest them for journal identity:
+    subprocesses and fingerprint them for the results database:
 
     * ``{"kind": "none"}`` or ``None`` -- baseline, no predictor;
     * ``{"kind": "composite", "config": CompositeConfig(...)}``;
@@ -206,8 +206,8 @@ def run_speedup_cell(spec: dict) -> dict:
     ``predictor`` spec for :func:`build_predictor`.  Returns a flat
     JSON-friendly metrics dict (speedup fraction, coverage, accuracy,
     PAQ probes, predicted loads, IPC) -- everything the experiment
-    aggregations consume, so results can be replayed from a journal
-    without re-simulating.
+    aggregations consume, so results can be served from the results
+    database without re-simulating.
 
     Honors the resilient harness's cooperative deadline by polling it
     from the timing model's interrupt hook; an expired deadline

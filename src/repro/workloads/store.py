@@ -6,7 +6,7 @@ costs ~100 ms per 20k-instruction trace -- and sweep campaigns with
 process*.  This module persists packed columnar traces
 (:class:`repro.isa.columns.TraceColumns`) on disk, keyed by the SHA-256
 of ``(workload, length, seed, generator-version, format-version)``, so
-any process -- a pool worker, a resumed campaign, the micro-benchmark
+any process -- a pool worker, a rerun campaign, the micro-benchmark
 rig -- loads a few raw byte buffers instead of re-running the
 generator.
 

@@ -11,6 +11,7 @@ the tombstone and the tier state file read as absent and stay on disk
 interrupted mid-write leave the old file intact and no temp file.
 """
 
+import json
 import os
 import re
 from pathlib import Path
@@ -20,7 +21,11 @@ import pytest
 from _ondisk import swap_sealed_header
 
 from repro.common import atomicfile
-from repro.common.atomicfile import atomic_write, read_or_evict
+from repro.common.atomicfile import (
+    atomic_write,
+    atomic_write_json,
+    read_or_evict,
+)
 from repro.harness.resultsdb import ResultsDb
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
@@ -390,6 +395,34 @@ class TestReadOrEvict:
         with pytest.raises(atomicfile.CorruptEntryError):
             read_or_evict(path, bytes.decode)
         assert not path.exists()
+
+
+class TestAtomicWriteJson:
+    def test_writes_valid_json(self, tmp_path):
+        target = tmp_path / "out.json"
+        atomic_write_json(target, {"x": [1, 2, 3]})
+        assert json.loads(target.read_text()) == {"x": [1, 2, 3]}
+
+    def test_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old garbage")
+        atomic_write_json(target, {"fresh": True})
+        assert json.loads(target.read_text()) == {"fresh": True}
+
+    def test_no_tmp_droppings_on_success(self, tmp_path):
+        atomic_write_json(tmp_path / "out.json", {"x": 1})
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_unserializable_payload_leaves_no_partial_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text('{"old": true}')
+        with pytest.raises(ValueError, match="[Cc]ircular"):
+            # default=str handles most things; a circular structure
+            # still fails inside json.dump after bytes were written.
+            circular = {}
+            circular["self"] = circular
+            atomic_write_json(target, circular)
+        assert json.loads(target.read_text()) == {"old": True}
 
 
 def test_os_replace_lives_only_in_atomicfile():

@@ -7,6 +7,7 @@ in for the sweep tests so they run in seconds.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.harness import resilient, resultsdb
 from repro.harness.presets import ExperimentScale
 from repro.harness.resilient import FAULT_PLAN_ENV
 
@@ -57,10 +59,6 @@ class TestSimulateErrors:
 
 
 class TestRunFlags:
-    def test_resume_requires_journal(self, capsys):
-        assert main(["run", "fig6", "--resume"]) == 2
-        assert "--resume requires --journal" in capsys.readouterr().err
-
     def test_json_output_is_atomic_and_complete(
         self, tiny_smoke, tmp_path, capsys
     ):
@@ -93,24 +91,82 @@ class TestRunFlags:
         assert "cells failed" in captured.err
 
     def test_journal_then_resume_same_payload(
-        self, tiny_smoke, tmp_path, capsys
+        self, tiny_smoke, tmp_path, monkeypatch, capsys
     ):
-        journal = tmp_path / "fig6.jnl"
-        assert main([
-            "run", "fig6", "--scale", "smoke", "--journal", str(journal),
-        ]) == 0
+        # A rerun against the results DB replays the finished campaign,
+        # in a worker pool just as inline.
+        monkeypatch.setenv(resultsdb.ENV_VAR, str(tmp_path / "resultsdb"))
+        argv = ["run", "fig6", "--scale", "smoke"]
+        assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)
-        assert journal.exists()
-        assert main([
-            "run", "fig6", "--scale", "smoke", "--journal", str(journal),
-            "--resume",
-        ]) == 0
+        resilient.reset_db_usage_totals()
+        resultsdb.reset_active_db()  # fresh memo, like a new process
+        assert main(argv + ["--workers", "1"]) == 0
         captured = capsys.readouterr()
-        resumed = json.loads(captured.out)
-        assert json.dumps(resumed, sort_keys=True) == \
+        rerun = json.loads(captured.out)
+        assert json.dumps(rerun, sort_keys=True) == \
             json.dumps(first, sort_keys=True)
-        # Progress lines report every cell as replayed from the journal.
-        assert "cached" in captured.err
+        # Progress lines report every cell as served from the DB.
+        progress = [
+            line for line in captured.err.splitlines()
+            if line.startswith("[")
+        ]
+        assert progress
+        assert all(line.endswith(": cached") for line in progress)
+        assert "(100%), 0 computed" in captured.err
+
+    @pytest.mark.parametrize("with_db", [True, False], ids=["db", "no-db"])
+    def test_interrupt_exits_130_with_rerun_hint(
+        self, with_db, tmp_path, monkeypatch, capsys
+    ):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "killed", (interrupted, False))
+        if with_db:
+            monkeypatch.setenv(resultsdb.ENV_VAR, str(tmp_path / "db"))
+        assert main(["run", "killed"]) == 130
+        err = capsys.readouterr().err
+        if with_db:
+            assert "rerun the same command to finish" in err
+        else:
+            assert f"set {resultsdb.ENV_VAR}" in err
+
+
+SWEEP_COMMANDS = {
+    "run": ["run", "fig6", "--scale", "smoke"],
+    "explore": ["explore", "--grid", "smoke", "--scale", "smoke",
+                "--mode", "functional", "--metric", "coverage"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+class TestSweepFlags:
+    """``run`` and ``explore`` reject unusable resilience settings."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--timeout", "0"], "--timeout must be > 0, got 0.0"),
+        (["--timeout", "-1"], "--timeout must be > 0, got -1.0"),
+        (["--workers", "-2"], "--workers must be >= 0, got -2"),
+        (["--max-retries", "-1"], "--max-retries must be >= 0, got -1"),
+    ], ids=["timeout-zero", "timeout-negative", "workers", "max-retries"])
+    def test_bad_flag_exits_2(
+        self, tiny_smoke, command, flags, message, capsys
+    ):
+        assert main(SWEEP_COMMANDS[command] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
+    def test_results_db_path_not_a_directory(
+        self, tiny_smoke, command, tmp_path, monkeypatch, capsys
+    ):
+        not_a_dir = tmp_path / "resultsdb"
+        not_a_dir.write_text("")
+        monkeypatch.setenv(resultsdb.ENV_VAR, str(not_a_dir))
+        assert main(SWEEP_COMMANDS[command]) == 2
+        assert "results database path is not a directory" in \
+            capsys.readouterr().err
 
 
 class TestUnknownNamesListValid:
@@ -618,28 +674,42 @@ def _run_cli(tmp_path, *args, fault=None, extra_env=None):
     )
 
 
+def _db_summary(stderr: str) -> tuple[int, int, int]:
+    """(hits, lookups, computed) from the ``# results-db:`` line."""
+    match = re.search(
+        r"# results-db: (\d+)/(\d+) cells from cache \(\d+%\), "
+        r"(\d+) computed", stderr,
+    )
+    assert match, stderr
+    return tuple(int(n) for n in match.groups())
+
+
 class TestKillAndResumeEndToEnd:
     def test_crash_mid_sweep_then_resume_matches_clean_run(self, tmp_path):
-        journal = tmp_path / "fig6.jnl"
-        out_resumed = tmp_path / "resumed.json"
+        db_root = tmp_path / "resultsdb"
+        db_env = {resultsdb.ENV_VAR: str(db_root)}
+        out_rerun = tmp_path / "rerun.json"
         out_clean = tmp_path / "clean.json"
 
         # Campaign killed mid-run: the third variant's cell crashes the
         # whole process (inline mode), like a kill -9 would.
         crashed = _run_cli(
             tmp_path, "run", "fig6", "--scale", "smoke",
-            "--journal", str(journal),
-            fault="fig6/pc-am-64/*:crash:99",
+            fault="fig6/pc-am-64/*:crash:99", extra_env=db_env,
         )
         assert crashed.returncode == 70, crashed.stderr
-        assert journal.exists()
+        stored = len(list(db_root.glob("??/*.res")))
+        assert stored > 0
 
-        resumed = _run_cli(
+        # A plain rerun serves the stored cells and computes the rest.
+        rerun = _run_cli(
             tmp_path, "run", "fig6", "--scale", "smoke",
-            "--journal", str(journal), "--resume",
-            "--json", str(out_resumed),
+            "--json", str(out_rerun), extra_env=db_env,
         )
-        assert resumed.returncode == 0, resumed.stderr
+        assert rerun.returncode == 0, rerun.stderr
+        hits, lookups, computed = _db_summary(rerun.stderr)
+        assert hits == stored
+        assert computed == lookups - stored > 0
 
         clean = _run_cli(
             tmp_path, "run", "fig6", "--scale", "smoke",
@@ -647,7 +717,7 @@ class TestKillAndResumeEndToEnd:
         )
         assert clean.returncode == 0, clean.stderr
 
-        assert out_resumed.read_text() == out_clean.read_text()
+        assert out_rerun.read_text() == out_clean.read_text()
 
 
 class TestResultsDbEndToEnd:
@@ -675,16 +745,15 @@ class TestResultsDbEndToEnd:
 
     def test_run_and_resume_stdout_identical_with_db(self, tmp_path):
         db_env = {"REPRO_RESULTS_DB_DIR": str(tmp_path / "resultsdb")}
-        journal = tmp_path / "fig6.jnl"
-        argv = ("run", "fig6", "--scale", "smoke",
-                "--journal", str(journal))
+        argv = ("run", "fig6", "--scale", "smoke")
         first = _run_cli(tmp_path, *argv, extra_env=db_env)
         assert first.returncode == 0, first.stderr
-        assert "# results-db:" in first.stderr
+        hits, lookups, computed = _db_summary(first.stderr)
+        assert hits == 0 and computed == lookups > 0
 
-        resumed = _run_cli(tmp_path, *argv, "--resume", extra_env=db_env)
-        assert resumed.returncode == 0, resumed.stderr
-        # Journal replay wins: the DB is never consulted, the summary
-        # line disappears, and stdout stays byte-identical.
-        assert "# results-db:" not in resumed.stderr
-        assert resumed.stdout == first.stdout
+        rerun = _run_cli(tmp_path, *argv, extra_env=db_env)
+        assert rerun.returncode == 0, rerun.stderr
+        # Every cell is served from the DB and stdout stays
+        # byte-identical; the counters live on stderr only.
+        assert _db_summary(rerun.stderr) == (lookups, lookups, 0)
+        assert rerun.stdout == first.stdout

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.hashing import mix64, path_hash, pc_index, pc_tag
+from repro.common.hashing import (
+    mix64,
+    path_hash,
+    pc_index,
+    pc_tag,
+    stable_digest,
+)
 
 
 class TestMix64:
@@ -106,3 +112,19 @@ class TestPathHash:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             path_hash(0, 0x1000, 0)
+
+
+class TestStableDigest:
+    def test_deterministic_and_order_insensitive(self):
+        assert stable_digest({"a": 1, "b": 2}) == stable_digest({"b": 2, "a": 1})
+        assert stable_digest({"a": 1}) != stable_digest({"a": 2})
+
+    def test_handles_dataclasses_and_tuples(self):
+        from repro.composite.config import CompositeConfig
+
+        a = CompositeConfig().homogeneous(256)
+        b = CompositeConfig().homogeneous(256)
+        c = CompositeConfig().homogeneous(512)
+        assert stable_digest(a) == stable_digest(b)
+        assert stable_digest(a) != stable_digest(c)
+        assert stable_digest((1, 2)) == stable_digest([1, 2])

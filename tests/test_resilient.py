@@ -2,9 +2,10 @@
 
 Covers the acceptance scenarios of the resilient harness: fail-once
 faults retried with backoff, hangs reaped (cooperatively inline, by
-killing the worker in pool mode), campaigns killed mid-run and resumed
-from the journal with byte-identical results, and terminal failures
-degrading to partial results instead of aborting the sweep.
+killing the worker in pool mode), campaigns killed mid-run and
+finished by a rerun against the results database with byte-identical
+results, and terminal failures degrading to partial results instead of
+aborting the sweep.
 """
 
 import json
@@ -16,8 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import resilient
-from repro.harness.journal import JournalError
+from repro.harness import resilient, resultsdb
 from repro.harness.resilient import (
     Cell,
     CellTimeout,
@@ -62,11 +62,11 @@ class TestFaultPlanParsing:
         )
 
     def test_count_and_multiple_clauses(self):
-        rules = parse_fault_plan("a:hang:3; b/*:crash ;c:corrupt-journal")
+        rules = parse_fault_plan("a:hang:3; b/*:crash ;c:fail")
         assert rules == (
             FaultRule("a", "hang", 3),
             FaultRule("b/*", "crash", 1),
-            FaultRule("c", "corrupt-journal", 1),
+            FaultRule("c", "fail", 1),
         )
 
     def test_pattern_may_contain_colons(self):
@@ -80,6 +80,8 @@ class TestFaultPlanParsing:
     def test_bad_action_rejected(self):
         with pytest.raises(ValueError, match="bad fault clause"):
             parse_fault_plan("cell:explode")
+        with pytest.raises(ValueError, match="bad fault clause"):
+            parse_fault_plan("cell:corrupt-journal")  # a removed action
 
 
 class TestRetryPolicy:
@@ -253,17 +255,18 @@ class TestPoolExecution:
         assert report.outcomes["crash/b"].attempts == 2
 
 
-DRIVER = """\
+CAMPAIGN_SCRIPT = """\
 import json, sys
 from repro.harness import resilient
 
 cells = [
-    resilient.Cell(id=f"camp/{name}", fn="_cells:echo_cell", spec={"x": i})
+    resilient.Cell(
+        id=f"camp/{name}", fn="_cells:counting_cell",
+        spec={"x": i, "counter_path": sys.argv[1]},
+    )
     for i, name in enumerate("abcde")
 ]
 policy = resilient.ExecutionPolicy(
-    journal_path=sys.argv[1],
-    resume="--resume" in sys.argv[2:],
     retry=resilient.RetryPolicy(max_retries=0, backoff=0.001),
 )
 report = resilient.run_cells(cells, policy)
@@ -274,98 +277,61 @@ print(json.dumps({
 """
 
 
-def _run_driver(tmp_path, journal, *args, fault=None):
+def _run_campaign(tmp_path, counter, db_root=None, fault=None):
     extra = {FAULT_PLAN_ENV: fault} if fault else {}
-    script = tmp_path / "driver.py"
-    script.write_text(DRIVER)
+    if db_root is not None:
+        extra[resultsdb.ENV_VAR] = str(db_root)
+    script = tmp_path / "campaign.py"
+    script.write_text(CAMPAIGN_SCRIPT)
     return subprocess.run(
-        [sys.executable, str(script), str(journal), *args],
+        [sys.executable, str(script), str(counter)],
         capture_output=True, text=True, env=_subprocess_env(**extra),
         timeout=120,
     )
 
 
+def _computed(counter: Path) -> list[str]:
+    """The cell bodies that ran, one ``x`` per line (see counting_cell)."""
+    return counter.read_text().splitlines() if counter.exists() else []
+
+
 class TestJournalResume:
+    """A killed campaign finishes by rerunning against the results DB."""
+
     def test_kill_mid_run_then_resume_is_byte_identical(self, tmp_path):
+        db_root = tmp_path / "resultsdb"
+        counter = tmp_path / "count"
         # A crash fault in inline mode takes down the whole campaign
         # (os._exit), like kill -9 mid-run would.
-        crashed = _run_driver(
-            tmp_path, tmp_path / "j.jsonl", fault="camp/c:crash:99"
+        crashed = _run_campaign(
+            tmp_path, counter, db_root, fault="camp/c:crash:99"
         )
         assert crashed.returncode == 70, crashed.stderr
-        resumed = _run_driver(tmp_path, tmp_path / "j.jsonl", "--resume")
-        assert resumed.returncode == 0, resumed.stderr
-        clean = _run_driver(tmp_path, tmp_path / "clean.jsonl")
+        assert _computed(counter) == ["0", "1"]
+        assert len(list(db_root.glob("??/*.res"))) == 2
+
+        rerun = _run_campaign(tmp_path, counter, db_root)
+        assert rerun.returncode == 0, rerun.stderr
+        # The rerun computed exactly the cells the killed run never
+        # stored.
+        assert _computed(counter) == ["0", "1", "2", "3", "4"]
+        clean = _run_campaign(tmp_path, tmp_path / "clean-count")
         assert clean.returncode == 0, clean.stderr
 
-        resumed_out = json.loads(resumed.stdout)
-        clean_out = json.loads(clean.stdout)
-        # Byte-identical final values despite the kill + resume.
-        assert json.dumps(resumed_out["values"], sort_keys=True) == \
-            json.dumps(clean_out["values"], sort_keys=True)
-        # Cells finished before the crash were replayed, not re-run.
-        assert resumed_out["statuses"]["camp/a"] == "cached"
-        assert resumed_out["statuses"]["camp/b"] == "cached"
-        assert resumed_out["statuses"]["camp/c"] == "ok"
+        rerun_out = json.loads(rerun.stdout)
+        # Byte-identical final values despite the kill + rerun.
+        assert json.dumps(rerun_out["values"], sort_keys=True) == \
+            json.dumps(json.loads(clean.stdout)["values"], sort_keys=True)
+        # Cells finished before the crash were served, not re-run.
+        assert rerun_out["statuses"]["camp/a"] == "cached"
+        assert rerun_out["statuses"]["camp/b"] == "cached"
+        assert rerun_out["statuses"]["camp/c"] == "ok"
 
-    def test_corrupt_journal_record_recomputed_on_resume(
-        self, tmp_path, monkeypatch
-    ):
-        cells = echo_cells("cj")
-        journal = tmp_path / "j.jsonl"
-        monkeypatch.setenv(FAULT_PLAN_ENV, "cj/b:corrupt-journal")
-        first = run_cells(
-            cells, ExecutionPolicy(journal_path=str(journal))
-        )
-        assert first.ok  # only the journal record is torn, not the run
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        resumed = run_cells(
-            cells, ExecutionPolicy(journal_path=str(journal), resume=True)
-        )
-        assert resumed.ok
-        assert resumed.outcomes["cj/a"].status == "cached"
-        assert resumed.outcomes["cj/b"].status == "ok"  # recomputed
-        assert resumed.outcomes["cj/c"].status == "cached"
-        assert json.dumps(resumed.values(), sort_keys=True) == \
-            json.dumps(first.values(), sort_keys=True)
-
-    def test_resume_with_different_campaign_rejected(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        run_cells(
-            echo_cells("one"), ExecutionPolicy(journal_path=str(journal))
-        )
-        with pytest.raises(JournalError, match="campaign"):
-            run_cells(
-                echo_cells("two"),
-                ExecutionPolicy(journal_path=str(journal), resume=True),
-            )
-
-    def test_resume_missing_journal_starts_fresh(self, tmp_path):
-        journal = tmp_path / "new.jsonl"
-        report = run_cells(
-            echo_cells("fresh"),
-            ExecutionPolicy(journal_path=str(journal), resume=True),
-        )
-        assert report.ok
-        assert journal.exists()
-        assert all(o.status == "ok" for o in report.outcomes.values())
-
-    def test_resume_with_everything_cached_runs_nothing(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        cells = echo_cells("full")
-        first = run_cells(cells, ExecutionPolicy(journal_path=str(journal)))
-        again = run_cells(
-            cells, ExecutionPolicy(journal_path=str(journal), resume=True)
-        )
-        assert all(o.status == "cached" for o in again.outcomes.values())
-        assert again.values() == first.values()
-
-    def test_progress_callback_sees_every_outcome(self, tmp_path):
+    def test_progress_callback_sees_every_outcome(self):
         seen = []
         report = run_cells(
             echo_cells("prog"),
             ExecutionPolicy(
-                journal_path=str(tmp_path / "j.jsonl"),
                 progress=lambda o, done, total: seen.append(
                     (o.id, o.status, done, total)
                 ),

@@ -2,11 +2,11 @@
 
 Covers the fingerprint contract (what changes a key and what must
 not), the on-disk entry format (atomic writes, corruption -> evict and
-recompute), the supervisor integration (DB hits journaled as
+recompute), the supervisor integration (DB hits reported as
 ``cached``, write-back on success, usage accounting), and the
 cross-process acceptance scenario: a sweep killed mid-campaign is
-repopulated by a *different* process, and the resume serves every
-missing cell from the database without re-running any cell body.
+repopulated by a *different* campaign, and a rerun of the killed one
+serves every cell from the database without re-running any cell body.
 """
 
 import json
@@ -190,7 +190,7 @@ class TestSupervisorIntegration:
         assert computations(counter) == 3
         assert first.db_usage.as_dict() == {
             "lookups": 3, "hits": 0, "computed": 3,
-            "journal_replayed": 0, "stored": 3, "hit_rate": 0.0,
+            "stored": 3, "hit_rate": 0.0,
         }
         again = run_cells(cells, ExecutionPolicy())
         assert again.values() == first.values()
@@ -251,58 +251,20 @@ class TestSupervisorIntegration:
         assert db2.stats.corrupt == 1
         assert victim.exists()  # write-back repaired the entry
 
-    def test_journal_replay_wins_over_db(self, db, tmp_path):
-        counter = tmp_path / "count"
-        journal = tmp_path / "j.jsonl"
-        cells = counting_cells(counter)
-        run_cells(cells, ExecutionPolicy(journal_path=str(journal)))
-        resumed = run_cells(
-            cells, ExecutionPolicy(journal_path=str(journal), resume=True)
-        )
-        assert all(o.source == "journal" for o in resumed.outcomes.values())
-        assert resumed.db_usage.journal_replayed == 3
-        assert resumed.db_usage.lookups == 0  # DB never consulted
 
-    def test_db_hits_journaled_as_cached_for_resume(self, db, tmp_path):
-        counter = tmp_path / "count"
-        cells = counting_cells(counter)
-        run_cells(cells, ExecutionPolicy())  # populate the DB
-        journal = tmp_path / "j.jsonl"
-        first = run_cells(
-            cells, ExecutionPolicy(journal_path=str(journal))
-        )
-        assert all(o.source == "db" for o in first.outcomes.values())
-        records = [
-            json.loads(line) for line in
-            journal.read_text().splitlines()
-        ]
-        cell_records = [r for r in records if r.get("type") == "cell"]
-        assert all(r["status"] == "cached" for r in cell_records)
-        assert all("value" in r for r in cell_records)
-        # A resume replays those journaled cached cells untouched.
-        resumed = run_cells(
-            cells, ExecutionPolicy(journal_path=str(journal), resume=True)
-        )
-        assert all(o.source == "journal" for o in resumed.outcomes.values())
-        assert resumed.values() == first.values()
-        assert computations(counter) == 3
-
-
-DRIVER = """\
+CAMPAIGN_SCRIPT = """\
 import json, sys
 from repro.harness import resilient
 
-counter = sys.argv[1]
+counter, prefix = sys.argv[1], sys.argv[2]
 cells = [
     resilient.Cell(
-        id=f"xp/{i}", fn="_cells:counting_cell",
+        id=f"{prefix}/{i}", fn="_cells:counting_cell",
         spec={"x": i, "counter_path": counter},
     )
     for i in range(5)
 ]
 policy = resilient.ExecutionPolicy(
-    journal_path=sys.argv[2] if sys.argv[2] != "-" else None,
-    resume="--resume" in sys.argv[3:],
     retry=resilient.RetryPolicy(max_retries=0, backoff=0.001),
 )
 report = resilient.run_cells(cells, policy)
@@ -315,7 +277,7 @@ print(json.dumps({
 """
 
 
-def _run_driver(tmp_path, db_root, counter, journal, *args, fault=None):
+def _run_campaign(tmp_path, db_root, counter, prefix="xp", fault=None):
     env = dict(os.environ)
     env.pop(resilient.FAULT_PLAN_ENV, None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -324,53 +286,50 @@ def _run_driver(tmp_path, db_root, counter, journal, *args, fault=None):
     env[resultsdb.ENV_VAR] = str(db_root)
     if fault:
         env[resilient.FAULT_PLAN_ENV] = fault
-    script = tmp_path / "driver.py"
-    script.write_text(DRIVER)
+    script = tmp_path / "campaign.py"
+    script.write_text(CAMPAIGN_SCRIPT)
     return subprocess.run(
-        [sys.executable, str(script), str(counter), str(journal), *args],
+        [sys.executable, str(script), str(counter), prefix],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
 
 class TestCrossProcessReuse:
-    """The acceptance scenario: kill, repopulate elsewhere, resume."""
+    """The acceptance scenario: kill, repopulate elsewhere, rerun."""
 
     def test_kill_repopulate_resume_never_recomputes(self, tmp_path):
         db_root = tmp_path / "resultsdb"
         counter = tmp_path / "count"
-        journal = tmp_path / "j.jsonl"
 
         # Process 1: killed mid-campaign (cells xp/0, xp/1 complete).
-        crashed = _run_driver(
-            tmp_path, db_root, counter, journal, fault="xp/2:crash:99"
+        crashed = _run_campaign(
+            tmp_path, db_root, counter, fault="xp/2:crash:99"
         )
         assert crashed.returncode == 70, crashed.stderr
         killed_at = len(counter.read_text().splitlines())
         assert 0 < killed_at < 5
 
-        # Process 2: a different campaign (no journal) computes the
-        # full set -- the survivors come from the DB, the rest run.
-        other = _run_driver(tmp_path, db_root, counter, "-")
+        # Process 2: a different campaign (other cell ids, same work)
+        # computes the full set -- the survivors come from the DB, the
+        # rest run.
+        other = _run_campaign(tmp_path, db_root, counter, prefix="other")
         assert other.returncode == 0, other.stderr
         assert len(counter.read_text().splitlines()) == 5
 
-        # Process 3: resume the original journal.  Journal replay
-        # covers the pre-kill cells, the DB serves everything else;
-        # no cell body runs anywhere.
-        resumed = _run_driver(tmp_path, db_root, counter, journal, "--resume")
-        assert resumed.returncode == 0, resumed.stderr
+        # Process 3: rerun the killed campaign.  The DB serves every
+        # cell; no cell body runs anywhere.
+        rerun = _run_campaign(tmp_path, db_root, counter)
+        assert rerun.returncode == 0, rerun.stderr
         assert len(counter.read_text().splitlines()) == 5
-        out = json.loads(resumed.stdout)
+        out = json.loads(rerun.stdout)
         assert all(s == "cached" for s in out["statuses"].values())
-        assert set(out["sources"].values()) <= {"journal", "db"}
-        assert "db" in out["sources"].values()
+        assert set(out["sources"].values()) == {"db"}
         assert out["db"]["computed"] == 0
 
         # Byte-identical to an uninterrupted clean run (fresh DB and
         # counter so nothing is shared).
-        clean = _run_driver(
+        clean = _run_campaign(
             tmp_path, tmp_path / "clean-db", tmp_path / "clean-count",
-            tmp_path / "clean.jsonl",
         )
         assert clean.returncode == 0, clean.stderr
         assert json.dumps(out["values"], sort_keys=True) == \
@@ -379,13 +338,13 @@ class TestCrossProcessReuse:
     def test_deliberate_corruption_recovers_cross_process(self, tmp_path):
         db_root = tmp_path / "resultsdb"
         counter = tmp_path / "count"
-        first = _run_driver(tmp_path, db_root, counter, "-")
+        first = _run_campaign(tmp_path, db_root, counter)
         assert first.returncode == 0, first.stderr
         entries = sorted(db_root.glob("??/*.res"))
         assert len(entries) == 5
         entries[0].write_text("definitely not json {{{\n")
 
-        again = _run_driver(tmp_path, db_root, counter, "-")
+        again = _run_campaign(tmp_path, db_root, counter)
         assert again.returncode == 0, again.stderr
         out = json.loads(again.stdout)
         assert out["db"]["computed"] == 1  # only the corrupted entry
