@@ -8,6 +8,8 @@ stay consistent across predictors.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def mask(width: int) -> int:
     """Return a bit mask with ``width`` low-order bits set.
@@ -73,6 +75,26 @@ def fold_bits(value: int, width: int) -> int:
         folded ^= value & chunk_mask
         value >>= width
     return folded
+
+
+def shr_np(values: np.ndarray, shift: int) -> np.ndarray:
+    """``values >> shift`` with the Python-int convention that shifting
+    a 64-bit lane by >= 64 yields zero (numpy would be undefined)."""
+    if shift >= 64:
+        return np.zeros_like(values)
+    return values >> np.uint64(shift)
+
+
+def fold_bits_np(values: np.ndarray, width: int) -> np.ndarray:
+    """Element-wise :func:`fold_bits` over unsigned 64-bit lanes."""
+    m = np.uint64((1 << width) - 1)
+    w = np.uint64(width)
+    out = values & m
+    rest = values >> w
+    while rest.any():
+        out ^= rest & m
+        rest >>= w
+    return out
 
 
 def bit_length_for(entries: int) -> int:

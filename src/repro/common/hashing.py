@@ -18,6 +18,8 @@ import json
 from dataclasses import asdict, is_dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.common.bits import fold_bits, mask, truncate  # noqa: F401 (mask re-exported for table code)
 
 # A 64-bit odd multiplier (splitmix64 finalizer constant) used to decorrelate
@@ -33,6 +35,15 @@ def mix64(value: int) -> int:
     value = value * _MIX_CONSTANT & _MASK64
     value ^= value >> 27
     return value
+
+
+def mix64_np(values: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`mix64` (uint64 wraparound multiply)."""
+    v = values.astype(np.uint64)
+    v ^= v >> np.uint64(30)
+    v = v * np.uint64(_MIX_CONSTANT)
+    v ^= v >> np.uint64(27)
+    return v
 
 
 def pc_index(pc: int, index_bits: int, history: int = 0, salt: int = 0) -> int:

@@ -227,6 +227,11 @@ class CompositePredictor:
         for component in self.components.values():
             component.bind_history(histories)
 
+    def bind_frontend(self, stream) -> None:
+        """Hand every component the run's front-end stream (or ``None``)."""
+        for component in self.components.values():
+            component.bind_frontend(stream)
+
     # ------------------------------------------------------------------
     # Fetch side
     # ------------------------------------------------------------------

@@ -39,10 +39,13 @@ Why this is bit-exact and not merely close:
 
 from __future__ import annotations
 
+from array import array
 from itertools import repeat
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.common.bits import fold_bits_np, shr_np
 from repro.composite.accuracy_monitor import (
     InfinitePcAm,
     MAm,
@@ -54,19 +57,17 @@ from repro.composite.composite import CompositePredictor
 from repro.composite.fusion import FusionController
 from repro.harness.functional import FunctionalResult
 from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
+from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
 from repro.pipeline.vp import SingleComponentAdapter
 from repro.predictors.cap import CapPredictor
-from repro.predictors.cvp import CvpPredictor, HISTORY_LENGTHS
+from repro.predictors.cvp import CvpPredictor
 from repro.predictors.lvp import LvpPredictor
 from repro.predictors.sap import SapPredictor
 from repro.predictors.table import FlatTableBackend
 
-_MASK64 = (1 << 64) - 1
 _MASK49 = (1 << 49) - 1
 _TAG_BITS = 14
-_TAG_SCRAMBLE = 0x9E3779B97F4A7C15
-_MIX_CONSTANT = 0xBF58476D1CE4E5B9
 _PC_AM_TAG_BITS = 10
 
 #: OpClass numeric values (kept in lockstep with repro.isa.instruction;
@@ -91,38 +92,10 @@ _SIZE_LOG2 = np.array([i.bit_length() - 1 for i in range(256)], dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
-# Vectorized hash primitives (bit-identical to repro.common.hashing /
-# repro.common.bits on every element)
+# Vectorized PC hashes (bit-identical to repro.common.hashing on every
+# element; the CVP and CAP column hashes live beside their scalar forms
+# in repro.predictors)
 # ----------------------------------------------------------------------
-
-
-def _shr(values: np.ndarray, shift: int) -> np.ndarray:
-    """``values >> shift`` with the Python-int convention that shifting
-    a 64-bit lane by >= 64 yields zero (numpy would be undefined)."""
-    if shift >= 64:
-        return np.zeros_like(values)
-    return values >> np.uint64(shift)
-
-
-def _fold_np(values: np.ndarray, width: int) -> np.ndarray:
-    """Element-wise ``fold_bits(v, width)`` for unsigned 64-bit lanes."""
-    m = np.uint64((1 << width) - 1)
-    w = np.uint64(width)
-    out = values & m
-    rest = values >> w
-    while rest.any():
-        out ^= rest & m
-        rest >>= w
-    return out
-
-
-def _mix64_np(values: np.ndarray) -> np.ndarray:
-    """Element-wise ``hashing.mix64`` (uint64 wraparound multiply)."""
-    v = values.astype(np.uint64)
-    v ^= v >> np.uint64(30)
-    v = v * np.uint64(_MIX_CONSTANT)
-    v ^= v >> np.uint64(27)
-    return v
 
 
 def _pc_index_np(pc: np.ndarray, index_bits: int) -> np.ndarray:
@@ -130,9 +103,9 @@ def _pc_index_np(pc: np.ndarray, index_bits: int) -> np.ndarray:
     if index_bits == 0:
         return np.zeros_like(pc)
     base = (
-        _shr(pc, 2)
-        ^ _shr(pc, 2 + index_bits)
-        ^ _shr(pc, 2 + 2 * index_bits + 3)
+        shr_np(pc, 2)
+        ^ shr_np(pc, 2 + index_bits)
+        ^ shr_np(pc, 2 + 2 * index_bits + 3)
     )
     return base & np.uint64((1 << index_bits) - 1)
 
@@ -140,11 +113,11 @@ def _pc_index_np(pc: np.ndarray, index_bits: int) -> np.ndarray:
 def _pc_tag_np(pc: np.ndarray, tag_bits: int) -> np.ndarray:
     """Element-wise ``hashing.pc_tag`` (no history, no salt)."""
     base = (
-        _shr(pc, 2)
-        ^ _shr(pc, 2 + tag_bits)
-        ^ _shr(pc, 2 + 2 * tag_bits + 1)
+        shr_np(pc, 2)
+        ^ shr_np(pc, 2 + tag_bits)
+        ^ shr_np(pc, 2 + 2 * tag_bits + 1)
     )
-    return _fold_np(base, tag_bits)
+    return fold_bits_np(base, tag_bits)
 
 
 def _shift_states(
@@ -190,8 +163,7 @@ class _LoadBatch:
     """Everything the residual loop needs, precomputed per load."""
 
     __slots__ = (
-        "n_instructions", "pos", "pc", "value", "addr", "addr49", "size",
-        "size_log2", "direction", "path", "load_path",
+        "n_instructions", "pos", "pc", "value", "addr49", "size_log2",
         "pc_np", "direction_np", "path_np", "load_path_np",
         "store_pos", "store_addr", "store_size", "store_value",
     )
@@ -230,11 +202,8 @@ def precompute_load_batch(
     batch.pc_np = lpc
     batch.pc = lpc.tolist()
     batch.value = value[load_pos].tolist()
-    laddr = addr[load_pos]
-    batch.addr = laddr.tolist()
-    batch.addr49 = (laddr & np.uint64(_MASK49)).tolist()
+    batch.addr49 = (addr[load_pos] & np.uint64(_MASK49)).tolist()
     lsize = size[load_pos]
-    batch.size = lsize.tolist()
     # size.bit_length() - 1, via a lookup over the uint8 size domain.
     batch.size_log2 = _SIZE_LOG2[lsize].tolist()
 
@@ -253,18 +222,16 @@ def precompute_load_batch(
         batch.direction_np = (
             states[cum_cond[load_pos]] if len(load_pos) else empty
         )
-        batch.direction = batch.direction_np.tolist()
     else:
-        batch.direction_np = batch.direction = None
+        batch.direction_np = None
     if need_path:
         br_pos = np.nonzero(is_branch)[0]
         contribs = _path_contribution_np(pc[br_pos])
         states = _shift_states(contribs, 2, 32, init_path)
         cum_br = np.cumsum(is_branch)
         batch.path_np = states[cum_br[load_pos]] if len(load_pos) else empty
-        batch.path = batch.path_np.tolist()
     else:
-        batch.path_np = batch.path = None
+        batch.path_np = None
     if need_load_path:
         mem_pos = np.nonzero(is_mem)[0]
         contribs = _path_contribution_np(pc[mem_pos])
@@ -275,59 +242,19 @@ def precompute_load_batch(
         batch.load_path_np = (
             states[cum_mem[load_pos] - 1] if len(load_pos) else empty
         )
-        batch.load_path = batch.load_path_np.tolist()
     else:
-        batch.load_path_np = batch.load_path = None
+        batch.load_path_np = None
     return batch
 
 
-def _cvp_hashes_np(
-    component: CvpPredictor,
-    pc: np.ndarray,
-    direction: np.ndarray,
-    path: np.ndarray,
-) -> list[tuple[list, list]]:
-    """Per-table (index, tag) columns, bit-identical to
-    ``CvpPredictor._index`` / ``_tag`` on every load."""
-    out = []
-    pcx = _shr(pc, 2)
-    for table in range(len(component._banked)):
-        bits = component._index_bits_t[table]
-        hist = direction & np.uint64(component._history_masks[table])
-        v = (
-            pcx
-            ^ _shr(pc, 2 + bits)
-            ^ _fold_np(hist, bits)
-            ^ _fold_np(path, bits)
-            ^ np.uint64(component._index_salts[table])
-        )
-        index = _fold_np(v, bits)
-        scrambled = (hist ^ np.uint64(component._tag_salts[table])) * np.uint64(
-            _TAG_SCRAMBLE
-        )
-        tag = _fold_np(pcx ^ scrambled, _TAG_BITS)
-        out.append((index.tolist(), tag.tolist()))
-    return out
-
-
-def _cap_hashes_np(
-    component: CapPredictor, pc: np.ndarray, load_path: np.ndarray
-) -> tuple[list, list]:
-    """(index, tag) columns matching ``CapPredictor._index`` / ``_tag``."""
-    bits = component._table.index_bits
-    pcx = _shr(pc, 2)
-    v = pcx ^ _shr(pc, 2 + bits) ^ _fold_np(load_path, bits)
-    index = _fold_np(v, bits)
-    tag = _fold_np(pcx ^ _mix64_np(load_path + np.uint64(0x9E37)), _TAG_BITS)
-    return index.tolist(), tag.tolist()
-
-
-def _pc_am_hashes_np(pc: np.ndarray, entries: int) -> tuple[list, list]:
+def _pc_am_hashes_np(
+    pc: np.ndarray, entries: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(index, tag) columns matching the PC-AM paper hashes."""
     pcx = pc >> np.uint64(2)
     index = (pcx ^ (pc >> np.uint64(8))) & np.uint64(entries - 1)
-    tag = _fold_np(pcx ^ (pc >> np.uint64(12)), _PC_AM_TAG_BITS)
-    return index.tolist(), tag.tolist()
+    tag = fold_bits_np(pcx ^ (pc >> np.uint64(12)), _PC_AM_TAG_BITS)
+    return index, tag
 
 
 # ----------------------------------------------------------------------
@@ -337,81 +264,83 @@ def _pc_am_hashes_np(pc: np.ndarray, entries: int) -> tuple[list, list]:
 # Load batches and hash columns are pure functions of the trace columns
 # and the table geometry -- never of predictor state -- so sweeps that
 # evaluate many configs / seeds / repeats over the same trace can share
-# them.  Keyed by identity of the columns object; the stored strong
-# reference keeps the id stable while the slot lives.
+# them.  Keyed weakly on the Trace object (as the timing model's
+# front-end streams are), so a trace's entries die with it and
+# clear_precompute_cache (called by repro.harness.runner.clear_caches)
+# drops them all.  A search holds every trace it touches, each with a
+# dozen table geometries, so hash columns are kept as packed arrays
+# rather than lists of ints (one or two bytes per load, not ~36).
 
-_TRACE_CACHE: dict = {}
-_TRACE_CACHE_MAX = 4
+_TRACE_CACHE: WeakKeyDictionary[Trace, tuple[dict, dict]] = WeakKeyDictionary()
 
 
-def _trace_cache(columns) -> tuple[dict, dict]:
+def clear_precompute_cache() -> None:
+    """Drop every memoized load batch and hash column."""
+    _TRACE_CACHE.clear()
+
+
+def _trace_cache(trace) -> tuple[dict, dict]:
     """Return ``(batches, hashes)`` memo dicts for this trace."""
-    slot = _TRACE_CACHE.get(id(columns))
+    slot = _TRACE_CACHE.get(trace)
     if slot is None:
-        if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-            _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-        slot = (columns, {}, {})
-        _TRACE_CACHE[id(columns)] = slot
-    return slot[1], slot[2]
+        slot = _TRACE_CACHE[trace] = ({}, {})
+    return slot
 
 
-def _cached_batch(columns, need_direction, need_path, need_load_path):
-    batches, _ = _trace_cache(columns)
+def _cached_batch(trace, need_direction, need_path, need_load_path):
+    batches, _ = _trace_cache(trace)
     key = (need_direction, need_path, need_load_path)
     batch = batches.get(key)
     if batch is None:
         batch = batches[key] = precompute_load_batch(
-            columns, need_direction, need_path, need_load_path
+            trace.columns, need_direction, need_path, need_load_path
         )
     return batch
 
 
-def _cached_pc_hashes(columns, pc_np, index_bits):
-    _, hashes = _trace_cache(columns)
-    key = ("pc", index_bits)
+def _packed(*columns: np.ndarray) -> tuple[array, ...]:
+    """Hash columns as packed arrays of the narrowest unsigned type that
+    holds their values."""
+    out = []
+    for column in columns:
+        dtype = np.min_scalar_type(int(column.max()) if column.size else 0)
+        out.append(array(dtype.char, column.astype(dtype).tobytes()))
+    return tuple(out)
+
+
+def _cached_hashes(trace, key, compute):
+    _, hashes = _trace_cache(trace)
     h = hashes.get(key)
     if h is None:
-        h = hashes[key] = (
-            _pc_index_np(pc_np, index_bits).tolist(),
-            _pc_tag_np(pc_np, _TAG_BITS).tolist(),
-        )
+        h = hashes[key] = compute()
     return h
 
 
-def _cached_cvp_hashes(columns, component, pc_np, direction_np, path_np):
-    _, hashes = _trace_cache(columns)
-    key = ("cvp",) + tuple(
-        zip(
-            component._index_bits_t,
-            component._history_masks,
-            component._index_salts,
-            component._tag_salts,
+def _cached_pc_hashes(trace, pc_np, index_bits):
+    return _cached_hashes(trace, ("pc", index_bits), lambda: _packed(
+        _pc_index_np(pc_np, index_bits), _pc_tag_np(pc_np, _TAG_BITS)
+    ))
+
+
+def _cached_cvp_hashes(trace, component, batch):
+    return _cached_hashes(trace, component.geometry_key, lambda: [
+        _packed(index, tag) for index, tag in component.hash_columns(
+            batch.pc_np, batch.direction_np, batch.path_np
         )
+    ])
+
+
+def _cached_cap_hashes(trace, component, batch):
+    return _cached_hashes(trace, component.geometry_key, lambda: _packed(
+        *component.hash_columns(batch.pc_np, batch.load_path_np)
+    ))
+
+
+def _cached_pc_am_hashes(trace, pc_np, entries):
+    return _cached_hashes(
+        trace, ("pcam", entries),
+        lambda: _packed(*_pc_am_hashes_np(pc_np, entries)),
     )
-    h = hashes.get(key)
-    if h is None:
-        h = hashes[key] = _cvp_hashes_np(
-            component, pc_np, direction_np, path_np
-        )
-    return h
-
-
-def _cached_cap_hashes(columns, component, pc_np, load_path_np):
-    _, hashes = _trace_cache(columns)
-    key = ("cap", component._table.index_bits)
-    h = hashes.get(key)
-    if h is None:
-        h = hashes[key] = _cap_hashes_np(component, pc_np, load_path_np)
-    return h
-
-
-def _cached_pc_am_hashes(columns, pc_np, entries):
-    _, hashes = _trace_cache(columns)
-    key = ("pcam", entries)
-    h = hashes.get(key)
-    if h is None:
-        h = hashes[key] = _pc_am_hashes_np(pc_np, entries)
-    return h
 
 
 # ----------------------------------------------------------------------
@@ -470,9 +399,9 @@ def run_functional_vec(trace, predictor) -> FunctionalResult:
     )
     result = FunctionalResult(workload=trace.name, instructions=len(trace))
     if type(predictor) is CompositePredictor:
-        _run_composite(trace.columns, predictor, mem, result)
+        _run_composite(trace, predictor, mem, result)
     else:
-        _run_single(trace.columns, predictor, mem, result)
+        _run_single(trace, predictor, mem, result)
     return result
 
 
@@ -523,7 +452,7 @@ def _bump(confs, index, probs, cmax, coin):
 # ----------------------------------------------------------------------
 
 
-def _run_composite(columns, predictor, mem, result):
+def _run_composite(trace, predictor, mem, result):
     components = predictor.components
     lvp = components.get("lvp")
     sap = components.get("sap")
@@ -541,7 +470,7 @@ def _run_composite(columns, predictor, mem, result):
 
     # -- whole-trace precompute (shared across runs on this trace) -----
     batch = _cached_batch(
-        columns, cvp is not None, cvp is not None, cap is not None
+        trace, cvp is not None, cvp is not None, cap is not None
     )
     pos = batch.pos
     n_loads = len(pos)
@@ -558,28 +487,26 @@ def _run_composite(columns, predictor, mem, result):
 
     pc_np = batch.pc_np
     if lvp is not None:
-        li, lt = _cached_pc_hashes(columns, pc_np, lvp._table.index_bits)
+        li, lt = _cached_pc_hashes(trace, pc_np, lvp._table.index_bits)
         lvp_thr = lvp.confidence_threshold
         lvp_probs = lvp._float_probs
         lvp_cmax = lvp._conf_max
         lvp_coin = lvp._rng.coin
     if sap is not None:
-        si, st_ = _cached_pc_hashes(columns, pc_np, sap._table.index_bits)
+        si, st_ = _cached_pc_hashes(trace, pc_np, sap._table.index_bits)
         sap_thr = sap.confidence_threshold
         sap_probs = sap._float_probs
         sap_cmax = sap._conf_max
         sap_coin = sap._rng.coin
     if cvp is not None:
-        cvp_h = _cached_cvp_hashes(
-            columns, cvp, pc_np, batch.direction_np, batch.path_np
-        )
+        cvp_h = _cached_cvp_hashes(trace, cvp, batch)
         (cv0i, cv0t), (cv1i, cv1t), (cv2i, cv2t) = cvp_h
         cvp_thr = cvp.confidence_threshold
         cvp_probs = cvp._float_probs
         cvp_cmax = cvp._conf_max
         cvp_coin = cvp._rng.coin
     if cap is not None:
-        cpi, cpt = _cached_cap_hashes(columns, cap, pc_np, batch.load_path_np)
+        cpi, cpt = _cached_cap_hashes(trace, cap, batch)
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max
@@ -598,7 +525,7 @@ def _run_composite(columns, predictor, mem, result):
         am_table = monitor._table
         am_thr = monitor.accuracy_threshold
         am_names = monitor._names
-        ami, amt = _cached_pc_am_hashes(columns, pc_np, monitor.entries)
+        ami, amt = _cached_pc_am_hashes(trace, pc_np, monitor.entries)
     if m_inf:
         am_map = monitor._map
         am_thr = monitor.accuracy_threshold
@@ -1276,7 +1203,7 @@ def _run_composite(columns, predictor, mem, result):
 # ----------------------------------------------------------------------
 
 
-def _run_single(columns, adapter, mem, result):
+def _run_single(trace, adapter, mem, result):
     comp = adapter.component
     kind = type(comp)
     name = comp.name
@@ -1285,7 +1212,7 @@ def _run_single(columns, adapter, mem, result):
     is_cvp = kind is CvpPredictor
     is_cap = kind is CapPredictor
 
-    batch = _cached_batch(columns, is_cvp, is_cvp, is_cap)
+    batch = _cached_batch(trace, is_cvp, is_cvp, is_cap)
     pos = batch.pos
     n_loads = len(pos)
     lvals = batch.value
@@ -1303,15 +1230,11 @@ def _run_single(columns, adapter, mem, result):
     cmax = comp._conf_max
     coin = comp._rng.coin
     if is_cvp:
-        hashes = _cached_cvp_hashes(
-            columns, comp, pc_np, batch.direction_np, batch.path_np
-        )
+        hashes = _cached_cvp_hashes(trace, comp, batch)
     elif is_cap:
-        cpi, cpt = _cached_cap_hashes(
-            columns, comp, pc_np, batch.load_path_np
-        )
+        cpi, cpt = _cached_cap_hashes(trace, comp, batch)
     else:
-        pi, pt = _cached_pc_hashes(columns, pc_np, comp._table.index_bits)
+        pi, pt = _cached_pc_hashes(trace, pc_np, comp._table.index_bits)
 
     flats = [FlatTableBackend(t) for t in comp._tables()]
     banks_per_table = [fl.lists() for fl in flats]

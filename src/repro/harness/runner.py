@@ -23,6 +23,7 @@ from typing import Any
 
 from repro.harness import resilient, resultsdb
 from repro.harness.functional import FUNCTIONAL_SEMANTICS_VERSION
+from repro.harness.functional_vec import clear_precompute_cache
 from repro.isa.trace import Trace
 from repro.pipeline.core import (
     TIMING_SEMANTICS_VERSION,
@@ -332,6 +333,8 @@ def clear_caches() -> None:
     Clears the baseline-result memo here, the timing model's recorded
     front-end streams
     (:func:`repro.pipeline.frontend.clear_frontend_streams`), the
+    functional backend's per-trace precompute
+    (:func:`repro.harness.functional_vec.clear_precompute_cache`), the
     generator's trace memo and ambient trace-store handle
     (:func:`repro.workloads.generator.clear_trace_caches`), and the
     ambient results-database handle with its in-process memo and usage
@@ -341,6 +344,7 @@ def clear_caches() -> None:
     """
     _baseline_cache.clear()
     clear_frontend_streams()
+    clear_precompute_cache()
     clear_trace_caches()
     resultsdb.reset_active_db()
     resilient.reset_db_usage_totals()

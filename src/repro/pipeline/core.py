@@ -35,10 +35,15 @@ every folded register evolve identically whatever the timing.  The loop
 replays a :class:`repro.pipeline.frontend.FrontEndStream` -- per-branch
 bubbles and mispredictions, per-predictable-load history snapshots,
 final branch statistics -- recorded once per trace and shared by every
-predictor assembly run on it.  What depends on timing stays serial: the
-memory hierarchy (flushes refetch blocks, PAQ probes touch the L1D when
-their prediction is chosen) and the deferred predictor updates (applied
-once fetch passes a load's completion).
+predictor assembly run on it.  The stream also memoizes the
+context-aware components' per-load table hashes (CVP and CAP hash only
+the load PC and these histories): :meth:`CoreModel.run` binds the
+stream to the predictor assembly for the run, and every probe and
+outcome carries the load's ordinal, by which those components look the
+hashes up instead of recomputing them.  What depends on timing stays
+serial: the memory hierarchy (flushes refetch blocks, PAQ probes touch
+the L1D when their prediction is chosen) and the deferred predictor
+updates (applied once fetch passes a load's completion).
 
 The reference oracle is the same pass over ``trace.instructions``
 driving a live :class:`~repro.branch.unit.BranchUnit`; it lives in
@@ -177,19 +182,40 @@ class CoreModel:
         unit and history registers are not driven live: their
         trace-determined outcomes are replayed from the trace's
         :class:`~repro.pipeline.frontend.FrontEndStream` (recorded on
-        first use).  Keep edits in lockstep with the object-path oracle
-        in ``tests/oracles/core_loop.py`` -- the equivalence suite will
+        first use).  The stream is bound to the predictor assembly for
+        the run (``bind_frontend``) and released when it returns or
+        raises; probes and outcomes carry the load's ordinal, by which
+        context-aware components look up their per-trace table hashes.
+        Keep edits in lockstep with the object-path oracle in
+        ``tests/oracles/core_loop.py`` -- the equivalence suite will
         catch any divergence.
         """
         cols = trace.pack()
+        stream = frontend_stream(
+            trace, self.tage_config, self.ittage_config,
+            self.config.ras_entries, self.seed, self.fold_layout,
+            interrupt, interrupt_interval,
+        )
+        bind = getattr(self.predictor, "bind_frontend", None)
+        if bind is not None:
+            bind(stream)
+        try:
+            return self._replay(
+                trace, cols, stream, interrupt, interrupt_interval
+            )
+        finally:
+            if bind is not None:
+                bind(None)
+
+    def _replay(
+        self, trace: Trace, cols, stream, interrupt, interrupt_interval: int
+    ) -> SimResult:
+        """The body of :meth:`run`: one pass over ``trace``'s packed
+        columns, replaying ``stream``."""
         cfg = self.config
         predictor = self.predictor
         hierarchy = self.hierarchy
         layout = self.fold_layout
-        stream = frontend_stream(
-            trace, self.tage_config, self.ittage_config, cfg.ras_entries,
-            self.seed, layout, interrupt, interrupt_interval,
-        )
         l1d_hit = cfg.hierarchy.l1d.hit_latency
         l1i_hit = cfg.hierarchy.l1i.hit_latency
         depth = cfg.frontend_depth
@@ -401,6 +427,7 @@ class CoreModel:
                     snap_load_path = snap_load_paths[probe]
                     base = probe * stride
                     snap_folded = tuple(snap_folds[base:base + n_folds])
+                    ordinal = probe
                     probe += 1
                     flights = inflight_get(pc)
                     inflight = 0
@@ -415,6 +442,7 @@ class CoreModel:
                         load_path_history=snap_load_path,
                         inflight_same_pc=inflight,
                         folded=snap_folded,
+                        ordinal=ordinal,
                     ))
 
             dispatch = fetch + depth
@@ -515,6 +543,7 @@ class CoreModel:
                         path_history=snap_path,
                         load_path_history=snap_load_path,
                         folded=snap_folded,
+                        ordinal=ordinal,
                     )
                     heappush(pending_updates, (
                         complete, update_seq, decision, outcome,

@@ -9,9 +9,9 @@ pure function of the trace, the TAGE/ITTAGE geometry, the RAS depth
 and the core seed:
 
 * per branch -- the BTB fetch bubble and whether it mispredicted;
-* per predictable load -- the fetch-time direction, path and memory
-  path histories and every folded register (the value predictor's
-  probe and deferred training both read these);
+* per predictable load -- its PC, the fetch-time direction, path and
+  memory path histories and every folded register (the value
+  predictor's probe and deferred training both read these);
 * the run's final branch statistics.
 
 :func:`frontend_stream` records them in one pass over the packed
@@ -21,6 +21,15 @@ into a compact :class:`FrontEndStream`, and memoizes it on the trace.
 :meth:`repro.pipeline.core.CoreModel.run` replays the stream
 instead of driving a live branch unit, so a campaign that simulates one
 trace under many predictor assemblies pays for the front end once.
+
+The context-aware components hash their table indices and tags from a
+load's PC and these histories alone, so their hashes are trace
+determined too.  :meth:`FrontEndStream.hash_rows` computes them for a
+whole trace at once, with the component's column kernel, the first time
+a run binds a component of that table geometry, and keeps them beside
+the histories: every later cell with that geometry looks each load's
+hashes up by its ordinal (its index among the trace's predictable
+loads, carried on the probe and the outcome).
 
 Fold values depend on which folds are registered: a stream records the
 fold-slot *layout* it was taken under, and serves any predictor whose
@@ -36,6 +45,8 @@ from __future__ import annotations
 
 from array import array
 from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from repro.branch.history import HistorySet
 from repro.branch.ittage import IttageConfig, IttagePredictor
@@ -91,15 +102,17 @@ class FrontEndStream:
     """One trace's front-end outcomes, in program order.
 
     ``branch_codes[b]`` is ``fetch_bubble << 1 | mispredicted`` for the
-    ``b``-th branch.  For the ``k``-th predictable load, ``direction``,
-    ``path`` and ``load_path`` hold its fetch-time raw histories and
+    ``b``-th branch.  For the ``k``-th predictable load (its *ordinal*),
+    ``pc`` holds its PC, ``direction``, ``path`` and ``load_path`` its
+    fetch-time raw histories and
     ``folds[k * stride : k * stride + stride]`` its folded registers in
-    ``layout`` order (``stride == len(layout)``).
+    ``layout`` order (``stride == len(layout)``).  :meth:`hash_rows`
+    memoizes per-load table hashes derived from them.
     """
 
     __slots__ = (
-        "key", "layout", "stride", "branch_codes", "direction", "path",
-        "load_path", "folds", "branch_stats",
+        "key", "layout", "stride", "branch_codes", "pc", "direction",
+        "path", "load_path", "folds", "branch_stats", "_hash_rows",
     )
 
     def __init__(self, key: tuple, layout: Layout) -> None:
@@ -107,14 +120,41 @@ class FrontEndStream:
         self.layout = layout
         self.stride = len(layout)
         self.branch_codes = bytearray()
+        self.pc = array("Q")
         self.direction: list[int] = []
         self.path = array(_typecode(32))
         self.load_path = array(_typecode(32))
         self.folds = array(_typecode(max((w for _, _, w in layout), default=1)))
         self.branch_stats: dict = {}
+        self._hash_rows: dict[tuple, list] = {}
 
     def serves(self, key: tuple, layout: Layout) -> bool:
         return self.key == key and self.layout[:len(layout)] == layout
+
+    def hash_rows(self, key: tuple, build) -> list:
+        """One geometry's per-load table hashes, built on first use.
+
+        ``build(pc, direction, path, load_path)`` receives the
+        predictable loads' PCs and fetch-time histories as uint64 numpy
+        columns (direction cut to its low 64 bits, wider than any
+        table reads) and returns one row per load, indexed by ordinal.
+        The rows are memoized under ``key`` -- a component's
+        ``geometry_key`` -- so every cell of a campaign whose component
+        has that geometry shares them.
+        """
+        rows = self._hash_rows.get(key)
+        if rows is None:
+            mask64 = (1 << 64) - 1
+            rows = self._hash_rows[key] = build(
+                np.array(self.pc, dtype=np.uint64),
+                np.fromiter(
+                    (d & mask64 for d in self.direction), dtype=np.uint64,
+                    count=len(self.direction),
+                ),
+                np.array(self.path, dtype=np.uint64),
+                np.array(self.load_path, dtype=np.uint64),
+            )
+        return rows
 
 
 def frontend_stream(
@@ -178,6 +218,7 @@ def _record(trace, key, layout, interrupt, interrupt_interval):
     push_memory = histories.push_memory
     folded_values = histories.folded_values
     code_append = stream.branch_codes.append
+    pc_append = stream.pc.append
     direction_append = stream.direction.append
     path_append = stream.path.append
     load_path_append = stream.load_path.append
@@ -203,6 +244,7 @@ def _record(trace, key, layout, interrupt, interrupt_interval):
             code_append(outcome.fetch_bubble << 1 | outcome.mispredicted)
         elif op == OP_LOAD:
             if flags_col[i] & FLAG_PREDICTABLE:
+                pc_append(pcs[i])
                 direction_append(histories.direction)
                 path_append(histories.path)
                 load_path_append(histories.load_path)

@@ -83,6 +83,9 @@ class SingleComponentAdapter:
     def bind_history(self, histories) -> None:
         self.component.bind_history(histories)
 
+    def bind_frontend(self, stream) -> None:
+        self.component.bind_frontend(stream)
+
     def predict(self, probe: LoadProbe) -> CompositeDecision:
         self.stats.loads += 1
         prediction = self.component.predict(probe)

@@ -75,6 +75,17 @@ class ComponentPredictor(abc.ABC):
         ``LoadOutcome.folded``.  PC-only predictors ignore it.
         """
 
+    def bind_frontend(self, stream) -> None:
+        """Bind the trace's recorded front end for one timing run.
+
+        The core model passes its
+        :class:`repro.pipeline.frontend.FrontEndStream` before the run
+        and ``None`` after it.  Context-aware predictors override this
+        to look up their per-load table hashes in the stream, keyed by
+        ``LoadProbe.ordinal`` / ``LoadOutcome.ordinal``.  PC-only
+        predictors ignore it.
+        """
+
     @abc.abstractmethod
     def predict(self, probe: LoadProbe) -> Prediction | None:
         """Return a high-confidence prediction for a fetched load, or None."""

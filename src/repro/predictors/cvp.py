@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import fold_bits, mask
+import numpy as np
+
+from repro.common.bits import fold_bits, fold_bits_np, mask, shr_np
 from repro.common.hashing import mix64
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
@@ -89,6 +91,12 @@ class CvpPredictor(ComponentPredictor):
         )
         self._index_bits_t = tuple(b.index_bits for b in self._banked)
         self._index_masks = tuple(mask(b) for b in self._index_bits_t)
+        #: Everything the (index, tag) hashes depend on besides the
+        #: load's own inputs: loads hash alike under an equal key.
+        self.geometry_key = ("cvp",) + tuple(zip(
+            self._index_bits_t, self._history_masks, self._index_salts,
+            self._tag_salts,
+        ))
         # Incremental-folding fast path (armed by bind_history).
         self._dir_slots: tuple[int, ...] | None = None
         self._path_slots: tuple[int, ...] = ()
@@ -96,6 +104,8 @@ class CvpPredictor(ComponentPredictor):
         # One-entry hash memo; see _hashes_for.
         self._hash_memo_key: tuple[int, int, int] | None = None
         self._hash_memo: list[tuple[int, int]] = []
+        # Per-load hashes of the bound front-end stream; see _row.
+        self._rows: list | None = None
 
     def bind_history(self, histories) -> None:
         """Register per-table direction/path folds on the live histories."""
@@ -107,6 +117,14 @@ class CvpPredictor(ComponentPredictor):
             histories.register_path_fold(bits) for bits in self._index_bits_t
         )
         self._min_folded = max(self._dir_slots + self._path_slots) + 1
+
+    def bind_frontend(self, stream) -> None:
+        """Look up this geometry's per-load hashes in ``stream``, a
+        :class:`repro.pipeline.frontend.FrontEndStream` (``None``
+        releases them)."""
+        self._rows = None if stream is None else stream.hash_rows(
+            self.geometry_key, self._hash_rows
+        )
 
     def _tables(self) -> list:
         return self._banked
@@ -128,6 +146,39 @@ class CvpPredictor(ComponentPredictor):
         scrambled = ((history ^ self._tag_salts[table])
                      * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
         return fold_bits((pc >> 2) ^ scrambled, _TAG_BITS)
+
+    def hash_columns(
+        self, pc: np.ndarray, direction: np.ndarray, path: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-table ``(index, tag)`` columns over uint64 load columns,
+        bit-identical to :meth:`_index` / :meth:`_tag` on every load."""
+        out = []
+        pcx = shr_np(pc, 2)
+        for table in range(len(self._banked)):
+            bits = self._index_bits_t[table]
+            hist = direction & np.uint64(self._history_masks[table])
+            v = (
+                pcx
+                ^ shr_np(pc, 2 + bits)
+                ^ fold_bits_np(hist, bits)
+                ^ fold_bits_np(path, bits)
+                ^ np.uint64(self._index_salts[table])
+            )
+            index = fold_bits_np(v, bits)
+            scrambled = (hist ^ np.uint64(self._tag_salts[table])) * np.uint64(
+                _TAG_SCRAMBLE
+            )
+            tag = fold_bits_np(pcx ^ scrambled, _TAG_BITS)
+            out.append((index, tag))
+        return out
+
+    def _hash_rows(self, pc, direction, path, load_path) -> list:
+        """One row per load: its per-table ``(index, tag)`` pairs, the
+        shape :meth:`_hashes_for` returns."""
+        columns = self.hash_columns(pc, direction, path)
+        return list(zip(*(
+            zip(index.tolist(), tag.tolist()) for index, tag in columns
+        )))
 
     # ------------------------------------------------------------------
     # Prediction / training
@@ -172,11 +223,11 @@ class CvpPredictor(ComponentPredictor):
 
         The body is :meth:`_fast_hash` unrolled across the table loop
         with every attribute prebound -- CVP hashing is the hottest
-        predictor code in a composite timing run, and the per-call
-        overhead of three ``_fast_hash`` invocations per probe/train
-        measurably shows.  Falls back to the reference ``_index``/
-        ``_tag`` pair when the incremental folds are not armed;
-        bit-identical either way.
+        predictor code on the per-event paths (serve sessions), and
+        the per-call overhead of three ``_fast_hash`` invocations per
+        probe/train measurably shows.  Falls back to the reference
+        ``_index``/``_tag`` pair when the incremental folds are not
+        armed; bit-identical either way.
         """
         if self._dir_slots is None or len(folded) < self._min_folded:
             return [
@@ -220,7 +271,10 @@ class CvpPredictor(ComponentPredictor):
     ) -> list[tuple[int, int]]:
         """One-entry memo over :meth:`_all_hashes`.
 
-        A load's ``train`` re-probes with the exact histories its
+        Serves the streaming paths (serve sessions, the functional
+        object interpreter): a whole-trace timing run looks its loads'
+        hashes up by ordinal instead (see :meth:`_row`).  A load's
+        ``train`` re-probes with the exact histories its
         ``predict`` saw (the outcome carries the probe's histories), so
         the second full hash computation per load is a tuple compare
         away.  The folded registers are pure functions of the raw
@@ -237,11 +291,21 @@ class CvpPredictor(ComponentPredictor):
         self._hash_memo = hashes
         return hashes
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        hashes = self._hashes_for(
-            probe.pc, probe.direction_history, probe.path_history,
-            probe.folded,
+    def _row(self, record: LoadProbe | LoadOutcome) -> list[tuple[int, int]]:
+        """Per-table ``(index, tag)`` pairs of one load: looked up by
+        ordinal in the bound front-end stream's rows during a
+        whole-trace timing run, hashed from its histories otherwise
+        (bit-identical either way)."""
+        rows = self._rows
+        if rows is not None and record.ordinal >= 0:
+            return rows[record.ordinal]
+        return self._hashes_for(
+            record.pc, record.direction_history, record.path_history,
+            record.folded,
         )
+
+    def predict(self, probe: LoadProbe) -> Prediction | None:
+        hashes = self._row(probe)
         banked = self._banked
         for table in range(len(banked) - 1, -1, -1):
             index, tag = hashes[table]
@@ -254,10 +318,7 @@ class CvpPredictor(ComponentPredictor):
 
     def train(self, outcome: LoadOutcome) -> None:
         value = outcome.value & _VALUE_MASK
-        hashes = self._hashes_for(
-            outcome.pc, outcome.direction_history, outcome.path_history,
-            outcome.folded,
-        )
+        hashes = self._row(outcome)
         for table, (index, tag) in enumerate(hashes):
             entry, hit = self._banked[table].find_or_victim(index, tag)
             if hit and entry.value == value:

@@ -37,6 +37,10 @@ class LoadProbe:
     #: the raw histories above with the ``fold_bits`` reference instead
     #: (bit-identical results either way).
     folded: tuple[int, ...] = ()
+    #: The load's index among the trace's predictable loads during a
+    #: whole-trace timing run (context-aware components look its
+    #: precomputed table hashes up by it); ``-1`` anywhere else.
+    ordinal: int = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,6 +58,8 @@ class LoadOutcome:
     #: index the same table entries prediction used, and value-predictor
     #: training is deferred past younger history pushes).
     folded: tuple[int, ...] = ()
+    #: The probe's ordinal (see :attr:`LoadProbe.ordinal`).
+    ordinal: int = -1
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,10 @@ places where a fast path could drift from its reference:
 * stores of every size to a few addresses that later loads read,
   at any byte offset, and strided loads;
 * runs of branches long enough to wrap every folded history register;
-* lengths that end mid-epoch (the assemblies run 97-instruction epochs).
+* lengths that end mid-epoch (the assemblies run 97-instruction epochs);
+* every component alone or in a composite, including one whose
+  confidence thresholds are all clamped to 1, so context-aware
+  components reach confident and wrong predictions in short programs.
 
 Each program must give the same answer three ways: the columnar core
 loop against the object-path oracle, the vectorized functional backend
@@ -54,7 +57,11 @@ SPECS = (
     {"kind": "composite", "entries": 64,
      "config": {"epoch_instructions": 97, "accuracy_monitor": "m-am",
                 "confidence_delta": -2}},
+    # A delta of -6 takes every Table IV threshold (at most 7) to 1.
+    {"kind": "composite", "entries": 64,
+     "config": {"epoch_instructions": 97, "confidence_delta": -6}},
     {"kind": "component", "name": "cvp", "entries": 64},
+    {"kind": "component", "name": "cap", "entries": 64},
     {"kind": "component", "name": "sap", "entries": 64},
 )
 
@@ -131,6 +138,13 @@ def _host(spec):
     return build_predictor(resolve_spec(spec))
 
 
+def _wrong_by(host):
+    """Confident-but-wrong predictions per component after a run."""
+    if isinstance(host, SingleComponentAdapter):
+        return {host.component.name: host.stats.incorrect_used}
+    return dict(host.stats.incorrect_by)
+
+
 def _table_state(predictor):
     if isinstance(predictor, SingleComponentAdapter):
         components = [predictor.component]
@@ -176,3 +190,47 @@ def test_fast_paths_match_their_references(body, repeats, tail, spec, seed):
         reference.loads, reference.predicted_loads,
         reference.correct_predictions, reference.instructions,
     )
+
+
+#: Programs that drive both context-aware components into confident
+#: but wrong predictions in the cycle model.
+MISPREDICTING_PROGRAMS = (
+    # A load grows confident on a constant word, then reads it once
+    # more right after a store changed it: CVP predicts the stale value.
+    (
+        [("branches", PCS[0], [True, False, True]),
+         ("load", PCS[1], (WORDS[0], 0), 8, False),
+         ("alu", PCS[3], 1)],
+        30,
+        [("store", PCS[2], (WORDS[0], 0), 8, 7, 0),
+         ("branches", PCS[0], [True, False, True]),
+         ("load", PCS[1], (WORDS[0], 0), 8, False)],
+    ),
+    # A store changes a word every iteration just before two loads read
+    # it: CAP's predicted address is probed before the store commits.
+    (
+        [("branches", PCS[0], [True, False]),
+         ("store", PCS[2], (WORDS[1], 0), 8, 3, 1),
+         ("load", PCS[1], (WORDS[1], 0), 8, False),
+         ("load", PCS[5], (WORDS[1], 0), 8, False)],
+        30,
+        [],
+    ),
+)
+
+
+def test_context_aware_components_mispredict_in_the_cycle_model():
+    wrong = dict.fromkeys(("cvp", "cap"), 0)
+    for body, repeats, tail in MISPREDICTING_PROGRAMS:
+        trace = _build(body, repeats, tail)
+        for spec in SPECS:
+            host = _host(spec)
+            result = simulate(trace, host)
+            assert asdict(result) == asdict(
+                simulate_objects(trace, _host(spec))
+            )
+            for name, count in _wrong_by(host).items():
+                if name in wrong:
+                    wrong[name] += count
+    assert wrong["cvp"] >= 1, wrong
+    assert wrong["cap"] >= 1, wrong
