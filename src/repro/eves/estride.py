@@ -14,8 +14,6 @@ i.e. last-value behaviour is cheaper to trust).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bits import mask, sign_extend, truncate
 from repro.common.fpc import FpcVector
 from repro.common.hashing import pc_index, pc_tag
@@ -39,12 +37,11 @@ CONFIDENCE_THRESHOLD = 7
 BITS_PER_ENTRY = _TAG_BITS + 64 + _STRIDE_BITS + 3
 
 
-@dataclass(slots=True)
-class _EStrideEntry:
-    tag: int = INVALID_TAG
-    last_value: int = 0
-    stride: int = 0  # 20-bit two's complement
-    confidence: int = 0
+#: Entry fields in column order, with their reset values; the stride
+#: is stored as 64-bit two's complement.
+_FIELDS = (
+    ("tag", INVALID_TAG), ("last_value", 0), ("stride", 0), ("confidence", 0),
+)
 
 
 class EStridePredictor:
@@ -56,9 +53,9 @@ class EStridePredictor:
     def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
         self.base_entries = entries
         self._rng = (rng or DeterministicRng(0)).derive(self.name)
-        self._table: BankedTable[_EStrideEntry] = BankedTable(
-            entries, _EStrideEntry
-        )
+        self._table = BankedTable(entries, _FIELDS)
+        # EVES never fuses, so the table keeps its single bank.
+        self._bank0 = self._table.banks[0]
         self._zero_probs = tuple(float(p) for p in ZERO_FPC.probabilities)
         self._nonzero_probs = tuple(
             float(p) for p in NONZERO_FPC.probabilities
@@ -66,12 +63,13 @@ class EStridePredictor:
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index = pc_index(probe.pc, self._table.index_bits)
-        entry = self._table.find(index, pc_tag(probe.pc, _TAG_BITS))
-        if entry is None or entry.confidence < CONFIDENCE_THRESHOLD:
+        tag = pc_tag(probe.pc, _TAG_BITS)
+        tags, last_values, strides, confs = self._bank0
+        if tags[index] != tag or confs[index] < CONFIDENCE_THRESHOLD:
             return None
-        stride = sign_extend(entry.stride, _STRIDE_BITS)
+        stride = sign_extend(strides[index], _STRIDE_BITS)
         value = (
-            entry.last_value + stride * (1 + probe.inflight_same_pc)
+            last_values[index] + stride * (1 + probe.inflight_same_pc)
         ) & _VALUE_MASK
         return Prediction(component=self.name, kind=self.kind, value=value)
 
@@ -79,27 +77,26 @@ class EStridePredictor:
         index = pc_index(outcome.pc, self._table.index_bits)
         tag = pc_tag(outcome.pc, _TAG_BITS)
         value = outcome.value & _VALUE_MASK
-        entry, hit = self._table.find_or_victim(index, tag)
-        if hit:
-            observed = truncate(value - entry.last_value, _STRIDE_BITS)
-            if observed == entry.stride:
-                probs = (
-                    self._zero_probs if entry.stride == 0 else self._nonzero_probs
-                )
-                level = entry.confidence
+        tags, last_values, strides, confs = self._bank0
+        if tags[index] == tag:
+            observed = truncate(value - last_values[index], _STRIDE_BITS)
+            stride = strides[index]
+            if observed == stride:
+                probs = self._zero_probs if stride == 0 else self._nonzero_probs
+                level = confs[index]
                 if level < CONFIDENCE_THRESHOLD:
                     p = probs[level]
                     if p >= 1.0 or self._rng.coin(p):
-                        entry.confidence = level + 1
+                        confs[index] = level + 1
             else:
-                entry.stride = observed
-                entry.confidence = 0
-            entry.last_value = value
+                strides[index] = observed
+                confs[index] = 0
+            last_values[index] = value
             return
-        entry.tag = tag
-        entry.last_value = value
-        entry.stride = 0
-        entry.confidence = 0
+        tags[index] = tag
+        last_values[index] = value
+        strides[index] = 0
+        confs[index] = 0
 
     def storage_bits(self) -> int:
         return self.base_entries * BITS_PER_ENTRY

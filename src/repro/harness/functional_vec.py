@@ -7,11 +7,12 @@ store schedules -- are computed for the *whole trace at once* as numpy
 batch operations over the packed :class:`~repro.isa.columns.TraceColumns`,
 and only the residual serial dependency (confident predictions feeding
 training, which feeds the next prediction) runs as a tight Python loop
-over unboxed ints.  Predictor tables run on the flat struct-of-arrays
-mirror (:class:`repro.predictors.table.FlatTableBackend`); the object
-tables are re-synchronized at epoch boundaries (table fusion operates
-on them) and at the end of the run, so a vector run leaves the
-predictor in exactly the state a pure object run would have.
+over unboxed ints.  That loop reads and writes the live predictor
+tables: a :class:`repro.predictors.table.BankedTable` keeps one plain
+list per entry field per bank, so the loop binds those columns once
+and rebinds only its multi-bank flags when table fusion fuses or
+reverts.  A vector run therefore leaves the predictor in exactly the
+state a pure object run would have, with nothing to copy back.
 
 The object interpreter stays the bit-exact reference: for every
 supported assembly, :func:`run_functional_vec` produces a
@@ -64,7 +65,6 @@ from repro.predictors.cap import CapPredictor
 from repro.predictors.cvp import CvpPredictor
 from repro.predictors.lvp import LvpPredictor
 from repro.predictors.sap import SapPredictor
-from repro.predictors.table import FlatTableBackend
 
 _MASK49 = (1 << 49) - 1
 _TAG_BITS = 14
@@ -406,48 +406,6 @@ def run_functional_vec(trace, predictor) -> FunctionalResult:
 
 
 # ----------------------------------------------------------------------
-# Flat-table lookup helpers (semantics of BankedTable.find /
-# find_or_victim over unboxed per-bank field lists; field 0 is the tag
-# column, the last field the confidence column, matching the dataclass
-# field order FlatTableBackend introspects)
-# ----------------------------------------------------------------------
-
-
-def _find(banks, index, tag):
-    for bank in banks:
-        if bank[0][index] == tag:
-            return bank
-    return None
-
-
-def _find_or_victim(banks, index, tag):
-    victim = None
-    for bank in banks:
-        t = bank[0][index]
-        if t == tag:
-            return bank, True
-        if t == -1:
-            if victim is None or victim[0][index] != -1:
-                victim = bank
-        elif victim is None or (
-            victim[0][index] != -1
-            and bank[-1][index] < victim[-1][index]
-        ):
-            victim = bank
-    return victim, False
-
-
-def _bump(confs, index, probs, cmax, coin):
-    """FPC confidence bump on one flat entry (ComponentPredictor._bump_confidence)."""
-    lvl = confs[index]
-    if lvl >= cmax:
-        return
-    p = probs[lvl]
-    if p >= 1.0 or coin(p):
-        confs[index] = lvl + 1
-
-
-# ----------------------------------------------------------------------
 # Composite residual interpreter
 # ----------------------------------------------------------------------
 
@@ -485,32 +443,50 @@ def _run_composite(trace, predictor, mem, result):
     n_stores = len(spos)
     n_instr = batch.n_instructions
 
+    # The live tables: bank-0 columns stay valid for a table's lifetime
+    # (fusion flushes and re-banks in place), so only the multi-bank
+    # flags below follow fusion.
     pc_np = batch.pc_np
     if lvp is not None:
-        li, lt = _cached_pc_hashes(trace, pc_np, lvp._table.index_bits)
+        lvp_tab = lvp._table
+        lvp_t0, lvp_v0, lvp_c0 = lvp_tab.banks[0]
+        li, lt = _cached_pc_hashes(trace, pc_np, lvp_tab.index_bits)
         lvp_thr = lvp.confidence_threshold
         lvp_probs = lvp._float_probs
         lvp_cmax = lvp._conf_max
         lvp_coin = lvp._rng.coin
+        lvp_bump = lvp._bump_confidence
     if sap is not None:
-        si, st_ = _cached_pc_hashes(trace, pc_np, sap._table.index_bits)
+        sap_tab = sap._table
+        sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = sap_tab.banks[0]
+        si, st_ = _cached_pc_hashes(trace, pc_np, sap_tab.index_bits)
         sap_thr = sap.confidence_threshold
         sap_probs = sap._float_probs
         sap_cmax = sap._conf_max
         sap_coin = sap._rng.coin
+        sap_bump = sap._bump_confidence
     if cvp is not None:
+        # Fusion grants and revokes banks on all three tables together.
+        cv0_tab, cv1_tab, cv2_tab = cvp._tables()
+        cv0_t0, cv0_v0, cv0_c0 = cv0_tab.banks[0]
+        cv1_t0, cv1_v0, cv1_c0 = cv1_tab.banks[0]
+        cv2_t0, cv2_v0, cv2_c0 = cv2_tab.banks[0]
         cvp_h = _cached_cvp_hashes(trace, cvp, batch)
         (cv0i, cv0t), (cv1i, cv1t), (cv2i, cv2t) = cvp_h
         cvp_thr = cvp.confidence_threshold
         cvp_probs = cvp._float_probs
         cvp_cmax = cvp._conf_max
         cvp_coin = cvp._rng.coin
+        cvp_bump = cvp._bump_confidence
     if cap is not None:
+        cap_tab = cap._table
+        cap_t0, cap_a0, cap_sz0, cap_c0 = cap_tab.banks[0]
         cpi, cpt = _cached_cap_hashes(trace, cap, batch)
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max
         cap_coin = cap._rng.coin
+        cap_bump = cap._bump_confidence
 
     # -- monitor bindings ----------------------------------------------
     mon_type = type(monitor)
@@ -541,42 +517,10 @@ def _run_composite(trace, predictor, mem, result):
     act_sap = sap is not None and "sap" not in donors
     act_cvp = cvp is not None and "cvp" not in donors
     act_cap = cap is not None and "cap" not in donors
-
-    # -- flat-table working state --------------------------------------
-    lvp_fl = [FlatTableBackend(t) for t in lvp._tables()] if lvp else None
-    sap_fl = [FlatTableBackend(t) for t in sap._tables()] if sap else None
-    cvp_fl = [FlatTableBackend(t) for t in cvp._tables()] if cvp else None
-    cap_fl = [FlatTableBackend(t) for t in cap._tables()] if cap else None
-
-    live = []
-    if lvp is not None:
-        lvp_banks = lvp_fl[0].lists()
-        live.append((lvp_fl[0], lvp_banks))
-        lvp_t0, lvp_v0, lvp_c0 = lvp_banks[0]
-        lvp_multi = len(lvp_banks) > 1
-    if sap is not None:
-        sap_banks = sap_fl[0].lists()
-        live.append((sap_fl[0], sap_banks))
-        sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = sap_banks[0]
-        sap_multi = len(sap_banks) > 1
-    if cvp is not None:
-        cv0_banks = cvp_fl[0].lists()
-        live.append((cvp_fl[0], cv0_banks))
-        cv0_t0, cv0_v0, cv0_c0 = cv0_banks[0]
-        cv0_multi = len(cv0_banks) > 1
-        cv1_banks = cvp_fl[1].lists()
-        live.append((cvp_fl[1], cv1_banks))
-        cv1_t0, cv1_v0, cv1_c0 = cv1_banks[0]
-        cv1_multi = len(cv1_banks) > 1
-        cv2_banks = cvp_fl[2].lists()
-        live.append((cvp_fl[2], cv2_banks))
-        cv2_t0, cv2_v0, cv2_c0 = cv2_banks[0]
-        cv2_multi = len(cv2_banks) > 1
-    if cap is not None:
-        cap_banks = cap_fl[0].lists()
-        live.append((cap_fl[0], cap_banks))
-        cap_t0, cap_a0, cap_sz0, cap_c0 = cap_banks[0]
-        cap_multi = len(cap_banks) > 1
+    lvp_multi = lvp is not None and lvp_tab.num_banks > 1
+    sap_multi = sap is not None and sap_tab.num_banks > 1
+    cvp_multi = cvp is not None and cv0_tab.num_banks > 1
+    cap_multi = cap is not None and cap_tab.num_banks > 1
 
     # -- memory fast paths ---------------------------------------------
     mem_words = mem._words
@@ -635,9 +579,6 @@ def _run_composite(trace, predictor, mem, result):
             prev_tick = p
             if iie >= epoch_len:
                 if fusion is not None:
-                    for fl, bkl in live:
-                        fl.absorb(bkl)
-                        fl.flush_to_table()
                     mark = (
                         fusion.state.fusions_performed,
                         fusion.state.reversions_performed,
@@ -653,8 +594,8 @@ def _run_composite(trace, predictor, mem, result):
                         fusion.state.fusions_performed,
                         fusion.state.reversions_performed,
                     ):
-                        # Tables were flushed / re-banked on the object
-                        # side; re-snapshot and rebind everything.
+                        # Banks were flushed, granted or revoked in
+                        # place: refresh the donor and multi-bank flags.
                         donors = (
                             fusion.state.donors if fusion.state.fused else ()
                         )
@@ -662,43 +603,10 @@ def _run_composite(trace, predictor, mem, result):
                         act_sap = sap is not None and "sap" not in donors
                         act_cvp = cvp is not None and "cvp" not in donors
                         act_cap = cap is not None and "cap" not in donors
-                        live = []
-                        if lvp is not None:
-                            lvp_fl[0].refresh()
-                            lvp_banks = lvp_fl[0].lists()
-                            live.append((lvp_fl[0], lvp_banks))
-                            lvp_t0, lvp_v0, lvp_c0 = lvp_banks[0]
-                            lvp_multi = len(lvp_banks) > 1
-                        if sap is not None:
-                            sap_fl[0].refresh()
-                            sap_banks = sap_fl[0].lists()
-                            live.append((sap_fl[0], sap_banks))
-                            sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = (
-                                sap_banks[0]
-                            )
-                            sap_multi = len(sap_banks) > 1
-                        if cvp is not None:
-                            cvp_fl[0].refresh()
-                            cv0_banks = cvp_fl[0].lists()
-                            live.append((cvp_fl[0], cv0_banks))
-                            cv0_t0, cv0_v0, cv0_c0 = cv0_banks[0]
-                            cv0_multi = len(cv0_banks) > 1
-                            cvp_fl[1].refresh()
-                            cv1_banks = cvp_fl[1].lists()
-                            live.append((cvp_fl[1], cv1_banks))
-                            cv1_t0, cv1_v0, cv1_c0 = cv1_banks[0]
-                            cv1_multi = len(cv1_banks) > 1
-                            cvp_fl[2].refresh()
-                            cv2_banks = cvp_fl[2].lists()
-                            live.append((cvp_fl[2], cv2_banks))
-                            cv2_t0, cv2_v0, cv2_c0 = cv2_banks[0]
-                            cv2_multi = len(cv2_banks) > 1
-                        if cap is not None:
-                            cap_fl[0].refresh()
-                            cap_banks = cap_fl[0].lists()
-                            live.append((cap_fl[0], cap_banks))
-                            cap_t0, cap_a0, cap_sz0, cap_c0 = cap_banks[0]
-                            cap_multi = len(cap_banks) > 1
+                        lvp_multi = lvp is not None and lvp_tab.num_banks > 1
+                        sap_multi = sap is not None and sap_tab.num_banks > 1
+                        cvp_multi = cvp is not None and cv0_tab.num_banks > 1
+                        cap_multi = cap is not None and cap_tab.num_banks > 1
 
         # -- apply older stores ----------------------------------------
         while sptr < n_stores and spos[sptr] < p:
@@ -720,7 +628,7 @@ def _run_composite(trace, predictor, mem, result):
                     cf[0] = True
                     vals[0] = lvp_v0[i]
             else:
-                bk = _find(lvp_banks, i, t)
+                bk = lvp_tab.find(i, t)
                 if bk is not None and bk[2][i] >= lvp_thr:
                     cf[0] = True
                     vals[0] = bk[1][i]
@@ -736,7 +644,7 @@ def _run_composite(trace, predictor, mem, result):
                     ) & _MASK49
                     sz = 1 << sap_sz0[i]
             else:
-                bk = _find(sap_banks, i, t)
+                bk = sap_tab.find(i, t)
                 if bk is not None and bk[4][i] >= sap_thr:
                     stv = bk[2][i]
                     a = (
@@ -756,8 +664,8 @@ def _run_composite(trace, predictor, mem, result):
             found = False
             i = c2i_j
             t = c2t_j
-            if cv2_multi:
-                bk = _find(cv2_banks, i, t)
+            if cvp_multi:
+                bk = cv2_tab.find(i, t)
                 if bk is not None and bk[2][i] >= cvp_thr:
                     vals[2] = bk[1][i]
                     found = True
@@ -767,8 +675,8 @@ def _run_composite(trace, predictor, mem, result):
             if not found:
                 i = c1i_j
                 t = c1t_j
-                if cv1_multi:
-                    bk = _find(cv1_banks, i, t)
+                if cvp_multi:
+                    bk = cv1_tab.find(i, t)
                     if bk is not None and bk[2][i] >= cvp_thr:
                         vals[2] = bk[1][i]
                         found = True
@@ -778,8 +686,8 @@ def _run_composite(trace, predictor, mem, result):
             if not found:
                 i = c0i_j
                 t = c0t_j
-                if cv0_multi:
-                    bk = _find(cv0_banks, i, t)
+                if cvp_multi:
+                    bk = cv0_tab.find(i, t)
                     if bk is not None and bk[2][i] >= cvp_thr:
                         vals[2] = bk[1][i]
                         found = True
@@ -796,7 +704,7 @@ def _run_composite(trace, predictor, mem, result):
                     a = cap_a0[i]
                     sz = 1 << cap_sz0[i]
             else:
-                bk = _find(cap_banks, i, t)
+                bk = cap_tab.find(i, t)
                 if bk is not None and bk[3][i] >= cap_thr:
                     a = bk[1][i]
                     sz = 1 << bk[2][i]
@@ -909,7 +817,7 @@ def _run_composite(trace, predictor, mem, result):
                     if sap_t0[i] == t:
                         sap_c0[i] = 0
                 else:
-                    bk = _find(sap_banks, i, t)
+                    bk = sap_tab.find(i, t)
                     if bk is not None:
                         bk[4][i] = 0
             if cf[3] and not okf[3]:
@@ -919,7 +827,7 @@ def _run_composite(trace, predictor, mem, result):
                     if cap_t0[i] == t:
                         cap_c0[i] = 0
                 else:
-                    bk = _find(cap_banks, i, t)
+                    bk = cap_tab.find(i, t)
                     if bk is not None:
                         bk[3][i] = 0
 
@@ -964,13 +872,9 @@ def _run_composite(trace, predictor, mem, result):
                     lvp_v0[i] = lval
                     lvp_c0[i] = 0
             else:
-                bk, hit = _find_or_victim(lvp_banks, i, t)
+                bk, hit = lvp_tab.find_or_victim(i, t)
                 if hit and bk[1][i] == lval:
-                    lvl = bk[2][i]
-                    if lvl < lvp_cmax:
-                        pr = lvp_probs[lvl]
-                        if pr >= 1.0 or lvp_coin(pr):
-                            bk[2][i] = lvl + 1
+                    lvp_bump(bk[2], i)
                 else:
                     bk[0][i] = t
                     bk[1][i] = lval
@@ -1000,15 +904,11 @@ def _run_composite(trace, predictor, mem, result):
                     sap_sz0[i] = sl
                     sap_c0[i] = 0
             else:
-                bk, hit = _find_or_victim(sap_banks, i, t)
+                bk, hit = sap_tab.find_or_victim(i, t)
                 if hit:
                     ns = (a49 - bk[1][i]) & 1023
                     if ns == bk[2][i]:
-                        lvl = bk[4][i]
-                        if lvl < sap_cmax:
-                            pr = sap_probs[lvl]
-                            if pr >= 1.0 or sap_coin(pr):
-                                bk[4][i] = lvl + 1
+                        sap_bump(bk[4], i)
                     else:
                         bk[2][i] = ns
                         bk[4][i] = 0
@@ -1026,7 +926,7 @@ def _run_composite(trace, predictor, mem, result):
             # the bump order is architectural.
             i = c0i_j
             t = c0t_j
-            if not cv0_multi:
+            if not cvp_multi:
                 if cv0_t0[i] == t and cv0_v0[i] == lval:
                     lvl = cv0_c0[i]
                     if lvl < cvp_cmax:
@@ -1038,20 +938,16 @@ def _run_composite(trace, predictor, mem, result):
                     cv0_v0[i] = lval
                     cv0_c0[i] = 0
             else:
-                bk, hit = _find_or_victim(cv0_banks, i, t)
+                bk, hit = cv0_tab.find_or_victim(i, t)
                 if hit and bk[1][i] == lval:
-                    lvl = bk[2][i]
-                    if lvl < cvp_cmax:
-                        pr = cvp_probs[lvl]
-                        if pr >= 1.0 or cvp_coin(pr):
-                            bk[2][i] = lvl + 1
+                    cvp_bump(bk[2], i)
                 else:
                     bk[0][i] = t
                     bk[1][i] = lval
                     bk[2][i] = 0
             i = c1i_j
             t = c1t_j
-            if not cv1_multi:
+            if not cvp_multi:
                 if cv1_t0[i] == t and cv1_v0[i] == lval:
                     lvl = cv1_c0[i]
                     if lvl < cvp_cmax:
@@ -1063,20 +959,16 @@ def _run_composite(trace, predictor, mem, result):
                     cv1_v0[i] = lval
                     cv1_c0[i] = 0
             else:
-                bk, hit = _find_or_victim(cv1_banks, i, t)
+                bk, hit = cv1_tab.find_or_victim(i, t)
                 if hit and bk[1][i] == lval:
-                    lvl = bk[2][i]
-                    if lvl < cvp_cmax:
-                        pr = cvp_probs[lvl]
-                        if pr >= 1.0 or cvp_coin(pr):
-                            bk[2][i] = lvl + 1
+                    cvp_bump(bk[2], i)
                 else:
                     bk[0][i] = t
                     bk[1][i] = lval
                     bk[2][i] = 0
             i = c2i_j
             t = c2t_j
-            if not cv2_multi:
+            if not cvp_multi:
                 if cv2_t0[i] == t and cv2_v0[i] == lval:
                     lvl = cv2_c0[i]
                     if lvl < cvp_cmax:
@@ -1088,13 +980,9 @@ def _run_composite(trace, predictor, mem, result):
                     cv2_v0[i] = lval
                     cv2_c0[i] = 0
             else:
-                bk, hit = _find_or_victim(cv2_banks, i, t)
+                bk, hit = cv2_tab.find_or_victim(i, t)
                 if hit and bk[1][i] == lval:
-                    lvl = bk[2][i]
-                    if lvl < cvp_cmax:
-                        pr = cvp_probs[lvl]
-                        if pr >= 1.0 or cvp_coin(pr):
-                            bk[2][i] = lvl + 1
+                    cvp_bump(bk[2], i)
                 else:
                     bk[0][i] = t
                     bk[1][i] = lval
@@ -1121,13 +1009,9 @@ def _run_composite(trace, predictor, mem, result):
                     cap_sz0[i] = sl
                     cap_c0[i] = 0
             else:
-                bk, hit = _find_or_victim(cap_banks, i, t)
+                bk, hit = cap_tab.find_or_victim(i, t)
                 if hit and bk[1][i] == a49 and bk[2][i] == sl:
-                    lvl = bk[3][i]
-                    if lvl < cap_cmax:
-                        pr = cap_probs[lvl]
-                        if pr >= 1.0 or cap_coin(pr):
-                            bk[3][i] = lvl + 1
+                    cap_bump(bk[3], i)
                 else:
                     bk[0][i] = t
                     bk[1][i] = a49
@@ -1142,7 +1026,7 @@ def _run_composite(trace, predictor, mem, result):
                     sap_t0[i] = -1
                     sap_c0[i] = 0
             else:
-                bk = _find(sap_banks, i, t)
+                bk = sap_tab.find(i, t)
                 if bk is not None:
                     bk[0][i] = -1
                     bk[4][i] = 0
@@ -1152,9 +1036,6 @@ def _run_composite(trace, predictor, mem, result):
             prev_tick = p + 1
 
     # -- finalize -------------------------------------------------------
-    for fl, bkl in live:
-        fl.absorb(bkl)
-        fl.flush_to_table()
     iie += n_instr - prev_tick
     while iie >= epoch_len:
         iie -= epoch_len
@@ -1226,9 +1107,7 @@ def _run_single(trace, adapter, mem, result):
 
     pc_np = batch.pc_np
     thr = comp.confidence_threshold
-    probs = comp._float_probs
-    cmax = comp._conf_max
-    coin = comp._rng.coin
+    bump = comp._bump_confidence
     if is_cvp:
         hashes = _cached_cvp_hashes(trace, comp, batch)
     elif is_cap:
@@ -1236,8 +1115,9 @@ def _run_single(trace, adapter, mem, result):
     else:
         pi, pt = _cached_pc_hashes(trace, pc_np, comp._table.index_bits)
 
-    flats = [FlatTableBackend(t) for t in comp._tables()]
-    banks_per_table = [fl.lists() for fl in flats]
+    tables = comp._tables()
+    find = tables[0].find
+    find_or_victim = tables[0].find_or_victim
 
     mem_words = mem._words
     mw_get = mem_words.get
@@ -1267,16 +1147,14 @@ def _run_single(trace, adapter, mem, result):
         if is_lvp:
             i = pi[j]
             t = pt[j]
-            banks = banks_per_table[0]
-            bk = _find(banks, i, t)
+            bk = find(i, t)
             if bk is not None and bk[2][i] >= thr:
                 have = True
                 v = bk[1][i]
         elif is_sap:
             i = pi[j]
             t = pt[j]
-            banks = banks_per_table[0]
-            bk = _find(banks, i, t)
+            bk = find(i, t)
             if bk is not None and bk[4][i] >= thr:
                 stv = bk[2][i]
                 a = (
@@ -1293,7 +1171,7 @@ def _run_single(trace, adapter, mem, result):
             for ti in (2, 1, 0):
                 idx, tg = hashes[ti]
                 i = idx[j]
-                bk = _find(banks_per_table[ti], i, tg[j])
+                bk = tables[ti].find(i, tg[j])
                 if bk is not None and bk[2][i] >= thr:
                     have = True
                     v = bk[1][i]
@@ -1301,8 +1179,7 @@ def _run_single(trace, adapter, mem, result):
         else:  # cap
             i = cpi[j]
             t = cpt[j]
-            banks = banks_per_table[0]
-            bk = _find(banks, i, t)
+            bk = find(i, t)
             if bk is not None and bk[3][i] >= thr:
                 a = bk[1][i]
                 sz = 1 << bk[2][i]
@@ -1320,11 +1197,11 @@ def _run_single(trace, adapter, mem, result):
             else:
                 # penalize: address predictors reset confidence
                 if is_sap:
-                    bk = _find(banks_per_table[0], pi[j], pt[j])
+                    bk = find(pi[j], pt[j])
                     if bk is not None:
                         bk[4][pi[j]] = 0
                 elif is_cap:
-                    bk = _find(banks_per_table[0], cpi[j], cpt[j])
+                    bk = find(cpi[j], cpt[j])
                     if bk is not None:
                         bk[3][cpi[j]] = 0
 
@@ -1332,9 +1209,9 @@ def _run_single(trace, adapter, mem, result):
         if is_lvp:
             i = pi[j]
             t = pt[j]
-            bk, hit = _find_or_victim(banks_per_table[0], i, t)
+            bk, hit = find_or_victim(i, t)
             if hit and bk[1][i] == lval:
-                _bump(bk[2], i, probs, cmax, coin)
+                bump(bk[2], i)
             else:
                 bk[0][i] = t
                 bk[1][i] = lval
@@ -1342,11 +1219,11 @@ def _run_single(trace, adapter, mem, result):
         elif is_sap:
             i = pi[j]
             t = pt[j]
-            bk, hit = _find_or_victim(banks_per_table[0], i, t)
+            bk, hit = find_or_victim(i, t)
             if hit:
                 ns = (a49 - bk[1][i]) & 1023
                 if ns == bk[2][i]:
-                    _bump(bk[4], i, probs, cmax, coin)
+                    bump(bk[4], i)
                 else:
                     bk[2][i] = ns
                     bk[4][i] = 0
@@ -1363,9 +1240,9 @@ def _run_single(trace, adapter, mem, result):
                 idx, tg = hashes[ti]
                 i = idx[j]
                 t = tg[j]
-                bk, hit = _find_or_victim(banks_per_table[ti], i, t)
+                bk, hit = tables[ti].find_or_victim(i, t)
                 if hit and bk[1][i] == lval:
-                    _bump(bk[2], i, probs, cmax, coin)
+                    bump(bk[2], i)
                 else:
                     bk[0][i] = t
                     bk[1][i] = lval
@@ -1373,18 +1250,14 @@ def _run_single(trace, adapter, mem, result):
         else:  # cap
             i = cpi[j]
             t = cpt[j]
-            bk, hit = _find_or_victim(banks_per_table[0], i, t)
+            bk, hit = find_or_victim(i, t)
             if hit and bk[1][i] == a49 and bk[2][i] == sl:
-                _bump(bk[3], i, probs, cmax, coin)
+                bump(bk[3], i)
             else:
                 bk[0][i] = t
                 bk[1][i] = a49
                 bk[2][i] = sl
                 bk[3][i] = 0
-
-    for fl, bkl in zip(flats, banks_per_table):
-        fl.absorb(bkl)
-        fl.flush_to_table()
 
     stats = adapter.stats
     stats.loads += n_loads

@@ -117,17 +117,15 @@ class ComponentPredictor(abc.ABC):
     # Confidence arithmetic
     # ------------------------------------------------------------------
 
-    def _bump_confidence(self, entry) -> None:
-        """Probabilistic (FPC) confidence increment on one entry."""
-        level = entry.confidence
+    def _bump_confidence(self, confidence: list[int], index: int) -> None:
+        """Probabilistic (FPC) confidence increment on one entry of a
+        bank's confidence column."""
+        level = confidence[index]
         if level >= self._conf_max:
             return
         p = self._float_probs[level]
         if p >= 1.0 or self._rng.coin(p):
-            entry.confidence = level + 1
-
-    def _is_confident(self, entry) -> bool:
-        return entry.confidence >= self.confidence_threshold
+            confidence[index] = level + 1
 
     # ------------------------------------------------------------------
     # Capacity management (composite table fusion)

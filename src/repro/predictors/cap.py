@@ -13,8 +13,6 @@ only when all of them match the existing entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.common.bits import fold_bits, fold_bits_np, mask, shr_np
@@ -30,12 +28,10 @@ _ADDR_BITS = 49
 _ADDR_MASK = mask(_ADDR_BITS)
 
 
-@dataclass(slots=True)
-class _CapEntry:
-    tag: int = INVALID_TAG
-    addr: int = 0
-    size_log2: int = 0
-    confidence: int = 0
+#: Entry fields in column order, with their reset values.
+_FIELDS = (
+    ("tag", INVALID_TAG), ("addr", 0), ("size_log2", 0), ("confidence", 0),
+)
 
 
 class CapPredictor(ComponentPredictor):
@@ -51,7 +47,10 @@ class CapPredictor(ComponentPredictor):
     def __init__(self, entries: int, rng: DeterministicRng | None = None,
                  confidence_threshold: int | None = None) -> None:
         super().__init__(entries, rng, confidence_threshold)
-        self._table: BankedTable[_CapEntry] = BankedTable(entries, _CapEntry)
+        self._table = BankedTable(entries, _FIELDS)
+        # Stable bank list and bank 0; see LvpPredictor.
+        self._banks = self._table.banks
+        self._bank0 = self._banks[0]
         #: Everything the (index, tag) hashes depend on besides the
         #: load's own inputs: loads hash alike under an equal key.
         self.geometry_key = ("cap", self._table.index_bits)
@@ -166,33 +165,47 @@ class CapPredictor(ComponentPredictor):
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index, tag = self._row(probe)
-        entry = self._table.find(index, tag)
-        if entry is None or not self._is_confident(entry):
+        if len(self._banks) == 1:
+            tags, addrs, sizes, confs = self._bank0
+            if tags[index] != tag:
+                return None
+        else:
+            bank = self._table.find(index, tag)
+            if bank is None:
+                return None
+            tags, addrs, sizes, confs = bank
+        if confs[index] < self.confidence_threshold:
             return None
         return Prediction(
             component=self.name,
             kind=self.kind,
-            addr=entry.addr,
-            size=1 << entry.size_log2,
+            addr=addrs[index],
+            size=1 << sizes[index],
         )
 
     def penalize(self, outcome: LoadOutcome) -> None:
         """Reset confidence after a wrong speculative value (the
         address may still match when an in-flight store conflicted)."""
         index, tag = self._row(outcome)
-        entry = self._table.find(index, tag)
-        if entry is not None:
-            entry.confidence = 0
+        bank = self._table.find(index, tag)
+        if bank is not None:
+            bank[-1][index] = 0
 
     def train(self, outcome: LoadOutcome) -> None:
         index, tag = self._row(outcome)
         addr = outcome.addr & _ADDR_MASK
         size_log2 = outcome.size.bit_length() - 1
-        entry, hit = self._table.find_or_victim(index, tag)
-        if hit and entry.addr == addr and entry.size_log2 == size_log2:
-            self._bump_confidence(entry)
+        if len(self._banks) == 1:
+            tags, addrs, sizes, confs = self._bank0
+            hit = tags[index] == tag
+        else:
+            (tags, addrs, sizes, confs), hit = (
+                self._table.find_or_victim(index, tag)
+            )
+        if hit and addrs[index] == addr and sizes[index] == size_log2:
+            self._bump_confidence(confs, index)
             return
-        entry.tag = tag
-        entry.addr = addr
-        entry.size_log2 = size_log2
-        entry.confidence = 0
+        tags[index] = tag
+        addrs[index] = addr
+        sizes[index] = size_log2
+        confs[index] = 0

@@ -19,8 +19,6 @@ the smallest CVP table (e.g., 5 iterations)").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.common.bits import fold_bits, fold_bits_np, mask, shr_np
@@ -42,11 +40,8 @@ _TAG_SCRAMBLE = 0x9E3779B97F4A7C15
 HISTORY_LENGTHS = (5, 13, 32)
 
 
-@dataclass(slots=True)
-class _CvpEntry:
-    tag: int = INVALID_TAG
-    value: int = 0
-    confidence: int = 0
+#: Entry fields in column order, with their reset values (LVP's shape).
+_FIELDS = (("tag", INVALID_TAG), ("value", 0), ("confidence", 0))
 
 
 def split_entries(total: int) -> tuple[int, int, int]:
@@ -77,9 +72,14 @@ class CvpPredictor(ComponentPredictor):
     def __init__(self, entries: int, rng: DeterministicRng | None = None,
                  confidence_threshold: int | None = None) -> None:
         super().__init__(entries, rng, confidence_threshold)
-        self._banked: list[BankedTable[_CvpEntry]] = [
-            BankedTable(size, _CvpEntry) for size in split_entries(entries)
+        self._banked = [
+            BankedTable(size, _FIELDS) for size in split_entries(entries)
         ]
+        # Fusion grants and revokes banks on all three tables together,
+        # so table 0's (stable) bank list tells whether every table is
+        # down to its bank 0, whose columns the fast paths read.
+        self._t0_banks = self._banked[0].banks
+        self._bank0s = tuple(table.banks[0] for table in self._banked)
         # Hot-path constants (fixed rewiring in hardware).
         self._history_masks = tuple(mask(L) for L in HISTORY_LENGTHS)
         self._index_salts = tuple(
@@ -306,24 +306,39 @@ class CvpPredictor(ComponentPredictor):
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         hashes = self._row(probe)
-        banked = self._banked
-        for table in range(len(banked) - 1, -1, -1):
+        one_bank = len(self._t0_banks) == 1
+        for table in range(len(hashes) - 1, -1, -1):
             index, tag = hashes[table]
-            entry = banked[table].find(index, tag)
-            if entry is not None and self._is_confident(entry):
+            if one_bank:
+                bank = self._bank0s[table]
+                if bank[0][index] != tag:
+                    continue
+            else:
+                bank = self._banked[table].find(index, tag)
+                if bank is None:
+                    continue
+            if bank[2][index] >= self.confidence_threshold:
                 return Prediction(
-                    component=self.name, kind=self.kind, value=entry.value
+                    component=self.name, kind=self.kind,
+                    value=bank[1][index],
                 )
         return None
 
     def train(self, outcome: LoadOutcome) -> None:
         value = outcome.value & _VALUE_MASK
         hashes = self._row(outcome)
+        one_bank = len(self._t0_banks) == 1
         for table, (index, tag) in enumerate(hashes):
-            entry, hit = self._banked[table].find_or_victim(index, tag)
-            if hit and entry.value == value:
-                self._bump_confidence(entry)
+            if one_bank:
+                tags, values, confs = self._bank0s[table]
+                hit = tags[index] == tag
+            else:
+                (tags, values, confs), hit = (
+                    self._banked[table].find_or_victim(index, tag)
+                )
+            if hit and values[index] == value:
+                self._bump_confidence(confs, index)
                 continue
-            entry.tag = tag
-            entry.value = value
-            entry.confidence = 0
+            tags[index] = tag
+            values[index] = value
+            confs[index] = 0

@@ -16,8 +16,6 @@ confidence, 2-bit size (67 bits, like CAP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bits import mask
 from repro.common.fpc import FpcVector
 from repro.common.hashing import pc_index, pc_tag
@@ -35,12 +33,10 @@ LAP_FPC = FpcVector.from_ratios(["1", "1/4", "1/4"])
 LAP_CONFIDENCE_THRESHOLD = 3
 
 
-@dataclass(slots=True)
-class _LapEntry:
-    tag: int = INVALID_TAG
-    addr: int = 0
-    size_log2: int = 0
-    confidence: int = 0
+#: Entry fields in column order, with their reset values.
+_FIELDS = (
+    ("tag", INVALID_TAG), ("addr", 0), ("size_log2", 0), ("confidence", 0),
+)
 
 
 class LapPredictor(ComponentPredictor):
@@ -57,19 +53,31 @@ class LapPredictor(ComponentPredictor):
     def __init__(self, entries: int, rng: DeterministicRng | None = None,
                  confidence_threshold: int | None = None) -> None:
         super().__init__(entries, rng, confidence_threshold)
-        self._table: BankedTable[_LapEntry] = BankedTable(entries, _LapEntry)
+        self._table = BankedTable(entries, _FIELDS)
+        # Stable bank list and bank 0; see LvpPredictor.
+        self._banks = self._table.banks
+        self._bank0 = self._banks[0]
 
     def _tables(self) -> list:
         return [self._table]
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index = pc_index(probe.pc, self._table.index_bits)
-        entry = self._table.find(index, pc_tag(probe.pc, _TAG_BITS))
-        if entry is None or not self._is_confident(entry):
+        tag = pc_tag(probe.pc, _TAG_BITS)
+        if len(self._banks) == 1:
+            tags, addrs, sizes, confs = self._bank0
+            if tags[index] != tag:
+                return None
+        else:
+            bank = self._table.find(index, tag)
+            if bank is None:
+                return None
+            tags, addrs, sizes, confs = bank
+        if confs[index] < self.confidence_threshold:
             return None
         return Prediction(
             component=self.name, kind=self.kind,
-            addr=entry.addr, size=1 << entry.size_log2,
+            addr=addrs[index], size=1 << sizes[index],
         )
 
     def train(self, outcome: LoadOutcome) -> None:
@@ -77,17 +85,23 @@ class LapPredictor(ComponentPredictor):
         tag = pc_tag(outcome.pc, _TAG_BITS)
         addr = outcome.addr & _ADDR_MASK
         size_log2 = outcome.size.bit_length() - 1
-        entry, hit = self._table.find_or_victim(index, tag)
-        if hit and entry.addr == addr and entry.size_log2 == size_log2:
-            self._bump_confidence(entry)
+        if len(self._banks) == 1:
+            tags, addrs, sizes, confs = self._bank0
+            hit = tags[index] == tag
+        else:
+            (tags, addrs, sizes, confs), hit = (
+                self._table.find_or_victim(index, tag)
+            )
+        if hit and addrs[index] == addr and sizes[index] == size_log2:
+            self._bump_confidence(confs, index)
             return
-        entry.tag = tag
-        entry.addr = addr
-        entry.size_log2 = size_log2
-        entry.confidence = 0
+        tags[index] = tag
+        addrs[index] = addr
+        sizes[index] = size_log2
+        confs[index] = 0
 
     def penalize(self, outcome: LoadOutcome) -> None:
         index = pc_index(outcome.pc, self._table.index_bits)
-        entry = self._table.find(index, pc_tag(outcome.pc, _TAG_BITS))
-        if entry is not None:
-            entry.confidence = 0
+        bank = self._table.find(index, pc_tag(outcome.pc, _TAG_BITS))
+        if bank is not None:
+            bank[-1][index] = 0

@@ -11,8 +11,6 @@ four components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bits import mask
 from repro.common.hashing import pc_index, pc_tag
 from repro.common.rng import DeterministicRng
@@ -25,11 +23,8 @@ _TAG_BITS = 14
 _VALUE_MASK = mask(64)
 
 
-@dataclass(slots=True)
-class _LvpEntry:
-    tag: int = INVALID_TAG
-    value: int = 0
-    confidence: int = 0
+#: Entry fields in column order, with their reset values.
+_FIELDS = (("tag", INVALID_TAG), ("value", 0), ("confidence", 0))
 
 
 class LvpPredictor(ComponentPredictor):
@@ -45,7 +40,11 @@ class LvpPredictor(ComponentPredictor):
     def __init__(self, entries: int, rng: DeterministicRng | None = None,
                  confidence_threshold: int | None = None) -> None:
         super().__init__(entries, rng, confidence_threshold)
-        self._table: BankedTable[_LvpEntry] = BankedTable(entries, _LvpEntry)
+        self._table = BankedTable(entries, _FIELDS)
+        # The bank list and bank 0 are stable for the table's lifetime:
+        # the one-bank fast paths read bank 0's columns directly.
+        self._banks = self._table.banks
+        self._bank0 = self._banks[0]
         # (index, tag) memo: both hashes are pure functions of the PC
         # (fixed rewiring in hardware), so one dict probe replaces two
         # hash computations per predict/train.  Grows with the number
@@ -66,20 +65,32 @@ class LvpPredictor(ComponentPredictor):
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index, tag = self._hashes(probe.pc)
-        entry = self._table.find(index, tag)
-        if entry is None or not self._is_confident(entry):
+        if len(self._banks) == 1:
+            tags, values, confs = self._bank0
+            if tags[index] != tag:
+                return None
+        else:
+            bank = self._table.find(index, tag)
+            if bank is None:
+                return None
+            tags, values, confs = bank
+        if confs[index] < self.confidence_threshold:
             return None
         return Prediction(
-            component=self.name, kind=self.kind, value=entry.value
+            component=self.name, kind=self.kind, value=values[index]
         )
 
     def train(self, outcome: LoadOutcome) -> None:
         index, tag = self._hashes(outcome.pc)
         value = outcome.value & _VALUE_MASK
-        entry, hit = self._table.find_or_victim(index, tag)
-        if hit and entry.value == value:
-            self._bump_confidence(entry)
+        if len(self._banks) == 1:
+            tags, values, confs = self._bank0
+            hit = tags[index] == tag
+        else:
+            (tags, values, confs), hit = self._table.find_or_victim(index, tag)
+        if hit and values[index] == value:
+            self._bump_confidence(confs, index)
             return
-        entry.tag = tag
-        entry.value = value
-        entry.confidence = 0
+        tags[index] = tag
+        values[index] = value
+        confs[index] = 0

@@ -16,8 +16,6 @@ PAQ, which probes the D-cache for the speculative value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bits import mask, sign_extend, truncate
 from repro.common.hashing import pc_index, pc_tag
 from repro.common.rng import DeterministicRng
@@ -32,13 +30,12 @@ _STRIDE_BITS = 10
 _ADDR_MASK = mask(_ADDR_BITS)
 
 
-@dataclass(slots=True)
-class _SapEntry:
-    tag: int = INVALID_TAG
-    last_addr: int = 0
-    stride: int = 0  # stored as 10-bit two's complement
-    size_log2: int = 0
-    confidence: int = 0
+#: Entry fields in column order, with their reset values; the stride
+#: is stored as 10-bit two's complement.
+_FIELDS = (
+    ("tag", INVALID_TAG), ("last_addr", 0), ("stride", 0), ("size_log2", 0),
+    ("confidence", 0),
+)
 
 
 class SapPredictor(ComponentPredictor):
@@ -54,7 +51,10 @@ class SapPredictor(ComponentPredictor):
     def __init__(self, entries: int, rng: DeterministicRng | None = None,
                  confidence_threshold: int | None = None) -> None:
         super().__init__(entries, rng, confidence_threshold)
-        self._table: BankedTable[_SapEntry] = BankedTable(entries, _SapEntry)
+        self._table = BankedTable(entries, _FIELDS)
+        # Stable bank list and bank 0; see LvpPredictor.
+        self._banks = self._table.banks
+        self._bank0 = self._banks[0]
         # (index, tag) memo keyed by static load PC; see LvpPredictor.
         self._pc_hashes: dict[int, tuple[int, int]] = {}
 
@@ -73,41 +73,55 @@ class SapPredictor(ComponentPredictor):
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index, tag = self._hashes(probe.pc)
-        entry = self._table.find(index, tag)
-        if entry is None or not self._is_confident(entry):
+        if len(self._banks) == 1:
+            tags, last_addrs, strides, sizes, confs = self._bank0
+            if tags[index] != tag:
+                return None
+        else:
+            bank = self._table.find(index, tag)
+            if bank is None:
+                return None
+            tags, last_addrs, strides, sizes, confs = bank
+        if confs[index] < self.confidence_threshold:
             return None
-        stride = sign_extend(entry.stride, _STRIDE_BITS)
+        stride = sign_extend(strides[index], _STRIDE_BITS)
         addr = (
-            entry.last_addr + stride * (1 + probe.inflight_same_pc)
+            last_addrs[index] + stride * (1 + probe.inflight_same_pc)
         ) & _ADDR_MASK
         return Prediction(
             component=self.name,
             kind=self.kind,
             addr=addr,
-            size=1 << entry.size_log2,
+            size=1 << sizes[index],
         )
 
     def train(self, outcome: LoadOutcome) -> None:
         index, tag = self._hashes(outcome.pc)
         addr = outcome.addr & _ADDR_MASK
-        entry, hit = self._table.find_or_victim(index, tag)
+        if len(self._banks) == 1:
+            tags, last_addrs, strides, sizes, confs = self._bank0
+            hit = tags[index] == tag
+        else:
+            (tags, last_addrs, strides, sizes, confs), hit = (
+                self._table.find_or_victim(index, tag)
+            )
         if hit:
             # Hardware compares in the 10-bit stride domain: the stored
             # field against the new delta's low bits.
-            new_stride = truncate(addr - entry.last_addr, _STRIDE_BITS)
-            if new_stride == entry.stride:
-                self._bump_confidence(entry)
+            new_stride = truncate(addr - last_addrs[index], _STRIDE_BITS)
+            if new_stride == strides[index]:
+                self._bump_confidence(confs, index)
             else:
-                entry.stride = new_stride
-                entry.confidence = 0
-            entry.last_addr = addr
-            entry.size_log2 = _size_log2(outcome.size)
+                strides[index] = new_stride
+                confs[index] = 0
+            last_addrs[index] = addr
+            sizes[index] = _size_log2(outcome.size)
             return
-        entry.tag = tag
-        entry.last_addr = addr
-        entry.stride = 0
-        entry.size_log2 = _size_log2(outcome.size)
-        entry.confidence = 0
+        tags[index] = tag
+        last_addrs[index] = addr
+        strides[index] = 0
+        sizes[index] = _size_log2(outcome.size)
+        confs[index] = 0
 
     def penalize(self, outcome: LoadOutcome) -> None:
         """Reset confidence after a wrong speculative value.
@@ -116,19 +130,19 @@ class SapPredictor(ComponentPredictor):
         alone would keep the entry confident and re-flush next time.
         """
         index, tag = self._hashes(outcome.pc)
-        entry = self._table.find(index, tag)
-        if entry is not None:
-            entry.confidence = 0
+        bank = self._table.find(index, tag)
+        if bank is not None:
+            bank[-1][index] = 0
 
     def invalidate(self, outcome: LoadOutcome) -> None:
         """Drop the entry for this load (smart-training rule: a correct
         SAP prediction that is not chosen for training would have a
         broken stride anyway, so the composite invalidates it)."""
         index, tag = self._hashes(outcome.pc)
-        entry = self._table.find(index, tag)
-        if entry is not None:
-            entry.tag = INVALID_TAG
-            entry.confidence = 0
+        bank = self._table.find(index, tag)
+        if bank is not None:
+            bank[0][index] = INVALID_TAG
+            bank[-1][index] = 0
 
 
 def _size_log2(size: int) -> int:

@@ -15,8 +15,6 @@ stride by the number of in-flight instances of the PC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bits import mask, sign_extend, truncate
 from repro.common.fpc import FpcVector
 from repro.common.hashing import pc_index, pc_tag
@@ -37,12 +35,11 @@ SVP_FPC = FpcVector.from_ratios(
 SVP_CONFIDENCE_THRESHOLD = 7
 
 
-@dataclass(slots=True)
-class _SvpEntry:
-    tag: int = INVALID_TAG
-    last_value: int = 0
-    stride: int = 0  # 16-bit two's complement
-    confidence: int = 0
+#: Entry fields in column order, with their reset values; the stride
+#: is stored as 16-bit two's complement.
+_FIELDS = (
+    ("tag", INVALID_TAG), ("last_value", 0), ("stride", 0), ("confidence", 0),
+)
 
 
 class SvpPredictor(ComponentPredictor):
@@ -59,19 +56,31 @@ class SvpPredictor(ComponentPredictor):
     def __init__(self, entries: int, rng: DeterministicRng | None = None,
                  confidence_threshold: int | None = None) -> None:
         super().__init__(entries, rng, confidence_threshold)
-        self._table: BankedTable[_SvpEntry] = BankedTable(entries, _SvpEntry)
+        self._table = BankedTable(entries, _FIELDS)
+        # Stable bank list and bank 0; see LvpPredictor.
+        self._banks = self._table.banks
+        self._bank0 = self._banks[0]
 
     def _tables(self) -> list:
         return [self._table]
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index = pc_index(probe.pc, self._table.index_bits)
-        entry = self._table.find(index, pc_tag(probe.pc, _TAG_BITS))
-        if entry is None or not self._is_confident(entry):
+        tag = pc_tag(probe.pc, _TAG_BITS)
+        if len(self._banks) == 1:
+            tags, last_values, strides, confs = self._bank0
+            if tags[index] != tag:
+                return None
+        else:
+            bank = self._table.find(index, tag)
+            if bank is None:
+                return None
+            tags, last_values, strides, confs = bank
+        if confs[index] < self.confidence_threshold:
             return None
-        stride = sign_extend(entry.stride, _STRIDE_BITS)
+        stride = sign_extend(strides[index], _STRIDE_BITS)
         value = (
-            entry.last_value + stride * (1 + probe.inflight_same_pc)
+            last_values[index] + stride * (1 + probe.inflight_same_pc)
         ) & _VALUE_MASK
         return Prediction(component=self.name, kind=self.kind, value=value)
 
@@ -79,24 +88,31 @@ class SvpPredictor(ComponentPredictor):
         index = pc_index(outcome.pc, self._table.index_bits)
         tag = pc_tag(outcome.pc, _TAG_BITS)
         value = outcome.value & _VALUE_MASK
-        entry, hit = self._table.find_or_victim(index, tag)
+        if len(self._banks) == 1:
+            tags, last_values, strides, confs = self._bank0
+            hit = tags[index] == tag
+        else:
+            (tags, last_values, strides, confs), hit = (
+                self._table.find_or_victim(index, tag)
+            )
         if hit:
-            observed = truncate(value - entry.last_value, _STRIDE_BITS)
-            full_delta = (value - entry.last_value) & _VALUE_MASK
+            last = last_values[index]
+            observed = truncate(value - last, _STRIDE_BITS)
+            full_delta = (value - last) & _VALUE_MASK
             # Confidence only grows when the full-width delta is
             # faithfully representable; a wrapped stride would grow
             # confident on deltas it cannot re-create.
             representable = (
                 sign_extend(observed, _STRIDE_BITS) % (1 << 64)
             ) == full_delta
-            if observed == entry.stride and representable:
-                self._bump_confidence(entry)
+            if observed == strides[index] and representable:
+                self._bump_confidence(confs, index)
             else:
-                entry.stride = observed
-                entry.confidence = 0
-            entry.last_value = value
+                strides[index] = observed
+                confs[index] = 0
+            last_values[index] = value
             return
-        entry.tag = tag
-        entry.last_value = value
-        entry.stride = 0
-        entry.confidence = 0
+        tags[index] = tag
+        last_values[index] = value
+        strides[index] = 0
+        confs[index] = 0

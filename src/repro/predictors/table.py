@@ -7,42 +7,51 @@ direct-mapped bank; the composite layer's *table fusion* optimization
 under-performing predictors, at which point lookups search all banks
 set-associatively -- exactly the "donor tables are added as if they
 were additional cache ways" design the paper describes.
+
+The storage is the gem5 shape, plain tagged arrays: each bank is a
+tuple of one Python list per entry field (``tag`` first, payload
+fields, ``confidence`` last), indexed by set.  Components and the
+vectorized functional backend (:mod:`repro.harness.functional_vec`)
+read and write those columns directly.  Capacity changes mutate the
+bank list and the columns in place, so a reference to bank 0 or to
+one of its columns stays valid for the table's lifetime.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Generic, Iterator, Protocol, TypeVar
-
-import numpy as np
+from typing import Iterator
 
 from repro.common.bits import bit_length_for
 
-
-class TableEntry(Protocol):
-    """Minimal interface the table requires of entries."""
-
-    tag: int  # -1 marks an invalid (never written) entry
-    confidence: int
-
-
-E = TypeVar("E", bound=TableEntry)
-
-#: Tag value marking an invalid entry.
+#: Tag value marking an invalid (never written) entry.
 INVALID_TAG = -1
 
+#: One bank: a column (list, indexed by set) per entry field.
+Bank = tuple[list[int], ...]
 
-class BankedTable(Generic[E]):
-    """A direct-mapped table that can grow extra associative banks."""
 
-    def __init__(self, sets: int, entry_factory: Callable[[], E]) -> None:
+class BankedTable:
+    """A direct-mapped table that can grow extra associative banks.
+
+    ``fields`` declares the entry layout as ``(name, reset value)``
+    pairs; the first must be ``("tag", INVALID_TAG)`` and the last
+    ``("confidence", 0)``.
+    """
+
+    def __init__(self, sets: int, fields: tuple[tuple[str, int], ...]) -> None:
+        if fields[0] != ("tag", INVALID_TAG) or fields[-1] != ("confidence", 0):
+            raise ValueError(
+                f"fields must run from ('tag', {INVALID_TAG}) to "
+                f"('confidence', 0), got {fields}"
+            )
         self.sets = sets
         self.index_bits = bit_length_for(sets)
-        self._entry_factory = entry_factory
-        self._banks: list[list[E]] = [self._new_bank()]
+        self.fields = tuple(name for name, _ in fields)
+        self._defaults = tuple(default for _, default in fields)
+        self.banks: list[Bank] = [self._new_bank()]
 
-    def _new_bank(self) -> list[E]:
-        return [self._entry_factory() for _ in range(self.sets)]
+    def _new_bank(self) -> Bank:
+        return tuple([default] * self.sets for default in self._defaults)
 
     # ------------------------------------------------------------------
     # Capacity management (fusion support)
@@ -50,174 +59,71 @@ class BankedTable(Generic[E]):
 
     @property
     def num_banks(self) -> int:
-        return len(self._banks)
+        return len(self.banks)
 
     @property
     def total_entries(self) -> int:
-        return self.sets * len(self._banks)
+        return self.sets * len(self.banks)
 
     def add_banks(self, count: int) -> None:
         """Attach ``count`` fresh banks (receiver side of fusion)."""
         if count < 0:
             raise ValueError(f"bank count must be non-negative, got {count}")
         for _ in range(count):
-            self._banks.append(self._new_bank())
+            self.banks.append(self._new_bank())
 
     def remove_extra_banks(self) -> None:
         """Drop all donated banks, keeping the original one (unfusion)."""
-        del self._banks[1:]
+        del self.banks[1:]
 
     def flush(self) -> None:
-        """Invalidate every entry in every bank."""
-        for bank in self._banks:
-            for entry in bank:
-                entry.tag = INVALID_TAG
-                entry.confidence = 0
+        """Invalidate every entry in every bank.
+
+        Only the tag and confidence columns are reset; payload columns
+        keep their stale contents, which no lookup can reach.
+        """
+        for bank in self.banks:
+            bank[0][:] = [INVALID_TAG] * self.sets
+            bank[-1][:] = [0] * self.sets
 
     # ------------------------------------------------------------------
     # Lookup / allocation
     # ------------------------------------------------------------------
 
-    def find(self, index: int, tag: int) -> E | None:
-        """Return the matching entry across banks, or None."""
-        for bank in self._banks:
-            entry = bank[index]
-            if entry.tag == tag:
-                return entry
+    def find(self, index: int, tag: int) -> Bank | None:
+        """Return the bank whose entry at ``index`` matches, or None."""
+        for bank in self.banks:
+            if bank[0][index] == tag:
+                return bank
         return None
 
-    def find_or_victim(self, index: int, tag: int) -> tuple[E, bool]:
-        """Return ``(entry, hit)``.
+    def find_or_victim(self, index: int, tag: int) -> tuple[Bank, bool]:
+        """Return ``(bank, hit)``.
 
-        On a miss the returned entry is the replacement victim at this
-        index: an invalid entry if one exists, otherwise the entry with
-        the lowest confidence (low-confidence entries are the cheapest
-        to sacrifice; a confident entry is presumably still earning).
-        The caller is responsible for rewriting the victim's fields.
+        On a miss the returned bank holds the replacement victim at
+        this index: an invalid entry if one exists, otherwise the entry
+        with the lowest confidence (low-confidence entries are the
+        cheapest to sacrifice; a confident entry is presumably still
+        earning), the first bank winning ties.  The caller is
+        responsible for rewriting the victim's fields.
         """
-        victim: E | None = None
-        for bank in self._banks:
-            entry = bank[index]
-            if entry.tag == tag:
-                return entry, True
-            if entry.tag == INVALID_TAG:
-                if victim is None or victim.tag != INVALID_TAG:
-                    victim = entry
+        victim: Bank | None = None
+        for bank in self.banks:
+            t = bank[0][index]
+            if t == tag:
+                return bank, True
+            if t == INVALID_TAG:
+                if victim is None or victim[0][index] != INVALID_TAG:
+                    victim = bank
             elif victim is None or (
-                victim.tag != INVALID_TAG
-                and entry.confidence < victim.confidence
+                victim[0][index] != INVALID_TAG
+                and bank[-1][index] < victim[-1][index]
             ):
-                victim = entry
+                victim = bank
         assert victim is not None  # there is always at least one bank
         return victim, False
 
-    def entries(self) -> Iterator[E]:
-        """Iterate over every entry in every bank."""
-        for bank in self._banks:
-            yield from bank
-
-
-#: Entry fields holding full-width unsigned payloads (64-bit values,
-#: 49-bit addresses); everything else (tags may be ``INVALID_TAG = -1``,
-#: counters, strides) fits a signed 64-bit column.
-_UNSIGNED_FIELDS = frozenset({"value", "addr", "last_addr"})
-
-
-class FlatTableBackend:
-    """Struct-of-arrays (numpy) mirror of one :class:`BankedTable`.
-
-    The gem5-style flat layout: instead of one Python object per entry,
-    each entry *field* becomes one flat numpy array per bank (``tags``,
-    ``values``, ``confidence`` ... introspected from the entry
-    dataclass).  The vectorized functional backend
-    (:mod:`repro.harness.functional_vec`) runs on this representation;
-    the object table stays the bit-exact oracle and the authoritative
-    copy between runs.
-
-    Life cycle: construct from a live table (snapshot), hand out
-    unboxed per-bank field lists via :meth:`lists` for the sequential
-    residual segments (CPython list indexing is what the interpreter
-    loop can afford; the numpy arrays are the interchange format for
-    the vectorized segments), then :meth:`absorb` the mutated lists and
-    :meth:`flush_to_table` to write every field back into the entry
-    objects -- after which the object table is exactly what a pure
-    object-path run would have produced.
-    """
-
-    def __init__(self, table: BankedTable) -> None:
-        probe = table._entry_factory()
-        if not dataclasses.is_dataclass(probe):
-            raise TypeError(
-                f"flat backend requires dataclass entries, got "
-                f"{type(probe).__name__}"
-            )
-        self.table = table
-        self.fields: tuple[str, ...] = tuple(
-            f.name for f in dataclasses.fields(probe)
-        )
-        self._dtypes = tuple(
-            np.uint64 if name in _UNSIGNED_FIELDS else np.int64
-            for name in self.fields
-        )
-        self.banks: list[tuple[np.ndarray, ...]] = []
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Re-snapshot every bank from the object table (e.g. after
-        fusion attached or flushed banks)."""
-        self.banks = [
-            tuple(
-                np.fromiter(
-                    (getattr(e, name) for e in bank),
-                    dtype=dtype,
-                    count=len(bank),
-                )
-                for name, dtype in zip(self.fields, self._dtypes)
-            )
-            for bank in self.table._banks
-        ]
-        # What the object table currently holds; flush_to_table diffs
-        # against this so only mutated entries pay the setattr cost.
-        self._synced = self.banks
-
-    def lists(self) -> list[tuple[list, ...]]:
-        """Unboxed per-bank working copies, one list per field."""
-        return [
-            tuple(column.tolist() for column in bank) for bank in self.banks
-        ]
-
-    def absorb(self, bank_lists: list[tuple[list, ...]]) -> None:
-        """Repack mutated working lists into the numpy columns."""
-        self.banks = [
-            tuple(
-                np.array(column, dtype=dtype)
-                for column, dtype in zip(bank, self._dtypes)
-            )
-            for bank in bank_lists
-        ]
-
-    def flush_to_table(self) -> None:
-        """Write the flat columns back into the entry objects.
-
-        Only entries whose fields differ from the last synced snapshot
-        are touched -- a residual segment typically mutates a small
-        fraction of the table.
-        """
-        fields = self.fields
-        for bank_arrays, synced, bank in zip(
-            self.banks, self._synced, self.table._banks
-        ):
-            if bank_arrays is synced:
-                continue
-            changed = bank_arrays[0] != synced[0]
-            for new, old in zip(bank_arrays[1:], synced[1:]):
-                changed |= new != old
-            rows = np.nonzero(changed)[0]
-            if not len(rows):
-                continue
-            columns = [column.tolist() for column in bank_arrays]
-            for i in rows.tolist():
-                entry = bank[i]
-                for name, column in zip(fields, columns):
-                    setattr(entry, name, column[i])
-        self._synced = self.banks
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """One tuple per entry, bank-major, in declared field order."""
+        for bank in self.banks:
+            yield from zip(*bank)

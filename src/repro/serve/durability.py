@@ -80,8 +80,9 @@ from repro.serve.session import (
 #: WAL line layout version; bump on any format change.
 WAL_FORMAT = 1
 
-#: Checkpoint layout version; bump on any format change.
-CHECKPOINT_FORMAT = 2
+#: Checkpoint layout version; bump on any format change.  Format 3
+#: pickles predictor tables as per-field column lists.
+CHECKPOINT_FORMAT = 3
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.common.rng import DeterministicRng
 from repro.predictors.types import LoadOutcome, LoadProbe
+
+#: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
+#: equivalence suite (``tests/test_fuzz_equivalence.py``) from its
+#: tier-1 60 examples per test to 300.
+settings.register_profile("fuzz-wide", max_examples=300)
 
 
 @pytest.fixture(autouse=True)

@@ -16,7 +16,6 @@ specs -- plus the edge traces (no loads, nothing predictable, one
 instruction) that stress the accuracy-of-nothing reporting.
 """
 
-import dataclasses
 from dataclasses import asdict
 
 import pytest
@@ -221,7 +220,7 @@ def _table_state(predictor):
     else:
         components = list(predictor.components.values())
     return [
-        [dataclasses.astuple(entry) for entry in table.entries()]
+        list(table.rows())
         for component in components
         for table in component._tables()
     ]

@@ -421,6 +421,32 @@ class TestCheckpointCorruptionFallback:
         second.durability.close_all()
 
 
+    def test_format_2_checkpoint_falls_back_to_full_replay(self, tmp_path):
+        """A checkpoint sealed as CHECKPOINT_FORMAT 2 (predictor tables
+        pickled as per-entry objects) is evicted as corrupt and the
+        session rebuilt bit-identically by full WAL replay."""
+        from repro.common.atomicfile import write_sealed
+
+        spec = SPECS[1][1]
+        chunks = chunked(make_events(36), 20)
+        reference = reference_snapshots(spec, chunks)
+        first = durable_server(tmp_path, checkpoint_every=2)
+        drive(first, "d1", spec, chunks)
+        first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        write_sealed(ckpt, b"RLVPCKP\x01", 2, header, bytes(blob))
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 1
+        assert second.sessions.get("d1").snapshot() == reference[-1]
+        second.durability.close_all()
+
+
 class TestSegmentRotation:
     def test_rotation_and_multi_segment_recovery(self, tmp_path):
         spec = SPECS[0][1]

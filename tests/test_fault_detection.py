@@ -1,0 +1,76 @@
+"""An off-by-one in one component's table index, injected on the vector
+functional path only, must not pass silently.
+
+Two independent checks guard that path: the ``FunctionalResult`` must
+equal the object interpreter's, and the tables' ``rows()`` must equal
+the object-run tables entry for entry, stale payloads included.
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from repro.harness import functional_vec
+from repro.harness.functional import run_functional_objects
+from repro.pipeline.vp import SingleComponentAdapter
+from repro.predictors.lvp import LvpPredictor
+from repro.workloads.generator import generate_trace
+
+
+def _off_by_one_load(index, tag, sets):
+    """Load ``j`` reads load ``j + 1``'s index (its own tag)."""
+    return index[1:] + index[:1], tag
+
+
+def _off_by_one_set(index, tag, sets):
+    """Every load's index is one set too far (modulo the table)."""
+    return type(index)(index.typecode, [(i + 1) % sets for i in index]), tag
+
+
+def _run_both(trace, fault, monkeypatch):
+    exact = functional_vec._cached_pc_hashes
+
+    def faulty(trace, pc_np, index_bits):
+        index, tag = exact(trace, pc_np, index_bits)
+        return fault(index, tag, 1 << index_bits)
+
+    vec_host = SingleComponentAdapter(LvpPredictor(64))
+    obj_host = SingleComponentAdapter(LvpPredictor(64))
+    with monkeypatch.context() as patch:
+        patch.setattr(functional_vec, "_cached_pc_hashes", faulty)
+        vec = asdict(functional_vec.run_functional_vec(trace, vec_host))
+    obj = asdict(run_functional_objects(trace, obj_host))
+
+    def rows(host):
+        return [list(t.rows()) for t in host.component._tables()]
+
+    return vec != obj, rows(vec_host) != rows(obj_host)
+
+
+@pytest.mark.parametrize("workload", ["listing1", "coremark"])
+def test_load_off_by_one_fails_both_checks(workload, monkeypatch):
+    trace = generate_trace(workload, 5_000, 1)
+    result_differs, rows_differ = _run_both(
+        trace, _off_by_one_load, monkeypatch
+    )
+    assert result_differs
+    assert rows_differ
+
+
+def test_set_off_by_one_fails_the_table_state_check(monkeypatch):
+    """Shifting every index by one set relabels sets one-to-one, so
+    hits, misses and aliasing -- and hence the result -- are unchanged;
+    only the table-state check can see it."""
+    trace = generate_trace("coremark", 5_000, 1)
+    result_differs, rows_differ = _run_both(
+        trace, _off_by_one_set, monkeypatch
+    )
+    assert not result_differs
+    assert rows_differ
+
+
+def test_without_a_fault_both_checks_pass(monkeypatch):
+    trace = generate_trace("coremark", 5_000, 1)
+    assert _run_both(
+        trace, lambda index, tag, sets: (index, tag), monkeypatch
+    ) == (False, False)

@@ -21,7 +21,6 @@ against the object interpreter, and a serve session fed the program's
 events against ``run_functional``.
 """
 
-import dataclasses
 from dataclasses import asdict
 
 from hypothesis import given, settings
@@ -151,13 +150,21 @@ def _table_state(predictor):
     else:
         components = list(predictor.components.values())
     return [
-        [dataclasses.astuple(entry) for entry in table.entries()]
+        list(table.rows())
         for component in components
         for table in component._tables()
     ]
 
 
-@settings(max_examples=60, deadline=None)
+#: Programs per fuzzed test: 60 in tier-1, 300 under the ``fuzz-wide``
+#: profile registered in ``tests/conftest.py``.
+FUZZ_EXAMPLES = (
+    settings.default.max_examples
+    if settings.get_current_profile_name() == "fuzz-wide" else 60
+)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 @given(
     body=st.lists(_step, min_size=1, max_size=12),
     repeats=st.integers(1, 60),

@@ -9,7 +9,6 @@ kernels to the scalar hashes, the column-fed timing run to the
 object-path oracle, and both memos to their lifetimes.
 """
 
-import dataclasses
 import gc
 from dataclasses import asdict
 
@@ -107,7 +106,7 @@ def _fused_composite():
 
 def _table_state(predictor):
     return [
-        [dataclasses.astuple(entry) for entry in table.entries()]
+        list(table.rows())
         for component in predictor.components.values()
         for table in component._tables()
     ]

@@ -65,8 +65,8 @@ class TestComponentInvariants:
         predictor = make_component(name, 64, DeterministicRng(3))
         _train_stream(predictor, events)
         for table in predictor._tables():
-            for entry in table.entries():
-                assert 0 <= entry.confidence <= predictor.fpc_vector.maximum
+            for row in table.rows():
+                assert 0 <= row[-1] <= predictor.fpc_vector.maximum
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(COMPONENT_NAMES),
