@@ -20,7 +20,10 @@ Examples::
                                         # ... plus a warm standby per
                                         #     shard (promotion failover)
     repro-lvp db gc --dry-run           # results-DB stale-entry eviction
-    repro-lvp loadgen --quick           # latency lanes -> BENCH_serve.json
+    repro-lvp loadgen --connect 127.0.0.1:7341
+                                        # replay a trace against a
+                                        #   running server: latency
+                                        #   percentiles as JSON
     repro-lvp crashtest --kills 3       # SIGKILL/recover chaos harness
     repro-lvp crashtest --shards 3 --kill-shard
                                         # shard-kill chaos on the tier
@@ -133,34 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--entries", type=int, default=256,
         help="entries per component (composite) or total (single "
              "predictor); default 256",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the simulator-core micro-benchmarks and write "
-             "BENCH_simcore.json",
-    )
-    bench.add_argument(
-        "--workload", default="gcc2k", metavar="NAME",
-        help="workload driving the benchmarks (default: gcc2k)",
-    )
-    bench.add_argument(
-        "-o", "--output", metavar="PATH", default="BENCH_simcore.json",
-        help="output JSON file (default: BENCH_simcore.json, "
-             "written atomically)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=5, metavar="N",
-        help="timed repetitions per benchmark; the median is reported "
-             "(default: 5)",
-    )
-    bench.add_argument(
-        "--length", type=int, default=20000, metavar="N",
-        help="instructions per simulated trace (default: 20000)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small sizes / fewer repeats (CI smoke configuration)",
     )
 
     serve = sub.add_parser(
@@ -287,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loadgen = sub.add_parser(
         "loadgen",
-        help="replay a trace against the prediction service and write "
-             "BENCH_serve.json",
+        help="replay a trace against a running prediction server and "
+             "print request latency percentiles as JSON",
     )
     loadgen.add_argument(
         "--workload", default="gcc2k", metavar="NAME",
@@ -312,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--sessions", type=int, default=16, metavar="N",
-        help="concurrent sessions on the concurrent lane (default: 16)",
+        help="concurrent sessions, one connection each (default: 16)",
     )
     loadgen.add_argument(
         "--events-per-request", type=int, default=32, metavar="N",
@@ -323,37 +298,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="in-flight requests per session (default: 4)",
     )
     loadgen.add_argument(
-        "--max-queue", type=int, default=1024, metavar="N",
-        help="server queue bound for the benchmark lanes (default: 1024)",
-    )
-    loadgen.add_argument(
-        "--max-batch", type=int, default=16, metavar="N",
-        help="server batch cap for the benchmark lanes (default: 16)",
-    )
-    loadgen.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="worker shards for the serve_sharded lanes of the "
-             "benchmark; 0/1 skips them (default: 4)",
-    )
-    loadgen.add_argument(
         "--connect", metavar="HOST:PORT",
-        help="drive an already-running server instead of the "
-             "self-hosted benchmark lanes (prints one lane, writes "
-             "no file)",
+        help="the running server (or sharded tier) to drive; required",
     )
     loadgen.add_argument(
         "--durable", action="store_true",
-        help="with --connect: open durable sessions and seq-stamp "
-             "requests (the target server needs --data-dir)",
-    )
-    loadgen.add_argument(
-        "--quick", action="store_true",
-        help="small sizes (CI smoke configuration)",
-    )
-    loadgen.add_argument(
-        "-o", "--output", metavar="PATH", default="BENCH_serve.json",
-        help="output JSON file for benchmark mode (default: "
-             "BENCH_serve.json, written atomically)",
+        help="open durable sessions and seq-stamp requests (the "
+             "target server needs --data-dir)",
     )
 
     crashtest = sub.add_parser(
@@ -658,9 +609,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate":
         return _simulate_command(args)
 
-    if args.command == "bench":
-        return _bench_command(args)
-
     if args.command == "serve":
         return _serve_command(args)
 
@@ -833,30 +781,6 @@ def _check_predictor(name: str) -> str | None:
         f"unknown predictor {name!r}; valid names: "
         + ", ".join(PREDICTOR_NAMES)
     )
-
-
-def _bench_command(args) -> int:
-    """The ``bench`` subcommand: micro-benchmarks -> BENCH_simcore.json."""
-    from repro.harness.microbench import run_benchmarks
-
-    if args.repeats < 1:
-        return _fail(f"--repeats must be >= 1, got {args.repeats}")
-    if args.length < 100:
-        return _fail(f"--length must be >= 100, got {args.length}")
-    problem = _check_workload(args.workload)
-    if problem:
-        return _fail(problem)
-    payload = run_benchmarks(
-        length=args.length,
-        repeats=args.repeats,
-        quick=args.quick,
-        workload=args.workload,
-        progress=lambda name: print(f"bench: {name} ...", file=sys.stderr),
-    )
-    atomic_write_json(args.output, payload)
-    print(json.dumps(payload, indent=2))
-    print(f"# wrote {args.output}", file=sys.stderr)
-    return 0
 
 
 def _serve_command(args) -> int:
@@ -1286,18 +1210,19 @@ def _crashtest_command(args) -> int:
 
 
 def _loadgen_command(args) -> int:
-    """The ``loadgen`` subcommand: benchmark lanes or a one-off burst."""
+    """The ``loadgen`` subcommand: a burst against a running server."""
     import asyncio
 
     from repro.serve import loadgen
     from repro.serve.session import SessionError, spec_from_name
     from repro.workloads.generator import ensure_stored, generate_trace
 
+    if not args.connect:
+        return _fail("--connect HOST:PORT is required (the server to drive)")
     for flag, value in (
         ("--length", args.length), ("--sessions", args.sessions),
         ("--events-per-request", args.events_per_request),
         ("--pipeline-depth", args.pipeline_depth),
-        ("--max-queue", args.max_queue), ("--max-batch", args.max_batch),
         ("--entries", args.entries),
     ):
         if value < 1:
@@ -1306,8 +1231,6 @@ def _loadgen_command(args) -> int:
         return _fail(f"--length must be >= 100, got {args.length}")
     if args.seed < 0:
         return _fail(f"--seed must be >= 0, got {args.seed}")
-    if args.shards < 0:
-        return _fail(f"--shards must be >= 0, got {args.shards}")
     problem = _check_workload(args.workload)
     if problem:
         return _fail(problem)
@@ -1315,73 +1238,37 @@ def _loadgen_command(args) -> int:
         spec = spec_from_name(args.predictor.lower(), args.entries)
     except SessionError as exc:
         return _fail(str(exc))
-    if args.durable and not args.connect:
-        return _fail(
-            "--durable only applies with --connect (the self-hosted "
-            "benchmark always includes a serve_durable lane)"
-        )
+    host, _, port_text = args.connect.rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not host or not 0 < port <= 65535:
+        return _fail(f"--connect expects HOST:PORT, got {args.connect!r}")
 
-    if args.connect:
-        host, _, port_text = args.connect.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            port = -1
-        if not host or not 0 < port <= 65535:
-            return _fail(
-                f"--connect expects HOST:PORT, got {args.connect!r}"
-            )
-        ensure_stored(args.workload, args.length, args.seed)
-        events = loadgen.trace_to_events(
-            generate_trace(args.workload, args.length, args.seed)
-        )
-        try:
-            lane = asyncio.run(loadgen.run_loadgen(
-                host, port, events, spec,
-                workload={
-                    "name": args.workload, "length": args.length,
-                    "seed": args.seed,
-                },
-                sessions=args.sessions,
-                events_per_request=args.events_per_request,
-                pipeline_depth=args.pipeline_depth,
-                durable=args.durable,
-            ))
-        except (ConnectionError, OSError) as exc:
-            return _fail(f"cannot reach server at {args.connect}: {exc}")
-        print(json.dumps(lane, indent=2))
-        failed = lane["requests_failed"] + lane["stream_errors"]
-        if failed:
-            print(
-                f"# {failed} request(s) failed (see 'error_codes')",
-                file=sys.stderr,
-            )
-            return EXIT_PARTIAL_FAILURE
-        return 0
-
-    payload = loadgen.run_benchmark(
-        workload=args.workload,
-        length=args.length,
-        seed=args.seed,
-        predictor=args.predictor.lower(),
-        entries=args.entries,
-        sessions=args.sessions,
-        events_per_request=args.events_per_request,
-        pipeline_depth=args.pipeline_depth,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        shards=args.shards,
-        quick=args.quick,
-        progress=lambda name: print(f"loadgen: {name} ...", file=sys.stderr),
+    ensure_stored(args.workload, args.length, args.seed)
+    events = loadgen.trace_to_events(
+        generate_trace(args.workload, args.length, args.seed)
     )
-    atomic_write_json(args.output, payload)
-    print(json.dumps(payload, indent=2))
-    print(f"# wrote {args.output}", file=sys.stderr)
-    failures = loadgen.total_failures(payload)
-    if failures:
+    try:
+        lane = asyncio.run(loadgen.run_loadgen(
+            host, port, events, spec,
+            workload={
+                "name": args.workload, "length": args.length,
+                "seed": args.seed,
+            },
+            sessions=args.sessions,
+            events_per_request=args.events_per_request,
+            pipeline_depth=args.pipeline_depth,
+            durable=args.durable,
+        ))
+    except (ConnectionError, OSError) as exc:
+        return _fail(f"cannot reach server at {args.connect}: {exc}")
+    print(json.dumps(lane, indent=2))
+    failed = lane["requests_failed"] + lane["stream_errors"]
+    if failed:
         print(
-            f"# {failures} request(s) failed or hit protocol/internal "
-            "errors across lanes",
+            f"# {failed} request(s) failed (see 'error_codes')",
             file=sys.stderr,
         )
         return EXIT_PARTIAL_FAILURE

@@ -16,8 +16,8 @@ fetch path.  Four layers:
   scheduler, bounded queues with explicit backpressure, per-request
   timeouts, and graceful drain on SIGTERM.
 * :mod:`repro.serve.client` / :mod:`repro.serve.loadgen` -- a
-  pipelining client and a trace-replaying load generator that measures
-  throughput and p50/p95/p99 latency into ``BENCH_serve.json``.
+  pipelining client and a trace-replaying load generator that drives a
+  running server and reports throughput and p50/p95/p99 latency.
 * :mod:`repro.serve.durability` -- write-ahead logs, checkpoints, and
   tombstones that make durable sessions survive kill -9 with
   exactly-once semantics (:mod:`repro.serve.crashtest` proves it).

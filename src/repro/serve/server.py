@@ -6,9 +6,8 @@ scheduler task drains the queue in **micro-batches** -- every request
 that has accumulated by the time it wakes, up to ``max_batch`` -- and
 answers each batch with one buffered write per connection, so under
 concurrency the per-response event-loop and flow-control overhead is
-amortized across the batch (``micro_batching=False`` keeps the
-one-request-per-tick path for comparison; ``BENCH_serve.json``'s
-concurrent lane measures the difference).
+amortized across the batch (``micro_batching=False``, ``serve
+--no-batching``, keeps the one-request-per-tick path for comparison).
 
 Overload and failure policy:
 
@@ -70,7 +69,7 @@ class ServerConfig:
     #: Most requests one scheduler wakeup will coalesce.
     max_batch: int = 64
     #: False = process one request per event-loop tick (the comparison
-    #: path for the serve benchmarks).
+    #: path micro-batching must beat).
     micro_batching: bool = True
     #: Queue-wait budget per request, seconds (None = unlimited).
     request_timeout: float | None = 30.0

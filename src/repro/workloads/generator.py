@@ -60,7 +60,7 @@ def _build_listing1(length: int, seed: int) -> Trace:
 
 
 #: Named workloads built directly (no profile): the paper's Listing-1
-#: microbenchmark.  Kept out of :data:`repro.workloads.ALL_WORKLOADS`
+#: micro-benchmark.  Kept out of :data:`repro.workloads.ALL_WORKLOADS`
 #: so figure sweeps over "the 85 workloads" are unchanged, but
 #: resolvable by name through :func:`generate_trace` / ``repro-lvp``.
 SPECIAL_WORKLOAD_BUILDERS = {"listing1": _build_listing1}

@@ -1,4 +1,4 @@
-"""The paper's Listing 1 microbenchmark, verbatim.
+"""The paper's Listing 1 micro-benchmark, verbatim.
 
 .. code-block:: c
 

@@ -6,8 +6,8 @@ costs ~100 ms per 20k-instruction trace -- and sweep campaigns with
 process*.  This module persists packed columnar traces
 (:class:`repro.isa.columns.TraceColumns`) on disk, keyed by the SHA-256
 of ``(workload, length, seed, generator-version, format-version)``, so
-any process -- a pool worker, a rerun campaign, the micro-benchmark
-rig -- loads a few raw byte buffers instead of re-running the
+any process -- a pool worker, a rerun campaign, a perfbench run --
+loads a few raw byte buffers instead of re-running the
 generator.
 
 Design points:

@@ -1,20 +1,16 @@
-"""Load-generator tests: event flattening, percentiles, benchmark lanes.
+"""Load-generator tests: event flattening, percentiles, and run_loadgen.
 
-The end-to-end proof rides here too: a quick ``run_benchmark`` over a
-store-backed workload must finish with zero failed requests, zero
-protocol errors, and a payload in the shared ``repro-bench/1`` schema.
+:func:`run_loadgen` runs here against an in-process
+:class:`PredictionServer`, plain and durable, through backpressure, and
+twice in a row against one durable server.
 """
 
-import pytest
+import asyncio
 
-from repro.harness.benchdiff import SCHEMA
 from repro.isa.instruction import OpClass
-from repro.serve.loadgen import (
-    percentile_ns,
-    run_benchmark,
-    total_failures,
-    trace_to_events,
-)
+from repro.serve.loadgen import percentile_ns, run_loadgen, trace_to_events
+from repro.serve.server import PredictionServer, ServerConfig
+from repro.serve.session import spec_from_name
 from repro.workloads.generator import generate_trace
 
 
@@ -100,109 +96,88 @@ class TestPercentiles:
         assert values[-1] == ordered[-1]
 
 
-class TestTotalFailures:
-    def test_sums_failures_across_lanes(self):
-        payload = {"benchmarks": {
-            "a": {"requests_failed": 1, "stream_errors": 0,
-                  "server": {"protocol_errors": 2, "internal_errors": 0}},
-            "b": {"requests_failed": 0, "stream_errors": 3,
-                  "server": {"protocol_errors": 0, "internal_errors": 4}},
-        }}
-        assert total_failures(payload) == 10
-
-    def test_empty_payload_is_clean(self):
-        assert total_failures({}) == 0
+EVENTS_PER_REQUEST = 64
 
 
-@pytest.mark.slow
-class TestBenchmarkEndToEnd:
-    def test_quick_benchmark_zero_failures(self, tmp_path, monkeypatch):
-        from repro.harness import runner
-        from repro.workloads.store import ENV_VAR
+def _drive(config: ServerConfig, runs: int = 1, **loadgen_params):
+    """``runs`` consecutive :func:`run_loadgen` calls against one server.
 
-        # Store-backed, as the acceptance criterion requires.
-        monkeypatch.setenv(ENV_VAR, str(tmp_path / "store"))
-        runner.clear_caches()
+    Returns the lane dicts, the number of chunks one session replays,
+    and the server's durability stats (``None`` without a data dir).
+    """
+    events = trace_to_events(generate_trace("coremark", 1500))
+    chunks = -(-len(events) // EVENTS_PER_REQUEST)
+
+    async def scenario():
+        server = PredictionServer(config)
+        await server.start()
         try:
-            payload = run_benchmark(
-                workload="coremark", length=1500, sessions=4,
-                events_per_request=64, quick=True,
+            lanes = [
+                await run_loadgen(
+                    "127.0.0.1", server.port, events,
+                    spec_from_name("lvp", 64),
+                    events_per_request=EVENTS_PER_REQUEST,
+                    **loadgen_params,
+                )
+                for _ in range(runs)
+            ]
+            durability = (
+                server.durability.stats.as_dict()
+                if server.durability is not None else None
             )
         finally:
-            runner.clear_caches()
+            await server.drain()
+        return lanes, durability
 
-        assert payload["schema"] == SCHEMA
-        assert payload["suite"] == "serve"
-        assert total_failures(payload) == 0
+    lanes, durability = asyncio.run(scenario())
+    return lanes, chunks, durability
 
-        lanes = payload["benchmarks"]
-        assert set(lanes) == {
-            "serve_single", "serve_durable", "serve_concurrent4",
-            "serve_concurrent4_unbatched",
-            "serve_sharded1", "serve_sharded2",  # quick clamps shards to 2
-            "serve_sharded1_durable", "serve_standby",
-        }
-        for lane in lanes.values():
-            assert lane["requests_ok"] > 0
-            assert lane["requests_failed"] == 0
-            assert lane["median_ns"] == lane["p50_ns"] > 0
-            assert lane["p50_ns"] <= lane["p95_ns"] <= lane["p99_ns"]
-            assert lane["throughput_rps"] > 0
-            assert lane["throughput_eps"] > 0
-            assert 0.0 <= lane["accuracy"] <= 1.0
-            assert lane["server"]["protocol_errors"] == 0
-            assert lane["server"]["internal_errors"] == 0
-        assert lanes["serve_concurrent4"]["server"]["micro_batching"]
-        assert not (
-            lanes["serve_concurrent4_unbatched"]["server"]["micro_batching"]
+
+def _assert_clean(lane: dict, sessions: int, chunks: int) -> None:
+    assert lane["requests_failed"] == 0, lane["error_codes"]
+    assert lane["stream_errors"] == 0
+    assert lane["requests_ok"] == sessions * chunks
+    assert 0 < lane["p50_ns"] <= lane["p95_ns"] <= lane["p99_ns"]
+    assert lane["p99_ns"] <= lane["max_ns"]
+    assert "median_ns" not in lane
+
+
+class TestRunLoadgen:
+    def test_plain_sessions(self):
+        (lane,), chunks, durability = _drive(ServerConfig(), sessions=3)
+        _assert_clean(lane, 3, chunks)
+        assert lane["durable"] is False
+        assert durability is None
+
+    def test_durable_sessions_write_ahead_log_every_request(self, tmp_path):
+        (lane,), chunks, durability = _drive(
+            ServerConfig(data_dir=str(tmp_path)), sessions=2, durable=True,
         )
-        # Batching actually batched; the comparison lane did not.
-        assert lanes["serve_concurrent4"]["server"]["max_batch_seen"] > 1
-        assert (
-            lanes["serve_concurrent4_unbatched"]["server"]["max_batch_seen"]
-            == 1
+        _assert_clean(lane, 2, chunks)
+        assert lane["durable"] is True
+        assert durability["wal_appends"] >= lane["requests_ok"]
+
+    def test_second_durable_run_against_one_server(self, tmp_path):
+        # A closed durable session cannot be reopened, so each run must
+        # name its sessions afresh.
+        lanes, chunks, _ = _drive(
+            ServerConfig(data_dir=str(tmp_path)), runs=2,
+            sessions=2, durable=True,
         )
-        # The durable lane write-ahead logged every acknowledged request.
-        durable = lanes["serve_durable"]
-        assert durable["durable"] is True
-        assert not lanes["serve_single"]["durable"]
-        wal = durable["server"]["durability"]
-        assert wal["wal_appends"] >= durable["requests_ok"]
-        assert wal["wal_bytes"] > 0
-        # Sharded lanes ran through a real router + worker subprocesses
-        # and report tier topology alongside the usual lane fields.
-        for name, shards in (("serve_sharded1", 1), ("serve_sharded2", 2)):
-            sharded = lanes[name]
-            assert sharded["shards"] == shards
-            # Durability stays off so the sharded/unsharded ratio
-            # isolates compute distribution from WAL cost.
-            assert sharded["durable"] is False
-            router = sharded["router"]
-            assert router["counters"]["forwarded"] > 0
-            assert router["counters"]["dropped_connections"] == 0
-            assert len(router["shard_sessions"]) == shards
-        # Sharding spreads the sessions across workers when there are
-        # workers to spread across.
-        spread = lanes["serve_sharded2"]["router"]["shard_sessions"]
-        assert sum(spread.values()) == 4
-        # The standby lane is the durable single-worker tier plus WAL
-        # shipping; its baseline lane is the same tier without the
-        # standby, so the pair isolates the replication price.
-        baseline = lanes["serve_sharded1_durable"]
-        standby = lanes["serve_standby"]
-        assert baseline["durable"] is True and baseline["standbys"] == 0
-        assert standby["durable"] is True and standby["standbys"] == 1
-        # environment.cpus makes the scaling ratio interpretable: on a
-        # single-core runner sharding cannot (and must not pretend to)
-        # beat one worker.
-        assert payload["environment"]["cpus"] >= 1
-        comparison = payload["comparison"]
-        assert comparison["micro_batching_throughput_speedup"] is not None
-        assert comparison["micro_batching_p50_speedup"] is not None
-        assert comparison["durability_p50_overhead"] is not None
-        assert comparison["durability_throughput_cost"] is not None
-        assert comparison["sharded_scaling_throughput"] > 0
-        assert comparison["sharded_scaling_p99_ratio"] > 0
-        assert comparison["router_overhead_throughput"] > 0
-        assert comparison["standby_shipping_overhead_throughput"] > 0
-        assert comparison["standby_shipping_p50_overhead"] > 0
+        for lane in lanes:
+            _assert_clean(lane, 2, chunks)
+
+    def test_backpressure_is_retried_not_failed(self):
+        (lane,), chunks, _ = _drive(
+            ServerConfig(max_queue=1), sessions=4, pipeline_depth=4,
+        )
+        assert lane["backpressure_retries"] > 0
+        _assert_clean(lane, 4, chunks)
+
+    def test_refused_open_is_a_failed_request(self):
+        # A durable open against a server without a data dir is refused;
+        # the refusal is tallied, not raised out of run_loadgen.
+        (lane,), _, _ = _drive(ServerConfig(), sessions=2, durable=True)
+        assert lane["requests_ok"] == 0
+        assert lane["requests_failed"] == 2
+        assert lane["error_codes"] == {"durability-disabled": 2}
