@@ -25,8 +25,7 @@ Examples::
                                         #   running server: latency
                                         #   percentiles as JSON
     repro-lvp crashtest --kills 3       # SIGKILL/recover chaos harness
-    repro-lvp crashtest --shards 3 --kill-shard
-                                        # shard-kill chaos on the tier
+    repro-lvp crashtest --shards 3      # shard-kill chaos on the tier
 
 Resilient execution (long sweeps)::
 
@@ -160,10 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch", type=int, default=16, metavar="N",
         help="most requests coalesced per scheduler wakeup (default: 16)",
-    )
-    serve.add_argument(
-        "--no-batching", action="store_true",
-        help="process one request per event-loop tick (comparison mode)",
     )
     serve.add_argument(
         "--request-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -350,11 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--sessions", type=int, default=3, metavar="N",
         help="concurrent durable sessions in sharded mode (default: 3)",
-    )
-    chaos.add_argument(
-        "--kill-shard", action="store_true",
-        help="SIGKILL whole worker shards (implied by --shards > 1; "
-             "this flag just makes the intent explicit)",
     )
     chaos.add_argument(
         "--kill-router", action="store_true",
@@ -871,7 +861,6 @@ def _serve_command(args) -> int:
         port=args.port,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        micro_batching=not args.no_batching,
         request_timeout=args.request_timeout or None,
         max_sessions=args.max_sessions,
         max_session_bytes=args.max_session_bytes,
@@ -1028,7 +1017,6 @@ def _serve_standby(args) -> int:
         port=args.port,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        micro_batching=not args.no_batching,
         request_timeout=args.request_timeout or None,
         max_sessions=args.max_sessions,
         max_session_bytes=args.max_session_bytes,
@@ -1114,9 +1102,9 @@ def _crashtest_command(args) -> int:
         return _fail(f"--sessions must be >= 1, got {args.sessions}")
     if args.migrations < 0:
         return _fail(f"--migrations must be >= 0, got {args.migrations}")
-    if args.shards == 1 and (args.kill_shard or args.kill_router):
+    if args.shards == 1 and args.kill_router:
         return _fail(
-            "--kill-shard/--kill-router need a sharded tier: "
+            "--kill-router needs a sharded tier: "
             "pass --shards N with N > 1"
         )
     if args.standbys not in (0, 1):

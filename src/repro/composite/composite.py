@@ -130,7 +130,7 @@ class CompositeStats:
     def accuracy(self) -> float:
         """Accuracy of used predictions."""
         used = self.correct_used + self.incorrect_used
-        return self.correct_used / used if used else 1.0
+        return self.correct_used / used if used else 0.0
 
     @property
     def avg_predictors_trained(self) -> float:
@@ -362,10 +362,6 @@ class CompositePredictor:
         )
         self._active_cache = (mark, items, dict(items))
         return items, self._active_cache[2]
-
-    def _active_components(self):
-        """Compatibility wrapper: the non-donor ``(name, component)`` list."""
-        return self._active()[0]
 
     def _train_all(self, outcome: LoadOutcome) -> None:
         self.stats.train_events += 1

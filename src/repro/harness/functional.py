@@ -1,11 +1,11 @@
 """Fast program-order (functional) predictor evaluation.
 
-Runs a predictor assembly over a trace without the timing model:
+Runs a composite predictor over a trace without the timing model:
 histories update in program order, stores apply to memory immediately,
 and each load is predicted, validated, and trained in sequence.  This
 measures coverage, accuracy, and overlap -- the quantities behind
-Figures 2, 4, 7, Table V, and the coverage columns of Figures 11/12 --
-at several times the speed of the cycle model.
+Figures 4 and 7 and the table6 design-space search -- at several times
+the speed of the cycle model.
 
 Functional mode has no in-flight window: address-prediction probes see
 all older stores (no conflicting-store mispredictions) and
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.branch.history import HistorySet
-from repro.isa.instruction import OpClass
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
 from repro.pipeline.vp import ValuePredictorHost
@@ -132,69 +131,14 @@ def run_functional(
     """Evaluate ``predictor`` over ``trace`` in program order.
 
     Packs the trace (once; the columns are memoized on it) and runs the
-    vectorized batch backend (:mod:`repro.harness.functional_vec`) when
-    it supports the predictor's exact types, else
-    :func:`run_functional_objects`.  Both produce identical
-    :class:`FunctionalResult`\\ s and identical final predictor state.
+    vectorized batch backend (:mod:`repro.harness.functional_vec`).
+    Raises :class:`ValueError` naming
+    :func:`~repro.harness.functional_vec.vector_unsupported_reason` for
+    a host the backend does not replay: anything but a
+    :class:`~repro.composite.composite.CompositePredictor` of the four
+    canonical components, monitors and fusion controller.
     """
     from repro.harness import functional_vec
 
     trace.pack()
-    if functional_vec.vector_unsupported_reason(trace, predictor) is None:
-        return functional_vec.run_functional_vec(trace, predictor)
-    return run_functional_objects(trace, predictor)
-
-
-def run_functional_objects(
-    trace: Trace, predictor: ValuePredictorHost
-) -> FunctionalResult:
-    """The per-instruction interpreter: any predictor host, one
-    :class:`~repro.isa.instruction.Instruction` at a time (the only
-    path for EVES and for assemblies the vector backend rejects)."""
-    histories = HistorySet()
-    bind = getattr(predictor, "bind_history", None)
-    if bind is not None:
-        bind(histories)
-    mem = (
-        trace.initial_memory.copy()
-        if isinstance(trace.initial_memory, MemoryImage)
-        else MemoryImage()
-    )
-    result = FunctionalResult(workload=trace.name, instructions=len(trace))
-    confident_counts = result.per_component_confident
-    correct_counts = result.per_component_correct
-
-    for inst in trace.instructions:
-        op = inst.op
-        if op.is_branch:
-            if op is OpClass.BRANCH_COND:
-                histories.push_branch(inst.pc, inst.taken)
-            else:
-                histories.push_unconditional(inst.pc)
-        elif op is OpClass.STORE:
-            mem.write(inst.addr, inst.size, inst.value)
-            histories.push_memory(inst.pc)
-        elif op is OpClass.LOAD:
-            if inst.predictable:
-                result.loads += 1
-                decision = predictor.predict(probe_load(histories, inst.pc))
-                correctness, speculative_values = judge_and_train(
-                    predictor, decision, mem, inst.addr, inst.size,
-                    inst.value,
-                )
-                if len(speculative_values) >= 2:
-                    result.multi_confident_loads += 1
-                    if len(set(speculative_values)) > 1:
-                        result.disagreements += 1
-                result.confident_histogram[min(len(correctness), 4)] += 1
-                for name, correct in correctness.items():
-                    confident_counts[name] = confident_counts.get(name, 0) + 1
-                    if correct:
-                        correct_counts[name] = correct_counts.get(name, 0) + 1
-                if decision.chosen is not None:
-                    result.predicted_loads += 1
-                    if correctness[decision.chosen.component]:
-                        result.correct_predictions += 1
-            histories.push_memory(inst.pc)
-        predictor.tick_instructions(1)
-    return result
+    return functional_vec.run_functional_vec(trace, predictor)

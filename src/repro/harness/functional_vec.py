@@ -1,26 +1,28 @@
 """Vectorized (numpy batch) functional predictor evaluation.
 
-A drop-in alternative to the per-instruction interpreter in
-:mod:`repro.harness.functional`: the trace-derived inputs of every
-predictable load -- history register states, table indices and tags,
-store schedules -- are computed for the *whole trace at once* as numpy
-batch operations over the packed :class:`~repro.isa.columns.TraceColumns`,
-and only the residual serial dependency (confident predictions feeding
-training, which feeds the next prediction) runs as a tight Python loop
-over unboxed ints.  That loop reads and writes the live predictor
-tables: a :class:`repro.predictors.table.BankedTable` keeps one plain
-list per entry field per bank, so the loop binds those columns once
-and rebinds only its multi-bank flags when table fusion fuses or
-reverts.  A vector run therefore leaves the predictor in exactly the
-state a pure object run would have, with nothing to copy back.
+The one functional evaluator, behind
+:func:`repro.harness.functional.run_functional`: the trace-derived
+inputs of every predictable load -- history register states, table
+indices and tags, store schedules -- are computed for the *whole trace
+at once* as numpy batch operations over the packed
+:class:`~repro.isa.columns.TraceColumns`, and only the residual
+serial dependency (confident predictions feeding training, which feeds
+the next prediction) runs as a tight Python loop over unboxed ints.
+That loop reads and writes the live predictor tables: a
+:class:`repro.predictors.table.BankedTable` keeps one plain list per
+entry field per bank, so the loop binds those columns once and rebinds
+only its multi-bank flags when table fusion fuses or reverts.  A
+vector run therefore leaves the predictor in exactly the state a pure
+object run would have, with nothing to copy back.
 
-The object interpreter stays the bit-exact reference: for every
-supported assembly, :func:`run_functional_vec` produces a
+The per-instruction object interpreter in
+``tests/oracles/functional_loop.py`` is the bit-exact reference: for
+every supported assembly,
+:func:`run_functional_vec` produces a
 :class:`~repro.harness.functional.FunctionalResult` equal field-for-field
-to :func:`~repro.harness.functional.run_functional_objects`
-(``tests/test_columnar_equivalence.py`` enforces this across workloads
-x seeds x predictor specs).  Unsupported assemblies are reported by
-:func:`vector_unsupported_reason` so callers can fall back.
+to the oracle's, with equal final table state
+(``tests/test_columnar_equivalence.py`` and
+``tests/test_fuzz_equivalence.py`` enforce this).
 
 Why this is bit-exact and not merely close:
 
@@ -60,7 +62,6 @@ from repro.harness.functional import FunctionalResult
 from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
-from repro.pipeline.vp import SingleComponentAdapter
 from repro.predictors.cap import CapPredictor
 from repro.predictors.cvp import CvpPredictor
 from repro.predictors.lvp import LvpPredictor
@@ -120,14 +121,12 @@ def _pc_tag_np(pc: np.ndarray, tag_bits: int) -> np.ndarray:
     return fold_bits_np(base, tag_bits)
 
 
-def _shift_states(
-    contribs: np.ndarray, shift: int, width: int, init: int = 0
-) -> np.ndarray:
+def _shift_states(contribs: np.ndarray, shift: int, width: int) -> np.ndarray:
     """Prefix states of a shift register, one lane per push.
 
     ``states[k]`` is the register value after the first ``k`` pushes of
     ``reg = (reg << shift) | contribs[k]``, keeping the low ``width``
-    bits, starting from ``init``.  Computed as ``width / shift``
+    bits, starting from zero.  Computed as ``width / shift``
     shifted-OR passes over the contribution column instead of a Python
     loop over pushes.
     """
@@ -137,14 +136,6 @@ def _shift_states(
         if j >= n:
             break
         states[j + 1 :] |= contribs[: n - j] << np.uint64(j * shift)
-    if init:
-        k = np.arange(n + 1, dtype=np.uint64) * np.uint64(shift)
-        seeded = np.where(
-            k < np.uint64(width),
-            np.uint64(init & ((1 << width) - 1)) << np.minimum(k, np.uint64(63)),
-            np.uint64(0),
-        )
-        states |= seeded
     return states & np.uint64((1 << width) - 1)
 
 
@@ -174,9 +165,6 @@ def precompute_load_batch(
     need_direction: bool,
     need_path: bool,
     need_load_path: bool,
-    init_direction: int = 0,
-    init_path: int = 0,
-    init_load_path: int = 0,
 ) -> _LoadBatch:
     """Vectorized pass over packed columns: per-predictable-load PCs,
     architectural outcomes, history register states at probe time, and
@@ -217,7 +205,7 @@ def precompute_load_batch(
     if need_direction:
         cond_pos = np.nonzero(is_cond)[0]
         taken = (flags[cond_pos] & FLAG_TAKEN).astype(np.uint64)
-        states = _shift_states(taken, 1, 32, init_direction)
+        states = _shift_states(taken, 1, 32)
         cum_cond = np.cumsum(is_cond)
         batch.direction_np = (
             states[cum_cond[load_pos]] if len(load_pos) else empty
@@ -227,7 +215,7 @@ def precompute_load_batch(
     if need_path:
         br_pos = np.nonzero(is_branch)[0]
         contribs = _path_contribution_np(pc[br_pos])
-        states = _shift_states(contribs, 2, 32, init_path)
+        states = _shift_states(contribs, 2, 32)
         cum_br = np.cumsum(is_branch)
         batch.path_np = states[cum_br[load_pos]] if len(load_pos) else empty
     else:
@@ -235,7 +223,7 @@ def precompute_load_batch(
     if need_load_path:
         mem_pos = np.nonzero(is_mem)[0]
         contribs = _path_contribution_np(pc[mem_pos])
-        states = _shift_states(contribs, 2, 32, init_load_path)
+        states = _shift_states(contribs, 2, 32)
         cum_mem = np.cumsum(is_mem)
         # A load is itself a memory event; its probe sees the register
         # *before* its own push, hence the -1 on the inclusive cumsum.
@@ -354,7 +342,7 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
     The vector backend replays component/monitor/fusion semantics by
     exact type; subclasses or third-party components could override
     behaviour it has inlined, so anything but the known concrete types
-    falls back to the object interpreter.
+    is rejected.
     """
     if getattr(trace, "columns", None) is None:
         return "trace has no packed columns"
@@ -368,11 +356,6 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
         if predictor.fusion is not None and type(predictor.fusion) is not FusionController:
             return f"unsupported fusion controller {type(predictor.fusion).__name__}"
         return None
-    if type(predictor) is SingleComponentAdapter:
-        component = predictor.component
-        if type(component) not in _SLOT_TYPES.values():
-            return f"unsupported component type {type(component).__name__}"
-        return None
     return f"unsupported predictor type {type(predictor).__name__}"
 
 
@@ -382,12 +365,10 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
 
 
 def run_functional_vec(trace, predictor) -> FunctionalResult:
-    """Vectorized-batch equivalent of
-    :func:`repro.harness.functional.run_functional_objects`.
+    """Evaluate a supported composite over a packed trace.
 
-    Raises :class:`ValueError` for unsupported trace/predictor pairs;
-    callers wanting automatic fallback should consult
-    :func:`vector_unsupported_reason` first (``run_functional`` does).
+    Raises :class:`ValueError` with :func:`vector_unsupported_reason`'s
+    text for any other trace/predictor pair.
     """
     reason = vector_unsupported_reason(trace, predictor)
     if reason is not None:
@@ -398,10 +379,7 @@ def run_functional_vec(trace, predictor) -> FunctionalResult:
         else MemoryImage()
     )
     result = FunctionalResult(workload=trace.name, instructions=len(trace))
-    if type(predictor) is CompositePredictor:
-        _run_composite(trace, predictor, mem, result)
-    else:
-        _run_single(trace, predictor, mem, result)
+    _run_composite(trace, predictor, mem, result)
     return result
 
 
@@ -1077,200 +1055,3 @@ def _run_composite(trace, predictor, mem, result):
             result.per_component_confident[names4[s]] = cc[s]
         if ck[s]:
             result.per_component_correct[names4[s]] = ck[s]
-
-
-# ----------------------------------------------------------------------
-# Single-component (Figure 3 isolation) interpreter
-# ----------------------------------------------------------------------
-
-
-def _run_single(trace, adapter, mem, result):
-    comp = adapter.component
-    kind = type(comp)
-    name = comp.name
-    is_lvp = kind is LvpPredictor
-    is_sap = kind is SapPredictor
-    is_cvp = kind is CvpPredictor
-    is_cap = kind is CapPredictor
-
-    batch = _cached_batch(trace, is_cvp, is_cvp, is_cap)
-    pos = batch.pos
-    n_loads = len(pos)
-    lvals = batch.value
-    la49 = batch.addr49
-    lslog = batch.size_log2
-    spos = batch.store_pos
-    s_addr = batch.store_addr
-    s_size = batch.store_size
-    s_val = batch.store_value
-    n_stores = len(spos)
-
-    pc_np = batch.pc_np
-    thr = comp.confidence_threshold
-    bump = comp._bump_confidence
-    if is_cvp:
-        hashes = _cached_cvp_hashes(trace, comp, batch)
-    elif is_cap:
-        cpi, cpt = _cached_cap_hashes(trace, comp, batch)
-    else:
-        pi, pt = _cached_pc_hashes(trace, pc_np, comp._table.index_bits)
-
-    tables = comp._tables()
-    find = tables[0].find
-    find_or_victim = tables[0].find_or_victim
-
-    mem_words = mem._words
-    mw_get = mem_words.get
-    mem_read = mem.read
-    mem_write = mem.write
-
-    predicted = okc = 0
-    sptr = 0
-
-    for j in range(n_loads):
-        p = pos[j]
-        while sptr < n_stores and spos[sptr] < p:
-            a = s_addr[sptr]
-            sz = s_size[sptr]
-            if sz == 8 and not a & 7:
-                mem_words[a >> 3] = s_val[sptr]
-            else:
-                mem_write(a, sz, s_val[sptr])
-            sptr += 1
-
-        lval = lvals[j]
-        a49 = la49[j]
-        sl = lslog[j]
-        have = False
-        v = 0
-
-        if is_lvp:
-            i = pi[j]
-            t = pt[j]
-            bk = find(i, t)
-            if bk is not None and bk[2][i] >= thr:
-                have = True
-                v = bk[1][i]
-        elif is_sap:
-            i = pi[j]
-            t = pt[j]
-            bk = find(i, t)
-            if bk is not None and bk[4][i] >= thr:
-                stv = bk[2][i]
-                a = (
-                    bk[1][i] + (stv if stv < 512 else stv - 1024)
-                ) & _MASK49
-                sz = 1 << bk[3][i]
-                have = True
-                v = (
-                    mw_get(a >> 3, 0)
-                    if sz == 8 and not a & 7
-                    else mem_read(a, sz)
-                )
-        elif is_cvp:
-            for ti in (2, 1, 0):
-                idx, tg = hashes[ti]
-                i = idx[j]
-                bk = tables[ti].find(i, tg[j])
-                if bk is not None and bk[2][i] >= thr:
-                    have = True
-                    v = bk[1][i]
-                    break
-        else:  # cap
-            i = cpi[j]
-            t = cpt[j]
-            bk = find(i, t)
-            if bk is not None and bk[3][i] >= thr:
-                a = bk[1][i]
-                sz = 1 << bk[2][i]
-                have = True
-                v = (
-                    mw_get(a >> 3, 0)
-                    if sz == 8 and not a & 7
-                    else mem_read(a, sz)
-                )
-
-        if have:
-            predicted += 1
-            if v == lval:
-                okc += 1
-            else:
-                # penalize: address predictors reset confidence
-                if is_sap:
-                    bk = find(pi[j], pt[j])
-                    if bk is not None:
-                        bk[4][pi[j]] = 0
-                elif is_cap:
-                    bk = find(cpi[j], cpt[j])
-                    if bk is not None:
-                        bk[3][cpi[j]] = 0
-
-        # -- train (the adapter always trains) -------------------------
-        if is_lvp:
-            i = pi[j]
-            t = pt[j]
-            bk, hit = find_or_victim(i, t)
-            if hit and bk[1][i] == lval:
-                bump(bk[2], i)
-            else:
-                bk[0][i] = t
-                bk[1][i] = lval
-                bk[2][i] = 0
-        elif is_sap:
-            i = pi[j]
-            t = pt[j]
-            bk, hit = find_or_victim(i, t)
-            if hit:
-                ns = (a49 - bk[1][i]) & 1023
-                if ns == bk[2][i]:
-                    bump(bk[4], i)
-                else:
-                    bk[2][i] = ns
-                    bk[4][i] = 0
-                bk[1][i] = a49
-                bk[3][i] = sl
-            else:
-                bk[0][i] = t
-                bk[1][i] = a49
-                bk[2][i] = 0
-                bk[3][i] = sl
-                bk[4][i] = 0
-        elif is_cvp:
-            for ti in (0, 1, 2):  # table order shares the component RNG
-                idx, tg = hashes[ti]
-                i = idx[j]
-                t = tg[j]
-                bk, hit = tables[ti].find_or_victim(i, t)
-                if hit and bk[1][i] == lval:
-                    bump(bk[2], i)
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = lval
-                    bk[2][i] = 0
-        else:  # cap
-            i = cpi[j]
-            t = cpt[j]
-            bk, hit = find_or_victim(i, t)
-            if hit and bk[1][i] == a49 and bk[2][i] == sl:
-                bump(bk[3], i)
-            else:
-                bk[0][i] = t
-                bk[1][i] = a49
-                bk[2][i] = sl
-                bk[3][i] = 0
-
-    stats = adapter.stats
-    stats.loads += n_loads
-    stats.predicted_loads += predicted
-    stats.correct_used += okc
-    stats.incorrect_used += predicted - okc
-
-    result.loads = n_loads
-    result.predicted_loads = predicted
-    result.correct_predictions = okc
-    result.confident_histogram[0] += n_loads - predicted
-    result.confident_histogram[1] += predicted
-    if predicted:
-        result.per_component_confident[name] = predicted
-    if okc:
-        result.per_component_correct[name] = okc

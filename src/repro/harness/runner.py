@@ -239,7 +239,8 @@ def run_functional_cell(spec: dict) -> dict:
     Like :func:`run_speedup_cell` but without the timing model: the
     cell measures coverage/accuracy/overlap via
     :func:`repro.harness.functional.run_functional`.  ``spec`` carries
-    ``workload``, ``length``, ``seed`` and a ``predictor`` spec.
+    ``workload``, ``length``, ``seed`` and a composite ``predictor``
+    spec.
     """
     from repro.harness.functional import run_functional
 

@@ -87,7 +87,8 @@ from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
 #: alters the *numbers* a timing run produces -- cycle accounting,
 #: predictor interaction ordering, flush policy -- so stale cached
 #: cells stop matching.  Pure refactors and speedups leave it alone.
-TIMING_SEMANTICS_VERSION = 1
+#: 2: ``SimResult.accuracy`` is 0.0, not 1.0, when nothing was predicted.
+TIMING_SEMANTICS_VERSION = 2
 
 # Raw opclass integers the dispatch tables key on; defined next to the
 # enum in repro.isa.instruction so the columnar loop cannot drift.

@@ -43,9 +43,9 @@ class SimResult:
 
     @property
     def accuracy(self) -> float:
-        """Correct / used predictions."""
+        """Correct / used predictions (0.0 when nothing was predicted)."""
         if not self.predicted_loads:
-            return 1.0
+            return 0.0
         return self.correct_predictions / self.predicted_loads
 
     @property

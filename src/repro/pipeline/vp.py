@@ -70,7 +70,7 @@ class _AdapterStats:
     @property
     def accuracy(self) -> float:
         used = self.correct_used + self.incorrect_used
-        return self.correct_used / used if used else 1.0
+        return self.correct_used / used if used else 0.0
 
 
 class SingleComponentAdapter:

@@ -132,8 +132,8 @@ class CapPredictor(ComponentPredictor):
     ) -> tuple[int, int]:
         """One-entry memo over :meth:`_hash`.
 
-        Serves the streaming paths (serve sessions, the functional
-        object interpreter): a whole-trace timing run looks its loads'
+        Serves the streaming paths (serve sessions and the functional
+        test oracle): a whole-trace timing run looks its loads'
         hashes up by ordinal instead (see :meth:`_row`).  A load's
         ``train`` (and ``penalize``) re-hashes with the exact load-path
         history its ``predict`` saw, so the repeat computations per

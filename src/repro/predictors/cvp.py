@@ -271,8 +271,8 @@ class CvpPredictor(ComponentPredictor):
     ) -> list[tuple[int, int]]:
         """One-entry memo over :meth:`_all_hashes`.
 
-        Serves the streaming paths (serve sessions, the functional
-        object interpreter): a whole-trace timing run looks its loads'
+        Serves the streaming paths (serve sessions and the functional
+        test oracle): a whole-trace timing run looks its loads'
         hashes up by ordinal instead (see :meth:`_row`).  A load's
         ``train`` re-probes with the exact histories its
         ``predict`` saw (the outcome carries the probe's histories), so

@@ -76,7 +76,3 @@ class Prediction:
     value: int = 0
     addr: int = 0
     size: int = 0
-
-    def resolves_immediately(self) -> bool:
-        """True when no cache probe is needed (a VALUE prediction)."""
-        return self.kind is PredictionKind.VALUE

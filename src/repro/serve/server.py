@@ -6,8 +6,8 @@ scheduler task drains the queue in **micro-batches** -- every request
 that has accumulated by the time it wakes, up to ``max_batch`` -- and
 answers each batch with one buffered write per connection, so under
 concurrency the per-response event-loop and flow-control overhead is
-amortized across the batch (``micro_batching=False``, ``serve
---no-batching``, keeps the one-request-per-tick path for comparison).
+amortized across the batch (``max_batch=1`` gives one-request
+batches).
 
 Overload and failure policy:
 
@@ -68,9 +68,6 @@ class ServerConfig:
     max_queue: int = 1024
     #: Most requests one scheduler wakeup will coalesce.
     max_batch: int = 64
-    #: False = process one request per event-loop tick (the comparison
-    #: path micro-batching must beat).
-    micro_batching: bool = True
     #: Queue-wait budget per request, seconds (None = unlimited).
     request_timeout: float | None = 30.0
     max_sessions: int = 64
@@ -398,12 +395,11 @@ class PredictionServer:
         while True:
             request = await self._queue.get()
             batch = [request]
-            if self.config.micro_batching:
-                while len(batch) < self.config.max_batch:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
+            while len(batch) < self.config.max_batch:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except asyncio.QueueEmpty:
+                    break
             self.counters.batches += 1
             self.counters.batched_requests += len(batch)
             if len(batch) > self.counters.max_batch_seen:
@@ -417,17 +413,9 @@ class PredictionServer:
                 per_conn.setdefault(req.conn, []).append(
                     protocol.encode_frame(protocol.RESPONSE, response)
                 )
-            if self.config.micro_batching:
-                for conn, frames in per_conn.items():
-                    if not await conn.send_raw(b"".join(frames)):
-                        self.counters.dropped_responses += len(frames)
-            else:
-                for conn, frames in per_conn.items():
-                    for frame in frames:
-                        if not await conn.send_raw(frame):
-                            self.counters.dropped_responses += 1
-                        # One request per event-loop tick.
-                        await asyncio.sleep(0)
+            for conn, frames in per_conn.items():
+                if not await conn.send_raw(b"".join(frames)):
+                    self.counters.dropped_responses += len(frames)
             for _ in batch:
                 self._queue.task_done()
 
@@ -648,7 +636,6 @@ class PredictionServer:
             "config": {
                 "max_queue": self.config.max_queue,
                 "max_batch": self.config.max_batch,
-                "micro_batching": self.config.micro_batching,
                 "request_timeout": self.config.request_timeout,
                 "max_sessions": self.config.max_sessions,
                 "data_dir": self.config.data_dir,

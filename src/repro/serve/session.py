@@ -492,7 +492,8 @@ class PredictorSession:
         other event's is ``None``.  Branch/store/load events each count
         one instruction and loads run the functional harness's per-load
         step, so a trace replayed as events is instruction-for-instruction
-        identical to :func:`repro.harness.functional.run_functional`.
+        identical to :func:`repro.harness.functional.run_functional` on
+        every composite it evaluates.
 
         Methods are bound once per batch, and the per-event epoch ticks
         are accumulated and flushed in a single ``tick_instructions``
@@ -1025,9 +1026,6 @@ class SessionManager:
                 if session.tracker is not None else None
             ),
         }
-
-    def frozen_ids(self) -> list[str]:
-        return sorted(self._frozen)
 
     def _check_not_frozen(self, session_id: str) -> None:
         if session_id in self._frozen:

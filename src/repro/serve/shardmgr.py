@@ -242,13 +242,6 @@ class ShardManager:
             shard.proc.send_signal(signal.SIGKILL)
             shard.proc.wait()
 
-    def kill_standby(self, name: str) -> None:
-        """SIGKILL one shard's standby (chaos: replica death)."""
-        standby = self.standbys.get(name)
-        if standby is not None and standby.alive():
-            standby.proc.send_signal(signal.SIGKILL)
-            standby.proc.wait()
-
     def stop_all(self, timeout: float = 10.0) -> None:
         """Graceful tier shutdown: SIGTERM every worker, then reap."""
         procs = list(self.shards.values()) + list(self.standbys.values())

@@ -589,10 +589,6 @@ class TestShardingFlags:
         assert main(["serve", "--seq-cache-bytes", "0"]) == 2
         assert "--seq-cache-bytes must be >= 1" in capsys.readouterr().err
 
-    def test_crashtest_kill_shard_needs_a_tier(self, capsys):
-        assert main(["crashtest", "--kill-shard"]) == 2
-        assert "pass --shards N with N > 1" in capsys.readouterr().err
-
     def test_crashtest_kill_router_needs_a_tier(self, capsys):
         assert main(["crashtest", "--kill-router"]) == 2
         assert "pass --shards N with N > 1" in capsys.readouterr().err

@@ -10,10 +10,10 @@ the cycle count, and the nested ``extra`` diagnostics -- must be
 The same contract covers the *functional* path: the vectorized batch
 backend (:mod:`repro.harness.functional_vec`) must produce a
 :class:`FunctionalResult` identical to the object interpreter's
-(:func:`repro.harness.functional.run_functional_objects`), with
-identical final table state, across workloads x seeds x predictor
-specs -- plus the edge traces (no loads, nothing predictable, one
-instruction) that stress the accuracy-of-nothing reporting.
+(``tests/oracles/functional_loop.py``), with identical final table
+state, across workloads x seeds x composite specs -- plus the edge
+traces (no loads, nothing predictable, one instruction) that stress the
+accuracy-of-nothing reporting.
 """
 
 from dataclasses import asdict
@@ -23,7 +23,7 @@ import pytest
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
-from repro.harness.functional import run_functional, run_functional_objects
+from repro.harness.functional import run_functional
 from repro.harness.functional_vec import (
     run_functional_vec,
     vector_unsupported_reason,
@@ -37,6 +37,7 @@ from repro.predictors import make_component
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.core_loop import run_objects, simulate_objects
+from oracles.functional_loop import run_functional_objects
 
 
 @pytest.fixture(autouse=True)
@@ -215,13 +216,9 @@ def functional_both(trace, make_predictor):
 
 def _table_state(predictor):
     """Every entry of every table, as plain tuples."""
-    if isinstance(predictor, SingleComponentAdapter):
-        components = [predictor.component]
-    else:
-        components = list(predictor.components.values())
     return [
         list(table.rows())
-        for component in components
+        for component in predictor.components.values()
         for table in component._tables()
     ]
 
@@ -296,10 +293,15 @@ class TestFunctionalVecEquivalence:
 
     @pytest.mark.parametrize("component", ("lvp", "sap", "cvp", "cap"))
     def test_single_components(self, component):
+        # A lone component runs functionally as a one-component plain
+        # composite.
+        config = CompositeConfig().with_entries(**{
+            name: 128 if name == component else 0
+            for name in ("lvp", "sap", "cvp", "cap")
+        }).plain()
         trace = generate_trace("coremark", 2500, 8)
         assert_functional_identical(
-            trace,
-            lambda: SingleComponentAdapter(make_component(component, 128)),
+            trace, lambda: CompositePredictor(config)
         )
 
 
@@ -373,11 +375,18 @@ class TestFunctionalBackendDispatch:
         with pytest.raises(ValueError, match="unsupported predictor type"):
             run_functional_vec(trace, adapter)
 
-    def test_auto_falls_back_for_unsupported_predictor(self):
+    @pytest.mark.parametrize("make_host, reason", (
+        (lambda: EvesAdapter(eves_8kb()), "unsupported predictor type"),
+        (lambda: SingleComponentAdapter(make_component("lvp", 128)),
+         "unsupported predictor type"),
+        (lambda: CompositePredictor(CompositeConfig(
+            table_fusion=False, extra_components=(("lap", 128),),
+        ).homogeneous(128)), "unsupported component 'lap'"),
+    ), ids=("eves", "single-component", "lap-extra"))
+    def test_run_functional_rejects_unsupported_hosts(self, make_host, reason):
         trace = generate_trace("astar", 1500, 0)
-        auto = run_functional(trace, EvesAdapter(eves_8kb()))
-        obj = run_functional_objects(trace, EvesAdapter(eves_8kb()))
-        assert asdict(auto) == asdict(obj)
+        with pytest.raises(ValueError, match=reason):
+            run_functional(trace, make_host())
 
     def test_vector_rejects_unpacked_trace(self):
         packed = generate_trace("astar", 1500, 0)

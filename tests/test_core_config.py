@@ -52,8 +52,30 @@ class TestSimResult:
         result = self._result(predicted_loads=50, correct_predictions=49)
         assert result.accuracy == 0.98
 
-    def test_accuracy_no_predictions_is_one(self):
-        assert self._result().accuracy == 1.0
+    def test_accuracy_no_predictions_is_zero(self):
+        assert self._result().accuracy == 0.0
+
+    def test_timing_and_functional_agree_on_the_accuracy_of_nothing(self):
+        """A predictor that never predicts has no accuracy in either
+        model; the timing model once reported a vacuous 1.0."""
+        from repro.composite import CompositeConfig, CompositePredictor
+        from repro.harness.functional import run_functional
+        from repro.isa.instruction import Instruction
+        from repro.isa.trace import Trace
+        from repro.pipeline import simulate
+
+        trace = Trace("no-loads", [
+            Instruction(pc=4 * (i + 1), op=OpClass.INT_ALU)
+            for i in range(200)
+        ])
+
+        def host():
+            return CompositePredictor(CompositeConfig().homogeneous(64))
+
+        timing = simulate(trace, host())
+        functional = run_functional(trace, host())
+        assert timing.predicted_loads == functional.predicted_loads == 0
+        assert timing.accuracy == functional.accuracy == 0.0
 
     def test_branch_mpki(self):
         result = self._result(branch_mispredictions=5)

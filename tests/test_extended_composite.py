@@ -1,8 +1,13 @@
-"""Integration tests for the six-component (footnote-1) composite."""
+"""Integration tests for the six-component (footnote-1) composite.
+
+``run_functional`` does not replay LAP/SVP extras, so these run through
+the per-instruction interpreter in ``tests/oracles/functional_loop.py``.
+"""
 
 from repro.composite import CompositeConfig, CompositePredictor
-from repro.harness.functional import run_functional
 from repro.workloads import generate_trace
+
+from oracles.functional_loop import run_functional_objects
 
 
 def _six(per=128):
@@ -18,13 +23,15 @@ class TestSixComponentComposite:
         assert len(composite.stats.confident_histogram) == 7
 
     def test_runs_and_stays_accurate(self):
-        result = run_functional(generate_trace("coremark", 10_000), _six())
+        result = run_functional_objects(
+            generate_trace("coremark", 10_000), _six()
+        )
         assert result.accuracy > 0.97
         assert result.coverage > 0.2
 
     def test_stats_keyed_by_all_six(self):
         composite = _six()
-        run_functional(generate_trace("mcf", 8_000), composite)
+        run_functional_objects(generate_trace("mcf", 8_000), composite)
         assert set(composite.stats.chosen_by) == {
             "lvp", "sap", "cvp", "cap", "lap", "svp",
         }
@@ -35,8 +42,8 @@ class TestSixComponentComposite:
         four = CompositePredictor(CompositeConfig(
             epoch_instructions=1000, table_fusion=False,
         ).homogeneous(128))
-        four_result = run_functional(trace, four)
-        six_result = run_functional(trace, _six())
+        four_result = run_functional_objects(trace, four)
+        six_result = run_functional_objects(trace, _six())
         assert six_result.coverage - four_result.coverage < 0.08
 
     def test_monitor_handles_extras(self):
@@ -50,5 +57,5 @@ class TestSixComponentComposite:
             accuracy_monitor="pc-am",
         )
         composite = CompositePredictor(config)
-        result = run_functional(generate_trace("v8", 8_000), composite)
+        result = run_functional_objects(generate_trace("v8", 8_000), composite)
         assert result.accuracy > 0.95  # no KeyErrors, sane behaviour

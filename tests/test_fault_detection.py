@@ -2,19 +2,21 @@
 functional path only, must not pass silently.
 
 Two independent checks guard that path: the ``FunctionalResult`` must
-equal the object interpreter's, and the tables' ``rows()`` must equal
-the object-run tables entry for entry, stale payloads included.
+equal the object interpreter's (``tests/oracles/functional_loop.py``),
+and the tables' ``rows()`` must equal the object-run tables entry for
+entry, stale payloads included.  The host is a one-LVP plain composite.
 """
 
 from dataclasses import asdict
 
 import pytest
 
+from repro.composite.composite import CompositePredictor
+from repro.composite.config import CompositeConfig
 from repro.harness import functional_vec
-from repro.harness.functional import run_functional_objects
-from repro.pipeline.vp import SingleComponentAdapter
-from repro.predictors.lvp import LvpPredictor
 from repro.workloads.generator import generate_trace
+
+from oracles.functional_loop import run_functional_objects
 
 
 def _off_by_one_load(index, tag, sets):
@@ -34,15 +36,16 @@ def _run_both(trace, fault, monkeypatch):
         index, tag = exact(trace, pc_np, index_bits)
         return fault(index, tag, 1 << index_bits)
 
-    vec_host = SingleComponentAdapter(LvpPredictor(64))
-    obj_host = SingleComponentAdapter(LvpPredictor(64))
+    config = CompositeConfig().with_entries(64, 0, 0, 0).plain()
+    vec_host = CompositePredictor(config)
+    obj_host = CompositePredictor(config)
     with monkeypatch.context() as patch:
         patch.setattr(functional_vec, "_cached_pc_hashes", faulty)
         vec = asdict(functional_vec.run_functional_vec(trace, vec_host))
     obj = asdict(run_functional_objects(trace, obj_host))
 
     def rows(host):
-        return [list(t.rows()) for t in host.component._tables()]
+        return [list(t.rows()) for t in host.components["lvp"]._tables()]
 
     return vec != obj, rows(vec_host) != rows(obj_host)
 

@@ -2,8 +2,6 @@
 
 from repro.composite import CompositeConfig, CompositePredictor
 from repro.harness.functional import run_functional
-from repro.pipeline.vp import SingleComponentAdapter
-from repro.predictors import make_component
 from repro.workloads import generate_trace
 
 
@@ -32,7 +30,9 @@ class TestFunctionalRun:
         predictors validate against fresh data: the hot_flag pattern
         that mispredicts in the timing model is correct here."""
         trace = generate_trace("v8", 10_000)
-        sap = SingleComponentAdapter(make_component("sap", 1024))
+        sap = CompositePredictor(
+            CompositeConfig().with_entries(0, 1024, 0, 0).plain()
+        )
         result = run_functional(trace, sap)
         assert result.accuracy > 0.97
 

@@ -11,14 +11,17 @@ places where a fast path could drift from its reference:
   at any byte offset, and strided loads;
 * runs of branches long enough to wrap every folded history register;
 * lengths that end mid-epoch (the assemblies run 97-instruction epochs);
-* every component alone or in a composite, including one whose
+* every component alone (as a lone-component adapter and as a
+  one-component plain composite) or in a composite, including one whose
   confidence thresholds are all clamped to 1, so context-aware
   components reach confident and wrong predictions in short programs.
 
 Each program must give the same answer three ways: the columnar core
-loop against the object-path oracle, the vectorized functional backend
-against the object interpreter, and a serve session fed the program's
-events against ``run_functional``.
+loop against the object-path oracle, ``run_functional`` against the
+object interpreter (composites only; ``run_functional`` rejects a
+lone-component adapter), and a serve session fed the program's events
+against ``run_functional`` -- or against the interpreter for a
+lone-component adapter.
 """
 
 from dataclasses import asdict
@@ -26,8 +29,7 @@ from dataclasses import asdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.functional import run_functional, run_functional_objects
-from repro.harness.functional_vec import run_functional_vec
+from repro.harness.functional import run_functional
 from repro.harness.runner import build_predictor
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
@@ -38,6 +40,7 @@ from repro.serve.loadgen import trace_to_events
 from repro.serve.session import PredictorSession, resolve_spec
 
 from oracles.core_loop import simulate_objects
+from oracles.functional_loop import run_functional_objects
 
 MAX_LENGTH = 300
 
@@ -48,6 +51,16 @@ PCS = tuple(0x1000 + 4 * i for i in range(4)) + tuple(
 )
 #: Three 8-byte words loads and stores share (plus one never stored).
 WORDS = (0x8000, 0x8008, 0x8040, 0x9000)
+
+def _alone(name):
+    """``name`` as a one-component plain composite of 64 entries."""
+    return {"kind": "composite", "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "none",
+        "smart_training": False, "table_fusion": False,
+        **{f"{slot}_entries": 64 if slot == name else 0
+           for slot in ("lvp", "sap", "cvp", "cap")},
+    }}
+
 
 #: Assemblies with short epochs, so most traces end mid-epoch.
 SPECS = (
@@ -62,6 +75,9 @@ SPECS = (
     {"kind": "component", "name": "cvp", "entries": 64},
     {"kind": "component", "name": "cap", "entries": 64},
     {"kind": "component", "name": "sap", "entries": 64},
+    _alone("cvp"),
+    _alone("cap"),
+    _alone("sap"),
 )
 
 _pc = st.sampled_from(PCS)
@@ -145,13 +161,9 @@ def _wrong_by(host):
 
 
 def _table_state(predictor):
-    if isinstance(predictor, SingleComponentAdapter):
-        components = [predictor.component]
-    else:
-        components = list(predictor.components.values())
     return [
         list(table.rows())
-        for component in components
+        for component in predictor.components.values()
         for table in component._tables()
     ]
 
@@ -179,19 +191,24 @@ def test_fast_paths_match_their_references(body, repeats, tail, spec, seed):
     oracle = simulate_objects(trace, _host(spec), seed=seed)
     assert asdict(simulate(trace, _host(spec), seed=seed)) == asdict(oracle)
 
-    # Functional: vector backend vs the object interpreter.
-    vec_host, obj_host = _host(spec), _host(spec)
-    vec = run_functional_vec(trace, vec_host)
-    obj = run_functional_objects(trace, obj_host)
-    assert asdict(vec) == asdict(obj)
-    assert _table_state(vec_host) == _table_state(obj_host)
-    assert (getattr(vec_host, "_instructions_in_epoch", None)
-            == getattr(obj_host, "_instructions_in_epoch", None))
+    # Functional: run_functional vs the object interpreter.
+    composite = spec["kind"] == "composite"
+    if composite:
+        vec_host, obj_host = _host(spec), _host(spec)
+        vec = run_functional(trace, vec_host)
+        obj = run_functional_objects(trace, obj_host)
+        assert asdict(vec) == asdict(obj)
+        assert _table_state(vec_host) == _table_state(obj_host)
+        assert (vec_host._instructions_in_epoch
+                == obj_host._instructions_in_epoch)
 
-    # Serving: a session fed the program's events vs run_functional.
+    # Serving: a session fed the program's events vs the functional
+    # reference.
     session = PredictorSession(spec, initial_memory=trace.initial_memory)
     session.apply_batch(trace_to_events(trace))
-    reference = run_functional(trace, _host(spec))
+    reference = (run_functional if composite else run_functional_objects)(
+        trace, _host(spec)
+    )
     assert (session.loads, session.predicted_loads,
             session.correct_predictions, session.instructions) == (
         reference.loads, reference.predicted_loads,

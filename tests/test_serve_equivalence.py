@@ -4,8 +4,10 @@ The acceptance proof for the serving layer.  One workload trace is
 flattened to instruction events and replayed three ways with the same
 predictor spec:
 
-1. :func:`repro.harness.functional.run_functional` (the reference
-   program-order evaluation loop);
+1. :func:`repro.harness.functional.run_functional` for composites, and
+   the per-instruction interpreter it matches bit for bit
+   (``tests/oracles/functional_loop.py``) for the hosts it rejects (the
+   reference program-order evaluation loop);
 2. a local :class:`PredictorSession` fed ``apply_batch`` in chunks;
 3. a session on a live server, driven over TCP in chunks.
 
@@ -29,6 +31,8 @@ from repro.serve.loadgen import trace_to_events
 from repro.serve.server import PredictionServer, ServerConfig
 from repro.serve.session import PredictorSession, resolve_spec, spec_from_name
 from repro.workloads.generator import generate_trace
+
+from oracles.functional_loop import run_functional_objects
 
 WORKLOAD = "gcc2k"
 LENGTH = 4000
@@ -125,7 +129,11 @@ class TestEventStreamEquivalence:
             "none"])
     def test_session_matches_run_functional(self, trace, events, spec):
         session, _ = _local_records(spec, trace, events)
-        reference = run_functional(trace, _host(spec))
+        functional = (
+            run_functional if spec and spec.get("kind") == "composite"
+            else run_functional_objects
+        )
+        reference = functional(trace, _host(spec))
 
         assert session.loads == reference.loads
         assert session.predicted_loads == reference.predicted_loads

@@ -185,7 +185,7 @@ class TestBatching:
 
     def test_unbatched_mode_processes_one_per_tick(self):
         async def scenario():
-            server = await _start_server(micro_batching=False)
+            server = await _start_server(max_batch=1)
             try:
                 client = await ServeClient.connect("127.0.0.1", server.port)
                 futures = [
