@@ -24,8 +24,10 @@ Examples::
                                         # replay a trace against a
                                         #   running server: latency
                                         #   percentiles as JSON
-    repro-lvp crashtest --kills 3       # SIGKILL/recover chaos harness
-    repro-lvp crashtest --shards 3      # shard-kill chaos on the tier
+    repro-lvp crashtest --kills 3       # SIGKILL/restart one server
+                                        #   under 3 durable sessions
+    repro-lvp crashtest --shards 3      # ... the same campaign killing
+                                        #   worker shards of the tier
 
 Resilient execution (long sweeps)::
 
@@ -332,19 +334,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="SIGKILL/restart cycles spread across the load (default: 3)",
     )
     chaos = crashtest.add_argument_group(
-        "sharded chaos",
-        "with --shards > 1 the harness launches the sharded tier "
-        "(router + worker processes) and SIGKILLs whole worker shards "
-        "under multi-session load; a live migration runs concurrently",
+        "tier chaos",
+        "the campaign runs `serve --shards N`: at N = 1 each kill "
+        "SIGKILLs and restarts the one server; above 1 it SIGKILLs a "
+        "whole worker shard behind the router, and a live migration "
+        "runs concurrently",
     )
     chaos.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="worker shards behind the router; 1 runs the classic "
-             "single-server campaign (default: 1)",
+        help="worker shards behind the router; 1 runs one bare server "
+             "(default: 1)",
     )
     chaos.add_argument(
         "--sessions", type=int, default=3, metavar="N",
-        help="concurrent durable sessions in sharded mode (default: 3)",
+        help="concurrent durable sessions, at any shard count "
+             "(default: 3)",
     )
     chaos.add_argument(
         "--kill-router", action="store_true",
@@ -353,12 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--migrations", type=int, default=1, metavar="N",
-        help="live session migrations issued under load in sharded "
-             "mode; 0 disables (default: 1)",
+        help="live session migrations issued under load with "
+             "--shards > 1; 0 disables (default: 1)",
     )
     chaos.add_argument(
         "--standbys", type=int, default=0, metavar="N",
-        help="warm standbys per shard (0 or 1) in sharded mode; kills "
+        help="warm standbys per shard (0 or 1), needs --shards > 1; kills "
              "then exercise promotion, and the report gains a "
              "recovery-time-objective comparison of promotion vs. "
              "restart-and-replay (default: 0)",
@@ -1074,11 +1078,7 @@ def _check_durability_flags(args) -> str | None:
 
 def _crashtest_command(args) -> int:
     """The ``crashtest`` subcommand: the durability acceptance gate."""
-    from repro.serve.crashtest import (
-        CrashTestError,
-        run_crashtest,
-        run_sharded_crashtest,
-    )
+    from repro.serve.crashtest import CrashTestError, run_crashtest
     from repro.serve.session import SessionError, spec_from_name
 
     if args.length < 100:
@@ -1121,47 +1121,26 @@ def _crashtest_command(args) -> int:
     except SessionError as exc:
         return _fail(str(exc))
 
-    sharded = args.shards > 1
     try:
-        if sharded:
-            report = run_sharded_crashtest(
-                workload=args.workload,
-                length=args.length,
-                seed=args.seed,
-                predictor=args.predictor.lower(),
-                entries=args.entries,
-                shards=args.shards,
-                sessions=args.sessions,
-                kills=args.kills,
-                kill_router=args.kill_router,
-                migrations=args.migrations,
-                standbys=args.standbys,
-                events_per_request=args.events_per_request,
-                data_dir=args.data_dir,
-                fsync_interval=args.fsync_interval,
-                checkpoint_every=args.checkpoint_every,
-                timeout=args.timeout,
-                progress=lambda msg: print(
-                    f"crashtest: {msg}", file=sys.stderr
-                ),
-            )
-        else:
-            report = run_crashtest(
-                workload=args.workload,
-                length=args.length,
-                seed=args.seed,
-                predictor=args.predictor.lower(),
-                entries=args.entries,
-                kills=args.kills,
-                events_per_request=args.events_per_request,
-                data_dir=args.data_dir,
-                fsync_interval=args.fsync_interval,
-                checkpoint_every=args.checkpoint_every,
-                timeout=args.timeout,
-                progress=lambda msg: print(
-                    f"crashtest: {msg}", file=sys.stderr
-                ),
-            )
+        report = run_crashtest(
+            workload=args.workload,
+            length=args.length,
+            seed=args.seed,
+            predictor=args.predictor.lower(),
+            entries=args.entries,
+            shards=args.shards,
+            sessions=args.sessions,
+            kills=args.kills,
+            kill_router=args.kill_router,
+            migrations=args.migrations,
+            standbys=args.standbys,
+            events_per_request=args.events_per_request,
+            data_dir=args.data_dir,
+            fsync_interval=args.fsync_interval,
+            checkpoint_every=args.checkpoint_every,
+            timeout=args.timeout,
+            progress=lambda msg: print(f"crashtest: {msg}", file=sys.stderr),
+        )
     except CrashTestError as exc:
         return _fail(str(exc), code=1)
     except KeyboardInterrupt:
@@ -1172,19 +1151,15 @@ def _crashtest_command(args) -> int:
     # The full per-chunk payloads are for the report file; the printed
     # summary keeps the verdict and the evidence.
     keys = [
-        "workload", "predictor", "chunks", "events", "kills_done",
-        "reconnects", "retries", "acked_chunks", "lost_acks",
+        "workload", "predictor", "shards", "sessions", "placements",
+        "chunks", "events", "kills_done", "router_kills", "worker_restarts",
+        "migrations", "reconnects", "retries", "acked_chunks", "lost_acks",
         "mismatched_chunks", "final_state_match", "final_state",
         "durability", "equivalent",
     ]
-    if sharded:
-        keys[4:4] = [
-            "shards", "sessions", "placements", "router_kills",
-            "worker_restarts", "migrations",
-        ]
-        if args.standbys:
-            keys[4:4] = ["standbys", "promotions"]
-            keys.append("rto")
+    if args.standbys:
+        keys[4:4] = ["standbys", "promotions"]
+        keys.append("rto")
     summary = {key: report[key] for key in keys}
     print(json.dumps(summary, indent=2))
     if not report["equivalent"]:

@@ -184,49 +184,17 @@ class CvpPredictor(ComponentPredictor):
     # Prediction / training
     # ------------------------------------------------------------------
 
-    def _fast_hash(
-        self, pc: int, table: int, direction: int, folded: tuple[int, ...]
-    ) -> tuple[int, int]:
-        """(index, tag) from pre-folded registers; bit-identical to
-        ``(_index, _tag)`` — the fold terms come from the incremental
-        registers and the remaining arithmetic is inlined."""
-        bits = self._index_bits_t[table]
-        imask = self._index_masks[table]
-        v = (pc >> 2) ^ (pc >> (2 + bits)) \
-            ^ folded[self._dir_slots[table]] \
-            ^ folded[self._path_slots[table]] ^ self._index_salts[table]
-        while v > imask:
-            v = (v & imask) ^ (v >> bits)
-        scrambled = (
-            (direction & self._history_masks[table]) ^ self._tag_salts[table]
-        ) * _TAG_SCRAMBLE & _MASK64
-        t = pc >> 2
-        while scrambled:
-            t ^= scrambled & _TAG_MASK
-            scrambled >>= _TAG_BITS
-        while t > _TAG_MASK:
-            t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
-        return v, t
-
-    def _hash(self, pc, table, direction, path, folded):
-        if self._dir_slots is not None and len(folded) >= self._min_folded:
-            return self._fast_hash(pc, table, direction, folded)
-        return (
-            self._index(pc, table, direction, path),
-            self._tag(pc, table, direction),
-        )
-
     def _all_hashes(
         self, pc: int, direction: int, path: int, folded: tuple[int, ...]
     ) -> list[tuple[int, int]]:
         """Per-table ``(index, tag)`` pairs for one load.
 
-        The body is :meth:`_fast_hash` unrolled across the table loop
-        with every attribute prebound -- CVP hashing is the hottest
-        predictor code on the per-event paths (serve sessions), and
-        the per-call overhead of three ``_fast_hash`` invocations per
-        probe/train measurably shows.  Falls back to the reference
-        ``_index``/``_tag`` pair when the incremental folds are not
+        With the incremental folds armed, each table's ``_index`` and
+        ``_tag`` arithmetic is inlined into one loop with every
+        attribute prebound, taking the history fold terms from the
+        pre-folded registers -- CVP hashing is the hottest predictor
+        code on the per-event paths (serve sessions).  Falls back to
+        the reference ``_index``/``_tag`` pair when the folds are not
         armed; bit-identical either way.
         """
         if self._dir_slots is None or len(folded) < self._min_folded:

@@ -1,38 +1,35 @@
-"""Crash-test harness: SIGKILL the server mid-load, prove nothing lost.
+"""Crash-test harness: SIGKILL the serving tier mid-load, prove nothing lost.
 
 The acceptance gate for the durability subsystem (``repro-lvp
-crashtest``).  One run:
+crashtest``).  One campaign (:func:`run_crashtest`):
 
-1. computes a **reference**: the same event chunks applied to a local
-   :class:`~repro.serve.session.PredictorSession` (the serving layer's
-   own execution helpers, so reference and server share code paths);
-2. starts a real server subprocess with ``--data-dir``, drives one
-   durable session through every chunk with a
-   :class:`~repro.serve.client.DurableClient`;
-3. at ``kills`` evenly spaced points it SIGKILLs the server **while a
-   request is in flight**, restarts it (fresh process, same data dir),
-   repoints the client, and lets the idempotent retry machinery
-   resume -- the retried seq must return the request's one true
-   response whether or not the killed server had applied it;
+1. computes a **reference** per session: the same event chunks applied
+   to a local :class:`~repro.serve.session.PredictorSession` (the
+   serving layer's own execution helpers, so reference and server
+   share code paths);
+2. starts ``repro-lvp serve --shards N --data-dir ...`` as a real
+   subprocess -- one bare server at ``N == 1``, the router plus N
+   worker shards above -- and drives ``sessions`` durable sessions
+   through every chunk in lockstep, one
+   :class:`~repro.serve.client.DurableClient` each;
+3. at ``kills`` evenly spaced points it SIGKILLs a process **while
+   requests are in flight**.  At one shard that is the server itself,
+   restarted on the same data dir; above one shard it is a whole
+   worker shard, chosen by the router's own consistent-hash ring so
+   every kill lands on a shard that owns live sessions.
+   ``kill_router`` also SIGKILLs and restarts the router once (the
+   restarted router must fence the orphaned workers), and a live
+   ``migrate`` runs under load when there is a second shard to move
+   to.  After a restart every client is repointed and the idempotent
+   retry machinery resumes -- a retried seq must return the request's
+   one true response whether or not the killed process had applied it;
 4. asserts *zero acknowledged-event loss*: every acknowledged response
-   is record-by-record identical to the reference, and the final
-   ``close`` snapshot (counters, accuracy, pending depth) is bit-exact
-   against the uninterrupted reference run.
+   is record-by-record identical to its reference, and every session's
+   final ``close`` snapshot (counters, accuracy, pending depth) is
+   bit-exact against its uninterrupted reference run.
 
-Any divergence is reported per-chunk in the result dict;
+Any divergence is reported per session and chunk in the result dict;
 ``equivalent`` is the overall verdict the CLI turns into exit code 3.
-
-**Sharded mode** (:func:`run_sharded_crashtest`, ``repro-lvp crashtest
---shards N``) aims the same gun at the sharded tier: it launches a
-router with N worker-shard subprocesses, drives several durable
-sessions concurrently (each with its own reference run), SIGKILLs
-*whole worker shards* -- chosen by the same consistent-hash ring the
-router uses, so every kill lands on a shard that owns live sessions --
-and optionally SIGKILLs the router itself mid-load (the restarted
-router must fence the orphaned workers before recovering).  A live
-``migrate`` is issued while load flows, proving the freeze/move/adopt
-protocol loses nothing either.  The verdict is identical: every acked
-response and every final snapshot must match the references exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from repro.serve.session import (
     spec_from_name,
 )
 
-#: Seconds to wait for a (re)started server to print its port.
+#: Seconds to wait per shard for a (re)started process to print its port.
 SERVER_START_TIMEOUT = 30.0
 
 
@@ -65,38 +62,58 @@ class CrashTestError(RuntimeError):
     """The harness itself failed (server would not start, etc.)."""
 
 
-class _ServerProc:
-    """One ``repro-lvp serve`` subprocess under harness control."""
+class _TierProc:
+    """One ``repro-lvp serve --shards N`` subprocess under harness
+    control: a bare server at ``N == 1``, the sharded tier's router
+    above.  SIGKILLing a router leaves its workers behind as orphans
+    on purpose -- the restarted router must fence them.
+    """
 
-    def __init__(self, data_dir: str, fsync_interval: float,
-                 checkpoint_every: int) -> None:
+    def __init__(self, data_dir: str, shards: int, fsync_interval: float,
+                 checkpoint_every: int, standbys: int = 0,
+                 health_interval: float | None = None,
+                 health_backoff_max: float | None = None) -> None:
         self.data_dir = data_dir
+        self.shards = shards
         self.fsync_interval = fsync_interval
         self.checkpoint_every = checkpoint_every
+        self.standbys = standbys
+        self.health_interval = health_interval
+        self.health_backoff_max = health_backoff_max
         self.proc: subprocess.Popen | None = None
         self.port: int | None = None
 
     def start(self) -> int:
-        """Launch the server; returns the bound (ephemeral) port."""
+        """Launch the process; returns the bound (ephemeral) port."""
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_root, env.get("PYTHONPATH")) if p
         )
+        command = [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0",
+            "--shards", str(self.shards),
+            "--data-dir", self.data_dir,
+            "--fsync-interval", str(self.fsync_interval),
+            "--checkpoint-every", str(self.checkpoint_every),
+        ]
+        if self.standbys:
+            command += ["--standbys", str(self.standbys)]
+        if self.health_interval is not None:
+            command += ["--health-interval", str(self.health_interval)]
+        if self.health_backoff_max is not None:
+            command += [
+                "--health-backoff-max", str(self.health_backoff_max)
+            ]
         self.proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0",
-                "--data-dir", self.data_dir,
-                "--fsync-interval", str(self.fsync_interval),
-                "--checkpoint-every", str(self.checkpoint_every),
-            ],
+            command,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
             text=True,
         )
-        deadline = time.monotonic() + SERVER_START_TIMEOUT
+        deadline = time.monotonic() + SERVER_START_TIMEOUT * self.shards
         while time.monotonic() < deadline:
             line = self.proc.stdout.readline()
             if not line:
@@ -110,7 +127,8 @@ class _ServerProc:
         raise CrashTestError("server never reported its port")
 
     def kill(self) -> None:
-        """SIGKILL: no drain, no atexit, no flush -- a real crash."""
+        """SIGKILL the top-level process: no drain, no atexit, no
+        flush -- a real crash."""
         if self.proc is not None and self.proc.poll() is None:
             self.proc.send_signal(signal.SIGKILL)
             self.proc.wait()
@@ -119,17 +137,45 @@ class _ServerProc:
         if self.proc is not None and self.proc.poll() is None:
             self.proc.terminate()
             try:
-                self.proc.wait(timeout=10)
+                self.proc.wait(timeout=20)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait()
+
+    def kill_worker(self, shard: str) -> int | None:
+        """SIGKILL one worker shard by name; returns the pid shot, or
+        None when the tier's state file names no live worker for it.
+
+        The pid comes from the tier's state file (rewritten by the
+        router after every spawn) and is verified against ``/proc``
+        before firing, the same fencing discipline the router itself
+        uses -- a recycled pid is never killed.
+        """
+        from repro.serve.shardmgr import read_state
+
+        state = read_state(self.data_dir) or {}
+        info = (state.get("workers") or {}).get(shard) or {}
+        pid = info.get("pid")
+        if not isinstance(pid, int) or pid <= 0:
+            return None
+        try:
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except OSError:
+            return None
+        if self.data_dir not in cmdline.decode("utf-8", "replace"):
+            return None
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            return None
+        return pid
 
 
 def _reference_run(
     spec: dict | None,
     workload_desc: dict,
     chunks: list[list[dict]],
-    session_id: str = "crashtest",
+    session_id: str,
 ) -> tuple[list[dict], dict]:
     """The uninterrupted ground truth: results per chunk + final state."""
     session = PredictorSession(
@@ -142,35 +188,104 @@ def _reference_run(
 
 
 async def _drive(
-    client: DurableClient,
-    server: _ServerProc,
-    chunks: list[list[dict]],
+    clients: list[DurableClient],
+    chunk_lists: list[list[list[dict]]],
     kill_at: set[int],
+    restart_at: set[int],
+    migrate_at: set[int],
+    victims: list[str],
+    migrate_target: str,
+    proc: _TierProc,
     note: Callable[[str], None],
-) -> tuple[list[dict], int]:
-    """Apply every chunk, SIGKILLing/restarting at the chosen points."""
-    await client.connect()
-    acked: list[dict] = []
+) -> dict:
+    """Drive every session in chunk lockstep, injecting chaos.
+
+    At a ``restart_at`` chunk the top-level process is SIGKILLed and
+    restarted, and every client repointed; at a ``kill_at`` chunk one
+    worker shard (rotating over ``victims``) is SIGKILLed.  Requests
+    are launched *before* each injection so every kill lands with
+    frames in flight; the retried seqs must resolve each one
+    exactly-once.
+    """
+    for client in clients:
+        await client.connect()
+    acked: list[list[dict]] = [[] for _ in clients]
     kills_done = 0
-    for index, chunk in enumerate(chunks):
-        if index in kill_at:
-            # Launch the request first so the kill lands with it in
-            # flight: the server may or may not have applied it, and
-            # the retried seq must resolve that ambiguity exactly-once.
-            task = asyncio.create_task(client.apply(chunk))
-            await asyncio.sleep(0)  # let the frame reach the wire
-            server.kill()
-            kills_done += 1
-            port = server.start()
-            client.port = port
+    restarts = 0
+    migrations: list[asyncio.Task] = []
+    victim_iter = itertools.cycle(victims)
+    loop = asyncio.get_running_loop()
+    total = max(len(chunks) for chunks in chunk_lists)
+    for index in range(total):
+        tasks = {
+            i: asyncio.create_task(clients[i].apply(chunk_lists[i][index]))
+            for i in range(len(clients))
+            if index < len(chunk_lists[i])
+        }
+        await asyncio.sleep(0)  # let the frames reach the wire
+        if index in restart_at:
+            proc.kill()
+            restarts += 1
+            port = await loop.run_in_executor(None, proc.start)
+            for client in clients:
+                client.port = port
             note(
-                f"kill {kills_done}: SIGKILL at chunk {index}, "
+                f"restart {restarts}: SIGKILL at chunk {index}, "
                 f"restarted on port {port}"
             )
-            acked.append(await task)
-        else:
-            acked.append(await client.apply(chunk))
-    return acked, kills_done
+        elif index in kill_at:
+            victim = next(victim_iter)
+            pid = proc.kill_worker(victim)
+            if pid is None:
+                note(
+                    f"worker kill at chunk {index} missed: no live "
+                    f"pid recorded for {victim}"
+                )
+            else:
+                kills_done += 1
+                note(
+                    f"kill {kills_done}: SIGKILL worker {victim} "
+                    f"(pid {pid}) at chunk {index}"
+                )
+        if index in migrate_at:
+            migrations.append(asyncio.create_task(_migrate(
+                proc, clients[0].session_id, migrate_target, note
+            )))
+        for i, task in tasks.items():
+            acked[i].append(await task)
+    migrated = [await task for task in migrations]
+    return {
+        "acked": acked,
+        "kills_done": kills_done,
+        "restarts": restarts,
+        "migrations": migrated,
+    }
+
+
+async def _migrate(
+    proc: _TierProc, session_id: str, target: str,
+    note: Callable[[str], None],
+) -> dict:
+    """One live ``migrate`` request, retried across router restarts."""
+    last: dict = {"migrated": False, "error": "never attempted"}
+    for attempt in range(20):
+        try:
+            async with await ServeClient.connect(
+                "127.0.0.1", proc.port
+            ) as admin:
+                result = await admin.request(
+                    "migrate", session=session_id, target=target
+                )
+            note(
+                f"migrated {session_id!r} {result.get('from')} -> "
+                f"{result.get('to')} at applied_seq "
+                f"{result.get('applied_seq')}"
+            )
+            return result
+        except Exception as exc:  # retry across kills hitting mid-move
+            last = {"migrated": False, "error": f"{exc}"}
+            await asyncio.sleep(0.1 * (attempt + 1))
+    return last
 
 
 def run_crashtest(
@@ -179,7 +294,12 @@ def run_crashtest(
     seed: int = 0,
     predictor: str = "lvp",
     entries: int = 256,
+    shards: int = 1,
+    sessions: int = 3,
     kills: int = 3,
+    kill_router: bool = False,
+    migrations: int = 1,
+    standbys: int = 0,
     events_per_request: int = 64,
     data_dir: str | None = None,
     fsync_interval: float = 0.005,
@@ -189,56 +309,111 @@ def run_crashtest(
 ) -> dict:
     """Run one crash-test campaign; returns the report dict.
 
-    ``equivalent`` is True only when every acknowledged response and
-    the final close snapshot match the uninterrupted reference run.
+    Each of ``sessions`` durable sessions replays its own trace
+    (``seed + i``) against its own local reference.  ``kills`` SIGKILLs
+    land mid-load: restarts of the one server at ``shards == 1``,
+    worker-shard kills (rotating over the shards that own sessions)
+    above.  With more than one shard, ``kill_router=True`` also
+    SIGKILLs the router itself once, and ``migrations > 0`` runs one
+    live migration concurrently with the load.  ``equivalent`` is True
+    only when every session's acked responses and final snapshot match
+    its reference.
+
+    ``standbys=1`` runs the same campaign with a warm standby behind
+    every shard -- worker kills then exercise promotion instead of
+    restart-and-replay -- and appends a recovery-time-objective
+    comparison (:func:`measure_rto`) to the report under ``"rto"``.
     """
+    from repro.serve.ring import HashRing
+    from repro.serve.shardmgr import shard_name
     from repro.workloads.generator import ensure_stored, generate_trace
 
     note = progress or (lambda message: None)
     spec = spec_from_name(predictor, entries)
-    workload_desc = {"name": workload, "length": length, "seed": seed}
-    ensure_stored(workload, length, seed)
-    events = trace_to_events(generate_trace(workload, length, seed))
-    chunks = [
-        events[i:i + events_per_request]
-        for i in range(0, len(events), events_per_request)
-    ]
-    note(f"{len(events)} events in {len(chunks)} chunks; "
-         f"{kills} SIGKILL cycle(s) planned")
+    shard_names = [shard_name(i) for i in range(shards)]
+    ring = HashRing(shard_names)
 
-    expected, expected_final = _reference_run(spec, workload_desc, chunks)
+    session_ids = [f"crash-{i:02d}" for i in range(sessions)]
+    chunk_lists: list[list[list[dict]]] = []
+    references: list[tuple[list[dict], dict]] = []
+    workloads: list[dict] = []
+    for i in range(sessions):
+        desc = {"name": workload, "length": length, "seed": seed + i}
+        workloads.append(desc)
+        ensure_stored(workload, length, seed + i)
+        events = trace_to_events(generate_trace(workload, length, seed + i))
+        chunks = [
+            events[j:j + events_per_request]
+            for j in range(0, len(events), events_per_request)
+        ]
+        chunk_lists.append(chunks)
+        references.append(
+            _reference_run(spec, desc, chunks, session_id=session_ids[i])
+        )
+    total = max(len(chunks) for chunks in chunk_lists)
 
-    spacing = max(1, len(chunks) // (kills + 1))
+    placements = {sid: ring.lookup(sid) for sid in session_ids}
+    # Rotate kills over exactly the shards that own live sessions, so
+    # no SIGKILL is a blank.
+    victims = list(dict.fromkeys(placements.values()))
+    note(
+        f"{sessions} session(s) over {shards} shard(s): " + ", ".join(
+            f"{sid}->{shard}" for sid, shard in placements.items()
+        )
+    )
+
+    spacing = max(1, total // (kills + 2))
     kill_at = {spacing * (i + 1) for i in range(kills)}
-    kill_at = {k for k in kill_at if k < len(chunks)}
+    kill_at = {k for k in kill_at if k < total}
+    if shards == 1:
+        # The one server is the whole tier: every kill restarts it.
+        restart_at, kill_at = kill_at, set()
+    else:
+        restart_at = {(2 * total) // 3} if kill_router else set()
+        kill_at -= restart_at
+    migrate_at = (
+        {max(1, total // 3)} if migrations > 0 and shards > 1 else set()
+    )
+    owner = placements[session_ids[0]]
+    migrate_target = shard_names[(shard_names.index(owner) + 1) % shards]
 
     owned_tmp = None
     if data_dir is None:
         owned_tmp = tempfile.TemporaryDirectory(prefix="repro-crashtest-")
         data_dir = owned_tmp.name
 
-    server = _ServerProc(data_dir, fsync_interval, checkpoint_every)
-    client = DurableClient(
-        "127.0.0.1", 0, "crashtest", spec, workload=workload_desc
+    proc = _TierProc(
+        data_dir, shards, fsync_interval, checkpoint_every,
+        standbys=standbys,
+        # Bound failure detection so backed-off health polls never
+        # dominate the campaign (or the RTO comparison's fairness).
+        health_backoff_max=0.5,
     )
+    clients = [
+        DurableClient("127.0.0.1", 0, sid, spec, workload=workloads[i])
+        for i, sid in enumerate(session_ids)
+    ]
 
     async def _campaign() -> dict:
-        client.port = server.start()
+        loop = asyncio.get_running_loop()
+        port = await loop.run_in_executor(None, proc.start)
+        for client in clients:
+            client.port = port
         try:
-            acked, kills_done = await _drive(
-                client, server, chunks, kill_at, note
+            outcome = await _drive(
+                clients, chunk_lists, kill_at, restart_at, migrate_at,
+                victims, migrate_target, proc, note,
             )
-            stats = await client.stats()
-            closed = await client.close_session()
-            return {
-                "acked": acked,
-                "kills_done": kills_done,
-                "final": closed.get("closed"),
-                "durability": stats.get("durability", {}),
-            }
+            outcome["tier"] = await clients[0].stats()
+            outcome["finals"] = [
+                (await client.close_session()).get("closed")
+                for client in clients
+            ]
+            return outcome
         finally:
-            await client.close()
-            server.terminate()
+            for client in clients:
+                await client.close()
+            proc.terminate()
 
     async def _bounded() -> dict:
         # Backstop: a harness/client bug must surface as a failure, not
@@ -256,39 +431,111 @@ def run_crashtest(
         if owned_tmp is not None:
             owned_tmp.cleanup()
 
-    acked = outcome["acked"]
-    mismatches = [
-        index for index, (got, want) in enumerate(zip(acked, expected))
-        if got != want
-    ]
-    lost_acks = len(expected) - len(acked)
-    final_match = outcome["final"] == expected_final
-    equivalent = not mismatches and lost_acks == 0 and final_match
+    mismatches: list[str] = []
+    lost_acks = 0
+    finals_match = True
+    for i, sid in enumerate(session_ids):
+        expected, expected_final = references[i]
+        acked = outcome["acked"][i]
+        lost_acks += len(expected) - len(acked)
+        mismatches.extend(
+            f"{sid}:chunk-{j}"
+            for j, (got, want) in enumerate(zip(acked, expected))
+            if got != want
+        )
+        if outcome["finals"][i] != expected_final:
+            finals_match = False
+            mismatches.append(f"{sid}:final-state")
+    # A migration that raced a kill may legitimately resolve to "the
+    # session already lives on the target" (the move landed before the
+    # rollback); only a migration that never moved anything and never
+    # settled is a failure.
+    migration_ok = all(
+        m.get("migrated") or m.get("reason")
+        for m in outcome["migrations"]
+    )
+    equivalent = (
+        not mismatches and lost_acks == 0 and finals_match and migration_ok
+    )
+
+    tier = outcome["tier"]
+    if shards == 1:
+        # Give the bare server's stats the router's per-shard shape:
+        # one process, restarted once per kill.
+        kills_done, router_kills = outcome["restarts"], 0
+        tier = {"shards": {shard_names[0]: {
+            "stats": tier, "restarts": kills_done,
+        }}}
+    else:
+        kills_done, router_kills = outcome["kills_done"], outcome["restarts"]
+    processes = tier.get("shards", {})
     report = {
-        "workload": workload_desc,
+        "workload": {"name": workload, "length": length, "seed": seed},
         "predictor": predictor,
         "entries": entries,
-        "chunks": len(chunks),
-        "events": len(events),
+        "shards": shards,
+        "sessions": sessions,
+        "standbys": standbys,
+        "promotions": {
+            name: entry.get("promotions", 0)
+            for name, entry in processes.items()
+        },
+        "placements": placements,
+        "chunks": sum(len(chunks) for chunks in chunk_lists),
+        "events": sum(
+            sum(len(chunk) for chunk in chunks) for chunks in chunk_lists
+        ),
         "events_per_request": events_per_request,
         "kills_requested": kills,
-        "kills_done": outcome["kills_done"],
-        "reconnects": client.reconnects,
-        "retries": client.retries,
-        "acked_chunks": len(acked),
+        "kills_done": kills_done,
+        "router_kills": router_kills,
+        "worker_restarts": {
+            name: entry.get("restarts", 0)
+            for name, entry in processes.items()
+        },
+        "migrations": outcome["migrations"],
+        "reconnects": sum(client.reconnects for client in clients),
+        "retries": sum(client.retries for client in clients),
+        "acked_chunks": sum(len(acks) for acks in outcome["acked"]),
         "lost_acks": lost_acks,
         "mismatched_chunks": mismatches,
-        "final_state_match": final_match,
-        "final_state": outcome["final"],
-        "reference_final_state": expected_final,
-        "durability": outcome["durability"],
+        "final_state_match": finals_match,
+        "final_state": {
+            sid: outcome["finals"][i] for i, sid in enumerate(session_ids)
+        },
+        "reference_final_state": {
+            sid: references[i][1] for i, sid in enumerate(session_ids)
+        },
+        "router_counters": tier.get("router_counters", {}),
+        "durability": {
+            name: entry.get("stats", {}).get("durability", {})
+            for name, entry in processes.items()
+        },
         "equivalent": equivalent,
     }
     note(
         f"verdict: {'EQUIVALENT' if equivalent else 'DIVERGED'} "
-        f"({len(acked)}/{len(chunks)} chunks acked, "
-        f"{outcome['kills_done']} kills, {client.reconnects} reconnects)"
+        f"({report['acked_chunks']}/{report['chunks']} chunks acked, "
+        f"{kills_done} kill(s), {router_kills} router kill(s), "
+        f"{len(outcome['migrations'])} migration(s), "
+        f"{report['reconnects']} reconnects)"
     )
+    if standbys:
+        lengths = tuple(sorted({
+            max(events_per_request, length // 4),
+            max(events_per_request, length // 2),
+            length,
+        }))
+        note(f"measuring recovery-time objective at WAL lengths {lengths}")
+        report["rto"] = measure_rto(
+            lengths=lengths,
+            predictor=predictor,
+            entries=entries,
+            events_per_request=events_per_request,
+            fsync_interval=fsync_interval,
+            timeout=timeout,
+            progress=progress,
+        )
     return report
 
 
@@ -345,7 +592,7 @@ async def _measure_one_rto(
     ]
     loop = asyncio.get_running_loop()
     with tempfile.TemporaryDirectory(prefix="repro-rto-") as root:
-        router = _RouterProc(
+        tier = _TierProc(
             root, shards, fsync_interval,
             checkpoint_every=1_000_000_000,
             standbys=1 if mode == "promote" else 0,
@@ -354,11 +601,11 @@ async def _measure_one_rto(
         )
         client = DurableClient("127.0.0.1", 0, session_id, spec)
         try:
-            client.port = await loop.run_in_executor(None, router.start)
+            client.port = await loop.run_in_executor(None, tier.start)
             await client.connect()
             for chunk in chunks:
                 await client.apply(chunk)
-            pid = router.kill_worker(victim)
+            pid = tier.kill_worker(victim)
             killed_at = time.monotonic()
             await client.apply(_synthetic_events(1))
             rto = time.monotonic() - killed_at
@@ -375,7 +622,7 @@ async def _measure_one_rto(
             }
         finally:
             await client.close()
-            router.terminate()
+            tier.terminate()
 
 
 def measure_rto(
@@ -440,453 +687,9 @@ def measure_rto(
     }
 
 
-# ----------------------------------------------------------------------
-# Sharded tier chaos testing
-# ----------------------------------------------------------------------
-
-
-class _RouterProc:
-    """One ``repro-lvp serve --shards N`` subprocess under harness
-    control.  Unlike :class:`_ServerProc` its SIGKILL leaves worker
-    orphans behind on purpose -- the restarted router must fence them.
-    """
-
-    def __init__(self, data_dir: str, shards: int, fsync_interval: float,
-                 checkpoint_every: int, standbys: int = 0,
-                 health_interval: float | None = None,
-                 health_backoff_max: float | None = None) -> None:
-        self.data_dir = data_dir
-        self.shards = shards
-        self.fsync_interval = fsync_interval
-        self.checkpoint_every = checkpoint_every
-        self.standbys = standbys
-        self.health_interval = health_interval
-        self.health_backoff_max = health_backoff_max
-        self.proc: subprocess.Popen | None = None
-        self.port: int | None = None
-
-    def start(self) -> int:
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        command = [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0",
-            "--shards", str(self.shards),
-            "--data-dir", self.data_dir,
-            "--fsync-interval", str(self.fsync_interval),
-            "--checkpoint-every", str(self.checkpoint_every),
-        ]
-        if self.standbys:
-            command += ["--standbys", str(self.standbys)]
-        if self.health_interval is not None:
-            command += ["--health-interval", str(self.health_interval)]
-        if self.health_backoff_max is not None:
-            command += [
-                "--health-backoff-max", str(self.health_backoff_max)
-            ]
-        self.proc = subprocess.Popen(
-            command,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-            text=True,
-        )
-        deadline = time.monotonic() + SERVER_START_TIMEOUT * self.shards
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                raise CrashTestError(
-                    f"router exited during startup "
-                    f"(code {self.proc.poll()})"
-                )
-            if line.startswith("serving on"):
-                self.port = int(line.rsplit(":", 1)[1])
-                return self.port
-        raise CrashTestError("router never reported its port")
-
-    def kill(self) -> None:
-        """SIGKILL the router only; its workers become orphans."""
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGKILL)
-            self.proc.wait()
-
-    def terminate(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=20)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
-
-    def kill_worker(self, shard: str) -> int | None:
-        """SIGKILL one worker shard by name; returns the pid shot.
-
-        The pid comes from the tier's state file (rewritten by the
-        router after every spawn) and is verified against ``/proc``
-        before firing, the same fencing discipline the router itself
-        uses -- a recycled pid is never killed.
-        """
-        from repro.serve.shardmgr import read_state
-
-        state = read_state(self.data_dir) or {}
-        info = (state.get("workers") or {}).get(shard) or {}
-        pid = info.get("pid")
-        if not isinstance(pid, int) or pid <= 0:
-            return None
-        try:
-            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
-        except OSError:
-            return None
-        if self.data_dir not in cmdline.decode("utf-8", "replace"):
-            return None
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            return None
-        return pid
-
-
-async def _drive_fleet(
-    clients: list[DurableClient],
-    chunk_lists: list[list[list[dict]]],
-    kill_at: set[int],
-    router_kill_at: set[int],
-    migrate_at: set[int],
-    victims: list[str],
-    migrate_target: Callable[[str], str],
-    ring_lookup: Callable[[str], str],
-    router: _RouterProc,
-    note: Callable[[str], None],
-) -> dict:
-    """Drive every session in chunk lockstep, injecting chaos.
-
-    Requests are launched *before* each injection so every kill lands
-    with frames in flight; the retried seqs must resolve each one
-    exactly-once.
-    """
-    for client in clients:
-        await client.connect()
-    acked: list[list[dict]] = [[] for _ in clients]
-    kills_done = 0
-    router_kills = 0
-    migrations: list[asyncio.Task] = []
-    victim_iter = itertools.cycle(victims)
-    loop = asyncio.get_running_loop()
-    total = max(len(chunks) for chunks in chunk_lists)
-    for index in range(total):
-        tasks = {
-            i: asyncio.create_task(clients[i].apply(chunk_lists[i][index]))
-            for i in range(len(clients))
-            if index < len(chunk_lists[i])
-        }
-        await asyncio.sleep(0)  # let the frames reach the wire
-        if index in router_kill_at:
-            router.kill()
-            router_kills += 1
-            port = await loop.run_in_executor(None, router.start)
-            for client in clients:
-                client.port = port
-            note(
-                f"router kill {router_kills}: SIGKILL at chunk {index}, "
-                f"restarted on port {port} (orphan workers fenced)"
-            )
-        elif index in kill_at:
-            victim = next(victim_iter)
-            pid = router.kill_worker(victim)
-            kills_done += 1
-            note(
-                f"kill {kills_done}: SIGKILL worker {victim} "
-                f"(pid {pid}) at chunk {index}"
-            )
-        if index in migrate_at:
-            session_id = clients[0].session_id
-            target = migrate_target(ring_lookup(session_id))
-            migrations.append(asyncio.create_task(_migrate_via_router(
-                router, session_id, target, note
-            )))
-        for i, task in tasks.items():
-            acked[i].append(await task)
-    migrated = [await task for task in migrations]
-    return {
-        "acked": acked,
-        "kills_done": kills_done,
-        "router_kills": router_kills,
-        "migrations": migrated,
-    }
-
-
-async def _migrate_via_router(
-    router: _RouterProc, session_id: str, target: str,
-    note: Callable[[str], None],
-) -> dict:
-    """One live ``migrate`` request, retried across router restarts."""
-    last: dict = {"migrated": False, "error": "never attempted"}
-    for attempt in range(20):
-        try:
-            async with await ServeClient.connect(
-                "127.0.0.1", router.port
-            ) as admin:
-                result = await admin.request(
-                    "migrate", session=session_id, target=target
-                )
-            note(
-                f"migrated {session_id!r} {result.get('from')} -> "
-                f"{result.get('to')} at applied_seq "
-                f"{result.get('applied_seq')}"
-            )
-            return result
-        except Exception as exc:  # retry across kills hitting mid-move
-            last = {"migrated": False, "error": f"{exc}"}
-            await asyncio.sleep(0.1 * (attempt + 1))
-    return last
-
-
-def run_sharded_crashtest(
-    workload: str = "gcc2k",
-    length: int = 2000,
-    seed: int = 0,
-    predictor: str = "lvp",
-    entries: int = 256,
-    shards: int = 3,
-    sessions: int = 3,
-    kills: int = 2,
-    kill_router: bool = False,
-    migrations: int = 1,
-    standbys: int = 0,
-    events_per_request: int = 64,
-    data_dir: str | None = None,
-    fsync_interval: float = 0.005,
-    checkpoint_every: int = 200,
-    timeout: float = 600.0,
-    progress: Callable[[str], None] | None = None,
-) -> dict:
-    """Chaos-test the sharded tier; returns the report dict.
-
-    Each of ``sessions`` durable sessions replays its own trace
-    (``seed + i``) against its own local reference.  ``kills`` worker
-    shards are SIGKILLed mid-load (rotating over the shards that own
-    sessions), ``kill_router=True`` also SIGKILLs the router itself
-    once, and ``migrations`` live migrations run concurrently with the
-    load.  ``equivalent`` is True only when every session's acked
-    responses and final snapshot match its reference.
-
-    ``standbys=1`` runs the same campaign with a warm standby behind
-    every shard -- worker kills then exercise promotion instead of
-    restart-and-replay -- and appends a recovery-time-objective
-    comparison (:func:`measure_rto`) to the report under ``"rto"``.
-    """
-    from repro.serve.ring import HashRing
-    from repro.serve.shardmgr import shard_name
-    from repro.workloads.generator import ensure_stored, generate_trace
-
-    note = progress or (lambda message: None)
-    spec = spec_from_name(predictor, entries)
-    shard_names = [shard_name(i) for i in range(shards)]
-    ring = HashRing(shard_names)
-
-    session_ids = [f"crash-{i:02d}" for i in range(sessions)]
-    chunk_lists: list[list[list[dict]]] = []
-    references: list[tuple[list[dict], dict]] = []
-    workloads: list[dict] = []
-    for i in range(sessions):
-        desc = {"name": workload, "length": length, "seed": seed + i}
-        workloads.append(desc)
-        ensure_stored(workload, length, seed + i)
-        events = trace_to_events(generate_trace(workload, length, seed + i))
-        chunks = [
-            events[j:j + events_per_request]
-            for j in range(0, len(events), events_per_request)
-        ]
-        chunk_lists.append(chunks)
-        references.append(
-            _reference_run(spec, desc, chunks, session_id=session_ids[i])
-        )
-    total = max(len(chunks) for chunks in chunk_lists)
-
-    placements = {sid: ring.lookup(sid) for sid in session_ids}
-    # Rotate kills over exactly the shards that own live sessions, so
-    # no SIGKILL is a blank.
-    victims = list(dict.fromkeys(placements.values()))
-    note(
-        f"{sessions} session(s) over {shards} shard(s): " + ", ".join(
-            f"{sid}->{shard}" for sid, shard in placements.items()
-        )
-    )
-
-    spacing = max(1, total // (kills + 2))
-    kill_at = {spacing * (i + 1) for i in range(kills)}
-    kill_at = {k for k in kill_at if k < total}
-    router_kill_at = {(2 * total) // 3} if kill_router else set()
-    kill_at -= router_kill_at
-    migrate_at = (
-        {max(1, total // 3)} if migrations > 0 and shards > 1 else set()
-    )
-
-    def migrate_target(owner: str) -> str:
-        return shard_names[(shard_names.index(owner) + 1) % shards]
-
-    owned_tmp = None
-    if data_dir is None:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="repro-shardtest-")
-        data_dir = owned_tmp.name
-
-    router = _RouterProc(
-        data_dir, shards, fsync_interval, checkpoint_every,
-        standbys=standbys,
-        # Bound failure detection so backed-off health polls never
-        # dominate the campaign (or the RTO comparison's fairness).
-        health_backoff_max=0.5,
-    )
-    clients = [
-        DurableClient("127.0.0.1", 0, sid, spec, workload=workloads[i])
-        for i, sid in enumerate(session_ids)
-    ]
-
-    async def _campaign() -> dict:
-        loop = asyncio.get_running_loop()
-        port = await loop.run_in_executor(None, router.start)
-        for client in clients:
-            client.port = port
-        try:
-            outcome = await _drive_fleet(
-                clients, chunk_lists, kill_at, router_kill_at,
-                migrate_at, victims, migrate_target, ring.lookup,
-                router, note,
-            )
-            async with await ServeClient.connect(
-                "127.0.0.1", router.port
-            ) as admin:
-                tier = await admin.stats()
-            outcome["finals"] = [
-                (await client.close_session()).get("closed")
-                for client in clients
-            ]
-            outcome["tier"] = tier
-            return outcome
-        finally:
-            for client in clients:
-                await client.close()
-            router.terminate()
-
-    async def _bounded() -> dict:
-        try:
-            return await asyncio.wait_for(_campaign(), timeout)
-        except asyncio.TimeoutError:
-            raise CrashTestError(
-                f"sharded campaign did not finish within {timeout:.0f}s"
-            ) from None
-
-    try:
-        outcome = asyncio.run(_bounded())
-    finally:
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
-
-    mismatches: list[str] = []
-    lost_acks = 0
-    finals_match = True
-    for i, sid in enumerate(session_ids):
-        expected, expected_final = references[i]
-        acked = outcome["acked"][i]
-        lost_acks += len(expected) - len(acked)
-        mismatches.extend(
-            f"{sid}:chunk-{j}"
-            for j, (got, want) in enumerate(zip(acked, expected))
-            if got != want
-        )
-        if outcome["finals"][i] != expected_final:
-            finals_match = False
-            mismatches.append(f"{sid}:final-state")
-    # A migration that raced a kill may legitimately resolve to "the
-    # session already lives on the target" (the move landed before the
-    # rollback); only a migration that never moved anything and never
-    # settled is a failure.
-    migration_ok = all(
-        m.get("migrated") or m.get("reason")
-        for m in outcome["migrations"]
-    )
-    equivalent = (
-        not mismatches and lost_acks == 0 and finals_match and migration_ok
-    )
-
-    tier = outcome.get("tier", {})
-    durability = {
-        name: (entry.get("stats", {}).get("durability", {}))
-        for name, entry in tier.get("shards", {}).items()
-    }
-    report = {
-        "workload": {"name": workload, "length": length, "seed": seed},
-        "predictor": predictor,
-        "entries": entries,
-        "shards": shards,
-        "sessions": sessions,
-        "standbys": standbys,
-        "promotions": {
-            name: entry.get("promotions", 0)
-            for name, entry in tier.get("shards", {}).items()
-        },
-        "placements": placements,
-        "chunks": sum(len(chunks) for chunks in chunk_lists),
-        "events": sum(
-            sum(len(chunk) for chunk in chunks) for chunks in chunk_lists
-        ),
-        "events_per_request": events_per_request,
-        "kills_requested": kills,
-        "kills_done": outcome["kills_done"],
-        "router_kills": outcome["router_kills"],
-        "worker_restarts": {
-            name: entry.get("restarts", 0)
-            for name, entry in tier.get("shards", {}).items()
-        },
-        "migrations": outcome["migrations"],
-        "reconnects": sum(client.reconnects for client in clients),
-        "retries": sum(client.retries for client in clients),
-        "acked_chunks": sum(len(acks) for acks in outcome["acked"]),
-        "lost_acks": lost_acks,
-        "mismatched_chunks": mismatches,
-        "final_state_match": finals_match,
-        "final_state": {
-            sid: outcome["finals"][i] for i, sid in enumerate(session_ids)
-        },
-        "router_counters": tier.get("router_counters", {}),
-        "durability": durability,
-        "equivalent": equivalent,
-    }
-    note(
-        f"verdict: {'EQUIVALENT' if equivalent else 'DIVERGED'} "
-        f"({report['acked_chunks']}/{report['chunks']} chunks acked, "
-        f"{outcome['kills_done']} worker kill(s), "
-        f"{outcome['router_kills']} router kill(s), "
-        f"{len(outcome['migrations'])} migration(s), "
-        f"{report['reconnects']} reconnects)"
-    )
-    if standbys:
-        lengths = tuple(sorted({
-            max(events_per_request, length // 4),
-            max(events_per_request, length // 2),
-            length,
-        }))
-        note(f"measuring recovery-time objective at WAL lengths {lengths}")
-        report["rto"] = measure_rto(
-            lengths=lengths,
-            predictor=predictor,
-            entries=entries,
-            events_per_request=events_per_request,
-            fsync_interval=fsync_interval,
-            timeout=timeout,
-            progress=progress,
-        )
-    return report
-
-
 __all__ = [
     "CrashTestError",
     "measure_rto",
     "run_crashtest",
-    "run_sharded_crashtest",
     "SERVER_START_TIMEOUT",
 ]

@@ -185,15 +185,16 @@ class TestPredictorHashEquivalence:
                 )
                 assert fast == slow
             else:
-                for table in range(3):
-                    fast = bound._hash(
-                        pc, table, h.direction, h.path, folded
-                    )
-                    slow = (
+                assert len(folded) >= bound._min_folded  # folds armed
+                fast = bound._all_hashes(pc, h.direction, h.path, folded)
+                slow = [
+                    (
                         reference._index(pc, table, h.direction, h.path),
                         reference._tag(pc, table, h.direction),
                     )
-                    assert fast == slow
+                    for table in range(3)
+                ]
+                assert fast == slow
 
     def test_evtage_hashes_bit_identical(self):
         from repro.eves.evtage import EVtagePredictor
