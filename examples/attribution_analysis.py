@@ -16,8 +16,8 @@ import sys
 from repro.composite import CompositeConfig, CompositePredictor
 from repro.harness.attribution import attribute
 from repro.harness.formatting import frac, render_table
-from repro.pipeline import SingleComponentAdapter
-from repro.predictors import COMPONENT_NAMES, make_component
+from repro.harness.runner import build_predictor
+from repro.predictors import COMPONENT_NAMES
 from repro.workloads import generate_trace
 
 LENGTH = 20_000
@@ -33,8 +33,10 @@ def main() -> None:
     )
     rows = []
     for name in COMPONENT_NAMES:
-        adapter = SingleComponentAdapter(make_component(name, 1024))
-        attribution = attribute(trace, adapter)
+        alone = build_predictor(
+            {"kind": "component", "name": name, "entries": 1024}
+        )
+        attribution = attribute(trace, alone)
         coverage = attribution.coverage_by_kernel()
         rows.append(
             [name.upper()] + [frac(coverage.get(k, 0.0)) for k in kernels]

@@ -8,10 +8,10 @@ study a load pattern the built-in suite lacks.
 """
 
 from repro.common.rng import DeterministicRng
-from repro.composite import CompositeConfig, CompositePredictor
+from repro.composite import CompositeConfig
+from repro.harness.runner import build_predictor
 from repro.isa.trace import Trace
-from repro.pipeline import SingleComponentAdapter, simulate
-from repro.predictors import make_component
+from repro.pipeline import simulate
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.kernels import (
     ChainedStrideKernel,
@@ -51,15 +51,15 @@ def main() -> None:
     print(f"baseline IPC {baseline.ipc:.3f}\n")
 
     contenders = {
-        "lvp-1k": lambda: SingleComponentAdapter(make_component("lvp", 1024)),
-        "sap-1k": lambda: SingleComponentAdapter(make_component("sap", 1024)),
-        "cvp-1k": lambda: SingleComponentAdapter(make_component("cvp", 1024)),
-        "composite-1k": lambda: CompositePredictor(
-            CompositeConfig(epoch_instructions=600).homogeneous(256)
-        ),
+        f"{name}-1k": {"kind": "component", "name": name, "entries": 1024}
+        for name in ("lvp", "sap", "cvp")
     }
-    for label, factory in contenders.items():
-        result = simulate(trace, factory())
+    contenders["composite-1k"] = {
+        "kind": "composite",
+        "config": CompositeConfig(epoch_instructions=600).homogeneous(256),
+    }
+    for label, spec in contenders.items():
+        result = simulate(trace, build_predictor(spec))
         print(f"{label:13s} speedup {result.speedup_over(baseline):+7.2%}  "
               f"coverage {result.coverage:5.1%}  "
               f"accuracy {result.accuracy:.2%}")

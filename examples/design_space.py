@@ -13,22 +13,23 @@ Usage::
 import sys
 from dataclasses import replace
 
-from repro.composite import CompositeConfig, CompositePredictor
+from repro.composite import CompositeConfig
 from repro.harness.formatting import pct, render_table
-from repro.pipeline import SingleComponentAdapter, simulate
-from repro.predictors import COMPONENT_NAMES, make_component
+from repro.harness.runner import build_predictor
+from repro.pipeline import simulate
+from repro.predictors import COMPONENT_NAMES
 from repro.workloads import generate_trace
 
 WORKLOADS = ("mcf", "sunspider", "linpack")
 LENGTH = 20_000
 
 
-def average_speedup(make_predictor) -> float:
+def average_speedup(spec: dict) -> float:
     total = 0.0
     for name in WORKLOADS:
         trace = generate_trace(name, LENGTH)
         baseline = simulate(trace)
-        result = simulate(trace, make_predictor())
+        result = simulate(trace, build_predictor(spec))
         total += result.speedup_over(baseline)
     return total / len(WORKLOADS)
 
@@ -43,7 +44,7 @@ def main() -> None:
 
     for name in COMPONENT_NAMES:
         gain = average_speedup(
-            lambda: SingleComponentAdapter(make_component(name, 4 * per))
+            {"kind": "component", "name": name, "entries": 4 * per}
         )
         rows.append([f"{name.upper()} alone (4x entries)", pct(gain)])
 
@@ -56,7 +57,7 @@ def main() -> None:
         "all optimizations": base,
     }
     for label, config in variants.items():
-        gain = average_speedup(lambda: CompositePredictor(config))
+        gain = average_speedup({"kind": "composite", "config": config})
         rows.append([label, pct(gain)])
 
     print(render_table(["design", "avg speedup"], rows))

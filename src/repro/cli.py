@@ -135,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--entries", type=int, default=256,
-        help="entries per component (composite) or total (single "
-             "predictor); default 256",
+        help="entries per component (composite) or of the lone "
+             "component (lvp/sap/cvp/cap/lap/svp, run as a one-component "
+             "plain composite); default 256",
     )
 
     serve = sub.add_parser(
@@ -765,18 +766,6 @@ def _check_workload(name: str) -> str | None:
     return f"unknown workload {name!r}; valid names: " + ", ".join(valid)
 
 
-def _check_predictor(name: str) -> str | None:
-    """None when ``name`` is a known predictor, else the error message."""
-    from repro.serve.session import PREDICTOR_NAMES
-
-    if name in PREDICTOR_NAMES:
-        return None
-    return (
-        f"unknown predictor {name!r}; valid names: "
-        + ", ".join(PREDICTOR_NAMES)
-    )
-
-
 def _serve_command(args) -> int:
     """The ``serve`` subcommand: run the server until SIGTERM/SIGINT.
 
@@ -1350,11 +1339,10 @@ def _simulate_command(args) -> int:
     """Run one trace file through the timing model and print stats."""
     from dataclasses import asdict
 
-    from repro.composite import CompositeConfig, CompositePredictor
-    from repro.eves import eves_8kb, eves_32kb
+    from repro.harness.runner import build_predictor
     from repro.isa.trace import Trace
-    from repro.pipeline import EvesAdapter, SingleComponentAdapter, simulate
-    from repro.predictors import make_component
+    from repro.pipeline import simulate
+    from repro.serve.session import resolve_spec, spec_from_name
 
     try:
         trace = Trace.load(args.trace)
@@ -1374,25 +1362,10 @@ def _simulate_command(args) -> int:
             file=sys.stderr,
         )
 
-    name = args.predictor.lower()
-    problem = _check_predictor(name)
-    if problem:
-        return _fail(problem)
     try:
-        if name == "none":
-            predictor = None
-        elif name == "composite":
-            predictor = CompositePredictor(
-                CompositeConfig(
-                    epoch_instructions=max(1000, len(trace) // 12)
-                ).homogeneous(args.entries)
-            )
-        elif name == "eves-8kb":
-            predictor = EvesAdapter(eves_8kb())
-        elif name == "eves-32kb":
-            predictor = EvesAdapter(eves_32kb())
-        else:
-            predictor = SingleComponentAdapter(make_component(name, args.entries))
+        predictor = build_predictor(
+            resolve_spec(spec_from_name(args.predictor.lower(), args.entries))
+        )
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -126,7 +126,13 @@ def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
 
     * ``{"kind": "none"}`` or ``None`` -- baseline, no predictor;
     * ``{"kind": "composite", "config": CompositeConfig(...)}``;
-    * ``{"kind": "component", "name": "lvp", "entries": 256}``;
+    * ``{"kind": "component", "name": "lvp", "entries": 256}`` -- one
+      component alone (Figure 3), built as the one-component *plain*
+      composite (every filter off, Section V-A): ``entries`` in the
+      named slot and 0 in the other three, or, for the footnote-1
+      ``lap``/``svp``, all four slots 0 and ``(name, entries)`` as the
+      only extra component.  Its FPC streams are the composite's
+      (``CompositeConfig.seed`` 0);
     * ``{"kind": "eves", "variant": "8kb"|"32kb"|"infinite", "seed": 0}``.
 
     Malformed specs raise :class:`ValueError` with a one-line message
@@ -134,9 +140,10 @@ def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
     code 2 -- the PR-1 exit-code contract for bad inputs.
     """
     from repro.composite.composite import CompositePredictor
+    from repro.composite.config import CompositeConfig
     from repro.eves.eves import eves_8kb, eves_32kb, eves_infinite
-    from repro.pipeline.vp import EvesAdapter, SingleComponentAdapter
-    from repro.predictors import make_component
+    from repro.pipeline.vp import EvesAdapter
+    from repro.predictors import COMPONENT_NAMES
 
     if spec is None:
         return None
@@ -169,9 +176,11 @@ def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
                 f"component predictor spec for {spec['name']!r} missing "
                 "'entries'"
             )
-        return SingleComponentAdapter(
-            make_component(spec["name"], spec["entries"])
-        )
+        name, entries = spec["name"], spec["entries"]
+        slots = {n: entries if n == name else 0 for n in COMPONENT_NAMES}
+        extra = () if name in slots else ((name, entries),)
+        config = CompositeConfig(extra_components=extra)
+        return CompositePredictor(config.with_entries(**slots).plain())
     if kind == "eves":
         factories = {
             "8kb": eves_8kb, "32kb": eves_32kb, "infinite": eves_infinite,

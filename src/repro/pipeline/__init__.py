@@ -28,7 +28,6 @@ from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
 from repro.pipeline.result import SimResult
 from repro.pipeline.vp import (
     NoPredictor,
-    SingleComponentAdapter,
     EvesAdapter,
     ValuePredictorHost,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "NoPredictor",
     "SimResult",
     "SimulationInterrupted",
-    "SingleComponentAdapter",
     "ValuePredictorHost",
     "simulate",
 ]

@@ -88,7 +88,9 @@ from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
 #: predictor interaction ordering, flush policy -- so stale cached
 #: cells stop matching.  Pure refactors and speedups leave it alone.
 #: 2: ``SimResult.accuracy`` is 0.0, not 1.0, when nothing was predicted.
-TIMING_SEMANTICS_VERSION = 2
+#: 3: a lone component is a one-component plain composite, so it draws
+#: its FPC stream from the composite's seed.
+TIMING_SEMANTICS_VERSION = 3
 
 # Raw opclass integers the dispatch tables key on; defined next to the
 # enum in repro.isa.instruction so the columnar loop cannot drift.

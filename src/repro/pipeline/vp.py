@@ -1,10 +1,13 @@
-"""Value-predictor host interface and adapters.
+"""Value-predictor host interface and the hosts beside the composite.
 
 The core model talks to *any* load value predictor through a small
-protocol -- :class:`repro.composite.CompositePredictor` implements it
-natively; single components (Figure 3) and EVES (Figures 11/12) are
-wrapped in adapters that produce the same
-:class:`~repro.composite.composite.CompositeDecision` records.
+protocol.  :class:`repro.composite.CompositePredictor` implements it
+natively, and a lone component (Figure 3) is simply a plain composite
+of one (``{"kind": "component"}`` specs build exactly that; see
+:func:`repro.harness.runner.build_predictor`).  EVES (Figures 11/12) is
+wrapped in :class:`EvesAdapter`, which produces the same
+:class:`~repro.composite.composite.CompositeDecision` records, and
+:class:`NoPredictor` is the no-value-prediction baseline.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.composite.composite import CompositeDecision
-from repro.predictors.base import ComponentPredictor
 from repro.predictors.types import LoadOutcome, LoadProbe
 
 
@@ -52,8 +54,8 @@ class NoPredictor:
         return 0
 
 
-class _AdapterStats:
-    """Coverage/accuracy bookkeeping shared by the adapters."""
+class _EvesStats:
+    """Coverage/accuracy bookkeeping of an :class:`EvesAdapter`."""
 
     __slots__ = ("loads", "predicted_loads", "correct_used", "incorrect_used")
 
@@ -73,56 +75,12 @@ class _AdapterStats:
         return self.correct_used / used if used else 0.0
 
 
-class SingleComponentAdapter:
-    """Run one component predictor in isolation (Figure 3)."""
-
-    def __init__(self, component: ComponentPredictor) -> None:
-        self.component = component
-        self.stats = _AdapterStats()
-
-    def bind_history(self, histories) -> None:
-        self.component.bind_history(histories)
-
-    def bind_frontend(self, stream) -> None:
-        self.component.bind_frontend(stream)
-
-    def predict(self, probe: LoadProbe) -> CompositeDecision:
-        self.stats.loads += 1
-        prediction = self.component.predict(probe)
-        if prediction is None:
-            return CompositeDecision(
-                probe=probe, chosen=None, confident={}, squashed=frozenset()
-            )
-        self.stats.predicted_loads += 1
-        return CompositeDecision(
-            probe=probe,
-            chosen=prediction,
-            confident={prediction.component: prediction},
-            squashed=frozenset(),
-        )
-
-    def validate_and_train(self, decision, outcome, correctness) -> None:
-        if decision.chosen is not None:
-            if correctness[decision.chosen.component]:
-                self.stats.correct_used += 1
-            else:
-                self.stats.incorrect_used += 1
-                self.component.penalize(outcome)
-        self.component.train(outcome)
-
-    def tick_instructions(self, count: int) -> None:
-        pass
-
-    def storage_bits(self) -> int:
-        return self.component.storage_bits()
-
-
 class EvesAdapter:
     """Run an EVES predictor through the host interface."""
 
     def __init__(self, eves) -> None:
         self.eves = eves
-        self.stats = _AdapterStats()
+        self.stats = _EvesStats()
 
     def bind_history(self, histories) -> None:
         bind = getattr(self.eves, "bind_history", None)

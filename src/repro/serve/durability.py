@@ -81,8 +81,9 @@ from repro.serve.session import (
 WAL_FORMAT = 1
 
 #: Checkpoint layout version; bump on any format change.  Format 3
-#: pickles predictor tables as per-field column lists.
-CHECKPOINT_FORMAT = 3
+#: pickles predictor tables as per-field column lists; format 4 pickles
+#: a lone-component session as a one-component composite.
+CHECKPOINT_FORMAT = 4
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"

@@ -306,10 +306,29 @@ def resolve_spec(spec: dict | None) -> dict | None:
     ``entries`` shorthand for a homogeneous sizing) rather than as a
     dataclass instance.  Unknown config fields fail with a message that
     lists the valid ones.
+
+    This is the wire boundary, so it also checks the fields
+    ``build_predictor`` would otherwise trip over with a raw
+    ``TypeError``: names and EVES variants must be strings, entry
+    counts non-bool ints (positive, or non-negative for a composite's
+    four slots, where 0 leaves the component out), and
+    ``extra_components`` ``[name, entries]`` pairs.  Every failure is a
+    :class:`SessionError` with code ``bad-spec``.
     """
     if spec is None or not isinstance(spec, dict):
         return spec  # build_predictor produces the canonical error
-    if spec.get("kind") != "composite":
+    kind = spec.get("kind")
+    if kind == "component":
+        if "name" in spec:
+            _wire_str(spec["name"], "component 'name'")
+        if "entries" in spec:
+            _wire_int(spec["entries"], "component 'entries'", 1)
+        return spec
+    if kind == "eves":
+        if "variant" in spec:
+            _wire_str(spec["variant"], "eves 'variant'")
+        return spec
+    if kind != "composite":
         return spec
     config = spec.get("config", {})
     entries = spec.get("entries")
@@ -330,25 +349,57 @@ def resolve_spec(spec: dict | None) -> dict | None:
             code="bad-spec",
         )
     fields = dict(config)
+    for slot in ("lvp_entries", "sap_entries", "cvp_entries", "cap_entries"):
+        if slot in fields:
+            _wire_int(fields[slot], f"composite {slot!r}", 0)
     extra = fields.get("extra_components")
     if extra is not None:
         # JSON has no tuples; accept [[name, entries], ...].
-        fields["extra_components"] = tuple(
-            (pair[0], pair[1]) for pair in extra
-        )
+        fields["extra_components"] = _extra_pairs(extra)
     try:
         built = CompositeConfig(**fields)
     except TypeError as exc:
         raise SessionError(f"bad composite config: {exc}", code="bad-spec")
     if entries is not None:
-        if not isinstance(entries, int) or entries <= 0:
-            raise SessionError(
-                f"composite 'entries' must be a positive int, got "
-                f"{entries!r}",
-                code="bad-spec",
-            )
+        entries = _wire_int(entries, "composite 'entries'", 1)
         built = built.homogeneous(entries)
     return {"kind": "composite", "config": built}
+
+
+def _wire_int(value, what: str, minimum: int) -> int:
+    """``value`` if it is exactly an int (so not a bool) >= ``minimum``."""
+    if type(value) is not int or value < minimum:
+        sign = "positive" if minimum > 0 else "non-negative"
+        raise SessionError(
+            f"{what} must be a {sign} int, got {value!r}", code="bad-spec"
+        )
+    return value
+
+
+def _wire_str(value, what: str) -> str:
+    """``value`` if it is a string."""
+    if not isinstance(value, str):
+        raise SessionError(
+            f"{what} must be a string, got {value!r}", code="bad-spec"
+        )
+    return value
+
+
+def _extra_pairs(extra) -> tuple:
+    """A wire ``extra_components`` as ``((name, entries), ...)``."""
+    if not isinstance(extra, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in extra
+    ):
+        raise SessionError(
+            "composite 'extra_components' must be a list of [name, "
+            f"entries] pairs, got {extra!r}",
+            code="bad-spec",
+        )
+    return tuple(
+        (_wire_str(name, "extra component name"),
+         _wire_int(entries, "extra component entries", 1))
+        for name, entries in extra
+    )
 
 
 def _field(event: dict, key: str, kind: str) -> int:

@@ -37,6 +37,16 @@ def rng() -> DeterministicRng:
     return DeterministicRng(1234, "tests")
 
 
+def alone(name: str, entries: int):
+    """``name`` alone: the one-component plain composite a ``component``
+    spec builds."""
+    from repro.harness.runner import build_predictor
+
+    return build_predictor(
+        {"kind": "component", "name": name, "entries": entries}
+    )
+
+
 def make_outcome(
     pc: int = 0x1000,
     addr: int = 0x8000,

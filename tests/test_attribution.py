@@ -1,9 +1,9 @@
 """Tests for the attribution tooling."""
 
+from conftest import alone
+
 from repro.composite import CompositeConfig, CompositePredictor
 from repro.harness.attribution import attribute
-from repro.pipeline.vp import SingleComponentAdapter
-from repro.predictors import make_component
 from repro.workloads import generate_trace
 
 
@@ -52,8 +52,7 @@ class TestAttribution:
 
     def test_accuracy_by_component(self):
         trace = generate_trace("sunspider", 8000)
-        adapter = SingleComponentAdapter(make_component("sap", 1024))
-        attribution = attribute(trace, adapter)
+        attribution = attribute(trace, alone("sap", 1024))
         accuracy = attribution.accuracy_by_component()
         if "sap" in accuracy:
             assert 0.9 <= accuracy["sap"] <= 1.0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.serve.session import PREDICTOR_NAMES
 
 
 class TestList:
@@ -84,6 +85,43 @@ class TestSimulateCommand:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["predicted_loads"] > 0
+
+    @pytest.fixture(scope="class")
+    def smoke_length_trace(self, tmp_path_factory):
+        """Long enough (smoke scale) that a composite built with any
+        epoch but the paper's 1M would print different numbers."""
+        from repro.workloads import generate_trace
+
+        path = tmp_path_factory.mktemp("simulate") / "mcf.jsonl"
+        generate_trace("mcf", 20_000).save(path)
+        return path
+
+    @pytest.mark.parametrize("name", PREDICTOR_NAMES)
+    def test_name_builds_the_session_predictor(
+        self, name, smoke_length_trace, capsys
+    ):
+        """One name, one predictor: ``simulate --predictor X`` runs what
+        a serve session opened as ``X`` holds (``NoPredictor`` for
+        ``none``)."""
+        from dataclasses import asdict
+
+        from repro.isa.trace import Trace
+        from repro.pipeline import simulate
+        from repro.serve.session import PredictorSession, spec_from_name
+
+        path = smoke_length_trace
+        assert main([
+            "simulate", str(path), "--predictor", name, "--entries", "256",
+        ]) == 0
+        printed = json.loads(capsys.readouterr().out)
+
+        session = PredictorSession(spec_from_name(name, 256))
+        result = simulate(Trace.load(path), session.predictor)
+        expected = asdict(result)
+        expected.update(ipc=result.ipc, coverage=result.coverage,
+                        accuracy=result.accuracy,
+                        branch_mpki=result.branch_mpki)
+        assert printed == json.loads(json.dumps(expected, default=str))
 
     def test_unknown_predictor_rejected(self, tmp_path, capsys):
         path = self._saved_trace(tmp_path)

@@ -19,6 +19,7 @@ accuracy-of-nothing reporting.
 from dataclasses import asdict
 
 import pytest
+from conftest import alone
 
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
@@ -32,8 +33,7 @@ from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import CoreModel, simulate
-from repro.pipeline.vp import EvesAdapter, SingleComponentAdapter
-from repro.predictors import make_component
+from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.core_loop import run_objects, simulate_objects
@@ -95,7 +95,7 @@ class TestRandomizedEquivalence:
         trace = generate_trace("mcf", 2500, 2)
         assert_bit_identical(
             trace,
-            lambda: SingleComponentAdapter(make_component(component, 128)),
+            lambda: alone(component, 128),
             seed=2,
         )
 
@@ -125,7 +125,7 @@ def _composite128():
 ASSEMBLIES = {
     "baseline": lambda: None,
     "composite": _composite128,
-    "cvp": lambda: SingleComponentAdapter(make_component("cvp", 128)),
+    "cvp": lambda: alone("cvp", 128),
     "eves": lambda: EvesAdapter(eves_8kb()),
 }
 
@@ -293,16 +293,9 @@ class TestFunctionalVecEquivalence:
 
     @pytest.mark.parametrize("component", ("lvp", "sap", "cvp", "cap"))
     def test_single_components(self, component):
-        # A lone component runs functionally as a one-component plain
-        # composite.
-        config = CompositeConfig().with_entries(**{
-            name: 128 if name == component else 0
-            for name in ("lvp", "sap", "cvp", "cap")
-        }).plain()
+        # A lone component is a one-component plain composite.
         trace = generate_trace("coremark", 2500, 8)
-        assert_functional_identical(
-            trace, lambda: CompositePredictor(config)
-        )
+        assert_functional_identical(trace, lambda: alone(component, 128))
 
 
 def _packed(name, instructions):
@@ -377,8 +370,7 @@ class TestFunctionalBackendDispatch:
 
     @pytest.mark.parametrize("make_host, reason", (
         (lambda: EvesAdapter(eves_8kb()), "unsupported predictor type"),
-        (lambda: SingleComponentAdapter(make_component("lvp", 128)),
-         "unsupported predictor type"),
+        (lambda: alone("lap", 128), "unsupported component 'lap'"),
         (lambda: CompositePredictor(CompositeConfig(
             table_fusion=False, extra_components=(("lap", 128),),
         ).homogeneous(128)), "unsupported component 'lap'"),

@@ -3,9 +3,9 @@
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
+from conftest import alone
+
 from repro.pipeline import NoPredictor, simulate
-from repro.pipeline.vp import SingleComponentAdapter
-from repro.predictors import make_component
 
 
 def _trace(instructions, name="edge"):
@@ -49,15 +49,15 @@ class TestPredictionEligibility:
     def test_no_predict_loads_never_probed(self):
         """Atomics/exclusives are excluded from prediction (Sec. III)."""
         probes = []
-        adapter = SingleComponentAdapter(make_component("lvp", 64))
-        original = adapter.predict
-        adapter.predict = lambda p: probes.append(p) or original(p)
+        lvp = alone("lvp", 64)
+        original = lvp.predict
+        lvp.predict = lambda p: probes.append(p) or original(p)
         trace = _trace([
             Instruction(pc=0x1000, op=OpClass.LOAD, dest=1, addr=0x10,
                         size=8, no_predict=True)
             for _ in range(50)
         ])
-        result = simulate(trace, adapter)
+        result = simulate(trace, lvp)
         assert probes == []
         assert result.predictable_loads == 0
         assert result.loads == 50
@@ -107,7 +107,7 @@ class TestLoadTiming:
         trace = Trace("self-chain", instructions)
         trace.initial_memory = image
         baseline = simulate(trace, NoPredictor())
-        lvp = simulate(trace, SingleComponentAdapter(make_component("lvp", 64)))
+        lvp = simulate(trace, alone("lvp", 64))
         # The chain breaks where predictions land; back-to-back loads
         # also exercise the finite VPE (entries held until validation).
         assert lvp.cycles < baseline.cycles * 0.75

@@ -446,6 +446,42 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference[-1]
         second.durability.close_all()
 
+    def test_format_3_checkpoint_falls_back_to_full_replay(self, tmp_path):
+        """A CHECKPOINT_FORMAT 3 checkpoint of a lone-component session
+        pickles a host class that no longer exists.  It is evicted by
+        its version before anything unpickles it, and the session is
+        rebuilt bit-identically by full WAL replay."""
+        import pickle
+
+        from repro.common.atomicfile import write_sealed
+
+        spec = SPECS[0][1]  # lvp alone
+        chunks = chunked(make_events(36), 20)
+        reference = reference_snapshots(spec, chunks)
+        first = durable_server(tmp_path, checkpoint_every=2)
+        drive(first, "d1", spec, chunks)
+        first.durability.close_all()
+
+        # Rename the pickled host class to one that does not exist
+        # (same length, so the pickle stays well-formed): that is how a
+        # format-3 lone-component checkpoint reads now its adapter class
+        # is deleted.
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        blob = bytes(blob).replace(b"CompositePredictor", b"RetiredHostAdapter")
+        with pytest.raises(AttributeError, match="RetiredHostAdapter"):
+            pickle.loads(blob)
+        write_sealed(ckpt, b"RLVPCKP\x01", 3, header, blob)
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 1
+        assert second.durability.stats.checkpoint_failures == 0
+        assert second.sessions.get("d1").snapshot() == reference[-1]
+        second.durability.close_all()
+
 
 class TestSegmentRotation:
     def test_rotation_and_multi_segment_recovery(self, tmp_path):

@@ -11,17 +11,16 @@ places where a fast path could drift from its reference:
   at any byte offset, and strided loads;
 * runs of branches long enough to wrap every folded history register;
 * lengths that end mid-epoch (the assemblies run 97-instruction epochs);
-* every component alone (as a lone-component adapter and as a
-  one-component plain composite) or in a composite, including one whose
-  confidence thresholds are all clamped to 1, so context-aware
-  components reach confident and wrong predictions in short programs.
+* every component alone (as a ``component`` spec and as the same
+  one-component plain composite spelled out with 97-instruction
+  epochs) or in a composite, including one whose confidence thresholds
+  are all clamped to 1, so context-aware components reach confident
+  and wrong predictions in short programs.
 
 Each program must give the same answer three ways: the columnar core
 loop against the object-path oracle, ``run_functional`` against the
-object interpreter (composites only; ``run_functional`` rejects a
-lone-component adapter), and a serve session fed the program's events
-against ``run_functional`` -- or against the interpreter for a
-lone-component adapter.
+object interpreter, and a serve session fed the program's events
+against ``run_functional``.
 """
 
 from dataclasses import asdict
@@ -35,7 +34,6 @@ from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
 from repro.pipeline.core import simulate
-from repro.pipeline.vp import SingleComponentAdapter
 from repro.serve.loadgen import trace_to_events
 from repro.serve.session import PredictorSession, resolve_spec
 
@@ -153,13 +151,6 @@ def _host(spec):
     return build_predictor(resolve_spec(spec))
 
 
-def _wrong_by(host):
-    """Confident-but-wrong predictions per component after a run."""
-    if isinstance(host, SingleComponentAdapter):
-        return {host.component.name: host.stats.incorrect_used}
-    return dict(host.stats.incorrect_by)
-
-
 def _table_state(predictor):
     return [
         list(table.rows())
@@ -192,23 +183,18 @@ def test_fast_paths_match_their_references(body, repeats, tail, spec, seed):
     assert asdict(simulate(trace, _host(spec), seed=seed)) == asdict(oracle)
 
     # Functional: run_functional vs the object interpreter.
-    composite = spec["kind"] == "composite"
-    if composite:
-        vec_host, obj_host = _host(spec), _host(spec)
-        vec = run_functional(trace, vec_host)
-        obj = run_functional_objects(trace, obj_host)
-        assert asdict(vec) == asdict(obj)
-        assert _table_state(vec_host) == _table_state(obj_host)
-        assert (vec_host._instructions_in_epoch
-                == obj_host._instructions_in_epoch)
+    vec_host, obj_host = _host(spec), _host(spec)
+    vec = run_functional(trace, vec_host)
+    obj = run_functional_objects(trace, obj_host)
+    assert asdict(vec) == asdict(obj)
+    assert _table_state(vec_host) == _table_state(obj_host)
+    assert vec_host._instructions_in_epoch == obj_host._instructions_in_epoch
 
     # Serving: a session fed the program's events vs the functional
     # reference.
     session = PredictorSession(spec, initial_memory=trace.initial_memory)
     session.apply_batch(trace_to_events(trace))
-    reference = (run_functional if composite else run_functional_objects)(
-        trace, _host(spec)
-    )
+    reference = run_functional(trace, _host(spec))
     assert (session.loads, session.predicted_loads,
             session.correct_predictions, session.instructions) == (
         reference.loads, reference.predicted_loads,
@@ -253,7 +239,7 @@ def test_context_aware_components_mispredict_in_the_cycle_model():
             assert asdict(result) == asdict(
                 simulate_objects(trace, _host(spec))
             )
-            for name, count in _wrong_by(host).items():
+            for name, count in host.stats.incorrect_by.items():
                 if name in wrong:
                     wrong[name] += count
     assert wrong["cvp"] >= 1, wrong

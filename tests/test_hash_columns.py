@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import alone
 
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
@@ -21,7 +22,6 @@ from repro.harness import functional_vec
 from repro.harness.runner import clear_caches
 from repro.pipeline import frontend
 from repro.pipeline.core import CoreModel, SimulationInterrupted
-from repro.pipeline.vp import SingleComponentAdapter
 from repro.predictors.cap import CapPredictor
 from repro.predictors.cvp import CvpPredictor
 from repro.workloads.generator import clear_trace_caches, generate_trace
@@ -135,9 +135,7 @@ class TestTimingRunWithColumns:
         monkeypatch.setattr(CvpPredictor, "hash_columns", counted)
         trace = generate_trace("mcf", 2000, 0)
         for entries in (256, 256, 1024, 256):
-            CoreModel(predictor=SingleComponentAdapter(
-                CvpPredictor(entries)
-            )).run(trace)
+            CoreModel(predictor=alone("cvp", entries)).run(trace)
         assert len(calls) == 2
 
     def _assert_released(self, predictor):

@@ -1,18 +1,13 @@
 """Integration tests for the core timing model."""
 
 import pytest
+from conftest import alone
 
 from repro.composite import CompositeConfig, CompositePredictor
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
-from repro.pipeline import (
-    CoreConfig,
-    NoPredictor,
-    SingleComponentAdapter,
-    simulate,
-)
-from repro.predictors import make_component
+from repro.pipeline import CoreConfig, NoPredictor, simulate
 from repro.workloads import generate_trace
 
 
@@ -57,7 +52,7 @@ class TestValuePredictionEffects:
     def test_correct_predictions_speed_up_chains(self):
         trace = _chain_trace()
         baseline = simulate(trace)
-        lvp = SingleComponentAdapter(make_component("lvp", 256))
+        lvp = alone("lvp", 256)
         result = simulate(trace, lvp)
         assert result.coverage > 0.5
         assert result.accuracy == 1.0
@@ -88,7 +83,7 @@ class TestValuePredictionEffects:
             ))
         trace = Trace("adversarial", instructions)
         trace.initial_memory = image
-        lvp = SingleComponentAdapter(make_component("lvp", 64))
+        lvp = alone("lvp", 64)
         result = simulate(trace, lvp)
         assert result.value_mispredictions > 0
         baseline = simulate(trace)
@@ -106,7 +101,7 @@ class TestValuePredictionEffects:
 
     def test_address_predictions_resolve_through_probe(self):
         trace = generate_trace("linpack", 8000)
-        sap = SingleComponentAdapter(make_component("sap", 1024))
+        sap = alone("sap", 1024)
         result = simulate(trace, sap)
         assert result.predicted_loads > 0
         assert result.accuracy > 0.95

@@ -1,9 +1,9 @@
 """Tests for experiment scales and the cached runner."""
 
+from conftest import alone
+
 from repro.harness.presets import FULL, QUICK, SMOKE, ExperimentScale
 from repro.harness.runner import baseline_result, speedup, workload_trace
-from repro.pipeline.vp import SingleComponentAdapter
-from repro.predictors import make_component
 from repro.workloads.profiles import ALL_WORKLOADS
 
 
@@ -37,7 +37,6 @@ class TestRunnerCaching:
         )
 
     def test_speedup_consistency(self):
-        adapter = SingleComponentAdapter(make_component("sap", 256))
-        gain, result = speedup("coremark", 3000, adapter)
+        gain, result = speedup("coremark", 3000, alone("sap", 256))
         baseline = baseline_result("coremark", 3000)
         assert gain == result.speedup_over(baseline)

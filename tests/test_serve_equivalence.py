@@ -4,10 +4,12 @@ The acceptance proof for the serving layer.  One workload trace is
 flattened to instruction events and replayed three ways with the same
 predictor spec:
 
-1. :func:`repro.harness.functional.run_functional` for composites, and
-   the per-instruction interpreter it matches bit for bit
-   (``tests/oracles/functional_loop.py``) for the hosts it rejects (the
-   reference program-order evaluation loop);
+1. :func:`repro.harness.functional.run_functional` for composites and
+   lone canonical components (one-component plain composites), and the
+   per-instruction interpreter it matches bit for bit
+   (``tests/oracles/functional_loop.py``) for the hosts it rejects --
+   EVES, LAP/SVP and no predictor (the reference program-order
+   evaluation loop);
 2. a local :class:`PredictorSession` fed ``apply_batch`` in chunks;
 3. a session on a live server, driven over TCP in chunks.
 
@@ -124,15 +126,16 @@ class TestEventStreamEquivalence:
         {"kind": "composite", "entries": 64,
          "config": {"epoch_instructions": 97}},
         spec_from_name("sap", 64),
+        spec_from_name("lap", 64),
         spec_from_name("none"),
     ], ids=["composite", "lvp", "eves-8kb", "composite-epoch97", "sap",
-            "none"])
+            "lap", "none"])
     def test_session_matches_run_functional(self, trace, events, spec):
         session, _ = _local_records(spec, trace, events)
-        functional = (
-            run_functional if spec and spec.get("kind") == "composite"
-            else run_functional_objects
-        )
+        # run_functional rejects EVES, the LAP/SVP extras and no predictor.
+        rejected = (spec is None or spec["kind"] == "eves"
+                    or spec.get("name") in ("lap", "svp"))
+        functional = run_functional_objects if rejected else run_functional
         reference = functional(trace, _host(spec))
 
         assert session.loads == reference.loads

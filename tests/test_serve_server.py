@@ -104,6 +104,32 @@ class TestRpcs:
                 await server.drain()
         run(scenario())
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "component", "name": "lvp", "entries": "x"},
+        {"kind": "component", "name": "lvp", "entries": 3.5},
+        {"kind": "component", "name": "lvp", "entries": True},
+        {"kind": "component", "name": ["x"], "entries": 64},
+        {"kind": "eves", "variant": ["8kb"]},
+        {"kind": "composite", "config": {"lvp_entries": "x"}},
+        {"kind": "composite", "config": {"extra_components": [["lap"]]}},
+        {"kind": "composite", "config": {"extra_components": 5}},
+    ], ids=["entries-str", "entries-float", "entries-bool", "name-list",
+            "variant-list", "slot-str", "extra-short-pair", "extra-int"])
+    def test_malformed_spec_is_bad_spec_not_internal(self, spec):
+        async def scenario():
+            server = await _start_server()
+            try:
+                async with await ServeClient.connect(
+                    "127.0.0.1", server.port
+                ) as client:
+                    with pytest.raises(ServeError) as excinfo:
+                        await client.open_session("s1", spec)
+                    assert excinfo.value.code == "bad-spec"
+                    assert server.counters.internal_errors == 0
+            finally:
+                await server.drain()
+        run(scenario())
+
     def test_apply_event_cap_enforced(self):
         async def scenario():
             server = await _start_server()

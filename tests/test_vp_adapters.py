@@ -1,16 +1,11 @@
-"""Tests for the predictor host adapters (NoPredictor, single, EVES)."""
+"""Tests for the predictor hosts: NoPredictor, a lone component (the
+one-component plain composite a ``component`` spec builds) and EVES."""
 
-from conftest import make_outcome, make_probe
+from conftest import alone, make_outcome, make_probe
 
 from repro.composite.composite import CompositeDecision
 from repro.eves import eves_8kb
-from repro.pipeline.vp import (
-    EvesAdapter,
-    NoPredictor,
-    SingleComponentAdapter,
-    ValuePredictorHost,
-)
-from repro.predictors import make_component
+from repro.pipeline.vp import EvesAdapter, NoPredictor, ValuePredictorHost
 
 
 class TestNoPredictor:
@@ -24,43 +19,43 @@ class TestNoPredictor:
         assert isinstance(NoPredictor(), ValuePredictorHost)
 
 
-class TestSingleComponentAdapter:
+class TestLoneComponent:
     def test_decision_shape(self):
-        adapter = SingleComponentAdapter(make_component("lvp", 256))
+        host = alone("lvp", 256)
         for _ in range(200):
-            adapter.component.train(make_outcome(pc=0x1000, value=9))
-        decision = adapter.predict(make_probe(pc=0x1000))
+            host.components["lvp"].train(make_outcome(pc=0x1000, value=9))
+        decision = host.predict(make_probe(pc=0x1000))
         assert isinstance(decision, CompositeDecision)
         assert decision.chosen is not None
         assert set(decision.confident) == {"lvp"}
 
     def test_stats_track_usage(self):
-        adapter = SingleComponentAdapter(make_component("lvp", 256))
+        host = alone("lvp", 256)
         outcome = make_outcome(pc=0x1000, value=9)
         for _ in range(200):
-            decision = adapter.predict(make_probe(pc=0x1000))
+            decision = host.predict(make_probe(pc=0x1000))
             correctness = {n: True for n in decision.confident}
-            adapter.validate_and_train(decision, outcome, correctness)
-        assert adapter.stats.loads == 200
-        assert 0 < adapter.stats.predicted_loads < 200
-        assert adapter.stats.accuracy == 1.0
+            host.validate_and_train(decision, outcome, correctness)
+        assert host.stats.loads == 200
+        assert 0 < host.stats.predicted_loads < 200
+        assert host.stats.accuracy == 1.0
 
     def test_wrong_prediction_penalizes(self):
-        adapter = SingleComponentAdapter(make_component("cap", 256))
+        host = alone("cap", 256)
         outcome = make_outcome(pc=0x1000, addr=0x8000, load_path=3)
         for _ in range(20):
-            decision = adapter.predict(make_probe(pc=0x1000, load_path=3))
-            adapter.validate_and_train(
+            decision = host.predict(make_probe(pc=0x1000, load_path=3))
+            host.validate_and_train(
                 decision, outcome, {n: True for n in decision.confident}
             )
-        decision = adapter.predict(make_probe(pc=0x1000, load_path=3))
+        decision = host.predict(make_probe(pc=0x1000, load_path=3))
         assert decision.chosen is not None
-        adapter.validate_and_train(decision, outcome, {"cap": False})
-        assert adapter.predict(make_probe(pc=0x1000, load_path=3)).chosen is None
+        host.validate_and_train(decision, outcome, {"cap": False})
+        assert host.predict(make_probe(pc=0x1000, load_path=3)).chosen is None
 
     def test_satisfies_protocol(self):
-        adapter = SingleComponentAdapter(make_component("sap", 64))
-        assert isinstance(adapter, ValuePredictorHost)
+        host = alone("sap", 64)
+        assert isinstance(host, ValuePredictorHost)
 
 
 class TestEvesAdapter:
