@@ -41,7 +41,7 @@ class IttageConfig:
         return tuple(lengths)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IttagePrediction:
     """Prediction context returned by ``predict`` and consumed by ``train``."""
 

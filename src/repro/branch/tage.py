@@ -64,7 +64,7 @@ class TageConfig:
         return tuple(lengths)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TagePrediction:
     """What ``predict`` saw; passed back verbatim to ``train``."""
 

@@ -26,7 +26,7 @@ from repro.branch.ras import ReturnAddressStack
 from repro.branch.tage import TageConfig, TagePredictor, TagePrediction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BranchOutcome:
     """Fetch-time verdict for one branch."""
 

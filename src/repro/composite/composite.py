@@ -73,7 +73,7 @@ def training_order(components: dict) -> tuple[str, ...]:
     ))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CompositeDecision:
     """Fetch-time result: what was predicted and by whom."""
 

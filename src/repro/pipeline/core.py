@@ -227,22 +227,28 @@ class CoreModel:
         latency_by_op = self._latency_by_op
         store_latency = latency_by_op[_OP_STORE]
         redirect_penalty = cfg.redirect_penalty
-        ldq_entries = cfg.ldq_entries
 
-        # Lane schedulers and window trackers, inlined: the per-lane
-        # min-heaps and release deques below replay LaneScheduler.acquire
-        # / WindowTracker.earliest_allocation+admit verbatim, shedding
-        # one Python frame per call at several calls per instruction.
+        # Lane schedulers and window trackers, inlined (the oracle in
+        # tests/oracles/core_loop.py keeps them as objects).  A lane
+        # heap holds each lane's next free cycle: an instruction issues
+        # at the minimum, read at [0], and heapreplace books the slot
+        # in one call.  A window of capacity C is a ring of C release
+        # cycles indexed by the entry's ordinal (instruction, load or
+        # store count) modulo C: the slot entry n reads at fetch holds
+        # the release of entry n - C, the one it waits for, and entry n
+        # then overwrites it.  The rings start at 0, the floor while a
+        # window is not yet full.
         ls_free = [0] * cfg.ls_lanes
         generic_free = [0] * cfg.generic_lanes
         rob_cap = cfg.rob_entries
         iq_cap = cfg.iq_entries
         ldq_cap = cfg.ldq_entries
         stq_cap = cfg.stq_entries
-        rob_rel: deque[int] = deque()
-        iq_rel: deque[int] = deque()
-        ldq_rel: deque[int] = deque()
-        stq_rel: deque[int] = deque()
+        rob_rel = [0] * rob_cap
+        iq_rel = [0] * iq_cap
+        ldq_rel = [0] * ldq_cap
+        stq_rel = [0] * stq_cap
+        n_stores = 0
         # PAQ/VPE stay real trackers: _validate_load owns their logic.
         paq = WindowTracker(cfg.paq_entries)
         vpe = WindowTracker(cfg.vpe_entries)
@@ -292,14 +298,6 @@ class CoreModel:
         flags_col = cols.flags
         src_offsets = cols.src_offsets
         src_regs = cols.src_regs
-        rob_append = rob_rel.append
-        rob_popleft = rob_rel.popleft
-        iq_append = iq_rel.append
-        iq_popleft = iq_rel.popleft
-        ldq_append = ldq_rel.append
-        ldq_popleft = ldq_rel.popleft
-        stq_append = stq_rel.append
-        stq_popleft = stq_rel.popleft
         fetch_latency = hierarchy.fetch_latency
         store_latency_fn = hierarchy.store_latency
         predict = predictor.predict
@@ -323,6 +321,7 @@ class CoreModel:
         pending_stores_append = pending_stores.append
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         memdep_wait = memdep.load_wait_until if memdep is not None else None
         memdep_note_store = memdep.note_store if memdep is not None else None
 
@@ -353,24 +352,23 @@ class CoreModel:
             # Fetch
             # ----------------------------------------------------------
             floor = next_fetch_allowed
-            window_floor = (
-                rob_rel[0] if len(rob_rel) == rob_cap else 0
-            ) - depth
-            other = (iq_rel[0] if len(iq_rel) == iq_cap else 0) - depth
+            rob_slot = i % rob_cap
+            iq_slot = i % iq_cap
+            window_floor = rob_rel[rob_slot]
+            other = iq_rel[iq_slot]
             if other > window_floor:
                 window_floor = other
             if op == _OP_LOAD:
-                other = (
-                    ldq_rel[0] if len(ldq_rel) == ldq_cap else 0
-                ) - depth
+                mem_slot = n_loads % ldq_cap
+                other = ldq_rel[mem_slot]
                 if other > window_floor:
                     window_floor = other
             elif op == _OP_STORE:
-                other = (
-                    stq_rel[0] if len(stq_rel) == stq_cap else 0
-                ) - depth
+                mem_slot = n_stores % stq_cap
+                other = stq_rel[mem_slot]
                 if other > window_floor:
                     window_floor = other
+            window_floor -= depth
             if window_floor > floor:
                 floor = window_floor
             if fetch_cycle < floor:
@@ -464,9 +462,9 @@ class CoreModel:
                     wait_until = memdep_wait(pc)
                     if wait_until > ready:
                         ready = wait_until
-                earliest = heappop(ls_free)
+                earliest = ls_free[0]
                 issue = ready if ready > earliest else earliest
-                heappush(ls_free, issue + 1)
+                heapreplace(ls_free, issue + 1)
                 addr = addrs[i]
                 size = sizes[i]
                 complete, violation_store_pc, violation_ready = load_complete(
@@ -484,15 +482,15 @@ class CoreModel:
                     current_block = -1
                 flights = inflight_get(pc)
                 if flights is None:
-                    flights = inflight_loads[pc] = deque(maxlen=ldq_entries)
+                    flights = inflight_loads[pc] = deque(maxlen=ldq_cap)
                 flights.append(complete)
                 n_loads += 1
                 if predictable:
                     n_predictable += 1
             elif op == _OP_STORE:
-                earliest = heappop(ls_free)
+                earliest = ls_free[0]
                 issue = ready if ready > earliest else earliest
-                heappush(ls_free, issue + 1)
+                heapreplace(ls_free, issue + 1)
                 addr = addrs[i]
                 size = sizes[i]
                 complete = issue + store_latency
@@ -504,9 +502,9 @@ class CoreModel:
                 if memdep_note_store is not None:
                     memdep_note_store(pc, complete)
             else:
-                earliest = heappop(generic_free)
+                earliest = generic_free[0]
                 issue = ready if ready > earliest else earliest
-                heappush(generic_free, issue + 1)
+                heapreplace(generic_free, issue + 1)
                 complete = issue + latency_by_op[op]
 
             # ----------------------------------------------------------
@@ -577,19 +575,12 @@ class CoreModel:
             if op == _OP_STORE:
                 pending_stores_append((complete, addr, size, values[i]))
                 store_latency_fn(addr)
-                if len(stq_rel) >= stq_cap:
-                    stq_popleft()
-                stq_append(commit)
+                stq_rel[mem_slot] = commit
+                n_stores += 1
             elif op == _OP_LOAD:
-                if len(ldq_rel) >= ldq_cap:
-                    ldq_popleft()
-                ldq_append(commit)
-            if len(rob_rel) >= rob_cap:
-                rob_popleft()
-            rob_append(commit)
-            if len(iq_rel) >= iq_cap:
-                iq_popleft()
-            iq_append(issue + 1)
+                ldq_rel[mem_slot] = commit
+            rob_rel[rob_slot] = commit
+            iq_rel[iq_slot] = issue + 1
             pending_ticks += 1
 
         if pending_ticks:

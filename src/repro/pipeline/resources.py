@@ -1,30 +1,8 @@
-"""Resource schedulers used by the core model."""
+"""The occupancy window the core model's PAQ and VPE use."""
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-
-
-class LaneScheduler:
-    """``k`` pipelined execution lanes.
-
-    Each lane accepts one instruction per cycle.  ``acquire(ready)``
-    returns the earliest cycle >= ``ready`` at which a lane can accept
-    the instruction and books that slot.  Implemented as a min-heap of
-    per-lane next-free cycles, the classic k-server model.
-    """
-
-    def __init__(self, lanes: int) -> None:
-        if lanes <= 0:
-            raise ValueError(f"need at least one lane, got {lanes}")
-        self._free = [0] * lanes
-
-    def acquire(self, ready: int) -> int:
-        earliest = heapq.heappop(self._free)
-        begin = max(ready, earliest)
-        heapq.heappush(self._free, begin + 1)
-        return begin
 
 
 class WindowTracker:

@@ -4,6 +4,13 @@ The pipeline probes predictors at *fetch* with a :class:`LoadProbe`
 (carrying the speculative histories captured at that moment) and trains
 them at *execute* with a :class:`LoadOutcome` (carrying the same
 histories, so training indexes the same table entries prediction used).
+
+Every load builds these records at fetch and execute, so they are
+mutable slots dataclasses: CPython builds a frozen dataclass with one
+``object.__setattr__`` call per field, several times the cost of a
+plain slots record.  They are read-only by convention -- a host or
+component never changes a record it is handed -- and
+``tests/test_record_immutability.py`` enforces that.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ class PredictionKind(enum.Enum):
     ADDRESS = "address"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LoadProbe:
     """Everything a predictor may look at when a load is fetched."""
 
@@ -43,7 +50,7 @@ class LoadProbe:
     ordinal: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LoadOutcome:
     """Training record produced when a load executes."""
 
@@ -62,7 +69,7 @@ class LoadOutcome:
     ordinal: int = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Prediction:
     """A single high-confidence prediction from one component.
 

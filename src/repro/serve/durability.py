@@ -82,8 +82,9 @@ WAL_FORMAT = 1
 
 #: Checkpoint layout version; bump on any format change.  Format 3
 #: pickles predictor tables as per-field column lists; format 4 pickles
-#: a lone-component session as a one-component composite.
-CHECKPOINT_FORMAT = 4
+#: a lone-component session as a one-component composite; format 5
+#: pickles outstanding predict decisions as mutable slots records.
+CHECKPOINT_FORMAT = 5
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"

@@ -24,9 +24,30 @@ from repro.memory.image import MemoryImage
 from repro.pipeline.core import CoreModel, SimulationInterrupted
 from repro.pipeline.frontend import branch_stats
 from repro.pipeline.memdep import StoreSetPredictor
-from repro.pipeline.resources import LaneScheduler, WindowTracker
+from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
 from repro.predictors.types import LoadOutcome, LoadProbe
+
+
+class LaneScheduler:
+    """``k`` pipelined execution lanes.
+
+    Each lane accepts one instruction per cycle.  ``acquire(ready)``
+    returns the earliest cycle >= ``ready`` at which a lane can accept
+    the instruction and books that slot.  Implemented as a min-heap of
+    per-lane next-free cycles, the classic k-server model.
+    """
+
+    def __init__(self, lanes: int) -> None:
+        if lanes <= 0:
+            raise ValueError(f"need at least one lane, got {lanes}")
+        self._free = [0] * lanes
+
+    def acquire(self, ready: int) -> int:
+        earliest = heapq.heappop(self._free)
+        begin = max(ready, earliest)
+        heapq.heappush(self._free, begin + 1)
+        return begin
 
 
 def fetch_branch(unit: BranchUnit, inst: Instruction) -> BranchOutcome:

@@ -115,6 +115,29 @@ class TestRandomizedEquivalence:
         assert_bit_identical(trace, lambda: None, config=config, seed=6)
 
 
+#: Windows small enough that the columnar loop's ring buffers wrap on
+#: nearly every instruction, load and store (the default 224/97/72/56
+#: windows barely wrap on short traces), with one load/store lane.
+TINY_WINDOWS = CoreConfig(
+    rob_entries=8, iq_entries=5, ldq_entries=3, stq_entries=2,
+    ls_lanes=1, generic_lanes=2,
+)
+
+
+class TestTinyWindows:
+    @pytest.mark.parametrize("workload", ("coremark", "mcf", "gcc2k"))
+    @pytest.mark.parametrize("make_predictor", (
+        lambda: None,
+        lambda: CompositePredictor(CompositeConfig().homogeneous(128).plain()),
+    ), ids=("no-vp", "plain-composite"))
+    def test_matches_oracle(self, workload, make_predictor):
+        trace = generate_trace(workload, 5000, 0)
+        obj, col = run_both(trace, make_predictor, TINY_WINDOWS)
+        assert col == obj
+        # The tiny windows bind: the run is slower than on the default.
+        assert col["cycles"] > simulate(trace, make_predictor()).cycles
+
+
 def _composite128():
     return CompositePredictor(CompositeConfig().homogeneous(128))
 

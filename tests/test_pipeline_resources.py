@@ -1,8 +1,9 @@
-"""Tests for the pipeline resource schedulers."""
+"""Tests for the lane scheduler oracle and the window tracker."""
 
 import pytest
 
-from repro.pipeline.resources import LaneScheduler, WindowTracker
+from oracles.core_loop import LaneScheduler
+from repro.pipeline.resources import WindowTracker
 
 
 class TestLaneScheduler:
