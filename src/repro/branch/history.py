@@ -14,16 +14,23 @@ checkpointing approach):
   the memset's stores -- requires stores to shift the register too).
 
 Alongside the raw registers, a :class:`HistorySet` maintains **folded
-registers**: for every ``(history length, fold width)`` a predictor
-table uses, the value ``fold_bits(history & mask(length), width)`` is
-kept up to date incrementally -- O(1) per pushed event, the
-circular-shift-register folding circuit of real TAGE hardware -- instead
-of being re-folded from scratch on every table probe.  Predictors
-register the folds they need via :meth:`HistorySet.register_*_fold` at
-bind time; the registers are bit-identical to the ``fold_bits``
-reference at all times (the invariant ``tests/test_folded_history.py``
-enforces), so rewiring a hash function onto them cannot change any
-table index or tag.
+registers** for the branch unit: for every ``(history length, fold
+width)`` a TAGE or ITTAGE table uses, the value
+``fold_bits(history & mask(length), width)`` is kept up to date
+incrementally -- O(1) per pushed event, the circular-shift-register
+folding circuit of real TAGE hardware -- instead of being re-folded
+from scratch on every branch probe.  TAGE and ITTAGE register the
+direction and branch-path folds they read when
+:class:`repro.branch.unit.BranchUnit` binds them; the registers are
+bit-identical to the ``fold_bits`` reference at all times (the
+invariant ``tests/test_folded_history.py`` enforces), so a hash that
+reads them cannot change any table index or tag.
+
+The folds are private to the branch unit.  Value predictors (CVP, CAP,
+E-VTAGE) read only the raw registers: a whole-trace timing run looks
+their per-load hashes up in :mod:`repro.pipeline.frontend`'s
+per-trace rows, and everything else hashes the raw histories with each
+component's scalar reference.
 
 Snapshots capture the folded registers too, so a flush restore repairs
 every fold width exactly, not just the raw registers.
@@ -51,11 +58,10 @@ _LOAD_PATH_MASK = mask(LOAD_PATH_BITS)
 # Folded registers are stored as plain mutable lists (cells) so the
 # per-event update loops below stay allocation-free.  Layouts:
 #   direction cell:  [value, out_shift, inject_shift, width, width_mask]
-#   path/mem cell:   [value, out_shift, inject_shift, width, width_mask]
+#   path cell:       [value, out_shift, inject_shift, width, width_mask]
 # where out_shift positions the evicted bit(s) and inject_shift is
 # ``length % width`` (the cancellation position of the CSR circuit; see
 # repro.common.hashing.csr_push / csr_push2).
-_VALUE = 0
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,6 @@ class HistorySet:
         # Folded registers, grouped by the event that advances them.
         self._dir_cells: list[list[int]] = []
         self._path_cells: list[list[int]] = []
-        self._mem_cells: list[list[int]] = []
         # (kind, length, width) -> snapshot slot, plus flat slot order.
         self._slot_by_key: dict[tuple[str, int, int], int] = {}
         self._slot_cells: list[list[int]] = []
@@ -136,42 +141,11 @@ class HistorySet:
             "path", PATH_BITS, width, self.path, self._path_cells
         )
 
-    def register_load_path_fold(self, width: int) -> int:
-        """Maintain ``fold_bits(load_path, width)`` (memory path)."""
-        return self._register(
-            "load_path", LOAD_PATH_BITS, width, self.load_path,
-            self._mem_cells,
-        )
-
-    def fold_layout(self) -> tuple[tuple[str, int, int], ...]:
-        """Every registered fold as ``(kind, length, width)``, in slot
-        order: what a :meth:`folded_values` tuple's positions mean."""
-        return tuple(self._slot_specs)
-
-    def register_layout(
-        self, layout: tuple[tuple[str, int, int], ...]
-    ) -> None:
-        """Register ``layout``'s folds in order, so this set's slots
-        match those of the set that produced it (registering a fold
-        that already exists is a no-op, as always)."""
-        for kind, length, width in layout:
-            if kind == "direction":
-                self.register_direction_fold(length, width)
-            elif kind == "path":
-                self.register_path_fold(width)
-            else:
-                self.register_load_path_fold(width)
-        if tuple(self._slot_specs[:len(layout)]) != layout:
-            raise ValueError("fold layout is not a prefix-compatible "
-                             "extension of the registered folds")
-
     def fold_cell(self, slot: int) -> list[int]:
         """The mutable cell behind ``slot``; element 0 is the live value.
 
-        Synchronous consumers (TAGE/ITTAGE, probed at fetch before the
-        event is pushed) read the live cells directly; deferred
-        consumers (value-predictor training) must use the values
-        captured in a probe/snapshot instead.
+        TAGE and ITTAGE, probed at fetch before the event is pushed,
+        read the live cells directly.
         """
         return self._slot_cells[slot]
 
@@ -217,16 +191,10 @@ class HistorySet:
 
     def push_memory(self, pc: int) -> None:
         """Record one fetched load or store (CAP's memory path history)."""
-        p = self.load_path
         contribution = ((pc >> 2) ^ (pc >> 5) ^ (pc >> 9)) & 0b11
-        for c in self._mem_cells:
-            out2 = p >> c[1]
-            v = ((c[0] << 2) | contribution) \
-                ^ (((out2 >> 1) & 1) << (c[2] + 1)) ^ ((out2 & 1) << c[2])
-            while v > c[4]:
-                v = (v & c[4]) ^ (v >> c[3])
-            c[0] = v
-        self.load_path = ((p << 2) | contribution) & _LOAD_PATH_MASK
+        self.load_path = (
+            (self.load_path << 2) | contribution
+        ) & _LOAD_PATH_MASK
 
     # Backwards-compatible alias; CAP literature says "load path".
     push_load = push_memory
@@ -259,9 +227,7 @@ class HistorySet:
             else:
                 kind, length, width = self._slot_specs[slot]
                 source = (
-                    snap.direction if kind == "direction"
-                    else snap.path if kind == "path"
-                    else snap.load_path
+                    snap.direction if kind == "direction" else snap.path
                 )
                 cell[0] = fold_bits(source & mask(length), width)
 

@@ -96,22 +96,12 @@ class IttagePredictor:
     def bind_history(self, histories: HistorySet) -> None:
         """Attach live folded registers; see TagePredictor.bind_history."""
         self._histories = histories
-        idx_slots, path_slot = self.register_folds(self.config, histories)
-        self._idx_dir_cells = [histories.fold_cell(s) for s in idx_slots]
-        self._path_cell = histories.fold_cell(path_slot)
-
-    @staticmethod
-    def register_folds(
-        config: IttageConfig, histories: HistorySet
-    ) -> tuple[list[int], int]:
-        """Register ``config``'s folds on ``histories`` (no tables needed);
-        see :meth:`TagePredictor.register_folds`."""
-        ib = bit_length_for(config.entries_per_table)
-        idx_slots = [
-            histories.register_direction_fold(L, ib)
-            for L in config.history_lengths()
+        ib = self._index_bits
+        self._idx_dir_cells = [
+            histories.fold_cell(histories.register_direction_fold(L, ib))
+            for L in self._lengths
         ]
-        return idx_slots, histories.register_path_fold(ib)
+        self._path_cell = histories.fold_cell(histories.register_path_fold(ib))
 
     def _index(self, pc: int, table: int, snap: HistorySnapshot) -> int:
         bits = self._index_bits

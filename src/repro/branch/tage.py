@@ -138,32 +138,19 @@ class TagePredictor:
         history per probe.  Results are bit-identical either way.
         """
         self._histories = histories
-        idx_slots, path_slot, tag_slots = self.register_folds(
-            self.config, histories
-        )
-        self._idx_dir_cells = [histories.fold_cell(s) for s in idx_slots]
-        self._path_cell = histories.fold_cell(path_slot)
-        self._tag_dir_cells = [histories.fold_cell(s) for s in tag_slots]
-
-    @staticmethod
-    def register_folds(
-        config: TageConfig, histories: HistorySet
-    ) -> tuple[list[int], int, list[int]]:
-        """Register the folds a TAGE of ``config`` reads on ``histories``.
-
-        Returns ``(index_slots, path_slot, tag_slots)``.  Needs no
-        tables, so a caller can lay out a :class:`HistorySet`'s fold
-        slots exactly as a live predictor would without building one.
-        """
-        lengths = config.history_lengths()
-        ib = bit_length_for(config.entries_per_table)
-        idx_slots = [histories.register_direction_fold(L, ib) for L in lengths]
-        path_slot = histories.register_path_fold(ib)
-        tag_slots = [
-            histories.register_direction_fold(L, config.tag_bits - 1)
-            for L in lengths
+        ib = self._index_bits
+        tag_width = self.config.tag_bits - 1
+        self._idx_dir_cells = [
+            histories.fold_cell(histories.register_direction_fold(L, ib))
+            for L in self._lengths
         ]
-        return idx_slots, path_slot, tag_slots
+        self._path_cell = histories.fold_cell(histories.register_path_fold(ib))
+        self._tag_dir_cells = [
+            histories.fold_cell(
+                histories.register_direction_fold(L, tag_width)
+            )
+            for L in self._lengths
+        ]
 
     # ------------------------------------------------------------------
     # Indexing

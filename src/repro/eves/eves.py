@@ -47,10 +47,6 @@ class EvesPredictor:
             rng=rng,
         )
 
-    def bind_history(self, histories) -> None:
-        """Register E-VTAGE's fold widths (E-Stride is PC-only)."""
-        self.evtage.bind_history(histories)
-
     def predict(self, probe: LoadProbe) -> Prediction | None:
         prediction = self.estride.predict(probe)
         if prediction is not None:

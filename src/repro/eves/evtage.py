@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import bit_length_for, fold_bits, mask
+from repro.common.bits import bit_length_for, mask
 from repro.common.fpc import FpcVector
 from repro.common.hashing import mix64, pc_index
 from repro.common.rng import DeterministicRng
@@ -83,32 +83,22 @@ class EVtagePredictor:
             for _ in range(num_tables)
         ]
         self._index_bits = bit_length_for(tagged_entries)
+        if not self._index_bits:
+            # A tagged table's hash folds down to its index bits.
+            raise ValueError(
+                f"E-VTAGE needs at least 2 tagged entries, got {tagged_entries}"
+            )
         self._lengths = self._history_lengths(min_history, max_history)
         self._probs = tuple(float(p) for p in EVTAGE_FPC.probabilities)
-        # Hot-path constants.
-        self._history_masks = tuple(mask(L) for L in self._lengths)
-        self._index_salts = tuple(
-            mix64(t + 31) & mask(self._index_bits) for t in range(num_tables)
+        # Per-table hash constants, in table order: history mask, index
+        # salt, tag offset.
+        self._hash_consts = tuple(
+            (mask(length), mix64(t + 31) & mask(self._index_bits), t * 0x51)
+            for t, length in enumerate(self._lengths)
         )
-        # Incremental-folding fast path (armed by bind_history).  The
-        # tag scramble works mod 2**64, so only the low min(length, 64)
-        # history bits can affect it.
-        self._index_mask = mask(self._index_bits)
-        self._tag_hist_masks64 = tuple(
-            mask(min(L, 64)) for L in self._lengths
-        )
-        self._dir_slots: tuple[int, ...] | None = None
-        self._path_slot = 0
-        self._min_folded = 0
-
-    def bind_history(self, histories) -> None:
-        """Register per-table direction/path folds on the live histories."""
-        ib = self._index_bits
-        self._dir_slots = tuple(
-            histories.register_direction_fold(L, ib) for L in self._lengths
-        )
-        self._path_slot = histories.register_path_fold(ib)
-        self._min_folded = max(self._dir_slots + (self._path_slot,)) + 1
+        # One-entry hash memo; see _row.
+        self._hash_memo_key: tuple[int, int, int] | None = None
+        self._hash_memo: tuple = (0, ())
 
     def _history_lengths(self, lo: int, hi: int) -> tuple[int, ...]:
         if self.num_tables == 1:
@@ -126,65 +116,57 @@ class EVtagePredictor:
     # Hashing
     # ------------------------------------------------------------------
 
-    def _index(self, pc: int, table: int, direction: int, path: int) -> int:
-        bits = self._index_bits
-        history = direction & self._history_masks[table]
-        value = (pc >> 2) ^ fold_bits(history, bits) ^ fold_bits(path, bits)
-        value ^= self._index_salts[table]
-        return fold_bits(value, bits)
+    def _hashes(self, pc: int, direction: int, path: int) -> tuple:
+        """``(base index, ((index, tag) per tagged table))`` of one
+        load: the scalar reference.
 
-    def _tag(self, pc: int, table: int, direction: int) -> int:
-        history = direction & self._history_masks[table]
-        scrambled = ((history + table * 0x51) * _TAG_SCRAMBLE) & _MASK64
-        return fold_bits((pc >> 2) ^ scrambled, _TAG_BITS)
-
-    def _hash(
-        self, pc: int, table: int, direction: int, path: int,
-        folded: tuple[int, ...],
-    ) -> tuple[int, int]:
-        """(index, tag); reads pre-folded registers when the probe
-        carries them, bit-identical to ``(_index, _tag)``."""
-        if self._dir_slots is None or len(folded) < self._min_folded:
-            return (
-                self._index(pc, table, direction, path),
-                self._tag(pc, table, direction),
-            )
+        The base table is indexed by the PC alone.  A tagged table's
+        index folds ``pc >> 2``, its direction-history sample, the
+        branch path history and its salt down to the index width
+        (folding is XOR-linear, so one fold of the terms' XOR equals
+        the XOR of their folds); its tag folds ``pc >> 2`` and the
+        scrambled history sample down to 14 bits.
+        """
         bits = self._index_bits
-        imask = self._index_mask
-        v = (pc >> 2) ^ folded[self._dir_slots[table]] \
-            ^ folded[self._path_slot] ^ self._index_salts[table]
-        while v > imask:
-            v = (v & imask) ^ (v >> bits)
-        scrambled = (
-            (direction & self._tag_hist_masks64[table]) + table * 0x51
-        ) * _TAG_SCRAMBLE & _MASK64
-        t = pc >> 2
-        while scrambled:
-            t ^= scrambled & _TAG_MASK
-            scrambled >>= _TAG_BITS
-        while t > _TAG_MASK:
-            t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
-        return v, t
+        imask = (1 << bits) - 1
+        pcx = pc >> 2
+        pairs = []
+        for hmask, salt, offset in self._hash_consts:
+            history = direction & hmask
+            v = pcx ^ history ^ path ^ salt
+            while v > imask:
+                v = (v & imask) ^ (v >> bits)
+            t = pcx ^ ((history + offset) * _TAG_SCRAMBLE & _MASK64)
+            while t > _TAG_MASK:
+                t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
+            pairs.append((v, t))
+        return pc_index(pc, self._base_bits), tuple(pairs)
+
+    def _row(self, record: LoadProbe | LoadOutcome) -> tuple:
+        """The hashes of one load, computed by :meth:`_hashes` behind a
+        one-entry memo (a load's ``train`` re-hashes with the histories
+        its ``predict`` saw)."""
+        key = (record.pc, record.direction_history, record.path_history)
+        if key != self._hash_memo_key:
+            self._hash_memo_key = key
+            self._hash_memo = self._hashes(*key)
+        return self._hash_memo
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
 
-    def _find_provider(
-        self, pc: int, direction: int, path: int, folded: tuple[int, ...]
-    ) -> tuple[int, int]:
+    def _find_provider(self, row: tuple) -> tuple[int, int]:
         """Return (table, index); table == -1 means the base table."""
+        base, pairs = row
         for table in range(self.num_tables - 1, -1, -1):
-            index, tag = self._hash(pc, table, direction, path, folded)
+            index, tag = pairs[table]
             if self._tables[table][index].tag == tag:
                 return table, index
-        return -1, pc_index(pc, self._base_bits)
+        return -1, base
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
-        table, index = self._find_provider(
-            probe.pc, probe.direction_history, probe.path_history,
-            probe.folded,
-        )
+        table, index = self._find_provider(self._row(probe))
         if table >= 0:
             entry = self._tables[table][index]
             if entry.confidence >= CONFIDENCE_THRESHOLD:
@@ -205,10 +187,8 @@ class EVtagePredictor:
 
     def train(self, outcome: LoadOutcome) -> None:
         value = outcome.value & _VALUE_MASK
-        table, index = self._find_provider(
-            outcome.pc, outcome.direction_history, outcome.path_history,
-            outcome.folded,
-        )
+        row = self._row(outcome)
+        table, index = self._find_provider(row)
         if table >= 0:
             entry = self._tables[table][index]
             if entry.value == value:
@@ -224,7 +204,7 @@ class EVtagePredictor:
             # misprediction, with probability 1/2 to limit churn --
             # the VTAGE allocation policy.
             if self._rng.coin(0.5):
-                self._allocate(outcome, value, table)
+                self._allocate(row[1], value, table)
             return
 
         base = self._base[index]
@@ -236,7 +216,7 @@ class EVtagePredictor:
         else:
             base.confidence = 0
         if self._rng.coin(0.5):
-            self._allocate(outcome, value, -1)
+            self._allocate(row[1], value, -1)
 
     def _bump(self, entry) -> None:
         level = entry.confidence
@@ -245,13 +225,10 @@ class EVtagePredictor:
             if p >= 1.0 or self._rng.coin(p):
                 entry.confidence = level + 1
 
-    def _allocate(self, outcome: LoadOutcome, value: int, above: int) -> None:
+    def _allocate(self, pairs: tuple, value: int, above: int) -> None:
         """Allocate into one longer-history table with a free-ish slot."""
         for table in range(above + 1, self.num_tables):
-            index, tag = self._hash(
-                outcome.pc, table, outcome.direction_history,
-                outcome.path_history, outcome.folded,
-            )
+            index, tag = pairs[table]
             entry = self._tables[table][index]
             if entry.useful == 0:
                 entry.tag = tag

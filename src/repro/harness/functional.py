@@ -74,14 +74,13 @@ class FunctionalResult:
 
 def probe_load(histories: HistorySet, pc: int) -> LoadProbe:
     """The program-order probe for the load at ``pc``: the current
-    histories and folds, no loads in flight."""
+    histories, no loads in flight."""
     return LoadProbe(
         pc=pc,
         direction_history=histories.direction,
         path_history=histories.path,
         load_path_history=histories.load_path,
         inflight_same_pc=0,
-        folded=histories.folded_values(),
     )
 
 
@@ -118,7 +117,6 @@ def judge_and_train(
             direction_history=probe.direction_history,
             path_history=probe.path_history,
             load_path_history=probe.load_path_history,
-            folded=probe.folded,
         ),
         correctness,
     )

@@ -30,20 +30,21 @@ precomputed per-opclass dispatch tables instead of enum property calls.
 
 The front end is trace-determined: histories take actual outcomes and
 each branch is predicted and trained within its own iteration, so the
-branch unit (TAGE, ITTAGE, RAS, BTB), the three history registers and
-every folded register evolve identically whatever the timing.  The loop
-replays a :class:`repro.pipeline.frontend.FrontEndStream` -- per-branch
-bubbles and mispredictions, per-predictable-load history snapshots,
-final branch statistics -- recorded once per trace and shared by every
+branch unit (TAGE, ITTAGE, RAS, BTB) and the three history registers
+evolve identically whatever the timing.  The loop replays a
+:class:`repro.pipeline.frontend.FrontEndStream` -- per-branch bubbles
+and mispredictions, per-predictable-load history snapshots, final
+branch statistics -- recorded once per trace and shared by every
 predictor assembly run on it.  The stream also memoizes the
-context-aware components' per-load table hashes (CVP and CAP hash only
-the load PC and these histories): :meth:`CoreModel.run` binds the
-stream to the predictor assembly for the run, and every probe and
-outcome carries the load's ordinal, by which those components look the
-hashes up instead of recomputing them.  What depends on timing stays
-serial: the memory hierarchy (flushes refetch blocks, PAQ probes touch
-the L1D when their prediction is chosen) and the deferred predictor
-updates (applied once fetch passes a load's completion).
+context-aware components' per-load table hashes (CVP and CAP hash
+only the load PC and these histories):
+:meth:`CoreModel.run` binds the stream to the predictor assembly for
+the run, and every probe and outcome carries the load's ordinal, by
+which those components look the hashes up instead of recomputing them.
+What depends on timing stays serial: the memory hierarchy (flushes
+refetch blocks, PAQ probes touch the L1D when their prediction is
+chosen) and the deferred predictor updates (applied once fetch passes
+a load's completion).
 
 The reference oracle is the same pass over ``trace.instructions``
 driving a live :class:`~repro.branch.unit.BranchUnit`; it lives in
@@ -75,7 +76,7 @@ from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.frontend import branch_folds, frontend_stream
+from repro.pipeline.frontend import frontend_stream
 from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
@@ -135,15 +136,6 @@ class CoreModel:
         self.ittage_config = ittage_config or IttageConfig()
         self.seed = seed
         self.hierarchy = MemoryHierarchy(self.config.hierarchy)
-        # Let the predictor assembly register its fold widths after the
-        # branch predictors' (probes then carry pre-folded values).  The
-        # slots are laid out on a table-free HistorySet; the front-end
-        # recorder's live branch unit repeats the layout.
-        histories = branch_folds(self.tage_config, self.ittage_config)
-        bind = getattr(self.predictor, "bind_history", None)
-        if bind is not None:
-            bind(histories)
-        self.fold_layout = histories.fold_layout()
         self._last_correctness: dict[str, bool] = {}
         # Per-opclass dispatch table: execution latency indexed by the
         # raw opclass integer (no enum hashing in the hot loop).  LOAD
@@ -196,8 +188,7 @@ class CoreModel:
         cols = trace.pack()
         stream = frontend_stream(
             trace, self.tage_config, self.ittage_config,
-            self.config.ras_entries, self.seed, self.fold_layout,
-            interrupt, interrupt_interval,
+            self.config.ras_entries, self.seed, interrupt, interrupt_interval,
         )
         bind = getattr(self.predictor, "bind_frontend", None)
         if bind is not None:
@@ -218,7 +209,6 @@ class CoreModel:
         cfg = self.config
         predictor = self.predictor
         hierarchy = self.hierarchy
-        layout = self.fold_layout
         l1d_hit = cfg.hierarchy.l1d.hit_latency
         l1i_hit = cfg.hierarchy.l1i.hit_latency
         depth = cfg.frontend_depth
@@ -309,9 +299,6 @@ class CoreModel:
         snap_directions = stream.direction
         snap_paths = stream.path
         snap_load_paths = stream.load_path
-        snap_folds = stream.folds
-        stride = stream.stride
-        n_folds = len(layout)
         branch = 0
         probe = 0
         load_complete = self._load_complete
@@ -426,8 +413,6 @@ class CoreModel:
                     snap_direction = snap_directions[probe]
                     snap_path = snap_paths[probe]
                     snap_load_path = snap_load_paths[probe]
-                    base = probe * stride
-                    snap_folded = tuple(snap_folds[base:base + n_folds])
                     ordinal = probe
                     probe += 1
                     flights = inflight_get(pc)
@@ -442,7 +427,6 @@ class CoreModel:
                         path_history=snap_path,
                         load_path_history=snap_load_path,
                         inflight_same_pc=inflight,
-                        folded=snap_folded,
                         ordinal=ordinal,
                     ))
 
@@ -543,7 +527,6 @@ class CoreModel:
                         direction_history=snap_direction,
                         path_history=snap_path,
                         load_path_history=snap_load_path,
-                        folded=snap_folded,
                         ordinal=ordinal,
                     )
                     heappush(pending_updates, (

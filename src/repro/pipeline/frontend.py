@@ -9,9 +9,9 @@ pure function of the trace, the TAGE/ITTAGE geometry, the RAS depth
 and the core seed:
 
 * per branch -- the BTB fetch bubble and whether it mispredicted;
-* per predictable load -- its PC, the fetch-time direction, path and
-  memory path histories and every folded register (the value
-  predictor's probe and deferred training both read these);
+* per predictable load -- its PC and the fetch-time direction, path
+  and memory path histories (the value predictor's probe and deferred
+  training both read these);
 * the run's final branch statistics.
 
 :func:`frontend_stream` records them in one pass over the packed
@@ -20,10 +20,14 @@ columns -- through the unchanged :meth:`BranchUnit.fetch_branch_fields`
 into a compact :class:`FrontEndStream`, and memoizes it on the trace.
 :meth:`repro.pipeline.core.CoreModel.run` replays the stream
 instead of driving a live branch unit, so a campaign that simulates one
-trace under many predictor assemblies pays for the front end once.
+trace under many predictor assemblies pays for the front end once.  The
+folded history registers TAGE and ITTAGE read are the branch unit's
+own; the stream records none of them, so every predictor assembly run
+with one front-end key -- ``(tage, ittage, ras, seed)`` -- shares one
+stream.
 
 The context-aware components hash their table indices and tags from a
-load's PC and these histories alone, so their hashes are trace
+load's PC and these raw histories alone, so their hashes are trace
 determined too.  :meth:`FrontEndStream.hash_rows` computes them for a
 whole trace at once, with the component's column kernel, the first time
 a run binds a component of that table geometry, and keeps them beside
@@ -31,13 +35,9 @@ the histories: every later cell with that geometry looks each load's
 hashes up by its ordinal (its index among the trace's predictable
 loads, carried on the probe and the outcome).
 
-Fold values depend on which folds are registered: a stream records the
-fold-slot *layout* it was taken under, and serves any predictor whose
-layout is a prefix of it (slots are registered branch predictors
-first, so the no-VP baseline's layout prefixes every assembly's).  The
-memo is keyed on the :class:`~repro.isa.trace.Trace` object through a
-:class:`weakref.WeakKeyDictionary`, so streams die with their trace and
-:func:`clear_frontend_streams` (called by
+The memo is keyed on the :class:`~repro.isa.trace.Trace` object through
+a :class:`weakref.WeakKeyDictionary`, so streams die with their trace
+and :func:`clear_frontend_streams` (called by
 :func:`repro.harness.runner.clear_caches`) drops them all.
 """
 
@@ -48,22 +48,19 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.branch.history import HistorySet
-from repro.branch.ittage import IttageConfig, IttagePredictor
-from repro.branch.tage import TageConfig, TagePredictor
+from repro.branch.ittage import IttageConfig
+from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
 from repro.common.rng import DeterministicRng
 from repro.isa.columns import FLAG_IS_CALL, FLAG_PREDICTABLE, FLAG_TAKEN
 from repro.isa.instruction import OP_BRANCH_FIRST, OP_BRANCH_LAST, OP_LOAD, OP_STORE
 from repro.isa.trace import Trace
 
-#: A fold-slot layout: ``(kind, length, width)`` per slot, in slot order
-#: (see :meth:`repro.branch.history.HistorySet.fold_layout`).
-Layout = tuple[tuple[str, int, int], ...]
-
-# trace -> streams recorded for it (one per front-end key and layout
-# family; a handful at most).
-_streams: WeakKeyDictionary[Trace, list["FrontEndStream"]] = WeakKeyDictionary()
+# trace -> front-end key -> the stream recorded under it (one key per
+# core seed a campaign runs the trace with, at most a handful).
+_streams: WeakKeyDictionary[Trace, dict[tuple, "FrontEndStream"]] = (
+    WeakKeyDictionary()
+)
 
 
 def _typecode(bits: int) -> str:
@@ -72,18 +69,6 @@ def _typecode(bits: int) -> str:
         if array(code).itemsize * 8 >= bits:
             return code
     raise ValueError(f"no array typecode holds {bits}-bit values")
-
-
-def branch_folds(
-    tage_config: TageConfig, ittage_config: IttageConfig
-) -> HistorySet:
-    """A :class:`HistorySet` carrying exactly the folds a
-    :class:`BranchUnit` of this geometry registers, in its order --
-    without allocating any predictor tables."""
-    histories = HistorySet()
-    TagePredictor.register_folds(tage_config, histories)
-    IttagePredictor.register_folds(ittage_config, histories)
-    return histories
 
 
 def branch_stats(unit: BranchUnit) -> dict:
@@ -103,33 +88,24 @@ class FrontEndStream:
 
     ``branch_codes[b]`` is ``fetch_bubble << 1 | mispredicted`` for the
     ``b``-th branch.  For the ``k``-th predictable load (its *ordinal*),
-    ``pc`` holds its PC, ``direction``, ``path`` and ``load_path`` its
-    fetch-time raw histories and
-    ``folds[k * stride : k * stride + stride]`` its folded registers in
-    ``layout`` order (``stride == len(layout)``).  :meth:`hash_rows`
-    memoizes per-load table hashes derived from them.
+    ``pc`` holds its PC and ``direction``, ``path`` and ``load_path``
+    its fetch-time raw histories.  :meth:`hash_rows` memoizes per-load
+    table hashes derived from them.
     """
 
     __slots__ = (
-        "key", "layout", "stride", "branch_codes", "pc", "direction",
-        "path", "load_path", "folds", "branch_stats", "_hash_rows",
+        "branch_codes", "pc", "direction", "path", "load_path",
+        "branch_stats", "_hash_rows",
     )
 
-    def __init__(self, key: tuple, layout: Layout) -> None:
-        self.key = key
-        self.layout = layout
-        self.stride = len(layout)
+    def __init__(self) -> None:
         self.branch_codes = bytearray()
         self.pc = array("Q")
         self.direction: list[int] = []
         self.path = array(_typecode(32))
         self.load_path = array(_typecode(32))
-        self.folds = array(_typecode(max((w for _, _, w in layout), default=1)))
         self.branch_stats: dict = {}
         self._hash_rows: dict[tuple, list] = {}
-
-    def serves(self, key: tuple, layout: Layout) -> bool:
-        return self.key == key and self.layout[:len(layout)] == layout
 
     def hash_rows(self, key: tuple, build) -> list:
         """One geometry's per-load table hashes, built on first use.
@@ -163,7 +139,6 @@ def frontend_stream(
     ittage_config: IttageConfig,
     ras_entries: int,
     seed: int,
-    layout: Layout,
     interrupt=None,
     interrupt_interval: int = 1024,
 ) -> FrontEndStream:
@@ -176,18 +151,12 @@ def frontend_stream(
     nothing.
     """
     key = (tage_config, ittage_config, ras_entries, seed)
-    streams = _streams.get(trace)
-    if streams:
-        for stream in streams:
-            if stream.serves(key, layout):
-                return stream
-    stream = _record(
-        trace, key, layout, interrupt, interrupt_interval
-    )
-    streams = _streams.setdefault(trace, [])
-    # Any stream the new one extends is now redundant.
-    streams[:] = [s for s in streams if not stream.serves(s.key, s.layout)]
-    streams.append(stream)
+    streams = _streams.setdefault(trace, {})
+    stream = streams.get(key)
+    if stream is None:
+        stream = streams[key] = _record(
+            trace, key, interrupt, interrupt_interval
+        )
     return stream
 
 
@@ -196,7 +165,7 @@ def clear_frontend_streams() -> None:
     _streams.clear()
 
 
-def _record(trace, key, layout, interrupt, interrupt_interval):
+def _record(trace, key, interrupt, interrupt_interval):
     from repro.pipeline.core import SimulationInterrupted
 
     tage_config, ittage_config, ras_entries, seed = key
@@ -205,8 +174,7 @@ def _record(trace, key, layout, interrupt, interrupt_interval):
         DeterministicRng(seed, "core"),
     )
     histories = unit.histories
-    histories.register_layout(layout)
-    stream = FrontEndStream(key, layout)
+    stream = FrontEndStream()
 
     cols = trace.columns
     pcs = cols.pc
@@ -216,13 +184,11 @@ def _record(trace, key, layout, interrupt, interrupt_interval):
     fetch_branch_fields = unit.fetch_branch_fields
     resolve_fields = unit.resolve_fields
     push_memory = histories.push_memory
-    folded_values = histories.folded_values
     code_append = stream.branch_codes.append
     pc_append = stream.pc.append
     direction_append = stream.direction.append
     path_append = stream.path.append
     load_path_append = stream.load_path.append
-    folds_extend = stream.folds.extend
 
     name = trace.name
     next_check = interrupt_interval if interrupt else None
@@ -248,7 +214,6 @@ def _record(trace, key, layout, interrupt, interrupt_interval):
                 direction_append(histories.direction)
                 path_append(histories.path)
                 load_path_append(histories.load_path)
-                folds_extend(folded_values())
             push_memory(pcs[i])
         elif op == OP_STORE:
             push_memory(pcs[i])

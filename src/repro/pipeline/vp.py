@@ -82,11 +82,6 @@ class EvesAdapter:
         self.eves = eves
         self.stats = _EvesStats()
 
-    def bind_history(self, histories) -> None:
-        bind = getattr(self.eves, "bind_history", None)
-        if bind is not None:
-            bind(histories)
-
     def predict(self, probe: LoadProbe) -> CompositeDecision:
         self.stats.loads += 1
         prediction = self.eves.predict(probe)

@@ -38,14 +38,11 @@ COMPONENT_NAMES = ("lvp", "sap", "cvp", "cap")
 EXTRA_COMPONENT_NAMES = ("lap", "svp")
 
 
-def make_component(name: str, entries: int, rng=None,
-                   confidence_threshold: int | None = None) -> ComponentPredictor:
+def make_component(name: str, entries: int, rng=None) -> ComponentPredictor:
     """Factory: build one component predictor by short name.
 
     ``entries`` is the *total* entry count (for CVP it is split across
     the three internal tables, matching the paper's footnote 3).
-    ``confidence_threshold`` overrides the Table IV tuning (used by the
-    accuracy-vs-coverage sensitivity ablation).
     """
     classes = {
         "lvp": LvpPredictor,
@@ -61,8 +58,7 @@ def make_component(name: str, entries: int, rng=None,
         raise ValueError(
             f"unknown predictor {name!r}; expected one of {sorted(classes)}"
         ) from None
-    return cls(entries=entries, rng=rng,
-               confidence_threshold=confidence_threshold)
+    return cls(entries=entries, rng=rng)
 
 
 __all__ = [

@@ -39,41 +39,17 @@ class ComponentPredictor(abc.ABC):
     fpc_vector: FpcVector
     confidence_threshold: int
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
         if entries <= 0:
             raise ValueError(f"{type(self).__name__} needs entries > 0, got {entries}")
         self.base_entries = entries
         self._rng = (rng or DeterministicRng(0)).derive(self.name)
         self._float_probs = tuple(float(p) for p in self.fpc_vector.probabilities)
         self._conf_max = self.fpc_vector.maximum
-        if confidence_threshold is not None:
-            # Instance-level override of the Table IV tuning, for the
-            # accuracy-vs-coverage sensitivity ablation.  The paper
-            # "tuned each predictor to achieve 99% accuracy (thereby
-            # sacrificing coverage)"; lowering the bar trades the other
-            # way.
-            if not 1 <= confidence_threshold <= self._conf_max:
-                raise ValueError(
-                    f"confidence threshold {confidence_threshold} outside "
-                    f"[1, {self._conf_max}]"
-                )
-            self.confidence_threshold = confidence_threshold
 
     # ------------------------------------------------------------------
     # Subclass interface
     # ------------------------------------------------------------------
-
-    def bind_history(self, histories) -> None:
-        """Register the fold widths this predictor needs on ``histories``.
-
-        Called once by the pipeline with its live
-        :class:`repro.branch.history.HistorySet`.  Context-aware
-        predictors override this to register incremental folded
-        registers and remember their slots; probes/outcomes then carry
-        the captured fold values in ``LoadProbe.folded`` /
-        ``LoadOutcome.folded``.  PC-only predictors ignore it.
-        """
 
     def bind_frontend(self, stream) -> None:
         """Bind the trace's recorded front end for one timing run.
@@ -82,8 +58,10 @@ class ComponentPredictor(abc.ABC):
         :class:`repro.pipeline.frontend.FrontEndStream` before the run
         and ``None`` after it.  Context-aware predictors override this
         to look up their per-load table hashes in the stream, keyed by
-        ``LoadProbe.ordinal`` / ``LoadOutcome.ordinal``.  PC-only
-        predictors ignore it.
+        ``LoadProbe.ordinal`` / ``LoadOutcome.ordinal``; with no stream
+        bound (serve sessions, single RPCs, the test oracles) they hash
+        each load's raw histories with their scalar reference instead.
+        PC-only predictors ignore it.
         """
 
     @abc.abstractmethod

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.bits import fold_bits, fold_bits_np, mask, shr_np
+from repro.common.bits import fold_bits_np, mask, shr_np
 from repro.common.hashing import mix64, mix64_np
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
@@ -24,6 +24,7 @@ from repro.predictors.table import INVALID_TAG, BankedTable
 from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
+_TAG_MASK = mask(_TAG_BITS)
 _ADDR_BITS = 49
 _ADDR_MASK = mask(_ADDR_BITS)
 
@@ -44,31 +45,25 @@ class CapPredictor(ComponentPredictor):
     fpc_vector = CAP_FPC
     confidence_threshold = CAP_CONFIDENCE_THRESHOLD
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
-        super().__init__(entries, rng, confidence_threshold)
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
+        super().__init__(entries, rng)
         self._table = BankedTable(entries, _FIELDS)
+        if not self._table.index_bits:
+            # The hash folds down to the index bits; it needs one.
+            raise ValueError(f"CAP needs at least 2 entries, got {entries}")
         # Stable bank list and bank 0; see LvpPredictor.
         self._banks = self._table.banks
         self._bank0 = self._banks[0]
+        self._index_bits = self._table.index_bits
+        self._index_mask = mask(self._index_bits)
         #: Everything the (index, tag) hashes depend on besides the
         #: load's own inputs: loads hash alike under an equal key.
-        self.geometry_key = ("cap", self._table.index_bits)
-        # Incremental-folding fast path (armed by bind_history).
-        self._path_slot: int | None = None
-        self._min_folded = 0
-        # One-entry hash memo; see _hashes_for.
+        self.geometry_key = ("cap", self._index_bits)
+        # One-entry hash memo; see _row.
         self._hash_memo_key: tuple[int, int] | None = None
         self._hash_memo: tuple[int, int] = (0, 0)
         # Per-load hashes of the bound front-end stream; see _row.
         self._rows: list | None = None
-
-    def bind_history(self, histories) -> None:
-        """Register the load-path fold on the live histories."""
-        self._path_slot = histories.register_load_path_fold(
-            self._table.index_bits
-        )
-        self._min_folded = self._path_slot + 1
 
     def bind_frontend(self, stream) -> None:
         """Look up this geometry's per-load hashes in ``stream``, a
@@ -81,20 +76,31 @@ class CapPredictor(ComponentPredictor):
     def _tables(self) -> list:
         return [self._table]
 
-    def _index(self, pc: int, load_path: int) -> int:
-        bits = self._table.index_bits
-        value = (pc >> 2) ^ (pc >> (2 + bits)) ^ fold_bits(load_path, bits)
-        return fold_bits(value, bits)
+    def _hashes(self, pc: int, load_path: int) -> tuple[int, int]:
+        """``(index, tag)`` of one load: the scalar reference.
 
-    def _tag(self, pc: int, load_path: int) -> int:
-        return fold_bits((pc >> 2) ^ mix64(load_path + 0x9E37), _TAG_BITS)
+        The index folds ``pc >> 2``, ``pc >> (2 + bits)`` and the load
+        path history down to ``bits`` bits (folding is XOR-linear, so
+        one fold of their XOR equals the XOR of their folds); the tag
+        folds ``pc >> 2`` and the mixed load path down to 14.
+        """
+        bits = self._index_bits
+        imask = self._index_mask
+        pcx = pc >> 2
+        v = pcx ^ (pc >> (2 + bits)) ^ load_path
+        while v > imask:
+            v = (v & imask) ^ (v >> bits)
+        t = pcx ^ mix64(load_path + 0x9E37)
+        while t > _TAG_MASK:
+            t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
+        return v, t
 
     def hash_columns(
         self, pc: np.ndarray, load_path: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(index, tag)`` columns over uint64 load columns,
-        bit-identical to :meth:`_index` / :meth:`_tag` on every load."""
-        bits = self._table.index_bits
+        bit-identical to :meth:`_hashes` on every load."""
+        bits = self._index_bits
         pcx = shr_np(pc, 2)
         v = pcx ^ shr_np(pc, 2 + bits) ^ fold_bits_np(load_path, bits)
         index = fold_bits_np(v, bits)
@@ -108,60 +114,20 @@ class CapPredictor(ComponentPredictor):
         index, tag = self.hash_columns(pc, load_path)
         return list(zip(index.tolist(), tag.tolist()))
 
-    def _hash(
-        self, pc: int, load_path: int, folded: tuple[int, ...]
-    ) -> tuple[int, int]:
-        """(index, tag), via the pre-folded load-path register when the
-        probe carries one; bit-identical to ``(_index, _tag)``."""
-        slot = self._path_slot
-        if slot is None or len(folded) < self._min_folded:
-            return self._index(pc, load_path), self._tag(pc, load_path)
-        bits = self._table.index_bits
-        imask = (1 << bits) - 1
-        v = (pc >> 2) ^ (pc >> (2 + bits)) ^ folded[slot]
-        while v > imask:
-            v = (v & imask) ^ (v >> bits)
-        tmask = (1 << _TAG_BITS) - 1
-        t = (pc >> 2) ^ mix64(load_path + 0x9E37)
-        while t > tmask:
-            t = (t & tmask) ^ (t >> _TAG_BITS)
-        return v, t
-
-    def _hashes_for(
-        self, pc: int, load_path: int, folded: tuple[int, ...]
-    ) -> tuple[int, int]:
-        """One-entry memo over :meth:`_hash`.
-
-        Serves the streaming paths (serve sessions and the functional
-        test oracle): a whole-trace timing run looks its loads'
-        hashes up by ordinal instead (see :meth:`_row`).  A load's
-        ``train`` (and ``penalize``) re-hashes with the exact load-path
-        history its ``predict`` saw, so the repeat computations per
-        load reduce to a tuple compare.  The folded
-        register is a pure function of the raw load-path value (the
-        fast path is bit-identical to the reference hashes), so
-        ``(pc, load_path)`` fully keys the result; an interleaved
-        in-flight load simply misses and recomputes.
-        """
-        key = (pc, load_path)
-        if key == self._hash_memo_key:
-            return self._hash_memo
-        hashed = self._hash(pc, load_path, folded)
-        self._hash_memo_key = key
-        self._hash_memo = hashed
-        return hashed
-
     def _row(self, record: LoadProbe | LoadOutcome) -> tuple[int, int]:
         """``(index, tag)`` of one load: looked up by ordinal in the
         bound front-end stream's rows during a whole-trace timing run,
-        hashed from its load-path history otherwise (bit-identical
-        either way)."""
+        computed by :meth:`_hashes` behind a one-entry memo anywhere
+        else (a load's ``train`` and ``penalize`` re-hash with the
+        load path its ``predict`` saw).  Bit-identical either way."""
         rows = self._rows
         if rows is not None and record.ordinal >= 0:
             return rows[record.ordinal]
-        return self._hashes_for(
-            record.pc, record.load_path_history, record.folded
-        )
+        key = (record.pc, record.load_path_history)
+        if key != self._hash_memo_key:
+            self._hash_memo_key = key
+            self._hash_memo = self._hashes(*key)
+        return self._hash_memo
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         index, tag = self._row(probe)

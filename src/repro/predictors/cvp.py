@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.bits import fold_bits, fold_bits_np, mask, shr_np
+from repro.common.bits import fold_bits_np, mask, shr_np
 from repro.common.hashing import mix64
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
@@ -69,54 +69,45 @@ class CvpPredictor(ComponentPredictor):
     fpc_vector = CVP_FPC
     confidence_threshold = CVP_CONFIDENCE_THRESHOLD
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
-        super().__init__(entries, rng, confidence_threshold)
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
+        super().__init__(entries, rng)
         self._banked = [
             BankedTable(size, _FIELDS) for size in split_entries(entries)
         ]
+        if not all(table.index_bits for table in self._banked):
+            # A table's hash folds down to its index bits; it needs one.
+            raise ValueError(
+                f"CVP needs at least 2 entries per table (8 in total), "
+                f"got {entries}"
+            )
         # Fusion grants and revokes banks on all three tables together,
         # so table 0's (stable) bank list tells whether every table is
         # down to its bank 0, whose columns the fast paths read.
         self._t0_banks = self._banked[0].banks
         self._bank0s = tuple(table.banks[0] for table in self._banked)
-        # Hot-path constants (fixed rewiring in hardware).
-        self._history_masks = tuple(mask(L) for L in HISTORY_LENGTHS)
-        self._index_salts = tuple(
-            mix64(t + 3) & mask(self._banked[t].index_bits)
-            for t in range(len(self._banked))
+        # Per-table hash constants (fixed rewiring in hardware), in
+        # table order: index bits, history mask, index salt, tag salt.
+        tables = tuple(
+            (
+                table.index_bits, mask(length),
+                mix64(t + 3) & mask(table.index_bits), mix64((t + 1) << 7),
+            )
+            for t, (table, length) in enumerate(
+                zip(self._banked, HISTORY_LENGTHS)
+            )
         )
-        self._tag_salts = tuple(
-            mix64((t + 1) << 7) for t in range(len(self._banked))
-        )
-        self._index_bits_t = tuple(b.index_bits for b in self._banked)
-        self._index_masks = tuple(mask(b) for b in self._index_bits_t)
         #: Everything the (index, tag) hashes depend on besides the
         #: load's own inputs: loads hash alike under an equal key.
-        self.geometry_key = ("cvp",) + tuple(zip(
-            self._index_bits_t, self._history_masks, self._index_salts,
-            self._tag_salts,
-        ))
-        # Incremental-folding fast path (armed by bind_history).
-        self._dir_slots: tuple[int, ...] | None = None
-        self._path_slots: tuple[int, ...] = ()
-        self._min_folded = 0
-        # One-entry hash memo; see _hashes_for.
+        self.geometry_key = ("cvp",) + tables
+        self._hash_consts = tuple(
+            (bits, mask(bits), hmask, isalt, tsalt)
+            for bits, hmask, isalt, tsalt in tables
+        )
+        # One-entry hash memo; see _row.
         self._hash_memo_key: tuple[int, int, int] | None = None
         self._hash_memo: list[tuple[int, int]] = []
         # Per-load hashes of the bound front-end stream; see _row.
         self._rows: list | None = None
-
-    def bind_history(self, histories) -> None:
-        """Register per-table direction/path folds on the live histories."""
-        self._dir_slots = tuple(
-            histories.register_direction_fold(L, bits)
-            for L, bits in zip(HISTORY_LENGTHS, self._index_bits_t)
-        )
-        self._path_slots = tuple(
-            histories.register_path_fold(bits) for bits in self._index_bits_t
-        )
-        self._min_folded = max(self._dir_slots + self._path_slots) + 1
 
     def bind_frontend(self, stream) -> None:
         """Look up this geometry's per-load hashes in ``stream``, a
@@ -133,48 +124,56 @@ class CvpPredictor(ComponentPredictor):
     # Hashing
     # ------------------------------------------------------------------
 
-    def _index(self, pc: int, table: int, direction: int, path: int) -> int:
-        bits = self._banked[table].index_bits
-        history = direction & self._history_masks[table]
-        value = (pc >> 2) ^ (pc >> (2 + bits))
-        value ^= fold_bits(history, bits) ^ fold_bits(path, bits)
-        value ^= self._index_salts[table]
-        return fold_bits(value, bits)
+    def _hashes(
+        self, pc: int, direction: int, path: int
+    ) -> list[tuple[int, int]]:
+        """Per-table ``(index, tag)`` pairs of one load: the scalar
+        reference.
 
-    def _tag(self, pc: int, table: int, direction: int) -> int:
-        history = direction & self._history_masks[table]
-        scrambled = ((history ^ self._tag_salts[table])
-                     * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-        return fold_bits((pc >> 2) ^ scrambled, _TAG_BITS)
+        A table's index folds ``pc >> 2``, ``pc >> (2 + bits)``, its
+        direction-history sample, the branch path history and its salt
+        down to ``bits`` bits; its tag folds ``pc >> 2`` and the
+        scrambled history sample down to 14.  Folding is XOR-linear, so
+        one fold of the terms' XOR equals the XOR of their folds.
+        """
+        pcx = pc >> 2
+        out = []
+        for bits, imask, hmask, isalt, tsalt in self._hash_consts:
+            history = direction & hmask
+            v = pcx ^ (pc >> (2 + bits)) ^ history ^ path ^ isalt
+            while v > imask:
+                v = (v & imask) ^ (v >> bits)
+            t = pcx ^ ((history ^ tsalt) * _TAG_SCRAMBLE & _MASK64)
+            while t > _TAG_MASK:
+                t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
+            out.append((v, t))
+        return out
 
     def hash_columns(
         self, pc: np.ndarray, direction: np.ndarray, path: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-table ``(index, tag)`` columns over uint64 load columns,
-        bit-identical to :meth:`_index` / :meth:`_tag` on every load."""
+        bit-identical to :meth:`_hashes` on every load."""
         out = []
         pcx = shr_np(pc, 2)
-        for table in range(len(self._banked)):
-            bits = self._index_bits_t[table]
-            hist = direction & np.uint64(self._history_masks[table])
+        for bits, _, hmask, isalt, tsalt in self._hash_consts:
+            hist = direction & np.uint64(hmask)
             v = (
                 pcx
                 ^ shr_np(pc, 2 + bits)
                 ^ fold_bits_np(hist, bits)
                 ^ fold_bits_np(path, bits)
-                ^ np.uint64(self._index_salts[table])
+                ^ np.uint64(isalt)
             )
             index = fold_bits_np(v, bits)
-            scrambled = (hist ^ np.uint64(self._tag_salts[table])) * np.uint64(
-                _TAG_SCRAMBLE
-            )
+            scrambled = (hist ^ np.uint64(tsalt)) * np.uint64(_TAG_SCRAMBLE)
             tag = fold_bits_np(pcx ^ scrambled, _TAG_BITS)
             out.append((index, tag))
         return out
 
     def _hash_rows(self, pc, direction, path, load_path) -> list:
         """One row per load: its per-table ``(index, tag)`` pairs, the
-        shape :meth:`_hashes_for` returns."""
+        shape :meth:`_hashes` returns."""
         columns = self.hash_columns(pc, direction, path)
         return list(zip(*(
             zip(index.tolist(), tag.tolist()) for index, tag in columns
@@ -184,93 +183,25 @@ class CvpPredictor(ComponentPredictor):
     # Prediction / training
     # ------------------------------------------------------------------
 
-    def _all_hashes(
-        self, pc: int, direction: int, path: int, folded: tuple[int, ...]
-    ) -> list[tuple[int, int]]:
-        """Per-table ``(index, tag)`` pairs for one load.
-
-        With the incremental folds armed, each table's ``_index`` and
-        ``_tag`` arithmetic is inlined into one loop with every
-        attribute prebound, taking the history fold terms from the
-        pre-folded registers -- CVP hashing is the hottest predictor
-        code on the per-event paths (serve sessions).  Falls back to
-        the reference ``_index``/``_tag`` pair when the folds are not
-        armed; bit-identical either way.
-        """
-        if self._dir_slots is None or len(folded) < self._min_folded:
-            return [
-                (
-                    self._index(pc, t, direction, path),
-                    self._tag(pc, t, direction),
-                )
-                for t in range(len(self._banked))
-            ]
-        dir_slots = self._dir_slots
-        path_slots = self._path_slots
-        index_bits_t = self._index_bits_t
-        index_masks = self._index_masks
-        index_salts = self._index_salts
-        history_masks = self._history_masks
-        tag_salts = self._tag_salts
-        pcx = pc >> 2
-        out = []
-        for table in range(len(index_bits_t)):
-            bits = index_bits_t[table]
-            imask = index_masks[table]
-            v = pcx ^ (pc >> (2 + bits)) \
-                ^ folded[dir_slots[table]] \
-                ^ folded[path_slots[table]] ^ index_salts[table]
-            while v > imask:
-                v = (v & imask) ^ (v >> bits)
-            scrambled = (
-                (direction & history_masks[table]) ^ tag_salts[table]
-            ) * _TAG_SCRAMBLE & _MASK64
-            t = pcx
-            while scrambled:
-                t ^= scrambled & _TAG_MASK
-                scrambled >>= _TAG_BITS
-            while t > _TAG_MASK:
-                t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
-            out.append((v, t))
-        return out
-
-    def _hashes_for(
-        self, pc: int, direction: int, path: int, folded: tuple[int, ...]
-    ) -> list[tuple[int, int]]:
-        """One-entry memo over :meth:`_all_hashes`.
-
-        Serves the streaming paths (serve sessions and the functional
-        test oracle): a whole-trace timing run looks its loads'
-        hashes up by ordinal instead (see :meth:`_row`).  A load's
-        ``train`` re-probes with the exact histories its
-        ``predict`` saw (the outcome carries the probe's histories), so
-        the second full hash computation per load is a tuple compare
-        away.  The folded registers are pure functions of the raw
-        history values (the fast path is bit-identical to the
-        reference hashes), so ``(pc, direction, path)`` fully keys the
-        result; an interleaved in-flight load simply misses and
-        recomputes.
-        """
-        key = (pc, direction, path)
-        if key == self._hash_memo_key:
-            return self._hash_memo
-        hashes = self._all_hashes(pc, direction, path, folded)
-        self._hash_memo_key = key
-        self._hash_memo = hashes
-        return hashes
-
     def _row(self, record: LoadProbe | LoadOutcome) -> list[tuple[int, int]]:
-        """Per-table ``(index, tag)`` pairs of one load: looked up by
-        ordinal in the bound front-end stream's rows during a
-        whole-trace timing run, hashed from its histories otherwise
-        (bit-identical either way)."""
+        """Per-table ``(index, tag)`` pairs of one load.
+
+        A whole-trace timing run looks them up by ordinal in the bound
+        front-end stream's rows.  Anywhere else (serve sessions, single
+        RPCs, the test oracles) :meth:`_hashes` computes them behind a
+        one-entry memo: a load's ``train`` re-probes with the exact
+        histories its ``predict`` saw, so its second hash is a tuple
+        compare away, and an interleaved in-flight load simply misses
+        and recomputes.  Bit-identical either way.
+        """
         rows = self._rows
         if rows is not None and record.ordinal >= 0:
             return rows[record.ordinal]
-        return self._hashes_for(
-            record.pc, record.direction_history, record.path_history,
-            record.folded,
-        )
+        key = (record.pc, record.direction_history, record.path_history)
+        if key != self._hash_memo_key:
+            self._hash_memo_key = key
+            self._hash_memo = self._hashes(*key)
+        return self._hash_memo
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         hashes = self._row(probe)

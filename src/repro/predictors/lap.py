@@ -50,9 +50,8 @@ class LapPredictor(ComponentPredictor):
     confidence_threshold = LAP_CONFIDENCE_THRESHOLD
     rank = 1  # behind SAP among context-agnostic address predictors
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
-        super().__init__(entries, rng, confidence_threshold)
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
+        super().__init__(entries, rng)
         self._table = BankedTable(entries, _FIELDS)
         # Stable bank list and bank 0; see LvpPredictor.
         self._banks = self._table.banks

@@ -37,9 +37,8 @@ class LvpPredictor(ComponentPredictor):
     fpc_vector = LVP_FPC
     confidence_threshold = LVP_CONFIDENCE_THRESHOLD
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
-        super().__init__(entries, rng, confidence_threshold)
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
+        super().__init__(entries, rng)
         self._table = BankedTable(entries, _FIELDS)
         # The bank list and bank 0 are stable for the table's lifetime:
         # the one-bank fast paths read bank 0's columns directly.

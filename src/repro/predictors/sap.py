@@ -48,9 +48,8 @@ class SapPredictor(ComponentPredictor):
     fpc_vector = SAP_FPC
     confidence_threshold = SAP_CONFIDENCE_THRESHOLD
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
-        super().__init__(entries, rng, confidence_threshold)
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
+        super().__init__(entries, rng)
         self._table = BankedTable(entries, _FIELDS)
         # Stable bank list and bank 0; see LvpPredictor.
         self._banks = self._table.banks

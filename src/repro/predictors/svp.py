@@ -53,9 +53,8 @@ class SvpPredictor(ComponentPredictor):
     confidence_threshold = SVP_CONFIDENCE_THRESHOLD
     rank = 1  # behind LVP among context-agnostic value predictors
 
-    def __init__(self, entries: int, rng: DeterministicRng | None = None,
-                 confidence_threshold: int | None = None) -> None:
-        super().__init__(entries, rng, confidence_threshold)
+    def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
+        super().__init__(entries, rng)
         self._table = BankedTable(entries, _FIELDS)
         # Stable bank list and bank 0; see LvpPredictor.
         self._banks = self._table.banks

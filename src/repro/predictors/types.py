@@ -38,12 +38,6 @@ class LoadProbe:
     #: instances of the same static load.  SAP advances its stride by
     #: this count, the enhancement the paper borrows from EVES.
     inflight_same_pc: int = 0
-    #: Fetch-time values of the incrementally folded history registers
-    #: (``HistorySet.folded_values()``), in slot order.  Empty when the
-    #: probe was built without a bound HistorySet; predictors then fold
-    #: the raw histories above with the ``fold_bits`` reference instead
-    #: (bit-identical results either way).
-    folded: tuple[int, ...] = ()
     #: The load's index among the trace's predictable loads during a
     #: whole-trace timing run (context-aware components look its
     #: precomputed table hashes up by it); ``-1`` anywhere else.
@@ -61,10 +55,6 @@ class LoadOutcome:
     direction_history: int = 0
     path_history: int = 0
     load_path_history: int = 0
-    #: Fetch-time folded registers matching the probe's (training must
-    #: index the same table entries prediction used, and value-predictor
-    #: training is deferred past younger history pushes).
-    folded: tuple[int, ...] = ()
     #: The probe's ordinal (see :attr:`LoadProbe.ordinal`).
     ordinal: int = -1
 

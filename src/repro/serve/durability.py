@@ -29,7 +29,7 @@ torn or bit-rotted tail record fails its CRC; recovery truncates the
 file back to the last intact record and counts it.
 
 **Checkpoints.**  Every ``checkpoint_every`` WAL records the full
-session state (predictor + bound histories + memory image + pending
+session state (predictor + raw histories + memory image + pending
 predictions, one pickled object graph) is checkpointed, bounding
 recovery cost to one unpickle plus the WAL tail.  A corrupt checkpoint
 is evicted and recovery falls back to full replay from the ``open``
@@ -83,8 +83,9 @@ WAL_FORMAT = 1
 #: Checkpoint layout version; bump on any format change.  Format 3
 #: pickles predictor tables as per-field column lists; format 4 pickles
 #: a lone-component session as a one-component composite; format 5
-#: pickles outstanding predict decisions as mutable slots records.
-CHECKPOINT_FORMAT = 5
+#: pickles outstanding predict decisions as mutable slots records;
+#: format 6 drops the folded-register field from those records.
+CHECKPOINT_FORMAT = 6
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"

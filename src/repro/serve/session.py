@@ -463,9 +463,6 @@ class PredictorSession:
         self.session_id = session_id
         self.predictor = build_predictor(resolve_spec(spec)) or NoPredictor()
         self.histories = HistorySet()
-        bind = getattr(self.predictor, "bind_history", None)
-        if bind is not None:
-            bind(self.histories)
         self.memory = (
             initial_memory.copy() if initial_memory is not None
             else MemoryImage()
@@ -742,11 +739,13 @@ class PredictorSession:
     def capture_state(self) -> dict:
         """The full mutable state a checkpoint must persist.
 
-        The predictor and its bound :class:`HistorySet` are captured in
-        one object graph, so pickling preserves the ``bind_history``
-        aliasing and a restored session keeps advancing the exact
-        registers its tables hash (proven bit-exact in
-        ``tests/test_durability.py``).
+        The predictor's tables, the raw :class:`HistorySet` registers
+        its components hash, the memory image and the outstanding
+        predict decisions together fix every later response, so a
+        restored session continues bit-exactly (proven in
+        ``tests/test_durability.py``).  The predictor and the histories
+        share no objects: components hash the raw registers a probe
+        carries.
         """
         return {
             "predictor": self.predictor,
@@ -766,8 +765,7 @@ class PredictorSession:
         """Rebuild a session from :meth:`capture_state` output.
 
         Bypasses ``__init__`` entirely -- the predictor is *not*
-        rebuilt from a spec, it is the unpickled object graph, already
-        history-bound.
+        rebuilt from a spec, it is the unpickled object graph.
         """
         session = cls.__new__(cls)
         session.session_id = session_id

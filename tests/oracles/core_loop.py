@@ -63,13 +63,11 @@ def resolve(unit: BranchUnit, inst: Instruction, outcome: BranchOutcome) -> None
 
 
 def live_branch_unit(model: CoreModel) -> BranchUnit:
-    """A fresh branch unit with ``model``'s geometry, seed and fold slots."""
-    unit = BranchUnit(
+    """A fresh branch unit with ``model``'s geometry and seed."""
+    return BranchUnit(
         model.tage_config, model.ittage_config,
         model.config.ras_entries, DeterministicRng(model.seed, "core"),
     )
-    unit.histories.register_layout(model.fold_layout)
-    return unit
 
 
 def _warm_l3(model: CoreModel, trace: Trace) -> None:
@@ -189,7 +187,6 @@ def run_objects(
         branch_outcome = None
         decision = None
         snap_direction = snap_path = snap_load_path = 0
-        snap_folded = ()
         if op.is_branch:
             branch_outcome = fetch_branch(branch_unit, inst)
             if branch_outcome.fetch_bubble:
@@ -205,7 +202,6 @@ def run_objects(
             snap_path = histories.path
             snap_load_path = histories.load_path
             if inst.predictable:
-                snap_folded = histories.folded_values()
                 flights = inflight_loads.get(inst.pc)
                 inflight = 0
                 if flights:
@@ -218,7 +214,6 @@ def run_objects(
                     path_history=snap_path,
                     load_path_history=snap_load_path,
                     inflight_same_pc=inflight,
-                    folded=snap_folded,
                 ))
             branch_unit.note_memory_op(inst.pc)
         elif op is OpClass.STORE:
@@ -304,7 +299,6 @@ def run_objects(
                     direction_history=snap_direction,
                     path_history=snap_path,
                     load_path_history=snap_load_path,
-                    folded=snap_folded,
                 )
                 heapq.heappush(pending_updates, (
                     complete, update_seq, decision, outcome,

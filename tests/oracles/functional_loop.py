@@ -35,9 +35,6 @@ def run_functional_objects(
     :class:`~repro.isa.instruction.Instruction` at a time (the only
     path for EVES and for assemblies the vector backend rejects)."""
     histories = HistorySet()
-    bind = getattr(predictor, "bind_history", None)
-    if bind is not None:
-        bind(histories)
     mem = (
         trace.initial_memory.copy()
         if isinstance(trace.initial_memory, MemoryImage)

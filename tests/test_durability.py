@@ -536,6 +536,61 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference.snapshot()
         second.durability.close_all()
 
+    def test_format_5_checkpoint_falls_back_to_full_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A CHECKPOINT_FORMAT 5 checkpoint pickles a session's
+        outstanding predict decisions with the probe's ``folded``
+        field, which the records without it cannot unpickle.  It is
+        evicted by its version before anything unpickles it, and the
+        session is rebuilt bit-identically by full WAL replay."""
+        import dataclasses
+        import pickle
+
+        from repro.common.atomicfile import write_sealed
+        from repro.predictors.types import LoadProbe
+
+        spec = SPECS[1][1]
+        chunks = chunked(make_events(36), 20)
+        pc = 0x1000
+        reference = PredictorSession(spec, session_id="d1")
+        for chunk in chunks:
+            apply_events(reference, chunk)
+        reference.predict(pc)
+        assert reference.pending == 1
+
+        # Pickle the way the format-5 probe did: its slots carried the
+        # fetch-time folded registers too.
+        def folded_era_getstate(self):
+            state = {f.name: getattr(self, f.name)
+                     for f in dataclasses.fields(self)}
+            state["folded"] = ()
+            return None, state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LoadProbe, "__getstate__", folded_era_getstate,
+                          raising=False)
+            first = durable_server(tmp_path, checkpoint_every=1)
+            _, _, seq = drive(first, "d1", spec, chunks)
+            first.execute("predict", {"session": "d1", "seq": seq, "pc": pc})
+            first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        blob = bytes(blob)
+        with pytest.raises(AttributeError, match="folded"):
+            pickle.loads(blob)
+        write_sealed(ckpt, b"RLVPCKP\x01", 5, header, blob)
+
+        second = durable_server(tmp_path, checkpoint_every=1)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 2
+        assert second.durability.stats.checkpoint_failures == 0
+        assert second.sessions.get("d1").snapshot() == reference.snapshot()
+        second.durability.close_all()
+
 
 class TestSegmentRotation:
     def test_rotation_and_multi_segment_recovery(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the EVES baseline (E-Stride + E-VTAGE)."""
 
+import pytest
 from conftest import make_outcome, make_probe
 
 from repro.common.rng import DeterministicRng
@@ -63,6 +64,10 @@ class TestEVtage:
         b = predictor.predict(make_probe(pc=0x1000, direction=0b1111))
         assert a is not None and b is not None
         assert a.value == 5 and b.value == 9
+
+    def test_tagged_tables_need_an_index_bit(self):
+        with pytest.raises(ValueError, match="at least 2 tagged entries"):
+            EVtagePredictor(tagged_entries=1)
 
     def test_storage_accounting(self):
         predictor = EVtagePredictor(base_entries=512, tagged_entries=64,

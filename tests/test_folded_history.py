@@ -1,12 +1,14 @@
 """Bit-exactness of the incrementally maintained folded registers.
 
-The tentpole invariant of the folding rework: every folded register in
-:class:`repro.branch.history.HistorySet` must equal
-``fold_bits(history & mask(length), width)`` -- the pre-change
-per-probe computation, kept in :mod:`repro.common.bits` as the
-reference oracle -- after *any* sequence of pushes, snapshots, and
-restores.  If these tests pass, rewiring the predictor hashes onto the
-registers cannot change a single table index or tag.
+Every folded register in :class:`repro.branch.history.HistorySet` must
+equal ``fold_bits(history & mask(length), width)`` -- the per-probe
+computation, kept in :mod:`repro.common.bits` as the reference oracle
+-- after *any* sequence of pushes, snapshots, and restores.  The folds
+are private to the branch unit: TAGE and ITTAGE read them, and their
+hashes must match the reference computed from a detached snapshot.
+Value predictors hash the raw registers: CVP and CAP are held to their
+column kernels in ``tests/test_hash_columns.py``, E-VTAGE to the
+per-table ``fold_bits`` reference here.
 """
 
 from __future__ import annotations
@@ -15,16 +17,12 @@ import random
 
 import pytest
 
-from repro.branch.history import (
-    LOAD_PATH_BITS,
-    MAX_DIRECTION_BITS,
-    PATH_BITS,
-    HistorySet,
-)
+from repro.branch.history import MAX_DIRECTION_BITS, PATH_BITS, HistorySet
 from repro.branch.ittage import IttagePredictor
 from repro.branch.tage import TagePredictor
 from repro.common.bits import fold_bits, mask
-from repro.common.hashing import csr_push, csr_push2
+from repro.common.hashing import csr_push, csr_push2, mix64, pc_index
+from repro.eves.evtage import _TAG_BITS, _TAG_SCRAMBLE, EVtagePredictor
 
 #: A deliberately awkward mix: widths larger than, equal to, dividing,
 #: and coprime to the history lengths, including width 1.
@@ -40,8 +38,6 @@ FOLD_SPECS = [
     ("path", PATH_BITS, 9),
     ("path", PATH_BITS, 10),
     ("path", PATH_BITS, 5),
-    ("load_path", LOAD_PATH_BITS, 8),
-    ("load_path", LOAD_PATH_BITS, 3),
 ]
 
 
@@ -52,21 +48,15 @@ def _register_all(h: HistorySet) -> dict[tuple, int]:
             slots[(kind, length, width)] = h.register_direction_fold(
                 length, width
             )
-        elif kind == "path":
-            slots[(kind, length, width)] = h.register_path_fold(width)
         else:
-            slots[(kind, length, width)] = h.register_load_path_fold(width)
+            slots[(kind, length, width)] = h.register_path_fold(width)
     return slots
 
 
 def _assert_oracle(h: HistorySet, slots: dict[tuple, int]) -> None:
     """Every registered fold equals the fold_bits reference."""
     for (kind, length, width), slot in slots.items():
-        source = {
-            "direction": h.direction,
-            "path": h.path,
-            "load_path": h.load_path,
-        }[kind]
+        source = h.direction if kind == "direction" else h.path
         expected = fold_bits(source & mask(length), width)
         assert h.fold_cell(slot)[0] == expected, (kind, length, width)
 
@@ -133,7 +123,9 @@ class TestRandomizedEquivalence:
 
 
 class TestPredictorHashEquivalence:
-    """The rewired fast-path hashes equal the fold_bits-based reference."""
+    """TAGE/ITTAGE hashes read from the live folds, and E-VTAGE's
+    one-pass scalar hashes of the raw registers, equal their
+    fold_bits-based references."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tage_indices_and_tags_bit_identical(self, seed):
@@ -164,57 +156,32 @@ class TestPredictorHashEquivalence:
                 pc, h.snapshot()
             )
 
-    @pytest.mark.parametrize("component_name", ["cvp", "cap"])
-    def test_value_predictor_hashes_bit_identical(self, component_name):
-        from repro.predictors import make_component
-
-        rng = random.Random(31337)
-        bound = make_component(component_name, 256)
-        reference = make_component(component_name, 256)
-        h = HistorySet()
-        bound.bind_history(h)
-        for _ in range(200):
-            _random_events(h, rng, rng.randrange(1, 8))
-            pc = rng.getrandbits(30) & ~0b11
-            folded = h.folded_values()
-            if component_name == "cap":
-                fast = bound._hash(pc, h.load_path, folded)
-                slow = (
-                    reference._index(pc, h.load_path),
-                    reference._tag(pc, h.load_path),
-                )
-                assert fast == slow
-            else:
-                assert len(folded) >= bound._min_folded  # folds armed
-                fast = bound._all_hashes(pc, h.direction, h.path, folded)
-                slow = [
-                    (
-                        reference._index(pc, table, h.direction, h.path),
-                        reference._tag(pc, table, h.direction),
-                    )
-                    for table in range(3)
-                ]
-                assert fast == slow
-
     def test_evtage_hashes_bit_identical(self):
-        from repro.eves.evtage import EVtagePredictor
-
         rng = random.Random(4242)
-        bound = EVtagePredictor()
-        reference = EVtagePredictor()
+        evtage = EVtagePredictor()
+        bits = evtage._index_bits
         h = HistorySet()
-        bound.bind_history(h)
         for _ in range(150):
             _random_events(h, rng, rng.randrange(1, 8))
             pc = rng.getrandbits(30) & ~0b11
-            folded = h.folded_values()
-            for table in range(bound.num_tables):
-                fast = bound._hash(pc, table, h.direction, h.path, folded)
-                slow = (
-                    reference._index(pc, table, h.direction, h.path),
-                    reference._tag(pc, table, h.direction),
+            pairs = []
+            for table, length in enumerate(evtage._lengths):
+                history = h.direction & mask(length)
+                index = fold_bits(
+                    (pc >> 2) ^ fold_bits(history, bits)
+                    ^ fold_bits(h.path, bits)
+                    ^ (mix64(table + 31) & mask(bits)),
+                    bits,
                 )
-                assert fast == slow
+                scrambled = (
+                    (history + table * 0x51) * _TAG_SCRAMBLE & mask(64)
+                )
+                pairs.append(
+                    (index, fold_bits((pc >> 2) ^ scrambled, _TAG_BITS))
+                )
+            assert evtage._hashes(pc, h.direction, h.path) == (
+                pc_index(pc, evtage._base_bits), tuple(pairs)
+            )
 
 
 class TestSnapshotRestore:

@@ -1,4 +1,4 @@
-"""The recorded front end: memo identity, lifetime, layouts, deadlines.
+"""The recorded front end: memo identity, lifetime, sharing, deadlines.
 
 :mod:`repro.pipeline.frontend` records a trace's branch outcomes and
 history snapshots once and the columnar core loop replays them.  These
@@ -22,7 +22,7 @@ from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
 from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
-from oracles.core_loop import live_branch_unit, simulate_objects
+from oracles.core_loop import simulate_objects
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +52,7 @@ def _composite():
 
 
 def _streams(trace):
-    return list(frontend._streams.get(trace, ()))
+    return list(frontend._streams.get(trace, {}).values())
 
 
 class TestMemoIdentity:
@@ -111,37 +111,18 @@ class TestLifetime:
         assert len(frontend._streams) == 0
 
 
-class TestLayouts:
-    def test_branch_folds_match_the_live_unit(self):
-        model = CoreModel()
-        assert model.fold_layout == BranchUnit().histories.fold_layout()
-        assert live_branch_unit(model).histories.fold_layout() == (
-            model.fold_layout
-        )
-
-    def test_longer_layout_serves_the_baseline(self, recordings):
+class TestOneStreamPerKey:
+    def test_baseline_composite_and_eves_share_one_stream(self, recordings):
+        # The stream records raw histories only, so no predictor
+        # assembly (none, composite, EVES) needs a stream of its own.
         trace = generate_trace("astar", 1500, 0)
-        simulate(trace, _composite())
-        simulate(trace)
+        for host in (None, _composite(), EvesAdapter(eves_8kb()),
+                     None, _composite()):
+            simulate(trace, host)
         assert len(recordings) == 1
-
-    def test_extending_a_layout_replaces_its_stream(self, recordings):
-        trace = generate_trace("astar", 1500, 0)
-        simulate(trace)
-        simulate(trace, _composite())
-        simulate(trace)
-        assert len(recordings) == 2
+        assert len(frontend._streams[trace]) == 1
         (stream,) = _streams(trace)
-        assert stream.layout == CoreModel(predictor=_composite()).fold_layout
-
-    def test_unrelated_layouts_keep_separate_streams(self, recordings):
-        trace = generate_trace("astar", 1500, 0)
-        simulate(trace, _composite())
-        simulate(trace, EvesAdapter(eves_8kb()))
-        simulate(trace, _composite())
-        simulate(trace, EvesAdapter(eves_8kb()))
-        assert len(recordings) == 2
-        assert len(_streams(trace)) == 2
+        assert isinstance(stream, frontend.FrontEndStream)
 
     def test_columnar_run_allocates_no_branch_unit(self, monkeypatch):
         trace = generate_trace("astar", 1500, 0)

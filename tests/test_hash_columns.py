@@ -1,12 +1,12 @@
 """Per-trace CVP/CAP hash columns: kernels, timing lookups, memo lifetimes.
 
-CVP and CAP index their tables from the load PC and its fetch-time
+CVP and CAP index their tables from the load PC and its fetch-time raw
 histories alone, so a whole trace's (index, tag) pairs can be hashed at
 once.  The timing model memoizes them on the trace's front-end stream
 and components look them up by load ordinal; the functional backend
 memoizes the same columns per trace.  These tests hold the column
-kernels to the scalar hashes, the column-fed timing run to the
-object-path oracle, and both memos to their lifetimes.
+kernels to each component's scalar reference, the column-fed timing run
+to the object-path oracle, and both memos to their lifetimes.
 """
 
 import gc
@@ -23,7 +23,7 @@ from repro.harness.runner import clear_caches
 from repro.pipeline import frontend
 from repro.pipeline.core import CoreModel, SimulationInterrupted
 from repro.predictors.cap import CapPredictor
-from repro.predictors.cvp import CvpPredictor
+from repro.predictors.cvp import HISTORY_LENGTHS, CvpPredictor
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.core_loop import simulate_objects
@@ -54,13 +54,13 @@ class TestKernelsMatchScalarHashes:
         pc, direction, path = _random_loads(total)
         columns = cvp.hash_columns(pc, direction, path)
         assert len(columns) == 3
-        for table, (index, tag) in enumerate(columns):
-            index, tag = index.tolist(), tag.tolist()
-            for k, (p, d, h) in enumerate(
-                zip(pc.tolist(), direction.tolist(), path.tolist())
-            ):
-                assert index[k] == cvp._index(p, table, d, h)
-                assert tag[k] == cvp._tag(p, table, d)
+        columns = [(index.tolist(), tag.tolist()) for index, tag in columns]
+        for k, (p, d, h) in enumerate(
+            zip(pc.tolist(), direction.tolist(), path.tolist())
+        ):
+            assert cvp._hashes(p, d, h) == [
+                (index[k], tag[k]) for index, tag in columns
+            ]
 
     @pytest.mark.parametrize("sets", SIZES)
     def test_cap(self, sets):
@@ -68,19 +68,20 @@ class TestKernelsMatchScalarHashes:
         pc, _, load_path = _random_loads(sets + 1)
         index, tag = (c.tolist() for c in cap.hash_columns(pc, load_path))
         for k, (p, h) in enumerate(zip(pc.tolist(), load_path.tolist())):
-            assert index[k] == cap._index(p, h)
-            assert tag[k] == cap._tag(p, h)
+            assert cap._hashes(p, h) == (index[k], tag[k])
 
     def test_stream_rows_match_the_recorded_histories(self):
         # The stream's direction history is 256 bits wide; the rows are
-        # built from its low 64, which must not change any hash.
+        # built from its low 64, which must not change any hash: no
+        # table reads further back than that.
         trace = generate_trace("gcc2k", 3000, 0)
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
         model = CoreModel(predictor=predictor)
         model.run(trace)
-        (stream,) = frontend._streams[trace]
+        (stream,) = frontend._streams[trace].values()
         cvp = predictor.components["cvp"]
         cap = predictor.components["cap"]
+        assert max(HISTORY_LENGTHS) <= 64
         cvp_rows = stream.hash_rows(cvp.geometry_key, cvp._hash_rows)
         cap_rows = stream.hash_rows(cap.geometry_key, cap._hash_rows)
         assert len(cvp_rows) == len(cap_rows) == len(stream.pc) > 0
@@ -89,13 +90,8 @@ class TestKernelsMatchScalarHashes:
             direction = stream.direction[k]
             path = stream.path[k]
             load_path = stream.load_path[k]
-            assert list(cvp_rows[k]) == [
-                (cvp._index(pc, t, direction, path), cvp._tag(pc, t, direction))
-                for t in range(3)
-            ]
-            assert cap_rows[k] == (
-                cap._index(pc, load_path), cap._tag(pc, load_path)
-            )
+            assert list(cvp_rows[k]) == cvp._hashes(pc, direction, path)
+            assert cap_rows[k] == cap._hashes(pc, load_path)
 
 
 def _fused_composite():

@@ -64,12 +64,10 @@ def _host(spec):
     return build_predictor(resolve_spec(spec)) or NoPredictor()
 
 
-def _program_order_folds(trace, spec):
-    """The folded registers after ``trace``, for ``spec``'s fold slots."""
+def _program_order_histories(trace):
+    """The raw ``(direction, path, load_path)`` registers after
+    ``trace``, pushed in program order."""
     histories = HistorySet()
-    bind = getattr(_host(spec), "bind_history", None)
-    if bind is not None:
-        bind(histories)
     for inst in trace.instructions:
         if inst.op is OpClass.BRANCH_COND:
             histories.push_branch(inst.pc, inst.taken)
@@ -77,7 +75,7 @@ def _program_order_folds(trace, spec):
             histories.push_unconditional(inst.pc)
         elif inst.op.is_memory:
             histories.push_memory(inst.pc)
-    return histories.folded_values()
+    return histories.direction, histories.path, histories.load_path
 
 
 def _wire_records(spec, events, chunk_size=257):
@@ -142,9 +140,9 @@ class TestEventStreamEquivalence:
         assert session.predicted_loads == reference.predicted_loads
         assert session.correct_predictions == reference.correct_predictions
         assert session.instructions == reference.instructions
-        assert session.histories.folded_values() == _program_order_folds(
-            trace, spec
-        )
+        histories = session.histories
+        assert (histories.direction, histories.path, histories.load_path) \
+            == _program_order_histories(trace)
 
 
 class TestWireEquivalence:

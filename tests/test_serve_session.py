@@ -26,6 +26,17 @@ class TestSpecFromName:
         session = PredictorSession(spec_from_name(name, 64))
         assert session.predictor is not None
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "component", "name": "cap", "entries": 1},
+        {"kind": "component", "name": "cvp", "entries": 4},
+        {"kind": "composite", "entries": 4},
+    ], ids=["cap-1", "cvp-4", "composite-4"])
+    def test_tables_too_small_to_hash_are_rejected_at_open(self, spec):
+        # A CVP or CAP table hashes down to its index bits and needs at
+        # least one; a session must refuse it, not spin on a predict.
+        with pytest.raises(ValueError, match="at least 2 entries"):
+            PredictorSession(spec)
+
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(SessionError) as excinfo:
             spec_from_name("magic")
@@ -239,8 +250,9 @@ class TestApplyBatch:
         sequential, sequential_results = self._replay(spec, events, 1)
         assert batched_results == sequential_results
         assert batched.snapshot() == sequential.snapshot()
-        assert (batched.histories.folded_values()
-                == sequential.histories.folded_values())
+        for register in ("direction", "path", "load_path"):
+            assert (getattr(batched.histories, register)
+                    == getattr(sequential.histories, register))
 
     def test_malformed_event_mid_batch_keeps_prefix_applied(self):
         from repro.serve.session import apply_events
