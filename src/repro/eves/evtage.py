@@ -17,8 +17,6 @@ it storage-efficient at large budgets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.bits import bit_length_for, mask
 from repro.common.fpc import FpcVector
 from repro.common.hashing import mix64, pc_index
@@ -43,22 +41,15 @@ BITS_PER_TAGGED_ENTRY = _TAG_BITS + 64 + 3 + 2
 BITS_PER_BASE_ENTRY = 64 + 3
 
 
-@dataclass(slots=True)
-class _TaggedEntry:
-    tag: int = INVALID_TAG
-    value: int = 0
-    confidence: int = 0
-    useful: int = 0
-
-
-@dataclass(slots=True)
-class _BaseEntry:
-    value: int = 0
-    confidence: int = 0
-
-
 class EVtagePredictor:
-    """The VTAGE component of EVES."""
+    """The VTAGE component of EVES.
+
+    Tables are stored the :class:`~repro.predictors.table.BankedTable`
+    way, one Python list per entry field indexed by set: the base table
+    as ``(values, confidences)`` and each tagged table as ``(tags,
+    values, confidences, useful)``.  No per-entry objects are built, so
+    even the 64K-entry "infinite" preset allocates in milliseconds.
+    """
 
     name = "e-vtage"
     kind = PredictionKind.VALUE
@@ -76,10 +67,13 @@ class EVtagePredictor:
         self.tagged_entries = tagged_entries
         self.num_tables = num_tables
         self._rng = (rng or DeterministicRng(0)).derive(self.name)
-        self._base = [_BaseEntry() for _ in range(base_entries)]
+        self._base = ([0] * base_entries, [0] * base_entries)
         self._base_bits = bit_length_for(base_entries)
         self._tables = [
-            [_TaggedEntry() for _ in range(tagged_entries)]
+            (
+                [INVALID_TAG] * tagged_entries, [0] * tagged_entries,
+                [0] * tagged_entries, [0] * tagged_entries,
+            )
             for _ in range(num_tables)
         ]
         self._index_bits = bit_length_for(tagged_entries)
@@ -159,25 +153,22 @@ class EVtagePredictor:
     def _find_provider(self, row: tuple) -> tuple[int, int]:
         """Return (table, index); table == -1 means the base table."""
         base, pairs = row
+        tables = self._tables
         for table in range(self.num_tables - 1, -1, -1):
             index, tag = pairs[table]
-            if self._tables[table][index].tag == tag:
+            if tables[table][0][index] == tag:
                 return table, index
         return -1, base
 
     def predict(self, probe: LoadProbe) -> Prediction | None:
         table, index = self._find_provider(self._row(probe))
         if table >= 0:
-            entry = self._tables[table][index]
-            if entry.confidence >= CONFIDENCE_THRESHOLD:
-                return Prediction(
-                    component=self.name, kind=self.kind, value=entry.value
-                )
-            return None
-        base = self._base[index]
-        if base.confidence >= CONFIDENCE_THRESHOLD:
+            _, values, confs, _ = self._tables[table]
+        else:
+            values, confs = self._base
+        if confs[index] >= CONFIDENCE_THRESHOLD:
             return Prediction(
-                component=self.name, kind=self.kind, value=base.value
+                component=self.name, kind=self.kind, value=values[index]
             )
         return None
 
@@ -190,16 +181,16 @@ class EVtagePredictor:
         row = self._row(outcome)
         table, index = self._find_provider(row)
         if table >= 0:
-            entry = self._tables[table][index]
-            if entry.value == value:
-                self._bump(entry)
-                entry.useful = min(3, entry.useful + 1)
+            _, values, confs, useful = self._tables[table]
+            if values[index] == value:
+                self._bump(confs, index)
+                useful[index] = min(3, useful[index] + 1)
                 return
-            if entry.confidence == 0:
-                entry.value = value
+            if confs[index] == 0:
+                values[index] = value
             else:
-                entry.confidence = 0
-            entry.useful = max(0, entry.useful - 1)
+                confs[index] = 0
+            useful[index] = max(0, useful[index] - 1)
             # Allocate a longer-history entry on a (potential)
             # misprediction, with probability 1/2 to limit churn --
             # the VTAGE allocation policy.
@@ -207,36 +198,36 @@ class EVtagePredictor:
                 self._allocate(row[1], value, table)
             return
 
-        base = self._base[index]
-        if base.value == value:
-            self._bump(base)
+        values, confs = self._base
+        if values[index] == value:
+            self._bump(confs, index)
             return
-        if base.confidence == 0:
-            base.value = value
+        if confs[index] == 0:
+            values[index] = value
         else:
-            base.confidence = 0
+            confs[index] = 0
         if self._rng.coin(0.5):
             self._allocate(row[1], value, -1)
 
-    def _bump(self, entry) -> None:
-        level = entry.confidence
+    def _bump(self, confs: list[int], index: int) -> None:
+        level = confs[index]
         if level < CONFIDENCE_THRESHOLD:
             p = self._probs[level]
             if p >= 1.0 or self._rng.coin(p):
-                entry.confidence = level + 1
+                confs[index] = level + 1
 
     def _allocate(self, pairs: tuple, value: int, above: int) -> None:
         """Allocate into one longer-history table with a free-ish slot."""
         for table in range(above + 1, self.num_tables):
             index, tag = pairs[table]
-            entry = self._tables[table][index]
-            if entry.useful == 0:
-                entry.tag = tag
-                entry.value = value
-                entry.confidence = 0
+            tags, values, confs, useful = self._tables[table]
+            if useful[index] == 0:
+                tags[index] = tag
+                values[index] = value
+                confs[index] = 0
                 return
             if self._rng.coin(0.25):
-                entry.useful -= 1
+                useful[index] -= 1
 
     def storage_bits(self) -> int:
         return (

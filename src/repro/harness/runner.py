@@ -25,6 +25,7 @@ from repro.harness import resilient, resultsdb
 from repro.harness.functional import FUNCTIONAL_SEMANTICS_VERSION
 from repro.harness.functional_vec import clear_precompute_cache
 from repro.isa.trace import Trace
+from repro.memory.recording import clear_hierarchy_recordings
 from repro.pipeline.core import (
     TIMING_SEMANTICS_VERSION,
     SimulationInterrupted,
@@ -342,7 +343,9 @@ def clear_caches() -> None:
 
     Clears the baseline-result memo here, the timing model's recorded
     front-end streams
-    (:func:`repro.pipeline.frontend.clear_frontend_streams`), the
+    (:func:`repro.pipeline.frontend.clear_frontend_streams`) and
+    memory-hierarchy recordings
+    (:func:`repro.memory.recording.clear_hierarchy_recordings`), the
     functional backend's per-trace precompute
     (:func:`repro.harness.functional_vec.clear_precompute_cache`), the
     generator's trace memo and ambient trace-store handle
@@ -354,6 +357,7 @@ def clear_caches() -> None:
     """
     _baseline_cache.clear()
     clear_frontend_streams()
+    clear_hierarchy_recordings()
     clear_precompute_cache()
     clear_trace_caches()
     resultsdb.reset_active_db()

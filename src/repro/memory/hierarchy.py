@@ -94,6 +94,23 @@ class MemoryHierarchy:
         """
         return self.l1d.lookup(addr), self.config.l1d.hit_latency
 
+    def counters(self) -> dict:
+        """The run's statistics: ``caches`` maps each level to its
+        :class:`CacheStats`, plus the TLB hit rate and the prefetches
+        both prefetchers issued."""
+        return {
+            "caches": {
+                level: cache.stats
+                for level, cache in (
+                    ("l1i", self.l1i), ("l1d", self.l1d),
+                    ("l2", self.l2), ("l3", self.l3),
+                )
+            },
+            "tlb_hit_rate": self.tlb.hit_rate,
+            "prefetches_issued": self.prefetcher.issued
+            + self.l2_prefetcher.issued,
+        }
+
     # ------------------------------------------------------------------
     # Fill paths
     # ------------------------------------------------------------------

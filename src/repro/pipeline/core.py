@@ -41,13 +41,28 @@ only the load PC and these histories):
 :meth:`CoreModel.run` binds the stream to the predictor assembly for
 the run, and every probe and outcome carries the load's ordinal, by
 which those components look the hashes up instead of recomputing them.
-What depends on timing stays serial: the memory hierarchy (flushes
-refetch blocks, PAQ probes touch the L1D when their prediction is
-chosen) and the deferred predictor updates (applied once fetch passes
-a load's completion).
+
+The memory hierarchy is trace-determined too.  A PAQ probe reads the
+L1D without allocating, every load to a word an earlier store wrote is
+forwarded, and the rest -- fetches on a block change, unforwarded
+loads, stores at commit -- reach the caches in program order.  A
+same-block refetch after a flush hits the L1I's most-recently-used way
+and changes nothing, so the loop serves it without a call and counts
+it into the L1I statistics.  The loop therefore replays a
+:class:`repro.memory.recording.HierarchyRecording` -- each call's
+latency and the L1D's residency intervals, which answer a probe by
+bisection -- recorded once per trace and hierarchy configuration.  The
+one live case is ``CoreConfig.paq_prefetch_on_miss`` (Figure 1 step 5,
+ablation A5): a probe miss fills the L1D, so predictions change the
+caches and the run drives a fresh
+:class:`~repro.memory.hierarchy.MemoryHierarchy` through the same four
+calls in the same loop.  What depends on timing stays serial: the
+store-set predictor and the deferred predictor updates (applied once
+fetch passes a load's completion).
 
 The reference oracle is the same pass over ``trace.instructions``
-driving a live :class:`~repro.branch.unit.BranchUnit`; it lives in
+driving a live :class:`~repro.branch.unit.BranchUnit` and a live
+:class:`~repro.memory.hierarchy.MemoryHierarchy`; it lives in
 ``tests/oracles/core_loop.py``, funnels every stateful step (caches,
 predictor, memory probe resolution) through this module's load helpers
 with the same values in the same order, and must produce a
@@ -62,6 +77,7 @@ from collections import deque
 
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
+from repro.common.bits import bit_length_for
 from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
 from repro.isa.instruction import (
     NUM_ARCH_REGS,
@@ -73,8 +89,14 @@ from repro.isa.instruction import (
     REG_NONE,
 )
 from repro.isa.trace import Trace
+from repro.memory.cache import CacheStats
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
+from repro.memory.recording import (
+    HierarchyReplay,
+    hierarchy_recording,
+    warm_l3,
+)
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.frontend import frontend_stream
 from repro.pipeline.memdep import StoreSetPredictor
@@ -135,7 +157,6 @@ class CoreModel:
         self.tage_config = tage_config or TageConfig()
         self.ittage_config = ittage_config or IttageConfig()
         self.seed = seed
-        self.hierarchy = MemoryHierarchy(self.config.hierarchy)
         self._last_correctness: dict[str, bool] = {}
         # Per-opclass dispatch table: execution latency indexed by the
         # raw opclass integer (no enum hashing in the hot loop).  LOAD
@@ -163,9 +184,10 @@ class CoreModel:
         returning a truthy value raises :class:`SimulationInterrupted`.
         This is the progress/cancellation seam the resilient harness
         uses for cooperative timeouts and the CLI for progress display.
-        A run on a trace whose front end is not yet recorded polls
-        during the recording pass too, counting that pass's
-        instructions from zero, so a deadline holds on a cold trace.
+        A run on a trace whose front end or hierarchy is not yet
+        recorded polls during each recording pass too, counting that
+        pass's instructions from zero, so a deadline holds on a cold
+        trace.
 
         The loop reads the packed columns (``trace.pack()`` builds them
         once for an object-built trace): column values are plain
@@ -177,40 +199,57 @@ class CoreModel:
         unit and history registers are not driven live: their
         trace-determined outcomes are replayed from the trace's
         :class:`~repro.pipeline.frontend.FrontEndStream` (recorded on
-        first use).  The stream is bound to the predictor assembly for
-        the run (``bind_frontend``) and released when it returns or
-        raises; probes and outcomes carry the load's ordinal, by which
+        first use), and so are the memory hierarchy's, from its
+        :class:`~repro.memory.recording.HierarchyRecording`, unless
+        ``paq_prefetch_on_miss`` makes the run drive a live one.  The
+        stream is bound to the predictor assembly for the run
+        (``bind_frontend``) and released when it returns or raises;
+        probes and outcomes carry the load's ordinal, by which
         context-aware components look up their per-trace table hashes.
         Keep edits in lockstep with the object-path oracle in
         ``tests/oracles/core_loop.py`` -- the equivalence suite will
         catch any divergence.
         """
+        cfg = self.config
         cols = trace.pack()
         stream = frontend_stream(
             trace, self.tage_config, self.ittage_config,
-            self.config.ras_entries, self.seed, interrupt, interrupt_interval,
+            cfg.ras_entries, self.seed, interrupt, interrupt_interval,
         )
+        if cfg.paq_prefetch_on_miss:
+            # A probe miss fills the L1D, so predictions change the
+            # caches: this run drives a live hierarchy.
+            hierarchy = MemoryHierarchy(cfg.hierarchy)
+            if cfg.warm_l3:
+                warm_l3(hierarchy, trace)
+        else:
+            hierarchy = HierarchyReplay(hierarchy_recording(
+                trace, cfg.hierarchy, cfg.warm_l3,
+                interrupt, interrupt_interval,
+            ))
         bind = getattr(self.predictor, "bind_frontend", None)
         if bind is not None:
             bind(stream)
         try:
             return self._replay(
-                trace, cols, stream, interrupt, interrupt_interval
+                trace, cols, stream, hierarchy, interrupt, interrupt_interval
             )
         finally:
             if bind is not None:
                 bind(None)
 
     def _replay(
-        self, trace: Trace, cols, stream, interrupt, interrupt_interval: int
+        self, trace: Trace, cols, stream, hierarchy, interrupt,
+        interrupt_interval: int,
     ) -> SimResult:
         """The body of :meth:`run`: one pass over ``trace``'s packed
-        columns, replaying ``stream``."""
+        columns, replaying ``stream`` and asking ``hierarchy`` (a
+        recording's replay or a live hierarchy) for memory latencies."""
         cfg = self.config
         predictor = self.predictor
-        hierarchy = self.hierarchy
         l1d_hit = cfg.hierarchy.l1d.hit_latency
         l1i_hit = cfg.hierarchy.l1i.hit_latency
+        block_shift = bit_length_for(cfg.hierarchy.l1i.block_bytes)
         depth = cfg.frontend_depth
         fetch_width = cfg.fetch_width
         commit_width = cfg.commit_width
@@ -248,7 +287,11 @@ class CoreModel:
         fetch_cycle = 0
         fetched_in_cycle = 0
         next_fetch_allowed = 0
+        # ``current_block`` is the fetch block, reset to -1 by a flush;
+        # ``fetched_block`` is the L1I block last asked of the hierarchy.
         current_block = -1
+        fetched_block = -1
+        refetches = 0
 
         last_commit = 0
         committed_in_cycle = 0
@@ -274,9 +317,6 @@ class CoreModel:
 
         result = SimResult(workload=trace.name, instructions=len(trace), cycles=0)
         result.predictor_storage_bits = predictor.storage_bits()
-
-        if cfg.warm_l3:
-            self._warm_l3(trace)
 
         # Column and callable prebinds (the whole point of this loop).
         pcs = cols.pc
@@ -364,13 +404,20 @@ class CoreModel:
             elif fetched_in_cycle >= fetch_width:
                 fetch_cycle += 1
                 fetched_in_cycle = 0
-            block = pc >> 6
+            block = pc >> block_shift
             if block != current_block:
                 current_block = block
-                extra = fetch_latency(pc) - l1i_hit
-                if extra > 0:
-                    fetch_cycle += extra
-                    fetched_in_cycle = 0
+                if block == fetched_block:
+                    # Same-block refetch after a flush: a hit on the
+                    # L1I's most-recently-used way, which changes no
+                    # state.
+                    refetches += 1
+                else:
+                    fetched_block = block
+                    extra = fetch_latency(pc) - l1i_hit
+                    if extra > 0:
+                        fetch_cycle += extra
+                        fetched_in_cycle = 0
             fetch = fetch_cycle
             fetched_in_cycle += 1
 
@@ -580,34 +627,42 @@ class CoreModel:
         result.branch_mispredictions = n_branch_misp
         result.memory_order_violations = n_violations
         return self._finish(
-            result, last_commit, memdep, dict(stream.branch_stats)
+            result, last_commit, memdep, dict(stream.branch_stats),
+            hierarchy.counters(), refetches,
         )
 
     def _finish(
-        self, result: SimResult, last_commit: int, memdep, branch: dict
+        self, result: SimResult, last_commit: int, memdep, branch: dict,
+        counters: dict, refetches: int,
     ) -> SimResult:
-        """Fill the run's terminal cycle count and diagnostic extras."""
-        hierarchy = self.hierarchy
+        """Fill the run's terminal cycle count and diagnostic extras.
+
+        ``counters`` are the hierarchy's statistics
+        (:meth:`MemoryHierarchy.counters`).  ``refetches`` counts the
+        same-block refetches the loop served without a hierarchy call;
+        each is one more L1I access and hit.
+        """
+        caches = dict(counters["caches"])
+        l1i = caches["l1i"]
+        caches["l1i"] = CacheStats(
+            l1i.accesses + refetches, l1i.hits + refetches,
+            l1i.prefetch_fills, l1i.writebacks,
+        )
         result.cycles = last_commit
-        l1d = hierarchy.l1d.stats
-        result.l1d_miss_rate = 1.0 - l1d.hit_rate
+        result.l1d_miss_rate = 1.0 - caches["l1d"].hit_rate
         result.extra = {
             "branch": branch,
             "caches": {
                 level: {
-                    "accesses": cache.stats.accesses,
-                    "hit_rate": cache.stats.hit_rate,
-                    "prefetch_fills": cache.stats.prefetch_fills,
-                    "writebacks": cache.stats.writebacks,
+                    "accesses": stats.accesses,
+                    "hit_rate": stats.hit_rate,
+                    "prefetch_fills": stats.prefetch_fills,
+                    "writebacks": stats.writebacks,
                 }
-                for level, cache in (
-                    ("l1i", hierarchy.l1i), ("l1d", hierarchy.l1d),
-                    ("l2", hierarchy.l2), ("l3", hierarchy.l3),
-                )
+                for level, stats in caches.items()
             },
-            "tlb_hit_rate": hierarchy.tlb.hit_rate,
-            "prefetches_issued": hierarchy.prefetcher.issued
-            + hierarchy.l2_prefetcher.issued,
+            "tlb_hit_rate": counters["tlb_hit_rate"],
+            "prefetches_issued": counters["prefetches_issued"],
             "memdep": (
                 {
                     "violations": memdep.violations,
@@ -617,24 +672,6 @@ class CoreModel:
             ),
         }
         return result
-
-    def _warm_l3(self, trace: Trace) -> None:
-        """Install every referenced data block into the L3 (warm-up)."""
-        l3 = self.hierarchy.l3
-        block = self.hierarchy.config.l3.block_bytes
-        seen: set[int] = set()
-        cols = trace.columns
-        ops = cols.op
-        addrs = cols.addr
-        fill = l3.fill
-        for i in range(len(cols)):
-            op = ops[i]
-            if op == _OP_LOAD or op == _OP_STORE:
-                addr = addrs[i]
-                blk = addr // block
-                if blk not in seen:
-                    seen.add(blk)
-                    fill(addr)
 
     # ------------------------------------------------------------------
     # Load helpers

@@ -84,8 +84,9 @@ WAL_FORMAT = 1
 #: pickles predictor tables as per-field column lists; format 4 pickles
 #: a lone-component session as a one-component composite; format 5
 #: pickles outstanding predict decisions as mutable slots records;
-#: format 6 drops the folded-register field from those records.
-CHECKPOINT_FORMAT = 6
+#: format 6 drops the folded-register field from those records; format 7
+#: pickles E-VTAGE tables as per-field column lists.
+CHECKPOINT_FORMAT = 7
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"

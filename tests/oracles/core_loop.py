@@ -6,7 +6,9 @@
 branch by branch instead of a replayed front-end stream.  It shares the
 model's load helpers (``_load_complete``, ``_validate_load``) and its
 ``_finish``, so what it checks is the loop: ordering, the inlined
-schedulers and windows, tick batching and the front-end replay.
+schedulers and windows, tick batching and the front-end replay.  It
+drives a live :class:`MemoryHierarchy` of its own on every block change,
+refetches included, so it also checks the model's hierarchy replay.
 ``tests/test_columnar_equivalence.py`` requires its :class:`SimResult`
 to equal ``CoreModel.run``'s bit for bit.
 """
@@ -17,9 +19,11 @@ import heapq
 from collections import deque
 
 from repro.branch.unit import BranchOutcome, BranchUnit
+from repro.common.bits import bit_length_for
 from repro.common.rng import DeterministicRng
 from repro.isa.instruction import NUM_ARCH_REGS, REG_NONE, Instruction, OpClass
 from repro.isa.trace import Trace
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.pipeline.core import CoreModel, SimulationInterrupted
 from repro.pipeline.frontend import branch_stats
@@ -70,9 +74,9 @@ def live_branch_unit(model: CoreModel) -> BranchUnit:
     )
 
 
-def _warm_l3(model: CoreModel, trace: Trace) -> None:
-    l3 = model.hierarchy.l3
-    block = model.hierarchy.config.l3.block_bytes
+def _warm_l3(hierarchy: MemoryHierarchy, trace: Trace) -> None:
+    l3 = hierarchy.l3
+    block = hierarchy.config.l3.block_bytes
     seen: set[int] = set()
     for inst in trace.instructions:
         if inst.op.is_memory:
@@ -92,7 +96,8 @@ def run_objects(
     cfg = model.config
     predictor = model.predictor
     branch_unit = live_branch_unit(model)
-    hierarchy = model.hierarchy
+    hierarchy = MemoryHierarchy(cfg.hierarchy)
+    block_shift = bit_length_for(cfg.hierarchy.l1i.block_bytes)
     histories = branch_unit.histories
     l1d_hit = cfg.hierarchy.l1d.hit_latency
     depth = cfg.frontend_depth
@@ -142,7 +147,7 @@ def run_objects(
     result.predictor_storage_bits = predictor.storage_bits()
 
     if cfg.warm_l3:
-        _warm_l3(model, trace)
+        _warm_l3(hierarchy, trace)
 
     instructions_done = 0
     next_interrupt_check = interrupt_interval if interrupt else None
@@ -173,7 +178,7 @@ def run_objects(
         elif fetched_in_cycle >= fetch_width:
             fetch_cycle += 1
             fetched_in_cycle = 0
-        block = inst.pc >> 6
+        block = inst.pc >> block_shift
         if block != current_block:
             current_block = block
             extra = hierarchy.fetch_latency(inst.pc) - cfg.hierarchy.l1i.hit_latency
@@ -338,7 +343,10 @@ def run_objects(
         _, _, d, o, c = heapq.heappop(pending_updates)
         predictor.validate_and_train(d, o, c)
 
-    return model._finish(result, last_commit, memdep, branch_stats(branch_unit))
+    return model._finish(
+        result, last_commit, memdep, branch_stats(branch_unit),
+        hierarchy.counters(), 0,
+    )
 
 
 def simulate_objects(

@@ -31,6 +31,9 @@ from repro.harness.functional_vec import (
 )
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
+from repro.memory import recording
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import HierarchyConfig
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import CoreModel, simulate
 from repro.pipeline.vp import EvesAdapter
@@ -183,6 +186,84 @@ class TestFrontEndReplayOrder:
             assert replayed["extra"]["branch"] == (
                 oracle[name]["extra"]["branch"]
             )
+
+
+def _address_first():
+    """A composite that prefers address predictions: PAQ-probe heavy."""
+    return CompositePredictor(
+        CompositeConfig(prefer_value_predictions=False).homogeneous(128)
+    )
+
+
+class TestHierarchyReplay:
+    """The columnar loop replays a memory hierarchy recorded once per
+    trace; the oracle drives a live one on every block change."""
+
+    def test_probe_hits_and_misses(self):
+        trace = generate_trace("calculix", 4000, 0)
+        obj, col = run_both(trace, _address_first)
+        assert col == obj
+        assert col["paq_probes"] > col["dropped_probe_misses"] > 0
+
+    def test_flushes_refetch_the_same_block(self):
+        # Store-set violations and value mispredictions both flush; a
+        # refetch of the block in flight is served without a recorded
+        # call and counted into the L1I statistics by the loop.
+        trace = generate_trace("mp4enc", 8000, 0)
+        obj, col = run_both(trace, _address_first)
+        assert col == obj
+        assert col["memory_order_violations"] > 0
+        assert col["value_mispredictions"] > 0
+        recorded = recording.hierarchy_recording(
+            trace, CoreConfig().hierarchy, True
+        ).counters["caches"]["l1i"].accesses
+        assert col["extra"]["caches"]["l1i"]["accesses"] > recorded
+
+    def test_prefetch_on_probe_miss_drives_a_live_hierarchy(self):
+        trace = generate_trace("vpr", 4000, 0)
+        config = CoreConfig(paq_prefetch_on_miss=True)
+        obj, col = run_both(trace, _address_first, config)
+        assert col == obj
+        assert trace not in recording._recordings
+        assert col["dropped_probe_misses"] > 0
+        # A probe miss fills its block, so later probes of it hit: the
+        # predictions changed the cache.
+        default = simulate(trace, _address_first())
+        assert col["dropped_probe_misses"] < default.dropped_probe_misses
+
+    def test_one_recording_per_hierarchy_key(self):
+        trace = generate_trace("mcf", 3000, 1)
+        configs = (
+            CoreConfig(),
+            CoreConfig(hierarchy=HierarchyConfig(memory_latency=800)),
+            CoreConfig(hierarchy=HierarchyConfig(prefetch_enabled=False)),
+            CoreConfig(warm_l3=False),
+        )
+        for config in configs:
+            assert_bit_identical(trace, _composite128, config, seed=1)
+        recordings = recording._recordings[trace]
+        assert set(recordings) == {
+            (config.hierarchy, config.warm_l3) for config in configs
+        }
+        assert len({
+            (tuple(r.latencies), repr(r.counters))
+            for r in recordings.values()
+        }) == 4
+
+    @pytest.mark.parametrize("block_bytes", (32, 128))
+    def test_fetch_block_is_the_l1i_block(self, block_bytes):
+        # The same-block refetch rule holds for any L1I geometry because
+        # the fetch block is the L1I block.
+        l1i = CacheConfig("L1I", 64 * 1024, 4, block_bytes, 1)
+        config = CoreConfig(hierarchy=HierarchyConfig(l1i=l1i))
+        trace = generate_trace("listing1", 3000, 2)
+        obj, col = run_both(trace, lambda: alone("sap", 128), config, seed=2)
+        assert col == obj
+        assert col["value_mispredictions"] > 0
+        recorded = recording.hierarchy_recording(
+            trace, config.hierarchy, True
+        ).counters["caches"]["l1i"].accesses
+        assert col["extra"]["caches"]["l1i"]["accesses"] > recorded
 
 
 class TestDispatch:

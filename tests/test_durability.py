@@ -591,6 +591,74 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference.snapshot()
         second.durability.close_all()
 
+    def test_format_6_checkpoint_falls_back_to_full_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A CHECKPOINT_FORMAT 6 checkpoint of an EVES session pickles
+        E-VTAGE's tables as per-entry objects of classes that no longer
+        exist.  It is evicted by its version before anything unpickles
+        it, and the session is rebuilt bit-identically by full WAL
+        replay."""
+        import dataclasses
+        import pickle
+
+        from repro.common.atomicfile import write_sealed
+        from repro.eves import evtage
+
+        @dataclasses.dataclass(slots=True)
+        class _TaggedEntry:
+            tag: int
+            value: int
+            confidence: int
+            useful: int
+
+        @dataclasses.dataclass(slots=True)
+        class _BaseEntry:
+            value: int
+            confidence: int
+
+        for cls in (_TaggedEntry, _BaseEntry):
+            cls.__module__ = evtage.__name__
+            cls.__qualname__ = cls.__name__
+
+        # Pickle the way format 6 did: one object per table entry.
+        def entry_era_getstate(self):
+            state = dict(self.__dict__)
+            state["_base"] = [_BaseEntry(*entry) for entry in zip(*self._base)]
+            state["_tables"] = [
+                [_TaggedEntry(*entry) for entry in zip(*table)]
+                for table in self._tables
+            ]
+            return state
+
+        spec = SPECS[2][1]  # eves-8kb
+        chunks = chunked(make_events(36), 20)
+        reference = reference_snapshots(spec, chunks)
+        with monkeypatch.context() as patch:
+            patch.setattr(evtage, "_TaggedEntry", _TaggedEntry, raising=False)
+            patch.setattr(evtage, "_BaseEntry", _BaseEntry, raising=False)
+            patch.setattr(evtage.EVtagePredictor, "__getstate__",
+                          entry_era_getstate, raising=False)
+            first = durable_server(tmp_path, checkpoint_every=2)
+            drive(first, "d1", spec, chunks)
+            first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        blob = bytes(blob)
+        with pytest.raises(AttributeError, match="_TaggedEntry|_BaseEntry"):
+            pickle.loads(blob)
+        write_sealed(ckpt, b"RLVPCKP\x01", 6, header, blob)
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 1
+        assert second.durability.stats.checkpoint_failures == 0
+        assert second.sessions.get("d1").snapshot() == reference[-1]
+        second.durability.close_all()
+
 
 class TestSegmentRotation:
     def test_rotation_and_multi_segment_recovery(self, tmp_path):
