@@ -2,11 +2,12 @@
 
 The baseline core (Table III of the paper) uses a 32KB TAGE conditional
 predictor, a 32KB ITTAGE indirect predictor, and a 16-entry return
-address stack.  Besides deciding front-end redirects, the branch unit
-owns the speculative history registers that the context-aware value
-predictors (CVP, CAP) consume:
+address stack.  :class:`HistorySet` holds the history registers the
+predictors hash -- and that the context-aware value predictors (CVP,
+CAP) consume:
 
-* global direction history and branch *path* history (CVP),
+* global direction history and branch *path* history (TAGE, ITTAGE,
+  CVP),
 * load path history (CAP).
 """
 

@@ -2,17 +2,23 @@
 
 Same tagged-geometric structure as TAGE, but entries store a predicted
 *target* plus a 2-bit hysteresis counter instead of a direction counter.
-The base component is a PC-indexed target cache.
+The base component is a PC-indexed target cache.  As in
+:mod:`repro.branch.tage`, a whole trace's table hashes come from
+:meth:`IttagePredictor.hash_columns` and the tables are flat per-field
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import bit_length_for, fold_bits, mask
-from repro.common.hashing import mix64, pc_index
+import numpy as np
+
+from repro.common.bits import bit_length_for, fold_bits_np, mask
+from repro.common.hashing import mix64, mix64_np, pc_index
 from repro.common.rng import DeterministicRng
-from repro.branch.history import HistorySet, HistorySnapshot
+from repro.branch.history import direction_folds
+from repro.branch.tage import Hashes, check_geometry, geometric_lengths
 
 
 @dataclass(frozen=True)
@@ -26,19 +32,13 @@ class IttageConfig:
     min_history: int = 4
     max_history: int = 64
 
+    def __post_init__(self) -> None:
+        check_geometry(self, min_tag_bits=1)
+
     def history_lengths(self) -> tuple[int, ...]:
-        if self.num_tables == 1:
-            return (self.min_history,)
-        ratio = (self.max_history / self.min_history) ** (
-            1.0 / (self.num_tables - 1)
+        return geometric_lengths(
+            self.num_tables, self.min_history, self.max_history
         )
-        lengths = []
-        for i in range(self.num_tables):
-            length = int(round(self.min_history * ratio**i))
-            if lengths and length <= lengths[-1]:
-                length = lengths[-1] + 1
-            lengths.append(length)
-        return tuple(lengths)
 
 
 @dataclass(slots=True)
@@ -52,16 +52,6 @@ class IttagePrediction:
     tags: tuple[int, ...]
 
 
-class _Entry:
-    __slots__ = ("tag", "target", "confidence", "useful")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.target = 0
-        self.confidence = 0  # 2-bit hysteresis
-        self.useful = 0
-
-
 class IttagePredictor:
     """Indirect branch target predictor."""
 
@@ -72,133 +62,103 @@ class IttagePredictor:
         cfg = self.config
         self._lengths = cfg.history_lengths()
         self._index_bits = bit_length_for(cfg.entries_per_table)
-        self._tables = [
-            [_Entry() for _ in range(cfg.entries_per_table)]
-            for _ in range(cfg.num_tables)
-        ]
+        entries = cfg.entries_per_table
+        # One column per entry field per table; confidence is a 2-bit
+        # hysteresis counter.
+        self._tags = [[0] * entries for _ in range(cfg.num_tables)]
+        self._targets = [[0] * entries for _ in range(cfg.num_tables)]
+        self._confidence = [[0] * entries for _ in range(cfg.num_tables)]
+        self._useful = [[0] * entries for _ in range(cfg.num_tables)]
+        self._probe_order = tuple(range(cfg.num_tables - 1, -1, -1))
         self._base_index_bits = bit_length_for(cfg.base_entries)
         self._base_targets = [0] * cfg.base_entries
-        # Hot-path constants + the incremental-folding fast path (armed
-        # by bind_history).  mix64(history ^ salt) truncates to 64 bits,
-        # so only the low min(length, 64) history bits reach the tag.
-        self._history_masks = tuple(mask(L) for L in self._lengths)
         self._index_salts = tuple(
             mix64(t + 17) & mask(self._index_bits)
             for t in range(cfg.num_tables)
         )
-        self._tag_hist_masks64 = tuple(
-            mask(min(L, 64)) for L in self._lengths
-        )
-        self._histories: HistorySet | None = None
-        self._idx_dir_cells: list[list[int]] = []
-        self._path_cell: list[int] = [0]
 
-    def bind_history(self, histories: HistorySet) -> None:
-        """Attach live folded registers; see TagePredictor.bind_history."""
-        self._histories = histories
-        ib = self._index_bits
-        self._idx_dir_cells = [
-            histories.fold_cell(histories.register_direction_fold(L, ib))
-            for L in self._lengths
-        ]
-        self._path_cell = histories.fold_cell(histories.register_path_fold(ib))
-
-    def _index(self, pc: int, table: int, snap: HistorySnapshot) -> int:
-        bits = self._index_bits
-        history = snap.direction & self._history_masks[table]
-        value = (pc >> 2) ^ fold_bits(history, bits)
-        value ^= fold_bits(snap.path, bits) ^ self._index_salts[table]
-        return fold_bits(value, bits)
-
-    def _tag(self, pc: int, table: int, snap: HistorySnapshot) -> int:
-        bits = self.config.tag_bits
-        history = snap.direction & self._history_masks[table]
-        return fold_bits((pc >> 2) ^ mix64(history ^ (table + 101)), bits)
-
-    def _hashes(
-        self, pc: int, snap: HistorySnapshot | HistorySet
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n = self.config.num_tables
-        if snap is not self._histories:
-            return (
-                tuple(self._index(pc, t, snap) for t in range(n)),
-                tuple(self._tag(pc, t, snap) for t in range(n)),
-            )
-        ib = self._index_bits
-        imask = (1 << ib) - 1
-        tb = self.config.tag_bits
-        tmask = (1 << tb) - 1
-        pca = pc >> 2
-        path_fold = self._path_cell[0]
-        direction = snap.direction
-        indices = []
-        tags = []
-        for t in range(n):
-            v = pca ^ self._idx_dir_cells[t][0] ^ path_fold \
-                ^ self._index_salts[t]
-            while v > imask:
-                v = (v & imask) ^ (v >> ib)
-            indices.append(v)
-            v = pca ^ mix64(
-                (direction & self._tag_hist_masks64[t]) ^ (t + 101)
-            )
-            while v > tmask:
-                v = (v & tmask) ^ (v >> tb)
-            tags.append(v)
-        return tuple(indices), tuple(tags)
-
-    def predict(
-        self, pc: int, snap: HistorySnapshot | HistorySet
-    ) -> IttagePrediction:
+    def hash_columns(
+        self,
+        pc: np.ndarray,
+        direction: np.ndarray,
+        pushes: np.ndarray,
+        path: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every table's index and tag for a column of branches; the
+        inputs and result are those of
+        :meth:`repro.branch.tage.TagePredictor.hash_columns`.
+        ``mix64`` truncates its input to 64 bits, so the tag reads only
+        the low ``min(length, 64)`` history bits."""
         cfg = self.config
-        indices, tags = self._hashes(pc, snap)
-        for t in range(cfg.num_tables - 1, -1, -1):
-            entry = self._tables[t][indices[t]]
-            if entry.tag == tags[t]:
+        ib = self._index_bits
+        pca = pc >> np.uint64(2)
+        path_fold = fold_bits_np(path, ib)
+        recent = direction[pushes]
+        indices = np.empty((cfg.num_tables, len(pc)), dtype=np.uint64)
+        tags = np.empty_like(indices)
+        for t, length in enumerate(self._lengths):
+            value = (
+                pca ^ direction_folds(direction, pushes, length, ib)
+                ^ path_fold ^ np.uint64(self._index_salts[t])
+            )
+            indices[t] = fold_bits_np(value, ib)
+            mixed = mix64_np(
+                (recent & np.uint64(mask(min(length, 64))))
+                ^ np.uint64(t + 101)
+            )
+            tags[t] = fold_bits_np(pca ^ mixed, cfg.tag_bits)
+        return indices, tags
+
+    def predict(self, pc: int, hashes: Hashes) -> IttagePrediction:
+        """Predict the target of the branch at ``pc`` whose table
+        hashes are ``hashes`` (one row of :meth:`hash_columns`)."""
+        indices, tags = hashes
+        table_tags = self._tags
+        for t in self._probe_order:
+            index = indices[t]
+            if table_tags[t][index] == tags[t]:
                 return IttagePrediction(
-                    target=entry.target,
-                    provider=t,
-                    provider_index=indices[t],
-                    indices=indices,
-                    tags=tags,
+                    self._targets[t][index], t, index, indices, tags
                 )
         base_target = self._base_targets[pc_index(pc, self._base_index_bits)]
-        return IttagePrediction(
-            target=base_target, provider=-1, provider_index=0,
-            indices=indices, tags=tags,
-        )
+        return IttagePrediction(base_target, -1, 0, indices, tags)
 
     def train(self, pc: int, target: int, ctx: IttagePrediction) -> None:
-        cfg = self.config
         correct = ctx.target == target
-        if ctx.provider >= 0:
-            entry = self._tables[ctx.provider][ctx.provider_index]
-            if entry.target == target:
-                entry.confidence = min(3, entry.confidence + 1)
-                entry.useful = min(3, entry.useful + 1) if correct else entry.useful
-            elif entry.confidence > 0:
-                entry.confidence -= 1
+        provider = ctx.provider
+        if provider >= 0:
+            index = ctx.provider_index
+            targets = self._targets[provider]
+            confidence = self._confidence[provider]
+            if targets[index] == target:
+                if confidence[index] < 3:
+                    confidence[index] += 1
+                useful = self._useful[provider]
+                if correct and useful[index] < 3:
+                    useful[index] += 1
+            elif confidence[index] > 0:
+                confidence[index] -= 1
             else:
-                entry.target = target
-                entry.confidence = 1
-                entry.useful = 0
+                targets[index] = target
+                confidence[index] = 1
+                self._useful[provider][index] = 0
         else:
             self._base_targets[pc_index(pc, self._base_index_bits)] = target
 
-        if not correct and ctx.provider < cfg.num_tables - 1:
-            self._allocate(pc, target, ctx)
+        if not correct and provider < self.config.num_tables - 1:
+            self._allocate(target, ctx)
 
-    def _allocate(self, pc: int, target: int, ctx: IttagePrediction) -> None:
-        start = ctx.provider + 1
-        for t in range(start, self.config.num_tables):
-            entry = self._tables[t][ctx.indices[t]]
-            if entry.useful == 0:
-                entry.tag = ctx.tags[t]
-                entry.target = target
-                entry.confidence = 1
+    def _allocate(self, target: int, ctx: IttagePrediction) -> None:
+        for t in range(ctx.provider + 1, self.config.num_tables):
+            index = ctx.indices[t]
+            useful = self._useful[t]
+            if useful[index] == 0:
+                self._tags[t][index] = ctx.tags[t]
+                self._targets[t][index] = target
+                self._confidence[t][index] = 1
                 return
             if self._rng.coin(0.25):
-                entry.useful -= 1
+                useful[index] -= 1
 
     def storage_bits(self) -> int:
         cfg = self.config

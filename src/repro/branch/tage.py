@@ -8,7 +8,12 @@ match (or the base table) is the *alternate*.  Allocation on mispredict,
 ``use_alt_on_na`` heuristic for newly-allocated entries are all modeled,
 following the canonical description.
 
-The pipeline calls :meth:`TagePredictor.predict` at fetch and passes the
+A branch's table indices and tags depend on its PC and the histories
+only, never on table state, so they are computed for a whole trace at
+once by :meth:`TagePredictor.hash_columns` and handed to
+:meth:`TagePredictor.predict` branch by branch.  The tables themselves
+are flat per-field columns (one list per field per table).  The
+pipeline calls :meth:`TagePredictor.predict` at fetch and passes the
 returned context back to :meth:`TagePredictor.train` when the branch
 resolves, mirroring the real prediction-to-update delay.
 """
@@ -17,14 +22,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import bit_length_for, fold_bits, mask
+import numpy as np
+
+from repro.common.bits import bit_length_for, fold_bits_np, mask, shr_np
 from repro.common.hashing import mix64
 from repro.common.rng import DeterministicRng
 from repro.branch.bimodal import BimodalPredictor
-from repro.branch.history import HistorySet, HistorySnapshot
+from repro.branch.history import direction_folds
 
-_MASK64 = (1 << 64) - 1
 _TAG_SCRAMBLE = 0x9E3779B97F4A7C15
+
+#: Type of a branch's hashes: ``(indices, tags)``, one of each per table.
+Hashes = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def geometric_lengths(num_tables: int, lo: int, hi: int) -> tuple[int, ...]:
+    """The geometric history series L(1)..L(N) from ``lo`` to ``hi``,
+    strictly increasing."""
+    if num_tables == 1:
+        return (lo,)
+    ratio = (hi / lo) ** (1.0 / (num_tables - 1))
+    lengths = []
+    for i in range(num_tables):
+        length = int(round(lo * ratio**i))
+        if lengths and length <= lengths[-1]:
+            length = lengths[-1] + 1
+        lengths.append(length)
+    return tuple(lengths)
+
+
+def check_geometry(config, min_tag_bits: int) -> None:
+    """Raise ``ValueError`` unless ``config`` (a TAGE or ITTAGE
+    geometry) can be built and hashed: tags up to 64 bits fit the
+    column kernels' uint64 lanes."""
+    name = type(config).__name__
+    if config.num_tables < 1:
+        raise ValueError(
+            f"{name}.num_tables must be >= 1, got {config.num_tables}"
+        )
+    for field, least in (("entries_per_table", 2), ("base_entries", 1)):
+        entries = getattr(config, field)
+        if entries < least or entries & (entries - 1):
+            raise ValueError(
+                f"{name}.{field} must be a power of two >= {least}, "
+                f"got {entries}"
+            )
+    if not min_tag_bits <= config.tag_bits <= 64:
+        raise ValueError(
+            f"{name}.tag_bits must be in {min_tag_bits}..64, "
+            f"got {config.tag_bits}"
+        )
+    if config.min_history < 1:
+        raise ValueError(
+            f"{name}.min_history must be >= 1, got {config.min_history}"
+        )
+    if config.max_history < config.min_history:
+        raise ValueError(
+            f"{name}.max_history ({config.max_history}) must be >= "
+            f"min_history ({config.min_history})"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,20 +104,21 @@ class TageConfig:
     #: Usefulness counters are aged (halved) every this many updates.
     aging_period: int = 256 * 1024
 
+    def __post_init__(self) -> None:
+        # The tag folds the history to tag_bits - 1 bits.
+        check_geometry(self, min_tag_bits=2)
+        for field in ("counter_bits", "useful_bits"):
+            if getattr(self, field) < 1:
+                raise ValueError(
+                    f"TageConfig.{field} must be >= 1, "
+                    f"got {getattr(self, field)}"
+                )
+
     def history_lengths(self) -> tuple[int, ...]:
         """Geometric history series L(1)..L(N)."""
-        if self.num_tables == 1:
-            return (self.min_history,)
-        ratio = (self.max_history / self.min_history) ** (
-            1.0 / (self.num_tables - 1)
+        return geometric_lengths(
+            self.num_tables, self.min_history, self.max_history
         )
-        lengths = []
-        for i in range(self.num_tables):
-            length = int(round(self.min_history * ratio**i))
-            if lengths and length <= lengths[-1]:
-                length = lengths[-1] + 1
-            lengths.append(length)
-        return tuple(lengths)
 
 
 @dataclass(slots=True)
@@ -79,15 +136,6 @@ class TagePrediction:
     tags: tuple[int, ...]
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "counter", "useful")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.counter = 0  # centered: taken if >= midpoint
-        self.useful = 0
-
-
 class TagePredictor:
     """The TAGE direction predictor."""
 
@@ -98,18 +146,18 @@ class TagePredictor:
         cfg = self.config
         self._lengths = cfg.history_lengths()
         self._index_bits = bit_length_for(cfg.entries_per_table)
-        self._tables: list[list[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(cfg.entries_per_table)]
-            for _ in range(cfg.num_tables)
-        ]
+        entries = cfg.entries_per_table
+        # One column per entry field per table.  Counters are centered:
+        # taken if >= midpoint.
+        self._tags = [[0] * entries for _ in range(cfg.num_tables)]
+        self._counters = [[0] * entries for _ in range(cfg.num_tables)]
+        self._useful = [[0] * entries for _ in range(cfg.num_tables)]
+        self._probe_order = tuple(range(cfg.num_tables - 1, -1, -1))
         self._base = BimodalPredictor(cfg.base_entries)
         self._counter_max = (1 << cfg.counter_bits) - 1
         self._counter_mid = 1 << (cfg.counter_bits - 1)
         self._useful_max = (1 << cfg.useful_bits) - 1
-        # Hot-path constants: per-table history masks and hash salts
-        # (fixed rewiring in hardware; recomputing mix64 per prediction
-        # dominated the profile).
-        self._history_masks = tuple(mask(L) for L in self._lengths)
+        # Per-table hash salts (fixed rewiring in hardware).
         index_mask = mask(self._index_bits)
         self._index_salts = tuple(
             mix64(t + 1) & index_mask for t in range(cfg.num_tables)
@@ -118,167 +166,99 @@ class TagePredictor:
         # newly allocated providers should defer to the alternate.
         self._use_alt_on_na = 8
         self._updates_until_aging = cfg.aging_period
-        # Incremental-folding fast path, armed by bind_history().  The
-        # tag's multiplicative scramble operates mod 2**64, so only the
-        # low min(length, 64) history bits can affect it.
-        self._histories: HistorySet | None = None
-        self._idx_dir_cells: list[list[int]] = []
-        self._tag_dir_cells: list[list[int]] = []
-        self._path_cell: list[int] = [0]
-        self._tag_hist_masks64 = tuple(
-            mask(min(L, 64)) for L in self._lengths
-        )
-
-    def bind_history(self, histories: HistorySet) -> None:
-        """Attach live folded-history registers for O(1) index/tag hashes.
-
-        After binding, :meth:`predict` calls that pass ``histories``
-        itself (rather than a detached snapshot) read the incrementally
-        maintained folded registers instead of re-folding the raw
-        history per probe.  Results are bit-identical either way.
-        """
-        self._histories = histories
-        ib = self._index_bits
-        tag_width = self.config.tag_bits - 1
-        self._idx_dir_cells = [
-            histories.fold_cell(histories.register_direction_fold(L, ib))
-            for L in self._lengths
-        ]
-        self._path_cell = histories.fold_cell(histories.register_path_fold(ib))
-        self._tag_dir_cells = [
-            histories.fold_cell(
-                histories.register_direction_fold(L, tag_width)
-            )
-            for L in self._lengths
-        ]
 
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
 
-    def _index(self, pc: int, table: int, snap: HistorySnapshot) -> int:
-        bits = self._index_bits
-        history = snap.direction & self._history_masks[table]
-        value = (pc >> 2) ^ (pc >> (2 + bits)) ^ fold_bits(history, bits)
-        value ^= fold_bits(snap.path, bits) ^ self._index_salts[table]
-        return fold_bits(value, bits)
+    def hash_columns(
+        self,
+        pc: np.ndarray,
+        direction: np.ndarray,
+        pushes: np.ndarray,
+        path: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every table's index and tag for a column of branches.
 
-    def _tag(self, pc: int, table: int, snap: HistorySnapshot) -> int:
-        bits = self.config.tag_bits
-        history = snap.direction & self._history_masks[table]
-        scrambled = ((history ^ (table + 1)) * _TAG_SCRAMBLE) & _MASK64
-        value = (pc >> 2) ^ fold_bits(history, bits - 1) ^ fold_bits(
-            scrambled, bits
-        )
-        return fold_bits(value, bits)
-
-    def _hashes(
-        self, pc: int, snap: HistorySnapshot | HistorySet
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """All table indices and tags for ``pc`` under ``snap``."""
-        n = self.config.num_tables
-        if snap is not self._histories:
-            # Detached snapshot (or unbound predictor): reference path.
-            return (
-                tuple(self._index(pc, t, snap) for t in range(n)),
-                tuple(self._tag(pc, t, snap) for t in range(n)),
-            )
-        # Fast path: fold registers are maintained incrementally, so each
-        # hash is a handful of XORs plus a short wrap of the PC bits.
+        ``pc`` and ``path`` (the 32-bit branch path history at each
+        branch) are uint64 columns; ``direction`` holds the low 64 bits
+        of the direction history after each number of conditional
+        branches and ``pushes`` the number before each branch (see
+        :func:`repro.branch.history.direction_folds`).  Returns two
+        ``(num_tables, len(pc))`` uint64 arrays.  The tag's
+        multiplicative scramble works mod 2**64, so it reads only the
+        low ``min(length, 64)`` history bits.
+        """
+        cfg = self.config
         ib = self._index_bits
-        imask = (1 << ib) - 1
-        tb = self.config.tag_bits
-        tmask = (1 << tb) - 1
-        pcx = (pc >> 2) ^ (pc >> (2 + ib))
-        pca = pc >> 2
-        path_fold = self._path_cell[0]
-        salts = self._index_salts
-        direction = snap.direction
-        idx_dir_cells = self._idx_dir_cells
-        tag_dir_cells = self._tag_dir_cells
-        tag_hist_masks = self._tag_hist_masks64
-        indices = []
-        tags = []
-        idx_append = indices.append
-        tag_append = tags.append
-        for t in range(n):
-            v = pcx ^ idx_dir_cells[t][0] ^ path_fold ^ salts[t]
-            while v > imask:
-                v = (v & imask) ^ (v >> ib)
-            idx_append(v)
+        tb = cfg.tag_bits
+        pca = pc >> np.uint64(2)
+        pcx = pca ^ shr_np(pc, 2 + ib)
+        path_fold = fold_bits_np(path, ib)
+        recent = direction[pushes]
+        indices = np.empty((cfg.num_tables, len(pc)), dtype=np.uint64)
+        tags = np.empty_like(indices)
+        for t, length in enumerate(self._lengths):
+            value = (
+                pcx ^ direction_folds(direction, pushes, length, ib)
+                ^ path_fold ^ np.uint64(self._index_salts[t])
+            )
+            indices[t] = fold_bits_np(value, ib)
             scrambled = (
-                (direction & tag_hist_masks[t]) ^ (t + 1)
-            ) * _TAG_SCRAMBLE & _MASK64
-            v = pca ^ tag_dir_cells[t][0]
-            while scrambled:
-                v ^= scrambled & tmask
-                scrambled >>= tb
-            while v > tmask:
-                v = (v & tmask) ^ (v >> tb)
-            tag_append(v)
-        return tuple(indices), tuple(tags)
+                (recent & np.uint64(mask(min(length, 64))))
+                ^ np.uint64(t + 1)
+            ) * np.uint64(_TAG_SCRAMBLE)
+            value = (
+                pca ^ direction_folds(direction, pushes, length, tb - 1)
+                ^ fold_bits_np(scrambled, tb)
+            )
+            tags[t] = fold_bits_np(value, tb)
+        return indices, tags
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
 
-    def predict(
-        self, pc: int, snap: HistorySnapshot | HistorySet
-    ) -> TagePrediction:
-        cfg = self.config
-        indices, tags = self._hashes(pc, snap)
-
+    def predict(self, pc: int, hashes: Hashes) -> TagePrediction:
+        """Predict the branch at ``pc`` whose table hashes are
+        ``hashes`` (one row of :meth:`hash_columns`)."""
+        indices, tags = hashes
+        table_tags = self._tags
         provider = -1
         alt_provider = -1
-        for t in range(cfg.num_tables - 1, -1, -1):
-            if self._tables[t][indices[t]].tag == tags[t]:
+        for t in self._probe_order:
+            if table_tags[t][indices[t]] == tags[t]:
                 if provider == -1:
                     provider = t
                 else:
                     alt_provider = t
                     break
 
-        base_taken = self._base.predict(pc)
-        if alt_provider >= 0:
-            alt_entry = self._tables[alt_provider][indices[alt_provider]]
-            alt_taken = alt_entry.counter >= self._counter_mid
-            alt_index = indices[alt_provider]
-        else:
-            alt_taken = base_taken
-            alt_index = 0
-
-        if provider >= 0:
-            entry = self._tables[provider][indices[provider]]
-            provider_taken = entry.counter >= self._counter_mid
-            weak = entry.useful == 0 and entry.counter in (
-                self._counter_mid - 1, self._counter_mid
-            )
-            taken = (
-                alt_taken
-                if weak and self._use_alt_on_na >= 8
-                else provider_taken
-            )
+        if provider < 0:
+            base_taken = self._base.predict(pc)
             return TagePrediction(
-                taken=taken,
-                provider=provider,
-                provider_index=indices[provider],
-                provider_weak=weak,
-                alt_taken=alt_taken,
-                alt_provider=alt_provider,
-                alt_index=alt_index,
-                indices=indices,
-                tags=tags,
+                base_taken, -1, 0, False, base_taken, -1, 0, indices, tags
             )
+        mid = self._counter_mid
+        counters = self._counters
+        if alt_provider >= 0:
+            alt_index = indices[alt_provider]
+            alt_taken = counters[alt_provider][alt_index] >= mid
+        else:
+            alt_taken = self._base.predict(pc)
+            alt_index = 0
+        index = indices[provider]
+        counter = counters[provider][index]
+        weak = self._useful[provider][index] == 0 and (
+            counter == mid or counter == mid - 1
+        )
+        taken = (
+            alt_taken if weak and self._use_alt_on_na >= 8
+            else counter >= mid
+        )
         return TagePrediction(
-            taken=base_taken,
-            provider=-1,
-            provider_index=0,
-            provider_weak=False,
-            alt_taken=base_taken,
-            alt_provider=-1,
-            alt_index=0,
-            indices=indices,
-            tags=tags,
+            taken, provider, index, weak, alt_taken, alt_provider,
+            alt_index, indices, tags,
         )
 
     # ------------------------------------------------------------------
@@ -287,64 +267,69 @@ class TagePredictor:
 
     def train(self, pc: int, taken: bool, ctx: TagePrediction) -> None:
         cfg = self.config
-        mispredicted = ctx.taken != taken
+        provider = ctx.provider
 
-        if ctx.provider >= 0:
-            entry = self._tables[ctx.provider][ctx.provider_index]
-            provider_taken = entry.counter >= self._counter_mid
+        if provider >= 0:
+            index = ctx.provider_index
+            counters = self._counters[provider]
+            counter = counters[index]
+            provider_taken = counter >= self._counter_mid
             # use_alt_on_na bookkeeping: when the provider was weak, learn
             # whether the provider or the alternate was the better choice.
             if ctx.provider_weak and provider_taken != ctx.alt_taken:
                 if provider_taken == taken:
-                    self._use_alt_on_na = max(0, self._use_alt_on_na - 1)
-                else:
-                    self._use_alt_on_na = min(15, self._use_alt_on_na + 1)
-            self._bump(entry, taken)
+                    if self._use_alt_on_na > 0:
+                        self._use_alt_on_na -= 1
+                elif self._use_alt_on_na < 15:
+                    self._use_alt_on_na += 1
+            if taken:
+                if counter < self._counter_max:
+                    counters[index] = counter + 1
+            elif counter > 0:
+                counters[index] = counter - 1
             # Usefulness: provider was right where the alternate was wrong.
+            useful = self._useful[provider]
             if provider_taken == taken and ctx.alt_taken != taken:
-                entry.useful = min(self._useful_max, entry.useful + 1)
+                if useful[index] < self._useful_max:
+                    useful[index] += 1
             elif provider_taken != taken and ctx.alt_taken == taken:
-                entry.useful = max(0, entry.useful - 1)
+                if useful[index] > 0:
+                    useful[index] -= 1
             # Train the alternate/base when the provider entry is new.
             if ctx.provider_weak:
                 if ctx.alt_provider >= 0:
-                    self._bump(
-                        self._tables[ctx.alt_provider][ctx.alt_index], taken
-                    )
+                    counters = self._counters[ctx.alt_provider]
+                    counter = counters[ctx.alt_index]
+                    if taken:
+                        if counter < self._counter_max:
+                            counters[ctx.alt_index] = counter + 1
+                    elif counter > 0:
+                        counters[ctx.alt_index] = counter - 1
                 else:
                     self._base.train(pc, taken)
         else:
             self._base.train(pc, taken)
 
-        if mispredicted and ctx.provider < cfg.num_tables - 1:
+        if ctx.taken != taken and provider < cfg.num_tables - 1:
             self._allocate(taken, ctx)
 
         self._updates_until_aging -= 1
         if self._updates_until_aging <= 0:
-            self._age_useful_counters()
+            for useful in self._useful:
+                useful[:] = [u >> 1 for u in useful]
             self._updates_until_aging = cfg.aging_period
-
-    def _bump(self, entry: _TaggedEntry, taken: bool) -> None:
-        if taken:
-            if entry.counter < self._counter_max:
-                entry.counter += 1
-        elif entry.counter > 0:
-            entry.counter -= 1
 
     def _allocate(self, taken: bool, ctx: TagePrediction) -> None:
         """Allocate an entry in a (randomly biased) longer-history table."""
-        start = ctx.provider + 1
-        candidates = [
-            t
-            for t in range(start, self.config.num_tables)
-            if self._tables[t][ctx.indices[t]].useful == 0
-        ]
+        indices = ctx.indices
+        useful = self._useful
+        span = range(ctx.provider + 1, self.config.num_tables)
+        candidates = [t for t in span if useful[t][indices[t]] == 0]
         if not candidates:
             # Nothing free: decay usefulness along the allocation path so
             # future allocations can succeed (anti-ping-pong rule).
-            for t in range(start, self.config.num_tables):
-                entry = self._tables[t][ctx.indices[t]]
-                entry.useful = max(0, entry.useful - 1)
+            for t in span:
+                useful[t][indices[t]] -= 1
             return
         # Prefer shorter-history candidates with probability 1/2 each,
         # the standard geometric allocation bias.
@@ -353,15 +338,12 @@ class TagePredictor:
             if self._rng.coin(0.5):
                 break
             chosen = candidate
-        entry = self._tables[chosen][ctx.indices[chosen]]
-        entry.tag = ctx.tags[chosen]
-        entry.counter = self._counter_mid if taken else self._counter_mid - 1
-        entry.useful = 0
-
-    def _age_useful_counters(self) -> None:
-        for table in self._tables:
-            for entry in table:
-                entry.useful >>= 1
+        index = indices[chosen]
+        self._tags[chosen][index] = ctx.tags[chosen]
+        self._counters[chosen][index] = (
+            self._counter_mid if taken else self._counter_mid - 1
+        )
+        useful[chosen][index] = 0
 
     # ------------------------------------------------------------------
     # Accounting

@@ -1,10 +1,13 @@
-"""The branch unit: TAGE + ITTAGE + RAS plus the speculative histories.
+"""The branch unit: TAGE + ITTAGE + RAS + BTB.
 
 The timing model is trace driven, so the unit's job is to decide, for
 each fetched branch, whether the front end would have followed the
 correct path (no bubble) or redirected at execute (a misprediction
-bubble), and to keep the history registers that the context-aware value
-predictors consume.
+bubble).  It holds only the serial table state; the history registers
+the predictors hash are a pure function of the trace prefix, so the
+caller passes each conditional or indirect branch's table hashes in
+(:mod:`repro.pipeline.frontend` computes them for a whole trace with
+the predictors' ``hash_columns``).
 
 History policy: histories are updated at fetch with the *actual*
 outcome.  On the correct path this is identical to speculative update +
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 from repro.common.rng import DeterministicRng
 from repro.isa.instruction import OpClass
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.history import HistorySet
 from repro.branch.ittage import IttageConfig, IttagePredictor, IttagePrediction
 from repro.branch.ras import ReturnAddressStack
-from repro.branch.tage import TageConfig, TagePredictor, TagePrediction
+from repro.branch.tage import Hashes, TageConfig, TagePredictor, TagePrediction
 
 
 @dataclass(slots=True)
@@ -52,14 +54,8 @@ class BranchUnit:
         btb_entries: int = 4096,
     ) -> None:
         rng = rng or DeterministicRng(0, "branch-unit")
-        self.histories = HistorySet()
         self.tage = TagePredictor(tage_config, rng.derive("tage"))
         self.ittage = IttagePredictor(ittage_config, rng.derive("ittage"))
-        # Arm the incremental-folding fast paths: predictions made from
-        # the live HistorySet read pre-folded registers (bit-identical
-        # to folding a detached snapshot, but O(1) per probe).
-        self.tage.bind_history(self.histories)
-        self.ittage.bind_history(self.histories)
         self.ras = ReturnAddressStack(ras_entries)
         self.btb = BranchTargetBuffer(btb_entries)
         self.conditional_predictions = 0
@@ -82,17 +78,20 @@ class BranchUnit:
         return self.BTB_MISS_PENALTY
 
     def fetch_branch_fields(
-        self, pc: int, op: int, taken: bool, target: int, is_call: bool
+        self, pc: int, op: int, taken: bool, target: int, is_call: bool,
+        hashes: Hashes | None = None,
     ) -> BranchOutcome:
-        """Predict one fetched branch and update speculative history.
+        """Predict one fetched branch.
 
         Takes scalar fields (the front-end recorder passes column
         values directly); ``op`` is the raw :class:`OpClass` integer.
+        ``hashes`` is the branch's TAGE (conditional) or ITTAGE
+        (indirect) ``(indices, tags)`` under the fetch-time histories;
+        other branches need none.
         """
         if op == 8:  # OpClass.BRANCH_COND
-            ctx = self.tage.predict(pc, self.histories)
+            ctx = self.tage.predict(pc, hashes)
             bubble = self._btb_bubble(pc, taken) if ctx.taken else 0
-            self.histories.push_branch(pc, taken)
             self.conditional_predictions += 1
             mispredicted = ctx.taken != taken
             if mispredicted:
@@ -104,7 +103,6 @@ class BranchUnit:
         if op == 9:  # OpClass.BRANCH_DIRECT
             # Direct targets come from the decoder on a BTB miss.
             bubble = self._btb_bubble(pc, taken)
-            self.histories.push_unconditional(pc)
             if is_call:
                 self.ras.push(pc + 4)
             return BranchOutcome(mispredicted=False, fetch_bubble=bubble)
@@ -112,7 +110,6 @@ class BranchUnit:
         if op == 11:  # OpClass.BRANCH_RETURN
             predicted = self.ras.pop()
             bubble = self._btb_bubble(pc, taken)
-            self.histories.push_unconditional(pc)
             self.return_predictions += 1
             mispredicted = predicted != target
             if mispredicted:
@@ -122,9 +119,8 @@ class BranchUnit:
             )
 
         if op == 10:  # OpClass.BRANCH_INDIRECT
-            ctx = self.ittage.predict(pc, self.histories)
+            ctx = self.ittage.predict(pc, hashes)
             bubble = self._btb_bubble(pc, taken)
-            self.histories.push_unconditional(pc)
             if is_call:
                 self.ras.push(pc + 4)
             self.indirect_predictions += 1
@@ -137,10 +133,6 @@ class BranchUnit:
             )
 
         raise ValueError(f"not a branch: {OpClass(op)!r}")
-
-    def note_memory_op(self, pc: int) -> None:
-        """Record a fetched load/store in the memory-path history (CAP)."""
-        self.histories.push_memory(pc)
 
     # ------------------------------------------------------------------
     # Resolution-time training

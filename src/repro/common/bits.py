@@ -57,10 +57,8 @@ def fold_bits(value: int, width: int) -> int:
     interpretation, and silently folding ``abs(value)`` would alias
     e.g. a stray ``INVALID_TAG = -1`` with ``+1`` instead of failing.
 
-    This function is also the *reference oracle* for the incrementally
-    maintained folded registers in :mod:`repro.branch.history`; those
-    registers must stay bit-identical to ``fold_bits`` of the raw
-    history (see ``tests/test_folded_history.py``).
+    Whole-column hashes use :func:`fold_bits_np`; the scalar form
+    serves code that hashes one value at a time.
 
     >>> fold_bits(0b1010_0101, 4)
     15
@@ -87,6 +85,10 @@ def shr_np(values: np.ndarray, shift: int) -> np.ndarray:
 
 def fold_bits_np(values: np.ndarray, width: int) -> np.ndarray:
     """Element-wise :func:`fold_bits` over unsigned 64-bit lanes."""
+    if width <= 0:
+        raise ValueError(f"fold width must be positive, got {width}")
+    if width >= 64:
+        return values.copy()
     m = np.uint64((1 << width) - 1)
     w = np.uint64(width)
     out = values & m

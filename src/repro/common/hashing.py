@@ -90,56 +90,6 @@ def pc_tag(pc: int, tag_bits: int, history: int = 0, salt: int = 0) -> int:
     return fold_bits(base, tag_bits)
 
 
-def csr_push(folded: int, length: int, width: int, in_bit: int,
-             out_bit: int) -> int:
-    """One step of an incrementally maintained folded history register.
-
-    ``folded`` must equal ``fold_bits(H & mask(length), width)`` for the
-    history register ``H`` *before* the shift; the return value equals
-    ``fold_bits(H' & mask(length), width)`` for ``H' = (H << 1) | in_bit``,
-    where ``out_bit`` is bit ``length - 1`` of the old ``H`` (the bit the
-    shift evicts).
-
-    This is the circular-shift-register folding circuit real TAGE
-    hardware uses: folding is reduction of the history polynomial modulo
-    ``x**width - 1`` over GF(2), so shifting the history left by one
-    rotates the folded register, the new bit enters at position 0, and
-    the evicted bit is cancelled at position ``length % width``.  The
-    hot paths in :class:`repro.branch.history.HistorySet` inline exactly
-    this arithmetic; this function is the readable/reference form.
-    """
-    if width <= 0:
-        raise ValueError(f"fold width must be positive, got {width}")
-    value = ((folded << 1) | in_bit) ^ (out_bit << (length % width))
-    chunk_mask = (1 << width) - 1
-    while value > chunk_mask:
-        value = (value & chunk_mask) ^ (value >> width)
-    return value
-
-
-def csr_push2(folded: int, length: int, width: int, in_bits: int,
-              out_bits: int) -> int:
-    """Two-bit step of an incremental folded register (path histories).
-
-    Path histories shift by two PC bits per event, so their folded
-    registers advance two positions at once.  ``in_bits`` is the new
-    2-bit contribution, ``out_bits`` the two evicted bits (old register
-    bits ``length-1 .. length-2``, high bit first).  Equivalent to two
-    :func:`csr_push` steps; kept separate so the update stays O(1) per
-    event rather than per bit.
-    """
-    if width <= 0:
-        raise ValueError(f"fold width must be positive, got {width}")
-    inject = length % width
-    value = ((folded << 2) | in_bits)
-    value ^= ((out_bits >> 1) & 1) << (inject + 1)
-    value ^= (out_bits & 1) << inject
-    chunk_mask = (1 << width) - 1
-    while value > chunk_mask:
-        value = (value & chunk_mask) ^ (value >> width)
-    return value
-
-
 def path_hash(history: int, new_pc: int, width: int) -> int:
     """Shift a new PC into a path-history register of ``width`` bits.
 

@@ -48,6 +48,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.branch.history import path_contributions, shift_states
 from repro.common.bits import fold_bits_np, shr_np
 from repro.composite.accuracy_monitor import (
     InfinitePcAm,
@@ -121,30 +122,6 @@ def _pc_tag_np(pc: np.ndarray, tag_bits: int) -> np.ndarray:
     return fold_bits_np(base, tag_bits)
 
 
-def _shift_states(contribs: np.ndarray, shift: int, width: int) -> np.ndarray:
-    """Prefix states of a shift register, one lane per push.
-
-    ``states[k]`` is the register value after the first ``k`` pushes of
-    ``reg = (reg << shift) | contribs[k]``, keeping the low ``width``
-    bits, starting from zero.  Computed as ``width / shift``
-    shifted-OR passes over the contribution column instead of a Python
-    loop over pushes.
-    """
-    n = len(contribs)
-    states = np.zeros(n + 1, dtype=np.uint64)
-    for j in range((width + shift - 1) // shift):
-        if j >= n:
-            break
-        states[j + 1 :] |= contribs[: n - j] << np.uint64(j * shift)
-    return states & np.uint64((1 << width) - 1)
-
-
-def _path_contribution_np(pc: np.ndarray) -> np.ndarray:
-    """Element-wise path-history contribution (two PC bits), matching
-    ``HistorySet._push_path`` / ``push_memory``."""
-    return ((pc >> np.uint64(2)) ^ (pc >> np.uint64(5)) ^ (pc >> np.uint64(9))) & np.uint64(0b11)
-
-
 # ----------------------------------------------------------------------
 # Whole-trace precompute
 # ----------------------------------------------------------------------
@@ -205,7 +182,7 @@ def precompute_load_batch(
     if need_direction:
         cond_pos = np.nonzero(is_cond)[0]
         taken = (flags[cond_pos] & FLAG_TAKEN).astype(np.uint64)
-        states = _shift_states(taken, 1, 32)
+        states = shift_states(taken, 1, 32)
         cum_cond = np.cumsum(is_cond)
         batch.direction_np = (
             states[cum_cond[load_pos]] if len(load_pos) else empty
@@ -214,16 +191,16 @@ def precompute_load_batch(
         batch.direction_np = None
     if need_path:
         br_pos = np.nonzero(is_branch)[0]
-        contribs = _path_contribution_np(pc[br_pos])
-        states = _shift_states(contribs, 2, 32)
+        contribs = path_contributions(pc[br_pos])
+        states = shift_states(contribs, 2, 32)
         cum_br = np.cumsum(is_branch)
         batch.path_np = states[cum_br[load_pos]] if len(load_pos) else empty
     else:
         batch.path_np = None
     if need_load_path:
         mem_pos = np.nonzero(is_mem)[0]
-        contribs = _path_contribution_np(pc[mem_pos])
-        states = _shift_states(contribs, 2, 32)
+        contribs = path_contributions(pc[mem_pos])
+        states = shift_states(contribs, 2, 32)
         cum_mem = np.cumsum(is_mem)
         # A load is itself a memory event; its probe sees the register
         # *before* its own push, hence the -1 on the inclusive cumsum.

@@ -199,7 +199,9 @@ class CoreModel:
         unit and history registers are not driven live: their
         trace-determined outcomes are replayed from the trace's
         :class:`~repro.pipeline.frontend.FrontEndStream` (recorded on
-        first use), and so are the memory hierarchy's, from its
+        first use as one whole-trace batch: history and hash columns,
+        then one loop over the branches' table state), and so are the
+        memory hierarchy's, from its
         :class:`~repro.memory.recording.HierarchyRecording`, unless
         ``paq_prefetch_on_miss`` makes the run drive a live one.  The
         stream is bound to the predictor assembly for the run

@@ -14,15 +14,21 @@ and the core seed:
   training both read these);
 * the run's final branch statistics.
 
-:func:`frontend_stream` records them in one pass over the packed
-columns -- through the unchanged :meth:`BranchUnit.fetch_branch_fields`
-/ :meth:`BranchUnit.resolve_fields` and :class:`HistorySet` pushes --
-into a compact :class:`FrontEndStream`, and memoizes it on the trace.
-:meth:`repro.pipeline.core.CoreModel.run` replays the stream
-instead of driving a live branch unit, so a campaign that simulates one
-trace under many predictor assemblies pays for the front end once.  The
-folded history registers TAGE and ITTAGE read are the branch unit's
-own; the stream records none of them, so every predictor assembly run
+:func:`frontend_stream` records them into a compact
+:class:`FrontEndStream` and memoizes it on the trace.  The recording is
+a whole-trace batch, like the functional backend's precompute: the
+three history registers' states after every push are numpy columns
+(:func:`repro.branch.history.shift_states`), every conditional branch's
+TAGE and every indirect branch's ITTAGE indices and tags come from the
+predictors' ``hash_columns`` kernels, and the predictable loads'
+histories are gathered from the same columns.  Only the table state is
+serial: one loop over the branches calls the unchanged
+:meth:`BranchUnit.fetch_branch_fields` / :meth:`BranchUnit.resolve_fields`
+with each branch's precomputed hashes.
+:meth:`repro.pipeline.core.CoreModel.run` replays the stream instead of
+driving a live branch unit, so a campaign that simulates one trace
+under many predictor assemblies pays for the front end once.  The
+stream records raw histories only, so every predictor assembly run
 with one front-end key -- ``(tage, ittage, ras, seed)`` -- shares one
 stream.
 
@@ -48,27 +54,35 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.branch.history import (
+    LOAD_PATH_BITS,
+    MAX_DIRECTION_BITS,
+    PATH_BITS,
+    path_contributions,
+    shift_states,
+)
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
 from repro.common.rng import DeterministicRng
 from repro.isa.columns import FLAG_IS_CALL, FLAG_PREDICTABLE, FLAG_TAKEN
-from repro.isa.instruction import OP_BRANCH_FIRST, OP_BRANCH_LAST, OP_LOAD, OP_STORE
+from repro.isa.instruction import (
+    OP_BRANCH_FIRST,
+    OP_BRANCH_LAST,
+    OP_LOAD,
+    OP_STORE,
+    OpClass,
+)
 from repro.isa.trace import Trace
+
+_OP_BRANCH_COND = int(OpClass.BRANCH_COND)
+_OP_BRANCH_INDIRECT = int(OpClass.BRANCH_INDIRECT)
 
 # trace -> front-end key -> the stream recorded under it (one key per
 # core seed a campaign runs the trace with, at most a handful).
 _streams: WeakKeyDictionary[Trace, dict[tuple, "FrontEndStream"]] = (
     WeakKeyDictionary()
 )
-
-
-def _typecode(bits: int) -> str:
-    """The narrowest unsigned array typecode holding ``bits`` bits."""
-    for code in "BHILQ":
-        if array(code).itemsize * 8 >= bits:
-            return code
-    raise ValueError(f"no array typecode holds {bits}-bit values")
 
 
 def branch_stats(unit: BranchUnit) -> dict:
@@ -95,16 +109,18 @@ class FrontEndStream:
 
     __slots__ = (
         "branch_codes", "pc", "direction", "path", "load_path",
-        "branch_stats", "_hash_rows",
+        "branch_stats", "_direction_low", "_hash_rows",
     )
 
     def __init__(self) -> None:
         self.branch_codes = bytearray()
         self.pc = array("Q")
         self.direction: list[int] = []
-        self.path = array(_typecode(32))
-        self.load_path = array(_typecode(32))
+        self.path = array("I")
+        self.load_path = array("I")
         self.branch_stats: dict = {}
+        # The low 64 bits of ``direction``, as the recorder computed them.
+        self._direction_low = array("Q")
         self._hash_rows: dict[tuple, list] = {}
 
     def hash_rows(self, key: tuple, build) -> list:
@@ -120,16 +136,11 @@ class FrontEndStream:
         """
         rows = self._hash_rows.get(key)
         if rows is None:
-            mask64 = (1 << 64) - 1
-            rows = self._hash_rows[key] = build(
-                np.array(self.pc, dtype=np.uint64),
-                np.fromiter(
-                    (d & mask64 for d in self.direction), dtype=np.uint64,
-                    count=len(self.direction),
-                ),
-                np.array(self.path, dtype=np.uint64),
-                np.array(self.load_path, dtype=np.uint64),
-            )
+            rows = self._hash_rows[key] = build(*(
+                np.asarray(column).astype(np.uint64) for column in (
+                    self.pc, self._direction_low, self.path, self.load_path,
+                )
+            ))
         return rows
 
 
@@ -173,50 +184,114 @@ def _record(trace, key, interrupt, interrupt_interval):
         tage_config, ittage_config, ras_entries,
         DeterministicRng(seed, "core"),
     )
-    histories = unit.histories
     stream = FrontEndStream()
+    cols = trace.pack()
+    pc = np.frombuffer(cols.pc, dtype=np.uint64)
+    op = np.frombuffer(cols.op, dtype=np.uint8)
+    flags = np.frombuffer(cols.flags, dtype=np.uint8)
 
-    cols = trace.columns
-    pcs = cols.pc
-    ops = cols.op
-    targets = cols.target
-    flags_col = cols.flags
+    # Each history register's state after every push, and how many
+    # pushes each instruction follows.
+    is_cond = op == _OP_BRANCH_COND
+    is_branch = (op >= OP_BRANCH_FIRST) & (op <= OP_BRANCH_LAST)
+    is_memory = (op == OP_LOAD) | (op == OP_STORE)
+    direction = shift_states(
+        ((flags[is_cond] & FLAG_TAKEN) != 0).astype(np.uint64), 1, 64
+    )
+    path = shift_states(path_contributions(pc[is_branch]), 2, PATH_BITS)
+    load_path = shift_states(
+        path_contributions(pc[is_memory]), 2, LOAD_PATH_BITS
+    )
+    conds_before = np.cumsum(is_cond) - is_cond
+
+    # Every conditional branch's TAGE and every indirect branch's
+    # ITTAGE hashes, as one (indices, tags) row per branch, taken in
+    # branch order by the loop below.
+    branch_pos = np.flatnonzero(is_branch)
+    branch_pc = pc[branch_pos]
+    branch_op = op[branch_pos]
+    rows = []
+    for predictor, kind in (
+        (unit.tage, _OP_BRANCH_COND), (unit.ittage, _OP_BRANCH_INDIRECT)
+    ):
+        which = np.flatnonzero(branch_op == kind)
+        indices, tags = predictor.hash_columns(
+            branch_pc[which], direction,
+            conds_before[branch_pos[which]], path[which],
+        )
+        rows.append(zip(zip(*indices.tolist()), zip(*tags.tolist())))
+    tage_rows, ittage_rows = rows
+
+    # The serial part: table state, one branch at a time.
     fetch_branch_fields = unit.fetch_branch_fields
     resolve_fields = unit.resolve_fields
-    push_memory = histories.push_memory
     code_append = stream.branch_codes.append
-    pc_append = stream.pc.append
-    direction_append = stream.direction.append
-    path_append = stream.path.append
-    load_path_append = stream.load_path.append
-
+    branch_flags = flags[branch_pos]
     name = trace.name
-    next_check = interrupt_interval if interrupt else None
-    for i in range(len(cols)):
-        if next_check is not None and i + 1 >= next_check:
-            next_check += interrupt_interval
-            if interrupt(i + 1):
-                raise SimulationInterrupted(name, i + 1)
-        op = ops[i]
-        if OP_BRANCH_FIRST <= op <= OP_BRANCH_LAST:
-            pc = pcs[i]
-            flags = flags_col[i]
-            taken = flags & FLAG_TAKEN
-            target = targets[i]
-            outcome = fetch_branch_fields(
-                pc, op, taken, target, flags & FLAG_IS_CALL
-            )
-            resolve_fields(pc, taken, target, outcome)
-            code_append(outcome.fetch_bubble << 1 | outcome.mispredicted)
-        elif op == OP_LOAD:
-            if flags_col[i] & FLAG_PREDICTABLE:
-                pc_append(pcs[i])
-                direction_append(histories.direction)
-                path_append(histories.path)
-                load_path_append(histories.load_path)
-            push_memory(pcs[i])
-        elif op == OP_STORE:
-            push_memory(pcs[i])
+    next_check = interrupt_interval
 
+    def poll(done: int) -> int:
+        """Ask ``interrupt`` at every multiple of the interval up to
+        ``done`` instructions, as the core loop does; return the
+        instruction index at which the next poll is due."""
+        nonlocal next_check
+        while next_check <= done:
+            if interrupt(next_check):
+                raise SimulationInterrupted(name, next_check)
+            next_check += interrupt_interval
+        return next_check - 1
+
+    due = interrupt_interval - 1 if interrupt else len(cols)
+    for i, branch_pc, branch_op, taken, is_call, target in zip(
+        branch_pos.tolist(), branch_pc.tolist(), branch_op.tolist(),
+        (branch_flags & FLAG_TAKEN).tolist(),
+        (branch_flags & FLAG_IS_CALL).tolist(),
+        np.frombuffer(cols.target, dtype=np.uint64)[branch_pos].tolist(),
+    ):
+        if i >= due:
+            due = poll(i + 1)
+        if branch_op == _OP_BRANCH_COND:
+            row = next(tage_rows)
+        elif branch_op == _OP_BRANCH_INDIRECT:
+            row = next(ittage_rows)
+        else:
+            row = None
+        outcome = fetch_branch_fields(
+            branch_pc, branch_op, taken, target, is_call, row
+        )
+        resolve_fields(branch_pc, taken, target, outcome)
+        code_append(outcome.fetch_bubble << 1 | outcome.mispredicted)
+    if interrupt:
+        poll(len(cols))
+
+    # The predictable loads' fetch-time histories.  A load is itself a
+    # memory event; it sees the memory path before its own push.
+    loads = np.flatnonzero((op == OP_LOAD) & ((flags & FLAG_PREDICTABLE) != 0))
+    pushes = conds_before[loads]
+    stream.pc = array("Q", pc[loads].tobytes())
+    stream._direction_low = array("Q", direction[pushes].tobytes())
+    # The path registers are 32 bits wide.
+    stream.path = array("I", path[np.cumsum(is_branch)[loads]].astype(
+        np.uintc).tobytes())
+    stream.load_path = array("I", load_path[
+        np.cumsum(is_memory)[loads] - 1].astype(np.uintc).tobytes())
+    # The full-width direction register, one int per distinct push
+    # count (loads between two conditional branches share it): bits
+    # 64*j .. 64*j + 63 are its low 64 bits 64*j pushes earlier (state
+    # 0 is the empty register).
+    starts = np.diff(pushes, prepend=-1) != 0
+    first = np.flatnonzero(starts)
+    limbs = np.stack([
+        direction[np.maximum(pushes[first] - shift, 0)]
+        for shift in range(0, MAX_DIRECTION_BITS, 64)
+    ], axis=1).astype("<u8").tobytes()
+    width = MAX_DIRECTION_BITS // 8
+    from_bytes = int.from_bytes
+    values = [
+        from_bytes(limbs[k:k + width], "little")
+        for k in range(0, len(limbs), width)
+    ]
+    group = np.cumsum(starts) - 1
+    stream.direction = [values[k] for k in group.tolist()]
     stream.branch_stats = branch_stats(unit)
     return stream

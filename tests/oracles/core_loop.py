@@ -2,11 +2,13 @@
 
 :func:`run_objects` is the core model's pass restated over
 ``trace.instructions``: enum opclass tests, :class:`LaneScheduler` /
-:class:`WindowTracker` objects, and a live :class:`BranchUnit` driven
-branch by branch instead of a replayed front-end stream.  It shares the
-model's load helpers (``_load_complete``, ``_validate_load``) and its
-``_finish``, so what it checks is the loop: ordering, the inlined
-schedulers and windows, tick batching and the front-end replay.  It
+:class:`WindowTracker` objects, and a live branch unit driven branch
+by branch (``tests/oracles/branch.py``: its own history registers,
+hashed by the scalar reference) instead of a replayed front-end
+stream.  It shares the model's load helpers (``_load_complete``,
+``_validate_load``) and its ``_finish``, so what it checks is the
+loop: ordering, the inlined schedulers and windows, tick batching and
+the front-end replay.  It
 drives a live :class:`MemoryHierarchy` of its own on every block change,
 refetches included, so it also checks the model's hierarchy replay.
 ``tests/test_columnar_equivalence.py`` requires its :class:`SimResult`
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.branch.unit import BranchOutcome, BranchUnit
+from repro.branch.unit import BranchOutcome
 from repro.common.bits import bit_length_for
 from repro.common.rng import DeterministicRng
 from repro.isa.instruction import NUM_ARCH_REGS, REG_NONE, Instruction, OpClass
@@ -31,6 +33,8 @@ from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
 from repro.predictors.types import LoadOutcome, LoadProbe
+
+from oracles.branch import LiveBranchUnit
 
 
 class LaneScheduler:
@@ -54,21 +58,23 @@ class LaneScheduler:
         return begin
 
 
-def fetch_branch(unit: BranchUnit, inst: Instruction) -> BranchOutcome:
+def fetch_branch(unit: LiveBranchUnit, inst: Instruction) -> BranchOutcome:
     """Predict one fetched branch instruction on ``unit``."""
-    return unit.fetch_branch_fields(
+    return unit.fetch(
         inst.pc, int(inst.op), inst.taken, inst.target, inst.is_call
     )
 
 
-def resolve(unit: BranchUnit, inst: Instruction, outcome: BranchOutcome) -> None:
+def resolve(
+    unit: LiveBranchUnit, inst: Instruction, outcome: BranchOutcome
+) -> None:
     """Train ``unit``'s predictors when ``inst`` executes."""
     unit.resolve_fields(inst.pc, inst.taken, inst.target, outcome)
 
 
-def live_branch_unit(model: CoreModel) -> BranchUnit:
+def live_branch_unit(model: CoreModel) -> LiveBranchUnit:
     """A fresh branch unit with ``model``'s geometry and seed."""
-    return BranchUnit(
+    return LiveBranchUnit(
         model.tage_config, model.ittage_config,
         model.config.ras_entries, DeterministicRng(model.seed, "core"),
     )

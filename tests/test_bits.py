@@ -1,5 +1,6 @@
 """Unit and property tests for repro.common.bits."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from repro.common.bits import (
     bit_length_for,
     fold_bits,
+    fold_bits_np,
     mask,
     sign_extend,
     truncate,
@@ -100,6 +102,20 @@ class TestFoldBits:
         # output bit, so the folded values always differ.
         flipped = value ^ (1 << 5)
         assert fold_bits(value, width) != fold_bits(flipped, width)
+
+
+
+class TestFoldBitsNp:
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20),
+           st.integers(min_value=1, max_value=70))
+    def test_matches_fold_bits(self, values, width):
+        folded = fold_bits_np(np.array(values, dtype=np.uint64), width)
+        assert folded.tolist() == [fold_bits(v, width) for v in values]
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_rejects_nonpositive_width(self, width):
+        with pytest.raises(ValueError):
+            fold_bits_np(np.ones(4, dtype=np.uint64), width)
 
 
 class TestBitLengthFor:

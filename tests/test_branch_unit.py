@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.branch.unit import BranchUnit
 from repro.isa.instruction import Instruction, OpClass
 
+from oracles.branch import LiveBranchUnit
 from oracles.core_loop import fetch_branch, resolve
 
 
@@ -15,7 +15,7 @@ def _cond(pc, taken):
 
 class TestConditional:
     def test_learns_biased_branch(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         for _ in range(200):
             inst = _cond(0x1000, True)
             outcome = fetch_branch(unit, inst)
@@ -23,7 +23,7 @@ class TestConditional:
         assert unit.accuracy() > 0.9
 
     def test_counts_mispredictions(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         inst = _cond(0x1000, True)
         for _ in range(50):
             outcome = fetch_branch(unit, inst)
@@ -34,20 +34,20 @@ class TestConditional:
 
 class TestUnconditional:
     def test_direct_never_mispredicts(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_DIRECT, taken=True,
                            target=0x2000)
         assert not fetch_branch(unit, inst).mispredicted
 
     def test_non_branch_rejected(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         with pytest.raises(ValueError):
             fetch_branch(unit, Instruction(pc=0x1000, op=OpClass.INT_ALU))
 
 
 class TestCallsAndReturns:
     def test_call_return_pairing(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         call = Instruction(pc=0x1000, op=OpClass.BRANCH_DIRECT, taken=True,
                            target=0x9000, is_call=True)
         ret = Instruction(pc=0x9010, op=OpClass.BRANCH_RETURN, taken=True,
@@ -56,13 +56,13 @@ class TestCallsAndReturns:
         assert not fetch_branch(unit, ret).mispredicted
 
     def test_mismatched_return_detected(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         ret = Instruction(pc=0x9010, op=OpClass.BRANCH_RETURN, taken=True,
                           target=0x1234)
         assert fetch_branch(unit, ret).mispredicted  # empty RAS -> 0
 
     def test_nested_calls(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         for depth in range(4):
             call = Instruction(pc=0x1000 + depth * 0x100,
                                op=OpClass.BRANCH_DIRECT, taken=True,
@@ -76,7 +76,7 @@ class TestCallsAndReturns:
 
 class TestIndirect:
     def test_learns_monomorphic_target(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         inst = Instruction(pc=0x3000, op=OpClass.BRANCH_INDIRECT, taken=True,
                            target=0x7000)
         for _ in range(20):
@@ -86,7 +86,7 @@ class TestIndirect:
         assert not outcome.mispredicted
 
     def test_history_updated_for_value_predictors(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         unit.note_memory_op(0x5004)
         assert unit.histories.load_path != 0
         assert unit.histories.load_path < (1 << 32)

@@ -6,6 +6,7 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.unit import BranchUnit
 from repro.isa.instruction import Instruction, OpClass
 
+from oracles.branch import LiveBranchUnit
 from oracles.core_loop import fetch_branch, resolve
 
 
@@ -40,7 +41,7 @@ class TestBtbStructure:
 
 class TestBranchUnitIntegration:
     def test_first_taken_branch_bubbles_then_warm(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_DIRECT, taken=True,
                            target=0x2000)
         first = fetch_branch(unit, inst)
@@ -49,7 +50,7 @@ class TestBranchUnitIntegration:
         assert second.fetch_bubble == 0
 
     def test_not_taken_branch_never_bubbles(self):
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_COND, taken=False,
                            target=0x2000)
         for _ in range(5):
@@ -61,7 +62,7 @@ class TestBranchUnitIntegration:
         """A cold conditional branch predicted not-taken must not pay a
         BTB bubble even when it is actually taken (the front end did
         not try to follow it; the cost lands on the mispredict)."""
-        unit = BranchUnit()
+        unit = LiveBranchUnit()
         inst = Instruction(pc=0x1000, op=OpClass.BRANCH_COND, taken=True,
                            target=0x2000)
         outcome = fetch_branch(unit, inst)

@@ -659,6 +659,52 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference[-1]
         second.durability.close_all()
 
+    def test_format_7_checkpoint_with_fold_registers_restores(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint written while :class:`HistorySet` still had
+        folded registers pickles their (empty: sessions never
+        registered a fold) containers beside the raw registers.  It
+        still restores the session bit-exactly, from the checkpoint
+        rather than by full WAL replay, and the restored registers
+        carry nothing else."""
+        from repro.branch.history import HistorySet
+
+        def fold_era_getstate(self):
+            return {
+                "direction": self.direction, "path": self.path,
+                "load_path": self.load_path, "_dir_cells": [],
+                "_path_cells": [], "_slot_by_key": {}, "_slot_cells": [],
+                "_slot_specs": [],
+            }
+
+        spec = SPECS[1][1]
+        chunks = chunked(make_events(36), 20)
+        reference = PredictorSession(spec, session_id="d1")
+        for chunk in chunks:
+            apply_events(reference, chunk)
+        assert reference.histories.direction and reference.histories.path
+        with monkeypatch.context() as patch:
+            patch.setattr(HistorySet, "__getstate__", fold_era_getstate,
+                          raising=False)
+            first = durable_server(tmp_path, checkpoint_every=2)
+            drive(first, "d1", spec, chunks)
+            first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        _, blob = load_checkpoint(ckpt)
+        assert b"_slot_specs" in bytes(blob)
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert ckpt.exists()
+        assert report["replayed_records"] < len(chunks)
+        assert second.durability.stats.checkpoint_failures == 0
+        recovered = second.sessions.get("d1")
+        assert recovered.snapshot() == reference.snapshot()
+        assert vars(recovered.histories) == vars(reference.histories)
+        second.durability.close_all()
+
 
 class TestSegmentRotation:
     def test_rotation_and_multi_segment_recovery(self, tmp_path):

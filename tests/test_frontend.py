@@ -1,10 +1,13 @@
-"""The recorded front end: memo identity, lifetime, sharing, deadlines.
+"""The recorded front end: contents, memo identity, lifetime, sharing,
+deadlines.
 
 :mod:`repro.pipeline.frontend` records a trace's branch outcomes and
-history snapshots once and the columnar core loop replays them.  These
-tests pin down when a stream is shared, when it is recorded again and
-when it is released; ``tests/test_columnar_equivalence.py`` proves the
-replay bit-exact against the object-path oracle in ``tests/oracles``.
+fetch-time histories once, in a whole-trace batch, and the columnar
+core loop replays them.  These tests require the batch to record what
+a live branch unit fed one instruction at a time records, and pin down
+when a stream is shared, when it is recorded again and when it is
+released; ``tests/test_columnar_equivalence.py`` proves the replay
+bit-exact against the object-path oracle in ``tests/oracles``.
 """
 
 import gc
@@ -12,16 +15,20 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.branch.ittage import IttageConfig
+from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
+from repro.harness.presets import SMOKE
 from repro.harness.runner import clear_caches
 from repro.pipeline import frontend
 from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
 from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
+from oracles.branch import record_live
 from oracles.core_loop import simulate_objects
 
 
@@ -53,6 +60,23 @@ def _composite():
 
 def _streams(trace):
     return list(frontend._streams.get(trace, {}).values())
+
+
+class TestContents:
+    @pytest.mark.parametrize("workload", SMOKE.workloads)
+    def test_batch_recording_equals_the_live_unit(self, workload):
+        trace = generate_trace(workload, 5000, 0)
+        key = (TageConfig(), IttageConfig(), 16, 0)
+        stream = frontend.frontend_stream(trace, *key)
+        live = record_live(trace, *key)
+        assert list(stream.branch_codes) == live["branch_codes"]
+        assert list(stream.pc) == live["pc"]
+        assert stream.direction == live["direction"]
+        assert list(stream.path) == live["path"]
+        assert list(stream.load_path) == live["load_path"]
+        assert stream.branch_stats == live["branch_stats"]
+        assert any(code & 1 for code in stream.branch_codes)
+        assert any(d >> 64 for d in stream.direction)
 
 
 class TestMemoIdentity:

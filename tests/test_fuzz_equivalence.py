@@ -9,7 +9,7 @@ places where a fast path could drift from its reference:
 * a handful of PCs, some of them aliasing in the predictor tables;
 * stores of every size to a few addresses that later loads read,
   at any byte offset, and strided loads;
-* runs of branches long enough to wrap every folded history register;
+* runs of branches longer than the history lengths the tables read;
 * lengths that end mid-epoch (the assemblies run 97-instruction epochs);
 * every component alone (as a ``component`` spec and as the same
   one-component plain composite spelled out with 97-instruction

@@ -9,6 +9,7 @@ against the live hierarchy the object-path oracle drives.
 """
 
 import gc
+from bisect import bisect_right
 from dataclasses import asdict
 
 import pytest
@@ -142,3 +143,41 @@ class TestDeadlines:
             simulate_objects(trace, _composite())
         )
         assert len(_recordings(trace)) == 2
+
+
+class TestOpenFaults:
+    @pytest.mark.xfail(strict=True, reason=(
+        "EXPERIMENTS.md D6: a PAQ probe is resolved after its own "
+        "load's demand access; fixing it moves timing numbers"
+    ))
+    def test_no_probe_hits_only_through_its_own_loads_fill(
+        self, monkeypatch
+    ):
+        """A PAQ probe launches at fetch, so it must not see the L1D
+        fill its own load's demand miss makes later."""
+        replay = recording.HierarchyReplay
+        load_latency = replay.load_latency
+        probe_l1d = replay.probe_l1d
+        seen = {"load_done": -1, "own_fill_hits": 0, "probes": 0}
+
+        def logged_load(self, pc, addr):
+            latency = load_latency(self, pc, addr)
+            seen["load_done"] = self.ordinal
+            return latency
+
+        def logged_probe(self, addr):
+            hit, latency = probe_l1d(self, addr)
+            seen["probes"] += 1
+            if hit and self.ordinal == seen["load_done"]:
+                # Resident now, but not before the load's own access.
+                bounds = self._residency[addr >> self._offset_bits]
+                if bisect_right(bounds, self.ordinal - 1) & 1 == 0:
+                    seen["own_fill_hits"] += 1
+            return hit, latency
+
+        monkeypatch.setattr(replay, "load_latency", logged_load)
+        monkeypatch.setattr(replay, "probe_l1d", logged_probe)
+        predictor = CompositePredictor(CompositeConfig().homogeneous(256))
+        CoreModel(predictor=predictor).run(generate_trace("equake", 20_000, 0))
+        assert seen["probes"] > 0
+        assert seen["own_fill_hits"] == 0

@@ -1,8 +1,18 @@
 """Tests for the TAGE conditional branch predictor."""
 
+import pytest
+
 from repro.branch.history import HistorySet
 from repro.branch.tage import TageConfig, TagePredictor
 from repro.common.rng import DeterministicRng
+
+from oracles.branch import tage_hashes
+
+
+def _predict(predictor, pc, histories):
+    return predictor.predict(
+        pc, tage_hashes(predictor, pc, histories.direction, histories.path)
+    )
 
 
 def _run_pattern(predictor, pattern, repeats, train=True):
@@ -13,7 +23,7 @@ def _run_pattern(predictor, pattern, repeats, train=True):
     pc = 0x4000
     for _ in range(repeats):
         for taken in pattern:
-            ctx = predictor.predict(pc, histories.snapshot())
+            ctx = _predict(predictor, pc, histories)
             if ctx.taken == taken:
                 correct += 1
             total += 1
@@ -32,6 +42,28 @@ class TestConfig:
 
     def test_single_table(self):
         assert TageConfig(num_tables=1).history_lengths() == (5,)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_tables", 0),
+        ("entries_per_table", 1000),
+        ("entries_per_table", 1),
+        ("base_entries", 3000),
+        ("tag_bits", 1),  # the tag folds history to tag_bits - 1 bits
+        ("tag_bits", 65),
+        ("min_history", 0),
+        ("max_history", 4),  # below min_history (5)
+        ("counter_bits", 0),
+        ("useful_bits", 0),
+    ])
+    def test_rejects_unbuildable_geometry(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TageConfig(**{field: value})
+
+    def test_accepts_the_smallest_geometry(self):
+        config = TageConfig(num_tables=1, entries_per_table=2,
+                            base_entries=1, tag_bits=2, counter_bits=1,
+                            useful_bits=1, min_history=1, max_history=1)
+        assert config.history_lengths() == (1,)
 
     def test_storage_accounting(self):
         predictor = TagePredictor(TageConfig())
@@ -71,9 +103,8 @@ class TestMechanics:
         """predict() must not mutate state."""
         predictor = TagePredictor(rng=DeterministicRng(0))
         histories = HistorySet()
-        snap = histories.snapshot()
-        a = predictor.predict(0x1000, snap)
-        b = predictor.predict(0x1000, snap)
+        a = _predict(predictor, 0x1000, histories)
+        b = _predict(predictor, 0x1000, histories)
         assert a == b
 
     def test_allocation_on_mispredict(self):
@@ -82,11 +113,8 @@ class TestMechanics:
         # Deliberately train the opposite of the base prediction so a
         # tagged entry is allocated.
         for _ in range(50):
-            snap = histories.snapshot()
-            ctx = predictor.predict(0x2000, snap)
+            ctx = _predict(predictor, 0x2000, histories)
             predictor.train(0x2000, not ctx.taken, ctx)
             histories.push_branch(0x2000, not ctx.taken)
-        allocated = sum(
-            1 for table in predictor._tables for e in table if e.tag
-        )
+        allocated = sum(1 for tags in predictor._tags for tag in tags if tag)
         assert allocated > 0
