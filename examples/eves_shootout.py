@@ -15,7 +15,7 @@ import sys
 from repro.composite import CompositeConfig, CompositePredictor
 from repro.eves import eves_8kb, eves_32kb
 from repro.harness.formatting import frac, pct, render_table
-from repro.pipeline import EvesAdapter, simulate
+from repro.pipeline import simulate
 from repro.workloads import generate_trace
 
 LENGTH = 20_000
@@ -27,8 +27,8 @@ def main() -> None:
         "composite 9.6KB": lambda: CompositePredictor(
             CompositeConfig(epoch_instructions=LENGTH // 25).homogeneous(256)
         ),
-        "eves 8KB": lambda: EvesAdapter(eves_8kb()),
-        "eves 32KB": lambda: EvesAdapter(eves_32kb()),
+        "eves 8KB": eves_8kb,
+        "eves 32KB": eves_32kb,
     }
 
     rows = []

@@ -6,7 +6,7 @@ Public API tour
 
 Predictors (Section III / Table IV)::
 
-    from repro.predictors import make_component, LoadProbe, LoadOutcome
+    from repro.predictors import make_component, LoadProbe
     lvp = make_component("lvp", entries=1024)
 
 Composite predictor with filters (Section V)::
@@ -38,7 +38,6 @@ from repro.isa import Instruction, OpClass, Trace
 from repro.pipeline import CoreConfig, SimResult, simulate
 from repro.predictors import (
     COMPONENT_NAMES,
-    LoadOutcome,
     LoadProbe,
     Prediction,
     PredictionKind,
@@ -56,7 +55,6 @@ __all__ = [
     "CoreConfig",
     "EvesPredictor",
     "Instruction",
-    "LoadOutcome",
     "LoadProbe",
     "OpClass",
     "Prediction",

@@ -774,8 +774,6 @@ def _serve_command(args) -> int:
     subprocesses behind it.  Either way the process prints the one
     ``serving on host:port`` line scripts parse.
     """
-    import asyncio
-
     from repro.serve.server import PredictionServer, ServerConfig
 
     if not 0 <= args.port <= 65535:
@@ -839,16 +837,13 @@ def _serve_command(args) -> int:
     problem = _check_durability_flags(args)
     if problem:
         return _fail(problem)
-    if args.standby_of is not None:
-        return _serve_standby(args)
-    if args.shards > 1 or args.standbys:
-        return _serve_router(args)
-
     extra = {}
     if args.seq_cache_size is not None:
         extra["seq_cache_size"] = args.seq_cache_size
     if args.seq_cache_bytes is not None:
         extra["seq_cache_bytes"] = args.seq_cache_bytes
+    # The one server config of this invocation: this process's own, or
+    # (sharded) every worker's and standby's.
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -865,10 +860,12 @@ def _serve_command(args) -> int:
         parent_pid=args.parent_pid,
         **extra,
     )
+    if args.standby_of is not None:
+        return _serve_standby(args, config)
+    if args.shards > 1 or args.standbys:
+        return _serve_router(args, config)
 
-    async def _serve() -> dict:
-        server = PredictionServer(config)
-        await server.start()
+    def announce(server) -> None:
         if server.recovery.get("recovered_sessions"):
             print(
                 f"# recovered {server.recovery['recovered_sessions']} "
@@ -876,15 +873,40 @@ def _serve_command(args) -> int:
                 f"{server.recovery['replayed_records']} WAL record(s)",
                 file=sys.stderr, flush=True,
             )
-        # The one line scripts parse to learn the ephemeral port.
-        print(f"serving on {config.host}:{server.port}", flush=True)
+
+    return _run_until_drained(
+        args, lambda: PredictionServer(config), announce
+    )
+
+
+def _run_until_drained(args, make_server, announce=None, final=None) -> int:
+    """Run one serving process until SIGTERM/SIGINT drains it.
+
+    ``make_server()`` builds the server, router or standby inside the
+    event loop; after it starts, ``announce(server)`` may print to
+    stderr before the ``serving on host:port`` line scripts parse.  On
+    a clean drain the final stats (``final(server)``, by default
+    ``server.stats()``) go to stdout as JSON and ``# drained cleanly``
+    to stderr (exit 0); a bind failure exits 2 and SIGINT 130.
+    """
+    import asyncio
+
+    async def _serve() -> dict:
+        server = make_server()
+        await server.start()
+        if announce is not None:
+            announce(server)
+        # The one line scripts and the shard manager parse to learn the
+        # ephemeral port; a tier prints it too, as a drop-in replacement
+        # behind one address.
+        print(f"serving on {args.host}:{server.port}", flush=True)
         logger = _start_stats_logger(server.stats, args.stats_interval)
         try:
             await server.serve_until_shutdown()
         finally:
             if logger is not None:
                 logger.cancel()
-        return server.stats()
+        return server.stats() if final is None else final(server)
 
     try:
         stats = asyncio.run(_serve())
@@ -924,10 +946,9 @@ def _start_stats_logger(get_stats, interval: float):
     return asyncio.get_running_loop().create_task(_log())
 
 
-def _serve_router(args) -> int:
-    """``serve --shards N``: run the sharded tier until SIGTERM."""
-    import asyncio
-
+def _serve_router(args, worker) -> int:
+    """``serve --shards N``: run the sharded tier until SIGTERM; every
+    worker runs the ``worker`` server config."""
     from repro.serve.router import RouterConfig, ShardRouter
     from repro.serve.shardmgr import ShardError
 
@@ -940,17 +961,10 @@ def _serve_router(args) -> int:
         standbys=args.standbys,
         health_interval=args.health_interval,
         health_backoff_max=args.health_backoff_max,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        max_sessions=args.max_sessions,
-        fsync_interval=args.fsync_interval,
-        checkpoint_every=args.checkpoint_every,
-        wal_segment_bytes=args.wal_segment_bytes,
+        worker=worker,
     )
 
-    async def _serve() -> dict:
-        router = ShardRouter(config)
-        await router.start()
+    def announce(router) -> None:
         ports = {
             name: shard.port
             for name, shard in router.manager.shards.items()
@@ -961,92 +975,35 @@ def _serve_router(args) -> int:
             ),
             file=sys.stderr, flush=True,
         )
-        # Same parseable line as the single-process server: the tier is
-        # a drop-in replacement behind one address.
-        print(f"serving on {config.host}:{router.port}", flush=True)
-        logger = _start_stats_logger(router.stats, args.stats_interval)
-        try:
-            await router.serve_until_shutdown()
-        finally:
-            if logger is not None:
-                logger.cancel()
-        final = router.describe()
-        final["router_counters"] = router.counters.as_dict()
-        return final
+
+    def final(router) -> dict:
+        stats = router.describe()
+        stats["router_counters"] = router.counters.as_dict()
+        return stats
 
     try:
-        stats = asyncio.run(_serve())
+        return _run_until_drained(
+            args, lambda: ShardRouter(config), announce, final
+        )
     except ShardError as exc:
         return _fail(f"sharded tier failed to start: {exc}", code=1)
-    except OSError as exc:
-        return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
-    except KeyboardInterrupt:
-        return 130
-    print(json.dumps(stats, indent=2))
-    print("# drained cleanly", file=sys.stderr)
-    return 0
 
 
-def _serve_standby(args) -> int:
+def _serve_standby(args, config) -> int:
     """``serve --standby-of PORT``: run one warm standby process.
 
     Spawned by the shard manager behind each primary; replicates the
     primary's WAL into live session state and answers only admin ops
     (``standby-status``/``promote``) until promoted, after which it is
-    a full primary on the port it has held all along.
+    a full primary on the port it has held all along.  It prints the
+    same parseable line as a primary: the manager learns the standby's
+    port the same way it learns a worker's.
     """
-    import asyncio
-
-    from repro.serve.server import ServerConfig
     from repro.serve.standby import StandbyServer
 
-    extra = {}
-    if args.seq_cache_size is not None:
-        extra["seq_cache_size"] = args.seq_cache_size
-    if args.seq_cache_bytes is not None:
-        extra["seq_cache_bytes"] = args.seq_cache_bytes
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        request_timeout=args.request_timeout or None,
-        max_sessions=args.max_sessions,
-        max_session_bytes=args.max_session_bytes,
-        data_dir=args.data_dir,
-        fsync_interval=args.fsync_interval,
-        checkpoint_every=args.checkpoint_every,
-        wal_segment_bytes=args.wal_segment_bytes,
-        shard_name=args.shard_name,
-        parent_pid=args.parent_pid,
-        **extra,
-    )
-
-    async def _serve() -> dict:
-        server = StandbyServer(
-            config, primary_port=args.standby_of, primary_host=args.host
-        )
-        await server.start()
-        # Same parseable line as a primary: the manager learns the
-        # standby's port the same way it learns a worker's.
-        print(f"serving on {config.host}:{server.port}", flush=True)
-        logger = _start_stats_logger(server.stats, args.stats_interval)
-        try:
-            await server.serve_until_shutdown()
-        finally:
-            if logger is not None:
-                logger.cancel()
-        return server.stats()
-
-    try:
-        stats = asyncio.run(_serve())
-    except OSError as exc:
-        return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
-    except KeyboardInterrupt:
-        return 130
-    print(json.dumps(stats, indent=2))
-    print("# drained cleanly", file=sys.stderr)
-    return 0
+    return _run_until_drained(args, lambda: StandbyServer(
+        config, primary_port=args.standby_of, primary_host=args.host
+    ))
 
 
 def _check_durability_flags(args) -> str | None:

@@ -22,12 +22,7 @@ from repro.composite.config import CompositeConfig
 from repro.composite.fusion import FusionController
 from repro.predictors import COMPONENT_NAMES, make_component
 from repro.predictors.base import ComponentPredictor
-from repro.predictors.types import (
-    LoadOutcome,
-    LoadProbe,
-    Prediction,
-    PredictionKind,
-)
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 #: Selection priority for the canonical four components: value before
 #: address, context-aware before context-agnostic within each group.
@@ -279,16 +274,19 @@ class CompositePredictor:
     def validate_and_train(
         self,
         decision: CompositeDecision,
-        outcome: LoadOutcome,
+        addr: int,
+        size: int,
+        value: int,
         correctness: dict[str, bool],
     ) -> None:
         """Validate a load's predictions and apply the training policy.
 
-        ``correctness`` must contain an entry for every component in
-        ``decision.confident``: True if that component's prediction
-        would have produced the correct value (for address predictors
-        the host resolves the probe and the possibility of conflicting
-        stores).
+        Components train on the decision's own fetch-time probe and the
+        load's ``(addr, size, value)``.  ``correctness`` must contain an
+        entry for every component in ``decision.confident``: True if
+        that component's prediction would have produced the correct
+        value (for address predictors the host resolves the probe and
+        the possibility of conflicting stores).
         """
         # Verdict-completeness check folded into the tally loop: building
         # two sets per load just to subtract them shows up at simulator
@@ -314,9 +312,10 @@ class CompositePredictor:
                 self.stats.correct_used += 1
             else:
                 self.stats.incorrect_used += 1
+        probe = decision.probe
         if decision.confident:
             self.monitor.record(
-                outcome.pc,
+                probe.pc,
                 {n: correctness[n] for n in decision.confident},
                 used,
                 used_correct,
@@ -329,12 +328,12 @@ class CompositePredictor:
             if not correctness[name]:
                 component = self.components.get(name)
                 if component is not None:
-                    component.penalize(outcome)
+                    component.penalize(probe, addr, size, value)
 
         if self.config.smart_training:
-            self._smart_train(decision, outcome, correctness)
+            self._smart_train(decision, addr, size, value, correctness)
         else:
-            self._train_all(outcome)
+            self._train_all(probe, addr, size, value)
 
     def _active(self):
         """``(items, mapping)`` of the non-donor components.
@@ -360,17 +359,21 @@ class CompositePredictor:
         self._active_cache = (mark, items, dict(items))
         return items, self._active_cache[2]
 
-    def _train_all(self, outcome: LoadOutcome) -> None:
+    def _train_all(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
         self.stats.train_events += 1
         active, _ = self._active()
         for _, component in active:
-            component.train(outcome)
+            component.train(probe, addr, size, value)
             self.stats.train_operations += 1
 
     def _smart_train(
         self,
         decision: CompositeDecision,
-        outcome: LoadOutcome,
+        addr: int,
+        size: int,
+        value: int,
         correctness: dict[str, bool],
     ) -> None:
         """The Section V-D policy.
@@ -384,9 +387,10 @@ class CompositePredictor:
         """
         self.stats.train_events += 1
         _, active = self._active()
+        probe = decision.probe
         if not decision.confident:
             for component in active.values():
-                component.train(outcome)
+                component.train(probe, addr, size, value)
                 self.stats.train_operations += 1
             return
 
@@ -401,10 +405,10 @@ class CompositePredictor:
             to_train.add(correct[0])
         for name in to_train:
             if name in active:
-                active[name].train(outcome)
+                active[name].train(probe, addr, size, value)
                 self.stats.train_operations += 1
         if "sap" in correct and "sap" not in to_train and "sap" in active:
-            active["sap"].invalidate(outcome)
+            active["sap"].invalidate(probe, addr, size, value)
 
     # ------------------------------------------------------------------
     # Epochs

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,3 @@ def _replace(config: CompositeConfig, **changes) -> CompositeConfig:
 
     return replace(config, **changes)
 
-
-@dataclass(frozen=True)
-class StorageBudget:
-    """Storage accounting for a composite configuration, in bits."""
-
-    per_component: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(self.per_component.values())
-
-    @property
-    def total_kib(self) -> float:
-        return self.total_bits / 8 / 1024

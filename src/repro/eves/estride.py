@@ -19,7 +19,7 @@ from repro.common.fpc import FpcVector
 from repro.common.hashing import pc_index, pc_tag
 from repro.common.rng import DeterministicRng
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _VALUE_MASK = mask(64)
@@ -73,10 +73,10 @@ class EStridePredictor:
         ) & _VALUE_MASK
         return Prediction(component=self.name, kind=self.kind, value=value)
 
-    def train(self, outcome: LoadOutcome) -> None:
-        index = pc_index(outcome.pc, self._table.index_bits)
-        tag = pc_tag(outcome.pc, _TAG_BITS)
-        value = outcome.value & _VALUE_MASK
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        index = pc_index(probe.pc, self._table.index_bits)
+        tag = pc_tag(probe.pc, _TAG_BITS)
+        value &= _VALUE_MASK
         tags, last_values, strides, confs = self._bank0
         if tags[index] == tag:
             observed = truncate(value - last_values[index], _STRIDE_BITS)

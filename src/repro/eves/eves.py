@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.rng import DeterministicRng
+from repro.composite.composite import CompositeDecision
 from repro.eves.estride import EStridePredictor
 from repro.eves.evtage import EVtagePredictor
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,12 @@ class EvesPredictor:
     instance differs); otherwise the VTAGE side supplies last-value-
     with-context behaviour.  Both components always train, per the
     championship design.
+
+    It is a value-predictor host itself (see
+    :class:`repro.pipeline.vp.ValuePredictorHost`): ``predict`` returns
+    a :class:`~repro.composite.composite.CompositeDecision` whose one
+    confident prediction is always the chosen one, and EVES has no
+    epochs, so ``tick_instructions`` does nothing.
     """
 
     name = "eves"
@@ -47,22 +54,34 @@ class EvesPredictor:
             rng=rng,
         )
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
+    def predict(self, probe: LoadProbe) -> CompositeDecision:
         prediction = self.estride.predict(probe)
-        if prediction is not None:
-            return Prediction(
-                component=self.name, kind=self.kind, value=prediction.value
+        if prediction is None:
+            prediction = self.evtage.predict(probe)
+        if prediction is None:
+            return CompositeDecision(
+                probe=probe, chosen=None, confident={}, squashed=frozenset()
             )
-        prediction = self.evtage.predict(probe)
-        if prediction is not None:
-            return Prediction(
-                component=self.name, kind=self.kind, value=prediction.value
-            )
-        return None
+        chosen = Prediction(
+            component=self.name, kind=self.kind, value=prediction.value
+        )
+        return CompositeDecision(
+            probe=probe,
+            chosen=chosen,
+            confident={self.name: chosen},
+            squashed=frozenset(),
+        )
 
-    def train(self, outcome: LoadOutcome) -> None:
-        self.estride.train(outcome)
-        self.evtage.train(outcome)
+    def validate_and_train(
+        self, decision: CompositeDecision, addr: int, size: int, value: int,
+        correctness: dict[str, bool],
+    ) -> None:
+        probe = decision.probe
+        self.estride.train(probe, addr, size, value)
+        self.evtage.train(probe, addr, size, value)
+
+    def tick_instructions(self, count: int) -> None:
+        pass
 
     def storage_bits(self) -> int:
         return self.estride.storage_bits() + self.evtage.storage_bits()

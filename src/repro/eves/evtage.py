@@ -22,7 +22,7 @@ from repro.common.fpc import FpcVector
 from repro.common.hashing import mix64, pc_index
 from repro.common.rng import DeterministicRng
 from repro.predictors.table import INVALID_TAG
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _TAG_MASK = mask(_TAG_BITS)
@@ -136,11 +136,11 @@ class EVtagePredictor:
             pairs.append((v, t))
         return pc_index(pc, self._base_bits), tuple(pairs)
 
-    def _row(self, record: LoadProbe | LoadOutcome) -> tuple:
+    def _row(self, probe: LoadProbe) -> tuple:
         """The hashes of one load, computed by :meth:`_hashes` behind a
         one-entry memo (a load's ``train`` re-hashes with the histories
         its ``predict`` saw)."""
-        key = (record.pc, record.direction_history, record.path_history)
+        key = (probe.pc, probe.direction_history, probe.path_history)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
             self._hash_memo = self._hashes(*key)
@@ -176,9 +176,9 @@ class EVtagePredictor:
     # Training
     # ------------------------------------------------------------------
 
-    def train(self, outcome: LoadOutcome) -> None:
-        value = outcome.value & _VALUE_MASK
-        row = self._row(outcome)
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        value &= _VALUE_MASK
+        row = self._row(probe)
         table, index = self._find_provider(row)
         if table >= 0:
             _, values, confs, useful = self._tables[table]

@@ -71,8 +71,9 @@ class _AttributingHost:
     def predict(self, probe):
         return self._inner.predict(probe)
 
-    def validate_and_train(self, decision, outcome, correctness) -> None:
-        kernel = self._pc_kernel.get(outcome.pc, "?")
+    def validate_and_train(self, decision, addr, size, value,
+                           correctness) -> None:
+        kernel = self._pc_kernel.get(decision.probe.pc, "?")
         chosen = decision.chosen.component if decision.chosen else None
         for name in decision.confident:
             if name == chosen:
@@ -84,7 +85,9 @@ class _AttributingHost:
                 bucket[(kernel, name)] += 1
             else:
                 self._attribution.confident_unused[(kernel, name)] += 1
-        self._inner.validate_and_train(decision, outcome, correctness)
+        self._inner.validate_and_train(
+            decision, addr, size, value, correctness
+        )
 
     def tick_instructions(self, count: int) -> None:
         self._inner.tick_instructions(count)

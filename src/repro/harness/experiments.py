@@ -142,7 +142,7 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
     """
     from repro.branch.history import HistorySet
     from repro.memory.image import MemoryImage
-    from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
+    from repro.predictors.types import LoadProbe, PredictionKind
 
     trace = listing1_trace(outer_m=outer_m, inner_n=inner_n)
     scan_pc = trace.metadata["scan_load_pc"]
@@ -184,12 +184,7 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
                     )
                     if correct:
                         first_predicted[outer] = inner
-            predictor.train(LoadOutcome(
-                pc=inst.pc, addr=inst.addr, size=inst.size, value=inst.value,
-                direction_history=probe.direction_history,
-                path_history=probe.path_history,
-                load_path_history=probe.load_path_history,
-            ))
+            predictor.train(probe, inst.addr, inst.size, inst.value)
             histories.push_memory(inst.pc)
         table[name] = first_predicted
     return {

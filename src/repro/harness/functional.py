@@ -21,7 +21,7 @@ from repro.branch.history import HistorySet
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
 from repro.pipeline.vp import ValuePredictorHost
-from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
+from repro.predictors.types import LoadProbe, PredictionKind
 
 #: Semantics version of the functional evaluator, registered with the
 #: results database (:mod:`repro.harness.resultsdb`).  Bump whenever a
@@ -96,9 +96,8 @@ def judge_and_train(
 
     A value prediction is judged by its value, an address prediction
     by what ``mem`` holds at its address now.  The predictor trains on
-    the outcome ``(addr, size, value)`` with the histories of the
-    decision's probe.  Returns the verdicts and the speculative values
-    in confident order.
+    ``(addr, size, value)`` with the decision's own probe.  Returns the
+    verdicts and the speculative values in confident order.
     """
     correctness = {}
     speculative_values = []
@@ -109,17 +108,7 @@ def judge_and_train(
             speculative = mem.read(prediction.addr, prediction.size)
         speculative_values.append(speculative)
         correctness[name] = speculative == value
-    probe = decision.probe
-    predictor.validate_and_train(
-        decision,
-        LoadOutcome(
-            pc=probe.pc, addr=addr, size=size, value=value,
-            direction_history=probe.direction_history,
-            path_history=probe.path_history,
-            load_path_history=probe.load_path_history,
-        ),
-        correctness,
-    )
+    predictor.validate_and_train(decision, addr, size, value, correctness)
     return correctness, speculative_values
 
 

@@ -143,7 +143,6 @@ def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
     from repro.composite.composite import CompositePredictor
     from repro.composite.config import CompositeConfig
     from repro.eves.eves import eves_8kb, eves_32kb, eves_infinite
-    from repro.pipeline.vp import EvesAdapter
     from repro.predictors import COMPONENT_NAMES
 
     if spec is None:
@@ -198,7 +197,7 @@ def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
                 f"unknown EVES variant {spec['variant']!r}; expected one of "
                 f"{sorted(factories)}"
             ) from None
-        return EvesAdapter(factory(spec.get("seed", 0)))
+        return factory(spec.get("seed", 0))
     raise ValueError(f"unknown predictor spec kind {kind!r}")
 
 

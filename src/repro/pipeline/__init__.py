@@ -26,17 +26,12 @@ need.
 from repro.pipeline.config import DEFAULT_LATENCIES, CoreConfig
 from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
 from repro.pipeline.result import SimResult
-from repro.pipeline.vp import (
-    NoPredictor,
-    EvesAdapter,
-    ValuePredictorHost,
-)
+from repro.pipeline.vp import NoPredictor, ValuePredictorHost
 
 __all__ = [
     "CoreConfig",
     "CoreModel",
     "DEFAULT_LATENCIES",
-    "EvesAdapter",
     "NoPredictor",
     "SimResult",
     "SimulationInterrupted",

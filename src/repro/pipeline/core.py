@@ -18,10 +18,11 @@ Value-prediction flow per predictable load (Figure 1 of the paper):
 4. when the load executes, the speculative value is validated against
    the architectural value.  A used-and-wrong prediction flushes the
    pipeline: fetch restarts after the load completes;
-5. the predictor assembly trains with the load's outcome and the
-   per-component correctness verdicts (address predictions are judged
-   by the *value* the probe returned, so a conflicting in-flight store
-   or a wrong-but-coincidentally-equal address is decided exactly).
+5. the predictor assembly trains with the fetch-time decision, the
+   load's ``(addr, size, value)`` and the per-component correctness
+   verdicts (address predictions are judged by the *value* the probe
+   returned, so a conflicting in-flight store or a
+   wrong-but-coincidentally-equal address is decided exactly).
 
 One loop computes the pass.  :meth:`CoreModel.run` iterates the packed
 :class:`repro.isa.columns.TraceColumns` (packing an object-built trace
@@ -39,8 +40,8 @@ predictor assembly run on it.  The stream also memoizes the
 context-aware components' per-load table hashes (CVP and CAP hash
 only the load PC and these histories):
 :meth:`CoreModel.run` binds the stream to the predictor assembly for
-the run, and every probe and outcome carries the load's ordinal, by
-which those components look the hashes up instead of recomputing them.
+the run, and every probe carries the load's ordinal, by which those
+components look the hashes up instead of recomputing them.
 
 The memory hierarchy is trace-determined too.  A PAQ probe reads the
 L1D without allocating, every load to a word an earlier store wrote is
@@ -103,7 +104,7 @@ from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
 from repro.pipeline.vp import NoPredictor, ValuePredictorHost
-from repro.predictors.types import LoadOutcome, LoadProbe, PredictionKind
+from repro.predictors.types import LoadProbe, PredictionKind
 
 #: Semantics version of the timing model, registered with the results
 #: database (:mod:`repro.harness.resultsdb`).  Bump whenever a change
@@ -157,7 +158,6 @@ class CoreModel:
         self.tage_config = tage_config or TageConfig()
         self.ittage_config = ittage_config or IttageConfig()
         self.seed = seed
-        self._last_correctness: dict[str, bool] = {}
         # Per-opclass dispatch table: execution latency indexed by the
         # raw opclass integer (no enum hashing in the hot loop).  LOAD
         # has no table latency -- the hierarchy decides -- so its slot
@@ -206,8 +206,8 @@ class CoreModel:
         ``paq_prefetch_on_miss`` makes the run drive a live one.  The
         stream is bound to the predictor assembly for the run
         (``bind_frontend``) and released when it returns or raises;
-        probes and outcomes carry the load's ordinal, by which
-        context-aware components look up their per-trace table hashes.
+        probes carry the load's ordinal, by which context-aware
+        components look up their per-trace table hashes.
         Keep edits in lockstep with the object-path oracle in
         ``tests/oracles/core_loop.py`` -- the equivalence suite will
         catch any divergence.
@@ -453,17 +453,12 @@ class CoreModel:
                 # Apply predictor updates from loads that have completed
                 # by now -- the predictor state a fetch-time probe sees.
                 while pending_updates and pending_updates[0][0] <= fetch:
-                    _, _, d, o, c = heappop(pending_updates)
-                    validate_and_train(d, o, c)
+                    _, _, d, a, s, v, c = heappop(pending_updates)
+                    validate_and_train(d, a, s, v, c)
                 if predictable:
                     # The fetch-time histories, as recorded in program
-                    # order (training reuses them once the load
-                    # completes).
-                    snap_direction = snap_directions[probe]
-                    snap_path = snap_paths[probe]
-                    snap_load_path = snap_load_paths[probe]
-                    ordinal = probe
-                    probe += 1
+                    # order (training reuses the decision's probe once
+                    # the load completes).
                     flights = inflight_get(pc)
                     inflight = 0
                     if flights:
@@ -472,12 +467,13 @@ class CoreModel:
                         inflight = len(flights)
                     decision = predict(LoadProbe(
                         pc=pc,
-                        direction_history=snap_direction,
-                        path_history=snap_path,
-                        load_path_history=snap_load_path,
+                        direction_history=snap_directions[probe],
+                        path_history=snap_paths[probe],
+                        load_path_history=snap_load_paths[probe],
                         inflight_same_pc=inflight,
-                        ordinal=ordinal,
+                        ordinal=probe,
                     ))
+                    probe += 1
 
             dispatch = fetch + depth
 
@@ -558,9 +554,9 @@ class CoreModel:
                 writeback = complete
                 if decision is not None:
                     value = values[i]
-                    self._last_correctness = {}
+                    correctness = {}
                     if decision.confident:
-                        writeback = validate_load(
+                        writeback, correctness = validate_load(
                             value, decision, dispatch, complete,
                             mem, pending_stores, store_info, hierarchy,
                             l1d_hit, cfg, result, fetch, paq, vpe,
@@ -571,16 +567,9 @@ class CoreModel:
                             if redirect > next_fetch_allowed:
                                 next_fetch_allowed = redirect
                             current_block = -1
-                    outcome = LoadOutcome(
-                        pc=pc, addr=addr, size=size, value=value,
-                        direction_history=snap_direction,
-                        path_history=snap_path,
-                        load_path_history=snap_load_path,
-                        ordinal=ordinal,
-                    )
                     heappush(pending_updates, (
-                        complete, update_seq, decision, outcome,
-                        self._last_correctness,
+                        complete, update_seq, decision, addr, size, value,
+                        correctness,
                     ))
                     update_seq += 1
                 if dest != REG_NONE:
@@ -621,8 +610,8 @@ class CoreModel:
         # Drain the remaining deferred predictor updates so predictor
         # statistics cover every predicted load in the trace.
         while pending_updates:
-            _, _, d, o, c = heappop(pending_updates)
-            validate_and_train(d, o, c)
+            _, _, d, a, s, v, c = heappop(pending_updates)
+            validate_and_train(d, a, s, v, c)
 
         result.loads = n_loads
         result.predictable_loads = n_predictable
@@ -717,15 +706,14 @@ class CoreModel:
         self, value, decision, dispatch, complete,
         mem, pending_stores, store_info, hierarchy, l1d_hit, cfg, result,
         fetch, paq, vpe,
-    ) -> int:
+    ) -> tuple[int, dict[str, bool]]:
         """Resolve predictions for one load.
 
         ``value`` is the load's architectural result.  Returns the
         cycle at which the load's destination register is available to
         consumers, or a negative sentinel if a value misprediction
-        flushed the pipeline (the caller applies the redirect).  Also
-        leaves the per-component correctness verdicts in
-        ``self._last_correctness`` for the training call.
+        flushed the pipeline (the caller applies the redirect), and the
+        per-component correctness verdicts for the training call.
 
         The PAQ probe launches from the front end (the predictor is
         probed at fetch; Figure 1 step 2), so predicted-address data can
@@ -749,16 +737,15 @@ class CoreModel:
                 correctness[name] = probe_value == value
                 if chosen is not None and name == chosen.component:
                     probe_hit, _ = hierarchy.probe_l1d(prediction.addr)
-        self._last_correctness = correctness
 
         if chosen is None:
-            return complete
+            return complete, correctness
 
         # A chosen prediction needs a VPE slot from fetch until the
         # load validates; full VPE -> prediction dropped.
         if vpe.earliest_allocation() > fetch:
             result.dropped_queue_full += 1
-            return complete
+            return complete, correctness
         vpe.admit(complete)
 
         if chosen.kind is PredictionKind.VALUE:
@@ -771,7 +758,7 @@ class CoreModel:
             # from fetch until the probe returns.
             if paq.earliest_allocation() > fetch:
                 result.dropped_queue_full += 1
-                return complete
+                return complete, correctness
             paq.admit(t_probe + l1d_hit)
             result.paq_probes += 1
             if not probe_hit:
@@ -779,7 +766,7 @@ class CoreModel:
                 result.dropped_probe_misses += 1
                 if cfg.paq_prefetch_on_miss:
                     hierarchy.l1d.fill(chosen.addr, from_prefetch=True)
-                return complete
+                return complete, correctness
             # PAQ store-queue CAM (DLVP's conflicting-store filter): an
             # older in-flight store to the predicted address whose
             # *address is already known* (issued by probe time) makes
@@ -793,15 +780,17 @@ class CoreModel:
                 info = store_info.get(word)
                 if info is not None and info[1] > t_probe >= info[0]:
                     result.dropped_store_conflicts += 1
-                    return complete
+                    return complete, correctness
             vpe_ready = t_probe + l1d_hit
 
         result.predicted_loads += 1
         if correctness[chosen.component]:
             result.correct_predictions += 1
-            return vpe_ready if vpe_ready < complete else complete
+            if vpe_ready > complete:
+                vpe_ready = complete
+            return vpe_ready, correctness
         result.value_mispredictions += 1
-        return -1  # flush sentinel
+        return -1, correctness  # flush sentinel
 
 
 def simulate(

@@ -9,7 +9,7 @@ CVP   load values              aware (br. path)  VTAGE [7], [8]
 CAP   load addresses           aware (ld. path)  DLVP [3]
 ====  =======================  ================  ====================
 
-All four share the probe/outcome/prediction types in
+All four share the probe/prediction types in
 :mod:`repro.predictors.types`, use forward probabilistic counters for
 confidence (:mod:`repro.predictors.fpc_vectors`), and store their state
 in banked tagged tables (:mod:`repro.predictors.table`) so the composite
@@ -24,7 +24,6 @@ from repro.predictors.lvp import LvpPredictor
 from repro.predictors.sap import SapPredictor
 from repro.predictors.svp import SvpPredictor
 from repro.predictors.types import (
-    LoadOutcome,
     LoadProbe,
     Prediction,
     PredictionKind,
@@ -68,7 +67,6 @@ __all__ = [
     "ComponentPredictor",
     "CvpPredictor",
     "LapPredictor",
-    "LoadOutcome",
     "LoadProbe",
     "LvpPredictor",
     "Prediction",

@@ -6,7 +6,7 @@ import abc
 
 from repro.common.fpc import FpcVector
 from repro.common.rng import DeterministicRng
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 
 class ComponentPredictor(abc.ABC):
@@ -18,9 +18,10 @@ class ComponentPredictor(abc.ABC):
     fusion uses.
 
     The prediction/training contract mirrors the hardware: ``predict``
-    is called at fetch with fetch-time histories, ``train`` at execute
-    with the *same* histories (the pipeline snapshots them), so both
-    operations index the same table entries.
+    is called at fetch with a :class:`LoadProbe` of fetch-time
+    histories, ``train`` at execute with the *same* probe plus the
+    load's ``(addr, size, value)``, so both operations index the same
+    table entries.
     """
 
     #: Short name used in reports ("lvp", "sap", "cvp", "cap", ...).
@@ -58,7 +59,7 @@ class ComponentPredictor(abc.ABC):
         :class:`repro.pipeline.frontend.FrontEndStream` before the run
         and ``None`` after it.  Context-aware predictors override this
         to look up their per-load table hashes in the stream, keyed by
-        ``LoadProbe.ordinal`` / ``LoadOutcome.ordinal``; with no stream
+        ``LoadProbe.ordinal``; with no stream
         bound (serve sessions, single RPCs, the test oracles) they hash
         each load's raw histories with their scalar reference instead.
         PC-only predictors ignore it.
@@ -69,13 +70,18 @@ class ComponentPredictor(abc.ABC):
         """Return a high-confidence prediction for a fetched load, or None."""
 
     @abc.abstractmethod
-    def train(self, outcome: LoadOutcome) -> None:
-        """Learn from an executed load."""
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        """Learn from an executed load: the fetch-time ``probe`` and
+        the load's address, size and architectural value."""
 
-    def invalidate(self, outcome: LoadOutcome) -> None:
+    def invalidate(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
         """Drop state for this load (smart training uses this on SAP)."""
 
-    def penalize(self, outcome: LoadOutcome) -> None:
+    def penalize(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
         """Reset confidence after this predictor's prediction proved wrong.
 
         For value predictors ordinary training already resets confidence

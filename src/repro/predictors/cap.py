@@ -21,7 +21,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import CAP_CONFIDENCE_THRESHOLD, CAP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _TAG_MASK = mask(_TAG_BITS)
@@ -114,16 +114,16 @@ class CapPredictor(ComponentPredictor):
         index, tag = self.hash_columns(pc, load_path)
         return list(zip(index.tolist(), tag.tolist()))
 
-    def _row(self, record: LoadProbe | LoadOutcome) -> tuple[int, int]:
+    def _row(self, probe: LoadProbe) -> tuple[int, int]:
         """``(index, tag)`` of one load: looked up by ordinal in the
         bound front-end stream's rows during a whole-trace timing run,
         computed by :meth:`_hashes` behind a one-entry memo anywhere
         else (a load's ``train`` and ``penalize`` re-hash with the
         load path its ``predict`` saw).  Bit-identical either way."""
         rows = self._rows
-        if rows is not None and record.ordinal >= 0:
-            return rows[record.ordinal]
-        key = (record.pc, record.load_path_history)
+        if rows is not None and probe.ordinal >= 0:
+            return rows[probe.ordinal]
+        key = (probe.pc, probe.load_path_history)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
             self._hash_memo = self._hashes(*key)
@@ -149,18 +149,20 @@ class CapPredictor(ComponentPredictor):
             size=1 << sizes[index],
         )
 
-    def penalize(self, outcome: LoadOutcome) -> None:
+    def penalize(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
         """Reset confidence after a wrong speculative value (the
         address may still match when an in-flight store conflicted)."""
-        index, tag = self._row(outcome)
+        index, tag = self._row(probe)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[-1][index] = 0
 
-    def train(self, outcome: LoadOutcome) -> None:
-        index, tag = self._row(outcome)
-        addr = outcome.addr & _ADDR_MASK
-        size_log2 = outcome.size.bit_length() - 1
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        index, tag = self._row(probe)
+        addr &= _ADDR_MASK
+        size_log2 = size.bit_length() - 1
         if len(self._banks) == 1:
             tags, addrs, sizes, confs = self._bank0
             hit = tags[index] == tag

@@ -27,7 +27,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import CVP_CONFIDENCE_THRESHOLD, CVP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _TAG_MASK = mask(_TAG_BITS)
@@ -183,7 +183,7 @@ class CvpPredictor(ComponentPredictor):
     # Prediction / training
     # ------------------------------------------------------------------
 
-    def _row(self, record: LoadProbe | LoadOutcome) -> list[tuple[int, int]]:
+    def _row(self, probe: LoadProbe) -> list[tuple[int, int]]:
         """Per-table ``(index, tag)`` pairs of one load.
 
         A whole-trace timing run looks them up by ordinal in the bound
@@ -195,9 +195,9 @@ class CvpPredictor(ComponentPredictor):
         and recomputes.  Bit-identical either way.
         """
         rows = self._rows
-        if rows is not None and record.ordinal >= 0:
-            return rows[record.ordinal]
-        key = (record.pc, record.direction_history, record.path_history)
+        if rows is not None and probe.ordinal >= 0:
+            return rows[probe.ordinal]
+        key = (probe.pc, probe.direction_history, probe.path_history)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
             self._hash_memo = self._hashes(*key)
@@ -223,9 +223,9 @@ class CvpPredictor(ComponentPredictor):
                 )
         return None
 
-    def train(self, outcome: LoadOutcome) -> None:
-        value = outcome.value & _VALUE_MASK
-        hashes = self._row(outcome)
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        value &= _VALUE_MASK
+        hashes = self._row(probe)
         one_bank = len(self._t0_banks) == 1
         for table, (index, tag) in enumerate(hashes):
             if one_bank:

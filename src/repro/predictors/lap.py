@@ -22,7 +22,7 @@ from repro.common.hashing import pc_index, pc_tag
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _ADDR_MASK = mask(49)
@@ -79,11 +79,11 @@ class LapPredictor(ComponentPredictor):
             addr=addrs[index], size=1 << sizes[index],
         )
 
-    def train(self, outcome: LoadOutcome) -> None:
-        index = pc_index(outcome.pc, self._table.index_bits)
-        tag = pc_tag(outcome.pc, _TAG_BITS)
-        addr = outcome.addr & _ADDR_MASK
-        size_log2 = outcome.size.bit_length() - 1
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        index = pc_index(probe.pc, self._table.index_bits)
+        tag = pc_tag(probe.pc, _TAG_BITS)
+        addr &= _ADDR_MASK
+        size_log2 = size.bit_length() - 1
         if len(self._banks) == 1:
             tags, addrs, sizes, confs = self._bank0
             hit = tags[index] == tag
@@ -99,8 +99,10 @@ class LapPredictor(ComponentPredictor):
         sizes[index] = size_log2
         confs[index] = 0
 
-    def penalize(self, outcome: LoadOutcome) -> None:
-        index = pc_index(outcome.pc, self._table.index_bits)
-        bank = self._table.find(index, pc_tag(outcome.pc, _TAG_BITS))
+    def penalize(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
+        index = pc_index(probe.pc, self._table.index_bits)
+        bank = self._table.find(index, pc_tag(probe.pc, _TAG_BITS))
         if bank is not None:
             bank[-1][index] = 0

@@ -17,7 +17,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import LVP_CONFIDENCE_THRESHOLD, LVP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _VALUE_MASK = mask(64)
@@ -79,9 +79,9 @@ class LvpPredictor(ComponentPredictor):
             component=self.name, kind=self.kind, value=values[index]
         )
 
-    def train(self, outcome: LoadOutcome) -> None:
-        index, tag = self._hashes(outcome.pc)
-        value = outcome.value & _VALUE_MASK
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        index, tag = self._hashes(probe.pc)
+        value &= _VALUE_MASK
         if len(self._banks) == 1:
             tags, values, confs = self._bank0
             hit = tags[index] == tag

@@ -22,7 +22,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import SAP_CONFIDENCE_THRESHOLD, SAP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadOutcome, LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import LoadProbe, Prediction, PredictionKind
 
 _TAG_BITS = 14
 _ADDR_BITS = 49
@@ -94,9 +94,9 @@ class SapPredictor(ComponentPredictor):
             size=1 << sizes[index],
         )
 
-    def train(self, outcome: LoadOutcome) -> None:
-        index, tag = self._hashes(outcome.pc)
-        addr = outcome.addr & _ADDR_MASK
+    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+        index, tag = self._hashes(probe.pc)
+        addr &= _ADDR_MASK
         if len(self._banks) == 1:
             tags, last_addrs, strides, sizes, confs = self._bank0
             hit = tags[index] == tag
@@ -114,30 +114,34 @@ class SapPredictor(ComponentPredictor):
                 strides[index] = new_stride
                 confs[index] = 0
             last_addrs[index] = addr
-            sizes[index] = _size_log2(outcome.size)
+            sizes[index] = _size_log2(size)
             return
         tags[index] = tag
         last_addrs[index] = addr
         strides[index] = 0
-        sizes[index] = _size_log2(outcome.size)
+        sizes[index] = _size_log2(size)
         confs[index] = 0
 
-    def penalize(self, outcome: LoadOutcome) -> None:
+    def penalize(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
         """Reset confidence after a wrong speculative value.
 
         The address may have matched (conflicting store), so training
         alone would keep the entry confident and re-flush next time.
         """
-        index, tag = self._hashes(outcome.pc)
+        index, tag = self._hashes(probe.pc)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[-1][index] = 0
 
-    def invalidate(self, outcome: LoadOutcome) -> None:
+    def invalidate(
+        self, probe: LoadProbe, addr: int, size: int, value: int
+    ) -> None:
         """Drop the entry for this load (smart-training rule: a correct
         SAP prediction that is not chosen for training would have a
         broken stride anyway, so the composite invalidates it)."""
-        index, tag = self._hashes(outcome.pc)
+        index, tag = self._hashes(probe.pc)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[0][index] = INVALID_TAG

@@ -1,12 +1,13 @@
-"""Probe/outcome/prediction records shared by all predictors.
+"""Probe and prediction records shared by all predictors.
 
 The pipeline probes predictors at *fetch* with a :class:`LoadProbe`
 (carrying the speculative histories captured at that moment) and trains
-them at *execute* with a :class:`LoadOutcome` (carrying the same
-histories, so training indexes the same table entries prediction used).
+them at *execute* with the same probe plus the load's
+``(addr, size, value)``, so training indexes the same table entries
+prediction used.
 
-Every load builds these records at fetch and execute, so they are
-mutable slots dataclasses: CPython builds a frozen dataclass with one
+Every load builds these records, so they are mutable slots
+dataclasses: CPython builds a frozen dataclass with one
 ``object.__setattr__`` call per field, several times the cost of a
 plain slots record.  They are read-only by convention -- a host or
 component never changes a record it is handed -- and
@@ -41,21 +42,6 @@ class LoadProbe:
     #: The load's index among the trace's predictable loads during a
     #: whole-trace timing run (context-aware components look its
     #: precomputed table hashes up by it); ``-1`` anywhere else.
-    ordinal: int = -1
-
-
-@dataclass(slots=True)
-class LoadOutcome:
-    """Training record produced when a load executes."""
-
-    pc: int
-    addr: int
-    size: int
-    value: int
-    direction_history: int = 0
-    path_history: int = 0
-    load_path_history: int = 0
-    #: The probe's ordinal (see :attr:`LoadProbe.ordinal`).
     ordinal: int = -1
 
 

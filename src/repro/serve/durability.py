@@ -85,8 +85,9 @@ WAL_FORMAT = 1
 #: a lone-component session as a one-component composite; format 5
 #: pickles outstanding predict decisions as mutable slots records;
 #: format 6 drops the folded-register field from those records; format 7
-#: pickles E-VTAGE tables as per-field column lists.
-CHECKPOINT_FORMAT = 7
+#: pickles E-VTAGE tables as per-field column lists; format 8 pickles an
+#: EVES session's predictor as the bare ``EvesPredictor`` host.
+CHECKPOINT_FORMAT = 8
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"

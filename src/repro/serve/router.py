@@ -41,13 +41,14 @@ import shutil
 import signal
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.durability import session_dir_name
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing
+from repro.serve.server import ServerConfig
 from repro.serve.shardmgr import ShardManager
 
 _HEADER = struct.Struct("<IB")
@@ -87,13 +88,10 @@ class RouterConfig:
     #: Seconds a health ping may take before the worker counts as hung.
     ping_timeout: float = 5.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: Per-worker tuning, passed straight through to ``serve``.
-    max_queue: int = 1024
-    max_batch: int = 16
-    max_sessions: int = 64
-    fsync_interval: float = 0.02
-    checkpoint_every: int = 2000
-    wal_segment_bytes: int = 1 << 20
+    #: Every worker's (and standby's) server config, passed through to
+    #: its ``serve`` command line; the manager sets each process's own
+    #: host, port, data dir, shard name and parent pid.
+    worker: ServerConfig = field(default_factory=ServerConfig)
 
 
 @dataclass
@@ -160,12 +158,7 @@ class ShardRouter:
             self.config.shards,
             data_dir=self.config.data_dir,
             host="127.0.0.1",
-            max_queue=self.config.max_queue,
-            max_batch=self.config.max_batch,
-            max_sessions=self.config.max_sessions,
-            fsync_interval=self.config.fsync_interval,
-            checkpoint_every=self.config.checkpoint_every,
-            wal_segment_bytes=self.config.wal_segment_bytes,
+            worker=self.config.worker,
             standbys=self.config.standbys,
         )
         self.ring = HashRing(

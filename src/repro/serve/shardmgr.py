@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.common.atomicfile import atomic_write_json, read_json_object
+from repro.serve.server import ServerConfig
 
 #: Seconds to wait for a (re)started worker to print its port.
 WORKER_START_TIMEOUT = 30.0
@@ -99,12 +100,7 @@ class ShardManager:
         shards: int,
         data_dir: str | Path | None = None,
         host: str = "127.0.0.1",
-        max_queue: int = 1024,
-        max_batch: int = 16,
-        max_sessions: int = 64,
-        fsync_interval: float = 0.02,
-        checkpoint_every: int = 2000,
-        wal_segment_bytes: int = 1 << 20,
+        worker: ServerConfig | None = None,
         standbys: int = 0,
     ) -> None:
         if shards < 1:
@@ -117,12 +113,9 @@ class ShardManager:
             raise ValueError("standbys require a data_dir (WAL to ship)")
         self.host = host
         self.root = Path(data_dir) if data_dir is not None else None
-        self.max_queue = max_queue
-        self.max_batch = max_batch
-        self.max_sessions = max_sessions
-        self.fsync_interval = fsync_interval
-        self.checkpoint_every = checkpoint_every
-        self.wal_segment_bytes = wal_segment_bytes
+        #: Every worker's and standby's server config (see
+        #: :meth:`_spawn` for the fields each process sets itself).
+        self.worker = worker or ServerConfig()
         self.standby_count = standbys
         self.shards: dict[str, WorkerShard] = {}
         #: Warm standby per shard, keyed by the *shard* name.  Primary
@@ -294,38 +287,6 @@ class ShardManager:
     # Spawning
     # ------------------------------------------------------------------
 
-    def _spawn(self, shard: WorkerShard) -> None:
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        command = [
-            sys.executable, "-m", "repro", "serve",
-            "--host", self.host,
-            "--port", "0",
-            "--max-queue", str(self.max_queue),
-            "--max-batch", str(self.max_batch),
-            "--max-sessions", str(self.max_sessions),
-            "--shard-name", shard.name,
-            "--parent-pid", str(os.getpid()),
-        ]
-        if shard.data_dir is not None:
-            command += [
-                "--data-dir", str(shard.data_dir),
-                "--fsync-interval", str(self.fsync_interval),
-                "--checkpoint-every", str(self.checkpoint_every),
-                "--wal-segment-bytes", str(self.wal_segment_bytes),
-            ]
-        shard.proc = subprocess.Popen(
-            command,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-            text=True,
-        )
-        shard.port = self._read_port(shard)
-
     def _spawn_standby(self, name: str, fresh: bool = False) -> None:
         """Launch one shard's standby, streaming from its primary.
 
@@ -342,6 +303,16 @@ class ShardManager:
         standby = self.standbys[name]
         if fresh and standby.data_dir is not None:
             shutil.rmtree(standby.data_dir, ignore_errors=True)
+        self._spawn(standby, "--standby-of", str(primary.port))
+
+    def _spawn(self, shard: WorkerShard, *extra: str) -> None:
+        """Start one ``repro-lvp serve`` process and read its port.
+
+        The command line carries :attr:`worker`'s tuning; the process's
+        own host (the manager's), ephemeral port, shard name, parent pid
+        and data dir (``shard.data_dir``) come from here.
+        """
+        config = self.worker
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -351,25 +322,33 @@ class ShardManager:
             sys.executable, "-m", "repro", "serve",
             "--host", self.host,
             "--port", "0",
-            "--max-queue", str(self.max_queue),
-            "--max-batch", str(self.max_batch),
-            "--max-sessions", str(self.max_sessions),
-            "--shard-name", standby.name,
+            "--max-queue", str(config.max_queue),
+            "--max-batch", str(config.max_batch),
+            "--request-timeout", str(config.request_timeout or 0),
+            "--max-sessions", str(config.max_sessions),
+            "--seq-cache-size", str(config.seq_cache_size),
+            "--seq-cache-bytes", str(config.seq_cache_bytes),
+            "--shard-name", shard.name,
             "--parent-pid", str(os.getpid()),
-            "--standby-of", str(primary.port),
-            "--data-dir", str(standby.data_dir),
-            "--fsync-interval", str(self.fsync_interval),
-            "--checkpoint-every", str(self.checkpoint_every),
-            "--wal-segment-bytes", str(self.wal_segment_bytes),
+            *extra,
         ]
-        standby.proc = subprocess.Popen(
+        if config.max_session_bytes is not None:
+            command += ["--max-session-bytes", str(config.max_session_bytes)]
+        if shard.data_dir is not None:
+            command += [
+                "--data-dir", str(shard.data_dir),
+                "--fsync-interval", str(config.fsync_interval),
+                "--checkpoint-every", str(config.checkpoint_every),
+                "--wal-segment-bytes", str(config.wal_segment_bytes),
+            ]
+        shard.proc = subprocess.Popen(
             command,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
             text=True,
         )
-        standby.port = self._read_port(standby)
+        shard.port = self._read_port(shard)
 
     def _read_port(self, shard: WorkerShard) -> int:
         """Block until the worker prints ``serving on host:port``."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from repro.common.rng import DeterministicRng
-from repro.predictors.types import LoadOutcome, LoadProbe
+from repro.predictors.types import LoadProbe
 
 #: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
 #: equivalence suite (``tests/test_fuzz_equivalence.py``) and the branch
@@ -48,22 +48,6 @@ def alone(name: str, entries: int):
     )
 
 
-def make_outcome(
-    pc: int = 0x1000,
-    addr: int = 0x8000,
-    size: int = 8,
-    value: int = 42,
-    direction: int = 0,
-    path: int = 0,
-    load_path: int = 0,
-) -> LoadOutcome:
-    return LoadOutcome(
-        pc=pc, addr=addr, size=size, value=value,
-        direction_history=direction, path_history=path,
-        load_path_history=load_path,
-    )
-
-
 def make_probe(
     pc: int = 0x1000,
     direction: int = 0,
@@ -77,11 +61,25 @@ def make_probe(
     )
 
 
+def make_outcome(
+    pc: int = 0x1000,
+    addr: int = 0x8000,
+    size: int = 8,
+    value: int = 42,
+    direction: int = 0,
+    path: int = 0,
+    load_path: int = 0,
+) -> tuple[LoadProbe, int, int, int]:
+    """A component's training arguments for one executed load: its
+    fetch-time probe and ``(addr, size, value)``."""
+    return make_probe(pc, direction, path, load_path), addr, size, value
+
+
 def train_constant(predictor, pc: int, value: int, times: int,
                    addr: int = 0x9000, **histories) -> None:
     """Feed ``times`` identical outcomes (same pc/addr/value)."""
     for _ in range(times):
-        predictor.train(make_outcome(pc=pc, addr=addr, value=value, **histories))
+        predictor.train(*make_outcome(pc=pc, addr=addr, value=value, **histories))
 
 
 def train_strided(predictor, pc: int, base: int, stride: int, times: int,
@@ -89,6 +87,6 @@ def train_strided(predictor, pc: int, base: int, stride: int, times: int,
     """Feed ``times`` outcomes with a strided address pattern."""
     for i in range(times):
         value = value_fn(i) if value_fn else 7
-        predictor.train(make_outcome(
+        predictor.train(*make_outcome(
             pc=pc, addr=base + i * stride, value=value, **histories
         ))

@@ -32,7 +32,7 @@ from repro.pipeline.frontend import branch_stats
 from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
-from repro.predictors.types import LoadOutcome, LoadProbe
+from repro.predictors.types import LoadProbe
 
 from oracles.branch import LiveBranchUnit
 
@@ -197,7 +197,6 @@ def run_objects(
         # Branch prediction / histories / value-predictor probe
         branch_outcome = None
         decision = None
-        snap_direction = snap_path = snap_load_path = 0
         if op.is_branch:
             branch_outcome = fetch_branch(branch_unit, inst)
             if branch_outcome.fetch_bubble:
@@ -207,11 +206,8 @@ def run_objects(
                 fetched_in_cycle = fetch_width
         elif op is OpClass.LOAD:
             while pending_updates and pending_updates[0][0] <= fetch:
-                _, _, d, o, c = heapq.heappop(pending_updates)
-                predictor.validate_and_train(d, o, c)
-            snap_direction = histories.direction
-            snap_path = histories.path
-            snap_load_path = histories.load_path
+                _, _, d, a, s, v, c = heapq.heappop(pending_updates)
+                predictor.validate_and_train(d, a, s, v, c)
             if inst.predictable:
                 flights = inflight_loads.get(inst.pc)
                 inflight = 0
@@ -221,9 +217,9 @@ def run_objects(
                     inflight = len(flights)
                 decision = predictor.predict(LoadProbe(
                     pc=inst.pc,
-                    direction_history=snap_direction,
-                    path_history=snap_path,
-                    load_path_history=snap_load_path,
+                    direction_history=histories.direction,
+                    path_history=histories.path,
+                    load_path_history=histories.load_path,
                     inflight_same_pc=inflight,
                 ))
             branch_unit.note_memory_op(inst.pc)
@@ -291,9 +287,9 @@ def run_objects(
         if op is OpClass.LOAD:
             writeback = complete
             if decision is not None:
-                model._last_correctness = {}
+                correctness = {}
                 if decision.confident:
-                    writeback = model._validate_load(
+                    writeback, correctness = model._validate_load(
                         inst.value, decision, dispatch, complete,
                         mem, pending_stores, store_info, hierarchy,
                         l1d_hit, cfg, result, fetch, paq, vpe,
@@ -304,16 +300,9 @@ def run_objects(
                         if redirect > next_fetch_allowed:
                             next_fetch_allowed = redirect
                         current_block = -1
-                outcome = LoadOutcome(
-                    pc=inst.pc, addr=inst.addr, size=inst.size,
-                    value=inst.value,
-                    direction_history=snap_direction,
-                    path_history=snap_path,
-                    load_path_history=snap_load_path,
-                )
                 heapq.heappush(pending_updates, (
-                    complete, update_seq, decision, outcome,
-                    model._last_correctness,
+                    complete, update_seq, decision, inst.addr, inst.size,
+                    inst.value, correctness,
                 ))
                 update_seq += 1
             if inst.dest != REG_NONE:
@@ -346,8 +335,8 @@ def run_objects(
         predictor.tick_instructions(1)
 
     while pending_updates:
-        _, _, d, o, c = heapq.heappop(pending_updates)
-        predictor.validate_and_train(d, o, c)
+        _, _, d, a, s, v, c = heapq.heappop(pending_updates)
+        predictor.validate_and_train(d, a, s, v, c)
 
     return model._finish(
         result, last_commit, memdep, branch_stats(branch_unit),

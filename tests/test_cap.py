@@ -19,7 +19,7 @@ class TestContextAddresses:
         """CAP has the lowest confidence bar: ~4 observations."""
         cap = _cap()
         for _ in range(12):
-            cap.train(make_outcome(pc=0x1000, addr=0x8000, load_path=0b1010))
+            cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b1010))
         prediction = cap.predict(make_probe(pc=0x1000, load_path=0b1010))
         assert prediction is not None
         assert prediction.kind is PredictionKind.ADDRESS
@@ -30,8 +30,8 @@ class TestContextAddresses:
         the call-site disambiguation CAP exists for."""
         cap = _cap()
         for _ in range(12):
-            cap.train(make_outcome(pc=0x1000, addr=0x8000, load_path=0b01))
-            cap.train(make_outcome(pc=0x1000, addr=0x9000, load_path=0b10))
+            cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b01))
+            cap.train(*make_outcome(pc=0x1000, addr=0x9000, load_path=0b10))
         assert cap.predict(make_probe(pc=0x1000, load_path=0b01)).addr == 0x8000
         assert cap.predict(make_probe(pc=0x1000, load_path=0b10)).addr == 0x9000
 
@@ -39,23 +39,23 @@ class TestContextAddresses:
         """The paper's i >= 16 case: path constant, address varies."""
         cap = _cap()
         for i in range(100):
-            cap.train(make_outcome(pc=0x1000, addr=0x8000 + 8 * i,
+            cap.train(*make_outcome(pc=0x1000, addr=0x8000 + 8 * i,
                                    load_path=0b11))
         assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
 
     def test_address_change_resets_confidence(self):
         cap = _cap()
         for _ in range(12):
-            cap.train(make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
-        cap.train(make_outcome(pc=0x1000, addr=0x9000, load_path=0b11))
+            cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
+        cap.train(*make_outcome(pc=0x1000, addr=0x9000, load_path=0b11))
         assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
 
     def test_size_change_resets_confidence(self):
         cap = _cap()
         for _ in range(12):
-            cap.train(make_outcome(pc=0x1000, addr=0x8000, size=8,
+            cap.train(*make_outcome(pc=0x1000, addr=0x8000, size=8,
                                    load_path=0b11))
-        cap.train(make_outcome(pc=0x1000, addr=0x8000, size=4, load_path=0b11))
+        cap.train(*make_outcome(pc=0x1000, addr=0x8000, size=4, load_path=0b11))
         assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
 
 
@@ -63,8 +63,8 @@ class TestFeedback:
     def test_penalize_resets(self):
         cap = _cap()
         for _ in range(12):
-            cap.train(make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
-        cap.penalize(make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
+            cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
+        cap.penalize(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
         assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
 
 

@@ -36,7 +36,6 @@ from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import CoreModel, simulate
-from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.core_loop import run_objects, simulate_objects
@@ -91,7 +90,7 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("workload", ("astar", "listing1"))
     def test_eves(self, workload):
         trace = generate_trace(workload, 3000, 1)
-        assert_bit_identical(trace, lambda: EvesAdapter(eves_8kb()), seed=1)
+        assert_bit_identical(trace, eves_8kb, seed=1)
 
     @pytest.mark.parametrize("component", ("lvp", "sap", "cvp", "cap"))
     def test_single_components(self, component):
@@ -152,7 +151,7 @@ ASSEMBLIES = {
     "baseline": lambda: None,
     "composite": _composite128,
     "cvp": lambda: alone("cvp", 128),
-    "eves": lambda: EvesAdapter(eves_8kb()),
+    "eves": eves_8kb,
 }
 
 
@@ -467,13 +466,13 @@ class TestFunctionalVecEdgeTraces:
 class TestFunctionalBackendDispatch:
     def test_vector_rejects_unsupported_predictor(self):
         trace = generate_trace("astar", 1500, 0)
-        adapter = EvesAdapter(eves_8kb())
-        assert vector_unsupported_reason(trace, adapter) is not None
+        eves = eves_8kb()
+        assert vector_unsupported_reason(trace, eves) is not None
         with pytest.raises(ValueError, match="unsupported predictor type"):
-            run_functional_vec(trace, adapter)
+            run_functional_vec(trace, eves)
 
     @pytest.mark.parametrize("make_host, reason", (
-        (lambda: EvesAdapter(eves_8kb()), "unsupported predictor type"),
+        (eves_8kb, "unsupported predictor type"),
         (lambda: alone("lap", 128), "unsupported component 'lap'"),
         (lambda: CompositePredictor(CompositeConfig(
             table_fusion=False, extra_components=(("lap", 128),),

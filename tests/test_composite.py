@@ -1,7 +1,7 @@
 """Tests for the composite predictor (selection, stats, training policy)."""
 
 import pytest
-from conftest import make_outcome, make_probe
+from conftest import make_probe
 
 from repro.composite.composite import (
     SELECTION_ORDER,
@@ -56,12 +56,10 @@ class TestSelection:
     def _warm(self, composite, times=300):
         """Constant value at constant address: all four become confident."""
         probe = make_probe(pc=0x1000, direction=0b101, load_path=0b11)
-        outcome = make_outcome(pc=0x1000, addr=0x8000, value=7,
-                               direction=0b101, load_path=0b11)
         for _ in range(times):
             decision = composite.predict(probe)
             composite.validate_and_train(
-                decision, outcome, _correctness(decision)
+                decision, 0x8000, 8, 7, _correctness(decision)
             )
         return probe
 
@@ -88,36 +86,32 @@ class TestSelection:
         decision = composite.predict(probe)
         assert decision.confident
         with pytest.raises(ValueError, match="missing"):
-            composite.validate_and_train(
-                decision, make_outcome(pc=0x1000), {}
-            )
+            composite.validate_and_train(decision, 0x8000, 8, 42, {})
 
 
 class TestTrainingPolicies:
     def test_train_all_trains_every_component(self):
         composite = CompositePredictor(_config(smart_training=False))
         decision = composite.predict(make_probe(pc=0x1000))
-        composite.validate_and_train(decision, make_outcome(pc=0x1000), {})
+        composite.validate_and_train(decision, 0x8000, 8, 42, {})
         assert composite.stats.train_operations == len(composite.components)
 
     def test_smart_training_trains_all_when_no_prediction(self):
         composite = CompositePredictor(_config(smart_training=True))
         decision = composite.predict(make_probe(pc=0x1000))
         assert not decision.confident
-        composite.validate_and_train(decision, make_outcome(pc=0x1000), {})
+        composite.validate_and_train(decision, 0x8000, 8, 42, {})
         assert composite.stats.train_operations == len(composite.components)
 
     def test_smart_training_reduces_training_ops(self):
         smart = CompositePredictor(_config(smart_training=True))
         dumb = CompositePredictor(_config(smart_training=False))
         probe = make_probe(pc=0x1000, direction=0b101, load_path=0b11)
-        outcome = make_outcome(pc=0x1000, addr=0x8000, value=7,
-                               direction=0b101, load_path=0b11)
         for composite in (smart, dumb):
             for _ in range(400):
                 decision = composite.predict(probe)
                 composite.validate_and_train(
-                    decision, outcome, _correctness(decision)
+                    decision, 0x8000, 8, 7, _correctness(decision)
                 )
         assert smart.stats.avg_predictors_trained < \
             dumb.stats.avg_predictors_trained
@@ -132,43 +126,43 @@ class TestTrainingPolicies:
         """
         composite = CompositePredictor(_config(smart_training=True))
         probe = make_probe(pc=0x1000)
-        outcome = make_outcome(pc=0x1000, addr=0x8000, value=7)
         for _ in range(300):
-            composite.components["lvp"].train(outcome)
-            composite.components["sap"].train(outcome)
+            composite.components["lvp"].train(probe, 0x8000, 8, 7)
+            composite.components["sap"].train(probe, 0x8000, 8, 7)
         decision = composite.predict(probe)
         assert {"lvp", "sap"} <= set(decision.confident)
-        composite.validate_and_train(decision, outcome, _correctness(decision))
+        composite.validate_and_train(
+            decision, 0x8000, 8, 7, _correctness(decision)
+        )
         assert composite.components["sap"].predict(probe) is None
         assert composite.components["lvp"].predict(probe) is not None
 
     def test_smart_training_only_trains_cheapest_when_multiple_correct(self):
         composite = CompositePredictor(_config(smart_training=True))
         probe = make_probe(pc=0x1000)
-        outcome = make_outcome(pc=0x1000, addr=0x8000, value=7)
         for _ in range(300):
-            composite.components["lvp"].train(outcome)
-            composite.components["sap"].train(outcome)
+            composite.components["lvp"].train(probe, 0x8000, 8, 7)
+            composite.components["sap"].train(probe, 0x8000, 8, 7)
         decision = composite.predict(probe)
         before = composite.stats.train_operations
-        composite.validate_and_train(decision, outcome, _correctness(decision))
+        composite.validate_and_train(
+            decision, 0x8000, 8, 7, _correctness(decision)
+        )
         assert composite.stats.train_operations - before == 1  # LVP only
 
     def test_wrong_components_are_penalized(self):
         composite = CompositePredictor(_config(smart_training=True))
         probe = make_probe(pc=0x1000, load_path=0b11)
-        outcome = make_outcome(pc=0x1000, addr=0x8000, value=7,
-                               load_path=0b11)
         # Warm SAP/CAP on the address.
         for _ in range(60):
             decision = composite.predict(probe)
             composite.validate_and_train(
-                decision, outcome, _correctness(decision)
+                decision, 0x8000, 8, 7, _correctness(decision)
             )
         decision = composite.predict(probe)
         assert decision.confident
         verdicts = {name: False for name in decision.confident}
-        composite.validate_and_train(decision, outcome, verdicts)
+        composite.validate_and_train(decision, 0x8000, 8, 7, verdicts)
         after = composite.predict(probe)
         # Everyone who was wrong lost confidence.
         assert not set(verdicts) & set(after.confident)

@@ -1,8 +1,6 @@
 """Tests for CompositeConfig mechanics."""
 
-import pytest
-
-from repro.composite.config import CompositeConfig, StorageBudget
+from repro.composite.config import CompositeConfig
 
 
 class TestEntries:
@@ -56,9 +54,3 @@ class TestEntries:
             for c in very_loose.components.values()
         )
 
-
-class TestStorageBudget:
-    def test_totals(self):
-        budget = StorageBudget({"lvp": 8192, "sap": 8192})
-        assert budget.total_bits == 16384
-        assert budget.total_kib == pytest.approx(2.0)

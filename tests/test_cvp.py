@@ -32,7 +32,7 @@ class TestContextLearning:
     def test_same_context_constant_value(self):
         cvp = _cvp()
         for _ in range(60):
-            cvp.train(make_outcome(pc=0x1000, value=5, direction=0b10110))
+            cvp.train(*make_outcome(pc=0x1000, value=5, direction=0b10110))
         prediction = cvp.predict(make_probe(pc=0x1000, direction=0b10110))
         assert prediction is not None
         assert prediction.kind is PredictionKind.VALUE
@@ -43,8 +43,8 @@ class TestContextLearning:
         same PC -- the defining CVP capability."""
         cvp = _cvp()
         for _ in range(60):
-            cvp.train(make_outcome(pc=0x1000, value=5, direction=0b00000))
-            cvp.train(make_outcome(pc=0x1000, value=9, direction=0b11111))
+            cvp.train(*make_outcome(pc=0x1000, value=5, direction=0b00000))
+            cvp.train(*make_outcome(pc=0x1000, value=9, direction=0b11111))
         assert cvp.predict(make_probe(pc=0x1000, direction=0b00000)).value == 5
         assert cvp.predict(make_probe(pc=0x1000, direction=0b11111)).value == 9
 
@@ -54,8 +54,8 @@ class TestContextLearning:
 
         lvp = LvpPredictor(1024, DeterministicRng(0))
         for _ in range(120):
-            lvp.train(make_outcome(pc=0x1000, value=5))
-            lvp.train(make_outcome(pc=0x1000, value=9))
+            lvp.train(*make_outcome(pc=0x1000, value=5))
+            lvp.train(*make_outcome(pc=0x1000, value=9))
         assert lvp.predict(make_probe(pc=0x1000)) is None
 
     def test_warmup_roughly_sixteen(self):
@@ -64,7 +64,7 @@ class TestContextLearning:
         for k in range(50):
             pc = 0x30000 + 64 * k
             for i in range(1, 200):
-                cvp.train(make_outcome(pc=pc, value=3, direction=0b101))
+                cvp.train(*make_outcome(pc=pc, value=3, direction=0b101))
                 if cvp.predict(make_probe(pc=pc, direction=0b101)):
                     warmups.append(i)
                     break
@@ -74,8 +74,8 @@ class TestContextLearning:
     def test_value_change_resets(self):
         cvp = _cvp()
         for _ in range(60):
-            cvp.train(make_outcome(pc=0x1000, value=5, direction=0b111))
-        cvp.train(make_outcome(pc=0x1000, value=6, direction=0b111))
+            cvp.train(*make_outcome(pc=0x1000, value=5, direction=0b111))
+        cvp.train(*make_outcome(pc=0x1000, value=6, direction=0b111))
         assert cvp.predict(make_probe(pc=0x1000, direction=0b111)) is None
 
 

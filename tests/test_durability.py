@@ -659,6 +659,61 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference[-1]
         second.durability.close_all()
 
+    def test_format_7_checkpoint_falls_back_to_full_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A CHECKPOINT_FORMAT 7 checkpoint of an EVES session pickles
+        its predictor inside an ``EvesAdapter`` host wrapper that no
+        longer exists.  It is evicted by its version before anything
+        unpickles it, and the session is rebuilt bit-identically by
+        full WAL replay."""
+        import pickle
+
+        from repro.common.atomicfile import write_sealed
+        from repro.pipeline import vp
+
+        class EvesAdapter:
+            def __init__(self, eves) -> None:
+                self.eves = eves
+
+        EvesAdapter.__module__ = vp.__name__
+        EvesAdapter.__qualname__ = EvesAdapter.__name__
+
+        # Pickle the way format 7 did: the EVES predictor wrapped.
+        capture = PredictorSession.capture_state
+
+        def adapter_era_capture(self):
+            state = capture(self)
+            state["predictor"] = EvesAdapter(state["predictor"])
+            return state
+
+        spec = SPECS[2][1]  # eves-8kb
+        chunks = chunked(make_events(36), 20)
+        reference = reference_snapshots(spec, chunks)
+        with monkeypatch.context() as patch:
+            patch.setattr(vp, "EvesAdapter", EvesAdapter, raising=False)
+            patch.setattr(PredictorSession, "capture_state",
+                          adapter_era_capture)
+            first = durable_server(tmp_path, checkpoint_every=2)
+            drive(first, "d1", spec, chunks)
+            first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        blob = bytes(blob)
+        with pytest.raises(AttributeError, match="EvesAdapter"):
+            pickle.loads(blob)
+        write_sealed(ckpt, b"RLVPCKP\x01", 7, header, blob)
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 1
+        assert second.durability.stats.checkpoint_failures == 0
+        assert second.sessions.get("d1").snapshot() == reference[-1]
+        second.durability.close_all()
+
     def test_format_7_checkpoint_with_fold_registers_restores(
         self, tmp_path, monkeypatch
     ):

@@ -38,6 +38,16 @@ class TestExamples:
         )
         assert result.returncode != 0
 
+    def test_eves_shootout_runs_end_to_end(self):
+        result = subprocess.run(
+            [sys.executable, "examples/eves_shootout.py", "coremark"],
+            capture_output=True, text=True, timeout=300,
+            cwd=Path(__file__).parent.parent,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "eves 32KB" in result.stdout
+        assert "AVERAGE" in result.stdout
+
     def test_listing1_walkthrough_runs(self):
         result = subprocess.run(
             [sys.executable, "examples/listing1_walkthrough.py", "8", "8"],

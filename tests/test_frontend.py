@@ -25,7 +25,6 @@ from repro.harness.presets import SMOKE
 from repro.harness.runner import clear_caches
 from repro.pipeline import frontend
 from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
-from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.branch import record_live
@@ -140,7 +139,7 @@ class TestOneStreamPerKey:
         # The stream records raw histories only, so no predictor
         # assembly (none, composite, EVES) needs a stream of its own.
         trace = generate_trace("astar", 1500, 0)
-        for host in (None, _composite(), EvesAdapter(eves_8kb()),
+        for host in (None, _composite(), eves_8kb(),
                      None, _composite()):
             simulate(trace, host)
         assert len(recordings) == 1

@@ -80,7 +80,7 @@ class TestClassification:
 
 class TestLifecycle:
     def test_donor_flushed_and_silenced(self):
-        from conftest import make_outcome, make_probe, train_constant
+        from conftest import make_probe, train_constant
 
         components = _components(entries=256)
         lvp = components["lvp"]

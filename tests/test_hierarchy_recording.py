@@ -22,7 +22,6 @@ from repro.memory import recording
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
-from repro.pipeline.vp import EvesAdapter
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.core_loop import simulate_objects
@@ -61,7 +60,7 @@ def _recordings(trace):
 class TestMemoIdentity:
     def test_every_predictor_assembly_shares_one_recording(self, recordings):
         trace = generate_trace("astar", 1500, 0)
-        for host in (None, _composite(), EvesAdapter(eves_8kb()),
+        for host in (None, _composite(), eves_8kb(),
                      None, _composite()):
             simulate(trace, host)
         assert recordings == [("astar", True)]

@@ -20,7 +20,7 @@ class TestLap:
     def test_predicts_repeated_address(self):
         lap = _lap()
         for _ in range(30):
-            lap.train(make_outcome(pc=0x1000, addr=0x9000))
+            lap.train(*make_outcome(pc=0x1000, addr=0x9000))
         prediction = lap.predict(make_probe(pc=0x1000))
         assert prediction is not None
         assert prediction.kind is PredictionKind.ADDRESS
@@ -35,15 +35,15 @@ class TestLap:
     def test_address_change_resets(self):
         lap = _lap()
         for _ in range(30):
-            lap.train(make_outcome(pc=0x1000, addr=0x9000))
-        lap.train(make_outcome(pc=0x1000, addr=0xA000))
+            lap.train(*make_outcome(pc=0x1000, addr=0x9000))
+        lap.train(*make_outcome(pc=0x1000, addr=0xA000))
         assert lap.predict(make_probe(pc=0x1000)) is None
 
     def test_penalize(self):
         lap = _lap()
         for _ in range(30):
-            lap.train(make_outcome(pc=0x1000, addr=0x9000))
-        lap.penalize(make_outcome(pc=0x1000, addr=0x9000))
+            lap.train(*make_outcome(pc=0x1000, addr=0x9000))
+        lap.penalize(*make_outcome(pc=0x1000, addr=0x9000))
         assert lap.predict(make_probe(pc=0x1000)) is None
 
     def test_storage(self):
@@ -54,7 +54,7 @@ class TestSvp:
     def test_predicts_strided_values(self):
         svp = _svp()
         for i in range(300):
-            svp.train(make_outcome(pc=0x1000, value=100 + 4 * i))
+            svp.train(*make_outcome(pc=0x1000, value=100 + 4 * i))
         prediction = svp.predict(make_probe(pc=0x1000))
         assert prediction is not None
         assert prediction.kind is PredictionKind.VALUE
@@ -63,13 +63,13 @@ class TestSvp:
     def test_constant_is_stride_zero(self):
         svp = _svp()
         for _ in range(300):
-            svp.train(make_outcome(pc=0x1000, value=7))
+            svp.train(*make_outcome(pc=0x1000, value=7))
         assert svp.predict(make_probe(pc=0x1000)).value == 7
 
     def test_inflight_compensation(self):
         svp = _svp()
         for i in range(300):
-            svp.train(make_outcome(pc=0x1000, value=10 + 2 * i))
+            svp.train(*make_outcome(pc=0x1000, value=10 + 2 * i))
         p0 = svp.predict(make_probe(pc=0x1000, inflight=0))
         p2 = svp.predict(make_probe(pc=0x1000, inflight=2))
         assert p2.value == p0.value + 4
@@ -79,13 +79,13 @@ class TestSvp:
         confidence on their wrapped value."""
         svp = _svp()
         for i in range(300):
-            svp.train(make_outcome(pc=0x1000, value=i * (1 << 20)))
+            svp.train(*make_outcome(pc=0x1000, value=i * (1 << 20)))
         assert svp.predict(make_probe(pc=0x1000)) is None
 
     def test_negative_stride(self):
         svp = _svp()
         for i in range(300):
-            svp.train(make_outcome(pc=0x1000, value=(10_000 - 3 * i) & ((1 << 64) - 1)))
+            svp.train(*make_outcome(pc=0x1000, value=(10_000 - 3 * i) & ((1 << 64) - 1)))
         prediction = svp.predict(make_probe(pc=0x1000))
         assert prediction.value == (10_000 - 3 * 300) & ((1 << 64) - 1)
 

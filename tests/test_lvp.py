@@ -36,7 +36,7 @@ class TestWarmup:
         for k in range(60):
             pc = 0x10000 + 64 * k
             for i in range(1, 400):
-                lvp.train(make_outcome(pc=pc, value=9))
+                lvp.train(*make_outcome(pc=pc, value=9))
                 if lvp.predict(make_probe(pc=pc)) is not None:
                     warmups.append(i)
                     break
@@ -48,7 +48,7 @@ class TestValueChanges:
     def test_value_change_resets_confidence(self):
         lvp = _lvp()
         train_constant(lvp, pc=0x1000, value=7, times=300)
-        lvp.train(make_outcome(pc=0x1000, value=8))
+        lvp.train(*make_outcome(pc=0x1000, value=8))
         assert lvp.predict(make_probe(pc=0x1000)) is None
 
     def test_new_value_learned_after_reset(self):
@@ -61,7 +61,7 @@ class TestValueChanges:
     def test_alternating_values_never_confident(self):
         lvp = _lvp()
         for i in range(300):
-            lvp.train(make_outcome(pc=0x1000, value=i % 2))
+            lvp.train(*make_outcome(pc=0x1000, value=i % 2))
         assert lvp.predict(make_probe(pc=0x1000)) is None
 
 

@@ -27,7 +27,7 @@ outcome_strategy = st.tuples(
 
 def _train_stream(predictor, events):
     for pc, addr, value, direction, load_path in events:
-        predictor.train(make_outcome(
+        predictor.train(*make_outcome(
             pc=pc, addr=addr, value=value, direction=direction,
             load_path=load_path,
         ))
@@ -114,10 +114,7 @@ class TestCompositeInvariants:
                 else:
                     correctness[name] = prediction.addr == addr
             composite.validate_and_train(
-                decision,
-                make_outcome(pc=pc, addr=addr, value=value,
-                             direction=direction, load_path=load_path),
-                correctness,
+                decision, addr, 8, value, correctness
             )
         stats = composite.stats
         assert stats.loads == len(events)

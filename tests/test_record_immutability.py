@@ -1,12 +1,13 @@
 """Hosts and components never mutate the per-load records they are handed.
 
-:class:`LoadProbe`, :class:`LoadOutcome`, :class:`Prediction` and
-:class:`CompositeDecision` are mutable slots dataclasses (a frozen
+:class:`LoadProbe`, :class:`Prediction` and :class:`CompositeDecision`
+are mutable slots dataclasses (a frozen
 dataclass costs one ``object.__setattr__`` per field at construction,
 and every load builds several).  Read-only is a convention; these tests
 hold every caller to it.  Each component's ``predict``/``train`` (and
-``penalize``/``invalidate``) and the host's ``predict`` and
-``validate_and_train`` are wrapped: the ``dataclasses.astuple`` of every
+``penalize``/``invalidate``; EVES' E-Stride and E-VTAGE count as
+components) and the host's ``predict`` and ``validate_and_train`` are
+wrapped: the ``dataclasses.astuple`` of every
 record argument is taken before the call and must be unchanged after
 it, and a decision must reach ``validate_and_train`` exactly as
 ``predict`` returned it.
@@ -24,7 +25,6 @@ from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
 from repro.harness.presets import SMOKE
 from repro.pipeline.core import simulate
-from repro.pipeline.vp import EvesAdapter
 from repro.serve.session import PredictorSession, apply_events
 from repro.workloads.generator import generate_trace
 
@@ -38,7 +38,7 @@ HOSTS = {
         epoch_instructions=100,
     ).homogeneous(64)),
     "lap": lambda: alone("lap", 64),
-    "eves": lambda: EvesAdapter(eves_8kb()),
+    "eves": eves_8kb,
 }
 
 _COMPONENT_METHODS = ("predict", "train", "penalize", "invalidate")
@@ -75,7 +75,8 @@ class RecordGuard:
             for name, component in components.items():
                 self.wrap_component(name, component)
         else:
-            self.wrap_component("eves", host.eves)
+            self.wrap_component("estride", host.estride)
+            self.wrap_component("evtage", host.evtage)
         predict = self._checked(host.predict, "host.predict")
         validate = self._checked(
             host.validate_and_train, "host.validate_and_train"
@@ -86,14 +87,13 @@ class RecordGuard:
             self._issued[id(decision)] = astuple(decision)
             return decision
 
-        def guarded_validate(decision, outcome, correctness):
+        def guarded_validate(decision, addr, size, value, correctness):
             issued = self._issued.pop(id(decision))
             assert astuple(decision) == issued, (
                 "decision changed between predict and validate_and_train"
             )
-            assert outcome.pc == decision.probe.pc
             self.decisions += 1
-            return validate(decision, outcome, correctness)
+            return validate(decision, addr, size, value, correctness)
 
         host.predict = guarded_predict
         host.validate_and_train = guarded_validate

@@ -28,7 +28,7 @@ class TestStrideDetection:
         """Constant-address loads are stride-0 SAP targets."""
         sap = _sap()
         for _ in range(40):
-            sap.train(make_outcome(pc=0x1000, addr=0x9000))
+            sap.train(*make_outcome(pc=0x1000, addr=0x9000))
         prediction = sap.predict(make_probe(pc=0x1000))
         assert prediction is not None and prediction.addr == 0x9000
 
@@ -45,7 +45,7 @@ class TestStrideDetection:
         for k in range(60):
             pc = 0x20000 + 64 * k
             for i in range(1, 100):
-                sap.train(make_outcome(pc=pc, addr=0x8000 + i * 8))
+                sap.train(*make_outcome(pc=pc, addr=0x8000 + i * 8))
                 if sap.predict(make_probe(pc=pc)) is not None:
                     warmups.append(i)
                     break
@@ -57,7 +57,7 @@ class TestStrideBreaks:
     def test_stride_change_resets(self):
         sap = _sap()
         train_strided(sap, pc=0x1000, base=0x8000, stride=8, times=40)
-        sap.train(make_outcome(pc=0x1000, addr=0x100))  # break
+        sap.train(*make_outcome(pc=0x1000, addr=0x100))  # break
         assert sap.predict(make_probe(pc=0x1000)) is None
 
     def test_retrains_after_break(self):
@@ -94,22 +94,22 @@ class TestFeedbackHooks:
     def test_invalidate_removes_entry(self):
         sap = _sap()
         train_strided(sap, pc=0x1000, base=0x8000, stride=8, times=40)
-        sap.invalidate(make_outcome(pc=0x1000, addr=0x8000))
+        sap.invalidate(*make_outcome(pc=0x1000, addr=0x8000))
         assert sap.predict(make_probe(pc=0x1000)) is None
 
     def test_penalize_resets_confidence_keeps_entry(self):
         sap = _sap()
         for _ in range(40):
-            sap.train(make_outcome(pc=0x1000, addr=0x9000))
-        sap.penalize(make_outcome(pc=0x1000, addr=0x9000))
+            sap.train(*make_outcome(pc=0x1000, addr=0x9000))
+        sap.penalize(*make_outcome(pc=0x1000, addr=0x9000))
         assert sap.predict(make_probe(pc=0x1000)) is None
         # Entry survives: a few more confirmations re-enable prediction.
         for _ in range(40):
-            sap.train(make_outcome(pc=0x1000, addr=0x9000))
+            sap.train(*make_outcome(pc=0x1000, addr=0x9000))
         assert sap.predict(make_probe(pc=0x1000)) is not None
 
     def test_penalize_unknown_pc_is_noop(self):
-        _sap().penalize(make_outcome(pc=0x7777000))
+        _sap().penalize(*make_outcome(pc=0x7777000))
 
 
 class TestAccounting:
@@ -119,5 +119,5 @@ class TestAccounting:
     def test_size_field(self):
         sap = _sap()
         for _ in range(40):
-            sap.train(make_outcome(pc=0x1000, addr=0x9000, size=4))
+            sap.train(*make_outcome(pc=0x1000, addr=0x9000, size=4))
         assert sap.predict(make_probe(pc=0x1000)).size == 4

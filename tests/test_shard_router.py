@@ -16,15 +16,19 @@ dominates the runtime.
 
 import asyncio
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.serve.client import DurableClient
+from repro.serve.client import DurableClient, ServeClient, ServeError
 from repro.serve.durability import session_dir_name
 from repro.serve.router import RouterConfig, ShardRouter
+from repro.serve.server import ServerConfig
 from repro.serve.shardmgr import (
     STATE_FILE,
     ShardManager,
@@ -33,6 +37,16 @@ from repro.serve.shardmgr import (
 )
 
 SPEC = {"kind": "component", "name": "lvp", "entries": 64}
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` on PYTHONPATH."""
+    env = dict(os.environ)
+    src_root = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def run(coro):
@@ -132,8 +146,8 @@ class TestShardedTierEndToEnd:
         async def scenario():
             router = ShardRouter(RouterConfig(
                 shards=2, data_dir=data, health_interval=0.1,
-                ping_interval=0.0, fsync_interval=0.0,
-                checkpoint_every=50,
+                ping_interval=0.0,
+                worker=ServerConfig(fsync_interval=0.0, checkpoint_every=50),
             ))
             await router.start()
             clients = []
@@ -205,7 +219,7 @@ class TestShardedTierEndToEnd:
             # resume exactly where they stopped.
             router2 = ShardRouter(RouterConfig(
                 shards=2, data_dir=data, health_interval=0.1,
-                ping_interval=0.0, fsync_interval=0.0,
+                ping_interval=0.0, worker=ServerConfig(fsync_interval=0.0),
             ))
             await router2.start()
             try:
@@ -233,25 +247,19 @@ class TestShardedTierEndToEnd:
         env_script = (
             "import asyncio\n"
             "from repro.serve.router import RouterConfig, ShardRouter\n"
+            "from repro.serve.server import ServerConfig\n"
             "async def main():\n"
-            "    router = ShardRouter(RouterConfig(shards=2,"
-            " data_dir=%r, fsync_interval=0.0))\n"
+            "    router = ShardRouter(RouterConfig(shards=2, data_dir=%r,"
+            " worker=ServerConfig(fsync_interval=0.0)))\n"
             "    await router.start()\n"
             "    print('ready', flush=True)\n"
             "    await asyncio.sleep(60)\n"
             "asyncio.run(main())\n"
         ) % data
-        import os
-        from pathlib import Path
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
         first = subprocess.Popen(
             [sys.executable, "-c", env_script],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            env=env, text=True,
+            env=_src_env(), text=True,
         )
         try:
             deadline = time.monotonic() + 90
@@ -267,8 +275,8 @@ class TestShardedTierEndToEnd:
 
             async def replacement():
                 router = ShardRouter(RouterConfig(
-                    shards=2, data_dir=data, fsync_interval=0.0,
-                    ping_interval=0.0,
+                    shards=2, data_dir=data, ping_interval=0.0,
+                    worker=ServerConfig(fsync_interval=0.0),
                 ))
                 await router.start()
                 try:
@@ -292,3 +300,51 @@ class TestShardedTierEndToEnd:
             if first.poll() is None:
                 first.kill()
                 first.wait()
+
+    def test_workers_run_the_serve_flags(self, tmp_path):
+        """``serve --shards 1 --standbys 1`` (a one-shard tier) hands
+        its server flags to its worker: with ``--seq-cache-size 1``, a
+        replay of a seq the cache has evicted fails with
+        ``seq-too-old`` instead of returning a cached response from a
+        worker running the default 256-entry cache."""
+        events = [{"k": "l", "pc": 0x40, "addr": 0x100, "size": 4,
+                   "value": 3, "pred": True}]
+        tier = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--shards", "1", "--standbys", "1",
+             "--data-dir", str(tmp_path / "tier"),
+             "--fsync-interval", "0", "--seq-cache-size", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=_src_env(), text=True,
+        )
+        try:
+            line = tier.stdout.readline()
+            assert line.startswith("serving on"), line
+            port = int(line.rsplit(":", 1)[1])
+
+            async def scenario():
+                client = await ServeClient.connect("127.0.0.1", port)
+                try:
+                    opened = await client.request(
+                        "open", session="s", spec=SPEC, durable=True
+                    )
+                    first = opened["applied_seq"] + 1
+                    for seq in (first, first + 1):
+                        await client.request(
+                            "apply", session="s", seq=seq, events=events
+                        )
+                    with pytest.raises(ServeError) as excinfo:
+                        await client.request(
+                            "apply", session="s", seq=first, events=events
+                        )
+                    assert excinfo.value.code == "seq-too-old"
+                finally:
+                    await client.close()
+
+            run(scenario())
+            tier.send_signal(signal.SIGTERM)
+            assert tier.wait(timeout=60) == 0
+        finally:
+            if tier.poll() is None:
+                tier.kill()
+                tier.wait()

@@ -139,12 +139,12 @@ class TestComponentColumns:
                                  value=k, load_path=k)
                     for k in range(12)]
         for outcome in outcomes[:4]:
-            original.train(outcome)
+            original.train(*outcome)
         restored = pickle.loads(pickle.dumps(original))
         for predictor in (original, restored):
             predictor.grant_extra_banks(2)
             for outcome in outcomes:
-                predictor.train(outcome)
+                predictor.train(*outcome)
 
         def state(predictor):
             return [list(t.rows()) for t in predictor._tables()]
@@ -207,7 +207,7 @@ class TestPinnedSemantics:
         predictor = make(16)
         predictor.grant_extra_banks(1)
         for k in range(40):
-            predictor.train(make_outcome(
+            predictor.train(*make_outcome(
                 pc=0x1000 + 4 * (k % 24), addr=0x8000 + 24 * k,
                 value=7 * k + 1, size=(1, 2, 4, 8)[k % 4],
             ))
@@ -225,7 +225,7 @@ class TestPinnedSemantics:
         defaults = list(table.rows())
         predictor.grant_extra_banks(2)
         for k, pc in enumerate(_aliases(table.index_bits, 3)):
-            predictor.train(make_outcome(pc=pc, value=100 + k))
+            predictor.train(*make_outcome(pc=pc, value=100 + k))
         assert _bank_rows(table)[2][1][0] != INVALID_TAG
         predictor.revoke_extra_banks()
         kept = _bank_rows(table)[0]
@@ -245,7 +245,7 @@ class TestPinnedSemantics:
         a, b, c, d, e = _aliases(table.index_bits, 5)
 
         def train(pc):
-            predictor.train(make_outcome(pc=pc, addr=pc << 4))
+            predictor.train(*make_outcome(pc=pc, addr=pc << 4))
 
         def at_index():  # (tag, confidence) per bank at the shared index
             return [(bank[1][0], bank[1][-1]) for bank in _bank_rows(table)]

@@ -5,7 +5,7 @@ from conftest import alone, make_outcome, make_probe
 
 from repro.composite.composite import CompositeDecision
 from repro.eves import eves_8kb
-from repro.pipeline.vp import EvesAdapter, NoPredictor, ValuePredictorHost
+from repro.pipeline.vp import NoPredictor, ValuePredictorHost
 
 
 class TestNoPredictor:
@@ -23,7 +23,7 @@ class TestLoneComponent:
     def test_decision_shape(self):
         host = alone("lvp", 256)
         for _ in range(200):
-            host.components["lvp"].train(make_outcome(pc=0x1000, value=9))
+            host.components["lvp"].train(*make_outcome(pc=0x1000, value=9))
         decision = host.predict(make_probe(pc=0x1000))
         assert isinstance(decision, CompositeDecision)
         assert decision.chosen is not None
@@ -31,26 +31,24 @@ class TestLoneComponent:
 
     def test_stats_track_usage(self):
         host = alone("lvp", 256)
-        outcome = make_outcome(pc=0x1000, value=9)
         for _ in range(200):
             decision = host.predict(make_probe(pc=0x1000))
             correctness = {n: True for n in decision.confident}
-            host.validate_and_train(decision, outcome, correctness)
+            host.validate_and_train(decision, 0x8000, 8, 9, correctness)
         assert host.stats.loads == 200
         assert 0 < host.stats.predicted_loads < 200
         assert host.stats.accuracy == 1.0
 
     def test_wrong_prediction_penalizes(self):
         host = alone("cap", 256)
-        outcome = make_outcome(pc=0x1000, addr=0x8000, load_path=3)
         for _ in range(20):
             decision = host.predict(make_probe(pc=0x1000, load_path=3))
             host.validate_and_train(
-                decision, outcome, {n: True for n in decision.confident}
+                decision, 0x8000, 8, 42, {n: True for n in decision.confident}
             )
         decision = host.predict(make_probe(pc=0x1000, load_path=3))
         assert decision.chosen is not None
-        host.validate_and_train(decision, outcome, {"cap": False})
+        host.validate_and_train(decision, 0x8000, 8, 42, {"cap": False})
         assert host.predict(make_probe(pc=0x1000, load_path=3)).chosen is None
 
     def test_satisfies_protocol(self):
@@ -58,19 +56,21 @@ class TestLoneComponent:
         assert isinstance(host, ValuePredictorHost)
 
 
-class TestEvesAdapter:
+class TestEves:
     def test_decision_and_training(self):
-        adapter = EvesAdapter(eves_8kb())
-        outcome = make_outcome(pc=0x1000, value=5)
+        eves = eves_8kb()
         for _ in range(300):
-            decision = adapter.predict(make_probe(pc=0x1000))
-            adapter.validate_and_train(
-                decision, outcome, {n: True for n in decision.confident}
+            decision = eves.predict(make_probe(pc=0x1000))
+            eves.validate_and_train(
+                decision, 0x8000, 8, 5, {n: True for n in decision.confident}
             )
-        decision = adapter.predict(make_probe(pc=0x1000))
+        decision = eves.predict(make_probe(pc=0x1000))
         assert decision.chosen is not None
         assert decision.chosen.component == "eves"
-        assert adapter.storage_bits() == adapter.eves.storage_bits()
+        assert decision.confident == {"eves": decision.chosen}
+        assert eves.storage_bits() == (
+            eves.estride.storage_bits() + eves.evtage.storage_bits()
+        )
 
     def test_satisfies_protocol(self):
-        assert isinstance(EvesAdapter(eves_8kb()), ValuePredictorHost)
+        assert isinstance(eves_8kb(), ValuePredictorHost)
