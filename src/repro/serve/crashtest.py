@@ -4,9 +4,9 @@ The acceptance gate for the durability subsystem (``repro-lvp
 crashtest``).  One campaign (:func:`run_crashtest`):
 
 1. computes a **reference** per session: the same event chunks applied
-   to a local :class:`~repro.serve.session.PredictorSession` (the
-   serving layer's own execution helpers, so reference and server
-   share code paths);
+   to a local :class:`~repro.serve.session.PredictorSession` through
+   :func:`~repro.serve.session.execute_op`, the executor the server
+   runs, so reference and server share code paths;
 2. starts ``repro-lvp serve --shards N --data-dir ...`` as a real
    subprocess -- one bare server at ``N == 1``, the router plus N
    worker shards above -- and drives ``sessions`` durable sessions
@@ -50,7 +50,7 @@ from repro.serve.loadgen import trace_to_events
 from repro.serve.session import (
     PredictorSession,
     _resolve_initial_memory,
-    apply_events,
+    execute_op,
     spec_from_name,
 )
 
@@ -183,7 +183,12 @@ def _reference_run(
         session_id=session_id,
         initial_memory=_resolve_initial_memory(workload_desc),
     )
-    results = [apply_events(session, chunk) for chunk in chunks]
+    # The server's own executor; an ("error", ...) entry's code lands
+    # where the result would and shows up as a chunk mismatch.
+    results = [
+        execute_op(session, "apply", {"events": chunk})[1]
+        for chunk in chunks
+    ]
     return results, session.snapshot()
 
 

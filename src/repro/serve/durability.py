@@ -73,8 +73,7 @@ from repro.serve.session import (
     SeqTracker,
     SessionError,
     _resolve_initial_memory,
-    apply_events,
-    train_from_body,
+    execute_op,
 )
 
 #: WAL line layout version; bump on any format change.
@@ -260,43 +259,17 @@ def load_checkpoint(path: Path) -> tuple[dict, memoryview] | None:
 # ----------------------------------------------------------------------
 
 
-def replay_record(session: PredictorSession, op: str, body: dict) -> tuple:
-    """Re-execute one WAL record, regenerating its response entry.
-
-    Mirrors the live server's execution (including the partial-failure
-    and internal-error contracts) so a replayed request produces the
-    exact response the client was -- or would have been -- sent.
-    """
-    try:
-        if op == "apply":
-            result = apply_events(session, body.get("events"))
-        elif op == "predict":
-            result = {"prediction": session.predict(body.get("pc"))}
-        elif op == "train":
-            result = train_from_body(session, body.get("outcome"))
-        elif op == "close":
-            result = {"closed": session.snapshot()}
-        else:
-            raise SessionError(
-                f"unreplayable op {op!r} in WAL", code="bad-wal-record"
-            )
-    except SessionError as exc:
-        return ("error", exc.code, str(exc))
-    except Exception as exc:  # replay must match the live path: no crash
-        return ("error", "internal", f"{type(exc).__name__}: {exc}")
-    return ("ok", result)
-
-
 class WalReplay:
     """Rebuilds one session from its WAL records, one record at a time.
 
     The apply step crash recovery and warm standbys share: seqs must be
     contiguous from ``base_seq + 1`` (already-covered records are
     skipped), the ``open`` record builds the session, every other op
-    re-executes through :func:`replay_record`, and the exactly-once
-    response cache is rebuilt alongside the state.  A replayed
-    successful ``close`` is kept in :attr:`closed_entry` for the caller
-    to finish.
+    re-executes through :func:`~repro.serve.session.execute_op` -- the
+    live server's own executor -- and the exactly-once response cache
+    is rebuilt alongside the state.  A replayed successful ``close`` is
+    kept in :attr:`closed_entry`; :meth:`DurabilityManager.install`
+    finishes it.
     """
 
     def __init__(
@@ -355,7 +328,7 @@ class WalReplay:
                 "record"
             )
         else:
-            entry = replay_record(self.session, op, body)
+            entry = execute_op(self.session, op, body)
             if op == "close" and entry[0] == "ok":
                 self.closed_entry = entry
         self.tracker.record(seq, entry)
@@ -660,6 +633,22 @@ class DurabilityManager:
                 self.stats.corrupt_tail_records += 1
                 break
 
+        return self.install(replay, last_segment, last_size)
+
+    def install(
+        self, replay: WalReplay, segment: int, size: int
+    ) -> PredictorSession:
+        """Turn a finished replay into a live durable session.
+
+        The one install step crash recovery and standby promotion
+        share.  A replayed close was logged but its tombstone never
+        landed: finish the close and raise ``session-closed`` instead
+        of resurrecting the session.  Otherwise attach a WAL writer at
+        ``(segment, size)``, the end of the last verified record --
+        whenever a segment exists, even an empty one, so the next
+        append never rotates back over segment 1.
+        """
+        session_id = replay.session_id
         session = replay.session
         if session is None:
             raise SessionError(
@@ -668,8 +657,6 @@ class DurabilityManager:
                 code="unrecoverable",
             )
         if replay.closed_entry is not None:
-            # The close was logged but the tombstone never landed;
-            # finish the close now instead of resurrecting the session.
             self.finalize_close(session_id, replay.tracker.applied_seq,
                                 replay.closed_entry)
             raise SessionError(
@@ -677,13 +664,14 @@ class DurabilityManager:
                 "be reopened",
                 code="session-closed",
             )
-
+        session.durable = True
         session.tracker = replay.tracker
-        handle = SessionDurability(self, session_id, directory,
+        handle = SessionDurability(self, session_id,
+                                   self.session_dir(session_id),
                                    replay.tracker)
         handle.spec_digest = replay.spec_digest
-        if last_segment:
-            handle.attach_segment(last_segment, last_size)
+        if segment:
+            handle.attach_segment(segment, size)
         self._handles[session_id] = handle
         self.stats.recovered_sessions += 1
         self.stats.replayed_records += replay.records
@@ -738,7 +726,6 @@ __all__ = [
     "decode_line",
     "encode_record",
     "load_checkpoint",
-    "replay_record",
     "scan_wal_file",
     "segment_path",
     "session_dir_name",

@@ -50,7 +50,8 @@ MAX_FRAME_BYTES = 1 << 20
 #: with an ERROR frame and close.
 HARD_FRAME_LIMIT = 1 << 28
 
-_HEADER = struct.Struct("<IB")
+#: The frame header: ``length`` then ``type``.
+HEADER = struct.Struct("<IB")
 
 
 class ProtocolError(Exception):
@@ -72,7 +73,7 @@ class ProtocolError(Exception):
 def encode_frame(frame_type: int, body: dict) -> bytes:
     """Serialize one frame (header + type byte + JSON body)."""
     raw = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(raw) + 1, frame_type) + raw
+    return HEADER.pack(len(raw) + 1, frame_type) + raw
 
 
 def decode_body(frame_type: int, raw: bytes):
@@ -88,16 +89,19 @@ def decode_body(frame_type: int, raw: bytes):
     return body
 
 
-async def read_frame(
+async def read_frame_bytes(
     reader: asyncio.StreamReader, max_frame: int = MAX_FRAME_BYTES
-) -> tuple[int, dict]:
-    """Read one frame; raises :class:`ProtocolError` on malformed input.
+) -> tuple[int, bytes, bytes]:
+    """Read one frame undecoded: ``(type, header bytes, body bytes)``.
 
-    Raises :class:`asyncio.IncompleteReadError` at clean or mid-frame
-    EOF (nothing to respond to -- the caller just closes).
+    Raises :class:`ProtocolError` on a malformed header -- after
+    draining an oversized body, so framing stays aligned -- and
+    :class:`asyncio.IncompleteReadError` at clean or mid-frame EOF
+    (nothing to respond to -- the caller just closes).  A router
+    forwards ``header + body`` as it came.
     """
-    header = await reader.readexactly(5)
-    length, frame_type = _HEADER.unpack(header)
+    header = await reader.readexactly(HEADER.size)
+    length, frame_type = HEADER.unpack(header)
     if length < 1:
         raise ProtocolError("zero-length frame", code="bad-frame")
     body_len = length - 1
@@ -119,7 +123,14 @@ async def read_frame(
             f"frame of {body_len} bytes exceeds the {max_frame}-byte "
             "limit", code="oversized",
         )
-    raw = await reader.readexactly(body_len)
+    return frame_type, header, await reader.readexactly(body_len)
+
+
+async def read_frame(
+    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME_BYTES
+) -> tuple[int, dict]:
+    """Read and decode one frame (see :func:`read_frame_bytes`)."""
+    frame_type, _, raw = await read_frame_bytes(reader, max_frame)
     return frame_type, decode_body(frame_type, raw)
 
 
@@ -204,6 +215,7 @@ def error_response(
 __all__ = [
     "ERROR",
     "HARD_FRAME_LIMIT",
+    "HEADER",
     "MAX_FRAME_BYTES",
     "MUTATING_OPS",
     "OPS",
@@ -217,6 +229,7 @@ __all__ = [
     "error_response",
     "ok_response",
     "read_frame",
+    "read_frame_bytes",
     "validate_request",
     "write_frame",
 ]

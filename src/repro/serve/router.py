@@ -39,7 +39,6 @@ from __future__ import annotations
 import asyncio
 import shutil
 import signal
-import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +50,6 @@ from repro.serve.ring import DEFAULT_REPLICAS, HashRing
 from repro.serve.server import ServerConfig
 from repro.serve.shardmgr import ShardManager
 
-_HEADER = struct.Struct("<IB")
 
 #: Sentinel placement while a session's files are moving between shards.
 _MOVING = "__moving__"
@@ -288,8 +286,10 @@ class ShardRouter:
     async def _read_loop(self, conn: _ClientConn) -> None:
         while not conn.closed:
             try:
-                frame_type, raw = await self._read_raw(conn.reader)
-                body = protocol.decode_body(frame_type, raw[5:])
+                frame_type, header, raw = await protocol.read_frame_bytes(
+                    conn.reader, self.config.max_frame_bytes
+                )
+                body = protocol.decode_body(frame_type, raw)
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return
             except protocol.ProtocolError as exc:
@@ -321,7 +321,8 @@ class ShardRouter:
                     conn, "shutting-down", "router is draining", request_id
                 )
                 continue
-            await self._handle_request(conn, request_id, op, body, raw)
+            await self._handle_request(conn, request_id, op, body,
+                                       header + raw)
 
     async def _handle_request(
         self, conn: _ClientConn, request_id: int, op: str, body: dict,
@@ -422,11 +423,11 @@ class ShardRouter:
         """
         try:
             while True:
-                _, raw = await self._read_raw(
-                    reader, limit=protocol.HARD_FRAME_LIMIT
+                _, header, raw = await protocol.read_frame_bytes(
+                    reader, protocol.HARD_FRAME_LIMIT
                 )
                 async with conn.lock:
-                    conn.writer.write(raw)
+                    conn.writer.write(header + raw)
                     await conn.writer.drain()
         except (asyncio.IncompleteReadError, ConnectionError, OSError,
                 protocol.ProtocolError):
@@ -436,41 +437,6 @@ class ShardRouter:
                 await self._close_conn(conn)
         except asyncio.CancelledError:
             raise
-
-    async def _read_raw(
-        self, reader, limit: int | None = None
-    ) -> tuple[int, bytes]:
-        """One frame as (type, raw bytes incl. header), server-grade
-        robustness: oversized bodies are drained so framing holds."""
-        max_frame = (
-            limit if limit is not None else self.config.max_frame_bytes
-        )
-        header = await reader.readexactly(5)
-        length, frame_type = _HEADER.unpack(header)
-        if length < 1:
-            raise protocol.ProtocolError("zero-length frame",
-                                         code="bad-frame")
-        body_len = length - 1
-        if body_len > max_frame:
-            if length > protocol.HARD_FRAME_LIMIT:
-                raise protocol.ProtocolError(
-                    f"declared frame length {length} exceeds the hard "
-                    f"limit ({protocol.HARD_FRAME_LIMIT}); closing "
-                    "desynchronized stream",
-                    code="oversized", recoverable=False,
-                )
-            remaining = body_len
-            while remaining:
-                chunk = await reader.read(min(remaining, 1 << 16))
-                if not chunk:
-                    raise asyncio.IncompleteReadError(b"", remaining)
-                remaining -= len(chunk)
-            raise protocol.ProtocolError(
-                f"frame of {body_len} bytes exceeds the {max_frame}-byte "
-                "limit", code="oversized",
-            )
-        body = await reader.readexactly(body_len)
-        return frame_type, header + body
 
     # ------------------------------------------------------------------
     # Replies

@@ -52,8 +52,7 @@ from repro.serve.session import (
     SeqTracker,
     SessionError,
     SessionManager,
-    apply_events,
-    train_from_body,
+    execute_op,
 )
 
 
@@ -521,7 +520,14 @@ class PredictionServer:
         }
 
     def _execute_mutating(self, op: str, body: dict) -> dict:
-        """Seq-checked, WAL-logged execution of one mutating request."""
+        """Check, run and record one mutating request.
+
+        One sequence for every session: only a durable one (it has a
+        WAL handle) logs the request before running it and keeps the
+        fsync/checkpoint cadence after.  An in-memory session that
+        sends a ``seq`` gets the same exactly-once contract, lasting
+        the process lifetime.
+        """
         session_id = body.get("session")
         seq = body.get("seq")
         if (op == "close" and seq is not None
@@ -533,70 +539,43 @@ class PredictionServer:
             if cached is not None:
                 return self._unwrap(cached)
         session = self.sessions.get(session_id)
-        if session.durable:
-            if seq is None:
-                raise SessionError(
-                    "mutating requests on a durable session must carry "
-                    "a 'seq'",
-                    code="seq-required",
+        handle = self.sessions.durable_handle(session_id)
+        if seq is not None:
+            if session.tracker is None:
+                session.tracker = SeqTracker(
+                    self.config.seq_cache_size, self.config.seq_cache_bytes
                 )
             cached = session.tracker.check(seq)
             if cached is not None:
                 return self._unwrap(cached)
-            handle = self.sessions.durable_handle(session_id)
+        elif handle is not None:
+            raise SessionError(
+                "mutating requests on a durable session must carry a "
+                "'seq'",
+                code="seq-required",
+            )
+        if handle is not None:
             # WAL first, execute second: an acknowledged request is
             # always recoverable, and the deterministic replay of an
             # unacknowledged one is harmless.
             handle.append(seq, op, self._wal_body(op, body))
-            entry = self._run_mutating(session, op, body)
+        entry = execute_op(session, op, body)
+        if seq is not None:
             session.tracker.record(seq, entry)
-            if op == "close" and entry[0] == "ok":
+        closed = op == "close" and entry[0] == "ok"
+        if handle is not None:
+            if closed:
                 self.durability.finalize_close(session_id, seq, entry)
             else:
                 handle.after_record(session)
-            return self._unwrap(entry)
-        if seq is not None:
-            # In-memory sessions may opt into the same exactly-once
-            # contract (no WAL: dedup only lasts the process lifetime).
-            if session.tracker is None:
-                session.tracker = SeqTracker()
-            cached = session.tracker.check(seq)
-            if cached is not None:
-                return self._unwrap(cached)
-            entry = self._run_mutating(session, op, body)
-            session.tracker.record(seq, entry)
-            return self._unwrap(entry)
-        return self._unwrap(self._run_mutating(session, op, body))
-
-    def _run_mutating(self, session, op: str, body: dict) -> tuple:
-        """Run one mutating op into a cacheable response entry.
-
-        Failures become ``("error", code, message)`` entries rather
-        than raising, so the seq cache and the WAL replay agree on what
-        a retried request should see.
-        """
-        try:
-            if op == "apply":
-                result = apply_events(session, body.get("events"))
-                self.sessions.touch_bytes(session)
-            elif op == "predict":
-                result = {"prediction": session.predict(body.get("pc"))}
-            elif op == "train":
-                result = train_from_body(session, body.get("outcome"))
-            elif op == "close":
-                result = {"closed": self.sessions.close(session.session_id)}
-            else:  # unreachable from execute(); kept for WAL parity
-                raise SessionError(
-                    f"unknown op {op!r}", code="unknown-op"
-                )
-        except SessionError as exc:
-            return ("error", exc.code, str(exc))
-        except ValueError as exc:
-            return ("error", "bad-spec", str(exc))
-        except Exception as exc:  # mirror the never-crash contract
+        # Effects only a live server has; WAL replay runs none of them.
+        if closed:
+            self.sessions.close(session_id)
+        elif op == "apply" and entry[0] == "ok":
+            self.sessions.touch_bytes(session)
+        elif entry[0] == "error" and entry[1] == "internal":
             self.counters.internal_errors += 1
-            return ("error", "internal", f"{type(exc).__name__}: {exc}")
-        return ("ok", result)
+        return self._unwrap(entry)
 
     @staticmethod
     def _unwrap(entry: tuple) -> dict:

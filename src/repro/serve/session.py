@@ -238,10 +238,10 @@ class SeqTracker:
 def apply_events(session: "PredictorSession", events) -> dict:
     """Execute one ``apply`` request body against ``session``.
 
-    Shared by the live server and WAL replay so a recovered session
-    re-executes *exactly* the request semantics, including the
-    partial-failure contract: events before a bad one stay applied and
-    the error names the offending index.
+    Run by :func:`execute_op` for the live server and WAL replay alike,
+    so a recovered session re-executes *exactly* the request semantics,
+    including the partial-failure contract: events before a bad one
+    stay applied and the error names the offending index.
 
     The replay itself is :meth:`PredictorSession.apply_batch`, the one
     code path that applies an event.
@@ -259,7 +259,7 @@ def apply_events(session: "PredictorSession", events) -> dict:
 
 
 def train_from_body(session: "PredictorSession", outcome) -> dict:
-    """Execute one ``train`` request body (shared with WAL replay)."""
+    """Execute one ``train`` request body (see :func:`execute_op`)."""
     if not isinstance(outcome, dict):
         raise SessionError(
             f"'outcome' must be a dict, got {type(outcome).__name__}"
@@ -275,6 +275,40 @@ def train_from_body(session: "PredictorSession", outcome) -> dict:
             )
         fields.append(field_value)
     return {"trained": session.train(*fields)}
+
+
+def execute_op(session: "PredictorSession", op: str, body: dict) -> tuple:
+    """Run one mutating op into a cacheable response entry.
+
+    The one executor the live server and WAL replay share, so a
+    replayed request regenerates the exact entry the client was -- or
+    would have been -- sent.  Failures become ``("error", code,
+    message)`` entries rather than raising, so the seq cache and the
+    replay agree on what a retried request should see.  Effects only a
+    live server has (byte accounting, dropping a closed session) are
+    the caller's.
+    """
+    try:
+        if op == "apply":
+            result = apply_events(session, body.get("events"))
+        elif op == "predict":
+            result = {"prediction": session.predict(body.get("pc"))}
+        elif op == "train":
+            result = train_from_body(session, body.get("outcome"))
+        elif op == "close":
+            result = {"closed": session.snapshot()}
+        else:  # only a WAL record can name another op
+            raise SessionError(
+                f"unreplayable op {op!r} in WAL", code="bad-wal-record"
+            )
+    except SessionError as exc:
+        return ("error", exc.code, str(exc))
+    except ValueError as exc:
+        # Bad predictor specs from build_predictor, etc.
+        return ("error", "bad-spec", str(exc))
+    except Exception as exc:  # the server must never crash
+        return ("error", "internal", f"{type(exc).__name__}: {exc}")
+    return ("ok", result)
 
 
 def spec_from_name(name: str, entries: int = 256) -> dict | None:
@@ -936,8 +970,7 @@ class SessionManager:
         )
         session.durable = True
         session.tracker = SeqTracker(
-            getattr(self.durability, "cache_size", SEQ_CACHE_SIZE),
-            getattr(self.durability, "cache_bytes", SEQ_CACHE_BYTES),
+            self.durability.cache_size, self.durability.cache_bytes
         )
         # The open record hits the WAL before the caller ever sees the
         # session -- a crash from here on always recovers it.
@@ -1004,6 +1037,17 @@ class SessionManager:
                 except SessionError:
                     continue
         return self.durability.stats.as_dict()
+
+    def install_replayed(
+        self, replay, segment: int, size: int
+    ) -> PredictorSession:
+        """Serve a replica replayed elsewhere (standby promotion).
+
+        The same install step crash recovery ends in
+        (:meth:`~repro.serve.durability.DurabilityManager.install`):
+        raises ``session-closed`` after finishing a replayed close.
+        """
+        return self._admit(self.durability.install(replay, segment, size))
 
     def touch_bytes(self, session: PredictorSession) -> None:
         """Re-check budgets after a session grew (e.g. store events)."""
@@ -1095,20 +1139,19 @@ class SessionManager:
             )
 
     def _install(self, session: PredictorSession) -> None:
-        self._sessions[session.session_id] = session
         self.opened += 1
-        self._account(session)
-        self._touch(session)
-        self._enforce_limits(keep=session.session_id)
+        self._admit(session)
 
     def _recover(self, session_id: str) -> PredictorSession:
         """Rebuild a durable session from its WAL + checkpoint."""
-        session = self.durability.recover(session_id)
-        session.durable = True
-        self._sessions[session_id] = session
+        return self._admit(self.durability.recover(session_id))
+
+    def _admit(self, session: PredictorSession) -> PredictorSession:
+        """Make ``session`` resident (LRU-touched, within budget)."""
+        self._sessions[session.session_id] = session
         self._account(session)
         self._touch(session)
-        self._enforce_limits(keep=session_id)
+        self._enforce_limits(keep=session.session_id)
         return session
 
     def _account(self, session: PredictorSession) -> None:
@@ -1197,6 +1240,7 @@ __all__ = [
     "SessionError",
     "SessionManager",
     "apply_events",
+    "execute_op",
     "resolve_spec",
     "spec_from_name",
     "train_from_body",

@@ -22,8 +22,9 @@ after either side restarts.
 driven by :class:`StandbyServer`): polls ``wal-ship``, CRC-verifies
 every complete record (reusing the WAL line format), persists verified
 lines into an identical local segment layout, and replays each record
-into a live :class:`~repro.serve.session.PredictorSession` via the
-same :func:`~repro.serve.durability.replay_record` path recovery uses
+into a live :class:`~repro.serve.session.PredictorSession` through
+recovery's :class:`~repro.serve.durability.WalReplay`, which runs the
+live server's own executor (:func:`~repro.serve.session.execute_op`)
 -- replay is deterministic, so the replica is bit-identical to the
 primary at every record boundary.  A partial tail line (the shipper
 read mid-append) is simply not consumed: the cursor re-requests it
@@ -36,8 +37,9 @@ standby to promote, passing the primary's (local) data dir.  The
 standby stops replicating, catches up on the un-shipped WAL tail by
 reading the dead primary's segments directly -- torn final lines were
 never acknowledged and are dropped, exactly like recovery's
-truncation -- installs every replica into its session manager with an
-attached WAL writer, and starts serving on the port it already holds.
+truncation -- installs every replica with the step crash recovery
+ends in (``DurabilityManager.install``, which attaches the WAL
+writer), and starts serving on the port it already holds.
 Catch-up is bounded by one poll interval of traffic, which is why the
 measured recovery-time objective stays flat as the WAL grows.
 """
@@ -47,7 +49,6 @@ from __future__ import annotations
 import asyncio
 import shutil
 import socket
-import struct
 from pathlib import Path
 
 from repro.serve import protocol
@@ -56,7 +57,6 @@ from repro.serve.durability import (
     _WAL_PREFIX,
     _WAL_SUFFIX,
     ReplicationError,
-    SessionDurability,
     WalReplay,
     decode_line,
     segment_path,
@@ -596,44 +596,32 @@ class StandbyServer(PredictionServer):
     def _install_replicas(self) -> dict:
         """Move every replica into the live session manager.
 
-        Open sessions get a WAL writer attached at the replica's
-        cursor (the local files end exactly at the last verified
-        record); sessions whose close record replayed get their
-        tombstone finished, the same repair recovery performs when a
-        crash ate the tombstone write.
+        Each goes through the install step crash recovery ends in
+        (:meth:`~repro.serve.durability.DurabilityManager.install`):
+        open sessions get a WAL writer attached at the replica's cursor
+        (the local files end exactly at the last verified record), and
+        a replayed close gets its tombstone finished.
         """
         installed = 0
         closed = 0
-        records = 0
         for replica in self.replicas.replicas.values():
-            records += replica.records
             replica.close_files()
             if replica.session is None:
                 continue
-            if replica.closed_entry is not None:
-                self.durability.finalize_close(
-                    replica.session_id, replica.tracker.applied_seq,
-                    replica.closed_entry,
+            try:
+                self.sessions.install_replayed(
+                    replica, replica.segment, replica.offset
                 )
+                installed += 1
+            except SessionError as exc:
+                if exc.code != "session-closed":
+                    raise
                 closed += 1
-                continue
-            session = replica.session
-            session.durable = True
-            session.tracker = replica.tracker
-            handle = SessionDurability(
-                self.durability, replica.session_id, replica.dir,
-                replica.tracker,
-            )
-            handle.spec_digest = replica.spec_digest
-            if replica.offset > 0:
-                handle.attach_segment(replica.segment, replica.offset)
-            self.durability._handles[replica.session_id] = handle
-            self.sessions._install(session)
-            self.durability.stats.recovered_sessions += 1
-            self.durability.stats.replayed_records += replica.records
-            installed += 1
         return {
-            "sessions": installed, "closed": closed, "records": records,
+            "sessions": installed, "closed": closed,
+            "records": sum(
+                r.records for r in self.replicas.replicas.values()
+            ),
         }
 
 
@@ -667,8 +655,8 @@ def sync_request(
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.settimeout(timeout)
         sock.sendall(protocol.encode_frame(protocol.REQUEST, body))
-        header = _recv_exact(sock, 5)
-        length, frame_type = struct.unpack("<IB", header)
+        header = _recv_exact(sock, protocol.HEADER.size)
+        length, frame_type = protocol.HEADER.unpack(header)
         raw = _recv_exact(sock, length - 1)
     response = protocol.decode_body(frame_type, raw)
     if not isinstance(response, dict) or not response.get("ok"):

@@ -15,7 +15,6 @@ from repro.serve.durability import (
     decode_line,
     encode_record,
     load_checkpoint,
-    replay_record,
     scan_wal_file,
     segment_path,
     write_checkpoint,
@@ -27,6 +26,7 @@ from repro.serve.session import (
     SessionError,
     SessionManager,
     apply_events,
+    execute_op,
 )
 
 #: Predictor families the replay-equivalence matrix covers.
@@ -867,7 +867,7 @@ class TestErrorCodes:
     """The session-layer error codes only the durability paths raise."""
 
     def test_unknown_wal_op_is_a_bad_wal_record(self):
-        entry = replay_record(PredictorSession(None), "rewind", {})
+        entry = execute_op(PredictorSession(None), "rewind", {})
         assert entry[:2] == ("error", "bad-wal-record")
         assert "rewind" in entry[2]
 

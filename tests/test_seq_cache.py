@@ -168,3 +168,27 @@ class TestPersistenceThroughTheServer:
             "session": "f", "seq": 2, "events": [],
         })
         assert result == {"results": []}
+
+    def test_in_memory_sessions_take_the_configured_bounds(self, tmp_path):
+        """Every session's tracker runs under the server's bounds: a
+        non-durable session answers an aged-out replay exactly as a
+        durable one on the same config does."""
+        server = PredictionServer(ServerConfig(
+            data_dir=str(tmp_path / "state"), fsync_interval=0.0,
+            seq_cache_size=1,
+        ))
+        server.execute("open", {"session": "mem", "spec": SPEC})
+        server.execute("open", {
+            "session": "dur", "spec": SPEC, "durable": True,
+        })
+        first = {"mem": 1, "dur": 2}
+        for sid, seq in first.items():
+            for step in range(3):
+                server.execute("apply", {
+                    "session": sid, "seq": seq + step, "events": [],
+                })
+        for sid, seq in first.items():
+            with pytest.raises(SessionError) as excinfo:
+                server.execute("apply", {"session": sid, "seq": seq,
+                                         "events": []})
+            assert excinfo.value.code == "seq-too-old", sid

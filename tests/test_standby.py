@@ -17,6 +17,8 @@ from repro.serve.durability import (
     _TOMBSTONE,
     decode_line,
     encode_record,
+    scan_wal_file,
+    segment_path,
     session_dir_name,
 )
 from repro.serve.server import PredictionServer, ServerConfig
@@ -328,6 +330,47 @@ class TestPromotion:
             next_seq += 1
         assert standby.sessions.get("pm").snapshot() == \
             reference_final("pm", chunks + more)
+
+    def test_promotion_at_offset_zero_keeps_the_first_segment(
+        self, tmp_path
+    ):
+        """Catch-up that stops at byte 0 of a later segment (its first
+        line is corrupt) still attaches the WAL writer there: the next
+        append must not rotate back over segment 1, and a restart on
+        the promoted data dir recovers every acknowledged record."""
+        server = durable_server(tmp_path, wal_segment_bytes=4096)
+        chunks = chunked(make_events(80), 8)
+        next_seq = drive(server, "pm", chunks)
+        server.durability.close_all()
+        primary_dir = server.durability.session_dir("pm")
+        fourth = primary_dir / "wal-00000004.log"
+        data = bytearray(fourth.read_bytes())
+        data[0] ^= 0x01  # the header line's CRC no longer matches
+        fourth.write_bytes(bytes(data))
+        # Catch-up keeps the records of segments 1-3.
+        kept = sum(
+            record["op"] != "_segment"
+            for index in (1, 2, 3)
+            for record in scan_wal_file(segment_path(primary_dir, index))[0]
+        )
+        assert 0 < kept < next_seq - 1
+        standby = self.standby(tmp_path)
+        promo = standby.promote({"source": str(tmp_path / "primary")})
+        assert promo["sessions"] == 1
+        assert promo["replayed_records"] == kept
+        first = (standby.durability.session_dir("pm") /
+                 "wal-00000001.log")
+        before = first.read_bytes()
+        extra = chunked(make_events(4, base=0x9000), 8)
+        standby.execute("apply", {"session": "pm", "seq": kept + 1,
+                                  "events": extra[0]})
+        assert first.read_bytes() == before
+        standby.durability.close_all()
+        restarted = durable_server(tmp_path, name="standby")
+        restarted.recover()
+        session = restarted.sessions.get("pm")
+        assert session.tracker.applied_seq == kept + 1
+        restarted.durability.close_all()
 
     def test_torn_tail_on_primary_is_dropped(self, tmp_path):
         server = durable_server(tmp_path)
