@@ -6,7 +6,7 @@ Public API tour
 
 Predictors (Section III / Table IV)::
 
-    from repro.predictors import make_component, LoadProbe
+    from repro.predictors import make_component
     lvp = make_component("lvp", entries=1024)
 
 Composite predictor with filters (Section V)::
@@ -38,8 +38,6 @@ from repro.isa import Instruction, OpClass, Trace
 from repro.pipeline import CoreConfig, SimResult, simulate
 from repro.predictors import (
     COMPONENT_NAMES,
-    LoadProbe,
-    Prediction,
     PredictionKind,
     make_component,
 )
@@ -55,9 +53,7 @@ __all__ = [
     "CoreConfig",
     "EvesPredictor",
     "Instruction",
-    "LoadProbe",
     "OpClass",
-    "Prediction",
     "PredictionKind",
     "SimResult",
     "Trace",

@@ -21,7 +21,6 @@ from repro.composite.accuracy_monitor import (
 from repro.composite.composite import (
     SELECTION_ORDER,
     TRAINING_ORDER,
-    CompositeDecision,
     CompositePredictor,
     CompositeStats,
 )
@@ -37,7 +36,6 @@ from repro.composite.heterogeneous import (
 __all__ = [
     "AccuracyMonitor",
     "CompositeConfig",
-    "CompositeDecision",
     "CompositePredictor",
     "CompositeStats",
     "FusionController",

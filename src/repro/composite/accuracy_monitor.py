@@ -16,6 +16,11 @@ Two variants:
   components that were confident, not just the one whose prediction was
   used.  Counters are 8 bits; when any counter's MSB sets, all eight
   are halved, preserving the correct:incorrect ratio.
+
+A monitor speaks the composite's slot masks: slot ``s`` is the
+``s``-th of the ``component_names`` it is built with, bit ``1 << s``
+of every mask.  Its counters stay keyed by component name, the shape
+the vectorized functional backend reads and writes.
 """
 
 from __future__ import annotations
@@ -30,22 +35,18 @@ class AccuracyMonitor(abc.ABC):
     """Common interface: consulted at fetch, updated at validation."""
 
     @abc.abstractmethod
-    def silenced(self, component: str, pc: int) -> bool:
-        """Should this component's confident prediction be squashed?"""
+    def silenced(self, pc: int, confident: int) -> int:
+        """The slots of the ``confident`` mask to squash at ``pc``."""
 
     @abc.abstractmethod
-    def record(
-        self,
-        pc: int,
-        correctness: dict[str, bool],
-        used_component: str | None,
-        used_correct: bool,
-    ) -> None:
+    def record(self, pc: int, confident: int, correct: int,
+               chosen: int) -> None:
         """Observe one value-predicted load's validation.
 
-        ``correctness`` maps every *confident* component to whether its
-        prediction would have been correct; ``used_component`` is the
-        one whose prediction was actually consumed.
+        ``confident`` is the mask of confident slots, ``correct`` the
+        subset whose prediction would have been correct, and
+        ``chosen`` the slot whose prediction was actually consumed
+        (``-1``: none).
         """
 
     def end_epoch(self) -> None:
@@ -58,10 +59,10 @@ class AccuracyMonitor(abc.ABC):
 class NullAccuracyMonitor(AccuracyMonitor):
     """No throttling (the base composite of Section V-A)."""
 
-    def silenced(self, component: str, pc: int) -> bool:
-        return False
+    def silenced(self, pc: int, confident: int) -> int:
+        return 0
 
-    def record(self, pc, correctness, used_component, used_correct) -> None:
+    def record(self, pc, confident, correct, chosen) -> None:
         pass
 
 
@@ -83,25 +84,31 @@ class MAm(AccuracyMonitor):
         self._predictions = dict.fromkeys(self._names, 0)
         self._mispredictions = dict.fromkeys(self._names, 0)
         self._silenced = dict.fromkeys(self._names, False)
+        #: ``_silenced`` as a slot mask.
+        self._silenced_mask = 0
 
-    def silenced(self, component: str, pc: int) -> bool:
-        return self._silenced[component]
+    def silenced(self, pc: int, confident: int) -> int:
+        return self._silenced_mask & confident
 
-    def record(self, pc, correctness, used_component, used_correct) -> None:
-        if used_component is None:
+    def record(self, pc, confident, correct, chosen) -> None:
+        if chosen < 0:
             return
-        self._predictions[used_component] += 1
-        if not used_correct:
-            self._mispredictions[used_component] += 1
+        component = self._names[chosen]
+        self._predictions[component] += 1
+        if not correct >> chosen & 1:
+            self._mispredictions[component] += 1
 
     def end_epoch(self) -> None:
-        for component in self._names:
+        self._silenced_mask = 0
+        for slot, component in enumerate(self._names):
             predictions = self._predictions[component]
             if predictions:
                 mpkp = 1000.0 * self._mispredictions[component] / predictions
                 self._silenced[component] = mpkp > self.mpkp_threshold
             else:
                 self._silenced[component] = False
+            if self._silenced[component]:
+                self._silenced_mask |= 1 << slot
             self._predictions[component] = 0
             self._mispredictions[component] = 0
 
@@ -118,12 +125,15 @@ class _PcAmEntry:
         self.correct = dict.fromkeys(names, 0)
         self.incorrect = dict.fromkeys(names, 0)
 
-    def update(self, correctness: dict[str, bool]) -> None:
-        for component, correct in correctness.items():
-            if correct:
-                self.correct[component] += 1
-            else:
-                self.incorrect[component] += 1
+    def update(self, slots: tuple, confident: int, correct: int) -> None:
+        """Count one validation of every ``confident`` slot; ``slots``
+        holds each slot's ``(bit, name)``."""
+        for bit, component in slots:
+            if confident & bit:
+                if correct & bit:
+                    self.correct[component] += 1
+                else:
+                    self.incorrect[component] += 1
         # 8-bit counters: halve them all when any MSB sets, preserving
         # the correct:incorrect ratios.
         if any(
@@ -134,14 +144,26 @@ class _PcAmEntry:
                 self.correct[component] >>= 1
                 self.incorrect[component] >>= 1
 
-    def accuracy(self, component: str) -> float:
-        total = self.correct[component] + self.incorrect[component]
-        if total == 0:
-            return 1.0
-        return self.correct[component] / total
+    def squashed(self, slots: tuple, confident: int,
+                 threshold: float) -> int:
+        """The ``confident`` slots whose accuracy here is below
+        ``threshold`` (a slot with no history counts as accurate)."""
+        squashed = 0
+        for bit, component in slots:
+            if confident & bit:
+                correct = self.correct[component]
+                total = correct + self.incorrect[component]
+                if (correct / total if total else 1.0) < threshold:
+                    squashed |= bit
+        return squashed
 
 
 _TAG_BITS = 10
+
+
+def _slot_bits(names: tuple) -> tuple:
+    """``(bit, name)`` of every slot."""
+    return tuple((1 << slot, name) for slot, name in enumerate(names))
 
 
 def _pc_am_index(pc: int, entries: int) -> int:
@@ -164,22 +186,34 @@ class PcAm(AccuracyMonitor):
         self.entries = entries
         self.accuracy_threshold = accuracy_threshold
         self._names = tuple(component_names)
+        self._slots = _slot_bits(self._names)
         self._table: list[_PcAmEntry | None] = [None] * entries
+        # (index, tag) memo: both are pure functions of the PC.
+        self._keys: dict[int, tuple[int, int]] = {}
+
+    def _key(self, pc: int) -> tuple[int, int]:
+        key = self._keys.get(pc)
+        if key is None:
+            key = self._keys[pc] = (
+                _pc_am_index(pc, self.entries), _pc_am_tag(pc)
+            )
+        return key
 
     def _lookup(self, pc: int) -> _PcAmEntry | None:
-        entry = self._table[_pc_am_index(pc, self.entries)]
-        if entry is not None and entry.tag == _pc_am_tag(pc):
+        index, tag = self._key(pc)
+        entry = self._table[index]
+        if entry is not None and entry.tag == tag:
             return entry
         return None
 
-    def silenced(self, component: str, pc: int) -> bool:
+    def silenced(self, pc: int, confident: int) -> int:
         entry = self._lookup(pc)
-        return (
-            entry is not None
-            and entry.accuracy(component) < self.accuracy_threshold
-        )
+        if entry is None:
+            return 0
+        return entry.squashed(self._slots, confident,
+                              self.accuracy_threshold)
 
-    def record(self, pc, correctness, used_component, used_correct) -> None:
+    def record(self, pc, confident, correct, chosen) -> None:
         entry = self._lookup(pc)
         if entry is None:
             # Allocate only when the used prediction mispredicted and
@@ -188,12 +222,11 @@ class PcAm(AccuracyMonitor):
             # misprediction is not pre-charged -- so a single flush on
             # an otherwise-accurate PC does not silence it; only
             # *sustained* inaccuracy after allocation does.
-            if used_component is not None and not used_correct:
-                self._table[_pc_am_index(pc, self.entries)] = _PcAmEntry(
-                    _pc_am_tag(pc), self._names
-                )
+            if chosen >= 0 and not correct >> chosen & 1:
+                index, tag = self._key(pc)
+                self._table[index] = _PcAmEntry(tag, self._names)
             return
-        entry.update(correctness)
+        entry.update(self._slots, confident, correct)
 
     def storage_bits(self) -> int:
         # tag + two 8-bit counters per component per entry.
@@ -207,26 +240,20 @@ class InfinitePcAm(PcAm):
                  component_names: tuple = COMPONENT_NAMES) -> None:
         self.accuracy_threshold = accuracy_threshold
         self._names = tuple(component_names)
+        self._slots = _slot_bits(self._names)
         self._map: dict[int, _PcAmEntry] = {}
 
     def _lookup(self, pc: int) -> _PcAmEntry | None:
         return self._map.get(pc)
 
-    def silenced(self, component: str, pc: int) -> bool:
-        entry = self._map.get(pc)
-        return (
-            entry is not None
-            and entry.accuracy(component) < self.accuracy_threshold
-        )
-
-    def record(self, pc, correctness, used_component, used_correct) -> None:
+    def record(self, pc, confident, correct, chosen) -> None:
         entry = self._map.get(pc)
         if entry is None:
             # Same two-strike allocation rule as the finite PC-AM.
-            if used_component is not None and not used_correct:
+            if chosen >= 0 and not correct >> chosen & 1:
                 self._map[pc] = _PcAmEntry(0, self._names)
             return
-        entry.update(correctness)
+        entry.update(self._slots, confident, correct)
 
     def storage_bits(self) -> int:  # pragma: no cover - limit study only
         return len(self._map) * (8 * 8)

@@ -10,10 +10,24 @@ At validation time the host (pipeline or functional harness) reports
 which confident components were correct; the composite updates the AM,
 applies the training policy (train-all, or *smart training* per
 Section V-D), and feeds the fusion controller.
+
+One load goes through as plain ints, the way the hardware sees a hit
+vector and a select.  Each component owns a *slot* -- its position in
+:attr:`CompositePredictor.slot_names`, bit ``1 << slot`` of every
+mask.  ``predict`` returns one flat decision record
+(:mod:`repro.predictors.types`): the load's fields, the confident and
+squashed masks, the chosen slot and each slot's predicted int.
+``validate_and_train`` takes it back with the verdict mask.  The
+selection and smart-training priorities are tables indexed by mask,
+and the statistics are counted per (confident, used) and (confident,
+correct) mask pair, then folded into the name-keyed
+:class:`CompositeStats` whenever :attr:`CompositePredictor.stats` is
+read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.common.rng import DeterministicRng
@@ -22,7 +36,19 @@ from repro.composite.config import CompositeConfig
 from repro.composite.fusion import FusionController
 from repro.predictors import COMPONENT_NAMES, make_component
 from repro.predictors.base import ComponentPredictor
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import (
+    CHOSEN,
+    CONFIDENT,
+    DIRECTION,
+    INFLIGHT,
+    LOAD_PATH,
+    ORDINAL,
+    PATH,
+    PC,
+    PREDICTED,
+    SQUASHED,
+    PredictionKind,
+)
 
 #: Selection priority for the canonical four components: value before
 #: address, context-aware before context-agnostic within each group.
@@ -66,23 +92,6 @@ def training_order(components: dict) -> tuple[str, ...]:
             getattr(components[n], "rank", 0),
         ),
     ))
-
-
-@dataclass(slots=True)
-class CompositeDecision:
-    """Fetch-time result: what was predicted and by whom."""
-
-    probe: LoadProbe
-    #: The prediction actually forwarded to the VPE/PAQ (or None).
-    chosen: Prediction | None
-    #: Every confident component's prediction, pre-AM squash.
-    confident: dict[str, Prediction]
-    #: Subset of ``confident`` squashed by the accuracy monitor.
-    squashed: frozenset[str]
-
-    @property
-    def predicted(self) -> bool:
-        return self.chosen is not None
 
 
 @dataclass
@@ -141,6 +150,20 @@ class CompositeStats:
         return sum(self.confident_histogram[2:]) / predicted
 
 
+
+
+@functools.cache
+def _first_in_order(order: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """``table[mask]``: the first slot of ``order`` set in ``mask``
+    (``-1`` when none is), for every mask over ``width`` slots.  Shared
+    by every predictor with the same components (explore builds one
+    per cell)."""
+    return tuple(
+        next((slot for slot in order if mask >> slot & 1), -1)
+        for mask in range(1 << width)
+    )
+
+
 class CompositePredictor:
     """All four component predictors plus filters, as one unit."""
 
@@ -157,19 +180,47 @@ class CompositePredictor:
         }
         if not self.components:
             raise ValueError("composite predictor needs at least one component")
-        # Components are fixed after construction; the items tuple is
-        # what the per-load loops iterate (no dict-view rebuild per load).
-        self._component_items = tuple(self.components.items())
+        #: Component names in slot order: slot ``s`` is bit ``1 << s``.
+        self.slot_names = tuple(self.components)
+        #: Mask of the slots whose predictions are packed addresses.
+        self.address_slots = sum(
+            1 << slot
+            for slot, component in enumerate(self.components.values())
+            if component.kind is PredictionKind.ADDRESS
+        )
+        self._width = width = len(self.slot_names)
+        #: ``(bit, decision position, component)`` of every slot.
+        self._slots = tuple(
+            (1 << slot, PREDICTED + slot, component)
+            for slot, component in enumerate(self.components.values())
+        )
+        self._unpredicted = (None,) * width
         self._selection_order = selection_order(
             self.components, self.config.prefer_value_predictions
         )
         self._training_order = training_order(self.components)
+        slot_of = {name: slot for slot, name in enumerate(self.slot_names)}
+        #: The chosen slot, by mask of confident unsquashed slots.
+        self._choice = _first_in_order(
+            tuple(slot_of[name] for name in self._selection_order), width
+        )
+        #: The bit of the slot smart training trains among the correct
+        #: ones, by verdict mask (0 when none is correct).
+        self._trained_correct = tuple(
+            0 if slot < 0 else 1 << slot
+            for slot in _first_in_order(
+                tuple(slot_of[name] for name in self._training_order), width
+            )
+        )
+        #: SAP's bit: smart training invalidates a correct SAP it does
+        #: not train.
+        self._invalidated = 1 << slot_of["sap"] if "sap" in slot_of else 0
         self.monitor: AccuracyMonitor = make_accuracy_monitor(
             self.config.accuracy_monitor,
             self.config.pc_am_entries,
             self.config.m_am_mpkp_threshold,
             self.config.pc_am_accuracy_threshold,
-            component_names=tuple(self.components),
+            component_names=self.slot_names,
         )
         self.fusion: FusionController | None = None
         if self.config.table_fusion:
@@ -186,21 +237,31 @@ class CompositePredictor:
                 self.config.fusion_observe_epochs,
                 self.config.fusion_revert_epochs,
             )
-        self.stats = CompositeStats()
+        # The non-donor slots and the fusion controller's fusion plus
+        # reversion count they were built at (both only grow, so their
+        # sum changes exactly when the donor set may have).
+        self._live = self._slots
+        self._live_mark = 0
+        self._stats = CompositeStats()
         for tracker in (
-            self.stats.confident_by, self.stats.chosen_by,
-            self.stats.correct_by, self.stats.incorrect_by,
-            self.stats.sole_predictor,
+            self._stats.confident_by, self._stats.chosen_by,
+            self._stats.correct_by, self._stats.incorrect_by,
+            self._stats.sole_predictor,
         ):
             tracker.clear()
             tracker.update(dict.fromkeys(self.components, 0))
         # The histogram needs a bucket per possible confident count.
-        self.stats.confident_histogram = [0] * (len(self.components) + 1)
+        self._stats.confident_histogram = [0] * (width + 1)
+        # Loads counted since the last fold into ``_stats``: by
+        # ``confident << width | used`` at fetch (``used``: the
+        # confident slots left unsquashed), by
+        # ``confident << width | correct`` at validation, by whether the
+        # chosen prediction was correct, and component-train operations.
+        self._fetch_counts = [0] * (1 << 2 * width)
+        self._verdict_counts = [0] * (1 << 2 * width)
+        self._used_counts = [0, 0]
+        self._train_operations = 0
         self._instructions_in_epoch = 0
-        # (fusion mark, items, mapping) of the non-donor components;
-        # donors only change when the fusion counters change, so the
-        # per-load loops reuse this instead of re-filtering.
-        self._active_cache: tuple | None = None
 
     def _build_component(self, name: str, entries: int, rng):
         """Construct one component, applying ``confidence_delta``
@@ -228,187 +289,182 @@ class CompositePredictor:
     # Fetch side
     # ------------------------------------------------------------------
 
-    def predict(self, probe: LoadProbe) -> CompositeDecision:
-        """Probe every component for one fetched load."""
-        confident: dict[str, Prediction] = {}
-        squashed: set[str] = set()
-        silenced = self.monitor.silenced
-        active, _ = self._active()
-        for name, component in active:
-            prediction = component.predict(probe)
-            if prediction is None:
-                continue
-            confident[name] = prediction
-            if silenced(name, probe.pc):
-                squashed.add(name)
-
-        chosen = None
-        for name in self._selection_order:
-            if name in confident and name not in squashed:
-                chosen = confident[name]
-                break
-
-        self.stats.loads += 1
-        count = len(confident)
-        self.stats.confident_histogram[count] += 1
-        for name in confident:
-            self.stats.confident_by[name] += 1
-            if count == 1:
-                self.stats.sole_predictor[name] += 1
-        if chosen is not None:
-            self.stats.predicted_loads += 1
-            self.stats.chosen_by[chosen.component] += 1
-            if self.fusion is not None:
-                self.fusion.note_used_prediction(chosen.component)
-        return CompositeDecision(
-            probe=probe,
-            chosen=chosen,
-            confident=confident,
-            squashed=frozenset(squashed),
-        )
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> list:
+        """Probe every live component for one fetched load; return its
+        decision record."""
+        live = self._live
+        fusion = self.fusion
+        if fusion is not None:
+            live = self._live_slots()
+        decision = [pc, ordinal, direction, path, load_path, inflight,
+                    0, 0, -1, *self._unpredicted]
+        confident = 0
+        for bit, position, component in live:
+            prediction = component.predict(
+                pc, ordinal, direction, path, load_path, inflight
+            )
+            if prediction is not None:
+                confident |= bit
+                decision[position] = prediction
+        if not confident:
+            self._fetch_counts[0] += 1
+            return decision
+        squashed = self.monitor.silenced(pc, confident)
+        used = confident ^ squashed
+        chosen = self._choice[used]
+        decision[CONFIDENT] = confident
+        decision[SQUASHED] = squashed
+        decision[CHOSEN] = chosen
+        self._fetch_counts[confident << self._width | used] += 1
+        if chosen >= 0 and fusion is not None:
+            fusion.note_used_prediction(self.slot_names[chosen])
+        return decision
 
     # ------------------------------------------------------------------
     # Validation / training side
     # ------------------------------------------------------------------
 
     def validate_and_train(
-        self,
-        decision: CompositeDecision,
-        addr: int,
-        size: int,
-        value: int,
-        correctness: dict[str, bool],
+        self, decision: list, addr: int, size: int, value: int,
+        correct: int,
     ) -> None:
         """Validate a load's predictions and apply the training policy.
 
-        Components train on the decision's own fetch-time probe and the
-        load's ``(addr, size, value)``.  ``correctness`` must contain an
-        entry for every component in ``decision.confident``: True if
-        that component's prediction would have produced the correct
-        value (for address predictors the host resolves the probe and
-        the possibility of conflicting stores).
+        Components train on the decision's own fetch-time load fields
+        and the load's ``(addr, size, value)``.  ``correct`` is the
+        verdict mask: the confident slots whose prediction would have
+        produced the correct value (for address predictors the host
+        resolves the probe and the possibility of conflicting stores).
         """
-        # Verdict-completeness check folded into the tally loop: building
-        # two sets per load just to subtract them shows up at simulator
-        # call rates.
-        correct_by = self.stats.correct_by
-        incorrect_by = self.stats.incorrect_by
-        for name in decision.confident:
-            if name not in correctness:
-                missing = set(decision.confident) - set(correctness)
-                raise ValueError(
-                    f"correctness verdicts missing for confident "
-                    f"components: {sorted(missing)}"
-                )
-            if correctness[name]:
-                correct_by[name] += 1
-            else:
-                incorrect_by[name] += 1
-
-        used = decision.chosen.component if decision.chosen else None
-        used_correct = bool(used and correctness[used])
-        if used is not None:
-            if used_correct:
-                self.stats.correct_used += 1
-            else:
-                self.stats.incorrect_used += 1
-        probe = decision.probe
-        if decision.confident:
-            self.monitor.record(
-                probe.pc,
-                {n: correctness[n] for n in decision.confident},
-                used,
-                used_correct,
+        confident = decision[CONFIDENT]
+        if correct & ~confident:
+            raise ValueError(
+                f"verdict mask {correct:#x} has slots outside the "
+                f"confident mask {confident:#x}"
             )
+        self._verdict_counts[confident << self._width | correct] += 1
+        pc = decision[PC]
+        ordinal = decision[ORDINAL]
+        direction = decision[DIRECTION]
+        path = decision[PATH]
+        load_path = decision[LOAD_PATH]
+        inflight = decision[INFLIGHT]
+        live = self._live
+        if self.fusion is not None:
+            live = self._live_slots()
+        if confident:
+            chosen = decision[CHOSEN]
+            if chosen >= 0:
+                self._used_counts[correct >> chosen & 1] += 1
+            self.monitor.record(pc, confident, correct, chosen)
+            wrong = confident ^ correct
+            if wrong:
+                # Misprediction feedback: reset confidence of every
+                # confident component that was wrong (address predictors
+                # need this explicitly; see ComponentPredictor.penalize).
+                for bit, _, component in self._slots:
+                    if wrong & bit:
+                        component.penalize(
+                            pc, ordinal, direction, path, load_path,
+                            inflight, addr, size, value,
+                        )
+            if self.config.smart_training:
+                # The Section V-D policy.  Train (a) every
+                # confident-but-wrong component, to evict its entry
+                # quickly, and (b) the cheapest correct component in the
+                # order LVP, CVP, SAP, CAP.  A correct SAP that was not
+                # chosen for training is invalidated: skipping its
+                # training would break the stored stride anyway.  (No
+                # prediction at all trains everything, below, to
+                # minimize warm-up.)
+                trained = wrong | self._trained_correct[correct]
+                invalidated = correct & self._invalidated & ~trained
+                for bit, _, component in live:
+                    if trained & bit:
+                        component.train(
+                            pc, ordinal, direction, path, load_path,
+                            inflight, addr, size, value,
+                        )
+                        self._train_operations += 1
+                    elif invalidated & bit:
+                        component.invalidate(
+                            pc, ordinal, direction, path, load_path,
+                            inflight, addr, size, value,
+                        )
+                return
+        for _, _, component in live:
+            component.train(
+                pc, ordinal, direction, path, load_path, inflight,
+                addr, size, value,
+            )
+        self._train_operations += len(live)
 
-        # Misprediction feedback: reset confidence of every confident
-        # component that was wrong (address predictors need this
-        # explicitly; see ComponentPredictor.penalize).
-        for name in decision.confident:
-            if not correctness[name]:
-                component = self.components.get(name)
-                if component is not None:
-                    component.penalize(probe, addr, size, value)
+    def _live_slots(self) -> tuple:
+        """The slots of the non-donor components, rebuilt only when the
+        fusion controller has fused or reverted since the last call."""
+        state = self.fusion.state
+        mark = state.fusions_performed + state.reversions_performed
+        if mark != self._live_mark:
+            is_donor = self.fusion.is_donor
+            self._live = tuple(
+                entry for entry, name in zip(self._slots, self.slot_names)
+                if not is_donor(name)
+            )
+            self._live_mark = mark
+        return self._live
 
-        if self.config.smart_training:
-            self._smart_train(decision, addr, size, value, correctness)
-        else:
-            self._train_all(probe, addr, size, value)
+    # ------------------------------------------------------------------
+    # Statistics
+    # ------------------------------------------------------------------
 
-    def _active(self):
-        """``(items, mapping)`` of the non-donor components.
+    @property
+    def stats(self) -> CompositeStats:
+        """The name-keyed counters, every load counted so far included."""
+        self._fold_stats()
+        return self._stats
 
-        Cached against the fusion controller's fusion/reversion
-        counters -- the only events that change the donor set -- so the
-        per-load predict/train loops never rebuild the filtered list.
-        """
-        fusion = self.fusion
-        if fusion is None:
-            return self._component_items, self.components
-        state = fusion.state
-        mark = (state.fusions_performed, state.reversions_performed)
-        cached = self._active_cache
-        if cached is not None and cached[0] == mark:
-            return cached[1], cached[2]
-        is_donor = fusion.is_donor
-        items = tuple(
-            (name, component)
-            for name, component in self._component_items
-            if not is_donor(name)
-        )
-        self._active_cache = (mark, items, dict(items))
-        return items, self._active_cache[2]
-
-    def _train_all(
-        self, probe: LoadProbe, addr: int, size: int, value: int
-    ) -> None:
-        self.stats.train_events += 1
-        active, _ = self._active()
-        for _, component in active:
-            component.train(probe, addr, size, value)
-            self.stats.train_operations += 1
-
-    def _smart_train(
-        self,
-        decision: CompositeDecision,
-        addr: int,
-        size: int,
-        value: int,
-        correctness: dict[str, bool],
-    ) -> None:
-        """The Section V-D policy.
-
-        No prediction at all -> train everything (minimize warm-up).
-        Otherwise train (a) every confident-but-wrong component, to
-        evict its entry quickly, and (b) the cheapest correct component
-        in the order LVP, CVP, SAP, CAP.  A correct SAP that was not
-        chosen for training is invalidated: skipping its training would
-        break the stored stride anyway.
-        """
-        self.stats.train_events += 1
-        _, active = self._active()
-        probe = decision.probe
-        if not decision.confident:
-            for component in active.values():
-                component.train(probe, addr, size, value)
-                self.stats.train_operations += 1
-            return
-
-        correct = [
-            name for name in self._training_order
-            if name in decision.confident and correctness[name]
-        ]
-        to_train = {
-            name for name in decision.confident if not correctness[name]
-        }
-        if correct:
-            to_train.add(correct[0])
-        for name in to_train:
-            if name in active:
-                active[name].train(probe, addr, size, value)
-                self.stats.train_operations += 1
-        if "sap" in correct and "sap" not in to_train and "sap" in active:
-            active["sap"].invalidate(probe, addr, size, value)
+    def _fold_stats(self) -> None:
+        """Add the mask-indexed counts into :attr:`stats` and clear them."""
+        stats = self._stats
+        names = self.slot_names
+        width = self._width
+        low = (1 << width) - 1
+        for key, count in enumerate(self._fetch_counts):
+            if not count:
+                continue
+            confident = key >> width
+            chosen = self._choice[key & low]
+            k = confident.bit_count()
+            stats.loads += count
+            stats.confident_histogram[k] += count
+            for slot, name in enumerate(names):
+                if confident >> slot & 1:
+                    stats.confident_by[name] += count
+                    if k == 1:
+                        stats.sole_predictor[name] += count
+            if chosen >= 0:
+                stats.predicted_loads += count
+                stats.chosen_by[names[chosen]] += count
+        for key, count in enumerate(self._verdict_counts):
+            if not count:
+                continue
+            confident = key >> width
+            stats.train_events += count
+            for slot, name in enumerate(names):
+                if key >> slot & 1:
+                    stats.correct_by[name] += count
+                elif confident >> slot & 1:
+                    stats.incorrect_by[name] += count
+        stats.incorrect_used += self._used_counts[0]
+        stats.correct_used += self._used_counts[1]
+        stats.train_operations += self._train_operations
+        self._fetch_counts = [0] * len(self._fetch_counts)
+        self._verdict_counts = [0] * len(self._verdict_counts)
+        self._used_counts = [0, 0]
+        self._train_operations = 0
 
     # ------------------------------------------------------------------
     # Epochs

@@ -19,7 +19,7 @@ from repro.common.fpc import FpcVector
 from repro.common.hashing import pc_index, pc_tag
 from repro.common.rng import DeterministicRng
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _VALUE_MASK = mask(64)
@@ -61,21 +61,24 @@ class EStridePredictor:
             float(p) for p in NONZERO_FPC.probabilities
         )
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        index = pc_index(probe.pc, self._table.index_bits)
-        tag = pc_tag(probe.pc, _TAG_BITS)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        index = pc_index(pc, self._table.index_bits)
+        tag = pc_tag(pc, _TAG_BITS)
         tags, last_values, strides, confs = self._bank0
         if tags[index] != tag or confs[index] < CONFIDENCE_THRESHOLD:
             return None
         stride = sign_extend(strides[index], _STRIDE_BITS)
-        value = (
-            last_values[index] + stride * (1 + probe.inflight_same_pc)
-        ) & _VALUE_MASK
-        return Prediction(component=self.name, kind=self.kind, value=value)
+        return (last_values[index] + stride * (1 + inflight)) & _VALUE_MASK
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
-        index = pc_index(probe.pc, self._table.index_bits)
-        tag = pc_tag(probe.pc, _TAG_BITS)
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
+        index = pc_index(pc, self._table.index_bits)
+        tag = pc_tag(pc, _TAG_BITS)
         value &= _VALUE_MASK
         tags, last_values, strides, confs = self._bank0
         if tags[index] == tag:

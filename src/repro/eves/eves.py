@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.rng import DeterministicRng
-from repro.composite.composite import CompositeDecision
 from repro.eves.estride import EStridePredictor
 from repro.eves.evtage import EVtagePredictor
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import CONFIDENT, PredictionKind
 
 
 @dataclass(frozen=True)
@@ -33,15 +32,17 @@ class EvesPredictor:
     championship design.
 
     It is a value-predictor host itself (see
-    :class:`repro.pipeline.vp.ValuePredictorHost`): ``predict`` returns
-    a :class:`~repro.composite.composite.CompositeDecision` whose one
-    confident prediction is always the chosen one, and EVES has no
-    epochs, so ``tick_instructions`` does nothing.
+    :class:`repro.pipeline.vp.ValuePredictorHost`) with one value slot,
+    ``"eves"``: a confident prediction from either side is always the
+    chosen one, and EVES has no epochs, so ``tick_instructions`` does
+    nothing.
     """
 
     name = "eves"
     kind = PredictionKind.VALUE
     context_aware = True
+    slot_names = ("eves",)
+    address_slots = 0
 
     def __init__(self, config: EvesConfig | None = None) -> None:
         self.config = config or EvesConfig()
@@ -54,31 +55,35 @@ class EvesPredictor:
             rng=rng,
         )
 
-    def predict(self, probe: LoadProbe) -> CompositeDecision:
-        prediction = self.estride.predict(probe)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> list:
+        prediction = self.estride.predict(
+            pc, ordinal, direction, path, load_path, inflight
+        )
         if prediction is None:
-            prediction = self.evtage.predict(probe)
-        if prediction is None:
-            return CompositeDecision(
-                probe=probe, chosen=None, confident={}, squashed=frozenset()
+            prediction = self.evtage.predict(
+                pc, ordinal, direction, path, load_path, inflight
             )
-        chosen = Prediction(
-            component=self.name, kind=self.kind, value=prediction.value
-        )
-        return CompositeDecision(
-            probe=probe,
-            chosen=chosen,
-            confident={self.name: chosen},
-            squashed=frozenset(),
-        )
+        if prediction is None:
+            return [pc, ordinal, direction, path, load_path, inflight,
+                    0, 0, -1, None]
+        return [pc, ordinal, direction, path, load_path, inflight,
+                1, 0, 0, prediction]
 
     def validate_and_train(
-        self, decision: CompositeDecision, addr: int, size: int, value: int,
-        correctness: dict[str, bool],
+        self, decision: list, addr: int, size: int, value: int,
+        correct: int,
     ) -> None:
-        probe = decision.probe
-        self.estride.train(probe, addr, size, value)
-        self.evtage.train(probe, addr, size, value)
+        if correct & ~decision[CONFIDENT]:
+            raise ValueError(
+                f"verdict mask {correct:#x} has slots outside the "
+                f"confident mask {decision[CONFIDENT]:#x}"
+            )
+        load = decision[:CONFIDENT]  # the six load fields
+        self.estride.train(*load, addr, size, value)
+        self.evtage.train(*load, addr, size, value)
 
     def tick_instructions(self, count: int) -> None:
         pass

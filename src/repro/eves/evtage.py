@@ -22,7 +22,7 @@ from repro.common.fpc import FpcVector
 from repro.common.hashing import mix64, pc_index
 from repro.common.rng import DeterministicRng
 from repro.predictors.table import INVALID_TAG
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _TAG_MASK = mask(_TAG_BITS)
@@ -136,11 +136,11 @@ class EVtagePredictor:
             pairs.append((v, t))
         return pc_index(pc, self._base_bits), tuple(pairs)
 
-    def _row(self, probe: LoadProbe) -> tuple:
+    def _row(self, pc: int, direction: int, path: int) -> tuple:
         """The hashes of one load, computed by :meth:`_hashes` behind a
         one-entry memo (a load's ``train`` re-hashes with the histories
         its ``predict`` saw)."""
-        key = (probe.pc, probe.direction_history, probe.path_history)
+        key = (pc, direction, path)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
             self._hash_memo = self._hashes(*key)
@@ -160,25 +160,29 @@ class EVtagePredictor:
                 return table, index
         return -1, base
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        table, index = self._find_provider(self._row(probe))
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        table, index = self._find_provider(self._row(pc, direction, path))
         if table >= 0:
             _, values, confs, _ = self._tables[table]
         else:
             values, confs = self._base
         if confs[index] >= CONFIDENCE_THRESHOLD:
-            return Prediction(
-                component=self.name, kind=self.kind, value=values[index]
-            )
+            return values[index]
         return None
 
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
         value &= _VALUE_MASK
-        row = self._row(probe)
+        row = self._row(pc, direction, path)
         table, index = self._find_provider(row)
         if table >= 0:
             _, values, confs, useful = self._tables[table]

@@ -16,6 +16,7 @@ from repro.isa.trace import Trace
 from repro.pipeline.core import simulate
 from repro.pipeline.result import SimResult
 from repro.pipeline.vp import ValuePredictorHost
+from repro.predictors.types import CHOSEN, CONFIDENT, PC
 
 
 @dataclass
@@ -67,27 +68,28 @@ class _AttributingHost:
         self._inner = inner
         self._pc_kernel = pc_kernel
         self._attribution = attribution
-
-    def predict(self, probe):
-        return self._inner.predict(probe)
+        self.slot_names = inner.slot_names
+        self.address_slots = inner.address_slots
+        self.predict = inner.predict
 
     def validate_and_train(self, decision, addr, size, value,
-                           correctness) -> None:
-        kernel = self._pc_kernel.get(decision.probe.pc, "?")
-        chosen = decision.chosen.component if decision.chosen else None
-        for name in decision.confident:
-            if name == chosen:
+                           correct) -> None:
+        kernel = self._pc_kernel.get(decision[PC], "?")
+        confident = decision[CONFIDENT]
+        chosen = decision[CHOSEN]
+        for slot, name in enumerate(self.slot_names):
+            if not confident >> slot & 1:
+                continue
+            if slot == chosen:
                 bucket = (
                     self._attribution.used_correct
-                    if correctness[name]
+                    if correct >> slot & 1
                     else self._attribution.used_incorrect
                 )
                 bucket[(kernel, name)] += 1
             else:
                 self._attribution.confident_unused[(kernel, name)] += 1
-        self._inner.validate_and_train(
-            decision, addr, size, value, correctness
-        )
+        self._inner.validate_and_train(decision, addr, size, value, correct)
 
     def tick_instructions(self, count: int) -> None:
         self._inner.tick_instructions(count)

@@ -142,7 +142,7 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
     """
     from repro.branch.history import HistorySet
     from repro.memory.image import MemoryImage
-    from repro.predictors.types import LoadProbe, PredictionKind
+    from repro.predictors.types import PredictionKind, address_of, size_of
 
     trace = listing1_trace(outer_m=outer_m, inner_n=inner_n)
     scan_pc = trace.metadata["scan_load_pc"]
@@ -166,25 +166,21 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
                 continue
             if not inst.is_load:
                 continue
-            probe = LoadProbe(
-                pc=inst.pc,
-                direction_history=histories.direction,
-                path_history=histories.path,
-                load_path_history=histories.load_path,
-            )
-            prediction = predictor.predict(probe)
+            load = (inst.pc, -1, histories.direction, histories.path,
+                    histories.load_path, 0)
+            prediction = predictor.predict(*load)
             if inst.pc == scan_pc:
                 outer, inner = divmod(scan_count, inner_n)
                 scan_count += 1
                 if prediction is not None and first_predicted[outer] is None:
-                    correct = (
-                        prediction.value == inst.value
-                        if prediction.kind is PredictionKind.VALUE
-                        else mem.read(prediction.addr, prediction.size) == inst.value
-                    )
+                    if predictor.kind is PredictionKind.ADDRESS:
+                        prediction = mem.read(
+                            address_of(prediction), size_of(prediction)
+                        )
+                    correct = prediction == inst.value
                     if correct:
                         first_predicted[outer] = inner
-            predictor.train(probe, inst.addr, inst.size, inst.value)
+            predictor.train(*load, inst.addr, inst.size, inst.value)
             histories.push_memory(inst.pc)
         table[name] = first_predicted
     return {

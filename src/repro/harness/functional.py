@@ -9,7 +9,7 @@ the speed of the cycle model.
 
 Functional mode has no in-flight window: address-prediction probes see
 all older stores (no conflicting-store mispredictions) and
-``inflight_same_pc`` is always zero.  Timing-sensitive effects need
+the in-flight count is always zero.  Timing-sensitive effects need
 :func:`repro.pipeline.simulate`.
 """
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from repro.branch.history import HistorySet
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
-from repro.pipeline.vp import ValuePredictorHost
-from repro.predictors.types import LoadProbe, PredictionKind
+from repro.pipeline.vp import ValuePredictorHost, judge
 
 #: Semantics version of the functional evaluator, registered with the
 #: results database (:mod:`repro.harness.resultsdb`).  Bump whenever a
@@ -72,15 +71,14 @@ class FunctionalResult:
         return self.disagreements / self.multi_confident_loads
 
 
-def probe_load(histories: HistorySet, pc: int) -> LoadProbe:
-    """The program-order probe for the load at ``pc``: the current
-    histories, no loads in flight."""
-    return LoadProbe(
-        pc=pc,
-        direction_history=histories.direction,
-        path_history=histories.path,
-        load_path_history=histories.load_path,
-        inflight_same_pc=0,
+def probe_load(
+    predictor: ValuePredictorHost, histories: HistorySet, pc: int
+):
+    """Probe ``predictor`` in program order for the load at ``pc``:
+    the current histories, no ordinal, no loads in flight.  Returns
+    the decision."""
+    return predictor.predict(
+        pc, -1, histories.direction, histories.path, histories.load_path, 0
     )
 
 
@@ -91,25 +89,17 @@ def judge_and_train(
     addr: int,
     size: int,
     value: int,
-) -> tuple[dict[str, bool], list[int]]:
-    """Judge every confident component of ``decision``, then train.
+) -> int:
+    """Judge every confident slot of ``decision``, then train.
 
     A value prediction is judged by its value, an address prediction
-    by what ``mem`` holds at its address now.  The predictor trains on
-    ``(addr, size, value)`` with the decision's own probe.  Returns the
-    verdicts and the speculative values in confident order.
+    by what ``mem`` holds at its address now (:func:`judge`).  The
+    predictor trains on ``(addr, size, value)`` with the decision's
+    own load fields.  Returns the verdict mask.
     """
-    correctness = {}
-    speculative_values = []
-    for name, prediction in decision.confident.items():
-        if prediction.kind is PredictionKind.VALUE:
-            speculative = prediction.value
-        else:
-            speculative = mem.read(prediction.addr, prediction.size)
-        speculative_values.append(speculative)
-        correctness[name] = speculative == value
-    predictor.validate_and_train(decision, addr, size, value, correctness)
-    return correctness, speculative_values
+    correct = judge(decision, value, mem, predictor.address_slots)
+    predictor.validate_and_train(decision, addr, size, value, correct)
+    return correct
 
 
 def run_functional(

@@ -8,8 +8,10 @@ trace-driven models: wrong-path instructions are never simulated).
 
 Value-prediction flow per predictable load (Figure 1 of the paper):
 
-1. at fetch, the predictor assembly is probed with the speculative
-   histories and the in-flight count for this PC;
+1. at fetch, the predictor assembly is probed with the load's fields
+   as plain ints -- its PC, its ordinal, the speculative histories and
+   the in-flight count for this PC -- and answers with one flat
+   decision record (:mod:`repro.predictors.types`);
 2. a chosen VALUE prediction is available in the VPE at dispatch; a
    chosen ADDRESS prediction waits ``paq_queue_delay`` cycles in the
    PAQ, probes the L1D (non-allocating), and, on a hit, delivers the
@@ -19,10 +21,11 @@ Value-prediction flow per predictable load (Figure 1 of the paper):
    the architectural value.  A used-and-wrong prediction flushes the
    pipeline: fetch restarts after the load completes;
 5. the predictor assembly trains with the fetch-time decision, the
-   load's ``(addr, size, value)`` and the per-component correctness
-   verdicts (address predictions are judged by the *value* the probe
-   returned, so a conflicting in-flight store or a
-   wrong-but-coincidentally-equal address is decided exactly).
+   load's ``(addr, size, value)`` and the verdict mask, one bit per
+   confident slot whose prediction was right (address predictions are
+   judged by the *value* the probe returned, so a conflicting
+   in-flight store or a wrong-but-coincidentally-equal address is
+   decided exactly).
 
 One loop computes the pass.  :meth:`CoreModel.run` iterates the packed
 :class:`repro.isa.columns.TraceColumns` (packing an object-built trace
@@ -40,7 +43,7 @@ predictor assembly run on it.  The stream also memoizes the
 context-aware components' per-load table hashes (CVP and CAP hash
 only the load PC and these histories):
 :meth:`CoreModel.run` binds the stream to the predictor assembly for
-the run, and every probe carries the load's ordinal, by which those
+the run, and every probe passes the load's ordinal, by which those
 components look the hashes up instead of recomputing them.
 
 The memory hierarchy is trace-determined too.  A PAQ probe reads the
@@ -103,8 +106,14 @@ from repro.pipeline.frontend import frontend_stream
 from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
-from repro.pipeline.vp import NoPredictor, ValuePredictorHost
-from repro.predictors.types import LoadProbe, PredictionKind
+from repro.pipeline.vp import NoPredictor, ValuePredictorHost, judge
+from repro.predictors.types import (
+    CHOSEN,
+    CONFIDENT,
+    PREDICTED,
+    address_of,
+    size_of,
+)
 
 #: Semantics version of the timing model, registered with the results
 #: database (:mod:`repro.harness.resultsdb`).  Bump whenever a change
@@ -457,22 +466,18 @@ class CoreModel:
                     validate_and_train(d, a, s, v, c)
                 if predictable:
                     # The fetch-time histories, as recorded in program
-                    # order (training reuses the decision's probe once
-                    # the load completes).
+                    # order (training reuses the decision's load fields
+                    # once the load completes).
                     flights = inflight_get(pc)
                     inflight = 0
                     if flights:
                         while flights and flights[0] <= fetch:
                             flights.popleft()
                         inflight = len(flights)
-                    decision = predict(LoadProbe(
-                        pc=pc,
-                        direction_history=snap_directions[probe],
-                        path_history=snap_paths[probe],
-                        load_path_history=snap_load_paths[probe],
-                        inflight_same_pc=inflight,
-                        ordinal=probe,
-                    ))
+                    decision = predict(
+                        pc, probe, snap_directions[probe], snap_paths[probe],
+                        snap_load_paths[probe], inflight,
+                    )
                     probe += 1
 
             dispatch = fetch + depth
@@ -554,9 +559,9 @@ class CoreModel:
                 writeback = complete
                 if decision is not None:
                     value = values[i]
-                    correctness = {}
-                    if decision.confident:
-                        writeback, correctness = validate_load(
+                    correct = 0
+                    if decision[CONFIDENT]:
+                        writeback, correct = validate_load(
                             value, decision, dispatch, complete,
                             mem, pending_stores, store_info, hierarchy,
                             l1d_hit, cfg, result, fetch, paq, vpe,
@@ -569,7 +574,7 @@ class CoreModel:
                             current_block = -1
                     heappush(pending_updates, (
                         complete, update_seq, decision, addr, size, value,
-                        correctness,
+                        correct,
                     ))
                     update_seq += 1
                 if dest != REG_NONE:
@@ -706,14 +711,14 @@ class CoreModel:
         self, value, decision, dispatch, complete,
         mem, pending_stores, store_info, hierarchy, l1d_hit, cfg, result,
         fetch, paq, vpe,
-    ) -> tuple[int, dict[str, bool]]:
+    ) -> tuple[int, int]:
         """Resolve predictions for one load.
 
         ``value`` is the load's architectural result.  Returns the
         cycle at which the load's destination register is available to
         consumers, or a negative sentinel if a value misprediction
         flushed the pipeline (the caller applies the redirect), and the
-        per-component correctness verdicts for the training call.
+        verdict mask for the training call.
 
         The PAQ probe launches from the front end (the predictor is
         probed at fetch; Figure 1 step 2), so predicted-address data can
@@ -726,29 +731,25 @@ class CoreModel:
             _, addr, size, stored = pending_stores.popleft()
             mem.write(addr, size, stored)
 
-        correctness: dict[str, bool] = {}
-        probe_hit = False
-        chosen = decision.chosen
-        for name, prediction in decision.confident.items():
-            if prediction.kind is PredictionKind.VALUE:
-                correctness[name] = prediction.value == value
-            else:
-                probe_value = mem.read(prediction.addr, prediction.size)
-                correctness[name] = probe_value == value
-                if chosen is not None and name == chosen.component:
-                    probe_hit, _ = hierarchy.probe_l1d(prediction.addr)
-
-        if chosen is None:
-            return complete, correctness
+        address_slots = self.predictor.address_slots
+        correct = judge(decision, value, mem, address_slots)
+        chosen = decision[CHOSEN]
+        if chosen < 0:
+            return complete, correct
+        address = address_slots >> chosen & 1
+        if address:
+            prediction = decision[PREDICTED + chosen]
+            chosen_addr = address_of(prediction)
+            probe_hit, _ = hierarchy.probe_l1d(chosen_addr)
 
         # A chosen prediction needs a VPE slot from fetch until the
         # load validates; full VPE -> prediction dropped.
         if vpe.earliest_allocation() > fetch:
             result.dropped_queue_full += 1
-            return complete, correctness
+            return complete, correct
         vpe.admit(complete)
 
-        if chosen.kind is PredictionKind.VALUE:
+        if not address:
             # The predictor is probed at fetch and the value sits in the
             # VPE a couple of cycles later -- before any consumer can
             # reach rename, making the load appear zero-cycle.
@@ -758,15 +759,15 @@ class CoreModel:
             # from fetch until the probe returns.
             if paq.earliest_allocation() > fetch:
                 result.dropped_queue_full += 1
-                return complete, correctness
+                return complete, correct
             paq.admit(t_probe + l1d_hit)
             result.paq_probes += 1
             if not probe_hit:
                 # Probe missed: prediction dropped, no value forwarded.
                 result.dropped_probe_misses += 1
                 if cfg.paq_prefetch_on_miss:
-                    hierarchy.l1d.fill(chosen.addr, from_prefetch=True)
-                return complete, correctness
+                    hierarchy.l1d.fill(chosen_addr, from_prefetch=True)
+                return complete, correct
             # PAQ store-queue CAM (DLVP's conflicting-store filter): an
             # older in-flight store to the predicted address whose
             # *address is already known* (issued by probe time) makes
@@ -774,23 +775,23 @@ class CoreModel:
             # data.  A store whose address resolves later is invisible
             # to the CAM -- the stale forward proceeds and is caught at
             # validation (the genuine misprediction case).
-            word_lo = chosen.addr >> 3
-            word_hi = (chosen.addr + max(chosen.size, 1) - 1) >> 3
+            word_lo = chosen_addr >> 3
+            word_hi = (chosen_addr + size_of(prediction) - 1) >> 3
             for word in range(word_lo, word_hi + 1):
                 info = store_info.get(word)
                 if info is not None and info[1] > t_probe >= info[0]:
                     result.dropped_store_conflicts += 1
-                    return complete, correctness
+                    return complete, correct
             vpe_ready = t_probe + l1d_hit
 
         result.predicted_loads += 1
-        if correctness[chosen.component]:
+        if correct >> chosen & 1:
             result.correct_predictions += 1
             if vpe_ready > complete:
                 vpe_ready = complete
-            return vpe_ready, correctness
+            return vpe_ready, correct
         result.value_mispredictions += 1
-        return -1, correctness  # flush sentinel
+        return -1, correct  # flush sentinel
 
 
 def simulate(

@@ -9,7 +9,7 @@ CVP   load values              aware (br. path)  VTAGE [7], [8]
 CAP   load addresses           aware (ld. path)  DLVP [3]
 ====  =======================  ================  ====================
 
-All four share the probe/prediction types in
+All four speak the plain-int prediction contract of
 :mod:`repro.predictors.types`, use forward probabilistic counters for
 confidence (:mod:`repro.predictors.fpc_vectors`), and store their state
 in banked tagged tables (:mod:`repro.predictors.table`) so the composite
@@ -23,11 +23,7 @@ from repro.predictors.lap import LapPredictor
 from repro.predictors.lvp import LvpPredictor
 from repro.predictors.sap import SapPredictor
 from repro.predictors.svp import SvpPredictor
-from repro.predictors.types import (
-    LoadProbe,
-    Prediction,
-    PredictionKind,
-)
+from repro.predictors.types import PredictionKind
 
 #: The paper's four components, in construction order.
 COMPONENT_NAMES = ("lvp", "sap", "cvp", "cap")
@@ -67,9 +63,7 @@ __all__ = [
     "ComponentPredictor",
     "CvpPredictor",
     "LapPredictor",
-    "LoadProbe",
     "LvpPredictor",
-    "Prediction",
     "PredictionKind",
     "SapPredictor",
     "SvpPredictor",

@@ -1,4 +1,10 @@
-"""Abstract base class shared by the four component predictors."""
+"""Abstract base class shared by the component predictors.
+
+Every component speaks the plain-int contract of
+:mod:`repro.predictors.types`: ``predict`` takes a load's six fields
+and returns one int or ``None``; ``train``, ``penalize`` and
+``invalidate`` take the same fields plus ``(addr, size, value)``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import abc
 
 from repro.common.fpc import FpcVector
 from repro.common.rng import DeterministicRng
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 
 class ComponentPredictor(abc.ABC):
@@ -18,10 +24,15 @@ class ComponentPredictor(abc.ABC):
     fusion uses.
 
     The prediction/training contract mirrors the hardware: ``predict``
-    is called at fetch with a :class:`LoadProbe` of fetch-time
-    histories, ``train`` at execute with the *same* probe plus the
-    load's ``(addr, size, value)``, so both operations index the same
-    table entries.
+    is called at fetch with the load's fetch-time fields, ``train`` at
+    execute with the *same* fields plus the load's
+    ``(addr, size, value)``, so both operations index the same table
+    entries.  The fields are ``pc``; ``ordinal``, the load's index
+    among the trace's predictable loads during a whole-trace timing
+    run (``-1`` anywhere else); the raw ``direction``, ``path`` and
+    ``load_path`` histories; and ``inflight``, the number of older
+    in-flight instances of the same static load (SAP advances its
+    stride by it, the enhancement the paper borrows from EVES).
     """
 
     #: Short name used in reports ("lvp", "sap", "cvp", "cap", ...).
@@ -30,7 +41,8 @@ class ComponentPredictor(abc.ABC):
     #: class; lower is earlier in selection/training orders.
     rank: int = 0
     #: VALUE predictors produce values directly; ADDRESS predictors
-    #: produce an address that the PAQ resolves against the D-cache.
+    #: produce an address, with ``log2(size)`` in its two low bits, that
+    #: the PAQ resolves against the D-cache.
     kind: PredictionKind
     #: Whether the predictor consumes program (branch/load path) history.
     context_aware: bool
@@ -59,28 +71,36 @@ class ComponentPredictor(abc.ABC):
         :class:`repro.pipeline.frontend.FrontEndStream` before the run
         and ``None`` after it.  Context-aware predictors override this
         to look up their per-load table hashes in the stream, keyed by
-        ``LoadProbe.ordinal``; with no stream
-        bound (serve sessions, single RPCs, the test oracles) they hash
-        each load's raw histories with their scalar reference instead.
-        PC-only predictors ignore it.
+        the load's ``ordinal``; with no stream bound (serve sessions,
+        single RPCs, the test oracles) they hash each load's raw
+        histories with their scalar reference instead.  PC-only
+        predictors ignore it.
         """
 
     @abc.abstractmethod
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        """Return a high-confidence prediction for a fetched load, or None."""
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        """The high-confidence prediction for a fetched load, or None."""
 
     @abc.abstractmethod
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
-        """Learn from an executed load: the fetch-time ``probe`` and
-        the load's address, size and architectural value."""
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
+        """Learn from an executed load: its fetch-time fields and its
+        address, size and architectural value."""
 
     def invalidate(
-        self, probe: LoadProbe, addr: int, size: int, value: int
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
         """Drop state for this load (smart training uses this on SAP)."""
 
     def penalize(
-        self, probe: LoadProbe, addr: int, size: int, value: int
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
         """Reset confidence after this predictor's prediction proved wrong.
 

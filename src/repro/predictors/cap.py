@@ -21,7 +21,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import CAP_CONFIDENCE_THRESHOLD, CAP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _TAG_MASK = mask(_TAG_BITS)
@@ -114,23 +114,30 @@ class CapPredictor(ComponentPredictor):
         index, tag = self.hash_columns(pc, load_path)
         return list(zip(index.tolist(), tag.tolist()))
 
-    def _row(self, probe: LoadProbe) -> tuple[int, int]:
+    def _row(self, pc: int, ordinal: int, load_path: int) -> tuple[int, int]:
         """``(index, tag)`` of one load: looked up by ordinal in the
         bound front-end stream's rows during a whole-trace timing run,
         computed by :meth:`_hashes` behind a one-entry memo anywhere
         else (a load's ``train`` and ``penalize`` re-hash with the
         load path its ``predict`` saw).  Bit-identical either way."""
         rows = self._rows
-        if rows is not None and probe.ordinal >= 0:
-            return rows[probe.ordinal]
-        key = (probe.pc, probe.load_path_history)
+        if rows is not None and ordinal >= 0:
+            return rows[ordinal]
+        key = (pc, load_path)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
             self._hash_memo = self._hashes(*key)
         return self._hash_memo
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        index, tag = self._row(probe)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
+        index, tag = (
+            rows[ordinal] if rows is not None and ordinal >= 0
+            else self._row(pc, ordinal, load_path)
+        )
         if len(self._banks) == 1:
             tags, addrs, sizes, confs = self._bank0
             if tags[index] != tag:
@@ -142,25 +149,28 @@ class CapPredictor(ComponentPredictor):
             tags, addrs, sizes, confs = bank
         if confs[index] < self.confidence_threshold:
             return None
-        return Prediction(
-            component=self.name,
-            kind=self.kind,
-            addr=addrs[index],
-            size=1 << sizes[index],
-        )
+        return addrs[index] << 2 | sizes[index]
 
     def penalize(
-        self, probe: LoadProbe, addr: int, size: int, value: int
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
         """Reset confidence after a wrong speculative value (the
         address may still match when an in-flight store conflicted)."""
-        index, tag = self._row(probe)
+        index, tag = self._row(pc, ordinal, load_path)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[-1][index] = 0
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
-        index, tag = self._row(probe)
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
+        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
+        index, tag = (
+            rows[ordinal] if rows is not None and ordinal >= 0
+            else self._row(pc, ordinal, load_path)
+        )
         addr &= _ADDR_MASK
         size_log2 = size.bit_length() - 1
         if len(self._banks) == 1:

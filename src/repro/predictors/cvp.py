@@ -27,7 +27,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import CVP_CONFIDENCE_THRESHOLD, CVP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _TAG_MASK = mask(_TAG_BITS)
@@ -183,7 +183,9 @@ class CvpPredictor(ComponentPredictor):
     # Prediction / training
     # ------------------------------------------------------------------
 
-    def _row(self, probe: LoadProbe) -> list[tuple[int, int]]:
+    def _row(
+        self, pc: int, ordinal: int, direction: int, path: int
+    ) -> list[tuple[int, int]]:
         """Per-table ``(index, tag)`` pairs of one load.
 
         A whole-trace timing run looks them up by ordinal in the bound
@@ -195,16 +197,23 @@ class CvpPredictor(ComponentPredictor):
         and recomputes.  Bit-identical either way.
         """
         rows = self._rows
-        if rows is not None and probe.ordinal >= 0:
-            return rows[probe.ordinal]
-        key = (probe.pc, probe.direction_history, probe.path_history)
+        if rows is not None and ordinal >= 0:
+            return rows[ordinal]
+        key = (pc, direction, path)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
             self._hash_memo = self._hashes(*key)
         return self._hash_memo
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        hashes = self._row(probe)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
+        hashes = (
+            rows[ordinal] if rows is not None and ordinal >= 0
+            else self._row(pc, ordinal, direction, path)
+        )
         one_bank = len(self._t0_banks) == 1
         for table in range(len(hashes) - 1, -1, -1):
             index, tag = hashes[table]
@@ -217,15 +226,19 @@ class CvpPredictor(ComponentPredictor):
                 if bank is None:
                     continue
             if bank[2][index] >= self.confidence_threshold:
-                return Prediction(
-                    component=self.name, kind=self.kind,
-                    value=bank[1][index],
-                )
+                return bank[1][index]
         return None
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
         value &= _VALUE_MASK
-        hashes = self._row(probe)
+        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
+        hashes = (
+            rows[ordinal] if rows is not None and ordinal >= 0
+            else self._row(pc, ordinal, direction, path)
+        )
         one_bank = len(self._t0_banks) == 1
         for table, (index, tag) in enumerate(hashes):
             if one_bank:

@@ -22,7 +22,7 @@ from repro.common.hashing import pc_index, pc_tag
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _ADDR_MASK = mask(49)
@@ -60,9 +60,12 @@ class LapPredictor(ComponentPredictor):
     def _tables(self) -> list:
         return [self._table]
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        index = pc_index(probe.pc, self._table.index_bits)
-        tag = pc_tag(probe.pc, _TAG_BITS)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        index = pc_index(pc, self._table.index_bits)
+        tag = pc_tag(pc, _TAG_BITS)
         if len(self._banks) == 1:
             tags, addrs, sizes, confs = self._bank0
             if tags[index] != tag:
@@ -74,14 +77,14 @@ class LapPredictor(ComponentPredictor):
             tags, addrs, sizes, confs = bank
         if confs[index] < self.confidence_threshold:
             return None
-        return Prediction(
-            component=self.name, kind=self.kind,
-            addr=addrs[index], size=1 << sizes[index],
-        )
+        return addrs[index] << 2 | sizes[index]
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
-        index = pc_index(probe.pc, self._table.index_bits)
-        tag = pc_tag(probe.pc, _TAG_BITS)
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
+        index = pc_index(pc, self._table.index_bits)
+        tag = pc_tag(pc, _TAG_BITS)
         addr &= _ADDR_MASK
         size_log2 = size.bit_length() - 1
         if len(self._banks) == 1:
@@ -100,9 +103,10 @@ class LapPredictor(ComponentPredictor):
         confs[index] = 0
 
     def penalize(
-        self, probe: LoadProbe, addr: int, size: int, value: int
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
-        index = pc_index(probe.pc, self._table.index_bits)
-        bank = self._table.find(index, pc_tag(probe.pc, _TAG_BITS))
+        index = pc_index(pc, self._table.index_bits)
+        bank = self._table.find(index, pc_tag(pc, _TAG_BITS))
         if bank is not None:
             bank[-1][index] = 0

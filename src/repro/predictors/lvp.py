@@ -17,7 +17,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import LVP_CONFIDENCE_THRESHOLD, LVP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _VALUE_MASK = mask(64)
@@ -62,8 +62,11 @@ class LvpPredictor(ComponentPredictor):
             )
         return cached
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        index, tag = self._hashes(probe.pc)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        index, tag = self._pc_hashes.get(pc) or self._hashes(pc)
         if len(self._banks) == 1:
             tags, values, confs = self._bank0
             if tags[index] != tag:
@@ -75,12 +78,13 @@ class LvpPredictor(ComponentPredictor):
             tags, values, confs = bank
         if confs[index] < self.confidence_threshold:
             return None
-        return Prediction(
-            component=self.name, kind=self.kind, value=values[index]
-        )
+        return values[index]
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
-        index, tag = self._hashes(probe.pc)
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
+        index, tag = self._pc_hashes.get(pc) or self._hashes(pc)
         value &= _VALUE_MASK
         if len(self._banks) == 1:
             tags, values, confs = self._bank0

@@ -22,7 +22,7 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.fpc_vectors import SAP_CONFIDENCE_THRESHOLD, SAP_FPC
 from repro.predictors.table import INVALID_TAG, BankedTable
-from repro.predictors.types import LoadProbe, Prediction, PredictionKind
+from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
 _ADDR_BITS = 49
@@ -70,8 +70,11 @@ class SapPredictor(ComponentPredictor):
             )
         return cached
 
-    def predict(self, probe: LoadProbe) -> Prediction | None:
-        index, tag = self._hashes(probe.pc)
+    def predict(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> int | None:
+        index, tag = self._pc_hashes.get(pc) or self._hashes(pc)
         if len(self._banks) == 1:
             tags, last_addrs, strides, sizes, confs = self._bank0
             if tags[index] != tag:
@@ -84,18 +87,14 @@ class SapPredictor(ComponentPredictor):
         if confs[index] < self.confidence_threshold:
             return None
         stride = sign_extend(strides[index], _STRIDE_BITS)
-        addr = (
-            last_addrs[index] + stride * (1 + probe.inflight_same_pc)
-        ) & _ADDR_MASK
-        return Prediction(
-            component=self.name,
-            kind=self.kind,
-            addr=addr,
-            size=1 << sizes[index],
-        )
+        addr = (last_addrs[index] + stride * (1 + inflight)) & _ADDR_MASK
+        return addr << 2 | sizes[index]
 
-    def train(self, probe: LoadProbe, addr: int, size: int, value: int) -> None:
-        index, tag = self._hashes(probe.pc)
+    def train(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
+    ) -> None:
+        index, tag = self._pc_hashes.get(pc) or self._hashes(pc)
         addr &= _ADDR_MASK
         if len(self._banks) == 1:
             tags, last_addrs, strides, sizes, confs = self._bank0
@@ -123,25 +122,27 @@ class SapPredictor(ComponentPredictor):
         confs[index] = 0
 
     def penalize(
-        self, probe: LoadProbe, addr: int, size: int, value: int
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
         """Reset confidence after a wrong speculative value.
 
         The address may have matched (conflicting store), so training
         alone would keep the entry confident and re-flush next time.
         """
-        index, tag = self._hashes(probe.pc)
+        index, tag = self._hashes(pc)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[-1][index] = 0
 
     def invalidate(
-        self, probe: LoadProbe, addr: int, size: int, value: int
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
         """Drop the entry for this load (smart-training rule: a correct
         SAP prediction that is not chosen for training would have a
         broken stride anyway, so the composite invalidates it)."""
-        index, tag = self._hashes(probe.pc)
+        index, tag = self._hashes(pc)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[0][index] = INVALID_TAG

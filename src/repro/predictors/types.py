@@ -1,23 +1,36 @@
-"""Probe and prediction records shared by all predictors.
+"""The per-load contract shared by every predictor: plain ints.
 
-The pipeline probes predictors at *fetch* with a :class:`LoadProbe`
-(carrying the speculative histories captured at that moment) and trains
-them at *execute* with the same probe plus the load's
-``(addr, size, value)``, so training indexes the same table entries
+A load reaches the predictors as six ints, its *load fields*: the PC,
+its ordinal, the three raw fetch-time histories (branch direction,
+branch path, load path) and the number of older in-flight instances of
+the same static load.  Component ``predict`` takes exactly these;
+``train``/``penalize``/``invalidate`` take them again plus the load's
+``(addr, size, value)``, so training indexes the table entries
 prediction used.
 
-Every load builds these records, so they are mutable slots
-dataclasses: CPython builds a frozen dataclass with one
-``object.__setattr__`` call per field, several times the cost of a
-plain slots record.  They are read-only by convention -- a host or
-component never changes a record it is handed -- and
-``tests/test_record_immutability.py`` enforces that.
+A component's prediction is one int (or ``None``): a VALUE component
+returns the predicted value; an ADDRESS component returns the
+predicted address with the access size folded into its two low bits,
+``addr << 2 | log2(size)`` (a host reads it back with
+:func:`address_of` and :func:`size_of`).
+
+A host (:class:`repro.pipeline.vp.ValuePredictorHost`) numbers its
+predictors by *slot* -- bit ``1 << slot`` of a mask -- and answers a
+fetched load with one flat *decision* record, a list indexed by the
+constants below: the load fields, the confident and squashed slot
+masks, the chosen slot (``-1`` for none) and, from index
+:data:`PREDICTED` on, each slot's predicted int.  The host that
+validates the load judges each confident slot into a *verdict mask*
+(bit set = that slot's prediction would have produced the right
+value) and hands the decision back, exactly as ``predict`` returned
+it, to ``validate_and_train``.  Nothing per load is a dict, a set or a
+record of its own: ``tests/test_record_immutability.py`` holds every
+host to that.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class PredictionKind(enum.Enum):
@@ -27,35 +40,30 @@ class PredictionKind(enum.Enum):
     ADDRESS = "address"
 
 
-@dataclass(slots=True)
-class LoadProbe:
-    """Everything a predictor may look at when a load is fetched."""
+#: Positions of the load fields in a decision record.
+PC, ORDINAL, DIRECTION, PATH, LOAD_PATH, INFLIGHT = range(6)
+#: Positions of the host's fetch-time verdict: the confident slot mask,
+#: the squashed subset of it, and the chosen slot (``-1``: none).
+CONFIDENT, SQUASHED, CHOSEN = range(6, 9)
+#: ``decision[PREDICTED + slot]`` is the slot's predicted int (``None``
+#: when the slot is not confident).
+PREDICTED = 9
 
-    pc: int
-    direction_history: int = 0
-    path_history: int = 0
-    load_path_history: int = 0
-    #: Number of older in-flight (fetched, not yet executed) dynamic
-    #: instances of the same static load.  SAP advances its stride by
-    #: this count, the enhancement the paper borrows from EVES.
-    inflight_same_pc: int = 0
-    #: The load's index among the trace's predictable loads during a
-    #: whole-trace timing run (context-aware components look its
-    #: precomputed table hashes up by it); ``-1`` anywhere else.
-    ordinal: int = -1
+#: A decision for a load no predictor was confident about, from a host
+#: with no slots (the no-prediction baseline).
+NO_DECISION = (0, -1, 0, 0, 0, 0, 0, 0, -1)
 
 
-@dataclass(slots=True)
-class Prediction:
-    """A single high-confidence prediction from one component.
+def address_of(prediction: int) -> int:
+    """The address of a packed address prediction."""
+    return prediction >> 2
 
-    ``kind`` decides interpretation: VALUE predictions carry ``value``;
-    ADDRESS predictions carry ``addr``/``size`` and must be resolved
-    against the data cache (PAQ probe) to produce a speculative value.
-    """
 
-    component: str
-    kind: PredictionKind
-    value: int = 0
-    addr: int = 0
-    size: int = 0
+def size_of(prediction: int) -> int:
+    """The access size, in bytes, of a packed address prediction."""
+    return 1 << (prediction & 3)
+
+
+def slot_names(mask: int, names: tuple[str, ...]) -> list[str]:
+    """The names of the slots set in ``mask``, sorted."""
+    return sorted(name for slot, name in enumerate(names) if mask >> slot & 1)

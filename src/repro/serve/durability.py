@@ -47,6 +47,7 @@ response, not a double execution.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -85,8 +86,12 @@ WAL_FORMAT = 1
 #: pickles outstanding predict decisions as mutable slots records;
 #: format 6 drops the folded-register field from those records; format 7
 #: pickles E-VTAGE tables as per-field column lists; format 8 pickles an
-#: EVES session's predictor as the bare ``EvesPredictor`` host.
-CHECKPOINT_FORMAT = 8
+#: EVES session's predictor as the bare ``EvesPredictor`` host; format 9
+#: pickles outstanding predict decisions as flat lists of ints (the
+#: ``LoadProbe``/``Prediction``/``CompositeDecision`` records are gone)
+#: and a composite's statistics as mask-indexed counts beside its
+#: name-keyed view.
+CHECKPOINT_FORMAT = 9
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"
@@ -216,8 +221,10 @@ def segment_path(directory: Path, index: int) -> Path:
 def session_dirs(sessions_root: Path) -> list[tuple[str, Path]]:
     """Sorted ``(session_id, directory)`` pairs under ``sessions_root``.
 
-    The id comes from the first segment's header line; a directory
-    without an intact one is skipped.
+    The id comes from the first segment's header line.  When that line
+    is unreadable, an intact checkpoint's header names the session
+    too; its id is trusted only if it maps to this directory's name.
+    A directory with neither is skipped.
     """
     root = Path(sessions_root)
     found = []
@@ -227,10 +234,15 @@ def session_dirs(sessions_root: Path) -> list[tuple[str, Path]]:
                 record = decode_line(fh.readline())
         except OSError:  # no segment yet, or not a directory
             continue
+        session_id = None
         if record is not None and record.get("op") == "_segment":
             session_id = record.get("session")
-            if isinstance(session_id, str) and session_id:
-                found.append((session_id, directory))
+        if not (isinstance(session_id, str) and session_id):
+            session_id = _checkpoint_session(directory)
+            if (session_id is None
+                    or session_dir_name(session_id) != directory.name):
+                continue
+        found.append((session_id, directory))
     return found
 
 
@@ -242,6 +254,20 @@ def session_dirs(sessions_root: Path) -> list[tuple[str, Path]]:
 def write_checkpoint(path: Path, header: dict, blob: bytes) -> None:
     """Atomically persist one checkpoint: ``header`` sealing ``blob``."""
     write_sealed(path, _CKPT_MAGIC, CHECKPOINT_FORMAT, header, blob)
+
+
+def _checkpoint_session(directory: Path) -> str | None:
+    """The session id an intact checkpoint in ``directory`` names
+    (``None`` when there is none).  Reads without evicting."""
+    try:
+        header, _ = unseal(
+            (directory / _CHECKPOINT).read_bytes(), _CKPT_MAGIC,
+            CHECKPOINT_FORMAT,
+        )
+    except (OSError, CorruptEntryError):
+        return None
+    session_id = header.get("session")
+    return session_id if isinstance(session_id, str) and session_id else None
 
 
 def load_checkpoint(path: Path) -> tuple[dict, memoryview] | None:
@@ -588,14 +614,15 @@ class DurabilityManager:
     def recover(self, session_id: str) -> PredictorSession:
         """Rebuild one session: checkpoint (if intact) + WAL replay.
 
-        Truncates torn tail records, falls back to full replay from the
-        ``open`` record when the checkpoint is corrupt, rebuilds the
+        Falls back to full replay from the ``open`` record when the
+        checkpoint is corrupt, cuts the log where replay finds it
+        broken (see :meth:`_replay_segments`), rebuilds the
         exactly-once response cache, and reattaches the WAL writer to
         the repaired tail segment.
         """
         directory = self.session_dir(session_id)
         self.check_not_closed(session_id)
-        records, last_segment, last_size = self._scan_segments(directory)
+        segments = self._scan_segments(directory)
 
         # Without a usable checkpoint: full replay from the open record.
         replay = WalReplay(session_id,
@@ -625,14 +652,7 @@ class DurabilityManager:
             # means eviction failed; count it either way.
             self.stats.checkpoint_failures += 1
 
-        for record in records:
-            try:
-                replay.apply(record)
-            except ReplicationError:
-                # The tail past a gap is unusable.
-                self.stats.corrupt_tail_records += 1
-                break
-
+        last_segment, last_size = self._replay_segments(replay, segments)
         return self.install(replay, last_segment, last_size)
 
     def install(
@@ -677,41 +697,65 @@ class DurabilityManager:
         self.stats.replayed_records += replay.records
         return session
 
-    def _scan_segments(self, directory: Path) -> tuple[list[dict], int, int]:
-        """All intact records in order + the append-tail segment/size.
-
-        Applies the corruption policy: the first CRC failure truncates
-        its segment back to the last intact record and drops every
-        later segment (records past a tear cannot be trusted to be
-        contiguous).
-        """
-        segments = sorted(directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}"))
-        records: list[dict] = []
-        last_index = 0
-        last_size = 0
-        for position, path in enumerate(segments):
+    def _scan_segments(self, directory: Path) -> list[tuple]:
+        """Every WAL segment of ``directory`` in order, as ``(index,
+        path, intact records, valid bytes, dropped lines)``
+        (:func:`scan_wal_file`); dropped lines are counted here."""
+        segments = []
+        for path in sorted(directory.glob(f"{_WAL_PREFIX}*{_WAL_SUFFIX}")):
             try:
                 index = int(path.name[len(_WAL_PREFIX):-len(_WAL_SUFFIX)])
             except ValueError:
                 continue
-            found, valid, dropped = scan_wal_file(path)
-            records.extend(found)
-            last_index = index
-            last_size = valid
-            if dropped:
-                self.stats.corrupt_tail_records += dropped
-                try:
-                    with path.open("rb+") as fh:
-                        fh.truncate(valid)
-                except OSError:
-                    pass
-                for stale in segments[position + 1:]:
-                    try:
-                        stale.unlink(missing_ok=True)
-                    except OSError:
-                        pass
+            records, valid, dropped = scan_wal_file(path)
+            self.stats.corrupt_tail_records += dropped
+            segments.append((index, path, records, valid, dropped))
+        return segments
+
+    def _replay_segments(
+        self, replay: WalReplay, segments: list[tuple]
+    ) -> tuple[int, int]:
+        """Replay the scanned segments; return the append tail
+        ``(segment index, size)``.
+
+        The corruption policy: a torn segment (a CRC failure) loses the
+        records from its tear on, but that ends the usable log only if
+        replay then finds a gap -- records the checkpoint already
+        covers may be lost harmlessly.  When the first record of a
+        segment breaks the seq chain, the log is cut at the end of the
+        previous segment's intact records: that segment is truncated
+        there and every later segment is dropped, since records past a
+        gap cannot be trusted to be contiguous.  A torn final segment
+        is truncated the same way, so appends continue after its last
+        intact record.
+        """
+        last_index = last_size = 0
+        for position, (index, path, records, valid, _) in enumerate(segments):
+            try:
+                for record in records:
+                    replay.apply(record)
+            except ReplicationError:
+                # Records the replay needed were lost before this
+                # segment (appends are contiguous within one), so the
+                # log ends at the previous segment's last intact record.
+                self.stats.corrupt_tail_records += 1
+                if position:
+                    _truncate(segments[position - 1][1], last_size)
+                    for stale in segments[position:]:
+                        with contextlib.suppress(OSError):
+                            stale[1].unlink(missing_ok=True)
                 break
-        return records, last_index, last_size
+            last_index, last_size = index, valid
+        else:
+            if segments and segments[-1][4]:
+                _truncate(segments[-1][1], segments[-1][3])
+        return last_index, last_size
+
+
+def _truncate(path: Path, size: int) -> None:
+    """Cut one WAL segment back to ``size`` bytes (best effort)."""
+    with contextlib.suppress(OSError), path.open("rb+") as fh:
+        fh.truncate(size)
 
 
 __all__ = [

@@ -8,7 +8,8 @@ exposes the predictor as a standalone online API -- ``predict(pc)`` /
 instruction events (branches, stores, loads, ticks) exactly the way the
 functional harness does, through the harness's own per-load step
 (:func:`repro.harness.functional.probe_load` /
-:func:`repro.harness.functional.judge_and_train`), so a session driven
+:func:`repro.harness.functional.judge_and_train`) and rendering each
+decision's slots by name, so a session driven
 over the wire is bit-identical to the same spec driven in-process
 (``tests/test_serve_equivalence.py``).
 
@@ -29,6 +30,7 @@ replayed sequence numbers, and structured errors for gaps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from collections import OrderedDict, deque
 
@@ -37,7 +39,15 @@ from repro.composite.config import CompositeConfig
 from repro.harness.functional import judge_and_train, probe_load
 from repro.memory.image import MemoryImage
 from repro.pipeline.vp import NoPredictor
-from repro.predictors.types import PredictionKind
+from repro.predictors.types import (
+    CHOSEN,
+    CONFIDENT,
+    PREDICTED,
+    SQUASHED,
+    address_of,
+    size_of,
+    slot_names,
+)
 
 #: Access sizes a session accepts for load/store events (the ISA's).
 _VALID_SIZES = (1, 2, 4, 8)
@@ -470,6 +480,14 @@ def _memory_fields(event: dict, kind: str) -> tuple[int, int, int, int]:
     return pc, addr, size, value
 
 
+@functools.cache
+def _names_by_mask(names: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """The sorted slot names of every slot mask over ``names``."""
+    return tuple(
+        tuple(slot_names(mask, names)) for mask in range(1 << len(names))
+    )
+
+
 class PredictorSession:
     """One client's predictor, histories, memory, and counters."""
 
@@ -530,7 +548,7 @@ class PredictorSession:
         """
         if not isinstance(pc, int) or isinstance(pc, bool) or pc < 0:
             raise SessionError(f"pc must be a non-negative int, got {pc!r}")
-        decision = self.predictor.predict(probe_load(self.histories, pc))
+        decision = probe_load(self.predictor, self.histories, pc)
         self._pending.append(decision)
         return self._record(decision, None)
 
@@ -631,7 +649,8 @@ class PredictorSession:
                             tick(pending_ticks)
                             pending_ticks = 0
                         append(resolve(
-                            predict(probe_load(histories, pc)),
+                            predict(pc, -1, histories.direction,
+                                    histories.path, histories.load_path, 0),
                             addr, size, value,
                         ))
                     else:
@@ -692,34 +711,43 @@ class PredictorSession:
         """Judge and train one load's decision, update counters, and
         return its record."""
         self.loads += 1
-        correctness, _ = judge_and_train(
+        verdicts = judge_and_train(
             self.predictor, decision, self.memory, addr, size, value
         )
         correct = None
-        if decision.chosen is not None:
+        chosen = decision[CHOSEN]
+        if chosen >= 0:
             self.predicted_loads += 1
-            correct = correctness[decision.chosen.component]
+            correct = bool(verdicts >> chosen & 1)
             if correct:
                 self.correct_predictions += 1
         return self._record(decision, correct)
 
-    @staticmethod
-    def _record(decision, correct: bool | None) -> dict:
-        """JSON-friendly, deterministic image of one decision."""
-        chosen = decision.chosen
+    def _record(self, decision, correct: bool | None) -> dict:
+        """JSON-friendly, deterministic image of one decision: slots
+        rendered by name, from the predictor's slot tuple."""
+        predictor = self.predictor
+        names = predictor.slot_names
+        sorted_names = _names_by_mask(names)
+        chosen = decision[CHOSEN]
+        predicted = chosen >= 0
+        address = predicted and predictor.address_slots >> chosen & 1
         record = {
-            "predicted": chosen is not None,
-            "component": chosen.component if chosen else None,
-            "kind": chosen.kind.value if chosen else None,
-            "confident": sorted(decision.confident),
-            "squashed": sorted(decision.squashed),
+            "predicted": predicted,
+            "component": names[chosen] if predicted else None,
+            "kind": (
+                ("address" if address else "value") if predicted else None
+            ),
+            "confident": list(sorted_names[decision[CONFIDENT]]),
+            "squashed": list(sorted_names[decision[SQUASHED]]),
         }
-        if chosen is not None:
-            if chosen.kind is PredictionKind.VALUE:
-                record["value"] = chosen.value
+        if predicted:
+            prediction = decision[PREDICTED + chosen]
+            if address:
+                record["addr"] = address_of(prediction)
+                record["size"] = size_of(prediction)
             else:
-                record["addr"] = chosen.addr
-                record["size"] = chosen.size
+                record["value"] = prediction
         if correct is not None:
             record["correct"] = correct
         return record

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from repro.common.rng import DeterministicRng
-from repro.predictors.types import LoadProbe
+from repro.predictors.types import CHOSEN, PREDICTED, slot_names
 
 #: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
 #: equivalence suite (``tests/test_fuzz_equivalence.py``) and the branch
@@ -54,11 +54,21 @@ def make_probe(
     path: int = 0,
     load_path: int = 0,
     inflight: int = 0,
-) -> LoadProbe:
-    return LoadProbe(
-        pc=pc, direction_history=direction, path_history=path,
-        load_path_history=load_path, inflight_same_pc=inflight,
-    )
+) -> tuple[int, int, int, int, int, int]:
+    """A load's six fields, the arguments of a component's
+    ``predict`` (no ordinal: hashes come from the raw histories)."""
+    return pc, -1, direction, path, load_path, inflight
+
+
+def chosen_prediction(decision) -> int | None:
+    """The chosen slot's predicted int of a decision record, or None."""
+    slot = decision[CHOSEN]
+    return None if slot < 0 else decision[PREDICTED + slot]
+
+
+def slots_named(host, mask: int) -> set[str]:
+    """The names of ``host``'s slots set in ``mask``."""
+    return set(slot_names(mask, host.slot_names))
 
 
 def make_outcome(
@@ -69,10 +79,10 @@ def make_outcome(
     direction: int = 0,
     path: int = 0,
     load_path: int = 0,
-) -> tuple[LoadProbe, int, int, int]:
+) -> tuple[int, ...]:
     """A component's training arguments for one executed load: its
-    fetch-time probe and ``(addr, size, value)``."""
-    return make_probe(pc, direction, path, load_path), addr, size, value
+    fetch-time fields and ``(addr, size, value)``."""
+    return (*make_probe(pc, direction, path, load_path), addr, size, value)
 
 
 def train_constant(predictor, pc: int, value: int, times: int,

@@ -32,7 +32,7 @@ from repro.pipeline.frontend import branch_stats
 from repro.pipeline.memdep import StoreSetPredictor
 from repro.pipeline.resources import WindowTracker
 from repro.pipeline.result import SimResult
-from repro.predictors.types import LoadProbe
+from repro.predictors.types import CONFIDENT
 
 from oracles.branch import LiveBranchUnit
 
@@ -145,7 +145,8 @@ def run_objects(
 
     inflight_loads: dict[int, deque[int]] = {}
 
-    # Heap of (complete_cycle, seq, decision, outcome, correctness).
+    # Heap of (complete_cycle, seq, decision, addr, size, value,
+    # verdict mask).
     pending_updates: list = []
     update_seq = 0
 
@@ -215,13 +216,10 @@ def run_objects(
                     while flights and flights[0] <= fetch:
                         flights.popleft()
                     inflight = len(flights)
-                decision = predictor.predict(LoadProbe(
-                    pc=inst.pc,
-                    direction_history=histories.direction,
-                    path_history=histories.path,
-                    load_path_history=histories.load_path,
-                    inflight_same_pc=inflight,
-                ))
+                decision = predictor.predict(
+                    inst.pc, -1, histories.direction, histories.path,
+                    histories.load_path, inflight,
+                )
             branch_unit.note_memory_op(inst.pc)
         elif op is OpClass.STORE:
             branch_unit.note_memory_op(inst.pc)
@@ -287,9 +285,9 @@ def run_objects(
         if op is OpClass.LOAD:
             writeback = complete
             if decision is not None:
-                correctness = {}
-                if decision.confident:
-                    writeback, correctness = model._validate_load(
+                correct = 0
+                if decision[CONFIDENT]:
+                    writeback, correct = model._validate_load(
                         inst.value, decision, dispatch, complete,
                         mem, pending_stores, store_info, hierarchy,
                         l1d_hit, cfg, result, fetch, paq, vpe,
@@ -302,7 +300,7 @@ def run_objects(
                         current_block = -1
                 heapq.heappush(pending_updates, (
                     complete, update_seq, decision, inst.addr, inst.size,
-                    inst.value, correctness,
+                    inst.value, correct,
                 ))
                 update_seq += 1
             if inst.dest != REG_NONE:

@@ -26,6 +26,13 @@ from repro.isa.instruction import OpClass
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
 from repro.pipeline.vp import ValuePredictorHost
+from repro.predictors.types import (
+    CHOSEN,
+    CONFIDENT,
+    PREDICTED,
+    address_of,
+    size_of,
+)
 
 
 def run_functional_objects(
@@ -57,23 +64,38 @@ def run_functional_objects(
         elif op is OpClass.LOAD:
             if inst.predictable:
                 result.loads += 1
-                decision = predictor.predict(probe_load(histories, inst.pc))
-                correctness, speculative_values = judge_and_train(
+                decision = probe_load(predictor, histories, inst.pc)
+                confident = decision[CONFIDENT]
+                # The speculative value of every confident slot, read
+                # before training (training leaves memory alone).
+                speculative_values = {}
+                for slot, name in enumerate(predictor.slot_names):
+                    if confident >> slot & 1:
+                        prediction = decision[PREDICTED + slot]
+                        if predictor.address_slots >> slot & 1:
+                            prediction = mem.read(
+                                address_of(prediction), size_of(prediction)
+                            )
+                        speculative_values[name] = prediction
+                correct = judge_and_train(
                     predictor, decision, mem, inst.addr, inst.size,
                     inst.value,
                 )
                 if len(speculative_values) >= 2:
                     result.multi_confident_loads += 1
-                    if len(set(speculative_values)) > 1:
+                    if len(set(speculative_values.values())) > 1:
                         result.disagreements += 1
-                result.confident_histogram[min(len(correctness), 4)] += 1
-                for name, correct in correctness.items():
+                result.confident_histogram[
+                    min(len(speculative_values), 4)
+                ] += 1
+                for name, speculative in speculative_values.items():
                     confident_counts[name] = confident_counts.get(name, 0) + 1
-                    if correct:
+                    if speculative == inst.value:
                         correct_counts[name] = correct_counts.get(name, 0) + 1
-                if decision.chosen is not None:
+                chosen = decision[CHOSEN]
+                if chosen >= 0:
                     result.predicted_loads += 1
-                    if correctness[decision.chosen.component]:
+                    if correct >> chosen & 1:
                         result.correct_predictions += 1
             histories.push_memory(inst.pc)
         predictor.tick_instructions(1)

@@ -4,7 +4,7 @@ from conftest import make_outcome, make_probe
 
 from repro.common.rng import DeterministicRng
 from repro.predictors.cap import CapPredictor
-from repro.predictors.types import PredictionKind
+from repro.predictors.types import PredictionKind, address_of
 
 
 def _cap(entries=256, seed=0):
@@ -13,17 +13,16 @@ def _cap(entries=256, seed=0):
 
 class TestContextAddresses:
     def test_cold_no_prediction(self):
-        assert _cap().predict(make_probe()) is None
+        assert _cap().predict(*make_probe()) is None
 
     def test_fast_warmup_four_observations(self):
         """CAP has the lowest confidence bar: ~4 observations."""
         cap = _cap()
         for _ in range(12):
             cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b1010))
-        prediction = cap.predict(make_probe(pc=0x1000, load_path=0b1010))
+        prediction = cap.predict(*make_probe(pc=0x1000, load_path=0b1010))
         assert prediction is not None
-        assert prediction.kind is PredictionKind.ADDRESS
-        assert prediction.addr == 0x8000
+        assert address_of(prediction) == 0x8000
 
     def test_path_separates_addresses(self):
         """Same PC, different memory paths, different addresses --
@@ -32,8 +31,8 @@ class TestContextAddresses:
         for _ in range(12):
             cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b01))
             cap.train(*make_outcome(pc=0x1000, addr=0x9000, load_path=0b10))
-        assert cap.predict(make_probe(pc=0x1000, load_path=0b01)).addr == 0x8000
-        assert cap.predict(make_probe(pc=0x1000, load_path=0b10)).addr == 0x9000
+        assert address_of(cap.predict(*make_probe(pc=0x1000, load_path=0b01))) == 0x8000
+        assert address_of(cap.predict(*make_probe(pc=0x1000, load_path=0b10))) == 0x9000
 
     def test_changing_address_same_path_never_confident(self):
         """The paper's i >= 16 case: path constant, address varies."""
@@ -41,14 +40,14 @@ class TestContextAddresses:
         for i in range(100):
             cap.train(*make_outcome(pc=0x1000, addr=0x8000 + 8 * i,
                                    load_path=0b11))
-        assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
+        assert cap.predict(*make_probe(pc=0x1000, load_path=0b11)) is None
 
     def test_address_change_resets_confidence(self):
         cap = _cap()
         for _ in range(12):
             cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
         cap.train(*make_outcome(pc=0x1000, addr=0x9000, load_path=0b11))
-        assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
+        assert cap.predict(*make_probe(pc=0x1000, load_path=0b11)) is None
 
     def test_size_change_resets_confidence(self):
         cap = _cap()
@@ -56,7 +55,7 @@ class TestContextAddresses:
             cap.train(*make_outcome(pc=0x1000, addr=0x8000, size=8,
                                    load_path=0b11))
         cap.train(*make_outcome(pc=0x1000, addr=0x8000, size=4, load_path=0b11))
-        assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
+        assert cap.predict(*make_probe(pc=0x1000, load_path=0b11)) is None
 
 
 class TestFeedback:
@@ -65,7 +64,7 @@ class TestFeedback:
         for _ in range(12):
             cap.train(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
         cap.penalize(*make_outcome(pc=0x1000, addr=0x8000, load_path=0b11))
-        assert cap.predict(make_probe(pc=0x1000, load_path=0b11)) is None
+        assert cap.predict(*make_probe(pc=0x1000, load_path=0b11)) is None
 
 
 class TestAccounting:

@@ -1,7 +1,7 @@
 """Tests for the composite predictor (selection, stats, training policy)."""
 
 import pytest
-from conftest import make_probe
+from conftest import make_probe, slots_named
 
 from repro.composite.composite import (
     SELECTION_ORDER,
@@ -9,6 +9,7 @@ from repro.composite.composite import (
     CompositePredictor,
 )
 from repro.composite.config import CompositeConfig
+from repro.predictors.types import CHOSEN, CONFIDENT
 
 
 def _config(**overrides):
@@ -20,7 +21,7 @@ def _config(**overrides):
 
 def _correctness(decision, value=None, addr=None):
     """All-confident-correct verdicts for simple scenarios."""
-    return {name: True for name in decision.confident}
+    return decision[CONFIDENT]
 
 
 class TestOrders:
@@ -57,7 +58,7 @@ class TestSelection:
         """Constant value at constant address: all four become confident."""
         probe = make_probe(pc=0x1000, direction=0b101, load_path=0b11)
         for _ in range(times):
-            decision = composite.predict(probe)
+            decision = composite.predict(*probe)
             composite.validate_and_train(
                 decision, 0x8000, 8, 7, _correctness(decision)
             )
@@ -66,11 +67,10 @@ class TestSelection:
     def test_chooses_highest_priority_confident(self):
         composite = CompositePredictor(_config())
         probe = self._warm(composite)
-        decision = composite.predict(probe)
-        confident_ranked = [
-            n for n in SELECTION_ORDER if n in decision.confident
-        ]
-        assert decision.chosen.component == confident_ranked[0]
+        decision = composite.predict(*probe)
+        confident = slots_named(composite, decision[CONFIDENT])
+        confident_ranked = [n for n in SELECTION_ORDER if n in confident]
+        assert composite.slot_names[decision[CHOSEN]] == confident_ranked[0]
 
     def test_overlap_statistics(self):
         composite = CompositePredictor(_config())
@@ -81,26 +81,30 @@ class TestSelection:
         assert stats.predicted_loads <= stats.loads
 
     def test_validation_requires_all_verdicts(self):
+        """Verdicts are a mask over the confident slots: a bit for a
+        slot that made no prediction is rejected."""
         composite = CompositePredictor(_config())
         probe = self._warm(composite)
-        decision = composite.predict(probe)
-        assert decision.confident
-        with pytest.raises(ValueError, match="missing"):
-            composite.validate_and_train(decision, 0x8000, 8, 42, {})
+        decision = composite.predict(*probe)
+        confident = decision[CONFIDENT]
+        assert confident
+        outside = confident | 1 << len(composite.slot_names)
+        with pytest.raises(ValueError, match="outside"):
+            composite.validate_and_train(decision, 0x8000, 8, 42, outside)
 
 
 class TestTrainingPolicies:
     def test_train_all_trains_every_component(self):
         composite = CompositePredictor(_config(smart_training=False))
-        decision = composite.predict(make_probe(pc=0x1000))
-        composite.validate_and_train(decision, 0x8000, 8, 42, {})
+        decision = composite.predict(*make_probe(pc=0x1000))
+        composite.validate_and_train(decision, 0x8000, 8, 42, 0)
         assert composite.stats.train_operations == len(composite.components)
 
     def test_smart_training_trains_all_when_no_prediction(self):
         composite = CompositePredictor(_config(smart_training=True))
-        decision = composite.predict(make_probe(pc=0x1000))
-        assert not decision.confident
-        composite.validate_and_train(decision, 0x8000, 8, 42, {})
+        decision = composite.predict(*make_probe(pc=0x1000))
+        assert not decision[CONFIDENT]
+        composite.validate_and_train(decision, 0x8000, 8, 42, 0)
         assert composite.stats.train_operations == len(composite.components)
 
     def test_smart_training_reduces_training_ops(self):
@@ -109,7 +113,7 @@ class TestTrainingPolicies:
         probe = make_probe(pc=0x1000, direction=0b101, load_path=0b11)
         for composite in (smart, dumb):
             for _ in range(400):
-                decision = composite.predict(probe)
+                decision = composite.predict(*probe)
                 composite.validate_and_train(
                     decision, 0x8000, 8, 7, _correctness(decision)
                 )
@@ -127,23 +131,23 @@ class TestTrainingPolicies:
         composite = CompositePredictor(_config(smart_training=True))
         probe = make_probe(pc=0x1000)
         for _ in range(300):
-            composite.components["lvp"].train(probe, 0x8000, 8, 7)
-            composite.components["sap"].train(probe, 0x8000, 8, 7)
-        decision = composite.predict(probe)
-        assert {"lvp", "sap"} <= set(decision.confident)
+            composite.components["lvp"].train(*probe, 0x8000, 8, 7)
+            composite.components["sap"].train(*probe, 0x8000, 8, 7)
+        decision = composite.predict(*probe)
+        assert {"lvp", "sap"} <= slots_named(composite, decision[CONFIDENT])
         composite.validate_and_train(
             decision, 0x8000, 8, 7, _correctness(decision)
         )
-        assert composite.components["sap"].predict(probe) is None
-        assert composite.components["lvp"].predict(probe) is not None
+        assert composite.components["sap"].predict(*probe) is None
+        assert composite.components["lvp"].predict(*probe) is not None
 
     def test_smart_training_only_trains_cheapest_when_multiple_correct(self):
         composite = CompositePredictor(_config(smart_training=True))
         probe = make_probe(pc=0x1000)
         for _ in range(300):
-            composite.components["lvp"].train(probe, 0x8000, 8, 7)
-            composite.components["sap"].train(probe, 0x8000, 8, 7)
-        decision = composite.predict(probe)
+            composite.components["lvp"].train(*probe, 0x8000, 8, 7)
+            composite.components["sap"].train(*probe, 0x8000, 8, 7)
+        decision = composite.predict(*probe)
         before = composite.stats.train_operations
         composite.validate_and_train(
             decision, 0x8000, 8, 7, _correctness(decision)
@@ -155,17 +159,17 @@ class TestTrainingPolicies:
         probe = make_probe(pc=0x1000, load_path=0b11)
         # Warm SAP/CAP on the address.
         for _ in range(60):
-            decision = composite.predict(probe)
+            decision = composite.predict(*probe)
             composite.validate_and_train(
                 decision, 0x8000, 8, 7, _correctness(decision)
             )
-        decision = composite.predict(probe)
-        assert decision.confident
-        verdicts = {name: False for name in decision.confident}
-        composite.validate_and_train(decision, 0x8000, 8, 7, verdicts)
-        after = composite.predict(probe)
+        decision = composite.predict(*probe)
+        wrong = decision[CONFIDENT]
+        assert wrong
+        composite.validate_and_train(decision, 0x8000, 8, 7, 0)
+        after = composite.predict(*probe)
         # Everyone who was wrong lost confidence.
-        assert not set(verdicts) & set(after.confident)
+        assert not wrong & after[CONFIDENT]
 
 
 class TestEpochs:

@@ -5,7 +5,6 @@ from conftest import make_outcome, make_probe
 
 from repro.common.rng import DeterministicRng
 from repro.predictors.cvp import CvpPredictor, split_entries
-from repro.predictors.types import PredictionKind
 
 
 def _cvp(entries=1024, seed=0):
@@ -33,10 +32,9 @@ class TestContextLearning:
         cvp = _cvp()
         for _ in range(60):
             cvp.train(*make_outcome(pc=0x1000, value=5, direction=0b10110))
-        prediction = cvp.predict(make_probe(pc=0x1000, direction=0b10110))
+        prediction = cvp.predict(*make_probe(pc=0x1000, direction=0b10110))
         assert prediction is not None
-        assert prediction.kind is PredictionKind.VALUE
-        assert prediction.value == 5
+        assert prediction == 5
 
     def test_history_separates_values(self):
         """Different branch histories learn different values for the
@@ -45,8 +43,8 @@ class TestContextLearning:
         for _ in range(60):
             cvp.train(*make_outcome(pc=0x1000, value=5, direction=0b00000))
             cvp.train(*make_outcome(pc=0x1000, value=9, direction=0b11111))
-        assert cvp.predict(make_probe(pc=0x1000, direction=0b00000)).value == 5
-        assert cvp.predict(make_probe(pc=0x1000, direction=0b11111)).value == 9
+        assert cvp.predict(*make_probe(pc=0x1000, direction=0b00000)) == 5
+        assert cvp.predict(*make_probe(pc=0x1000, direction=0b11111)) == 9
 
     def test_lvp_cannot_do_that(self):
         """Contrast test: alternating values defeat LVP."""
@@ -56,7 +54,7 @@ class TestContextLearning:
         for _ in range(120):
             lvp.train(*make_outcome(pc=0x1000, value=5))
             lvp.train(*make_outcome(pc=0x1000, value=9))
-        assert lvp.predict(make_probe(pc=0x1000)) is None
+        assert lvp.predict(*make_probe(pc=0x1000)) is None
 
     def test_warmup_roughly_sixteen(self):
         cvp = _cvp(entries=4096, seed=5)
@@ -65,7 +63,7 @@ class TestContextLearning:
             pc = 0x30000 + 64 * k
             for i in range(1, 200):
                 cvp.train(*make_outcome(pc=pc, value=3, direction=0b101))
-                if cvp.predict(make_probe(pc=pc, direction=0b101)):
+                if cvp.predict(*make_probe(pc=pc, direction=0b101)):
                     warmups.append(i)
                     break
         mean = sum(warmups) / len(warmups)
@@ -76,7 +74,7 @@ class TestContextLearning:
         for _ in range(60):
             cvp.train(*make_outcome(pc=0x1000, value=5, direction=0b111))
         cvp.train(*make_outcome(pc=0x1000, value=6, direction=0b111))
-        assert cvp.predict(make_probe(pc=0x1000, direction=0b111)) is None
+        assert cvp.predict(*make_probe(pc=0x1000, direction=0b111)) is None
 
 
 class TestStructure:

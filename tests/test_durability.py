@@ -366,6 +366,178 @@ class TestTornTailMatrix:
         third.durability.close_all()
 
 
+class TestTearsBeforeTheCheckpoint:
+    """A tear ends the usable log only where replay finds a gap past the
+    checkpoint's seq.  The WAL here: 24 applies (acknowledged through
+    seq 25) over four 4 KiB segments, checkpointed at seq 21."""
+
+    SPEC = SPECS[1][1]
+
+    def _write(self, tmp_path):
+        chunks = chunked(make_events(89), 10)
+        server = durable_server(tmp_path, wal_segment_bytes=4096,
+                                checkpoint_every=5)
+        _, _, next_seq = drive(server, "d1", self.SPEC, chunks)
+        server.durability.close_all()
+        directory = server.durability.session_dir("d1")
+        assert (len(chunks), next_seq) == (24, 26)
+        assert len(list(directory.glob("wal-*.log"))) == 4
+        header, _ = load_checkpoint(directory / "checkpoint.ckpt")
+        assert header["seq"] == 21
+        return chunks, directory
+
+    def test_segment_one_header_bit_flip_keeps_acknowledged_records(
+        self, tmp_path
+    ):
+        """Segment 1's header names the session; with one bit of it
+        flipped, the checkpoint names it instead, and seqs 22-25 --
+        intact in later segments -- are replayed, not dropped."""
+        chunks, directory = self._write(tmp_path)
+        reference = reference_snapshots(self.SPEC, chunks)
+        first = directory / "wal-00000001.log"
+        data = bytearray(first.read_bytes())
+        data[0] ^= 1
+        first.write_bytes(bytes(data))
+
+        second = durable_server(tmp_path, wal_segment_bytes=4096,
+                                checkpoint_every=5)
+        assert second.durability.scan_ids() == ["d1"]
+        report = second.recover()
+        assert report["recovered_sessions"] == 1
+        session = second.sessions.get("d1")
+        assert session.tracker.applied_seq == 25
+        assert session.snapshot() == reference[-1]
+        assert len(list(directory.glob("wal-*.log"))) == 4
+        second.execute("apply", {"session": "d1", "seq": 26,
+                                 "events": chunks[0]})
+        final = second.sessions.get("d1").snapshot()
+        second.durability.close_all()
+
+        third = durable_server(tmp_path, wal_segment_bytes=4096,
+                               checkpoint_every=5)
+        third.recover()
+        assert third.sessions.get("d1").tracker.applied_seq == 26
+        assert third.sessions.get("d1").snapshot() == final
+        third.durability.close_all()
+
+    def test_tear_past_the_checkpoint_truncates_and_drops(self, tmp_path):
+        """A bit flipped in seq 23's record still ends the log there:
+        its segment is truncated before it, later segments are
+        dropped, and the session resumes at seq 22."""
+        chunks, directory = self._write(tmp_path)
+        reference = reference_snapshots(self.SPEC, chunks)
+        segments = sorted(directory.glob("wal-*.log"))
+        for position, path in enumerate(segments):
+            data = bytearray(path.read_bytes())
+            start = data.find(b'{"seq":23,')
+            if start >= 0:
+                break
+        line = data.rfind(b"\n", 0, start) + 1
+        data[start + 20] ^= 1
+        path.write_bytes(bytes(data))
+
+        second = durable_server(tmp_path, wal_segment_bytes=4096,
+                                checkpoint_every=5)
+        second.recover()
+        session = second.sessions.get("d1")
+        assert session.tracker.applied_seq == 22
+        assert session.snapshot() == reference[20]
+        assert second.durability.stats.corrupt_tail_records >= 1
+        assert path.stat().st_size == line
+        assert sorted(directory.glob("wal-*.log")) == segments[:position + 1]
+        second.durability.close_all()
+
+
+def _install_record_era(patch, getstates: dict) -> None:
+    """Pickle outstanding predict decisions the way checkpoint formats
+    4-8 did, as per-load records.
+
+    Installs stand-ins for the retired records where they lived
+    (``LoadProbe`` and ``Prediction`` in :mod:`repro.predictors.types`,
+    ``CompositeDecision`` in :mod:`repro.composite.composite`), each
+    with the ``__getstate__`` that ``getstates`` names for it, and
+    makes :meth:`PredictorSession.capture_state` convert every pending
+    decision into them.
+    """
+    import dataclasses
+
+    from repro.composite import composite
+    from repro.predictors import types
+
+    @dataclasses.dataclass(slots=True)
+    class LoadProbe:
+        pc: int
+        direction_history: int = 0
+        path_history: int = 0
+        load_path_history: int = 0
+        inflight_same_pc: int = 0
+        ordinal: int = -1
+
+    @dataclasses.dataclass(slots=True)
+    class Prediction:
+        component: str
+        kind: types.PredictionKind
+        value: int = 0
+        addr: int = 0
+        size: int = 0
+
+    @dataclasses.dataclass(slots=True)
+    class CompositeDecision:
+        probe: LoadProbe
+        chosen: Prediction | None
+        confident: dict
+        squashed: frozenset
+
+    for module, cls in ((types, LoadProbe), (types, Prediction),
+                        (composite, CompositeDecision)):
+        cls.__module__ = module.__name__
+        cls.__qualname__ = cls.__name__
+        patch.setattr(module, cls.__name__, cls, raising=False)
+        if cls.__name__ in getstates:
+            patch.setattr(cls, "__getstate__", getstates[cls.__name__],
+                          raising=False)
+
+    def as_record(decision, host) -> CompositeDecision:
+        confident = {}
+        for slot, name in enumerate(host.slot_names):
+            prediction = decision[types.PREDICTED + slot]
+            if prediction is None:
+                continue
+            if host.address_slots >> slot & 1:
+                confident[name] = Prediction(
+                    name, types.PredictionKind.ADDRESS,
+                    addr=types.address_of(prediction),
+                    size=types.size_of(prediction),
+                )
+            else:
+                confident[name] = Prediction(
+                    name, types.PredictionKind.VALUE, value=prediction
+                )
+        chosen = decision[types.CHOSEN]
+        return CompositeDecision(
+            probe=LoadProbe(*decision[:types.CONFIDENT]),
+            chosen=(
+                confident[host.slot_names[chosen]] if chosen >= 0 else None
+            ),
+            confident=confident,
+            squashed=frozenset(
+                types.slot_names(decision[types.SQUASHED], host.slot_names)
+            ),
+        )
+
+    capture = PredictorSession.capture_state
+
+    def record_era_capture(self):
+        state = capture(self)
+        state["pending"] = [
+            as_record(decision, self.predictor)
+            for decision in state["pending"]
+        ]
+        return state
+
+    patch.setattr(PredictorSession, "capture_state", record_era_capture)
+
+
 class TestCheckpointCorruptionFallback:
     def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path):
         spec = SPECS[1][1]  # composite: the richest state to rebuild
@@ -482,20 +654,17 @@ class TestCheckpointCorruptionFallback:
         assert second.sessions.get("d1").snapshot() == reference[-1]
         second.durability.close_all()
 
-    def test_format_4_checkpoint_falls_back_to_full_replay(
-        self, tmp_path, monkeypatch
-    ):
-        """A CHECKPOINT_FORMAT 4 checkpoint pickles a session's
-        outstanding predict decisions with the frozen records' list
-        state, which the mutable slots records cannot unpickle.  It is
-        evicted by its version before anything unpickles it, and the
-        session is rebuilt bit-identically by full WAL replay."""
-        import dataclasses
+    def _record_era_fallback(self, tmp_path, monkeypatch, version,
+                             getstates=None):
+        """Write a checkpoint whose outstanding predict decision is
+        pickled as the per-load records of ``version`` (see
+        :func:`_install_record_era`), reseal it as ``version``, and
+        check that recovery evicts it by its version before anything
+        unpickles it and rebuilds the session bit-identically by full
+        WAL replay."""
         import pickle
 
         from repro.common.atomicfile import write_sealed
-        from repro.composite.composite import CompositeDecision
-        from repro.predictors.types import LoadProbe, Prediction
 
         spec = SPECS[1][1]
         chunks = chunked(make_events(36), 20)
@@ -506,15 +675,8 @@ class TestCheckpointCorruptionFallback:
         reference.predict(pc)
         assert reference.pending == 1
 
-        # Pickle the way the frozen records did: their state was the
-        # list of field values.
-        def frozen_era_getstate(self):
-            return [getattr(self, f.name) for f in dataclasses.fields(self)]
-
         with monkeypatch.context() as patch:
-            for cls in (CompositeDecision, LoadProbe, Prediction):
-                patch.setattr(cls, "__getstate__", frozen_era_getstate,
-                              raising=False)
+            _install_record_era(patch, getstates or {})
             first = durable_server(tmp_path, checkpoint_every=1)
             _, _, seq = drive(first, "d1", spec, chunks)
             first.execute("predict", {"session": "d1", "seq": seq, "pc": pc})
@@ -524,9 +686,10 @@ class TestCheckpointCorruptionFallback:
         header, blob = load_checkpoint(ckpt)
         header.pop("body_sha256")
         blob = bytes(blob)
-        with pytest.raises(pickle.UnpicklingError, match="not a dictionary"):
+        with pytest.raises(AttributeError,
+                           match="LoadProbe|Prediction|CompositeDecision"):
             pickle.loads(blob)
-        write_sealed(ckpt, b"RLVPCKP\x01", 4, header, blob)
+        write_sealed(ckpt, b"RLVPCKP\x01", version, header, blob)
 
         second = durable_server(tmp_path, checkpoint_every=1)
         report = second.recover()
@@ -535,61 +698,39 @@ class TestCheckpointCorruptionFallback:
         assert second.durability.stats.checkpoint_failures == 0
         assert second.sessions.get("d1").snapshot() == reference.snapshot()
         second.durability.close_all()
+
+    def test_format_4_checkpoint_falls_back_to_full_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A CHECKPOINT_FORMAT 4 checkpoint pickles a session's
+        outstanding predict decisions as frozen records, whose state
+        was the list of field values."""
+        import dataclasses
+
+        def frozen_era_getstate(self):
+            return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+        self._record_era_fallback(tmp_path, monkeypatch, 4, dict.fromkeys(
+            ("LoadProbe", "Prediction", "CompositeDecision"),
+            frozen_era_getstate,
+        ))
 
     def test_format_5_checkpoint_falls_back_to_full_replay(
         self, tmp_path, monkeypatch
     ):
         """A CHECKPOINT_FORMAT 5 checkpoint pickles a session's
         outstanding predict decisions with the probe's ``folded``
-        field, which the records without it cannot unpickle.  It is
-        evicted by its version before anything unpickles it, and the
-        session is rebuilt bit-identically by full WAL replay."""
+        field."""
         import dataclasses
-        import pickle
 
-        from repro.common.atomicfile import write_sealed
-        from repro.predictors.types import LoadProbe
-
-        spec = SPECS[1][1]
-        chunks = chunked(make_events(36), 20)
-        pc = 0x1000
-        reference = PredictorSession(spec, session_id="d1")
-        for chunk in chunks:
-            apply_events(reference, chunk)
-        reference.predict(pc)
-        assert reference.pending == 1
-
-        # Pickle the way the format-5 probe did: its slots carried the
-        # fetch-time folded registers too.
         def folded_era_getstate(self):
             state = {f.name: getattr(self, f.name)
                      for f in dataclasses.fields(self)}
             state["folded"] = ()
             return None, state
 
-        with monkeypatch.context() as patch:
-            patch.setattr(LoadProbe, "__getstate__", folded_era_getstate,
-                          raising=False)
-            first = durable_server(tmp_path, checkpoint_every=1)
-            _, _, seq = drive(first, "d1", spec, chunks)
-            first.execute("predict", {"session": "d1", "seq": seq, "pc": pc})
-            first.durability.close_all()
-
-        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
-        header, blob = load_checkpoint(ckpt)
-        header.pop("body_sha256")
-        blob = bytes(blob)
-        with pytest.raises(AttributeError, match="folded"):
-            pickle.loads(blob)
-        write_sealed(ckpt, b"RLVPCKP\x01", 5, header, blob)
-
-        second = durable_server(tmp_path, checkpoint_every=1)
-        report = second.recover()
-        assert not ckpt.exists()
-        assert report["replayed_records"] == len(chunks) + 2
-        assert second.durability.stats.checkpoint_failures == 0
-        assert second.sessions.get("d1").snapshot() == reference.snapshot()
-        second.durability.close_all()
+        self._record_era_fallback(tmp_path, monkeypatch, 5,
+                                  {"LoadProbe": folded_era_getstate})
 
     def test_format_6_checkpoint_falls_back_to_full_replay(
         self, tmp_path, monkeypatch
@@ -713,6 +854,15 @@ class TestCheckpointCorruptionFallback:
         assert second.durability.stats.checkpoint_failures == 0
         assert second.sessions.get("d1").snapshot() == reference[-1]
         second.durability.close_all()
+
+    def test_format_8_checkpoint_falls_back_to_full_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A CHECKPOINT_FORMAT 8 checkpoint pickles a session's
+        outstanding predict decisions as ``CompositeDecision`` records
+        of a ``LoadProbe`` and ``Prediction`` objects, classes that no
+        longer exist: a decision is now one flat list of ints."""
+        self._record_era_fallback(tmp_path, monkeypatch, 8)
 
     def test_format_7_checkpoint_with_fold_registers_restores(
         self, tmp_path, monkeypatch

@@ -85,11 +85,11 @@ class TestLifecycle:
         components = _components(entries=256)
         lvp = components["lvp"]
         train_constant(lvp, pc=0x1000, value=7, times=300)
-        assert lvp.predict(make_probe(pc=0x1000)) is not None
+        assert lvp.predict(*make_probe(pc=0x1000)) is not None
         controller = _controller(components)
         _feed_epochs(controller, useful=("sap", "cvp", "cap"), epochs=2)
         assert controller.is_donor("lvp")
-        assert lvp.predict(make_probe(pc=0x1000)) is None  # flushed
+        assert lvp.predict(*make_probe(pc=0x1000)) is None  # flushed
 
     def test_reversion_after_m_epochs(self):
         components = _components()

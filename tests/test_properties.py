@@ -13,7 +13,12 @@ from conftest import make_outcome, make_probe
 from repro.common.rng import DeterministicRng
 from repro.composite import CompositeConfig, CompositePredictor
 from repro.predictors import COMPONENT_NAMES, make_component
-from repro.predictors.types import PredictionKind
+from repro.predictors.types import (
+    PREDICTED,
+    PredictionKind,
+    address_of,
+    size_of,
+)
 
 # A small universe of training events keeps table interactions dense.
 outcome_strategy = st.tuples(
@@ -42,7 +47,7 @@ class TestComponentInvariants:
         predictor = make_component(name, 64, DeterministicRng(1))
         _train_stream(predictor, events)
         probe = make_probe(pc=0x1000, direction=0b1011, load_path=0b10)
-        assert predictor.predict(probe) == predictor.predict(probe)
+        assert predictor.predict(*probe) == predictor.predict(*probe)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(COMPONENT_NAMES),
@@ -51,12 +56,17 @@ class TestComponentInvariants:
         predictor = make_component(name, 64, DeterministicRng(2))
         _train_stream(predictor, events)
         for pc, _, _, direction, load_path in events[:20]:
-            prediction = predictor.predict(make_probe(
+            prediction = predictor.predict(*make_probe(
                 pc=pc, direction=direction, load_path=load_path,
             ))
-            if prediction is not None:
-                assert prediction.kind is predictor.kind
-                assert prediction.component == predictor.name
+            if prediction is None:
+                continue
+            # A value is 64 bits; an address packs 49 bits and a size.
+            if predictor.kind is PredictionKind.ADDRESS:
+                assert address_of(prediction) < 1 << 49
+                assert size_of(prediction) in (1, 2, 4, 8)
+            else:
+                assert 0 <= prediction < 1 << 64
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(COMPONENT_NAMES),
@@ -76,7 +86,7 @@ class TestComponentInvariants:
         _train_stream(predictor, events)
         predictor.flush()
         for pc, _, _, direction, load_path in events:
-            assert predictor.predict(make_probe(
+            assert predictor.predict(*make_probe(
                 pc=pc, direction=direction, load_path=load_path,
             )) is None
 
@@ -90,10 +100,10 @@ class TestComponentInvariants:
         predictor = make_component(name, 64, DeterministicRng(5))
         _train_stream(predictor, events)
         probe = make_probe(pc=0x1000, direction=0b1011, load_path=0b10)
-        before = predictor.predict(probe)
+        before = predictor.predict(*probe)
         predictor.grant_extra_banks(banks)
         predictor.revoke_extra_banks()
-        assert predictor.predict(probe) == before
+        assert predictor.predict(*probe) == before
 
 
 class TestCompositeInvariants:
@@ -106,16 +116,17 @@ class TestCompositeInvariants:
         for pc, addr, value, direction, load_path in events:
             probe = make_probe(pc=pc, direction=direction,
                                load_path=load_path)
-            decision = composite.predict(probe)
-            correctness = {}
-            for name, prediction in decision.confident.items():
-                if prediction.kind is PredictionKind.VALUE:
-                    correctness[name] = prediction.value == value
+            decision = composite.predict(*probe)
+            correct = 0
+            for slot, component in enumerate(composite.components.values()):
+                prediction = decision[PREDICTED + slot]
+                if prediction is None:
+                    continue
+                if component.kind is PredictionKind.VALUE:
+                    correct |= (prediction == value) << slot
                 else:
-                    correctness[name] = prediction.addr == addr
-            composite.validate_and_train(
-                decision, addr, 8, value, correctness
-            )
+                    correct |= (address_of(prediction) == addr) << slot
+            composite.validate_and_train(decision, addr, 8, value, correct)
         stats = composite.stats
         assert stats.loads == len(events)
         assert sum(stats.confident_histogram) == stats.loads

@@ -1,21 +1,26 @@
-"""Hosts and components never mutate the per-load records they are handed.
+"""The decision contract: one flat per-load record, handed back unchanged.
 
-:class:`LoadProbe`, :class:`Prediction` and :class:`CompositeDecision`
-are mutable slots dataclasses (a frozen
-dataclass costs one ``object.__setattr__`` per field at construction,
-and every load builds several).  Read-only is a convention; these tests
-hold every caller to it.  Each component's ``predict``/``train`` (and
-``penalize``/``invalidate``; EVES' E-Stride and E-VTAGE count as
-components) and the host's ``predict`` and ``validate_and_train`` are
-wrapped: the ``dataclasses.astuple`` of every
-record argument is taken before the call and must be unchanged after
-it, and a decision must reach ``validate_and_train`` exactly as
-``predict`` returned it.
+A host's ``predict`` answers a load with one decision record (see
+:mod:`repro.predictors.types`): a list of plain ints -- the load's
+fields, the confident and squashed slot masks, the chosen slot and the
+per-slot predicted ints -- and nothing per load besides.  The record is
+read-only by convention; these tests hold every host to it:
+
+* a decision reaches ``validate_and_train`` exactly as ``predict``
+  returned it (the same object, its items unchanged);
+* the verdict mask never sets a slot outside the decision's confident
+  mask, and a host handed one raises ``ValueError``;
+* every live component's ``predict`` runs once per load;
+* a held decision keeps no record, dict or set alive beyond itself.
+
+The hosts are a plain composite, a PC-AM composite with smart training
+and 100-instruction fusion epochs, a lone LAP, EVES, and the composite
+and EVES behind a serve session's ``apply`` batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, is_dataclass
+import sys
 
 import pytest
 from conftest import alone
@@ -25,6 +30,7 @@ from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
 from repro.harness.presets import SMOKE
 from repro.pipeline.core import simulate
+from repro.predictors.types import CHOSEN, CONFIDENT, PREDICTED, SQUASHED
 from repro.serve.session import PredictorSession, apply_events
 from repro.workloads.generator import generate_trace
 
@@ -41,59 +47,69 @@ HOSTS = {
     "eves": eves_8kb,
 }
 
-_COMPONENT_METHODS = ("predict", "train", "penalize", "invalidate")
+
+def _components(host) -> dict:
+    components = getattr(host, "components", None)
+    if components is None:  # EVES: E-Stride is always probed first
+        return {"e-stride": host.estride}
+    return components
 
 
-class RecordGuard:
-    """Wraps a host and its components; counts the calls it checked."""
+class DecisionGuard:
+    """Wraps a host (and its components' ``predict``); checks the
+    contract on every decision and counts what it saw."""
 
     def __init__(self) -> None:
-        self.calls = 0
         self.decisions = 0
+        self.predicts = 0
+        self.component_predicts = 0
+        self.confident_loads = 0
         self._issued: dict[int, tuple] = {}
 
-    def _checked(self, fn, label):
-        def wrapper(*args):
-            before = [astuple(a) for a in args if is_dataclass(a)]
-            result = fn(*args)
-            after = [astuple(a) for a in args if is_dataclass(a)]
-            assert before == after, f"{label} mutated its record arguments"
-            self.calls += 1
-            return result
-        return wrapper
-
-    def wrap_component(self, name: str, component) -> None:
-        for method in _COMPONENT_METHODS:
-            fn = getattr(component, method, None)
-            if fn is not None:
-                setattr(component, method,
-                        self._checked(fn, f"{name}.{method}"))
-
     def wrap_host(self, host) -> None:
-        components = getattr(host, "components", None)
-        if components is not None:
-            for name, component in components.items():
-                self.wrap_component(name, component)
-        else:
-            self.wrap_component("estride", host.estride)
-            self.wrap_component("evtage", host.evtage)
-        predict = self._checked(host.predict, "host.predict")
-        validate = self._checked(
-            host.validate_and_train, "host.validate_and_train"
-        )
+        predict = host.predict
+        validate = host.validate_and_train
+        width = len(host.slot_names)
+        for component in _components(host).values():
+            component_predict = component.predict
 
-        def guarded_predict(probe):
-            decision = predict(probe)
-            self._issued[id(decision)] = astuple(decision)
+            def counted(*load, _predict=component_predict):
+                self.component_predicts += 1
+                return _predict(*load)
+
+            component.predict = counted
+
+        def guarded_predict(*load):
+            assert len(load) == 6 and all(type(f) is int for f in load)
+            decision = predict(*load)
+            assert len(decision) == PREDICTED + width
+            assert list(decision[:CONFIDENT]) == list(load)
+            assert all(type(item) is int for item in decision[:PREDICTED])
+            confident = decision[CONFIDENT]
+            assert decision[SQUASHED] & ~confident == 0
+            assert confident >> width == 0
+            for slot in range(width):
+                prediction = decision[PREDICTED + slot]
+                if confident >> slot & 1:
+                    assert type(prediction) is int
+                else:
+                    assert prediction is None
+            chosen = decision[CHOSEN]
+            assert chosen == -1 or confident >> chosen & 1
+            self.predicts += 1
+            self._issued[id(decision)] = (decision, tuple(decision))
             return decision
 
-        def guarded_validate(decision, addr, size, value, correctness):
-            issued = self._issued.pop(id(decision))
-            assert astuple(decision) == issued, (
+        def guarded_validate(decision, addr, size, value, correct):
+            issued, items = self._issued.pop(id(decision))
+            assert issued is decision and tuple(decision) == items, (
                 "decision changed between predict and validate_and_train"
             )
+            assert type(correct) is int
+            assert correct & ~decision[CONFIDENT] == 0
             self.decisions += 1
-            return validate(decision, addr, size, value, correctness)
+            self.confident_loads += decision[CONFIDENT] != 0
+            return validate(decision, addr, size, value, correct)
 
         host.predict = guarded_predict
         host.validate_and_train = guarded_validate
@@ -104,11 +120,14 @@ class RecordGuard:
 def test_core_loop_leaves_records_unchanged(workload, host_name):
     trace = generate_trace(workload, 2000, 0)
     host = HOSTS[host_name]()
-    guard = RecordGuard()
+    guard = DecisionGuard()
     guard.wrap_host(host)
     result = simulate(trace, host)
-    assert guard.decisions == result.predictable_loads > 0
-    assert guard.calls > 2 * guard.decisions
+    assert guard.decisions == guard.predicts == result.predictable_loads > 0
+    if host_name != "pc-am-fusion":  # donors are not probed
+        assert guard.component_predicts == (
+            guard.predicts * len(_components(host))
+        )
 
 
 def test_fusion_engages_in_the_short_epoch_host():
@@ -119,15 +138,46 @@ def test_fusion_engages_in_the_short_epoch_host():
     assert host.fusion.state.fusions_performed > 0
 
 
-def _events(n_loads: int = 40) -> list[dict]:
+@pytest.mark.parametrize("host_name", sorted(HOSTS))
+def test_verdict_outside_confident_mask_raises(host_name):
+    host = HOSTS[host_name]()
+    decision = host.predict(0x1000, -1, 0, 0, 0, 0)
+    outside = 1 << len(host.slot_names)
+    with pytest.raises(ValueError, match="outside"):
+        host.validate_and_train(
+            decision, 0x8000, 8, 1, decision[CONFIDENT] | outside
+        )
+
+
+def test_a_held_decision_is_one_flat_record():
+    """Holding a warm composite's decisions retains the record (a list
+    and its item array) and the new ints of its two address
+    predictions -- no probe, prediction, dict or set per load."""
+    host = CompositePredictor(CompositeConfig().homogeneous(64).plain())
+    load = (0x1000, -1, 0b101, 0, 0b11, 0)
+    for _ in range(400):
+        decision = host.predict(*load)
+        host.validate_and_train(decision, 0x8000, 8, 7, decision[CONFIDENT])
+    assert host.predict(*load)[CONFIDENT] == 0b1111
+    held = []
+    before = sys.getallocatedblocks()
+    for _ in range(1000):
+        held.append(host.predict(*load))
+    per_decision = (sys.getallocatedblocks() - before) / len(held)
+    assert per_decision < 4.5
+
+
+def _events(n_loads: int) -> list[dict]:
+    """Five static loads, each with its own address and value (so
+    the predictors grow confident), behind a store to that address."""
     events = []
     for i in range(n_loads):
         pc = 0x1000 + (i % 5) * 4
-        addr = 0x8000 + (i % 3) * 8
+        addr = 0x8000 + (i % 5) * 8
         events.append({"k": "s", "pc": pc + 1, "addr": addr, "size": 8,
-                       "value": i % 4})
+                       "value": i % 5})
         events.append({"k": "l", "pc": pc, "addr": addr, "size": 8,
-                       "value": i % 4, "pred": True})
+                       "value": i % 5, "pred": True})
         if i % 3 == 0:
             events.append({"k": "b", "pc": pc + 2, "taken": bool(i & 1),
                            "cond": True})
@@ -140,11 +190,11 @@ def _events(n_loads: int = 40) -> list[dict]:
 ), ids=("composite", "eves"))
 def test_serve_session_leaves_records_unchanged(spec):
     session = PredictorSession(spec, session_id="s1")
-    guard = RecordGuard()
+    guard = DecisionGuard()
     guard.wrap_host(session.predictor)
-    apply_events(session, _events())
+    apply_events(session, _events(300))
     applied = guard.decisions
-    assert applied > 0
+    assert applied > 0 and guard.confident_loads > 0
 
     session.predict(0x1000)
     session.train(0x8000, 8, 0)
