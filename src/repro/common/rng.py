@@ -3,7 +3,9 @@
 Every source of randomness in the library (FPC coin flips, workload
 generation, replacement tie-breaking) draws from a named
 :class:`DeterministicRng` stream seeded from experiment configuration, so
-any run is reproducible bit-for-bit.
+any run is reproducible bit-for-bit.  A stream that draws nothing but
+coins (a predictor's FPC stream) is a :class:`CoinStream`, which takes
+its doubles from the generator in blocks.
 """
 
 from __future__ import annotations
@@ -71,5 +73,65 @@ class DeterministicRng:
         """Geometric draw (number of trials until first success, >= 1)."""
         return int(self._gen.geometric(p))
 
+    def coins(self, name: str) -> "CoinStream":
+        """A child stream that draws nothing but coins, e.g. a
+        predictor's FPC stream: ``rng.coins("lvp")``."""
+        return CoinStream(self.derive(name))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeterministicRng(seed={self._seed}, name={self._name!r})"
+
+
+#: Doubles in a :class:`CoinStream`'s first block; each refill doubles
+#: the block up to ``_MAX_BLOCK``, so a stream that flips a handful of
+#: coins draws a handful of doubles, a busy one refills rarely, and a
+#: pickled one carries at most ``_MAX_BLOCK`` unhanded doubles.
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 256
+
+
+class CoinStream:
+    """Bernoulli draws of one stream, from doubles drawn in blocks.
+
+    ``Generator.random(n)`` yields the same doubles as ``n`` successive
+    ``random()`` calls, so ``coin`` answers exactly what
+    :meth:`DeterministicRng.coin` on the same stream would, at a
+    fraction of the per-draw cost.  The stream's position is its
+    generator state plus the doubles still unhanded, and both pickle,
+    so a stream checkpointed mid-block resumes identically.  Only a
+    stream that draws nothing else may be one: any other draw would
+    see the generator already past the buffered block.
+    """
+
+    __slots__ = ("_gen", "_block", "_fetched")
+
+    def __init__(self, rng: DeterministicRng) -> None:
+        self._gen = rng._gen
+        #: The drawn-but-unhanded doubles, next one last.
+        self._block: list[float] = []
+        #: Doubles taken from the generator so far.
+        self._fetched = 0
+
+    @property
+    def drawn(self) -> int:
+        """Coins that consumed a double so far: the stream position."""
+        return self._fetched - len(self._block)
+
+    def coin(self, probability: float) -> bool:
+        """Bernoulli draw; ``True`` with the given probability (no
+        double is consumed when ``probability`` is outside (0, 1))."""
+        if probability <= 0.0:
+            return False
+        if probability >= 1.0:
+            return True
+        block = self._block
+        return (block.pop() if block else self._refill()) < probability
+
+    def _refill(self) -> float:
+        """Draw the next block and hand out its first double."""
+        size = min(max(self._fetched, _FIRST_BLOCK), _MAX_BLOCK)
+        block = self._gen.random(size).tolist()
+        block.reverse()
+        self._fetched += size
+        self._block = block
+        return block.pop()

@@ -19,8 +19,9 @@ Two variants:
 
 A monitor speaks the composite's slot masks: slot ``s`` is the
 ``s``-th of the ``component_names`` it is built with, bit ``1 << s``
-of every mask.  Its counters stay keyed by component name, the shape
-the vectorized functional backend reads and writes.
+of every mask.  Its counters are per-slot lists and its silenced set a
+mask, the shape the vectorized functional backend
+(:mod:`repro.harness.functional_vec`) reads and writes in place.
 """
 
 from __future__ import annotations
@@ -81,36 +82,35 @@ class MAm(AccuracyMonitor):
                  component_names: tuple = COMPONENT_NAMES) -> None:
         self.mpkp_threshold = mpkp_threshold
         self._names = tuple(component_names)
-        self._predictions = dict.fromkeys(self._names, 0)
-        self._mispredictions = dict.fromkeys(self._names, 0)
-        self._silenced = dict.fromkeys(self._names, False)
-        #: ``_silenced`` as a slot mask.
-        self._silenced_mask = 0
+        #: This epoch's used predictions and mispredictions, per slot.
+        self._predictions = [0] * len(self._names)
+        self._mispredictions = [0] * len(self._names)
+        #: The slots silenced for this epoch.
+        self._silenced = 0
 
     def silenced(self, pc: int, confident: int) -> int:
-        return self._silenced_mask & confident
+        return self._silenced & confident
 
     def record(self, pc, confident, correct, chosen) -> None:
         if chosen < 0:
             return
-        component = self._names[chosen]
-        self._predictions[component] += 1
+        self._predictions[chosen] += 1
         if not correct >> chosen & 1:
-            self._mispredictions[component] += 1
+            self._mispredictions[chosen] += 1
 
     def end_epoch(self) -> None:
-        self._silenced_mask = 0
-        for slot, component in enumerate(self._names):
-            predictions = self._predictions[component]
-            if predictions:
-                mpkp = 1000.0 * self._mispredictions[component] / predictions
-                self._silenced[component] = mpkp > self.mpkp_threshold
-            else:
-                self._silenced[component] = False
-            if self._silenced[component]:
-                self._silenced_mask |= 1 << slot
-            self._predictions[component] = 0
-            self._mispredictions[component] = 0
+        silenced = 0
+        predictions = self._predictions
+        mispredictions = self._mispredictions
+        for slot, count in enumerate(predictions):
+            if count and (
+                1000.0 * mispredictions[slot] / count > self.mpkp_threshold
+            ):
+                silenced |= 1 << slot
+            # Cleared in place: the functional backend holds the lists.
+            predictions[slot] = 0
+            mispredictions[slot] = 0
+        self._silenced = silenced
 
     def storage_bits(self) -> int:
         # Two 20-bit counters per component plus a silence bit.
@@ -118,52 +118,45 @@ class MAm(AccuracyMonitor):
 
 
 class _PcAmEntry:
+    """One PC's 8-bit correct and incorrect counters, per slot."""
+
     __slots__ = ("tag", "correct", "incorrect")
 
-    def __init__(self, tag: int, names: tuple = COMPONENT_NAMES) -> None:
+    def __init__(self, tag: int, width: int) -> None:
         self.tag = tag
-        self.correct = dict.fromkeys(names, 0)
-        self.incorrect = dict.fromkeys(names, 0)
+        self.correct = [0] * width
+        self.incorrect = [0] * width
 
-    def update(self, slots: tuple, confident: int, correct: int) -> None:
-        """Count one validation of every ``confident`` slot; ``slots``
-        holds each slot's ``(bit, name)``."""
-        for bit, component in slots:
-            if confident & bit:
-                if correct & bit:
-                    self.correct[component] += 1
+    def update(self, confident: int, correct: int) -> None:
+        """Count one validation of every ``confident`` slot."""
+        hits = self.correct
+        misses = self.incorrect
+        for slot in range(len(hits)):
+            if confident >> slot & 1:
+                if correct >> slot & 1:
+                    hits[slot] += 1
                 else:
-                    self.incorrect[component] += 1
+                    misses[slot] += 1
         # 8-bit counters: halve them all when any MSB sets, preserving
         # the correct:incorrect ratios.
-        if any(
-            v >= 128
-            for v in (*self.correct.values(), *self.incorrect.values())
-        ):
-            for component in self.correct:
-                self.correct[component] >>= 1
-                self.incorrect[component] >>= 1
+        if max(hits) >= 128 or max(misses) >= 128:
+            self.correct = [count >> 1 for count in hits]
+            self.incorrect = [count >> 1 for count in misses]
 
-    def squashed(self, slots: tuple, confident: int,
-                 threshold: float) -> int:
+    def squashed(self, confident: int, threshold: float) -> int:
         """The ``confident`` slots whose accuracy here is below
         ``threshold`` (a slot with no history counts as accurate)."""
         squashed = 0
-        for bit, component in slots:
-            if confident & bit:
-                correct = self.correct[component]
-                total = correct + self.incorrect[component]
-                if (correct / total if total else 1.0) < threshold:
-                    squashed |= bit
+        misses = self.incorrect
+        for slot, hits in enumerate(self.correct):
+            if confident >> slot & 1:
+                total = hits + misses[slot]
+                if (hits / total if total else 1.0) < threshold:
+                    squashed |= 1 << slot
         return squashed
 
 
 _TAG_BITS = 10
-
-
-def _slot_bits(names: tuple) -> tuple:
-    """``(bit, name)`` of every slot."""
-    return tuple((1 << slot, name) for slot, name in enumerate(names))
 
 
 def _pc_am_index(pc: int, entries: int) -> int:
@@ -186,7 +179,6 @@ class PcAm(AccuracyMonitor):
         self.entries = entries
         self.accuracy_threshold = accuracy_threshold
         self._names = tuple(component_names)
-        self._slots = _slot_bits(self._names)
         self._table: list[_PcAmEntry | None] = [None] * entries
         # (index, tag) memo: both are pure functions of the PC.
         self._keys: dict[int, tuple[int, int]] = {}
@@ -210,8 +202,7 @@ class PcAm(AccuracyMonitor):
         entry = self._lookup(pc)
         if entry is None:
             return 0
-        return entry.squashed(self._slots, confident,
-                              self.accuracy_threshold)
+        return entry.squashed(confident, self.accuracy_threshold)
 
     def record(self, pc, confident, correct, chosen) -> None:
         entry = self._lookup(pc)
@@ -224,9 +215,9 @@ class PcAm(AccuracyMonitor):
             # *sustained* inaccuracy after allocation does.
             if chosen >= 0 and not correct >> chosen & 1:
                 index, tag = self._key(pc)
-                self._table[index] = _PcAmEntry(tag, self._names)
+                self._table[index] = _PcAmEntry(tag, len(self._names))
             return
-        entry.update(self._slots, confident, correct)
+        entry.update(confident, correct)
 
     def storage_bits(self) -> int:
         # tag + two 8-bit counters per component per entry.
@@ -240,7 +231,6 @@ class InfinitePcAm(PcAm):
                  component_names: tuple = COMPONENT_NAMES) -> None:
         self.accuracy_threshold = accuracy_threshold
         self._names = tuple(component_names)
-        self._slots = _slot_bits(self._names)
         self._map: dict[int, _PcAmEntry] = {}
 
     def _lookup(self, pc: int) -> _PcAmEntry | None:
@@ -251,9 +241,9 @@ class InfinitePcAm(PcAm):
         if entry is None:
             # Same two-strike allocation rule as the finite PC-AM.
             if chosen >= 0 and not correct >> chosen & 1:
-                self._map[pc] = _PcAmEntry(0, self._names)
+                self._map[pc] = _PcAmEntry(0, len(self._names))
             return
-        entry.update(self._slots, confident, correct)
+        entry.update(confident, correct)
 
     def storage_bits(self) -> int:  # pragma: no cover - limit study only
         return len(self._map) * (8 * 8)

@@ -242,16 +242,7 @@ class CompositePredictor:
         # sum changes exactly when the donor set may have).
         self._live = self._slots
         self._live_mark = 0
-        self._stats = CompositeStats()
-        for tracker in (
-            self._stats.confident_by, self._stats.chosen_by,
-            self._stats.correct_by, self._stats.incorrect_by,
-            self._stats.sole_predictor,
-        ):
-            tracker.clear()
-            tracker.update(dict.fromkeys(self.components, 0))
-        # The histogram needs a bucket per possible confident count.
-        self._stats.confident_histogram = [0] * (width + 1)
+        self._stats = self.new_stats()
         # Loads counted since the last fold into ``_stats``: by
         # ``confident << width | used`` at fetch (``used``: the
         # confident slots left unsquashed), by
@@ -426,9 +417,28 @@ class CompositePredictor:
         self._fold_stats()
         return self._stats
 
-    def _fold_stats(self) -> None:
-        """Add the mask-indexed counts into :attr:`stats` and clear them."""
-        stats = self._stats
+    def new_stats(self) -> CompositeStats:
+        """Zeroed name-keyed counters over this predictor's components."""
+        stats = CompositeStats()
+        for tracker in (
+            stats.confident_by, stats.chosen_by, stats.correct_by,
+            stats.incorrect_by, stats.sole_predictor,
+        ):
+            tracker.clear()
+            tracker.update(dict.fromkeys(self.slot_names, 0))
+        # The histogram needs a bucket per possible confident count.
+        stats.confident_histogram = [0] * (self._width + 1)
+        return stats
+
+    def fold_pending(self, stats: CompositeStats) -> CompositeStats:
+        """Add the loads counted since the last fold into ``stats``
+        (the pending counts stay) and return it.
+
+        The one fold from mask-indexed counts to name-keyed ones:
+        :attr:`stats` folds into the predictor's running totals, and
+        the functional backend into a fresh :meth:`new_stats` for one
+        run's result.
+        """
         names = self.slot_names
         width = self._width
         low = (1 << width) - 1
@@ -461,6 +471,11 @@ class CompositePredictor:
         stats.incorrect_used += self._used_counts[0]
         stats.correct_used += self._used_counts[1]
         stats.train_operations += self._train_operations
+        return stats
+
+    def _fold_stats(self) -> None:
+        """Fold the pending counts into :attr:`stats` and clear them."""
+        self.fold_pending(self._stats)
         self._fetch_counts = [0] * len(self._fetch_counts)
         self._verdict_counts = [0] * len(self._verdict_counts)
         self._used_counts = [0, 0]

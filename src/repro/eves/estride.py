@@ -52,7 +52,7 @@ class EStridePredictor:
 
     def __init__(self, entries: int, rng: DeterministicRng | None = None) -> None:
         self.base_entries = entries
-        self._rng = (rng or DeterministicRng(0)).derive(self.name)
+        self._rng = (rng or DeterministicRng(0)).coins(self.name)
         self._table = BankedTable(entries, _FIELDS)
         # EVES never fuses, so the table keeps its single bank.
         self._bank0 = self._table.banks[0]

@@ -66,7 +66,7 @@ class EVtagePredictor:
         self.base_entries = base_entries
         self.tagged_entries = tagged_entries
         self.num_tables = num_tables
-        self._rng = (rng or DeterministicRng(0)).derive(self.name)
+        self._rng = (rng or DeterministicRng(0)).coins(self.name)
         self._base = ([0] * base_entries, [0] * base_entries)
         self._base_bits = bit_length_for(base_entries)
         self._tables = [

@@ -11,9 +11,20 @@ the next prediction) runs as a tight Python loop over unboxed ints.
 That loop reads and writes the live predictor tables: a
 :class:`repro.predictors.table.BankedTable` keeps one plain list per
 entry field per bank, so the loop binds those columns once and rebinds
-only its multi-bank flags when table fusion fuses or reverts.  A
-vector run therefore leaves the predictor in exactly the state a pure
-object run would have, with nothing to copy back.
+only its multi-bank flags when table fusion fuses or reverts.
+
+The loop speaks the composite's mask vocabulary
+(:mod:`repro.composite.composite`): each component's bit comes from
+``predictor.slot_names``, probing builds the confident and verdict
+masks, and selection and smart training index the composite's own
+``_choice`` and ``_trained_correct`` tables.  The monitors' per-slot
+counters are updated in place, and the statistics go into the
+composite's pending ``(confident, used)`` and ``(confident, correct)``
+count tables; :meth:`CompositePredictor.fold_pending` turns those
+into the run's :class:`FunctionalResult`, the same fold that serves
+``predictor.stats``.  Only the per-component probe and train code is
+inlined.  A vector run therefore leaves the predictor in exactly the
+state a pure object run would have, with nothing to copy back.
 
 The per-instruction object interpreter in
 ``tests/oracles/functional_loop.py`` is the bit-exact reference: for
@@ -31,10 +42,11 @@ Why this is bit-exact and not merely close:
   are precomputable.  The folded-XOR index/tag hashes distribute over
   XOR chunk-wise, which lets the scalar reference hashes be replayed
   as whole-column numpy expressions.
-* FPC confidence bumps draw from per-component deterministic RNG
-  streams in state-dependent order, so they cannot be batched; the
-  residual loop performs them through the live component RNGs in
-  exactly the oracle's order.
+* FPC confidence bumps draw from per-component coin streams in
+  state-dependent order, so they cannot be batched; the residual loop
+  flips them through the live components' own
+  :class:`~repro.common.rng.CoinStream` in exactly the oracle's order
+  (the stream draws its doubles in blocks, which changes no draw).
 * Epoch ticks are batched between loads: boundary effects (accuracy
   monitor / fusion epochs) are only observable at the next predicted
   load, so firing them lazily is equivalent.
@@ -79,9 +91,8 @@ _OP_STORE = 7
 _OP_BRANCH_COND = 8
 _OP_BRANCH_RETURN = 11
 
-#: Slot order of the canonical components in the residual interpreter.
-_SLOT_NAMES = ("lvp", "sap", "cvp", "cap")
-_SLOT_TYPES = {
+#: The component types the residual interpreter replays, by name.
+_COMPONENT_TYPES = {
     "lvp": LvpPredictor,
     "sap": SapPredictor,
     "cvp": CvpPredictor,
@@ -325,7 +336,7 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
         return "trace has no packed columns"
     if type(predictor) is CompositePredictor:
         for name, component in predictor.components.items():
-            expected = _SLOT_TYPES.get(name)
+            expected = _COMPONENT_TYPES.get(name)
             if expected is None or type(component) is not expected:
                 return f"unsupported component {name!r} ({type(component).__name__})"
         if type(predictor.monitor) not in _MONITOR_TYPES:
@@ -373,13 +384,19 @@ def _run_composite(trace, predictor, mem, result):
     cap = components.get("cap")
     monitor = predictor.monitor
     fusion = predictor.fusion
-    stats = predictor.stats
     smart = predictor.config.smart_training
     epoch_len = predictor.config.epoch_instructions
-    names4 = _SLOT_NAMES
-    slot_of = {"lvp": 0, "sap": 1, "cvp": 2, "cap": 3}
-    sel_slots = tuple(slot_of[n] for n in predictor._selection_order)
-    trn_slots = tuple(slot_of[n] for n in predictor._training_order)
+    names = predictor.slot_names
+    width = len(names)
+    # Each component's slot bit; 0 for one the allocation left out.
+    bit_of = {name: 1 << slot for slot, name in enumerate(names)}
+    b_lvp = bit_of.get("lvp", 0)
+    b_sap = bit_of.get("sap", 0)
+    b_cvp = bit_of.get("cvp", 0)
+    b_cap = bit_of.get("cap", 0)
+    choice = predictor._choice
+    trained_correct = predictor._trained_correct
+    invalidated = predictor._invalidated
 
     # -- whole-trace precompute (shared across runs on this trace) -----
     batch = _cached_batch(
@@ -387,10 +404,6 @@ def _run_composite(trace, predictor, mem, result):
     )
     pos = batch.pos
     n_loads = len(pos)
-    lpcs = batch.pc
-    lvals = batch.value
-    la49 = batch.addr49
-    lslog = batch.size_log2
     spos = batch.store_pos
     s_addr = batch.store_addr
     s_size = batch.store_size
@@ -400,7 +413,8 @@ def _run_composite(trace, predictor, mem, result):
 
     # The live tables: bank-0 columns stay valid for a table's lifetime
     # (fusion flushes and re-banks in place), so only the multi-bank
-    # flags below follow fusion.
+    # flags below follow fusion.  Every FPC draw goes through the
+    # component's own coin stream, one-bank or multi-bank.
     pc_np = batch.pc_np
     if lvp is not None:
         lvp_tab = lvp._table
@@ -454,24 +468,23 @@ def _run_composite(trace, predictor, mem, result):
         mam_mis = monitor._mispredictions
     if m_pc:
         am_table = monitor._table
-        am_thr = monitor.accuracy_threshold
-        am_names = monitor._names
         ami, amt = _cached_pc_am_hashes(trace, pc_np, monitor.entries)
     if m_inf:
         am_map = monitor._map
+    if m_pc or m_inf:
         am_thr = monitor.accuracy_threshold
-        am_names = monitor._names
 
     # -- fusion bindings -----------------------------------------------
+    def live_mask():
+        """The non-donor slots."""
+        donors = fusion.state.donors if fusion.state.fused else ()
+        return sum(bit for name, bit in bit_of.items() if name not in donors)
+
     if fusion is not None:
         f_used = fusion._epoch_used
-        donors = fusion.state.donors if fusion.state.fused else ()
+        live = live_mask()
     else:
-        donors = ()
-    act_lvp = lvp is not None and "lvp" not in donors
-    act_sap = sap is not None and "sap" not in donors
-    act_cvp = cvp is not None and "cvp" not in donors
-    act_cap = cap is not None and "cap" not in donors
+        live = (1 << width) - 1
     lvp_multi = lvp is not None and lvp_tab.num_banks > 1
     sap_multi = sap is not None and sap_tab.num_banks > 1
     cvp_multi = cvp is not None and cv0_tab.num_banks > 1
@@ -483,18 +496,14 @@ def _run_composite(trace, predictor, mem, result):
     mem_read = mem.read
     mem_write = mem.write
 
-    # -- accumulators ---------------------------------------------------
-    cc = [0, 0, 0, 0]   # confident per slot
-    ck = [0, 0, 0, 0]   # correct-when-confident per slot
-    ch = [0, 0, 0, 0]   # chosen per slot
-    cs = [0, 0, 0, 0]   # sole-predictor per slot
-    hist = [0, 0, 0, 0, 0]
-    r_pred = r_corr = r_multi = r_dis = 0
-    st_cu = st_iu = st_te = st_ops = 0
-    cf = [False, False, False, False]
-    okf = [False, False, False, False]
-    sqf = [False, False, False, False]
-    vals = [0, 0, 0, 0]
+    # -- accumulators: the composite's own pending counts, emptied
+    # first so that they hold this run alone ---------------------------
+    predictor._fold_stats()
+    fetch = predictor._fetch_counts
+    verdicts = predictor._verdict_counts
+    used_counts = predictor._used_counts
+    ops = dis = 0
+    v_lvp = v_sap = v_cvp = v_cap = 0
 
     iie = predictor._instructions_in_epoch
     prev_tick = 0
@@ -507,10 +516,10 @@ def _run_composite(trace, predictor, mem, result):
     rep0 = repeat(0)
     rows = zip(
         pos,
-        lpcs,
-        lvals,
-        la49,
-        lslog,
+        batch.pc,
+        batch.value,
+        batch.addr49,
+        batch.size_log2,
         li if lvp is not None else rep0,
         lt if lvp is not None else rep0,
         si if sap is not None else rep0,
@@ -543,6 +552,8 @@ def _run_composite(trace, predictor, mem, result):
                     monitor.end_epoch()
                     if fusion is not None:
                         fusion.end_epoch()
+                if m_mam:
+                    mam_sil = monitor._silenced
                 if fusion is not None:
                     f_used = fusion._epoch_used
                     if mark != (
@@ -550,14 +561,9 @@ def _run_composite(trace, predictor, mem, result):
                         fusion.state.reversions_performed,
                     ):
                         # Banks were flushed, granted or revoked in
-                        # place: refresh the donor and multi-bank flags.
-                        donors = (
-                            fusion.state.donors if fusion.state.fused else ()
-                        )
-                        act_lvp = lvp is not None and "lvp" not in donors
-                        act_sap = sap is not None and "sap" not in donors
-                        act_cvp = cvp is not None and "cvp" not in donors
-                        act_cap = cap is not None and "cap" not in donors
+                        # place: refresh the live mask and multi-bank
+                        # flags.
+                        live = live_mask()
                         lvp_multi = lvp is not None and lvp_tab.num_banks > 1
                         sap_multi = sap is not None and sap_tab.num_banks > 1
                         cvp_multi = cvp is not None and cv0_tab.num_banks > 1
@@ -573,21 +579,23 @@ def _run_composite(trace, predictor, mem, result):
                 mem_write(a, sz, s_val[sptr])
             sptr += 1
 
-        # -- probe every active component ------------------------------
-        cf[0] = cf[1] = cf[2] = cf[3] = False
-        if act_lvp:
+        # -- probe every live component: confident and verdict masks ---
+        conf = ok = 0
+        if live & b_lvp:
             i = li_j
             t = lt_j
             if not lvp_multi:
                 if lvp_t0[i] == t and lvp_c0[i] >= lvp_thr:
-                    cf[0] = True
-                    vals[0] = lvp_v0[i]
+                    conf = b_lvp
+                    v_lvp = lvp_v0[i]
             else:
                 bk = lvp_tab.find(i, t)
                 if bk is not None and bk[2][i] >= lvp_thr:
-                    cf[0] = True
-                    vals[0] = bk[1][i]
-        if act_sap:
+                    conf = b_lvp
+                    v_lvp = bk[1][i]
+            if conf and v_lvp == lval:
+                ok = b_lvp
+        if live & b_sap:
             i = si_j
             t = st_j
             a = -1
@@ -607,13 +615,15 @@ def _run_composite(trace, predictor, mem, result):
                     ) & _MASK49
                     sz = 1 << bk[3][i]
             if a >= 0:
-                cf[1] = True
-                vals[1] = (
+                conf |= b_sap
+                v_sap = (
                     mw_get(a >> 3, 0)
                     if sz == 8 and not a & 7
                     else mem_read(a, sz)
                 )
-        if act_cvp:
+                if v_sap == lval:
+                    ok |= b_sap
+        if live & b_cvp:
             # Longest-history table first; a tag match that is not
             # confident does NOT stop the search (oracle semantics).
             found = False
@@ -622,10 +632,10 @@ def _run_composite(trace, predictor, mem, result):
             if cvp_multi:
                 bk = cv2_tab.find(i, t)
                 if bk is not None and bk[2][i] >= cvp_thr:
-                    vals[2] = bk[1][i]
+                    v_cvp = bk[1][i]
                     found = True
             elif cv2_t0[i] == t and cv2_c0[i] >= cvp_thr:
-                vals[2] = cv2_v0[i]
+                v_cvp = cv2_v0[i]
                 found = True
             if not found:
                 i = c1i_j
@@ -633,10 +643,10 @@ def _run_composite(trace, predictor, mem, result):
                 if cvp_multi:
                     bk = cv1_tab.find(i, t)
                     if bk is not None and bk[2][i] >= cvp_thr:
-                        vals[2] = bk[1][i]
+                        v_cvp = bk[1][i]
                         found = True
                 elif cv1_t0[i] == t and cv1_c0[i] >= cvp_thr:
-                    vals[2] = cv1_v0[i]
+                    v_cvp = cv1_v0[i]
                     found = True
             if not found:
                 i = c0i_j
@@ -644,13 +654,16 @@ def _run_composite(trace, predictor, mem, result):
                 if cvp_multi:
                     bk = cv0_tab.find(i, t)
                     if bk is not None and bk[2][i] >= cvp_thr:
-                        vals[2] = bk[1][i]
+                        v_cvp = bk[1][i]
                         found = True
                 elif cv0_t0[i] == t and cv0_c0[i] >= cvp_thr:
-                    vals[2] = cv0_v0[i]
+                    v_cvp = cv0_v0[i]
                     found = True
-            cf[2] = found
-        if act_cap:
+            if found:
+                conf |= b_cvp
+                if v_cvp == lval:
+                    ok |= b_cvp
+        if live & b_cap:
             i = cpi_j
             t = cpt_j
             a = -1
@@ -664,108 +677,78 @@ def _run_composite(trace, predictor, mem, result):
                     a = bk[1][i]
                     sz = 1 << bk[2][i]
             if a >= 0:
-                cf[3] = True
-                vals[3] = (
+                conf |= b_cap
+                v_cap = (
                     mw_get(a >> 3, 0)
                     if sz == 8 and not a & 7
                     else mem_read(a, sz)
                 )
+                if v_cap == lval:
+                    ok |= b_cap
 
-        count = cf[0] + cf[1] + cf[2] + cf[3]
-        hist[count] += 1
-        chosen = -1
-        if count:
-            # -- per-component bookkeeping + AM squash -----------------
-            if m_pc:
+        if conf:
+            # -- AM squash, selection, statistics ----------------------
+            am_entry = None
+            if m_mam:
+                used = conf & ~mam_sil
+            elif m_pc:
                 e = am_table[ami_j]
-                am_entry = (
-                    e if e is not None and e.tag == amt_j else None
-                )
+                if e is not None and e.tag == amt_j:
+                    am_entry = e
+                    used = conf ^ e.squashed(conf, am_thr)
+                else:
+                    used = conf
             elif m_inf:
                 am_entry = am_map.get(pc_j)
+                used = (
+                    conf if am_entry is None
+                    else conf ^ am_entry.squashed(conf, am_thr)
+                )
             else:
-                am_entry = None
-            sole = count == 1
-            first = -1
-            diff = False
-            for s in range(4):
-                if not cf[s]:
-                    continue
-                cc[s] += 1
-                if sole:
-                    cs[s] += 1
-                v = vals[s]
-                ok = v == lval
-                okf[s] = ok
+                used = conf
+            fetch[conf << width | used] += 1
+            verdicts[conf << width | ok] += 1
+            if conf & (conf - 1):
+                # Two or more confident: the speculative values differ
+                # if some are right and some wrong, or, all wrong, if
+                # they are not all one value.
                 if ok:
-                    ck[s] += 1
-                if first < 0:
-                    first = v
-                elif v != first:
-                    diff = True
-                if m_mam:
-                    sqf[s] = mam_sil[names4[s]]
-                elif am_entry is not None:
-                    nm = names4[s]
-                    c = am_entry.correct[nm]
-                    tot = c + am_entry.incorrect[nm]
-                    sqf[s] = (1.0 if not tot else c / tot) < am_thr
+                    dis += ok != conf
                 else:
-                    sqf[s] = False
-            if count >= 2:
-                r_multi += 1
-                if diff:
-                    r_dis += 1
-
-            # -- selection ---------------------------------------------
-            for s in sel_slots:
-                if cf[s] and not sqf[s]:
-                    chosen = s
-                    break
+                    spec = set()
+                    if conf & b_lvp:
+                        spec.add(v_lvp)
+                    if conf & b_sap:
+                        spec.add(v_sap)
+                    if conf & b_cvp:
+                        spec.add(v_cvp)
+                    if conf & b_cap:
+                        spec.add(v_cap)
+                    dis += len(spec) > 1
+            chosen = choice[used]
+            good = chosen >= 0 and ok >> chosen & 1
             if chosen >= 0:
-                r_pred += 1
-                ch[chosen] += 1
-                used_ok = okf[chosen]
-                if used_ok:
-                    r_corr += 1
-                    st_cu += 1
-                else:
-                    st_iu += 1
+                used_counts[good] += 1
                 if fusion is not None:
-                    f_used[names4[chosen]] += 1
+                    f_used[names[chosen]] += 1
 
             # -- accuracy monitor record -------------------------------
             if m_mam:
                 if chosen >= 0:
-                    nm = names4[chosen]
-                    mam_pred[nm] += 1
-                    if not used_ok:
-                        mam_mis[nm] += 1
-            elif m_pc or m_inf:
-                if am_entry is None:
-                    if chosen >= 0 and not used_ok:
-                        if m_pc:
-                            am_table[ami_j] = _PcAmEntry(amt_j, am_names)
-                        else:
-                            am_map[pc_j] = _PcAmEntry(0, am_names)
-                else:
-                    corr_d = am_entry.correct
-                    inc_d = am_entry.incorrect
-                    for s in range(4):
-                        if cf[s]:
-                            if okf[s]:
-                                corr_d[names4[s]] += 1
-                            else:
-                                inc_d[names4[s]] += 1
-                    if any(v >= 128 for v in corr_d.values()) or any(
-                        v >= 128 for v in inc_d.values()
-                    ):
-                        for nm in corr_d:
-                            corr_d[nm] >>= 1
-                            inc_d[nm] >>= 1
+                    mam_pred[chosen] += 1
+                    if not good:
+                        mam_mis[chosen] += 1
+            elif am_entry is not None:
+                am_entry.update(conf, ok)
+            elif chosen >= 0 and not good:
+                if m_pc:
+                    am_table[ami_j] = _PcAmEntry(amt_j, width)
+                elif m_inf:
+                    am_map[pc_j] = _PcAmEntry(0, width)
 
             # -- penalize wrong confident address predictors -----------
-            if cf[1] and not okf[1]:
+            wrong = conf ^ ok
+            if wrong & b_sap:
                 i = si_j
                 t = st_j
                 if not sap_multi:
@@ -775,7 +758,7 @@ def _run_composite(trace, predictor, mem, result):
                     bk = sap_tab.find(i, t)
                     if bk is not None:
                         bk[4][i] = 0
-            if cf[3] and not okf[3]:
+            if wrong & b_cap:
                 i = cpi_j
                 t = cpt_j
                 if not cap_multi:
@@ -787,28 +770,16 @@ def _run_composite(trace, predictor, mem, result):
                         bk[3][i] = 0
 
         # -- training policy (Section V-D) -----------------------------
-        st_te += 1
-        if count and smart:
-            fc = -1
-            for s in trn_slots:
-                if cf[s] and okf[s]:
-                    fc = s
-                    break
-            tr0 = (cf[0] and not okf[0]) or fc == 0
-            tr1 = (cf[1] and not okf[1]) or fc == 1
-            tr2 = (cf[2] and not okf[2]) or fc == 2
-            tr3 = (cf[3] and not okf[3]) or fc == 3
-            inv_sap = cf[1] and okf[1] and fc != 1
+        if conf and smart:
+            trained = wrong | trained_correct[ok]
+            inv = ok & invalidated & ~trained
         else:
             # train-all (also smart training's no-confident rule)
-            tr0 = act_lvp
-            tr1 = act_sap
-            tr2 = act_cvp
-            tr3 = act_cap
-            inv_sap = False
+            trained = live
+            inv = 0
 
-        if tr0:
-            st_ops += 1
+        if trained & b_lvp:
+            ops += 1
             i = li_j
             t = lt_j
             if not lvp_multi:
@@ -834,8 +805,8 @@ def _run_composite(trace, predictor, mem, result):
                     bk[0][i] = t
                     bk[1][i] = lval
                     bk[2][i] = 0
-        if tr1:
-            st_ops += 1
+        if trained & b_sap:
+            ops += 1
             i = si_j
             t = st_j
             if not sap_multi:
@@ -875,10 +846,10 @@ def _run_composite(trace, predictor, mem, result):
                     bk[2][i] = 0
                     bk[3][i] = sl
                     bk[4][i] = 0
-        if tr2:
-            st_ops += 1
-            # Tables 0, 1, 2 in order: they share the component RNG, so
-            # the bump order is architectural.
+        if trained & b_cvp:
+            ops += 1
+            # Tables 0, 1, 2 in order: they share the component's coin
+            # stream, so the bump order is architectural.
             i = c0i_j
             t = c0t_j
             if not cvp_multi:
@@ -942,8 +913,8 @@ def _run_composite(trace, predictor, mem, result):
                     bk[0][i] = t
                     bk[1][i] = lval
                     bk[2][i] = 0
-        if tr3:
-            st_ops += 1
+        if trained & b_cap:
+            ops += 1
             i = cpi_j
             t = cpt_j
             if not cap_multi:
@@ -972,7 +943,7 @@ def _run_composite(trace, predictor, mem, result):
                     bk[1][i] = a49
                     bk[2][i] = sl
                     bk[3][i] = 0
-        if inv_sap:
+        if inv:
             # Correct-but-untrained SAP: its stride is broken anyway.
             i = si_j
             t = st_j
@@ -999,36 +970,21 @@ def _run_composite(trace, predictor, mem, result):
             fusion.end_epoch()
     predictor._instructions_in_epoch = iie
 
-    stats.loads += n_loads
-    stats.predicted_loads += r_pred
-    stats.correct_used += st_cu
-    stats.incorrect_used += st_iu
-    stats.train_events += st_te
-    stats.train_operations += st_ops
-    sh = stats.confident_histogram
-    for k, v in enumerate(hist):
-        if v:
-            sh[k] += v
-    for s in range(4):
-        nm = names4[s]
-        if nm not in stats.confident_by:
-            continue
-        stats.confident_by[nm] += cc[s]
-        stats.chosen_by[nm] += ch[s]
-        stats.correct_by[nm] += ck[s]
-        stats.incorrect_by[nm] += cc[s] - ck[s]
-        stats.sole_predictor[nm] += cs[s]
-
-    result.loads = n_loads
-    result.predicted_loads = r_pred
-    result.correct_predictions = r_corr
-    result.multi_confident_loads = r_multi
-    result.disagreements = r_dis
-    rh = result.confident_histogram
-    for k, v in enumerate(hist):
-        rh[k] += v
-    for s in range(4):
-        if cc[s]:
-            result.per_component_confident[names4[s]] = cc[s]
-        if ck[s]:
-            result.per_component_correct[names4[s]] = ck[s]
+    # Loads with no confident component were not counted in the loop.
+    unconfident = n_loads - sum(fetch)
+    fetch[0] += unconfident
+    verdicts[0] += unconfident
+    predictor._train_operations += ops
+    run = predictor.fold_pending(predictor.new_stats())
+    result.loads = run.loads
+    result.predicted_loads = run.predicted_loads
+    result.correct_predictions = run.correct_used
+    result.multi_confident_loads = sum(run.confident_histogram[2:])
+    result.disagreements = dis
+    for k, count in enumerate(run.confident_histogram):
+        result.confident_histogram[k] += count
+    for name in names:
+        if run.confident_by[name]:
+            result.per_component_confident[name] = run.confident_by[name]
+        if run.correct_by[name]:
+            result.per_component_correct[name] = run.correct_by[name]

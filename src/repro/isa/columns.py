@@ -306,6 +306,6 @@ class TraceColumns:
             n and cols.src_offsets[n] != len(cols.src_regs)
         ):
             raise ValueError("source-register CSR columns are inconsistent")
-        if any(kid >= len(cols.kernel_names) for kid in cols.kernel_ids):
+        if max(cols.kernel_ids, default=-1) >= len(cols.kernel_names):
             raise ValueError("kernel id out of range")
         return cols

@@ -56,7 +56,7 @@ class ComponentPredictor(abc.ABC):
         if entries <= 0:
             raise ValueError(f"{type(self).__name__} needs entries > 0, got {entries}")
         self.base_entries = entries
-        self._rng = (rng or DeterministicRng(0)).derive(self.name)
+        self._rng = (rng or DeterministicRng(0)).coins(self.name)
         self._float_probs = tuple(float(p) for p in self.fpc_vector.probabilities)
         self._conf_max = self.fpc_vector.maximum
 

@@ -90,8 +90,10 @@ WAL_FORMAT = 1
 #: pickles outstanding predict decisions as flat lists of ints (the
 #: ``LoadProbe``/``Prediction``/``CompositeDecision`` records are gone)
 #: and a composite's statistics as mask-indexed counts beside its
-#: name-keyed view.
-CHECKPOINT_FORMAT = 9
+#: name-keyed view; format 10 pickles accuracy-monitor counters as
+#: per-slot lists (M-AM's silenced set as a mask) and every FPC stream
+#: as a block-drawn ``CoinStream`` with its unhanded doubles.
+CHECKPOINT_FORMAT = 10
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".log"
@@ -216,6 +218,14 @@ def scan_wal_file(path: Path) -> tuple[list[dict], int, int]:
 def segment_path(directory: Path, index: int) -> Path:
     """The WAL segment file ``index`` of one session directory."""
     return directory / f"{_WAL_PREFIX}{index:08d}{_WAL_SUFFIX}"
+
+
+def segment_header(index: int, session_id: str) -> bytes:
+    """The header line that opens WAL segment ``index``."""
+    return encode_record({
+        "op": "_segment", "segment": index, "session": session_id,
+        "format": WAL_FORMAT,
+    })
 
 
 def session_dirs(sessions_root: Path) -> list[tuple[str, Path]]:
@@ -421,10 +431,7 @@ class SessionDurability:
             self._fh.close()
         self._segment += 1
         path = segment_path(self.dir, self._segment)
-        header = encode_record({
-            "op": "_segment", "segment": self._segment,
-            "session": self.session_id, "format": WAL_FORMAT,
-        })
+        header = segment_header(self._segment, self.session_id)
         atomic_write(path, header)
         self._fh = path.open("ab")
         self._segment_bytes = len(header)
@@ -728,8 +735,16 @@ class DurabilityManager:
         gap cannot be trusted to be contiguous.  A torn final segment
         is truncated the same way, so appends continue after its last
         intact record.
+
+        A torn segment *before* the tail whose lost records the
+        checkpoint covered is rewritten as a fresh header plus its
+        intact records (:func:`atomic_write`), so the tear is counted
+        at this recovery only, not again at every restart.  What it
+        lost stays lost: when the tear took the ``open`` record, the
+        checkpoint is the session's only base.
         """
         last_index = last_size = 0
+        replayed = 0
         for position, (index, path, records, valid, _) in enumerate(segments):
             try:
                 for record in records:
@@ -746,9 +761,18 @@ class DurabilityManager:
                             stale[1].unlink(missing_ok=True)
                 break
             last_index, last_size = index, valid
+            replayed = position + 1
         else:
             if segments and segments[-1][4]:
                 _truncate(segments[-1][1], segments[-1][3])
+        for index, path, records, _, dropped in segments[:replayed][:-1]:
+            if dropped:
+                with contextlib.suppress(OSError):
+                    atomic_write(
+                        path, segment_header(index, replay.session_id),
+                        *(encode_record(record) for record in records
+                          if record.get("op") != "_segment"),
+                    )
         return last_index, last_size
 
 

@@ -145,9 +145,10 @@ class TestPcAm:
         for _ in range(300):  # drive counters past the 8-bit MSB
             record(monitor, 0x1000, {"sap": True}, "sap", True)
         entry = monitor._lookup(0x1000)
-        assert max(entry.correct.values()) < 128
-        assert entry.correct["sap"] / (
-            entry.correct["sap"] + entry.incorrect["sap"]
+        sap = COMPONENT_NAMES.index("sap")
+        assert max(entry.correct) < 128
+        assert entry.correct[sap] / (
+            entry.correct[sap] + entry.incorrect[sap]
         ) > 0.95
 
     def test_power_of_two_entries_required(self):

@@ -21,6 +21,7 @@ from dataclasses import asdict
 import pytest
 from conftest import alone
 
+from repro.composite.accuracy_monitor import InfinitePcAm, MAm, PcAm
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
@@ -326,6 +327,29 @@ def _table_state(predictor):
     ]
 
 
+def _monitor_state(monitor):
+    """The accuracy monitor's counters, as plain values."""
+    def entry(e):
+        return None if e is None else (e.tag, e.correct, e.incorrect)
+
+    if isinstance(monitor, MAm):
+        return (monitor._predictions, monitor._mispredictions,
+                monitor._silenced)
+    if isinstance(monitor, InfinitePcAm):
+        return {pc: entry(e) for pc, e in monitor._map.items()}
+    if isinstance(monitor, PcAm):
+        return [entry(e) for e in monitor._table]
+    return None
+
+
+def _fpc_positions(predictor):
+    """How many coins each component's FPC stream has drawn."""
+    return {
+        name: component._rng.drawn
+        for name, component in predictor.components.items()
+    }
+
+
 def assert_functional_identical(trace, make_predictor):
     (obj, obj_p), (vec, vec_p) = functional_both(trace, make_predictor)
     diff = {k: (obj[k], vec[k]) for k in obj if obj[k] != vec[k]}
@@ -333,6 +357,10 @@ def assert_functional_identical(trace, make_predictor):
     assert _table_state(obj_p) == _table_state(vec_p)
     assert (getattr(obj_p, "_instructions_in_epoch", None)
             == getattr(vec_p, "_instructions_in_epoch", None))
+    assert asdict(obj_p.stats) == asdict(vec_p.stats)
+    assert _monitor_state(obj_p.monitor) == _monitor_state(vec_p.monitor)
+    assert _fpc_positions(obj_p) == _fpc_positions(vec_p)
+    return obj_p, vec_p
 
 
 def _composite(**overrides):
@@ -389,6 +417,55 @@ class TestFunctionalVecEquivalence:
         assert_functional_identical(
             trace, lambda: CompositePredictor(config)
         )
+
+    def test_zero_entry_allocation_shifts_slots(self):
+        # SAP left out: CVP and CAP move down a slot, so every mask the
+        # vec loop builds must follow the predictor's slot_names.  The
+        # lowered confidence bar makes used mispredictions, so PC-AM
+        # entries are allocated, updated and consulted.
+        trace = generate_trace("zlib", 3000, 9)
+        config = CompositeConfig(
+            lvp_entries=64, sap_entries=0, cvp_entries=256,
+            cap_entries=128, table_fusion=False,
+            accuracy_monitor="pc-am", smart_training=True,
+            confidence_delta=-3,
+        )
+        obj_p, vec_p = assert_functional_identical(
+            trace, lambda: CompositePredictor(config)
+        )
+        assert vec_p.slot_names == ("lvp", "cvp", "cap")
+        assert any(e is not None for e in vec_p.monitor._table)
+        assert vec_p.stats.incorrect_used > 0
+        assert vec_p.stats.confident_histogram[2] > 0
+
+    def test_m_am_silencing_flips_mid_trace(self):
+        # Epochs short enough that M-AM silences a component and lets
+        # it back in several times inside the trace.
+        trace = generate_trace("listing1", 3000, 1)
+        config = CompositeConfig(
+            accuracy_monitor="m-am", table_fusion=False,
+            epoch_instructions=150,
+        ).homogeneous(128)
+        masks = {}
+
+        def make():
+            predictor = CompositePredictor(config)
+            monitor = predictor.monitor
+            seen = masks.setdefault(id(predictor), [])
+            end_epoch = monitor.end_epoch
+
+            def recording_end_epoch():
+                end_epoch()
+                seen.append(monitor._silenced)
+
+            monitor.end_epoch = recording_end_epoch
+            return predictor
+
+        obj_p, vec_p = assert_functional_identical(trace, make)
+        obj_masks, vec_masks = masks[id(obj_p)], masks[id(vec_p)]
+        assert obj_masks == vec_masks
+        flips = sum(a != b for a, b in zip(vec_masks, vec_masks[1:]))
+        assert flips >= 2 and any(vec_masks)
 
     def test_confidence_delta(self):
         trace = generate_trace("astar", 3000, 7)

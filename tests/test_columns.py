@@ -130,6 +130,20 @@ class TestBufferSerialization:
         with pytest.raises(ValueError):
             TraceColumns.from_buffers(meta, buffers)
 
+    def test_out_of_range_kernel_id_rejected(self):
+        cols = TraceColumns.from_instructions(sample_instructions())
+        meta, buffers = cols.to_buffers()
+        # Drop the last interned tag: the ids still naming it point
+        # past the table.
+        assert len(meta["kernel_names"]) == 2
+        meta["kernel_names"] = meta["kernel_names"][:1]
+        with pytest.raises(ValueError, match="kernel id out of range"):
+            TraceColumns.from_buffers(meta, buffers)
+        meta["kernel_names"] = ["", "scan"]
+        assert TraceColumns.from_buffers(meta, buffers).materialize() == (
+            sample_instructions()
+        )
+
 
 class TestValidation:
     def test_out_of_range_value_rejected(self):

@@ -420,6 +420,39 @@ class TestTearsBeforeTheCheckpoint:
         assert third.sessions.get("d1").snapshot() == final
         third.durability.close_all()
 
+    def test_a_covered_tear_is_counted_once(self, tmp_path):
+        """Recovery rewrites a torn segment before the tail whose lost
+        records the checkpoint covers, as a fresh header plus its
+        intact records: the tear is reported at the first restart only,
+        and every restart recovers every acknowledged record and keeps
+        appending."""
+        chunks, directory = self._write(tmp_path)
+        first = directory / "wal-00000001.log"
+        data = bytearray(first.read_bytes())
+        data[0] ^= 1
+        first.write_bytes(bytes(data))
+
+        seq = 25
+        for tears in (8, 0, 0):
+            server = durable_server(tmp_path, wal_segment_bytes=4096,
+                                    checkpoint_every=5)
+            assert server.durability.scan_ids() == ["d1"]
+            server.recover()
+            stats = server.durability.stats
+            assert stats.corrupt_tail_records == tears
+            assert stats.checkpoint_failures == 0
+            assert server.sessions.get("d1").tracker.applied_seq == seq
+            # Segment 1 lost every line to the tear: it is now a header
+            # naming the session and nothing else.
+            records, valid, dropped = scan_wal_file(first)
+            assert (dropped, valid) == (0, first.stat().st_size)
+            assert [r["op"] for r in records] == ["_segment"]
+            assert records[0]["session"] == "d1"
+            seq += 1
+            server.execute("apply", {"session": "d1", "seq": seq,
+                                     "events": chunks[0]})
+            server.durability.close_all()
+
     def test_tear_past_the_checkpoint_truncates_and_drops(self, tmp_path):
         """A bit flipped in seq 23's record still ends the log there:
         its segment is truncated before it, later segments are
@@ -863,6 +896,43 @@ class TestCheckpointCorruptionFallback:
         of a ``LoadProbe`` and ``Prediction`` objects, classes that no
         longer exist: a decision is now one flat list of ints."""
         self._record_era_fallback(tmp_path, monkeypatch, 8)
+
+    def test_format_9_checkpoint_falls_back_to_full_replay(
+        self, tmp_path, monkeypatch
+    ):
+        """A CHECKPOINT_FORMAT 9 checkpoint pickles every FPC stream as
+        an unbuffered ``DeterministicRng`` and monitor counters keyed by
+        component name.  It is evicted by its version before anything
+        unpickles it, and the session is rebuilt bit-identically by full
+        WAL replay."""
+        from repro.common.atomicfile import write_sealed
+        from repro.common.rng import DeterministicRng
+
+        spec = SPECS[1][1]
+        chunks = chunked(make_events(36), 20)
+        reference = reference_snapshots(spec, chunks)
+        with monkeypatch.context() as patch:
+            # The format-9 layout: a component's FPC stream is a plain
+            # derived stream.
+            patch.setattr(DeterministicRng, "coins", DeterministicRng.derive)
+            first = durable_server(tmp_path, checkpoint_every=2)
+            drive(first, "d1", spec, chunks)
+            first.durability.close_all()
+
+        ckpt = first.durability.session_dir("d1") / "checkpoint.ckpt"
+        header, blob = load_checkpoint(ckpt)
+        header.pop("body_sha256")
+        blob = bytes(blob)
+        assert b"DeterministicRng" in blob and b"CoinStream" not in blob
+        write_sealed(ckpt, b"RLVPCKP\x01", 9, header, blob)
+
+        second = durable_server(tmp_path, checkpoint_every=2)
+        report = second.recover()
+        assert not ckpt.exists()
+        assert report["replayed_records"] == len(chunks) + 1
+        assert second.durability.stats.checkpoint_failures == 0
+        assert second.sessions.get("d1").snapshot() == reference[-1]
+        second.durability.close_all()
 
     def test_format_7_checkpoint_with_fold_registers_restores(
         self, tmp_path, monkeypatch
