@@ -18,6 +18,11 @@ exact instruction list (bit-identical fields, including validation),
 and the randomized equivalence tests in
 ``tests/test_columnar_equivalence.py`` prove the columnar simulator
 loop byte-identical to the object-path oracle in ``tests/oracles``.
+
+:meth:`TraceColumns.dataflow` derives, once per trace, the columns the
+core loop schedules from: a kind code per instruction and, per source
+operand, the index of the instruction that produces it
+(:class:`Dataflow`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,17 @@ import sys
 from array import array
 from typing import Iterable, Sequence
 
-from repro.isa.instruction import Instruction, OP_LOAD, OpClass, REG_NONE
+import numpy as np
+
+from repro.isa.instruction import (
+    Instruction,
+    OP_BRANCH_FIRST,
+    OP_BRANCH_LAST,
+    OP_LOAD,
+    OP_STORE,
+    OpClass,
+    REG_NONE,
+)
 
 #: Bit assignments of the per-instruction ``flags`` column.
 FLAG_TAKEN = 1 << 0
@@ -35,6 +50,22 @@ FLAG_IS_CALL = 1 << 2
 #: Precomputed ``is_load and not no_predict`` so the hot loop tests one
 #: bit instead of two columns.
 FLAG_PREDICTABLE = 1 << 3
+
+#: Instruction kind codes of :attr:`Dataflow.kind`.  Loads and stores
+#: share the ``KIND_MEMORY`` bit, and a store adds bit 0 to it.
+KIND_OTHER = 0
+KIND_BRANCH = 1
+KIND_MEMORY = 2
+KIND_LOAD = KIND_MEMORY
+KIND_STORE = KIND_MEMORY | 1
+#: Added to the kind of an instruction with more than two source
+#: operands, whose third and later producers are in :attr:`Dataflow.wide`.
+KIND_WIDE = 4
+
+_KIND_OF_OP = np.zeros(len(OpClass), dtype=np.uint8)
+_KIND_OF_OP[OP_BRANCH_FIRST:OP_BRANCH_LAST + 1] = KIND_BRANCH
+_KIND_OF_OP[OP_LOAD] = KIND_LOAD
+_KIND_OF_OP[OP_STORE] = KIND_STORE
 
 _U64_MAX = (1 << 64) - 1
 
@@ -64,6 +95,63 @@ def _check_u64(name: str, value: int) -> int:
     return value
 
 
+class Dataflow:
+    """One trace's scheduling columns, derived from its packed columns.
+
+    ``kind[i]`` is instruction *i*'s ``KIND_*`` code.  ``src0[i]`` and
+    ``src1[i]`` are the producers of its first and second source
+    operands: the index of the last earlier instruction whose
+    destination is that register, or ``n`` (the trace length) when no
+    earlier instruction writes it or the operand does not exist.  An
+    instruction that reads its own destination reads the previous
+    writer's value.  ``wide`` maps each instruction with the
+    ``KIND_WIDE`` bit to the producers of its third and later operands.
+    """
+
+    __slots__ = ("kind", "src0", "src1", "wide")
+
+    def __init__(self, columns: TraceColumns) -> None:
+        n = len(columns)
+        offsets = np.frombuffer(columns.src_offsets, dtype=np.uint32)
+        starts = offsets[:-1].astype(np.int64)
+        counts = offsets[1:] - offsets[:-1]
+        regs = np.frombuffer(columns.src_regs, dtype=np.int8).astype(np.int64)
+        dest = np.frombuffer(columns.dest, dtype=np.int8)
+        # Keys order register accesses by register, then instruction:
+        # ``reg * stride + i``.  A stable sort of the int8 destinations
+        # orders the write keys (an instruction with no destination
+        # gets a negative key, below every read key).  An operand's
+        # producer is the last write key below its read key when that
+        # key is the same register's, i.e. when it is not below the
+        # register's base; the leading -1 keeps every lookup in range.
+        stride = n + 1
+        order = np.argsort(dest, kind="stable")
+        write_keys = np.concatenate((
+            [-1], dest[order].astype(np.int64) * stride + order,
+        ))
+        base = regs * stride
+        read_keys = base + np.repeat(np.arange(n), counts)
+        found = write_keys[np.searchsorted(write_keys, read_keys) - 1] - base
+        producer = np.where(found >= 0, found, n)
+        kind = _KIND_OF_OP[np.frombuffer(columns.op, dtype=np.uint8)]
+        wide = counts > 2
+        kind[wide] |= KIND_WIDE
+        self.kind = array("B", kind.tobytes())
+        self.src0 = _producers(n, producer, starts, counts > 0)
+        self.src1 = _producers(n, producer, starts + 1, counts > 1)
+        self.wide: dict[int, tuple[int, ...]] = {
+            i: tuple(producer[offsets[i] + 2:offsets[i + 1]].tolist())
+            for i in np.flatnonzero(wide).tolist()
+        }
+
+
+def _producers(n, producer, at, mask) -> array:
+    """An ``array('i')`` of ``n`` producers: ``producer[at[i]]`` where
+    ``mask[i]``, else ``n``."""
+    column = np.full(n, n, dtype=np.intc)
+    column[mask] = producer[at[mask]]
+    return array("i", column.tobytes())
+
 class TraceColumns:
     """Parallel packed columns for one dynamic instruction stream.
 
@@ -78,6 +166,7 @@ class TraceColumns:
     __slots__ = (
         "pc", "op", "dest", "addr", "size", "value", "target", "flags",
         "src_offsets", "src_regs", "kernel_ids", "kernel_names",
+        "_dataflow",
     )
 
     def __init__(self) -> None:
@@ -93,9 +182,17 @@ class TraceColumns:
         self.src_regs = array("b")
         self.kernel_ids = array("H")
         self.kernel_names: list[str] = [""]
+        self._dataflow: Dataflow | None = None
 
     def __len__(self) -> int:
         return len(self.pc)
+
+    def dataflow(self) -> Dataflow:
+        """The trace's :class:`Dataflow` columns, built on first use and
+        kept with these columns (so they die with the trace)."""
+        if self._dataflow is None:
+            self._dataflow = Dataflow(self)
+        return self._dataflow
 
     # ------------------------------------------------------------------
     # Packing and unpacking
@@ -258,6 +355,7 @@ class TraceColumns:
         that as corruption and regenerates.
         """
         cols = cls.__new__(cls)
+        cols._dataflow = None
         described = meta.get("columns", [])
         if [c.get("name") for c in described] != [n for n, _ in COLUMN_SPECS]:
             raise ValueError("columnar payload does not match COLUMN_SPECS")

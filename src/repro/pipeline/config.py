@@ -26,6 +26,18 @@ DEFAULT_LATENCIES: dict[OpClass, int] = {
 }
 
 
+#: The ``memory_dependence`` models: the store-set predictor and the
+#: perfect-disambiguation oracle.
+MEMORY_DEPENDENCE_MODELS = ("store-sets", "perfect")
+
+
+def _check_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(
+            f"CoreConfig.{name} must be an integer >= {least}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class CoreConfig:
     """Skylake-like baseline core (Table III)."""
@@ -92,6 +104,43 @@ class CoreConfig:
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
 
     latencies: dict = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
+
+    def __post_init__(self) -> None:
+        for name in (
+            "fetch_width", "issue_width", "commit_width", "ls_lanes",
+            "generic_lanes", "rob_entries", "iq_entries", "ldq_entries",
+            "stq_entries", "paq_entries", "vpe_entries", "ras_entries",
+        ):
+            _check_int(name, getattr(self, name), 1)
+        # A non-negative front-end depth: fetch, dispatch, issue, execute.
+        _check_int("fetch_to_execute", self.fetch_to_execute, 2)
+        for name in (
+            "redirect_penalty", "paq_queue_delay", "store_forward_latency",
+        ):
+            _check_int(name, getattr(self, name), 0)
+        if self.memory_dependence not in MEMORY_DEPENDENCE_MODELS:
+            raise ValueError(
+                f"CoreConfig.memory_dependence must be one of "
+                f"{', '.join(map(repr, MEMORY_DEPENDENCE_MODELS))}, "
+                f"got {self.memory_dependence!r}"
+            )
+        for name in ("ssit_entries", "lfst_entries"):
+            value = getattr(self, name)
+            _check_int(name, value, 1)
+            if value & (value - 1):
+                raise ValueError(
+                    f"CoreConfig.{name} must be a power of two, got {value}"
+                )
+        missing = [
+            op.name for op in OpClass
+            if op is not OpClass.LOAD and op not in self.latencies
+        ]
+        if missing:
+            raise ValueError(
+                f"CoreConfig.latencies has no latency for {', '.join(missing)}"
+            )
+        for op, latency in self.latencies.items():
+            _check_int(f"latencies[{OpClass(op).name}]", latency, 1)
 
     @property
     def frontend_depth(self) -> int:

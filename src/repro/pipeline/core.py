@@ -29,8 +29,13 @@ Value-prediction flow per predictable load (Figure 1 of the paper):
 
 One loop computes the pass.  :meth:`CoreModel.run` iterates the packed
 :class:`repro.isa.columns.TraceColumns` (packing an object-built trace
-first; the columns are memoized on the trace) with prebound locals and
-precomputed per-opclass dispatch tables instead of enum property calls.
+first; the columns are memoized on the trace) and their
+:class:`~repro.isa.columns.Dataflow` columns, built once per trace: a
+kind code per instruction (other, branch, load, store) and, per source
+operand, the index of the earlier instruction that produces it.  The
+loop keeps every instruction's result cycle in one list, so an
+operand is ready when its producer's result is, and after the shared
+fetch code each kind runs one body.
 
 The front end is trace-determined: histories take actual outcomes and
 each branch is predicted and trained within its own iteration, so the
@@ -82,16 +87,15 @@ from collections import deque
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.common.bits import bit_length_for
-from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
-from repro.isa.instruction import (
-    NUM_ARCH_REGS,
-    OP_BRANCH_FIRST,
-    OP_BRANCH_LAST,
-    OP_LOAD,
-    OP_STORE,
-    OpClass,
-    REG_NONE,
+from repro.isa.columns import (
+    FLAG_PREDICTABLE,
+    FLAG_TAKEN,
+    KIND_BRANCH,
+    KIND_LOAD,
+    KIND_MEMORY,
+    KIND_WIDE,
 )
+from repro.isa.instruction import OP_STORE, OpClass
 from repro.isa.trace import Trace
 from repro.memory.cache import CacheStats
 from repro.memory.hierarchy import MemoryHierarchy
@@ -124,13 +128,6 @@ from repro.predictors.types import (
 #: 3: a lone component is a one-component plain composite, so it draws
 #: its FPC stream from the composite's seed.
 TIMING_SEMANTICS_VERSION = 3
-
-# Raw opclass integers the dispatch tables key on; defined next to the
-# enum in repro.isa.instruction so the columnar loop cannot drift.
-_OP_LOAD = OP_LOAD
-_OP_STORE = OP_STORE
-_OP_BRANCH_LO = OP_BRANCH_FIRST
-_OP_BRANCH_HI = OP_BRANCH_LAST
 
 
 class SimulationInterrupted(RuntimeError):
@@ -199,11 +196,13 @@ class CoreModel:
         trace.
 
         The loop reads the packed columns (``trace.pack()`` builds them
-        once for an object-built trace): column values are plain
-        integers read from packed arrays, opclass tests are integer
-        compares against the module-level ``_OP_*`` constants,
-        execution latency comes from the precomputed per-opclass
-        dispatch table, and every method or attribute that the loop
+        once for an object-built trace) and their dataflow columns
+        (``TraceColumns.dataflow()``, built once per trace): each
+        instruction's kind code picks one body (other, branch, load or
+        store), each source operand is ready at its producer's result
+        cycle, read from the run's ``done`` list by the producer's
+        index, execution latency comes from the precomputed
+        per-opclass table, and every method or attribute that the loop
         touches per instruction is prebound to a local.  The branch
         unit and history registers are not driven live: their
         trace-determined outcomes are replayed from the trace's
@@ -265,7 +264,7 @@ class CoreModel:
         fetch_width = cfg.fetch_width
         commit_width = cfg.commit_width
         latency_by_op = self._latency_by_op
-        store_latency = latency_by_op[_OP_STORE]
+        store_latency = latency_by_op[OP_STORE]
         redirect_penalty = cfg.redirect_penalty
 
         # Lane schedulers and window trackers, inlined (the oracle in
@@ -293,7 +292,18 @@ class CoreModel:
         paq = WindowTracker(cfg.paq_entries)
         vpe = WindowTracker(cfg.vpe_entries)
 
-        reg_avail = [0] * NUM_ARCH_REGS
+        # Dataflow: each source operand names the instruction producing
+        # it, and ``done`` holds every instruction's result cycle (its
+        # completion; a load's writeback), so an operand is ready at
+        # ``done[producer]``.  Slot n, the producer of an operand no
+        # earlier instruction writes, stays 0.
+        n = len(cols)
+        flow = cols.dataflow()
+        kinds = flow.kind
+        src0 = flow.src0
+        src1 = flow.src1
+        wide = flow.wide
+        done = [0] * (n + 1)
 
         fetch_cycle = 0
         fetched_in_cycle = 0
@@ -326,19 +336,16 @@ class CoreModel:
         pending_updates: list = []
         update_seq = 0
 
-        result = SimResult(workload=trace.name, instructions=len(trace), cycles=0)
+        result = SimResult(workload=trace.name, instructions=n, cycles=0)
         result.predictor_storage_bits = predictor.storage_bits()
 
         # Column and callable prebinds (the whole point of this loop).
         pcs = cols.pc
         ops = cols.op
-        dests = cols.dest
         addrs = cols.addr
         sizes = cols.size
         values = cols.value
         flags_col = cols.flags
-        src_offsets = cols.src_offsets
-        src_regs = cols.src_regs
         fetch_latency = hierarchy.fetch_latency
         store_latency_fn = hierarchy.store_latency
         predict = predictor.predict
@@ -363,10 +370,14 @@ class CoreModel:
         memdep_wait = memdep.load_wait_until if memdep is not None else None
         memdep_note_store = memdep.note_store if memdep is not None else None
 
-        instructions_done = 0
-        next_interrupt_check = interrupt_interval if interrupt else None
+        # ``interrupt`` is polled when ``i + 1`` instructions have
+        # started, every ``poll_step`` of them.
+        poll_step = interrupt_interval if interrupt_interval > 0 else 1
+        poll_at = poll_step - 1 if interrupt else -1
         name = trace.name
-        pending_ticks = 0
+        # Instructions before index ``ticked`` have been delivered to
+        # the predictor's epoch clock.
+        ticked = 0
 
         # Loop-owned result counters, accumulated in locals and folded
         # into ``result`` after the loop (attribute stores are not free
@@ -376,15 +387,13 @@ class CoreModel:
         n_branch_misp = 0
         n_violations = 0
 
-        for i in range(len(cols)):
-            if next_interrupt_check is not None:
-                instructions_done += 1
-                if instructions_done >= next_interrupt_check:
-                    next_interrupt_check += interrupt_interval
-                    if interrupt(instructions_done):
-                        raise SimulationInterrupted(name, instructions_done)
-            op = ops[i]
-            pc = pcs[i]
+        for i, kind, pc, first, second in zip(
+            range(n), kinds, pcs, src0, src1,
+        ):
+            if i == poll_at:
+                poll_at += poll_step
+                if interrupt(i + 1):
+                    raise SimulationInterrupted(name, i + 1)
 
             # ----------------------------------------------------------
             # Fetch
@@ -396,14 +405,14 @@ class CoreModel:
             other = iq_rel[iq_slot]
             if other > window_floor:
                 window_floor = other
-            if op == _OP_LOAD:
-                mem_slot = n_loads % ldq_cap
-                other = ldq_rel[mem_slot]
-                if other > window_floor:
-                    window_floor = other
-            elif op == _OP_STORE:
-                mem_slot = n_stores % stq_cap
-                other = stq_rel[mem_slot]
+            if kind & KIND_MEMORY:
+                if kind & 1:
+                    mem_rel = stq_rel
+                    mem_slot = n_stores % stq_cap
+                else:
+                    mem_rel = ldq_rel
+                    mem_slot = n_loads % ldq_cap
+                other = mem_rel[mem_slot]
                 if other > window_floor:
                     window_floor = other
             window_floor -= depth
@@ -431,39 +440,50 @@ class CoreModel:
                         fetched_in_cycle = 0
             fetch = fetch_cycle
             fetched_in_cycle += 1
+            dispatch = fetch + depth
+
+            # Ready once dispatched and every source operand's producer
+            # has its result.
+            ready = dispatch + 1
+            avail = done[first]
+            if avail > ready:
+                ready = avail
+            avail = done[second]
+            if avail > ready:
+                ready = avail
+            if kind & KIND_WIDE:
+                for producer in wide[i]:
+                    avail = done[producer]
+                    if avail > ready:
+                        ready = avail
+                kind ^= KIND_WIDE
 
             # ----------------------------------------------------------
-            # Branch prediction / histories / value-predictor probe
+            # Issue and execute, one body per kind
             # ----------------------------------------------------------
-            mispredicted = 0
-            decision = None
-            predictable = 0
-            if _OP_BRANCH_LO <= op <= _OP_BRANCH_HI:
-                code = branch_codes[branch]
-                branch += 1
-                mispredicted = code & 1
-                if code > 1:
-                    # Taken branch missed the BTB: decode redirect.
-                    fetch_cycle += code >> 1
-                    fetched_in_cycle = 0
-                elif flags_col[i] & FLAG_TAKEN:
-                    # Can't fetch past a taken branch this cycle.
-                    fetched_in_cycle = fetch_width
-            elif op == _OP_LOAD:
-                predictable = flags_col[i] & FLAG_PREDICTABLE
+            if not kind:
+                earliest = generic_free[0]
+                issue = ready if ready > earliest else earliest
+                heapreplace(generic_free, issue + 1)
+                complete = issue + latency_by_op[ops[i]]
+                done[i] = complete
+
+            elif kind == KIND_LOAD:
                 # Deliver the instruction ticks accumulated since the
                 # last predictor interaction.  Epoch boundaries fire in
                 # the same order relative to predict/train calls as the
-                # per-instruction oracle, so this is
-                # bit-identical -- just fewer method calls.
-                if pending_ticks:
-                    tick_instructions(pending_ticks)
-                    pending_ticks = 0
+                # per-instruction oracle, so this is bit-identical --
+                # just fewer method calls.
+                if i > ticked:
+                    tick_instructions(i - ticked)
+                    ticked = i
                 # Apply predictor updates from loads that have completed
                 # by now -- the predictor state a fetch-time probe sees.
                 while pending_updates and pending_updates[0][0] <= fetch:
                     _, _, d, a, s, v, c = heappop(pending_updates)
                     validate_and_train(d, a, s, v, c)
+                decision = None
+                predictable = flags_col[i] & FLAG_PREDICTABLE
                 if predictable:
                     # The fetch-time histories, as recorded in program
                     # order (training reuses the decision's load fields
@@ -479,18 +499,7 @@ class CoreModel:
                         snap_load_paths[probe], inflight,
                     )
                     probe += 1
-
-            dispatch = fetch + depth
-
-            # ----------------------------------------------------------
-            # Issue and execute
-            # ----------------------------------------------------------
-            ready = dispatch + 1
-            for j in range(src_offsets[i], src_offsets[i + 1]):
-                avail = reg_avail[src_regs[j]]
-                if avail > ready:
-                    ready = avail
-            if op == _OP_LOAD:
+                    n_predictable += 1
                 if memdep_wait is not None:
                     # Predicted-dependent loads wait for their store set.
                     wait_until = memdep_wait(pc)
@@ -519,43 +528,7 @@ class CoreModel:
                     flights = inflight_loads[pc] = deque(maxlen=ldq_cap)
                 flights.append(complete)
                 n_loads += 1
-                if predictable:
-                    n_predictable += 1
-            elif op == _OP_STORE:
-                earliest = ls_free[0]
-                issue = ready if ready > earliest else earliest
-                heapreplace(ls_free, issue + 1)
-                addr = addrs[i]
-                size = sizes[i]
-                complete = issue + store_latency
-                word_lo = addr >> 3
-                word_hi = (addr + size - 1) >> 3
-                info = (issue, complete, pc)
-                for word in range(word_lo, word_hi + 1):
-                    store_info_put(word, info)
-                if memdep_note_store is not None:
-                    memdep_note_store(pc, complete)
-            else:
-                earliest = generic_free[0]
-                issue = ready if ready > earliest else earliest
-                heapreplace(generic_free, issue + 1)
-                complete = issue + latency_by_op[op]
-
-            # ----------------------------------------------------------
-            # Branch resolution
-            # ----------------------------------------------------------
-            if mispredicted:
-                n_branch_misp += 1
-                redirect = complete + redirect_penalty
-                if redirect > next_fetch_allowed:
-                    next_fetch_allowed = redirect
-                current_block = -1
-
-            # ----------------------------------------------------------
-            # Value-prediction validation and training
-            # ----------------------------------------------------------
-            dest = dests[i]
-            if op == _OP_LOAD:
+                # Value-prediction validation and training.
                 writeback = complete
                 if decision is not None:
                     value = values[i]
@@ -577,10 +550,49 @@ class CoreModel:
                         correct,
                     ))
                     update_seq += 1
-                if dest != REG_NONE:
-                    reg_avail[dest] = writeback
-            elif dest != REG_NONE:
-                reg_avail[dest] = complete
+                done[i] = writeback
+
+            elif kind == KIND_BRANCH:
+                code = branch_codes[branch]
+                branch += 1
+                if code > 1:
+                    # Taken branch missed the BTB: decode redirect.
+                    fetch_cycle += code >> 1
+                    fetched_in_cycle = 0
+                elif flags_col[i] & FLAG_TAKEN:
+                    # Can't fetch past a taken branch this cycle.
+                    fetched_in_cycle = fetch_width
+                earliest = generic_free[0]
+                issue = ready if ready > earliest else earliest
+                heapreplace(generic_free, issue + 1)
+                complete = issue + latency_by_op[ops[i]]
+                if code & 1:
+                    # Mispredicted: fetch restarts after resolution.
+                    n_branch_misp += 1
+                    redirect = complete + redirect_penalty
+                    if redirect > next_fetch_allowed:
+                        next_fetch_allowed = redirect
+                    current_block = -1
+                done[i] = complete
+
+            else:  # store
+                earliest = ls_free[0]
+                issue = ready if ready > earliest else earliest
+                heapreplace(ls_free, issue + 1)
+                addr = addrs[i]
+                size = sizes[i]
+                complete = issue + store_latency
+                word_lo = addr >> 3
+                word_hi = (addr + size - 1) >> 3
+                info = (issue, complete, pc)
+                for word in range(word_lo, word_hi + 1):
+                    store_info_put(word, info)
+                if memdep_note_store is not None:
+                    memdep_note_store(pc, complete)
+                pending_stores_append((complete, addr, size, values[i]))
+                store_latency_fn(addr)
+                n_stores += 1
+                done[i] = complete
 
             # ----------------------------------------------------------
             # Commit (in order, commit_width per cycle)
@@ -598,19 +610,13 @@ class CoreModel:
                 committed_in_cycle = 1
             last_commit = commit
 
-            if op == _OP_STORE:
-                pending_stores_append((complete, addr, size, values[i]))
-                store_latency_fn(addr)
-                stq_rel[mem_slot] = commit
-                n_stores += 1
-            elif op == _OP_LOAD:
-                ldq_rel[mem_slot] = commit
+            if kind & KIND_MEMORY:
+                mem_rel[mem_slot] = commit
             rob_rel[rob_slot] = commit
             iq_rel[iq_slot] = issue + 1
-            pending_ticks += 1
 
-        if pending_ticks:
-            tick_instructions(pending_ticks)
+        if n > ticked:
+            tick_instructions(n - ticked)
 
         # Drain the remaining deferred predictor updates so predictor
         # statistics cover every predicted load in the trace.

@@ -1,9 +1,10 @@
 """The object-path timing loop: the oracle for ``CoreModel.run``.
 
 :func:`run_objects` is the core model's pass restated over
-``trace.instructions``: enum opclass tests, :class:`LaneScheduler` /
-:class:`WindowTracker` objects, and a live branch unit driven branch
-by branch (``tests/oracles/branch.py``: its own history registers,
+``trace.instructions``: enum opclass tests, a register scoreboard
+(where the model reads per-trace producer columns),
+:class:`LaneScheduler` / :class:`WindowTracker` objects, and a live
+branch unit driven branch by branch (``tests/oracles/branch.py``: its own history registers,
 hashed by the scalar reference) instead of a replayed front-end
 stream.  It shares the model's load helpers (``_load_complete``,
 ``_validate_load``) and its ``_finish``, so what it checks is the

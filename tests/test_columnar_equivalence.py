@@ -104,7 +104,7 @@ class TestRandomizedEquivalence:
 
     def test_no_memory_dependence_config(self):
         trace = generate_trace("astar", 2500, 4)
-        config = CoreConfig(memory_dependence="oracle")
+        config = CoreConfig(memory_dependence="perfect")
         assert_bit_identical(
             trace,
             lambda: CompositePredictor(CompositeConfig().homogeneous(64)),

@@ -32,6 +32,56 @@ class TestCoreConfig:
             DEFAULT_LATENCIES[OpClass.INT_ALU]
 
 
+class TestCoreConfigValidation:
+    """Bad values raise a one-line ValueError naming the field, where
+    they used to run silently or crash inside the loop."""
+
+    @pytest.mark.parametrize("kwargs, field", [
+        # Any other string used to select the perfect-disambiguation
+        # oracle.
+        ({"memory_dependence": "store_sets"}, "memory_dependence"),
+        ({"memory_dependence": "oracle"}, "memory_dependence"),
+        # Ran every non-load op in 0 cycles.
+        ({"latencies": {}}, "latencies"),
+        ({"latencies": {**DEFAULT_LATENCIES, OpClass.INT_ALU: 0}},
+         "latencies"),
+        ({"latencies": {**DEFAULT_LATENCIES, OpClass.NOP: 1.5}},
+         "latencies"),
+        # Ran with a negative front-end depth.
+        ({"fetch_to_execute": 1}, "fetch_to_execute"),
+        # Ran as if the width were 1.
+        ({"fetch_width": 0}, "fetch_width"),
+        ({"commit_width": 0}, "commit_width"),
+        # Died with a ZeroDivisionError in the loop.
+        ({"rob_entries": 0}, "rob_entries"),
+        ({"iq_entries": 0}, "iq_entries"),
+        ({"ldq_entries": -1}, "ldq_entries"),
+        ({"stq_entries": 0}, "stq_entries"),
+        ({"ls_lanes": 0}, "ls_lanes"),
+        ({"generic_lanes": 0}, "generic_lanes"),
+        ({"paq_entries": 0}, "paq_entries"),
+        ({"vpe_entries": 0}, "vpe_entries"),
+        ({"ras_entries": 0}, "ras_entries"),
+        ({"redirect_penalty": -1}, "redirect_penalty"),
+        ({"paq_queue_delay": -1}, "paq_queue_delay"),
+        ({"store_forward_latency": -1}, "store_forward_latency"),
+        ({"ssit_entries": 1000}, "ssit_entries"),
+        ({"lfst_entries": 0}, "lfst_entries"),
+        ({"rob_entries": True}, "rob_entries"),
+        ({"fetch_width": 2.0}, "fetch_width"),
+    ])
+    def test_rejects(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"CoreConfig.{field}") as err:
+            CoreConfig(**kwargs)
+        assert "\n" not in str(err.value)
+
+    def test_missing_latencies_are_named(self):
+        latencies = dict(DEFAULT_LATENCIES)
+        del latencies[OpClass.FP_DIV]
+        with pytest.raises(ValueError, match="FP_DIV"):
+            CoreConfig(latencies=latencies)
+
+
 class TestSimResult:
     def _result(self, **kw):
         base = dict(workload="w", instructions=1000, cycles=500)

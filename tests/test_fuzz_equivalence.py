@@ -7,6 +7,9 @@ places where a fast path could drift from its reference:
   predict well inside the program, and stores that change what later
   iterations load, so some of those predictions are wrong;
 * a handful of PCs, some of them aliasing in the predictor tables;
+* ALU instructions (single-cycle or divides) with zero to three
+  source registers, some of them their own destination or never
+  written;
 * stores of every size to a few addresses that later loads read,
   at any byte offset, and strided loads;
 * runs of branches longer than the history lengths the tables read;
@@ -82,8 +85,16 @@ _pc = st.sampled_from(PCS)
 _size = st.sampled_from((1, 2, 4, 8))
 _addr = st.tuples(st.sampled_from(WORDS), st.integers(0, 7))
 
+#: ALU destinations and sources: four registers, so consumers often
+#: read a recent producer (loads write r0 or r4).
+_reg = st.integers(0, 3)
+
 _step = st.one_of(
-    st.tuples(st.just("alu"), _pc, st.integers(0, 7)),
+    # Zero to three sources, so the core loop's producer columns see
+    # every operand count up to one beyond its two fixed columns; a
+    # 12-cycle divide makes a late producer bind its consumers.
+    st.tuples(st.just("alu"), _pc, _reg, st.lists(_reg, max_size=3),
+              st.sampled_from((OpClass.INT_ALU, OpClass.INT_DIV))),
     st.tuples(st.just("store"), _pc, _addr, _size, st.integers(0, 2**64 - 1),
               st.integers(0, 2)),
     st.tuples(st.just("load"), _pc, _addr, _size, st.booleans()),
@@ -111,8 +122,8 @@ def _build(body, repeats, tail) -> Trace:
     for iteration, step in steps:
         kind, pc = step[0], step[1]
         if kind == "alu":
-            out.append(Instruction(pc=pc, op=OpClass.INT_ALU, dest=step[2],
-                                   srcs=((step[2] + 1) % 8,)))
+            out.append(Instruction(pc=pc, op=step[4], dest=step[2],
+                                   srcs=tuple(step[3])))
         elif kind == "store":
             (word, offset), size = step[2], step[3]
             # A nonzero step makes the stored value change per iteration.
@@ -210,7 +221,7 @@ MISPREDICTING_PROGRAMS = (
     (
         [("branches", PCS[0], [True, False, True]),
          ("load", PCS[1], (WORDS[0], 0), 8, False),
-         ("alu", PCS[3], 1)],
+         ("alu", PCS[3], 1, (2,), OpClass.INT_ALU)],
         30,
         [("store", PCS[2], (WORDS[0], 0), 8, 7, 0),
          ("branches", PCS[0], [True, False, True]),
