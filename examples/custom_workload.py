@@ -2,14 +2,17 @@
 """Build a custom workload from kernels and evaluate predictors on it.
 
 Shows the extensibility path: compose your own instruction stream from
-the kernel library (or hand-built :class:`repro.isa.Instruction` lists)
-and run any predictor over it -- the same flow a user would follow to
-study a load pattern the built-in suite lacks.
+the kernel library, which emits straight into packed trace columns (or
+from hand-built :class:`repro.isa.Instruction` lists, which
+``Trace(name, instructions)`` packs), and run any predictor over it --
+the same flow a user would follow to study a load pattern the built-in
+suite lacks.
 """
 
 from repro.common.rng import DeterministicRng
 from repro.composite import CompositeConfig
 from repro.harness.runner import build_predictor
+from repro.isa.columns import ColumnSink
 from repro.isa.trace import Trace
 from repro.pipeline import simulate
 from repro.workloads.builder import ProgramBuilder
@@ -31,13 +34,12 @@ def build_trace(length: int = 15_000) -> Trace:
     ]
     initial_memory = builder.memory.copy()
 
-    instructions: list = []
+    sink = ColumnSink()
     mix = rng.derive("mix")
-    while len(instructions) < length:
+    while len(sink) < length:
         kernel = kernels[mix.randint(0, len(kernels))]
-        kernel.emit(instructions, 300)
-    del instructions[length:]
-    return Trace("custom-mix", instructions, seed=2024,
+        kernel.emit(sink, 300)
+    return Trace("custom-mix", columns=sink.finish(length), seed=2024,
                  initial_memory=initial_memory)
 
 

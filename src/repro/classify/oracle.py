@@ -22,6 +22,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.isa.columns import FLAG_PREDICTABLE
 from repro.isa.trace import Trace
 
 
@@ -95,7 +96,11 @@ class OracleClassifier:
 def classify_trace(trace: Trace) -> ClassificationResult:
     """Classify every predictable load of one trace."""
     classifier = OracleClassifier()
-    for inst in trace.instructions:
-        if inst.predictable:
-            classifier.observe(inst.pc, inst.addr, inst.value)
+    cols = trace.pack()
+    observe = classifier.observe
+    for pc, addr, value, flags in zip(
+        cols.pc, cols.addr, cols.value, cols.flags
+    ):
+        if flags & FLAG_PREDICTABLE:
+            observe(pc, addr, value)
     return classifier.result

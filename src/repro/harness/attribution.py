@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.isa.columns import FLAG_PREDICTABLE
+from repro.isa.instruction import OP_LOAD
 from repro.isa.trace import Trace
 from repro.pipeline.core import simulate
 from repro.pipeline.result import SimResult
@@ -100,14 +102,18 @@ class _AttributingHost:
 
 def attribute(trace: Trace, predictor: ValuePredictorHost) -> Attribution:
     """Run the timing model with attribution bookkeeping."""
-    pc_kernel = {
-        inst.pc: inst.kernel or "?"
-        for inst in trace.instructions if inst.is_load
-    }
+    cols = trace.pack()
+    tags = [name or "?" for name in cols.kernel_names]
+    pc_kernel: dict[int, str] = {}
     attribution = Attribution(result=None)  # type: ignore[arg-type]
-    for inst in trace.instructions:
-        if inst.predictable:
-            attribution.loads_by_kernel[inst.kernel or "?"] += 1
+    loads_by_kernel = attribution.loads_by_kernel
+    for pc, op, flags, kid in zip(
+        cols.pc, cols.op, cols.flags, cols.kernel_ids
+    ):
+        if op == OP_LOAD:
+            pc_kernel[pc] = tags[kid]
+            if flags & FLAG_PREDICTABLE:
+                loads_by_kernel[tags[kid]] += 1
     host = _AttributingHost(predictor, pc_kernel, attribution)
     attribution.result = simulate(trace, host)
     return attribution

@@ -141,10 +141,15 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
     means the predictor never predicted during that outer iteration.
     """
     from repro.branch.history import HistorySet
+    from repro.isa.columns import FLAG_TAKEN
+    from repro.isa.instruction import (
+        OP_BRANCH_FIRST, OP_BRANCH_LAST, OP_LOAD, OP_STORE, OpClass,
+    )
     from repro.memory.image import MemoryImage
     from repro.predictors.types import PredictionKind, address_of, size_of
 
     trace = listing1_trace(outer_m=outer_m, inner_n=inner_n)
+    cols = trace.columns
     scan_pc = trace.metadata["scan_load_pc"]
     table: dict[str, list] = {}
     for name in COMPONENT_NAMES:
@@ -153,23 +158,25 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
         mem = trace.initial_memory.copy() if trace.initial_memory else MemoryImage()
         first_predicted: list = [None] * outer_m
         scan_count = 0
-        for inst in trace.instructions:
-            if inst.op.is_branch:
-                if inst.op.name == "BRANCH_COND":
-                    histories.push_branch(inst.pc, inst.taken)
+        for pc, op, addr, size, value, flags in zip(
+            cols.pc, cols.op, cols.addr, cols.size, cols.value, cols.flags
+        ):
+            if OP_BRANCH_FIRST <= op <= OP_BRANCH_LAST:
+                if op == OpClass.BRANCH_COND:
+                    histories.push_branch(pc, bool(flags & FLAG_TAKEN))
                 else:
-                    histories.push_unconditional(inst.pc)
+                    histories.push_unconditional(pc)
                 continue
-            if inst.op.is_store:
-                mem.write(inst.addr, inst.size, inst.value)
-                histories.push_memory(inst.pc)
+            if op == OP_STORE:
+                mem.write(addr, size, value)
+                histories.push_memory(pc)
                 continue
-            if not inst.is_load:
+            if op != OP_LOAD:
                 continue
-            load = (inst.pc, -1, histories.direction, histories.path,
+            load = (pc, -1, histories.direction, histories.path,
                     histories.load_path, 0)
             prediction = predictor.predict(*load)
-            if inst.pc == scan_pc:
+            if pc == scan_pc:
                 outer, inner = divmod(scan_count, inner_n)
                 scan_count += 1
                 if prediction is not None and first_predicted[outer] is None:
@@ -177,11 +184,11 @@ def table5_listing1(outer_m: int = 24, inner_n: int = 16) -> dict:
                         prediction = mem.read(
                             address_of(prediction), size_of(prediction)
                         )
-                    correct = prediction == inst.value
+                    correct = prediction == value
                     if correct:
                         first_predicted[outer] = inner
-            predictor.train(*load, inst.addr, inst.size, inst.value)
-            histories.push_memory(inst.pc)
+            predictor.train(*load, addr, size, value)
+            histories.push_memory(pc)
         table[name] = first_predicted
     return {
         "outer_m": outer_m,

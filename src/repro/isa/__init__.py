@@ -1,10 +1,12 @@
 """Instruction and trace model.
 
-The evaluation is trace driven: workload generators (or external tools)
-produce a sequence of :class:`~repro.isa.instruction.Instruction` records
-carrying everything the timing model needs -- PC, operation class,
-register dependencies, memory address/size/value for loads and stores,
-and direction/target for branches.
+The evaluation is trace driven: a trace carries everything the timing
+model needs per instruction -- PC, operation class, register
+dependencies, memory address/size/value for loads and stores, and
+direction/target for branches.  Workload generators emit it straight
+into packed columns (:class:`~repro.isa.columns.ColumnSink`);
+hand-built traces are lists of
+:class:`~repro.isa.instruction.Instruction` records.
 """
 
 from repro.isa.instruction import Instruction, OpClass, REG_NONE

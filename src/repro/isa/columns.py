@@ -12,12 +12,17 @@ the on-disk trace store serializes verbatim
 ``array.frombytes`` calls instead of hundreds of thousands of object
 constructions.
 
-The object-based :class:`repro.isa.instruction.Instruction` path stays
-the reference oracle; :meth:`TraceColumns.materialize` reconstructs the
-exact instruction list (bit-identical fields, including validation),
-and the randomized equivalence tests in
-``tests/test_columnar_equivalence.py`` prove the columnar simulator
-loop byte-identical to the object-path oracle in ``tests/oracles``.
+Traces are born as columns: the synthesis kernels append each
+instruction's fields to a :class:`ColumnSink`, whose
+:meth:`ColumnSink.finish` interns the kernel tags, builds each
+``array`` in one constructor call and range-checks every column once
+(the checks :class:`repro.isa.instruction.Instruction` makes per
+object).  The object view is for hand-built traces:
+:meth:`TraceColumns.from_instructions` feeds objects through the same
+sink, and :meth:`TraceColumns.materialize` reconstructs the exact
+instruction list, which the object-path oracles in ``tests/oracles``
+replay to prove the columnar simulator loop byte-identical
+(``tests/test_columnar_equivalence.py``).
 
 :meth:`TraceColumns.dataflow` derives, once per trace, the columns the
 core loop schedules from: a kind code per instruction and, per source
@@ -35,12 +40,14 @@ import numpy as np
 
 from repro.isa.instruction import (
     Instruction,
+    NUM_ARCH_REGS,
     OP_BRANCH_FIRST,
     OP_BRANCH_LAST,
     OP_LOAD,
     OP_STORE,
     OpClass,
     REG_NONE,
+    VALID_ACCESS_SIZES,
 )
 
 #: Bit assignments of the per-instruction ``flags`` column.
@@ -67,7 +74,14 @@ _KIND_OF_OP[OP_BRANCH_FIRST:OP_BRANCH_LAST + 1] = KIND_BRANCH
 _KIND_OF_OP[OP_LOAD] = KIND_LOAD
 _KIND_OF_OP[OP_STORE] = KIND_STORE
 
-_U64_MAX = (1 << 64) - 1
+#: Inclusive value range of each column typecode.
+_TYPECODE_RANGE = {
+    "Q": (0, (1 << 64) - 1),
+    "I": (0, (1 << 32) - 1),
+    "H": (0, (1 << 16) - 1),
+    "B": (0, (1 << 8) - 1),
+    "b": (-(1 << 7), (1 << 7) - 1),
+}
 
 #: (attribute, typecode) pairs for the fixed-width columns, in the
 #: order they are serialized by :meth:`TraceColumns.to_buffers`.
@@ -84,15 +98,6 @@ COLUMN_SPECS = (
     ("src_regs", "b"),
     ("kernel_ids", "H"),
 )
-
-
-def _check_u64(name: str, value: int) -> int:
-    if not 0 <= value <= _U64_MAX:
-        raise ValueError(
-            f"instruction field {name}={value} does not fit an unsigned "
-            "64-bit column"
-        )
-    return value
 
 
 class Dataflow:
@@ -202,43 +207,15 @@ class TraceColumns:
     def from_instructions(
         cls, instructions: Iterable[Instruction]
     ) -> "TraceColumns":
-        """Pack an instruction sequence into columns (validating ranges).
+        """Pack a hand-built instruction sequence into columns.
 
-        Fields accumulate into plain lists and each ``array`` is built
-        in one C-level constructor call at the end -- bulk construction
-        is ~2x faster than 11 per-instruction ``array.append`` calls,
-        and packing is a third of cold trace generation.
+        A thin feed into :class:`ColumnSink`, so hand-built and
+        generated traces share one packing, interning and range-check
+        path.
         """
-        pcs: list[int] = []
-        ops: list[int] = []
-        dests: list[int] = []
-        addrs: list[int] = []
-        sizes: list[int] = []
-        values: list[int] = []
-        targets: list[int] = []
-        flag_bits: list[int] = []
-        offsets: list[int] = [0]
-        src_regs: list[int] = []
-        kids: list[int] = []
-        pc_a, op_a, dest_a = pcs.append, ops.append, dests.append
-        addr_a, size_a = addrs.append, sizes.append
-        value_a, target_a = values.append, targets.append
-        flags_a, offsets_a, kernel_a = (
-            flag_bits.append, offsets.append, kids.append,
-        )
-        srcs_extend = src_regs.extend
-        kernel_index = {"": 0}
-        kernel_names = [""]
-        total_srcs = 0
+        sink = ColumnSink()
+        append = sink.append
         for inst in instructions:
-            op = int(inst.op)
-            pc_a(inst.pc)
-            op_a(op)
-            dest_a(inst.dest)
-            addr_a(inst.addr)
-            size_a(inst.size)
-            value_a(inst.value)
-            target_a(inst.target)
             flags = 0
             if inst.taken:
                 flags |= FLAG_TAKEN
@@ -246,42 +223,9 @@ class TraceColumns:
                 flags |= FLAG_NO_PREDICT
             if inst.is_call:
                 flags |= FLAG_IS_CALL
-            if op == OP_LOAD and not inst.no_predict:
-                flags |= FLAG_PREDICTABLE
-            flags_a(flags)
-            srcs_extend(inst.srcs)
-            total_srcs += len(inst.srcs)
-            offsets_a(total_srcs)
-            kid = kernel_index.get(inst.kernel)
-            if kid is None:
-                kid = kernel_index[inst.kernel] = len(kernel_names)
-                if kid > 0xFFFF:
-                    raise ValueError(
-                        "more than 65535 distinct kernel tags in one trace"
-                    )
-                kernel_names.append(inst.kernel)
-            kernel_a(kid)
-        for name, col in (
-            ("pc", pcs), ("addr", addrs), ("value", values),
-            ("target", targets),
-        ):
-            if col and not 0 <= min(col) <= max(col) <= _U64_MAX:
-                for item in col:  # cold path: name the offending value
-                    _check_u64(name, item)
-        cols = cls()
-        cols.pc = array("Q", pcs)
-        cols.op = array("B", ops)
-        cols.dest = array("b", dests)
-        cols.addr = array("Q", addrs)
-        cols.size = array("B", sizes)
-        cols.value = array("Q", values)
-        cols.target = array("Q", targets)
-        cols.flags = array("B", flag_bits)
-        cols.src_offsets = array("I", offsets)
-        cols.src_regs = array("b", src_regs)
-        cols.kernel_ids = array("H", kids)
-        cols.kernel_names = kernel_names
-        return cols
+            append(inst.pc, int(inst.op), inst.dest, inst.srcs, inst.addr,
+                   inst.size, inst.value, inst.target, flags, inst.kernel)
+        return sink.finish()
 
     def materialize(self) -> list[Instruction]:
         """Reconstruct the exact :class:`Instruction` list (the oracle
@@ -407,3 +351,147 @@ class TraceColumns:
         if max(cols.kernel_ids, default=-1) >= len(cols.kernel_names):
             raise ValueError("kernel id out of range")
         return cols
+
+
+class ColumnSink:
+    """The growing columns of one instruction stream, before packing.
+
+    Trace generators append each instruction straight into these
+    per-field lists: one entry per instruction in ``pc``, ``op``,
+    ``dest``, ``addr``, ``size``, ``value``, ``target``, ``flags`` and
+    ``kernels`` (the kernel tag), the source registers as CSR
+    (``src_regs`` extended by the operands, ``src_offsets`` appended
+    the running total).  ``flags`` carries ``FLAG_TAKEN``,
+    ``FLAG_NO_PREDICT`` and ``FLAG_IS_CALL``; :meth:`finish` derives
+    ``FLAG_PREDICTABLE``.  ``len()`` is the instruction count so far.
+    """
+
+    __slots__ = (
+        "pc", "op", "dest", "addr", "size", "value", "target", "flags",
+        "src_offsets", "src_regs", "kernels",
+    )
+
+    def __init__(self) -> None:
+        self.pc: list[int] = []
+        self.op: list[int] = []
+        self.dest: list[int] = []
+        self.addr: list[int] = []
+        self.size: list[int] = []
+        self.value: list[int] = []
+        self.target: list[int] = []
+        self.flags: list[int] = []
+        self.src_offsets: list[int] = [0]
+        self.src_regs: list[int] = []
+        self.kernels: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.pc)
+
+    def append(
+        self, pc: int, op: int, dest: int = REG_NONE,
+        srcs: Sequence[int] = (), addr: int = 0, size: int = 0,
+        value: int = 0, target: int = 0, flags: int = 0, kernel: str = "",
+    ) -> None:
+        """Append one instruction (``op`` is an :class:`OpClass` code)."""
+        self.pc.append(pc)
+        self.op.append(op)
+        self.dest.append(dest)
+        self.addr.append(addr)
+        self.size.append(size)
+        self.value.append(value)
+        self.target.append(target)
+        self.flags.append(flags)
+        self.src_regs.extend(srcs)
+        self.src_offsets.append(len(self.src_regs))
+        self.kernels.append(kernel)
+
+    def finish(self, length: int | None = None) -> TraceColumns:
+        """Truncate to ``length`` instructions and pack the columns.
+
+        Kernel tags are interned in order of first appearance (id 0 is
+        the empty tag), each ``array`` is built in one constructor call,
+        and every column is range-checked once: the checks
+        :class:`Instruction` makes per object, plus the column widths.
+        Raises :class:`ValueError` on the first bad value.
+        """
+        if length is not None and length < len(self.pc):
+            for name in _PER_INSTRUCTION:
+                del getattr(self, name)[length:]
+            del self.src_offsets[length + 1:]
+            del self.src_regs[self.src_offsets[-1]:]
+        n = len(self.pc)
+        if any(len(getattr(self, name)) != n for name in _PER_INSTRUCTION) or (
+            len(self.src_offsets) != n + 1
+            or self.src_offsets[-1] != len(self.src_regs)
+        ):
+            raise ValueError("column sink lists have inconsistent lengths")
+        kernel_names = list(dict.fromkeys(("", *self.kernels)))
+        if len(kernel_names) > 1 << 16:
+            raise ValueError(
+                "more than 65535 distinct kernel tags in one trace"
+            )
+        kernel_index = {name: i for i, name in enumerate(kernel_names)}
+        cols = TraceColumns()
+        for name, typecode in COLUMN_SPECS:
+            if name == "kernel_ids":
+                values = list(map(kernel_index.__getitem__, self.kernels))
+            else:
+                values = getattr(self, name)
+            setattr(cols, name, _packed(name, typecode, values))
+        cols.kernel_names = kernel_names
+        op = np.frombuffer(cols.op, dtype=np.uint8)
+        _validate(cols, op)
+        flags = np.frombuffer(cols.flags, dtype=np.uint8) & (
+            0xFF ^ FLAG_PREDICTABLE
+        )
+        flags[(op == OP_LOAD) & (flags & FLAG_NO_PREDICT == 0)] |= (
+            FLAG_PREDICTABLE
+        )
+        cols.flags = array("B", flags.tobytes())
+        return cols
+
+
+#: The :class:`ColumnSink` lists holding one entry per instruction.
+_PER_INSTRUCTION = (
+    "pc", "op", "dest", "addr", "size", "value", "target", "flags",
+    "kernels",
+)
+
+
+def _packed(name: str, typecode: str, values: list[int]) -> array:
+    """``array(typecode, values)``, naming the first out-of-range value."""
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        low, high = _TYPECODE_RANGE[typecode]
+        bad = next(v for v in values if not low <= v <= high)
+        raise ValueError(
+            f"instruction field {name}={bad} does not fit its "
+            f"{typecode!r} column ({low}..{high})"
+        ) from None
+
+
+def _validate(cols: TraceColumns, op: np.ndarray) -> None:
+    """Reject columns holding an instruction :class:`Instruction` would
+    refuse to construct."""
+    pc = np.frombuffer(cols.pc, dtype=np.uint64)
+    dest = np.frombuffer(cols.dest, dtype=np.int8)
+    size = np.frombuffer(cols.size, dtype=np.uint8)
+    regs = np.frombuffer(cols.src_regs, dtype=np.int8)
+    is_load = op == OP_LOAD
+    memory = is_load | (op == OP_STORE)
+    for bad, values, message in (
+        (op >= len(OpClass), op, "bad opclass {}"),
+        (pc & 0b11 != 0, pc, "PC must be non-negative and 4-byte "
+                             "aligned: {:#x}"),
+        ((dest < REG_NONE) | (dest >= NUM_ARCH_REGS), dest,
+         "bad destination register {}"),
+        ((regs < 0) | (regs >= NUM_ARCH_REGS), regs,
+         "bad source register {}"),
+        (memory & ~np.isin(size, VALID_ACCESS_SIZES), size,
+         f"memory op size must be one of {VALID_ACCESS_SIZES}, got {{}}"),
+        (is_load & (dest == REG_NONE), dest,
+         "loads must have a destination register, got {}"),
+    ):
+        if bad.any():
+            raise ValueError(message.format(int(values[np.argmax(bad)])))

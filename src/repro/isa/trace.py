@@ -4,32 +4,41 @@ A :class:`Trace` is an immutable-by-convention dynamic instruction
 stream plus provenance metadata (workload name, generator seed).  It
 carries up to two views of the same stream:
 
-* the **object view** -- a ``list`` of
-  :class:`repro.isa.instruction.Instruction` records, the reference
-  representation every analysis/inspection consumer uses;
 * the **columnar view** -- a packed
-  :class:`repro.isa.columns.TraceColumns` struct-of-arrays, which the
-  simulator hot loop iterates directly and the on-disk trace store
-  serializes (:mod:`repro.workloads.store`).
+  :class:`repro.isa.columns.TraceColumns` struct-of-arrays.  Trace
+  generators emit straight into it (through a
+  :class:`repro.isa.columns.ColumnSink`), the on-disk trace store
+  serializes it (:mod:`repro.workloads.store`), and every consumer in
+  the package reads it: the simulator's core loop, the functional
+  backend, attribution, the load classifier and the serve event
+  stream;
+* the **object view** -- a ``list`` of
+  :class:`repro.isa.instruction.Instruction` records, for hand-built
+  traces and inspection.  A trace built from objects packs its columns
+  once (:meth:`pack`); a columnar trace materializes the objects only
+  when :attr:`instructions` is first read.
 
-Generators build the object view and :meth:`pack` the columns once;
-traces loaded from the store start columnar and materialize the object
-view lazily on first access, so a pure timing run never pays for
-object construction.  Traces can also be saved to and restored from a
-compact JSON-lines format (:meth:`save`/:meth:`load`) for portable
-interchange.
+Traces can also be saved to and restored from a compact JSON-lines
+format (:meth:`save`/:meth:`load`) for portable interchange.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.isa.columns import TraceColumns
-from repro.isa.instruction import Instruction, OpClass, REG_NONE
+from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN, TraceColumns
+from repro.isa.instruction import (
+    Instruction,
+    OP_BRANCH_FIRST,
+    OP_BRANCH_LAST,
+    OP_LOAD,
+    OP_STORE,
+    OpClass,
+    REG_NONE,
+)
 
 
 @dataclass(frozen=True)
@@ -64,11 +73,11 @@ class Trace:
     conflicting in-flight stores.  :meth:`save` persists it by default
     (pass ``include_memory=False`` for a smaller file).
 
-    Construct with an instruction list (the historical signature), a
-    packed ``columns`` view, or both; at least one is required.  The
-    missing view is derived lazily (:attr:`instructions` materializes
-    from columns on first access; :meth:`pack` builds columns from
-    objects).
+    Construct with packed ``columns`` (what generators and the trace
+    store produce), a hand-built instruction list, or both; at least
+    one is required.  The missing view is derived lazily
+    (:attr:`instructions` materializes from columns on first access;
+    :meth:`pack` builds columns from objects).
     """
 
     __slots__ = (
@@ -145,25 +154,26 @@ class Trace:
         return (inst for inst in self.instructions if inst.is_load)
 
     def stats(self) -> TraceStats:
-        ops = Counter(inst.op for inst in self.instructions)
-        branches = sum(
-            count for op, count in ops.items() if OpClass(op).is_branch
-        )
+        cols = self.pack()
+        count = cols.op.count
+        load_pcs = [pc for pc, op in zip(cols.pc, cols.op) if op == OP_LOAD]
         return TraceStats(
-            instructions=len(self.instructions),
-            loads=ops.get(OpClass.LOAD, 0),
-            stores=ops.get(OpClass.STORE, 0),
-            branches=branches,
-            conditional_branches=ops.get(OpClass.BRANCH_COND, 0),
+            instructions=len(cols),
+            loads=len(load_pcs),
+            stores=count(OP_STORE),
+            branches=sum(
+                count(op) for op in range(OP_BRANCH_FIRST, OP_BRANCH_LAST + 1)
+            ),
+            conditional_branches=count(int(OpClass.BRANCH_COND)),
             taken_branches=sum(
-                1 for inst in self.instructions if inst.is_branch and inst.taken
+                1 for op, flags in zip(cols.op, cols.flags)
+                if OP_BRANCH_FIRST <= op <= OP_BRANCH_LAST
+                and flags & FLAG_TAKEN
             ),
             predictable_loads=sum(
-                1 for inst in self.instructions if inst.predictable
+                1 for flags in cols.flags if flags & FLAG_PREDICTABLE
             ),
-            unique_load_pcs=len(
-                {inst.pc for inst in self.instructions if inst.is_load}
-            ),
+            unique_load_pcs=len(set(load_pcs)),
         )
 
     # ------------------------------------------------------------------

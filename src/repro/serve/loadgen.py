@@ -25,8 +25,17 @@ import uuid
 from collections import deque
 from fractions import Fraction
 
-from repro.isa.instruction import OpClass
+from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
+from repro.isa.instruction import (
+    OP_BRANCH_FIRST,
+    OP_BRANCH_LAST,
+    OP_LOAD,
+    OP_STORE,
+    OpClass,
+)
 from repro.serve.client import ServeClient, ServeError
+
+_OP_BRANCH_COND = int(OpClass.BRANCH_COND)
 
 #: Resubmissions of one chunk after ``backpressure`` before giving up.
 MAX_BACKPRESSURE_RETRIES = 200
@@ -41,38 +50,36 @@ def trace_to_events(trace) -> list[dict]:
     instruction (sessions tick once per explicit event themselves).
     """
     events: list[dict] = []
+    append = events.append
     ticks = 0
-    for inst in trace.instructions:
-        op = inst.op
-        if op.is_branch:
-            if ticks:
-                events.append({"k": "t", "n": ticks})
-                ticks = 0
-            events.append({
-                "k": "b", "pc": inst.pc, "taken": bool(inst.taken),
-                "cond": op is OpClass.BRANCH_COND,
-            })
-        elif op is OpClass.STORE:
-            if ticks:
-                events.append({"k": "t", "n": ticks})
-                ticks = 0
-            events.append({
-                "k": "s", "pc": inst.pc, "addr": inst.addr,
-                "size": inst.size, "value": inst.value,
-            })
-        elif op is OpClass.LOAD:
-            if ticks:
-                events.append({"k": "t", "n": ticks})
-                ticks = 0
-            events.append({
-                "k": "l", "pc": inst.pc, "addr": inst.addr,
-                "size": inst.size, "value": inst.value,
-                "pred": inst.predictable,
-            })
+    cols = trace.pack()
+    for pc, op, addr, size, value, flags in zip(
+        cols.pc, cols.op, cols.addr, cols.size, cols.value, cols.flags
+    ):
+        if op == OP_LOAD:
+            event = {
+                "k": "l", "pc": pc, "addr": addr, "size": size,
+                "value": value, "pred": bool(flags & FLAG_PREDICTABLE),
+            }
+        elif op == OP_STORE:
+            event = {
+                "k": "s", "pc": pc, "addr": addr, "size": size,
+                "value": value,
+            }
+        elif OP_BRANCH_FIRST <= op <= OP_BRANCH_LAST:
+            event = {
+                "k": "b", "pc": pc, "taken": bool(flags & FLAG_TAKEN),
+                "cond": op == _OP_BRANCH_COND,
+            }
         else:
             ticks += 1
+            continue
+        if ticks:
+            append({"k": "t", "n": ticks})
+            ticks = 0
+        append(event)
     if ticks:
-        events.append({"k": "t", "n": ticks})
+        append({"k": "t", "n": ticks})
     return events
 
 

@@ -6,6 +6,7 @@ import os
 from functools import lru_cache
 
 from repro.common.rng import DeterministicRng
+from repro.isa.columns import ColumnSink
 from repro.isa.trace import Trace
 from repro.workloads import store as trace_store
 from repro.workloads.builder import ProgramBuilder
@@ -40,13 +41,12 @@ def _build_listing1(length: int, seed: int) -> Trace:
     builder = ProgramBuilder(rng)
     kernel = MemsetScanKernel(builder, inner_n=16, elem_size=8)
     initial_memory = builder.memory.copy()
-    instructions: list = []
-    while len(instructions) < length:
-        kernel.emit(instructions, budget=0)  # one outer iteration per call
-    del instructions[length:]
+    sink = ColumnSink()
+    while len(sink) < length:
+        kernel.emit(sink, budget=0)  # one outer iteration per call
     return Trace(
         name="listing1",
-        instructions=instructions,
+        columns=sink.finish(length),
         seed=seed,
         metadata={
             "family": "micro",
@@ -71,7 +71,11 @@ def generate_trace(name: str, length: int = 50_000, seed: int = 0) -> Trace:
     """Generate (and memoize) the trace for one named workload.
 
     Kernels are interleaved burst-by-burst according to the profile's
-    weights, modelling phase-interleaved program behaviour.  The result
+    weights, modelling phase-interleaved program behaviour, and emit
+    straight into packed columns (:class:`repro.isa.columns.ColumnSink`):
+    no :class:`~repro.isa.instruction.Instruction` object is built, and
+    ``trace.instructions`` materializes the object view only when a
+    caller asks for it.  The result
     is deterministic in ``(name, length, seed)`` and cached per process
     (:data:`CACHE_SIZE` entries) because experiments re-run the same
     workload against many predictor configurations.
@@ -80,9 +84,8 @@ def generate_trace(name: str, length: int = 50_000, seed: int = 0) -> Trace:
     in-process LRU memo, then the on-disk trace store (when
     ``REPRO_TRACE_CACHE_DIR`` is set -- loading packed columns is ~an
     order of magnitude cheaper than regenerating), then generation.  A
-    fresh generation is packed columnar and written back to the store
-    so sibling processes (``--workers N`` sweeps) load instead of
-    regenerate.
+    fresh generation is written back to the store so sibling processes
+    (``--workers N`` sweeps) load instead of regenerate.
     """
     return _generate_cached(name, length, seed)
 
@@ -95,7 +98,6 @@ def _generate_cached(name: str, length: int, seed: int) -> Trace:
         if cached is not None:
             return cached
     trace = _generate(name, length, seed)
-    trace.pack()
     if store is not None:
         store.save(trace, length, GENERATOR_VERSION)
     return trace
@@ -121,7 +123,6 @@ def ensure_stored(name: str, length: int, seed: int = 0) -> bool:
         # hits the in-process cache and never reaches the save path.
         # Write the entry explicitly so pre-warming works regardless
         # of when the store appeared.
-        trace.pack()
         store.save(trace, length, GENERATOR_VERSION)
     return store.entry_path(name, length, seed, GENERATOR_VERSION).exists()
 
@@ -172,24 +173,21 @@ def _generate(name: str, length: int, seed: int) -> Trace:
     # by weight alone would skew instruction shares.  Instead, always
     # pick among the kernels furthest *below* their weight share, with
     # a little randomness so the interleaving is not periodic.
-    instructions: list = []
+    sink = ColumnSink()
     pick = rng.derive("mix")
     emitted = [0] * len(kernels)
-    while len(instructions) < length:
+    while len(sink) < length:
         order = sorted(
             range(len(kernels)), key=lambda i: emitted[i] / weights[i]
         )
         candidates = order[: min(3, len(order))]
         chosen = candidates[pick.randint(0, len(candidates))]
         budget = pick.randint(80, 400)
-        before = len(instructions)
-        kernels[chosen].emit(instructions, budget)
-        emitted[chosen] += len(instructions) - before
+        emitted[chosen] += kernels[chosen].emit(sink, budget)
 
-    del instructions[length:]
     return Trace(
         name=name,
-        instructions=instructions,
+        columns=sink.finish(length),
         seed=seed,
         metadata={"family": profile.family, "length": length},
         initial_memory=initial_memory,

@@ -32,10 +32,20 @@ from __future__ import annotations
 import abc
 
 from repro.common.bits import mask
-from repro.isa.instruction import Instruction, OpClass
+from repro.isa.columns import (
+    FLAG_IS_CALL,
+    FLAG_NO_PREDICT,
+    FLAG_TAKEN,
+    ColumnSink,
+)
+from repro.isa.instruction import OP_LOAD, OP_STORE, OpClass, REG_NONE
 from repro.workloads.builder import STACK_BASE, ProgramBuilder
 
 _VALUE_MASK = mask(64)
+_OP_INT_ALU = int(OpClass.INT_ALU)
+_OP_BRANCH_COND = int(OpClass.BRANCH_COND)
+_OP_BRANCH_DIRECT = int(OpClass.BRANCH_DIRECT)
+_OP_BRANCH_RETURN = int(OpClass.BRANCH_RETURN)
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -68,51 +78,37 @@ class Kernel(abc.ABC):
         )
 
     @abc.abstractmethod
-    def emit(self, out: list[Instruction], budget: int) -> int:
+    def emit(self, out: ColumnSink, budget: int) -> int:
         """Append roughly ``budget`` instructions; return the count."""
 
     # ------------------------------------------------------------------
     # Emission helpers
     # ------------------------------------------------------------------
 
-    def _load(self, out, pc, dest, addr, size, srcs=()) -> None:
-        out.append(Instruction(
-            pc=pc, op=OpClass.LOAD, dest=dest, srcs=srcs, addr=addr,
-            size=size, value=self.b.memory.read(addr, size),
-            kernel=self.name,
-        ))
+    def _load(self, out, pc, dest, addr, size, srcs=(), flags=0) -> None:
+        out.append(pc, OP_LOAD, dest, srcs, addr, size,
+                   self.b.memory.read(addr, size), 0, flags, self.name)
 
     def _store(self, out, pc, addr, size, value, srcs=()) -> None:
         value &= mask(size * 8)
         self.b.memory.write(addr, size, value)
-        out.append(Instruction(
-            pc=pc, op=OpClass.STORE, srcs=srcs, addr=addr, size=size,
-            value=value, kernel=self.name,
-        ))
+        out.append(pc, OP_STORE, REG_NONE, srcs, addr, size, value, 0, 0,
+                   self.name)
 
     def _alu(self, out, pc, dest, srcs=()) -> None:
-        out.append(Instruction(
-            pc=pc, op=OpClass.INT_ALU, dest=dest, srcs=srcs,
-            kernel=self.name,
-        ))
+        out.append(pc, _OP_INT_ALU, dest, srcs, 0, 0, 0, 0, 0, self.name)
 
     def _branch(self, out, pc, taken, target, srcs=()) -> None:
-        out.append(Instruction(
-            pc=pc, op=OpClass.BRANCH_COND, srcs=srcs, taken=taken,
-            target=target, kernel=self.name,
-        ))
+        out.append(pc, _OP_BRANCH_COND, REG_NONE, srcs, 0, 0, 0, target,
+                   FLAG_TAKEN if taken else 0, self.name)
 
     def _call(self, out, pc, target) -> None:
-        out.append(Instruction(
-            pc=pc, op=OpClass.BRANCH_DIRECT, taken=True, target=target,
-            is_call=True, kernel=self.name,
-        ))
+        out.append(pc, _OP_BRANCH_DIRECT, REG_NONE, (), 0, 0, 0, target,
+                   FLAG_TAKEN | FLAG_IS_CALL, self.name)
 
     def _ret(self, out, pc, target) -> None:
-        out.append(Instruction(
-            pc=pc, op=OpClass.BRANCH_RETURN, taken=True, target=target,
-            kernel=self.name,
-        ))
+        out.append(pc, _OP_BRANCH_RETURN, REG_NONE, (), 0, 0, 0, target,
+                   FLAG_TAKEN, self.name)
 
 
 class ConstantPoolKernel(Kernel):
@@ -716,15 +712,8 @@ class HotFlagKernel(Kernel):
             for _ in range(self.gap):
                 self._alu(out, pc, self.r_tmp, (self.r_tmp,))
                 pc += 4
-            if self.atomic:
-                out.append(Instruction(
-                    pc=pc, op=OpClass.LOAD, dest=self.r_val,
-                    addr=self.flag, size=8,
-                    value=self.b.memory.read(self.flag, 8),
-                    no_predict=True, kernel=self.name,
-                ))
-            else:
-                self._load(out, pc, self.r_val, self.flag, 8)
+            self._load(out, pc, self.r_val, self.flag, 8,
+                       flags=FLAG_NO_PREDICT if self.atomic else 0)
             pc += 4
             self._alu(out, pc, self.r_cond, (self.r_val,))
             pc += 4

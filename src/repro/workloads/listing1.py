@@ -19,6 +19,7 @@ outer iteration) so the Table V experiment can replay it.
 from __future__ import annotations
 
 from repro.common.rng import DeterministicRng
+from repro.isa.columns import ColumnSink
 from repro.isa.trace import Trace
 from repro.workloads.builder import ProgramBuilder
 from repro.workloads.kernels import MemsetScanKernel
@@ -37,12 +38,12 @@ def listing1_trace(
     builder = ProgramBuilder(rng)
     kernel = MemsetScanKernel(builder, inner_n=inner_n, elem_size=elem_size)
     initial_memory = builder.memory.copy()
-    instructions: list = []
+    sink = ColumnSink()
     for _ in range(outer_m):
-        kernel.emit(instructions, budget=0)  # one outer iteration per call
-    trace = Trace(
+        kernel.emit(sink, budget=0)  # one outer iteration per call
+    return Trace(
         name="listing1",
-        instructions=instructions,
+        columns=sink.finish(),
         seed=seed,
         metadata={
             "outer_m": outer_m,
@@ -52,6 +53,3 @@ def listing1_trace(
         },
         initial_memory=initial_memory,
     )
-    # Pack the columnar view up front, like generator-produced traces.
-    trace.pack()
-    return trace

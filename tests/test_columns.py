@@ -6,17 +6,30 @@ byte-buffer round trip is exact, and every structural invariant the
 trace store relies on is enforced by ``from_buffers``.
 """
 
+import itertools
+
 import pytest
 
+from repro.common.rng import DeterministicRng
 from repro.isa.columns import (
     FLAG_IS_CALL,
     FLAG_NO_PREDICT,
     FLAG_PREDICTABLE,
     FLAG_TAKEN,
+    ColumnSink,
     TraceColumns,
 )
-from repro.isa.instruction import Instruction, OpClass, REG_NONE
+from repro.isa.instruction import Instruction, OP_STORE, OpClass, REG_NONE
+from repro.workloads import generator
+from repro.workloads.builder import ProgramBuilder
 from repro.workloads.generator import clear_trace_caches, generate_trace
+from repro.workloads.kernels import (
+    KERNEL_CLASSES,
+    ConstantPoolKernel,
+    HotFlagKernel,
+    Kernel,
+    StridedSumKernel,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -161,3 +174,168 @@ class TestValidation:
         )]
         with pytest.raises(ValueError):
             TraceColumns.from_instructions(bad)
+
+
+def _faulty_kernel(fault):
+    """A kernel class whose every burst ends with ``fault(kernel, out)``
+    after ``budget`` well-formed ALU instructions."""
+
+    class FaultyKernel(Kernel):
+        name = "faulty"
+
+        def __init__(self, builder, **params):
+            super().__init__(builder)
+            self.code = builder.alloc_code(4)
+            self.data = builder.alloc_data(64)
+            self.reg = builder.alloc_regs(1)[0]
+
+        def emit(self, out, budget):
+            start = len(out)
+            for _ in range(budget):
+                self._alu(out, self.code, self.reg, (self.reg,))
+            fault(self, out)
+            return len(out) - start
+
+    return FaultyKernel
+
+
+def _generate_with(monkeypatch, kernel_class, length=2000):
+    """Generate a workload whose every kernel is ``kernel_class``."""
+    monkeypatch.setattr(generator, "KERNEL_CLASSES", {
+        name: kernel_class for name in KERNEL_CLASSES
+    })
+    return generator._generate("coremark", length, 0)
+
+
+#: Instructions :class:`Instruction` refuses to construct, or that do
+#: not fit a column, each emitted by a kernel the way kernels emit.
+FAULTS = {
+    "misaligned_pc": lambda k, out: k._alu(out, k.code + 2, k.reg),
+    "negative_pc": lambda k, out: k._alu(out, -4, k.reg),
+    "dest_31": lambda k, out: k._alu(out, k.code, 31),
+    "dest_minus_2": lambda k, out: k._alu(out, k.code, -2),
+    "dest_past_int8": lambda k, out: k._alu(out, k.code, 200),
+    "src_31": lambda k, out: k._alu(out, k.code, k.reg, (31,)),
+    "src_negative": lambda k, out: k._alu(out, k.code, k.reg, (-1,)),
+    "load_size_3": lambda k, out: k._load(out, k.code, k.reg, k.data, 3),
+    "store_size_16": lambda k, out: k._store(out, k.code, k.data, 16, 1),
+    "load_without_dest": lambda k, out: k._load(
+        out, k.code, REG_NONE, k.data, 8),
+    "negative_addr": lambda k, out: k._load(out, k.code, k.reg, -8, 8),
+    "value_past_u64": lambda k, out: out.append(
+        k.code, OP_STORE, REG_NONE, (), k.data, 8, 1 << 64),
+    "target_past_u64": lambda k, out: k._branch(
+        out, k.code, True, 1 << 64),
+}
+
+
+class TestSinkValidation:
+    """Generation rejects what the object path rejects."""
+
+    def test_well_formed_kernel_generates(self, monkeypatch):
+        trace = _generate_with(monkeypatch, _faulty_kernel(
+            lambda k, out: k._load(out, k.code, k.reg, k.data, 4)))
+        assert len(trace) == 2000
+        assert trace.columns.kernel_names == ["", "faulty"]
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_fails_generation(self, monkeypatch, fault):
+        with pytest.raises(ValueError):
+            _generate_with(monkeypatch, _faulty_kernel(FAULTS[fault]))
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_fails_from_instructions(self, fault):
+        """The hand-built path shares the sink's checks: a well-formed
+        object mutated to the fault's fields is refused at packing."""
+        sink = ColumnSink()
+        kernel = _faulty_kernel(FAULTS[fault])(
+            ProgramBuilder(DeterministicRng(3)))
+        FAULTS[fault](kernel, sink)
+        inst = Instruction(pc=0, op=OpClass.INT_ALU)
+        for field, values in (
+            ("pc", sink.pc), ("dest", sink.dest), ("addr", sink.addr),
+            ("size", sink.size), ("value", sink.value),
+            ("target", sink.target),
+        ):
+            setattr(inst, field, values[0])
+        inst.op = OpClass(sink.op[0])
+        inst.srcs = tuple(sink.src_regs)
+        with pytest.raises(ValueError):
+            TraceColumns.from_instructions([inst])
+
+    def test_65536th_kernel_tag_fails_generation(self, monkeypatch):
+        tags = itertools.count()
+
+        class ManyTagsKernel(Kernel):
+            name = "many_tags"
+
+            def __init__(self, builder, **params):
+                super().__init__(builder)
+                self.code = builder.alloc_code(1)
+
+            def emit(self, out, budget):
+                for _ in range(budget):
+                    self.name = f"tag{next(tags)}"
+                    self._alu(out, self.code, 0)
+                return budget
+
+        trace = _generate_with(monkeypatch, ManyTagsKernel, length=65535)
+        assert len(trace.columns.kernel_names) == 65536
+        with pytest.raises(ValueError, match="65535 distinct kernel tags"):
+            _generate_with(monkeypatch, ManyTagsKernel, length=65536)
+
+
+def _emit_bursts():
+    """One burst each of three kernels; the sink and each burst's end."""
+    builder = ProgramBuilder(DeterministicRng(5))
+    kernels = [
+        ConstantPoolKernel(builder),
+        HotFlagKernel(builder, atomic_fraction=1.0),
+        StridedSumKernel(builder),
+    ]
+    sink = ColumnSink()
+    ends = []
+    for kernel in kernels:
+        kernel.emit(sink, 100)
+        ends.append(len(sink))
+    return sink, ends
+
+
+class TestSinkTruncation:
+    @pytest.mark.parametrize("cut", [
+        "length_1", "mid_burst", "last_kernel_past_length",
+    ])
+    def test_truncation_matches_the_object_path(self, cut):
+        full = _emit_bursts()[0].finish().materialize()
+        sink, ends = _emit_bursts()
+        length = {
+            "length_1": 1,
+            "mid_burst": ends[0] + 5,
+            "last_kernel_past_length": ends[1],
+        }[cut]
+        cols = sink.finish(length)
+        assert len(cols) == length
+        objects = cols.materialize()
+        assert objects == full[:length]
+        repacked = TraceColumns.from_instructions(objects)
+        assert cols.kernel_names == repacked.kernel_names
+        assert cols.to_buffers() == repacked.to_buffers()
+        if cut == "last_kernel_past_length":
+            assert "strided_sum" not in cols.kernel_names
+            assert "strided_sum" in {inst.kernel for inst in full}
+
+    def test_atomic_loads_are_not_predictable(self):
+        cols = _emit_bursts()[0].finish()
+        atomics = [
+            flags for op, flags in zip(cols.op, cols.flags)
+            if op == OpClass.LOAD and flags & FLAG_NO_PREDICT
+        ]
+        assert atomics
+        assert not any(flags & FLAG_PREDICTABLE for flags in atomics)
+
+    @pytest.mark.parametrize("length", [1, 777])
+    def test_generated_truncation_matches_the_object_path(self, length):
+        cols = generate_trace("coremark", length, 2).columns
+        repacked = TraceColumns.from_instructions(cols.materialize())
+        assert cols.kernel_names == repacked.kernel_names
+        assert cols.to_buffers() == repacked.to_buffers()

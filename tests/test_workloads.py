@@ -2,13 +2,20 @@
 and -- critically -- that each kernel produces the load behaviour it
 advertises (the basis of every figure's shape)."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.common.rng import DeterministicRng
-from repro.isa.instruction import OpClass
+from repro.isa.columns import ColumnSink
+from repro.isa.instruction import OP_LOAD, OP_STORE, OpClass
 from repro.memory.image import MemoryImage
 from repro.workloads.builder import ProgramBuilder
-from repro.workloads.generator import SPECIAL_WORKLOADS, generate_trace
+from repro.workloads.generator import (
+    SPECIAL_WORKLOADS,
+    clear_trace_caches,
+    generate_trace,
+)
 from repro.workloads.kernels import (
     KERNEL_CLASSES,
     ChainedStrideKernel,
@@ -70,7 +77,9 @@ class TestRegistry:
 class TestGeneration:
     def test_deterministic(self):
         a = generate_trace("coremark", 5000)
+        clear_trace_caches()  # regenerate instead of hitting the memo
         b = generate_trace("coremark", 5000)
+        assert a is not b
         assert a.instructions == b.instructions
 
     def test_seed_changes_trace(self):
@@ -104,15 +113,37 @@ class TestGeneration:
         assert isinstance(trace.initial_memory, MemoryImage)
 
 
+class _Access(NamedTuple):
+    """One load or store, read back from a sink's columns."""
+
+    pc: int
+    addr: int
+    value: int
+
+
 def _collect(kernel, budget=4000):
-    out = []
+    out = ColumnSink()
     while len(out) < budget:
         kernel.emit(out, 400)
     return out
 
 
-def _loads(instructions):
-    return [i for i in instructions if i.is_load]
+def _accesses(sink, op):
+    return [
+        _Access(pc, addr, value)
+        for pc, code, addr, value in zip(
+            sink.pc, sink.op, sink.addr, sink.value
+        )
+        if code == op
+    ]
+
+
+def _loads(sink):
+    return _accesses(sink, OP_LOAD)
+
+
+def _stores(sink):
+    return _accesses(sink, OP_STORE)
 
 
 class TestKernelBehaviours:
@@ -137,18 +168,18 @@ class TestKernelBehaviours:
     def test_memset_scan_loads_zero(self):
         builder = ProgramBuilder(DeterministicRng(3))
         kernel = MemsetScanKernel(builder, inner_n=16)
-        out = []
+        out = ColumnSink()
         kernel.emit(out, 0)
-        scan_loads = [i for i in out if i.is_load and i.pc == kernel.scan_code]
+        scan_loads = [i for i in _loads(out) if i.pc == kernel.scan_code]
         assert len(scan_loads) == 16
         assert all(l.value == 0 for l in scan_loads)
 
     def test_pointer_chase_values_are_next_addresses(self):
         builder = ProgramBuilder(DeterministicRng(4))
         kernel = PointerChaseKernel(builder, n_nodes=32)
-        out = []
+        out = ColumnSink()
         kernel.emit(out, 32 * 5)
-        next_loads = [i for i in out if i.is_load and i.pc == kernel.code]
+        next_loads = [i for i in _loads(out) if i.pc == kernel.code]
         for a, b in zip(next_loads, next_loads[1:]):
             assert a.value == b.addr  # the chase invariant
 
@@ -163,10 +194,10 @@ class TestKernelBehaviours:
     def test_context_address_per_site_addresses(self):
         builder = ProgramBuilder(DeterministicRng(6))
         kernel = ContextAddressKernel(builder, n_sites=2, drift_period=1000)
-        out = []
+        out = ColumnSink()
         kernel.emit(out, 200)
         helper_loads = [
-            i for i in out if i.is_load and i.pc == kernel.helper_code
+            i for i in _loads(out) if i.pc == kernel.helper_code
         ]
         addresses = {l.addr for l in helper_loads}
         assert addresses == set(kernel.site_data)
@@ -175,7 +206,7 @@ class TestKernelBehaviours:
         builder = ProgramBuilder(DeterministicRng(7))
         plain = ChainedStrideKernel(builder, n_elems=64,
                                     encoded_fraction=0.0)
-        out = []
+        out = ColumnSink()
         plain.emit(out, 64 * 5)
         loads = _loads(out)
         # Addresses walk the array in order...
@@ -193,7 +224,7 @@ class TestKernelBehaviours:
         builder = ProgramBuilder(DeterministicRng(9))
         kernel = ChainedStrideKernel(builder, n_elems=64,
                                      encoded_fraction=1.0)
-        out = []
+        out = ColumnSink()
         kernel.emit(out, 64 * 5)
         values = [l.value for l in _loads(out)][:32]
         deltas = {b - a for a, b in zip(values, values[1:])}
@@ -202,9 +233,9 @@ class TestKernelBehaviours:
     def test_hot_flag_reload_sees_fresh_store(self):
         builder = ProgramBuilder(DeterministicRng(8))
         kernel = HotFlagKernel(builder, gap_alu=2)
-        out = []
+        out = ColumnSink()
         kernel.emit(out, 100)
-        stores = [i for i in out if i.is_store]
+        stores = _stores(out)
         loads = _loads(out)
         assert len(stores) == len(loads)
         for store, load in zip(stores, loads):
