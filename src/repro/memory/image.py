@@ -13,6 +13,8 @@ reads/writes of 1/2/4/8 bytes, little-endian.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.bits import mask
 
 
@@ -58,21 +60,26 @@ class MemoryImage:
 
         ``values[i]`` lands at ``base + i * stride``; both ``base`` and
         ``stride`` must be 8-byte multiples so each value occupies one
-        backing word exactly.  One dict update replaces ``len(values)``
-        :meth:`write` calls -- workload builders pre-populate hundreds
-        of thousands of words, which dominates cold trace generation.
+        backing word exactly.  ``values`` is a numpy integer column
+        (converted with ``tolist`` once) or any sequence of ints; each
+        is taken modulo 2**64.  The words go in with one ``dict.update``
+        in index order, so keys new to the image are inserted in that
+        order, as ``len(values)`` :meth:`write` calls would insert them.
         """
         if base & 0b111 or stride & 0b111:
             raise ValueError(
                 f"write_words needs 8-byte alignment: base={base:#x}, "
                 f"stride={stride}"
             )
-        word_mask = mask(64)
+        if isinstance(values, np.ndarray):
+            words = values.astype(np.uint64, copy=False).tolist()
+        else:
+            word_mask = mask(64)
+            words = [value & word_mask for value in values]
         step = stride >> self._WORD_SHIFT
         first = base >> self._WORD_SHIFT
         self._words.update(
-            (first + i * step, value & word_mask)
-            for i, value in enumerate(values)
+            zip(range(first, first + len(words) * step, step), words)
         )
 
     def __len__(self) -> int:
@@ -88,22 +95,21 @@ class MemoryImage:
     # ------------------------------------------------------------------
 
     def to_packed(self) -> tuple[bytes, bytes]:
-        """Dump the non-zero words as two native ``array('Q')`` buffers.
+        """Dump the non-zero words as two native ``uint64`` buffers.
 
         Returns ``(keys, values)`` -- word indices and word contents in
-        matching order.  This is the binary-trace-store layout: two
-        ``frombytes`` calls rebuild the image, against thousands of
-        per-word ``hex()``/``int()`` conversions for the JSON word map.
+        matching (insertion) order.  This is the binary-trace-store
+        layout: two ``frombytes`` calls rebuild the image, against
+        thousands of per-word ``hex()``/``int()`` conversions for the
+        JSON word map.
         """
-        from array import array
-
-        keys = array("Q")
-        values = array("Q")
-        for key, value in self._words.items():
-            if value:
-                keys.append(key)
-                values.append(value)
-        return keys.tobytes(), values.tobytes()
+        count = len(self._words)
+        keys = np.fromiter(self._words.keys(), dtype=np.uint64, count=count)
+        values = np.fromiter(
+            self._words.values(), dtype=np.uint64, count=count
+        )
+        nonzero = values != 0
+        return keys[nonzero].tobytes(), values[nonzero].tobytes()
 
     @classmethod
     def from_packed(cls, keys: bytes, values: bytes) -> "MemoryImage":

@@ -10,6 +10,8 @@ workload's deterministic RNG.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.rng import DeterministicRng
 from repro.isa.instruction import NUM_ARCH_REGS
 from repro.memory.image import MemoryImage
@@ -70,22 +72,39 @@ class ProgramBuilder:
         self._next_data += size_bytes
         return base
 
-    def populate(self, base: int, count: int, size: int, value_fn) -> None:
+    def populate(self, base: int, count: int, size: int, values) -> None:
         """Pre-populate ``count`` elements of ``size`` bytes at ``base``.
 
-        ``value_fn(i)`` supplies element *i*'s value.  Pre-populated
+        ``values`` is a numpy ``uint64`` column: ``values[i]`` is element
+        *i*'s value, taken modulo ``2 ** (8 * size)``.  Pre-populated
         data models memory initialized before the traced window starts.
-        Whole aligned words (the overwhelmingly common case --
-        ``alloc_data`` aligns to 64 bytes) take the image's bulk path;
-        sub-word elements fall back to per-element writes.
+        Elements of 1, 2, 4 or 8 bytes are packed little-endian into
+        whole words, so every region goes into the image as one word
+        column (:meth:`MemoryImage.write_words`).  A partial last word
+        keeps the bytes already past the region, as element-wise
+        writes would.  ``base`` must be 8-byte aligned; ``alloc_data``
+        aligns to 64.
         """
-        if size == 8 and not base & 0b111:
-            self.memory.write_words(
-                base, (value_fn(i) for i in range(count))
+        if base & 0b111:
+            raise ValueError(
+                f"populate needs an 8-byte-aligned base, got {base:#x}"
             )
-            return
-        for i in range(count):
-            self.memory.write(base + i * size, size, value_fn(i))
+        if size not in (1, 2, 4, 8):
+            raise ValueError(f"element size must be 1, 2, 4 or 8, got {size}")
+        column = np.asarray(values, dtype=np.uint64)
+        if column.shape != (count,):
+            raise ValueError(
+                f"need {count} element values, got shape {column.shape}"
+            )
+        nbytes = count * size
+        data = np.zeros((nbytes + 7) & ~7, dtype=np.uint8)
+        data[:nbytes] = column.astype(f"<u{size}").view(np.uint8)
+        words = data.view("<u8")
+        tail = nbytes & 0b111
+        if tail:
+            beyond = self.memory.read(base + nbytes, 8 - tail)
+            words[-1] |= np.uint64(beyond << (8 * tail))
+        self.memory.write_words(base, words)
 
     # ------------------------------------------------------------------
     # Register allocation

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.common.bits import mask
 from repro.isa.columns import (
     FLAG_IS_CALL,
@@ -59,6 +61,17 @@ def _scramble(i: int) -> int:
     x = ((i + 1) * _GOLDEN) & _VALUE_MASK
     x ^= x >> 29
     return (x * 0xBF58476D1CE4E5B9) & _VALUE_MASK
+
+
+def _scramble_column(indices: np.ndarray) -> np.ndarray:
+    """:func:`_scramble` over a column of indices, as ``uint64``.
+
+    ``uint64`` array arithmetic wraps modulo 2**64, which is what the
+    scalar's masks do, so element *i* equals ``_scramble(indices[i])``.
+    """
+    x = (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+    x ^= x >> np.uint64(29)
+    return x * np.uint64(0xBF58476D1CE4E5B9)
 
 
 class Kernel(abc.ABC):
@@ -224,13 +237,12 @@ class StridedSumKernel(Kernel):
         self.stride = stride_elems * elem_size
         self.elem_size = elem_size
         self.array = builder.alloc_data(n_elems * stride_elems * elem_size)
+        count = n_elems * stride_elems
         if self.rng.coin(constant_fraction):
-            splat = _scramble(0x51) & mask(elem_size * 8)
-            builder.populate(self.array, n_elems * stride_elems, elem_size,
-                             lambda i: splat)
+            values = np.full(count, _scramble(0x51), dtype=np.uint64)
         else:
-            builder.populate(self.array, n_elems * stride_elems, elem_size,
-                             _scramble)
+            values = _scramble_column(np.arange(count, dtype=np.uint64))
+        builder.populate(self.array, count, elem_size, values)
         # LOAD + ADD acc + ADD idx + CMP + B
         self.code = builder.alloc_code(5)
         regs = builder.alloc_regs(4)
@@ -452,8 +464,10 @@ class GatherIndirectKernel(Kernel):
         self.index_array = builder.alloc_data(n * 4)
         self.data_table = builder.alloc_data(table_elems * 8)
         indices = [self.rng.randint(0, table_elems) for _ in range(n)]
-        builder.populate(self.index_array, n, 4, lambda i: indices[i])
-        builder.populate(self.data_table, table_elems, 8, _scramble)
+        builder.populate(self.index_array, n, 4,
+                         np.array(indices, dtype=np.uint64))
+        table = _scramble_column(np.arange(table_elems, dtype=np.uint64))
+        builder.populate(self.data_table, table_elems, 8, table)
         # LOAD idx + LOAD data + ADD acc + ADD i + CMP + B
         self.code = builder.alloc_code(6)
         regs = builder.alloc_regs(5)
@@ -542,8 +556,9 @@ class RandomLoadsKernel(Kernel):
         self.region_words = region_bytes // 8
         self.constant = self.rng.coin(constant_fraction)
         if not self.constant:
-            builder.populate(self.region, min(self.region_words, 8192), 8,
-                             _scramble)
+            count = min(self.region_words, 8192)
+            values = _scramble_column(np.arange(count, dtype=np.uint64))
+            builder.populate(self.region, count, 8, values)
         # Constant copies: never-written words read as zero everywhere.
         # ALU (index calc) + LOAD + ADD acc + CMP + B
         self.code = builder.alloc_code(5)
@@ -590,7 +605,9 @@ class MissConstantsKernel(Kernel):
         if self.sentinel:
             # One word per 64-byte block, matching the loop's accesses.
             builder.memory.write_words(
-                self.region, (self.sentinel,) * self.blocks, stride=64
+                self.region,
+                np.full(self.blocks, self.sentinel, dtype=np.uint64),
+                stride=64,
             )
         # LOAD + sentinel branch + ADD acc + ADD idx + CMP + backedge
         self.code = builder.alloc_code(6)
@@ -640,12 +657,10 @@ class ChainedStrideKernel(Kernel):
         # -- so stride-VALUE predictors (E-Stride, SVP) cannot shortcut
         # the chain; only the address predictors' D-cache probe can.
         self.encoded = self.rng.coin(encoded_fraction)
+        links = (np.arange(n_elems, dtype=np.uint64) + 1) % n_elems
         if self.encoded:
-            builder.populate(self.array, n_elems, 8,
-                             lambda i: _scramble((i + 1) % n_elems))
-        else:
-            builder.populate(self.array, n_elems, 8,
-                             lambda i: (i + 1) % n_elems)
+            links = _scramble_column(links)
+        builder.populate(self.array, n_elems, 8, links)
         # LOAD idx + decode ALU + ADD acc + CMP + backedge
         self.code = builder.alloc_code(5)
         regs = builder.alloc_regs(3)

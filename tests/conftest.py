@@ -9,9 +9,10 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.types import CHOSEN, PREDICTED, slot_names
 
 #: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
-#: equivalence suite (``tests/test_fuzz_equivalence.py``) and the branch
-#: hash-column test (``tests/test_branch_hash_columns.py``) from their
-#: tier-1 60 examples per test to 300.
+#: equivalence suite (``tests/test_fuzz_equivalence.py``), the branch
+#: hash-column test (``tests/test_branch_hash_columns.py``) and the
+#: memory-image packing test (``tests/test_image_serialization.py``)
+#: from their tier-1 60 examples per test to 300.
 settings.register_profile("fuzz-wide", max_examples=300)
 
 
