@@ -32,18 +32,27 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from repro.composite import CompositeConfig, CompositePredictor
-from repro.eves import EvesPredictor, eves_8kb, eves_32kb, eves_infinite
-from repro.isa import Instruction, OpClass, Trace
-from repro.pipeline import CoreConfig, SimResult, simulate
-from repro.predictors import (
-    COMPONENT_NAMES,
-    PredictionKind,
-    make_component,
-)
-from repro.workloads import ALL_WORKLOADS, generate_trace, listing1_trace
+from repro.common.lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.composite.composite": ("CompositePredictor",),
+    "repro.composite.config": ("CompositeConfig",),
+    "repro.eves.eves": (
+        "EvesPredictor", "eves_8kb", "eves_32kb", "eves_infinite",
+    ),
+    "repro.isa.instruction": ("Instruction", "OpClass"),
+    "repro.isa.trace": ("Trace",),
+    "repro.pipeline.config": ("CoreConfig",),
+    "repro.pipeline.core": ("simulate",),
+    "repro.pipeline.result": ("SimResult",),
+    "repro.predictors": ("COMPONENT_NAMES", "make_component"),
+    "repro.predictors.types": ("PredictionKind",),
+    "repro.workloads.generator": ("generate_trace",),
+    "repro.workloads.listing1": ("listing1_trace",),
+    "repro.workloads.profiles": ("ALL_WORKLOADS",),
+})
 
 __all__ = [
     "ALL_WORKLOADS",

@@ -11,12 +11,16 @@ CAP) consume:
 * load path history (CAP).
 """
 
-from repro.branch.history import HistorySet
-from repro.branch.bimodal import BimodalPredictor
-from repro.branch.tage import TagePredictor, TageConfig
-from repro.branch.ittage import IttagePredictor, IttageConfig
-from repro.branch.ras import ReturnAddressStack
-from repro.branch.unit import BranchUnit
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.branch.history": ("HistorySet",),
+    "repro.branch.bimodal": ("BimodalPredictor",),
+    "repro.branch.tage": ("TagePredictor", "TageConfig"),
+    "repro.branch.ittage": ("IttagePredictor", "IttageConfig"),
+    "repro.branch.ras": ("ReturnAddressStack",),
+    "repro.branch.unit": ("BranchUnit",),
+})
 
 __all__ = [
     "BimodalPredictor",

@@ -48,6 +48,7 @@ still printed, with a ``failures`` summary).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -55,43 +56,53 @@ import time
 from pathlib import Path
 
 from repro.common.atomicfile import atomic_write_json
-from repro.harness import experiments as exp
-from repro.harness import resilient, resultsdb
-from repro.harness.presets import (
-    EXPLORE_GRIDS,
-    FULL,
-    QUICK,
-    SMOKE,
-    ExperimentScale,
-)
-from repro.workloads.generator import SPECIAL_WORKLOADS
-from repro.workloads.profiles import ALL_WORKLOADS
 
-_SCALES = {"smoke": SMOKE, "quick": QUICK, "full": FULL}
+# Each subcommand imports what it runs inside its own function: a
+# process serving the sharded tier's router never loads numpy or the
+# simulator.  The two tables below are the CLI's seams (tests add
+# entries to them); their string values name attributes resolved on
+# first use, and any other value is used as it is.
 
-#: experiment id -> (callable taking scale kwarg or none, takes_scale)
+#: scale name -> attribute of :mod:`repro.harness.presets`
+_SCALES = {"smoke": "SMOKE", "quick": "QUICK", "full": "FULL"}
+
+#: experiment id -> (function of :mod:`repro.harness.experiments`,
+#: takes_scale)
 _EXPERIMENTS = {
-    "table1": (exp.table1_taxonomy, False),
-    "table2": (exp.table2_workloads, False),
-    "table3": (exp.table3_core_config, False),
-    "table4": (exp.table4_parameters, False),
-    "table5": (exp.table5_listing1, False),
-    "table6": (exp.table6_heterogeneous, True),
-    "ablation1": (exp.ablation_footnote1, True),
-    "ablation2": (exp.ablation_selection_policy, True),
-    "ablation3": (exp.ablation_confidence_tuning, True),
-    "fig2": (exp.fig2_load_breakdown, True),
-    "fig3": (exp.fig3_component_speedup, True),
-    "fig4": (exp.fig4_overlap, True),
-    "fig5": (exp.fig5_composite_vs_component, True),
-    "fig6": (exp.fig6_accuracy_monitor, True),
-    "fig7": (exp.fig7_smart_training, True),
-    "fig8": (exp.fig8_smart_training_speedup, True),
-    "fig9": (exp.fig9_table_fusion, True),
-    "fig10": (exp.fig10_combined, True),
-    "fig11": (exp.fig11_vs_eves, True),
-    "fig12": (exp.fig12_per_workload, True),
+    "table1": ("table1_taxonomy", False),
+    "table2": ("table2_workloads", False),
+    "table3": ("table3_core_config", False),
+    "table4": ("table4_parameters", False),
+    "table5": ("table5_listing1", False),
+    "table6": ("table6_heterogeneous", True),
+    "ablation1": ("ablation_footnote1", True),
+    "ablation2": ("ablation_selection_policy", True),
+    "ablation3": ("ablation_confidence_tuning", True),
+    "fig2": ("fig2_load_breakdown", True),
+    "fig3": ("fig3_component_speedup", True),
+    "fig4": ("fig4_overlap", True),
+    "fig5": ("fig5_composite_vs_component", True),
+    "fig6": ("fig6_accuracy_monitor", True),
+    "fig7": ("fig7_smart_training", True),
+    "fig8": ("fig8_smart_training_speedup", True),
+    "fig9": ("fig9_table_fusion", True),
+    "fig10": ("fig10_combined", True),
+    "fig11": ("fig11_vs_eves", True),
+    "fig12": ("fig12_per_workload", True),
 }
+
+
+def _resolve(value, module: str):
+    """``value``, or the attribute of ``module`` it names."""
+    if isinstance(value, str):
+        return getattr(importlib.import_module(module), value)
+    return value
+
+
+def _scale(name: str):
+    """The :class:`~repro.harness.presets.ExperimentScale` ``name``."""
+    return _resolve(_SCALES[name], "repro.harness.presets")
+
 
 #: Exit code when a sweep finished with terminally failed cells.
 EXIT_PARTIAL_FAILURE = 3
@@ -506,7 +517,7 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         "resilient execution",
         "fault tolerance for sweep-style experiments: per-cell "
         "timeouts, retries and subprocess isolation.  With "
-        f"{resultsdb.ENV_VAR} set, rerunning a killed command serves "
+        "REPRO_RESULTS_DB_DIR set, rerunning a killed command serves "
         "its finished cells from the results database",
     )
     group.add_argument(
@@ -545,12 +556,18 @@ def _sweep_setup_error(args) -> str | None:
         return f"--workers must be >= 0, got {args.workers}"
     if args.max_retries < 0:
         return f"--max-retries must be >= 0, got {args.max_retries}"
+    from repro.harness import resultsdb
+
     return _not_a_directory(
         "results database", os.environ.get(resultsdb.ENV_VAR)
     )
 
 
-def _policy_from_args(args) -> resilient.ExecutionPolicy:
+def _policy_from_args(args):
+    """The :class:`~repro.harness.resilient.ExecutionPolicy` of
+    ``run``/``explore``'s resilience flags."""
+    from repro.harness import resilient
+
     return resilient.ExecutionPolicy(
         workers=args.workers,
         timeout=args.timeout,
@@ -567,6 +584,8 @@ def _policy_from_args(args) -> resilient.ExecutionPolicy:
 
 def _interrupted() -> int:
     """Exit 130 with a hint on finishing the interrupted campaign."""
+    from repro.harness import resultsdb
+
     root = os.environ.get(resultsdb.ENV_VAR)
     if root:
         print(
@@ -589,6 +608,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
+        from repro.harness.presets import EXPLORE_GRIDS
+        from repro.workloads.generator import SPECIAL_WORKLOADS
+        from repro.workloads.profiles import ALL_WORKLOADS
+
         print("experiments:", ", ".join(sorted(_EXPERIMENTS)))
         print("explore grids:", ", ".join(sorted(EXPLORE_GRIDS)))
         print(f"workloads ({len(ALL_WORKLOADS)}):", ", ".join(ALL_WORKLOADS))
@@ -622,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         from repro.harness.report import generate_report
 
-        scale = _SCALES[args.scale]
+        scale = _scale(args.scale)
         report_text = generate_report(
             scale,
             sections=tuple(args.sections) if args.sections else None,
@@ -642,6 +665,8 @@ def _print_db_summary() -> None:
     Stderr only: stdout payloads must stay byte-identical between a
     clean run and a rerun that serves every cell from the database.
     """
+    from repro.harness import resilient
+
     totals = resilient.db_usage_totals()
     if totals.lookups:
         print(
@@ -658,8 +683,11 @@ def _run_command(args) -> int:
     if error:
         return _fail(error)
 
+    from repro.harness import resilient
+
     function, takes_scale = _EXPERIMENTS[args.experiment]
-    scale: ExperimentScale = _SCALES[args.scale]
+    function = _resolve(function, "repro.harness.experiments")
+    scale = _scale(args.scale)
     started = time.time()
     try:
         with resilient.use_policy(_policy_from_args(args)):
@@ -692,7 +720,9 @@ def _run_command(args) -> int:
 
 def _explore_command(args) -> int:
     """The ``explore`` subcommand: successive-halving grid search."""
+    from repro.harness import resilient
     from repro.harness.explore import METRICS, MODES, run_explore
+    from repro.harness.presets import EXPLORE_GRIDS
 
     if args.grid not in EXPLORE_GRIDS:
         return _fail(
@@ -725,7 +755,7 @@ def _explore_command(args) -> int:
     try:
         with resilient.use_policy(_policy_from_args(args)):
             result = run_explore(
-                EXPLORE_GRIDS[args.grid], _SCALES[args.scale],
+                EXPLORE_GRIDS[args.grid], _scale(args.scale),
                 metric=args.metric, mode=args.mode, eta=args.eta,
                 rungs=args.rungs,
             )
@@ -760,6 +790,9 @@ def _explore_command(args) -> int:
 
 def _check_workload(name: str) -> str | None:
     """None when ``name`` is a known workload, else the error message."""
+    from repro.workloads.generator import SPECIAL_WORKLOADS
+    from repro.workloads.profiles import ALL_WORKLOADS
+
     valid = tuple(ALL_WORKLOADS) + tuple(SPECIAL_WORKLOADS)
     if name in valid:
         return None
@@ -774,7 +807,7 @@ def _serve_command(args) -> int:
     subprocesses behind it.  Either way the process prints the one
     ``serving on host:port`` line scripts parse.
     """
-    from repro.serve.server import PredictionServer, ServerConfig
+    from repro.serve.config import ServerConfig
 
     if not 0 <= args.port <= 65535:
         return _fail(f"--port must be in [0, 65535], got {args.port}")
@@ -864,6 +897,8 @@ def _serve_command(args) -> int:
         return _serve_standby(args, config)
     if args.shards > 1 or args.standbys:
         return _serve_router(args, config)
+
+    from repro.serve.server import PredictionServer
 
     def announce(server) -> None:
         if server.recovery.get("recovered_sessions"):
@@ -1195,6 +1230,7 @@ def _cache_command(args) -> int:
     ``--which all`` reports both under named keys (either may be null
     when unconfigured, but at least one must be configured).
     """
+    from repro.harness import resultsdb
     from repro.workloads import store as trace_store
 
     if args.which not in _CACHE_KINDS:
@@ -1265,6 +1301,8 @@ def _db_command(args) -> int:
     longer match the running package -- their fingerprints can never be
     queried again, so they only waste disk.
     """
+    from repro.harness import resultsdb
+
     results_root = args.results_dir or os.environ.get(resultsdb.ENV_VAR)
     if not results_root:
         return _fail(
@@ -1298,7 +1336,7 @@ def _simulate_command(args) -> int:
 
     from repro.harness.runner import build_predictor
     from repro.isa.trace import Trace
-    from repro.pipeline import simulate
+    from repro.pipeline.core import simulate
     from repro.serve.session import resolve_spec, spec_from_name
 
     try:

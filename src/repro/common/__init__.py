@@ -6,17 +6,17 @@ and deterministic random-number streams.  Everything in here is pure and
 easily property-testable.
 """
 
-from repro.common.bits import (
-    bit_length_for,
-    fold_bits,
-    mask,
-    sign_extend,
-    truncate,
-)
-from repro.common.counters import SaturatingCounter
-from repro.common.fpc import ForwardProbabilisticCounter, FpcVector
-from repro.common.hashing import mix64, path_hash, pc_index, pc_tag
-from repro.common.rng import DeterministicRng
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.common.bits": (
+        "bit_length_for", "fold_bits", "mask", "sign_extend", "truncate",
+    ),
+    "repro.common.counters": ("SaturatingCounter",),
+    "repro.common.fpc": ("ForwardProbabilisticCounter", "FpcVector"),
+    "repro.common.hashing": ("mix64", "path_hash", "pc_index", "pc_tag"),
+    "repro.common.rng": ("DeterministicRng",),
+})
 
 __all__ = [
     "DeterministicRng",

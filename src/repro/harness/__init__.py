@@ -15,18 +15,21 @@ artifact; :mod:`repro.harness.formatting` renders the results as the
 text tables the benchmark harness prints.
 """
 
-from repro.harness.functional import FunctionalResult, run_functional
-from repro.harness.presets import ExperimentScale, FULL, QUICK, SMOKE, scale_from_env
-from repro.harness.resilient import (
-    Cell,
-    CellOutcome,
-    ExecutionPolicy,
-    RetryPolicy,
-    SweepReport,
-    run_cells,
-    use_policy,
-)
-from repro.harness.runner import baseline_result, run_predictor, workload_trace
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.harness.functional": ("FunctionalResult", "run_functional"),
+    "repro.harness.presets": (
+        "ExperimentScale", "FULL", "QUICK", "SMOKE", "scale_from_env",
+    ),
+    "repro.harness.resilient": (
+        "Cell", "CellOutcome", "ExecutionPolicy", "RetryPolicy", "SweepReport",
+        "run_cells", "use_policy",
+    ),
+    "repro.harness.runner": (
+        "baseline_result", "run_predictor", "workload_trace",
+    ),
+})
 
 __all__ = [
     "Cell",

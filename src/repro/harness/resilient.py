@@ -574,14 +574,22 @@ def register_prewarm(fn_path: str, hook: Callable[[list], None]) -> None:
 
 
 def _prewarm(pending: Sequence[Cell]) -> None:
-    """Run registered pre-warm hooks for a pool sweep's pending cells."""
+    """Run registered pre-warm hooks for a pool sweep's pending cells.
+
+    Each cell fn's module is imported first, since that is where its
+    hook registers (as :func:`repro.harness.resultsdb.cell_fingerprint`
+    imports it for its semantics versions): whether a sweep pre-warms
+    never depends on what the supervisor happened to import before.
+    """
     by_fn: dict[str, list] = {}
     for cell in pending:
-        if cell.fn in _PREWARM_HOOKS:
-            by_fn.setdefault(cell.fn, []).append(cell.spec)
+        by_fn.setdefault(cell.fn, []).append(cell.spec)
     for fn_path, specs in by_fn.items():
         try:
-            _PREWARM_HOOKS[fn_path](specs)
+            importlib.import_module(fn_path.partition(":")[0])
+            hook = _PREWARM_HOOKS.get(fn_path)
+            if hook is not None:
+                hook(specs)
         except Exception:
             pass
 

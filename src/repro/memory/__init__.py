@@ -10,11 +10,15 @@ program-order :class:`~repro.memory.image.MemoryImage` that the pipeline
 maintains to resolve predicted-address probes.
 """
 
-from repro.memory.cache import Cache, CacheConfig, CacheStats
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.memory.image import MemoryImage
-from repro.memory.prefetcher import StridePrefetcher
-from repro.memory.tlb import Tlb
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memory.cache": ("Cache", "CacheConfig", "CacheStats"),
+    "repro.memory.hierarchy": ("HierarchyConfig", "MemoryHierarchy"),
+    "repro.memory.image": ("MemoryImage",),
+    "repro.memory.prefetcher": ("StridePrefetcher",),
+    "repro.memory.tlb": ("Tlb",),
+})
 
 __all__ = [
     "Cache",

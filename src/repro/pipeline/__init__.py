@@ -23,10 +23,14 @@ under pipelining -- which is what the paper's relative comparisons
 need.
 """
 
-from repro.pipeline.config import DEFAULT_LATENCIES, CoreConfig
-from repro.pipeline.core import CoreModel, SimulationInterrupted, simulate
-from repro.pipeline.result import SimResult
-from repro.pipeline.vp import NoPredictor, ValuePredictorHost
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pipeline.config": ("DEFAULT_LATENCIES", "CoreConfig"),
+    "repro.pipeline.core": ("CoreModel", "SimulationInterrupted", "simulate"),
+    "repro.pipeline.result": ("SimResult",),
+    "repro.pipeline.vp": ("NoPredictor", "ValuePredictorHost"),
+})
 
 __all__ = [
     "CoreConfig",

@@ -29,12 +29,13 @@ fetch path.  Four layers:
   across cores behind the same protocol.
 """
 
-from repro.serve.session import (
-    PredictorSession,
-    SessionError,
-    SessionManager,
-    spec_from_name,
-)
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.session": (
+        "PredictorSession", "SessionError", "SessionManager", "spec_from_name",
+    ),
+})
 
 __all__ = [
     "PredictorSession",

@@ -53,6 +53,12 @@ from repro.serve.session import (
     execute_op,
     spec_from_name,
 )
+from repro.serve.shardmgr import (
+    ShardError,
+    read_state,
+    shard_name,
+    wait_for_serving,
+)
 
 #: Seconds to wait per shard for a (re)started process to print its port.
 SERVER_START_TIMEOUT = 30.0
@@ -111,20 +117,15 @@ class _TierProc:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
         )
-        deadline = time.monotonic() + SERVER_START_TIMEOUT * self.shards
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                raise CrashTestError(
-                    f"server exited during startup "
-                    f"(code {self.proc.poll()})"
-                )
-            if line.startswith("serving on"):
-                self.port = int(line.rsplit(":", 1)[1])
-                return self.port
-        raise CrashTestError("server never reported its port")
+        try:
+            ports = wait_for_serving(
+                {"server": self.proc}, SERVER_START_TIMEOUT * self.shards
+            )
+        except ShardError as exc:
+            raise CrashTestError(str(exc)) from exc
+        self.port = ports["server"]
+        return self.port
 
     def kill(self) -> None:
         """SIGKILL the top-level process: no drain, no atexit, no
@@ -151,8 +152,6 @@ class _TierProc:
         before firing, the same fencing discipline the router itself
         uses -- a recycled pid is never killed.
         """
-        from repro.serve.shardmgr import read_state
-
         state = read_state(self.data_dir) or {}
         info = (state.get("workers") or {}).get(shard) or {}
         pid = info.get("pid")
@@ -330,7 +329,6 @@ def run_crashtest(
     comparison (:func:`measure_rto`) to the report under ``"rto"``.
     """
     from repro.serve.ring import HashRing
-    from repro.serve.shardmgr import shard_name
     from repro.workloads.generator import ensure_stored, generate_trace
 
     note = progress or (lambda message: None)
@@ -582,7 +580,6 @@ async def _measure_one_rto(
     standby exists to beat.
     """
     from repro.serve.ring import HashRing
-    from repro.serve.shardmgr import shard_name
 
     shards = 2
     victim = shard_name(0)

@@ -48,7 +48,6 @@ response, not a double execution.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import pickle
@@ -67,9 +66,12 @@ from repro.common.atomicfile import (
     write_sealed,
 )
 from repro.common.hashing import stable_digest
-from repro.serve.session import (
+from repro.serve.config import (
     SEQ_CACHE_BYTES,
     SEQ_CACHE_SIZE,
+    session_dir_name,
+)
+from repro.serve.session import (
     PredictorSession,
     SeqTracker,
     SessionError,
@@ -108,19 +110,6 @@ MUTATING_OPS = ("open", "apply", "predict", "train", "close")
 class ReplicationError(Exception):
     """A WAL record stream went inconsistent: a seq gap, a record before
     its session's ``open``, or (on a standby) a cursor or CRC mismatch."""
-
-
-def session_dir_name(session_id: str) -> str:
-    """The on-disk directory name for one session id.
-
-    Deterministic and shared with the router, which moves these
-    directories between shard data-dirs during live migration.
-    """
-    safe = "".join(
-        c if c.isalnum() or c in "-_" else "_" for c in session_id
-    )[:48]
-    digest = hashlib.sha256(session_id.encode("utf-8")).hexdigest()[:12]
-    return f"{safe}-{digest}"
 
 
 @dataclass

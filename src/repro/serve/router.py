@@ -45,9 +45,8 @@ from pathlib import Path
 
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.durability import session_dir_name
+from repro.serve.config import ServerConfig, session_dir_name
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing
-from repro.serve.server import ServerConfig
 from repro.serve.shardmgr import ShardManager
 
 

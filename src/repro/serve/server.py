@@ -44,55 +44,15 @@ import time
 from dataclasses import dataclass
 
 from repro.serve import protocol
+from repro.serve.config import ServerConfig
 from repro.serve.durability import DurabilityManager
 from repro.serve.session import (
     MAX_EVENTS_PER_REQUEST,
-    SEQ_CACHE_BYTES,
-    SEQ_CACHE_SIZE,
     SeqTracker,
     SessionError,
     SessionManager,
     execute_op,
 )
-
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """Knobs for one :class:`PredictionServer`."""
-
-    host: str = "127.0.0.1"
-    #: 0 binds an ephemeral port (read it back from ``server.port``).
-    port: int = 0
-    #: Bounded request queue; overflow answers with ``backpressure``.
-    max_queue: int = 1024
-    #: Most requests one scheduler wakeup will coalesce.
-    max_batch: int = 64
-    #: Queue-wait budget per request, seconds (None = unlimited).
-    request_timeout: float | None = 30.0
-    max_sessions: int = 64
-    #: Byte budget across all sessions (estimated; None = unlimited).
-    max_session_bytes: int | None = None
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: Root for durable-session WALs and checkpoints; None disables
-    #: durability (durable opens get ``durability-disabled`` errors).
-    data_dir: str | None = None
-    #: Max seconds between WAL fsyncs (0 = fsync every append).
-    fsync_interval: float = 0.02
-    #: WAL records between full-state checkpoints.
-    checkpoint_every: int = 2000
-    #: WAL segment rotation threshold, bytes.
-    wal_segment_bytes: int = 1 << 20
-    #: Exactly-once replay-cache bounds per session (entries / bytes).
-    seq_cache_size: int = SEQ_CACHE_SIZE
-    seq_cache_bytes: int = SEQ_CACHE_BYTES
-    #: Identity this process reports in ``stats`` when it runs as one
-    #: worker shard of a sharded tier (None = standalone server).
-    shard_name: str | None = None
-    #: When set, a watchdog exits the process as soon as its parent
-    #: changes -- a worker shard must never outlive its router (an
-    #: orphan appending to a WAL the replacement tier owns would be a
-    #: split-brain writer).
-    parent_pid: int | None = None
 
 
 @dataclass

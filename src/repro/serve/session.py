@@ -48,6 +48,7 @@ from repro.predictors.types import (
     size_of,
     slot_names,
 )
+from repro.serve.config import SEQ_CACHE_BYTES, SEQ_CACHE_SIZE
 
 #: Access sizes a session accepts for load/store events (the ISA's).
 _VALID_SIZES = (1, 2, 4, 8)
@@ -68,19 +69,6 @@ PREDICTOR_NAMES = (
 #: cap a WAL replay trusts -- recovery never re-executes more per
 #: record than a live request could have carried).
 MAX_EVENTS_PER_REQUEST = 8192
-
-#: Responses remembered per session for replayed sequence numbers; a
-#: client retrying within this window gets the cached answer instead
-#: of a double execution.
-SEQ_CACHE_SIZE = 256
-
-#: Byte watermark on the same cache: entries are also evicted oldest
-#: first once their (JSON-serialized) payloads exceed this, so a
-#: session whose responses are large -- apply results carry one record
-#: per load -- cannot grow its dedup cache with its lifetime.  The
-#: newest entry is always retained regardless of size: the most recent
-#: response must stay replayable or an immediate retry would fail.
-SEQ_CACHE_BYTES = 256 * 1024
 
 
 class SessionError(ValueError):

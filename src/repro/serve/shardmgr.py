@@ -26,15 +26,18 @@ from __future__ import annotations
 
 import hashlib
 import os
+import selectors
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 from repro.common.atomicfile import atomic_write_json, read_json_object
-from repro.serve.server import ServerConfig
+from repro.serve import protocol
+from repro.serve.config import ServerConfig
 
 #: Seconds to wait for a (re)started worker to print its port.
 WORKER_START_TIMEOUT = 30.0
@@ -114,7 +117,7 @@ class ShardManager:
         self.host = host
         self.root = Path(data_dir) if data_dir is not None else None
         #: Every worker's and standby's server config (see
-        #: :meth:`_spawn` for the fields each process sets itself).
+        #: :meth:`_launch` for the fields each process sets itself).
         self.worker = worker or ServerConfig()
         self.standby_count = standbys
         self.shards: dict[str, WorkerShard] = {}
@@ -141,16 +144,32 @@ class ShardManager:
     # ------------------------------------------------------------------
 
     def start_all(self) -> None:
-        """Fence any previous incarnation's workers, then spawn ours."""
+        """Fence any previous incarnation's workers, then spawn ours.
+
+        Every primary is launched before any port is read, so the
+        workers' start-ups (mostly imports) overlap; the standbys,
+        which need their primary's port, follow the same way.  If any
+        process fails to report its port, every process launched here
+        is SIGKILLed and reaped before :class:`ShardError` propagates.
+        """
         if self.root is not None:
             # Workers create their own shard dirs lazily (on the first
             # durable open); the state file needs the root right away.
             self.root.mkdir(parents=True, exist_ok=True)
         self.fence_stale_workers()
-        for shard in self.shards.values():
-            self._spawn(shard)
-        for name in self.standbys:
-            self._spawn_standby(name, fresh=True)
+        try:
+            for shard in self.shards.values():
+                self._launch(shard)
+            self._read_ports(self.shards.values())
+            for name in self.standbys:
+                self._launch_standby(name, fresh=True)
+            self._read_ports(self.standbys.values())
+        except BaseException:
+            for shard in [*self.shards.values(), *self.standbys.values()]:
+                if shard.proc is not None:
+                    shard.proc.kill()
+                    shard.proc.wait()
+            raise
         self.write_state()
 
     def restart(self, name: str) -> int:
@@ -190,8 +209,6 @@ class ShardManager:
         :meth:`restart` (cold restart-and-replay), which is always
         safe because step 3 never ran.
         """
-        from repro.serve.standby import AdminError, sync_request
-
         shard = self.shards[name]
         standby = self.standbys.get(name)
         if standby is None or not standby.alive() or standby.port is None:
@@ -288,6 +305,11 @@ class ShardManager:
     # ------------------------------------------------------------------
 
     def _spawn_standby(self, name: str, fresh: bool = False) -> None:
+        """Start one shard's standby and read its port."""
+        self._launch_standby(name, fresh)
+        self._read_ports([self.standbys[name]])
+
+    def _launch_standby(self, name: str, fresh: bool = False) -> None:
         """Launch one shard's standby, streaming from its primary.
 
         ``fresh`` wipes the standby's data dir first: a standby's local
@@ -303,10 +325,16 @@ class ShardManager:
         standby = self.standbys[name]
         if fresh and standby.data_dir is not None:
             shutil.rmtree(standby.data_dir, ignore_errors=True)
-        self._spawn(standby, "--standby-of", str(primary.port))
+        self._launch(standby, "--standby-of", str(primary.port))
 
-    def _spawn(self, shard: WorkerShard, *extra: str) -> None:
-        """Start one ``repro-lvp serve`` process and read its port.
+    def _spawn(self, shard: WorkerShard) -> None:
+        """Start one worker process and read its port."""
+        self._launch(shard)
+        self._read_ports([shard])
+
+    def _launch(self, shard: WorkerShard, *extra: str) -> None:
+        """Start one ``repro-lvp serve`` process; its port comes later
+        (:meth:`_read_ports`).
 
         The command line carries :attr:`worker`'s tuning; the process's
         own host (the manager's), ephemeral port, shard name, parent pid
@@ -346,23 +374,14 @@ class ShardManager:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
         )
-        shard.port = self._read_port(shard)
 
-    def _read_port(self, shard: WorkerShard) -> int:
-        """Block until the worker prints ``serving on host:port``."""
-        deadline = time.monotonic() + WORKER_START_TIMEOUT
-        while time.monotonic() < deadline:
-            line = shard.proc.stdout.readline()
-            if not line:
-                raise ShardError(
-                    f"worker {shard.name} exited during startup "
-                    f"(code {shard.proc.poll()})"
-                )
-            if line.startswith("serving on"):
-                return int(line.rsplit(":", 1)[1])
-        raise ShardError(f"worker {shard.name} never reported its port")
+    def _read_ports(self, shards) -> None:
+        """Set each launched shard's port from its ``serving on`` line."""
+        procs = {shard.name: shard.proc for shard in shards}
+        ports = wait_for_serving(procs, WORKER_START_TIMEOUT)
+        for shard in shards:
+            shard.port = ports[shard.name]
 
     # ------------------------------------------------------------------
     # State file + fencing
@@ -455,6 +474,100 @@ class ShardManager:
         )
 
 
+def wait_for_serving(
+    procs: dict[str, subprocess.Popen], timeout: float
+) -> dict[str, int]:
+    """Each process's port, read from its ``serving on host:port`` line.
+
+    ``procs`` maps a name to a process started with ``stdout=PIPE``;
+    all of them are read at once under one deadline of ``timeout``
+    seconds, which holds even against a process that prints nothing.
+    Raises :class:`ShardError` when a process closes its stdout before
+    that line or the deadline passes; the caller owns the processes.
+    Output past the ``serving on`` line is left unread.
+    """
+    deadline = time.monotonic() + timeout
+    ports: dict[str, int] = {}
+    pending = {name: b"" for name in procs}
+    with selectors.DefaultSelector() as selector:
+        for name, proc in procs.items():
+            selector.register(proc.stdout, selectors.EVENT_READ, name)
+        while pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ShardError(
+                    f"{', '.join(sorted(pending))} never reported a port "
+                    f"within {timeout:g}s"
+                )
+            for key, _ in selector.select(remaining):
+                name = key.data
+                chunk = os.read(key.fd, 4096)
+                if not chunk:
+                    raise ShardError(
+                        f"{name} exited during startup "
+                        f"(code {procs[name].poll()})"
+                    )
+                *lines, pending[name] = (pending[name] + chunk).split(b"\n")
+                for line in lines:
+                    if line.startswith(b"serving on"):
+                        ports[name] = int(line.rsplit(b":", 1)[1])
+                        selector.unregister(key.fileobj)
+                        del pending[name]
+                        break
+    return ports
+
+
+class AdminError(Exception):
+    """A structured error response to a synchronous admin request
+    (the ``promote`` RPC to a standby)."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(f"[{code}] {message}")
+        self.code = code
+
+
+def sync_request(
+    port: int,
+    op: str,
+    host: str = "127.0.0.1",
+    timeout: float = 30.0,
+    **params,
+) -> dict:
+    """One blocking request/response over a fresh connection.
+
+    The shard manager runs in synchronous (executor) context, so
+    promotion cannot ride the asyncio client; this speaks the same
+    length-prefixed frames with a plain socket.
+    """
+    body = {"id": 1, "op": op, **params}
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.settimeout(timeout)
+        sock.sendall(protocol.encode_frame(protocol.REQUEST, body))
+        header = _recv_exact(sock, protocol.HEADER.size)
+        length, frame_type = protocol.HEADER.unpack(header)
+        raw = _recv_exact(sock, length - 1)
+    response = protocol.decode_body(frame_type, raw)
+    if not isinstance(response, dict) or not response.get("ok"):
+        error = (response or {}).get("error", {}) \
+            if isinstance(response, dict) else {}
+        raise AdminError(
+            error.get("code", "unknown"), error.get("message", "")
+        )
+    return response.get("result", {})
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    chunks = []
+    remaining = count
+    while remaining:
+        chunk = sock.recv(remaining)
+        if not chunk:
+            raise ConnectionError("connection closed mid-frame")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -472,6 +585,7 @@ def read_state(data_dir: str | Path) -> dict | None:
 
 __all__ = [
     "STATE_FILE",
+    "AdminError",
     "WORKER_START_TIMEOUT",
     "ShardError",
     "ShardManager",
@@ -479,4 +593,6 @@ __all__ = [
     "poll_backoff",
     "read_state",
     "shard_name",
+    "sync_request",
+    "wait_for_serving",
 ]

@@ -48,10 +48,8 @@ from __future__ import annotations
 
 import asyncio
 import shutil
-import socket
 from pathlib import Path
 
-from repro.serve import protocol
 from repro.serve.durability import (
     _TOMBSTONE,
     _WAL_PREFIX,
@@ -625,70 +623,13 @@ class StandbyServer(PredictionServer):
         }
 
 
-# ----------------------------------------------------------------------
-# Synchronous admin client (shard manager / tests)
-# ----------------------------------------------------------------------
-
-
-class AdminError(Exception):
-    """A structured error response to a synchronous admin request."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(f"[{code}] {message}")
-        self.code = code
-
-
-def sync_request(
-    port: int,
-    op: str,
-    host: str = "127.0.0.1",
-    timeout: float = 30.0,
-    **params,
-) -> dict:
-    """One blocking request/response over a fresh connection.
-
-    The shard manager runs in synchronous (executor) context, so
-    promotion cannot ride the asyncio client; this speaks the same
-    length-prefixed frames with a plain socket.
-    """
-    body = {"id": 1, "op": op, **params}
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        sock.sendall(protocol.encode_frame(protocol.REQUEST, body))
-        header = _recv_exact(sock, protocol.HEADER.size)
-        length, frame_type = protocol.HEADER.unpack(header)
-        raw = _recv_exact(sock, length - 1)
-    response = protocol.decode_body(frame_type, raw)
-    if not isinstance(response, dict) or not response.get("ok"):
-        error = (response or {}).get("error", {}) \
-            if isinstance(response, dict) else {}
-        raise AdminError(
-            error.get("code", "unknown"), error.get("message", "")
-        )
-    return response.get("result", {})
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 __all__ = [
     "DEFAULT_POLL_INTERVAL",
     "DEFAULT_SHIP_BYTES",
     "MAX_SHIP_BYTES",
-    "AdminError",
     "ReplicaSet",
     "ReplicationError",
     "SessionReplica",
     "StandbyServer",
     "ship_wal",
-    "sync_request",
 ]

@@ -21,16 +21,17 @@ giving a heterogeneous population whose aggregate behaviour mirrors
 the benchmark suite's diversity.
 """
 
-from repro.workloads.builder import ProgramBuilder
-from repro.workloads.generator import generate_trace, generate_suite
-from repro.workloads.listing1 import listing1_trace
-from repro.workloads.profiles import (
-    ALL_WORKLOADS,
-    FAMILIES,
-    WORKLOAD_FAMILY,
-    WorkloadProfile,
-    profile_for,
-)
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.builder": ("ProgramBuilder",),
+    "repro.workloads.generator": ("generate_trace", "generate_suite"),
+    "repro.workloads.listing1": ("listing1_trace",),
+    "repro.workloads.profiles": (
+        "ALL_WORKLOADS", "FAMILIES", "WORKLOAD_FAMILY", "WorkloadProfile",
+        "profile_for",
+    ),
+})
 
 __all__ = [
     "ALL_WORKLOADS",
