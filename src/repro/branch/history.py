@@ -24,6 +24,13 @@ index and tag hashes are computed per trace as columns (see
 :meth:`repro.branch.tage.TagePredictor.hash_columns`) instead of
 emulating the folded-register circuit of real hardware branch by
 branch.
+
+:func:`load_histories` derives, once per trace, what every
+whole-trace evaluator reads of these registers: the predictable loads'
+fetch-time histories (and, for the timing model, the branch registers'
+states, which the recorded front end hashes its branches from).  The timing model's
+probes, the context-aware components' per-load hashes and the
+functional backend all read that one :class:`LoadHistories`.
 """
 
 from __future__ import annotations
@@ -31,6 +38,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.bits import mask
+from repro.common.tracememo import trace_memo
+from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
+from repro.isa.instruction import (
+    OP_BRANCH_FIRST,
+    OP_BRANCH_LAST,
+    OP_LOAD,
+    OP_STORE,
+    OpClass,
+)
 
 #: Maximum direction-history length kept (longest TAGE table plus slack).
 MAX_DIRECTION_BITS = 256
@@ -108,16 +124,21 @@ def shift_states(contribs: np.ndarray, shift: int, width: int) -> np.ndarray:
 
     ``states[k]`` is the register value after the first ``k`` pushes of
     ``reg = (reg << shift) | contribs[k]``, keeping the low ``width``
-    bits (at most 64), starting from zero.  Computed as
-    ``width / shift`` shifted-OR passes over the contribution column
-    instead of a Python loop over pushes.
+    bits (at most 64), starting from zero.  Computed by doubling instead
+    of a Python loop over pushes: once each lane holds its last ``span``
+    pushes, OR-ing in the lane ``span`` pushes earlier, shifted past
+    them, gives its last ``2 * span``; bits shifted above ``width``
+    never reach the bits kept.
     """
     n = len(contribs)
     states = np.zeros(n + 1, dtype=np.uint64)
-    for j in range((width + shift - 1) // shift):
-        if j >= n:
-            break
-        states[j + 1 :] |= contribs[: n - j] << np.uint64(j * shift)
+    states[1:] = contribs
+    span = 1
+    while span * shift < width and span < n:
+        states[span + 1 :] |= states[1 : n + 1 - span] << np.uint64(
+            span * shift
+        )
+        span *= 2
     return states & np.uint64(mask(width))
 
 
@@ -148,3 +169,120 @@ def direction_folds(
             chunk &= np.uint64(mask(length - lag))
         out ^= chunk
     return out
+
+
+# ----------------------------------------------------------------------
+# The predictable loads' fetch-time histories
+# ----------------------------------------------------------------------
+
+_OP_BRANCH_COND = int(OpClass.BRANCH_COND)
+
+
+class LoadHistories:
+    """One trace's predictable loads and the histories each saw at fetch.
+
+    Per load, indexed by its *ordinal* (its index among the trace's
+    predictable loads), as uint64 numpy columns: ``pc`` its PC,
+    ``direction`` the low 64 bits of the direction register (wider than
+    any value-predictor table reads), ``path`` and ``load_path`` the raw
+    path registers.  A load is itself a memory event; it sees the memory
+    path before its own push.  What only the timing model reads is built
+    on its first use: :meth:`branch_states` and :meth:`snapshots`.
+    """
+
+    __slots__ = (
+        "pc", "direction", "path", "load_path", "_columns",
+        "_branch_states", "_snapshots",
+    )
+
+    def branch_states(self) -> tuple:
+        """``(direction_states, path_states, pushes)``: the direction
+        and path registers' states after every push, which the front
+        end's TAGE and ITTAGE hashes read, and the number of direction
+        pushes before each load."""
+        if self._branch_states is None:
+            _, (direction, pushes), (path, _), _ = _register_states(
+                self._columns
+            )
+            self._branch_states = direction, path, pushes
+        return self._branch_states
+
+    def snapshots(self) -> tuple:
+        """The timing model's per-load probe arguments: the full-width
+        direction register as ints, and the path and load path as int
+        sequences, all indexed by ordinal.
+
+        Bits ``64*j .. 64*j + 63`` of a load's direction register are
+        its low 64 bits ``64*j`` pushes earlier (state 0 is the empty
+        register), so one int is built per distinct push count (loads
+        between two conditional branches share it).
+        """
+        if self._snapshots is None:
+            states, _, pushes = self.branch_states()
+            starts = np.diff(pushes, prepend=-1) != 0
+            first = np.flatnonzero(starts)
+            limbs = np.stack([
+                states[np.maximum(pushes[first] - shift, 0)]
+                for shift in range(0, MAX_DIRECTION_BITS, 64)
+            ], axis=1).astype("<u8").tobytes()
+            width = MAX_DIRECTION_BITS // 8
+            from_bytes = int.from_bytes
+            values = [
+                from_bytes(limbs[k:k + width], "little")
+                for k in range(0, len(limbs), width)
+            ]
+            group = np.cumsum(starts) - 1
+            self._snapshots = (
+                [values[k] for k in group.tolist()],
+                memoryview(self.path),
+                memoryview(self.load_path),
+            )
+        return self._snapshots
+
+
+def _register_states(columns) -> tuple:
+    """The predictable loads' PCs and, for the direction, path and load
+    path registers in turn, ``(states, pushes)``: the register's state
+    after every push and, per load, how many pushes precede it."""
+    pc = np.frombuffer(columns.pc, dtype=np.uint64)
+    op = np.frombuffer(columns.op, dtype=np.uint8)
+    flags = np.frombuffer(columns.flags, dtype=np.uint8)
+    is_cond = op == _OP_BRANCH_COND
+    is_branch = (op >= OP_BRANCH_FIRST) & (op <= OP_BRANCH_LAST)
+    is_memory = (op == OP_LOAD) | (op == OP_STORE)
+    loads = np.flatnonzero((flags & FLAG_PREDICTABLE) != 0)
+    return pc[loads], (
+        shift_states(
+            ((flags[is_cond] & FLAG_TAKEN) != 0).astype(np.uint64), 1, 64
+        ),
+        np.cumsum(is_cond)[loads],
+    ), (
+        shift_states(path_contributions(pc[is_branch]), 2, PATH_BITS),
+        np.cumsum(is_branch)[loads],
+    ), (
+        shift_states(path_contributions(pc[is_memory]), 2, LOAD_PATH_BITS),
+        np.cumsum(is_memory)[loads] - 1,
+    )
+
+
+def derive_load_histories(columns) -> LoadHistories:
+    """The :class:`LoadHistories` of packed trace ``columns``: each
+    register's state after every push, gathered at every predictable
+    load by the number of pushes before it."""
+    out = LoadHistories()
+    out.pc, *registers = _register_states(columns)
+    out.direction, out.path, out.load_path = (
+        states[pushes] for states, pushes in registers
+    )
+    out._columns = columns
+    out._branch_states = out._snapshots = None
+    return out
+
+
+def load_histories(trace) -> LoadHistories:
+    """``trace``'s :class:`LoadHistories`, derived once per trace
+    (:mod:`repro.common.tracememo`)."""
+    return trace_memo(
+        trace, ("load histories",),
+        lambda: derive_load_histories(trace.pack()),
+    )

@@ -1334,7 +1334,7 @@ def _simulate_command(args) -> int:
     """Run one trace file through the timing model and print stats."""
     from dataclasses import asdict
 
-    from repro.harness.runner import build_predictor
+    from repro.composite.build import build_predictor
     from repro.isa.trace import Trace
     from repro.pipeline.core import simulate
     from repro.serve.session import resolve_spec, spec_from_name

@@ -271,10 +271,10 @@ class CompositePredictor:
             )
         return component
 
-    def bind_frontend(self, stream) -> None:
-        """Hand every component the run's front-end stream (or ``None``)."""
+    def bind_trace(self, trace) -> None:
+        """Hand every component the timing run's trace (or ``None``)."""
         for component in self.components.values():
-            component.bind_frontend(stream)
+            component.bind_trace(trace)
 
     # ------------------------------------------------------------------
     # Fetch side

@@ -26,6 +26,14 @@ into the run's :class:`FunctionalResult`, the same fold that serves
 inlined.  A vector run therefore leaves the predictor in exactly the
 state a pure object run would have, with nothing to copy back.
 
+The history register states are the trace's shared
+:class:`~repro.branch.history.LoadHistories`, the same ones the timing
+model probes with.  :func:`precompute_load_batch` turns them and the
+loads' outcomes into the loop's int lists, and the batch and every
+table geometry's packed hash columns are memoized per trace
+(:mod:`repro.common.tracememo`), so a sweep over one trace computes
+them once.
+
 The per-instruction object interpreter in
 ``tests/oracles/functional_loop.py`` is the bit-exact reference: for
 every supported assembly,
@@ -56,12 +64,12 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.branch.history import path_contributions, shift_states
+from repro.branch.history import load_histories
 from repro.common.bits import fold_bits_np, shr_np
+from repro.common.tracememo import trace_memo
 from repro.composite.accuracy_monitor import (
     InfinitePcAm,
     MAm,
@@ -72,8 +80,8 @@ from repro.composite.accuracy_monitor import (
 from repro.composite.composite import CompositePredictor
 from repro.composite.fusion import FusionController
 from repro.harness.functional import FunctionalResult
-from repro.isa.columns import FLAG_PREDICTABLE, FLAG_TAKEN
-from repro.isa.trace import Trace
+from repro.isa.columns import FLAG_PREDICTABLE
+from repro.isa.instruction import OP_STORE
 from repro.memory.image import MemoryImage
 from repro.predictors.cap import CapPredictor
 from repro.predictors.cvp import CvpPredictor
@@ -83,13 +91,6 @@ from repro.predictors.sap import SapPredictor
 _MASK49 = (1 << 49) - 1
 _TAG_BITS = 14
 _PC_AM_TAG_BITS = 10
-
-#: OpClass numeric values (kept in lockstep with repro.isa.instruction;
-#: TraceColumns stores the raw enum value in the ``op`` column).
-_OP_LOAD = 6
-_OP_STORE = 7
-_OP_BRANCH_COND = 8
-_OP_BRANCH_RETURN = 11
 
 #: The component types the residual interpreter replays, by name.
 _COMPONENT_TYPES = {
@@ -142,84 +143,40 @@ class _LoadBatch:
     """Everything the residual loop needs, precomputed per load."""
 
     __slots__ = (
-        "n_instructions", "pos", "pc", "value", "addr49", "size_log2",
-        "pc_np", "direction_np", "path_np", "load_path_np",
-        "store_pos", "store_addr", "store_size", "store_value",
+        "n_instructions", "histories", "pos", "pc", "value", "addr49",
+        "size_log2", "store_pos", "store_addr", "store_size", "store_value",
     )
 
 
-def precompute_load_batch(
-    columns,
-    need_direction: bool,
-    need_path: bool,
-    need_load_path: bool,
-) -> _LoadBatch:
-    """Vectorized pass over packed columns: per-predictable-load PCs,
-    architectural outcomes, history register states at probe time, and
-    the store schedule.  History registers are reconstructed only to
-    the width any consumer reads (CVP masks direction to <= 32 bits;
-    path/load-path registers are 32 bits wide architecturally)."""
-    pc = np.frombuffer(columns.pc, dtype=np.uint64)
-    op = np.frombuffer(columns.op, dtype=np.uint8)
+def precompute_load_batch(trace) -> _LoadBatch:
+    """Vectorized pass over ``trace``'s packed columns: the predictable
+    loads' fetch-time histories (the trace's shared
+    :func:`~repro.branch.history.load_histories`), their PCs and
+    architectural outcomes as ints, and the store schedule."""
+    histories = load_histories(trace)
+    columns = trace.columns
     addr = np.frombuffer(columns.addr, dtype=np.uint64)
     size = np.frombuffer(columns.size, dtype=np.uint8)
     value = np.frombuffer(columns.value, dtype=np.uint64)
+    op = np.frombuffer(columns.op, dtype=np.uint8)
     flags = np.frombuffer(columns.flags, dtype=np.uint8)
-
-    is_cond = op == _OP_BRANCH_COND
-    is_branch = (op >= _OP_BRANCH_COND) & (op <= _OP_BRANCH_RETURN)
-    is_mem = (op == _OP_LOAD) | (op == _OP_STORE)
-    load_pos = np.nonzero((flags & FLAG_PREDICTABLE) != 0)[0]
+    load_pos = np.flatnonzero((flags & FLAG_PREDICTABLE) != 0)
 
     batch = _LoadBatch()
-    batch.n_instructions = len(pc)
+    batch.n_instructions = len(columns)
+    batch.histories = histories
     batch.pos = load_pos.tolist()
-    lpc = pc[load_pos]
-    batch.pc_np = lpc
-    batch.pc = lpc.tolist()
+    batch.pc = histories.pc.tolist()
     batch.value = value[load_pos].tolist()
     batch.addr49 = (addr[load_pos] & np.uint64(_MASK49)).tolist()
-    lsize = size[load_pos]
     # size.bit_length() - 1, via a lookup over the uint8 size domain.
-    batch.size_log2 = _SIZE_LOG2[lsize].tolist()
+    batch.size_log2 = _SIZE_LOG2[size[load_pos]].tolist()
 
-    store_pos = np.nonzero(op == _OP_STORE)[0]
+    store_pos = np.nonzero(op == OP_STORE)[0]
     batch.store_pos = store_pos.tolist()
     batch.store_addr = addr[store_pos].tolist()
     batch.store_size = size[store_pos].tolist()
     batch.store_value = value[store_pos].tolist()
-
-    empty = np.zeros(0, dtype=np.uint64)
-    if need_direction:
-        cond_pos = np.nonzero(is_cond)[0]
-        taken = (flags[cond_pos] & FLAG_TAKEN).astype(np.uint64)
-        states = shift_states(taken, 1, 32)
-        cum_cond = np.cumsum(is_cond)
-        batch.direction_np = (
-            states[cum_cond[load_pos]] if len(load_pos) else empty
-        )
-    else:
-        batch.direction_np = None
-    if need_path:
-        br_pos = np.nonzero(is_branch)[0]
-        contribs = path_contributions(pc[br_pos])
-        states = shift_states(contribs, 2, 32)
-        cum_br = np.cumsum(is_branch)
-        batch.path_np = states[cum_br[load_pos]] if len(load_pos) else empty
-    else:
-        batch.path_np = None
-    if need_load_path:
-        mem_pos = np.nonzero(is_mem)[0]
-        contribs = path_contributions(pc[mem_pos])
-        states = shift_states(contribs, 2, 32)
-        cum_mem = np.cumsum(is_mem)
-        # A load is itself a memory event; its probe sees the register
-        # *before* its own push, hence the -1 on the inclusive cumsum.
-        batch.load_path_np = (
-            states[cum_mem[load_pos] - 1] if len(load_pos) else empty
-        )
-    else:
-        batch.load_path_np = None
     return batch
 
 
@@ -234,44 +191,16 @@ def _pc_am_hashes_np(
 
 
 # ----------------------------------------------------------------------
-# Per-trace precompute cache
+# Per-trace precompute memo
 # ----------------------------------------------------------------------
 #
-# Load batches and hash columns are pure functions of the trace columns
-# and the table geometry -- never of predictor state -- so sweeps that
-# evaluate many configs / seeds / repeats over the same trace can share
-# them.  Keyed weakly on the Trace object (as the timing model's
-# front-end streams are), so a trace's entries die with it and
-# clear_precompute_cache (called by repro.harness.runner.clear_caches)
-# drops them all.  A search holds every trace it touches, each with a
-# dozen table geometries, so hash columns are kept as packed arrays
-# rather than lists of ints (one or two bytes per load, not ~36).
-
-_TRACE_CACHE: WeakKeyDictionary[Trace, tuple[dict, dict]] = WeakKeyDictionary()
-
-
-def clear_precompute_cache() -> None:
-    """Drop every memoized load batch and hash column."""
-    _TRACE_CACHE.clear()
-
-
-def _trace_cache(trace) -> tuple[dict, dict]:
-    """Return ``(batches, hashes)`` memo dicts for this trace."""
-    slot = _TRACE_CACHE.get(trace)
-    if slot is None:
-        slot = _TRACE_CACHE[trace] = ({}, {})
-    return slot
-
-
-def _cached_batch(trace, need_direction, need_path, need_load_path):
-    batches, _ = _trace_cache(trace)
-    key = (need_direction, need_path, need_load_path)
-    batch = batches.get(key)
-    if batch is None:
-        batch = batches[key] = precompute_load_batch(
-            trace.columns, need_direction, need_path, need_load_path
-        )
-    return batch
+# The load batch and hash columns are pure functions of the trace and
+# the table geometry -- never of predictor state -- so sweeps that
+# evaluate many configs / seeds / repeats over the same trace share
+# them through the per-trace memo (repro.common.tracememo).  A search
+# holds every trace it touches, each with a dozen table geometries, so
+# hash columns are kept as packed arrays rather than lists of ints (one
+# or two bytes per load, not ~36).
 
 
 def _packed(*columns: np.ndarray) -> tuple[array, ...]:
@@ -285,11 +214,7 @@ def _packed(*columns: np.ndarray) -> tuple[array, ...]:
 
 
 def _cached_hashes(trace, key, compute):
-    _, hashes = _trace_cache(trace)
-    h = hashes.get(key)
-    if h is None:
-        h = hashes[key] = compute()
-    return h
+    return trace_memo(trace, ("functional",) + key, compute)
 
 
 def _cached_pc_hashes(trace, pc_np, index_bits):
@@ -298,17 +223,17 @@ def _cached_pc_hashes(trace, pc_np, index_bits):
     ))
 
 
-def _cached_cvp_hashes(trace, component, batch):
+def _cached_cvp_hashes(trace, component, histories):
     return _cached_hashes(trace, component.geometry_key, lambda: [
         _packed(index, tag) for index, tag in component.hash_columns(
-            batch.pc_np, batch.direction_np, batch.path_np
+            histories.pc, histories.direction, histories.path
         )
     ])
 
 
-def _cached_cap_hashes(trace, component, batch):
+def _cached_cap_hashes(trace, component, histories):
     return _cached_hashes(trace, component.geometry_key, lambda: _packed(
-        *component.hash_columns(batch.pc_np, batch.load_path_np)
+        *component.hash_columns(histories.pc, histories.load_path)
     ))
 
 
@@ -399,8 +324,8 @@ def _run_composite(trace, predictor, mem, result):
     invalidated = predictor._invalidated
 
     # -- whole-trace precompute (shared across runs on this trace) -----
-    batch = _cached_batch(
-        trace, cvp is not None, cvp is not None, cap is not None
+    batch = _cached_hashes(
+        trace, ("batch",), lambda: precompute_load_batch(trace)
     )
     pos = batch.pos
     n_loads = len(pos)
@@ -415,7 +340,8 @@ def _run_composite(trace, predictor, mem, result):
     # (fusion flushes and re-banks in place), so only the multi-bank
     # flags below follow fusion.  Every FPC draw goes through the
     # component's own coin stream, one-bank or multi-bank.
-    pc_np = batch.pc_np
+    histories = batch.histories
+    pc_np = histories.pc
     if lvp is not None:
         lvp_tab = lvp._table
         lvp_t0, lvp_v0, lvp_c0 = lvp_tab.banks[0]
@@ -440,7 +366,7 @@ def _run_composite(trace, predictor, mem, result):
         cv0_t0, cv0_v0, cv0_c0 = cv0_tab.banks[0]
         cv1_t0, cv1_v0, cv1_c0 = cv1_tab.banks[0]
         cv2_t0, cv2_v0, cv2_c0 = cv2_tab.banks[0]
-        cvp_h = _cached_cvp_hashes(trace, cvp, batch)
+        cvp_h = _cached_cvp_hashes(trace, cvp, histories)
         (cv0i, cv0t), (cv1i, cv1t), (cv2i, cv2t) = cvp_h
         cvp_thr = cvp.confidence_threshold
         cvp_probs = cvp._float_probs
@@ -450,7 +376,7 @@ def _run_composite(trace, predictor, mem, result):
     if cap is not None:
         cap_tab = cap._table
         cap_t0, cap_a0, cap_sz0, cap_c0 = cap_tab.banks[0]
-        cpi, cpt = _cached_cap_hashes(trace, cap, batch)
+        cpi, cpt = _cached_cap_hashes(trace, cap, histories)
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max

@@ -21,17 +21,16 @@ import time
 from collections import OrderedDict
 from typing import Any
 
+from repro.common.tracememo import clear_trace_memo
+from repro.composite.build import build_predictor
 from repro.harness import resilient, resultsdb
 from repro.harness.functional import FUNCTIONAL_SEMANTICS_VERSION
-from repro.harness.functional_vec import clear_precompute_cache
 from repro.isa.trace import Trace
-from repro.memory.recording import clear_hierarchy_recordings
 from repro.pipeline.core import (
     TIMING_SEMANTICS_VERSION,
     SimulationInterrupted,
     simulate,
 )
-from repro.pipeline.frontend import clear_frontend_streams
 from repro.pipeline.result import SimResult
 from repro.pipeline.vp import ValuePredictorHost
 from repro.workloads.generator import (
@@ -116,90 +115,9 @@ def speedup(
 
 
 # ----------------------------------------------------------------------
-# Cell layer: declarative predictor specs + the worker entry point
+# Cell layer: the worker entry point for declarative predictor specs
+# (built by repro.composite.build.build_predictor)
 # ----------------------------------------------------------------------
-
-def build_predictor(spec: dict | None) -> ValuePredictorHost | None:
-    """Construct a predictor assembly from a declarative spec.
-
-    Specs are small picklable dicts so sweeps can ship them to worker
-    subprocesses and fingerprint them for the results database:
-
-    * ``{"kind": "none"}`` or ``None`` -- baseline, no predictor;
-    * ``{"kind": "composite", "config": CompositeConfig(...)}``;
-    * ``{"kind": "component", "name": "lvp", "entries": 256}`` -- one
-      component alone (Figure 3), built as the one-component *plain*
-      composite (every filter off, Section V-A): ``entries`` in the
-      named slot and 0 in the other three, or, for the footnote-1
-      ``lap``/``svp``, all four slots 0 and ``(name, entries)`` as the
-      only extra component.  Its FPC streams are the composite's
-      (``CompositeConfig.seed`` 0);
-    * ``{"kind": "eves", "variant": "8kb"|"32kb"|"infinite", "seed": 0}``.
-
-    Malformed specs raise :class:`ValueError` with a one-line message
-    (never a raw :class:`KeyError`), which the CLI surfaces as exit
-    code 2 -- the PR-1 exit-code contract for bad inputs.
-    """
-    from repro.composite.composite import CompositePredictor
-    from repro.composite.config import CompositeConfig
-    from repro.eves.eves import eves_8kb, eves_32kb, eves_infinite
-    from repro.predictors import COMPONENT_NAMES
-
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ValueError(
-            f"predictor spec must be a dict or None, got {type(spec).__name__}"
-        )
-    if "kind" not in spec:
-        raise ValueError(
-            f"predictor spec missing 'kind'; got keys {sorted(spec)}"
-        )
-    kind = spec["kind"]
-    if kind == "none":
-        return None
-    if kind == "composite":
-        if "config" not in spec:
-            raise ValueError(
-                "composite predictor spec missing 'config' "
-                "(a CompositeConfig)"
-            )
-        return CompositePredictor(spec["config"])
-    if kind == "component":
-        if "name" not in spec:
-            raise ValueError(
-                "component predictor spec missing 'name' "
-                "(e.g. 'lvp', 'sap', 'cvp', 'cap')"
-            )
-        if "entries" not in spec:
-            raise ValueError(
-                f"component predictor spec for {spec['name']!r} missing "
-                "'entries'"
-            )
-        name, entries = spec["name"], spec["entries"]
-        slots = {n: entries if n == name else 0 for n in COMPONENT_NAMES}
-        extra = () if name in slots else ((name, entries),)
-        config = CompositeConfig(extra_components=extra)
-        return CompositePredictor(config.with_entries(**slots).plain())
-    if kind == "eves":
-        factories = {
-            "8kb": eves_8kb, "32kb": eves_32kb, "infinite": eves_infinite,
-        }
-        if "variant" not in spec:
-            raise ValueError(
-                f"eves predictor spec missing 'variant'; expected one of "
-                f"{sorted(factories)}"
-            )
-        try:
-            factory = factories[spec["variant"]]
-        except KeyError:
-            raise ValueError(
-                f"unknown EVES variant {spec['variant']!r}; expected one of "
-                f"{sorted(factories)}"
-            ) from None
-        return factory(spec.get("seed", 0))
-    raise ValueError(f"unknown predictor spec kind {kind!r}")
-
 
 def _deadline_interrupt():
     """An interrupt hook enforcing the cell's cooperative deadline."""
@@ -340,14 +258,12 @@ def speedup_cell(
 def clear_caches() -> None:
     """Drop every per-process cache layer (tests and memory pressure).
 
-    Clears the baseline-result memo here, the timing model's recorded
-    front-end streams
-    (:func:`repro.pipeline.frontend.clear_frontend_streams`) and
-    memory-hierarchy recordings
-    (:func:`repro.memory.recording.clear_hierarchy_recordings`), the
-    functional backend's per-trace precompute
-    (:func:`repro.harness.functional_vec.clear_precompute_cache`), the
-    generator's trace memo and ambient trace-store handle
+    Clears the baseline-result memo here, the per-trace memo of
+    trace-derived data (:func:`repro.common.tracememo.clear_trace_memo`:
+    load histories, the timing model's front-end streams and hierarchy
+    recordings, per-geometry hash rows and columns, the functional
+    backend's load batches), the generator's trace memo and ambient
+    trace-store handle
     (:func:`repro.workloads.generator.clear_trace_caches`), and the
     ambient results-database handle with its in-process memo and usage
     totals, so one call resets every caching layer at once.  On-disk
@@ -355,9 +271,7 @@ def clear_caches() -> None:
     ``repro-lvp cache --clear``.
     """
     _baseline_cache.clear()
-    clear_frontend_streams()
-    clear_hierarchy_recordings()
-    clear_precompute_cache()
+    clear_trace_memo()
     clear_trace_caches()
     resultsdb.reset_active_db()
     resilient.reset_db_usage_totals()

@@ -83,8 +83,8 @@ class Trace:
     __slots__ = (
         "name", "seed", "metadata", "initial_memory",
         "_instructions", "_columns",
-        # Per-trace memos (the timing model's recorded front end) are
-        # weak-keyed on the trace, so they die with it.
+        # Data derived from the trace (repro.common.tracememo) is
+        # weak-keyed on it, so it dies with the trace.
         "__weakref__",
     )
 

@@ -30,28 +30,20 @@ is not a call at all: it hits the L1I's most-recently-used way, which
 changes no state, and the core loop counts it into the L1I statistics
 itself.
 
-Recordings are memoized on the :class:`~repro.isa.trace.Trace` object
-through a :class:`weakref.WeakKeyDictionary`, keyed by ``(hierarchy
-config, warm_l3)``, so they die with their trace, and
-:func:`clear_hierarchy_recordings` (called by
-:func:`repro.harness.runner.clear_caches`) drops them all.
+Recordings are memoized per trace (:mod:`repro.common.tracememo`)
+under ``(hierarchy config, warm_l3)``.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from weakref import WeakKeyDictionary
 
 from repro.common.bits import bit_length_for
+from repro.common.tracememo import trace_memo
 from repro.isa.instruction import OP_LOAD, OP_STORE
 from repro.isa.trace import Trace
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-
-# trace -> (hierarchy config, warm_l3) -> the recording made under it.
-_recordings: WeakKeyDictionary[Trace, dict[tuple, "HierarchyRecording"]] = (
-    WeakKeyDictionary()
-)
 
 
 def warm_l3(hierarchy: MemoryHierarchy, trace: Trace) -> None:
@@ -159,19 +151,10 @@ def hierarchy_recording(
     cell deadline still fires on a cold trace; an interrupted pass
     memoizes nothing.
     """
-    key = (config, warm)
-    recordings = _recordings.setdefault(trace, {})
-    recording = recordings.get(key)
-    if recording is None:
-        recording = recordings[key] = _record(
-            trace, config, warm, interrupt, interrupt_interval
-        )
-    return recording
-
-
-def clear_hierarchy_recordings() -> None:
-    """Drop every memoized recording (the next run of each trace records)."""
-    _recordings.clear()
+    return trace_memo(
+        trace, ("hierarchy", config, warm),
+        lambda: _record(trace, config, warm, interrupt, interrupt_interval),
+    )
 
 
 def _record(trace, config, warm, interrupt, interrupt_interval):

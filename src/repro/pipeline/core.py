@@ -42,14 +42,15 @@ each branch is predicted and trained within its own iteration, so the
 branch unit (TAGE, ITTAGE, RAS, BTB) and the three history registers
 evolve identically whatever the timing.  The loop replays a
 :class:`repro.pipeline.frontend.FrontEndStream` -- per-branch bubbles
-and mispredictions, per-predictable-load history snapshots, final
-branch statistics -- recorded once per trace and shared by every
-predictor assembly run on it.  The stream also memoizes the
-context-aware components' per-load table hashes (CVP and CAP hash
-only the load PC and these histories):
-:meth:`CoreModel.run` binds the stream to the predictor assembly for
-the run, and every probe passes the load's ordinal, by which those
-components look the hashes up instead of recomputing them.
+and mispredictions, final branch statistics -- recorded once per trace
+and shared by every predictor assembly run on it, and probes each
+predictable load with the fetch-time histories of the trace's shared
+:class:`repro.branch.history.LoadHistories`.  The context-aware
+components' per-load table hashes are trace-determined too (CVP and
+CAP hash only the load PC and these histories): :meth:`CoreModel.run`
+binds the trace to the predictor assembly for the run, and every probe
+passes the load's ordinal, by which those components look the hashes
+up instead of recomputing them.
 
 The memory hierarchy is trace-determined too.  A PAQ probe reads the
 L1D without allocating, every load to a word an earlier store wrote is
@@ -84,6 +85,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
+from repro.branch.history import load_histories
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.common.bits import bit_length_for
@@ -211,9 +213,11 @@ class CoreModel:
         then one loop over the branches' table state), and so are the
         memory hierarchy's, from its
         :class:`~repro.memory.recording.HierarchyRecording`, unless
-        ``paq_prefetch_on_miss`` makes the run drive a live one.  The
-        stream is bound to the predictor assembly for the run
-        (``bind_frontend``) and released when it returns or raises;
+        ``paq_prefetch_on_miss`` makes the run drive a live one.  Each
+        predictable load is probed with its fetch-time histories from
+        the trace's :class:`~repro.branch.history.LoadHistories`.  The
+        trace is bound to the predictor assembly for the run
+        (``bind_trace``) and released when it returns or raises;
         probes carry the load's ordinal, by which context-aware
         components look up their per-trace table hashes.
         Keep edits in lockstep with the object-path oracle in
@@ -237,9 +241,9 @@ class CoreModel:
                 trace, cfg.hierarchy, cfg.warm_l3,
                 interrupt, interrupt_interval,
             ))
-        bind = getattr(self.predictor, "bind_frontend", None)
+        bind = getattr(self.predictor, "bind_trace", None)
         if bind is not None:
-            bind(stream)
+            bind(trace)
         try:
             return self._replay(
                 trace, cols, stream, hierarchy, interrupt, interrupt_interval
@@ -354,9 +358,9 @@ class CoreModel:
         # Front-end replay cursors: ``branch`` indexes branch codes,
         # ``probe`` predictable loads' history snapshots.
         branch_codes = stream.branch_codes
-        snap_directions = stream.direction
-        snap_paths = stream.path
-        snap_load_paths = stream.load_path
+        snap_directions, snap_paths, snap_load_paths = (
+            load_histories(trace).snapshots()
+        )
         branch = 0
         probe = 0
         load_complete = self._load_complete

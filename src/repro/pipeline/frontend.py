@@ -6,83 +6,47 @@ no timing decision can move (fetch and resolve of one branch happen in
 the same iteration of the core loop; loads and stores shift the memory
 path history at fetch).  So everything the branch unit computes is a
 pure function of the trace, the TAGE/ITTAGE geometry, the RAS depth
-and the core seed:
-
-* per branch -- the BTB fetch bubble and whether it mispredicted;
-* per predictable load -- its PC and the fetch-time direction, path
-  and memory path histories (the value predictor's probe and deferred
-  training both read these);
-* the run's final branch statistics.
+and the core seed: per branch, the BTB fetch bubble and whether it
+mispredicted, and the run's final branch statistics.
 
 :func:`frontend_stream` records them into a compact
-:class:`FrontEndStream` and memoizes it on the trace.  The recording is
-a whole-trace batch, like the functional backend's precompute: the
-three history registers' states after every push are numpy columns
-(:func:`repro.branch.history.shift_states`), every conditional branch's
-TAGE and every indirect branch's ITTAGE indices and tags come from the
-predictors' ``hash_columns`` kernels, and the predictable loads'
-histories are gathered from the same columns.  Only the table state is
-serial: one loop over the branches calls the unchanged
+:class:`FrontEndStream`.  The recording is a whole-trace batch: the
+branch registers' states after every push come from the trace's
+shared :func:`~repro.branch.history.load_histories`, every conditional
+branch's TAGE and every indirect branch's ITTAGE indices and tags come
+from the predictors' ``hash_columns`` kernels over them, and only the
+table state is serial: one loop over the branches calls the unchanged
 :meth:`BranchUnit.fetch_branch_fields` / :meth:`BranchUnit.resolve_fields`
 with each branch's precomputed hashes.
 :meth:`repro.pipeline.core.CoreModel.run` replays the stream instead of
 driving a live branch unit, so a campaign that simulates one trace
 under many predictor assemblies pays for the front end once.  The
-stream records raw histories only, so every predictor assembly run
-with one front-end key -- ``(tage, ittage, ras, seed)`` -- shares one
-stream.
+predictable loads' fetch-time histories do not depend on the branch
+unit at all, so they are not part of the stream: the core loop's
+probes read them from the same shared
+:class:`~repro.branch.history.LoadHistories`.
 
-The context-aware components hash their table indices and tags from a
-load's PC and these raw histories alone, so their hashes are trace
-determined too.  :meth:`FrontEndStream.hash_rows` computes them for a
-whole trace at once, with the component's column kernel, the first time
-a run binds a component of that table geometry, and keeps them beside
-the histories: every later cell with that geometry looks each load's
-hashes up by its ordinal (its index among the trace's predictable
-loads, carried on the probe and the outcome).
-
-The memo is keyed on the :class:`~repro.isa.trace.Trace` object through
-a :class:`weakref.WeakKeyDictionary`, so streams die with their trace
-and :func:`clear_frontend_streams` (called by
-:func:`repro.harness.runner.clear_caches`) drops them all.
+Streams are memoized per trace (:mod:`repro.common.tracememo`) under
+their front-end key, ``(tage, ittage, ras, seed)``: every predictor
+assembly run with one key shares one stream.
 """
 
 from __future__ import annotations
 
-from array import array
-from weakref import WeakKeyDictionary
-
 import numpy as np
 
-from repro.branch.history import (
-    LOAD_PATH_BITS,
-    MAX_DIRECTION_BITS,
-    PATH_BITS,
-    path_contributions,
-    shift_states,
-)
+from repro.branch.history import load_histories
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
 from repro.common.rng import DeterministicRng
-from repro.isa.columns import FLAG_IS_CALL, FLAG_PREDICTABLE, FLAG_TAKEN
-from repro.isa.instruction import (
-    OP_BRANCH_FIRST,
-    OP_BRANCH_LAST,
-    OP_LOAD,
-    OP_STORE,
-    OpClass,
-)
+from repro.common.tracememo import trace_memo
+from repro.isa.columns import FLAG_IS_CALL, FLAG_TAKEN
+from repro.isa.instruction import OP_BRANCH_FIRST, OP_BRANCH_LAST, OpClass
 from repro.isa.trace import Trace
 
 _OP_BRANCH_COND = int(OpClass.BRANCH_COND)
 _OP_BRANCH_INDIRECT = int(OpClass.BRANCH_INDIRECT)
-
-# trace -> front-end key -> the stream recorded under it (one key per
-# core seed a campaign runs the trace with, at most a handful).
-_streams: WeakKeyDictionary[Trace, dict[tuple, "FrontEndStream"]] = (
-    WeakKeyDictionary()
-)
 
 
 def branch_stats(unit: BranchUnit) -> dict:
@@ -101,47 +65,14 @@ class FrontEndStream:
     """One trace's front-end outcomes, in program order.
 
     ``branch_codes[b]`` is ``fetch_bubble << 1 | mispredicted`` for the
-    ``b``-th branch.  For the ``k``-th predictable load (its *ordinal*),
-    ``pc`` holds its PC and ``direction``, ``path`` and ``load_path``
-    its fetch-time raw histories.  :meth:`hash_rows` memoizes per-load
-    table hashes derived from them.
+    ``b``-th branch; ``branch_stats`` is the run's branch block.
     """
 
-    __slots__ = (
-        "branch_codes", "pc", "direction", "path", "load_path",
-        "branch_stats", "_direction_low", "_hash_rows",
-    )
+    __slots__ = ("branch_codes", "branch_stats")
 
     def __init__(self) -> None:
         self.branch_codes = bytearray()
-        self.pc = array("Q")
-        self.direction: list[int] = []
-        self.path = array("I")
-        self.load_path = array("I")
         self.branch_stats: dict = {}
-        # The low 64 bits of ``direction``, as the recorder computed them.
-        self._direction_low = array("Q")
-        self._hash_rows: dict[tuple, list] = {}
-
-    def hash_rows(self, key: tuple, build) -> list:
-        """One geometry's per-load table hashes, built on first use.
-
-        ``build(pc, direction, path, load_path)`` receives the
-        predictable loads' PCs and fetch-time histories as uint64 numpy
-        columns (direction cut to its low 64 bits, wider than any
-        table reads) and returns one row per load, indexed by ordinal.
-        The rows are memoized under ``key`` -- a component's
-        ``geometry_key`` -- so every cell of a campaign whose component
-        has that geometry shares them.
-        """
-        rows = self._hash_rows.get(key)
-        if rows is None:
-            rows = self._hash_rows[key] = build(*(
-                np.asarray(column).astype(np.uint64) for column in (
-                    self.pc, self._direction_low, self.path, self.load_path,
-                )
-            ))
-        return rows
 
 
 def frontend_stream(
@@ -162,18 +93,10 @@ def frontend_stream(
     nothing.
     """
     key = (tage_config, ittage_config, ras_entries, seed)
-    streams = _streams.setdefault(trace, {})
-    stream = streams.get(key)
-    if stream is None:
-        stream = streams[key] = _record(
-            trace, key, interrupt, interrupt_interval
-        )
-    return stream
-
-
-def clear_frontend_streams() -> None:
-    """Drop every memoized stream (the next run of each trace records)."""
-    _streams.clear()
+    return trace_memo(
+        trace, ("frontend",) + key,
+        lambda: _record(trace, key, interrupt, interrupt_interval),
+    )
 
 
 def _record(trace, key, interrupt, interrupt_interval):
@@ -189,19 +112,12 @@ def _record(trace, key, interrupt, interrupt_interval):
     pc = np.frombuffer(cols.pc, dtype=np.uint64)
     op = np.frombuffer(cols.op, dtype=np.uint8)
     flags = np.frombuffer(cols.flags, dtype=np.uint8)
+    direction_states, path_states, _ = load_histories(trace).branch_states()
 
-    # Each history register's state after every push, and how many
-    # pushes each instruction follows.
+    # How many conditional branches each branch follows: the
+    # direction register's state it reads.
     is_cond = op == _OP_BRANCH_COND
     is_branch = (op >= OP_BRANCH_FIRST) & (op <= OP_BRANCH_LAST)
-    is_memory = (op == OP_LOAD) | (op == OP_STORE)
-    direction = shift_states(
-        ((flags[is_cond] & FLAG_TAKEN) != 0).astype(np.uint64), 1, 64
-    )
-    path = shift_states(path_contributions(pc[is_branch]), 2, PATH_BITS)
-    load_path = shift_states(
-        path_contributions(pc[is_memory]), 2, LOAD_PATH_BITS
-    )
     conds_before = np.cumsum(is_cond) - is_cond
 
     # Every conditional branch's TAGE and every indirect branch's
@@ -216,8 +132,8 @@ def _record(trace, key, interrupt, interrupt_interval):
     ):
         which = np.flatnonzero(branch_op == kind)
         indices, tags = predictor.hash_columns(
-            branch_pc[which], direction,
-            conds_before[branch_pos[which]], path[which],
+            branch_pc[which], direction_states,
+            conds_before[branch_pos[which]], path_states[which],
         )
         rows.append(zip(zip(*indices.tolist()), zip(*tags.tolist())))
     tage_rows, ittage_rows = rows
@@ -264,34 +180,5 @@ def _record(trace, key, interrupt, interrupt_interval):
     if interrupt:
         poll(len(cols))
 
-    # The predictable loads' fetch-time histories.  A load is itself a
-    # memory event; it sees the memory path before its own push.
-    loads = np.flatnonzero((op == OP_LOAD) & ((flags & FLAG_PREDICTABLE) != 0))
-    pushes = conds_before[loads]
-    stream.pc = array("Q", pc[loads].tobytes())
-    stream._direction_low = array("Q", direction[pushes].tobytes())
-    # The path registers are 32 bits wide.
-    stream.path = array("I", path[np.cumsum(is_branch)[loads]].astype(
-        np.uintc).tobytes())
-    stream.load_path = array("I", load_path[
-        np.cumsum(is_memory)[loads] - 1].astype(np.uintc).tobytes())
-    # The full-width direction register, one int per distinct push
-    # count (loads between two conditional branches share it): bits
-    # 64*j .. 64*j + 63 are its low 64 bits 64*j pushes earlier (state
-    # 0 is the empty register).
-    starts = np.diff(pushes, prepend=-1) != 0
-    first = np.flatnonzero(starts)
-    limbs = np.stack([
-        direction[np.maximum(pushes[first] - shift, 0)]
-        for shift in range(0, MAX_DIRECTION_BITS, 64)
-    ], axis=1).astype("<u8").tobytes()
-    width = MAX_DIRECTION_BITS // 8
-    from_bytes = int.from_bytes
-    values = [
-        from_bytes(limbs[k:k + width], "little")
-        for k in range(0, len(limbs), width)
-    ]
-    group = np.cumsum(starts) - 1
-    stream.direction = [values[k] for k in group.tolist()]
     stream.branch_stats = branch_stats(unit)
     return stream

@@ -4,7 +4,7 @@ The core model talks to *any* load value predictor through a small
 protocol.  :class:`repro.composite.CompositePredictor` implements it
 natively, and a lone component (Figure 3) is simply a plain composite
 of one (``{"kind": "component"}`` specs build exactly that; see
-:func:`repro.harness.runner.build_predictor`).
+:func:`repro.composite.build.build_predictor`).
 :class:`repro.eves.EvesPredictor` (Figures 11/12) implements it too,
 with one slot, and :class:`NoPredictor` is the no-value-prediction
 baseline, with none.

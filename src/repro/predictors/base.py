@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import abc
 
+from repro.branch.history import load_histories
 from repro.common.fpc import FpcVector
 from repro.common.rng import DeterministicRng
+from repro.common.tracememo import trace_memo
 from repro.predictors.types import PredictionKind
 
 
@@ -64,18 +66,28 @@ class ComponentPredictor(abc.ABC):
     # Subclass interface
     # ------------------------------------------------------------------
 
-    def bind_frontend(self, stream) -> None:
-        """Bind the trace's recorded front end for one timing run.
+    #: Context-aware components build their per-load table hashes from
+    #: a trace's :class:`~repro.branch.history.LoadHistories` with this
+    #: method (one row per load, by ordinal); PC-only ones have none.
+    _hash_rows = None
 
-        The core model passes its
-        :class:`repro.pipeline.frontend.FrontEndStream` before the run
-        and ``None`` after it.  Context-aware predictors override this
-        to look up their per-load table hashes in the stream, keyed by
-        the load's ``ordinal``; with no stream bound (serve sessions,
-        single RPCs, the test oracles) they hash each load's raw
-        histories with their scalar reference instead.  PC-only
-        predictors ignore it.
+    def bind_trace(self, trace) -> None:
+        """Bind the trace of one whole-trace timing run.
+
+        The core model passes the trace before the run and ``None``
+        after it.  A context-aware component then looks its per-load
+        table hashes up by the load's ``ordinal`` in ``_rows``, built
+        once per trace and table geometry (``geometry_key``) and
+        memoized per trace (:mod:`repro.common.tracememo`); with no
+        trace bound (serve sessions, single RPCs, the test oracles) it
+        hashes each load's raw histories with its scalar reference
+        instead.  PC-only predictors ignore it.
         """
+        if self._hash_rows is not None:
+            self._rows = None if trace is None else trace_memo(
+                trace, ("timing rows",) + self.geometry_key,
+                lambda: self._hash_rows(load_histories(trace)),
+            )
 
     @abc.abstractmethod
     def predict(

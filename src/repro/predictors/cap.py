@@ -62,16 +62,8 @@ class CapPredictor(ComponentPredictor):
         # One-entry hash memo; see _row.
         self._hash_memo_key: tuple[int, int] | None = None
         self._hash_memo: tuple[int, int] = (0, 0)
-        # Per-load hashes of the bound front-end stream; see _row.
+        # Per-load hashes of the bound trace; see _row.
         self._rows: list | None = None
-
-    def bind_frontend(self, stream) -> None:
-        """Look up this geometry's per-load hashes in ``stream``, a
-        :class:`repro.pipeline.frontend.FrontEndStream` (``None``
-        releases them)."""
-        self._rows = None if stream is None else stream.hash_rows(
-            self.geometry_key, self._hash_rows
-        )
 
     def _tables(self) -> list:
         return [self._table]
@@ -109,14 +101,15 @@ class CapPredictor(ComponentPredictor):
         )
         return index, tag
 
-    def _hash_rows(self, pc, direction, path, load_path) -> list:
-        """One ``(index, tag)`` row per load."""
-        index, tag = self.hash_columns(pc, load_path)
+    def _hash_rows(self, histories) -> list:
+        """One ``(index, tag)`` row per load of ``histories`` (a
+        :class:`~repro.branch.history.LoadHistories`)."""
+        index, tag = self.hash_columns(histories.pc, histories.load_path)
         return list(zip(index.tolist(), tag.tolist()))
 
     def _row(self, pc: int, ordinal: int, load_path: int) -> tuple[int, int]:
         """``(index, tag)`` of one load: looked up by ordinal in the
-        bound front-end stream's rows during a whole-trace timing run,
+        bound trace's rows during a whole-trace timing run,
         computed by :meth:`_hashes` behind a one-entry memo anywhere
         else (a load's ``train`` and ``penalize`` re-hash with the
         load path its ``predict`` saw).  Bit-identical either way."""

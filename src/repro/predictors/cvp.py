@@ -106,16 +106,8 @@ class CvpPredictor(ComponentPredictor):
         # One-entry hash memo; see _row.
         self._hash_memo_key: tuple[int, int, int] | None = None
         self._hash_memo: list[tuple[int, int]] = []
-        # Per-load hashes of the bound front-end stream; see _row.
+        # Per-load hashes of the bound trace; see _row.
         self._rows: list | None = None
-
-    def bind_frontend(self, stream) -> None:
-        """Look up this geometry's per-load hashes in ``stream``, a
-        :class:`repro.pipeline.frontend.FrontEndStream` (``None``
-        releases them)."""
-        self._rows = None if stream is None else stream.hash_rows(
-            self.geometry_key, self._hash_rows
-        )
 
     def _tables(self) -> list:
         return self._banked
@@ -171,10 +163,13 @@ class CvpPredictor(ComponentPredictor):
             out.append((index, tag))
         return out
 
-    def _hash_rows(self, pc, direction, path, load_path) -> list:
-        """One row per load: its per-table ``(index, tag)`` pairs, the
-        shape :meth:`_hashes` returns."""
-        columns = self.hash_columns(pc, direction, path)
+    def _hash_rows(self, histories) -> list:
+        """One row per load of ``histories`` (a
+        :class:`~repro.branch.history.LoadHistories`): its per-table
+        ``(index, tag)`` pairs, the shape :meth:`_hashes` returns."""
+        columns = self.hash_columns(
+            histories.pc, histories.direction, histories.path
+        )
         return list(zip(*(
             zip(index.tolist(), tag.tolist()) for index, tag in columns
         )))
@@ -189,7 +184,7 @@ class CvpPredictor(ComponentPredictor):
         """Per-table ``(index, tag)`` pairs of one load.
 
         A whole-trace timing run looks them up by ordinal in the bound
-        front-end stream's rows.  Anywhere else (serve sessions, single
+        trace's rows.  Anywhere else (serve sessions, single
         RPCs, the test oracles) :meth:`_hashes` computes them behind a
         one-entry memo: a load's ``train`` re-probes with the exact
         histories its ``predict`` saw, so its second hash is a tuple

@@ -7,7 +7,7 @@ literature treat value prediction, as a low-latency service on the
 fetch path.  Four layers:
 
 * :mod:`repro.serve.session` -- a standalone stateful
-  ``predict``/``train`` API over any :func:`repro.harness.runner.
+  ``predict``/``train`` API over any :func:`repro.composite.build.
   build_predictor` spec, decoupled from the timing model, with
   per-session memory accounting and LRU eviction.
 * :mod:`repro.serve.protocol` -- length-prefixed binary framing and

@@ -39,7 +39,7 @@ class ServerConfig:
     #: Bounded request queue; overflow answers with ``backpressure``.
     max_queue: int = 1024
     #: Most requests one scheduler wakeup will coalesce.
-    max_batch: int = 64
+    max_batch: int = 16
     #: Queue-wait budget per request, seconds (None = unlimited).
     request_timeout: float | None = 30.0
     max_sessions: int = 64

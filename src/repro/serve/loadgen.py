@@ -263,7 +263,7 @@ async def run_loadgen(
         "events_applied": events_applied,
         "loads": loads,
         "predicted_loads": predicted,
-        "accuracy": (correct / predicted) if predicted else 1.0,
+        "accuracy": (correct / predicted) if predicted else 0.0,
         "elapsed_s": elapsed,
         "throughput_rps": tallies["ok"] / elapsed if elapsed else 0.0,
         "throughput_eps": events_applied / elapsed if elapsed else 0.0,

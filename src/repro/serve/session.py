@@ -1,7 +1,7 @@
 """Stateful predictor sessions: the serving layer's core abstraction.
 
 A :class:`PredictorSession` owns one predictor assembly (built from the
-same declarative specs :func:`repro.harness.runner.build_predictor`
+same declarative specs :func:`repro.composite.build.build_predictor`
 accepts), its speculative histories, and a private memory image, and
 exposes the predictor as a standalone online API -- ``predict(pc)`` /
 ``train(outcome)`` plus a streaming ``apply_batch`` form that replays
@@ -498,7 +498,7 @@ class PredictorSession:
         session_id: str = "",
         initial_memory: MemoryImage | None = None,
     ) -> None:
-        from repro.harness.runner import build_predictor
+        from repro.composite.build import build_predictor
 
         self.session_id = session_id
         self.predictor = build_predictor(resolve_spec(spec)) or NoPredictor()
@@ -1241,7 +1241,7 @@ class SessionManager:
             "loads": loads,
             "predicted_loads": predicted,
             "correct_predictions": correct,
-            "accuracy": (correct / predicted) if predicted else 1.0,
+            "accuracy": (correct / predicted) if predicted else 0.0,
         }
 
 

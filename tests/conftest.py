@@ -9,7 +9,8 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.types import CHOSEN, PREDICTED, slot_names
 
 #: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
-#: equivalence suite (``tests/test_fuzz_equivalence.py``), the branch
+#: equivalence suite (``tests/test_fuzz_equivalence.py``), the shared
+#: load-history test (``tests/test_load_histories.py``), the branch
 #: hash-column test (``tests/test_branch_hash_columns.py``) and the
 #: memory-image packing test (``tests/test_image_serialization.py``)
 #: from their tier-1 60 examples per test to 300.
@@ -101,3 +102,17 @@ def train_strided(predictor, pc: int, base: int, stride: int, times: int,
         predictor.train(*make_outcome(
             pc=pc, addr=base + i * stride, value=value, **histories
         ))
+
+
+def memo_entries(trace, kind: str) -> dict:
+    """``trace``'s entries of one kind in the per-trace memo
+    (:mod:`repro.common.tracememo`), keyed by the rest of their key:
+    ``"frontend"`` streams, ``"hierarchy"`` recordings, ``"timing
+    rows"``, ``"functional"`` batches and columns, ``"load histories"``."""
+    from repro.common import tracememo
+
+    return {
+        key[1:]: value
+        for key, value in tracememo._memo.get(trace, {}).items()
+        if key[0] == kind
+    }

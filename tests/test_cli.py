@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -142,3 +143,35 @@ class TestScaleResolution:
         monkeypatch.setenv("REPRO_SCALE", "bogus")
         with pytest.raises(ValueError):
             scale_from_env()
+
+
+class TestServeDefaults:
+    def test_serve_flags_default_to_their_server_config_fields(self):
+        # An in-process server and `repro-lvp serve` must behave alike:
+        # every flag that sets a ServerConfig field defaults to that
+        # field's default, or, left unset (None), documents it.
+        import dataclasses
+        import re
+
+        from repro.cli import _build_parser
+        from repro.serve.config import ServerConfig
+
+        parser = _build_parser()
+        serve = next(
+            action.choices["serve"] for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        fields = {f.name: f.default for f in dataclasses.fields(ServerConfig)}
+        mirrored = [
+            action for action in serve._actions if action.dest in fields
+        ]
+        assert {"max_batch", "max_queue", "max_sessions",
+                "fsync_interval"} <= {a.dest for a in mirrored}
+        for action in mirrored:
+            default = fields[action.dest]
+            if action.default is None and default is not None:
+                documented = re.search(r"\(default: ([^)]*)\)", action.help)
+                assert documented, action.dest
+                assert documented.group(1) == str(default), action.dest
+            else:
+                assert action.default == default, action.dest

@@ -19,7 +19,7 @@ accuracy-of-nothing reporting.
 from dataclasses import asdict
 
 import pytest
-from conftest import alone
+from conftest import alone, memo_entries
 
 from repro.composite.accuracy_monitor import InfinitePcAm, MAm, PcAm
 from repro.composite.composite import CompositePredictor
@@ -224,7 +224,7 @@ class TestHierarchyReplay:
         config = CoreConfig(paq_prefetch_on_miss=True)
         obj, col = run_both(trace, _address_first, config)
         assert col == obj
-        assert trace not in recording._recordings
+        assert memo_entries(trace, "hierarchy") == {}
         assert col["dropped_probe_misses"] > 0
         # A probe miss fills its block, so later probes of it hit: the
         # predictions changed the cache.
@@ -241,7 +241,7 @@ class TestHierarchyReplay:
         )
         for config in configs:
             assert_bit_identical(trace, _composite128, config, seed=1)
-        recordings = recording._recordings[trace]
+        recordings = memo_entries(trace, "hierarchy")
         assert set(recordings) == {
             (config.hierarchy, config.warm_l3) for config in configs
         }

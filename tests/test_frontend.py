@@ -1,24 +1,29 @@
 """The recorded front end: contents, memo identity, lifetime, sharing,
 deadlines.
 
-:mod:`repro.pipeline.frontend` records a trace's branch outcomes and
-fetch-time histories once, in a whole-trace batch, and the columnar
-core loop replays them.  These tests require the batch to record what
-a live branch unit fed one instruction at a time records, and pin down
-when a stream is shared, when it is recorded again and when it is
-released; ``tests/test_columnar_equivalence.py`` proves the replay
-bit-exact against the object-path oracle in ``tests/oracles``.
+:mod:`repro.pipeline.frontend` records a trace's branch outcomes once,
+in a whole-trace batch, and the columnar core loop replays them with
+the loads' fetch-time histories from
+:func:`repro.branch.history.load_histories`.  These tests require the
+batch and the histories to be what a live branch unit fed one
+instruction at a time records, and pin down when a stream is shared,
+when it is recorded again and when it is released;
+``tests/test_columnar_equivalence.py`` proves the replay bit-exact
+against the object-path oracle in ``tests/oracles``.
 """
 
 import gc
 from dataclasses import asdict
 
 import pytest
+from conftest import memo_entries
 
+from repro.branch.history import load_histories
 from repro.branch.ittage import IttageConfig
 from repro.branch.tage import TageConfig
 from repro.branch.unit import BranchUnit
 from repro.composite.composite import CompositePredictor
+from repro.common import tracememo
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
 from repro.harness.presets import SMOKE
@@ -58,7 +63,7 @@ def _composite():
 
 
 def _streams(trace):
-    return list(frontend._streams.get(trace, {}).values())
+    return list(memo_entries(trace, "frontend").values())
 
 
 class TestContents:
@@ -67,15 +72,17 @@ class TestContents:
         trace = generate_trace(workload, 5000, 0)
         key = (TageConfig(), IttageConfig(), 16, 0)
         stream = frontend.frontend_stream(trace, *key)
+        histories = load_histories(trace)
+        direction, path, load_path = histories.snapshots()
         live = record_live(trace, *key)
         assert list(stream.branch_codes) == live["branch_codes"]
-        assert list(stream.pc) == live["pc"]
-        assert stream.direction == live["direction"]
-        assert list(stream.path) == live["path"]
-        assert list(stream.load_path) == live["load_path"]
+        assert histories.pc.tolist() == live["pc"]
+        assert direction == live["direction"]
+        assert list(path) == live["path"]
+        assert list(load_path) == live["load_path"]
         assert stream.branch_stats == live["branch_stats"]
         assert any(code & 1 for code in stream.branch_codes)
-        assert any(d >> 64 for d in stream.direction)
+        assert any(d >> 64 for d in direction)
 
 
 class TestMemoIdentity:
@@ -120,18 +127,18 @@ class TestLifetime:
         simulate(trace)
         assert len(_streams(trace)) == 1
         clear_caches()
-        assert len(frontend._streams) == 0
+        assert len(tracememo._memo) == 0
         simulate(trace)
         assert len(recordings) == 2
 
     def test_stream_dies_with_its_trace(self):
         trace = generate_trace("coremark", 1500, 0)
         simulate(trace)
-        assert len(frontend._streams) == 1
+        assert len(tracememo._memo) == 1
         clear_trace_caches()
         del trace
         gc.collect()
-        assert len(frontend._streams) == 0
+        assert len(tracememo._memo) == 0
 
 
 class TestOneStreamPerKey:
@@ -143,7 +150,6 @@ class TestOneStreamPerKey:
                      None, _composite()):
             simulate(trace, host)
         assert len(recordings) == 1
-        assert len(frontend._streams[trace]) == 1
         (stream,) = _streams(trace)
         assert isinstance(stream, frontend.FrontEndStream)
 

@@ -2,11 +2,11 @@
 
 CVP and CAP index their tables from the load PC and its fetch-time raw
 histories alone, so a whole trace's (index, tag) pairs can be hashed at
-once.  The timing model memoizes them on the trace's front-end stream
-and components look them up by load ordinal; the functional backend
-memoizes the same columns per trace.  These tests hold the column
-kernels to each component's scalar reference, the column-fed timing run
-to the object-path oracle, and both memos to their lifetimes.
+once.  The timing model memoizes them per trace as rows that components
+look up by load ordinal; the functional backend memoizes the same
+columns per trace, packed.  These tests hold the column kernels to each
+component's scalar reference, the column-fed timing run to the
+object-path oracle, and the per-trace memo to its lifetimes.
 """
 
 import gc
@@ -14,13 +14,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import alone
+from conftest import alone, memo_entries
 
+from repro.branch.history import load_histories
+from repro.common import tracememo
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.harness import functional_vec
 from repro.harness.runner import clear_caches
-from repro.pipeline import frontend
 from repro.pipeline.core import CoreModel, SimulationInterrupted
 from repro.predictors.cap import CapPredictor
 from repro.predictors.cvp import HISTORY_LENGTHS, CvpPredictor
@@ -70,28 +71,31 @@ class TestKernelsMatchScalarHashes:
         for k, (p, h) in enumerate(zip(pc.tolist(), load_path.tolist())):
             assert cap._hashes(p, h) == (index[k], tag[k])
 
-    def test_stream_rows_match_the_recorded_histories(self):
-        # The stream's direction history is 256 bits wide; the rows are
+    def test_trace_rows_match_the_recorded_histories(self):
+        # The probes' direction history is 256 bits wide; the rows are
         # built from its low 64, which must not change any hash: no
         # table reads further back than that.
         trace = generate_trace("gcc2k", 3000, 0)
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
         model = CoreModel(predictor=predictor)
         model.run(trace)
-        (stream,) = frontend._streams[trace].values()
         cvp = predictor.components["cvp"]
         cap = predictor.components["cap"]
+        rows = memo_entries(trace, "timing rows")
+        assert set(rows) == {cvp.geometry_key, cap.geometry_key}
         assert max(HISTORY_LENGTHS) <= 64
-        cvp_rows = stream.hash_rows(cvp.geometry_key, cvp._hash_rows)
-        cap_rows = stream.hash_rows(cap.geometry_key, cap._hash_rows)
-        assert len(cvp_rows) == len(cap_rows) == len(stream.pc) > 0
-        assert any(d >> 64 for d in stream.direction)
-        for k, pc in enumerate(stream.pc):
-            direction = stream.direction[k]
-            path = stream.path[k]
-            load_path = stream.load_path[k]
-            assert list(cvp_rows[k]) == cvp._hashes(pc, direction, path)
-            assert cap_rows[k] == cap._hashes(pc, load_path)
+        cvp_rows = rows[cvp.geometry_key]
+        cap_rows = rows[cap.geometry_key]
+        histories = load_histories(trace)
+        pcs = histories.pc.tolist()
+        directions, paths, load_paths = histories.snapshots()
+        assert len(cvp_rows) == len(cap_rows) == len(pcs) > 0
+        assert any(d >> 64 for d in directions)
+        for k, pc in enumerate(pcs):
+            assert list(cvp_rows[k]) == cvp._hashes(
+                pc, directions[k], paths[k]
+            )
+            assert cap_rows[k] == cap._hashes(pc, load_paths[k])
 
 
 def _fused_composite():
@@ -197,12 +201,13 @@ class TestFunctionalPrecomputeMemo:
     def test_entries_die_with_their_trace_and_with_clear_caches(self):
         trace = generate_trace("coremark", 1500, 0)
         self._sweep([trace], rounds=1)
-        assert len(functional_vec._TRACE_CACHE) == 1
+        assert len(tracememo._memo) == 1
+        assert memo_entries(trace, "functional")
         clear_caches()
-        assert len(functional_vec._TRACE_CACHE) == 0
+        assert len(tracememo._memo) == 0
         self._sweep([trace], rounds=1)
-        assert len(functional_vec._TRACE_CACHE) == 1
+        assert len(tracememo._memo) == 1
         clear_trace_caches()
         del trace
         gc.collect()
-        assert len(functional_vec._TRACE_CACHE) == 0
+        assert len(tracememo._memo) == 0

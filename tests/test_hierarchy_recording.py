@@ -13,7 +13,9 @@ from bisect import bisect_right
 from dataclasses import asdict
 
 import pytest
+from conftest import memo_entries
 
+from repro.common import tracememo
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
@@ -54,7 +56,7 @@ def _composite():
 
 
 def _recordings(trace):
-    return list(recording._recordings.get(trace, {}).values())
+    return list(memo_entries(trace, "hierarchy").values())
 
 
 class TestMemoIdentity:
@@ -107,18 +109,18 @@ class TestLifetime:
         simulate(trace)
         assert len(_recordings(trace)) == 1
         clear_caches()
-        assert len(recording._recordings) == 0
+        assert len(tracememo._memo) == 0
         simulate(trace)
         assert len(recordings) == 2
 
     def test_recording_dies_with_its_trace(self):
         trace = generate_trace("coremark", 1500, 0)
         simulate(trace)
-        assert len(recording._recordings) == 1
+        assert len(tracememo._memo) == 1
         clear_trace_caches()
         del trace
         gc.collect()
-        assert len(recording._recordings) == 0
+        assert len(tracememo._memo) == 0
 
 
 class TestDeadlines:

@@ -137,6 +137,33 @@ class TestProcessImportSets:
         assert late == []
 
 
+    def test_durable_open_and_apply_load_no_sweep_stack(self, tmp_path):
+        """A worker's first session builds its predictor without the
+        sweep harness or the timing model."""
+        loaded = _loaded_after(
+            "from repro import cli\n"
+            "cli._build_parser()\n"
+            "from repro.serve.config import ServerConfig\n"
+            "from repro.serve.server import PredictionServer\n"
+            f"server = PredictionServer(ServerConfig(data_dir={str(tmp_path)!r}))\n"
+            "server.recover()\n"
+            "server.execute('open', {'session': 's', 'durable': True,\n"
+            "                        'spec': {'kind': 'composite',\n"
+            "                                 'entries': 256}})\n"
+            "events = [{'k': 'l', 'pc': 32, 'addr': 4096, 'size': 8,\n"
+            "           'value': 5, 'pred': True}] * 50\n"
+            "server.execute('apply', {'session': 's', 'seq': 2,\n"
+            "                         'events': events})"
+        )
+        assert sorted(loaded & {
+            "repro.harness.runner", "repro.harness.resilient",
+            "repro.harness.resultsdb", "repro.harness.functional_vec",
+            "repro.pipeline.core", "repro.pipeline.frontend",
+            "repro.memory.recording",
+        }) == []
+        assert "repro.composite.build" in loaded
+
+
 class TestLazyExports:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_every_export_resolves_and_is_listed(self, package):

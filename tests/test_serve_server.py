@@ -166,6 +166,22 @@ class TestRpcs:
                 await server.drain()
         run(scenario())
 
+    def test_fresh_server_reports_no_accuracy(self):
+        # Nothing predicted yet: 0.0, as PredictorSession.accuracy
+        # reports, not a vacuous 1.0.
+        async def scenario():
+            server = await _start_server()
+            try:
+                async with await ServeClient.connect(
+                    "127.0.0.1", server.port
+                ) as client:
+                    stats = await client.stats()
+                    assert stats["sessions"]["predicted_loads"] == 0
+                    assert stats["sessions"]["accuracy"] == 0.0
+            finally:
+                await server.drain()
+        run(scenario())
+
     def test_request_timeout_answers_stale_requests(self):
         async def scenario():
             server = await _start_server(request_timeout=0.001)
