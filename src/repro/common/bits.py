@@ -75,6 +75,48 @@ def fold_bits(value: int, width: int) -> int:
     return folded
 
 
+def fold_plan(width: int) -> tuple[int, ...]:
+    """:func:`fold_bits` to ``width`` bits as three halving steps.
+
+    Returns ``(span, span_mask, m1, s1, m2, s2, m3, s3)``.  ``span`` is
+    the smallest multiple of ``width`` that covers 64 bits, and each
+    step ``(m, s)`` XORs the upper half of the chunks left onto the
+    lower half (a step with ``s == span`` pads a plan that needs fewer
+    than three).  Regrouping whole chunks keeps their XOR, so
+
+    .. code-block:: python
+
+        while v >> span:
+            v = (v & span_mask) ^ (v >> span)
+        v = (v & m1) ^ (v >> s1)
+        v = (v & m2) ^ (v >> s2)
+        v = (v & m3) ^ (v >> s3)
+        while v > mask(width):
+            v = (v & mask(width)) ^ (v >> width)
+
+    leaves ``v == fold_bits(v0, width)`` for every non-negative
+    ``v0``.  A 64-bit value takes ``ceil(log2(64 / width))`` steps
+    and no turn of either loop when ``width >= 8`` (a table of 256
+    sets or more, or a 14-bit tag), where folding chunk by chunk takes
+    one turn per chunk.  The first loop folds inputs wider than 64
+    bits; the last finishes narrower widths chunk by chunk.
+    """
+    if width <= 0:
+        raise ValueError(f"fold width must be positive, got {width}")
+    chunks = -(-64 // width)
+    span = chunks * width
+    steps = []
+    while chunks > 1 and len(steps) < 6:
+        chunks = (chunks + 1) // 2
+        steps += (mask(chunks * width), chunks * width)
+    padding = [mask(span), span] * (3 - len(steps) // 2)
+    return (span, mask(span), *padding, *steps)
+
+
+#: :func:`fold_plan` of every width from 1 to 64, indexed by width.
+FOLD_PLANS = (None,) + tuple(fold_plan(width) for width in range(1, 65))
+
+
 def shr_np(values: np.ndarray, shift: int) -> np.ndarray:
     """``values >> shift`` with the Python-int convention that shifting
     a 64-bit lane by >= 64 yields zero (numpy would be undefined)."""

@@ -23,6 +23,17 @@ and the statistics are counted per (confident, used) and (confident,
 correct) mask pair, then folded into the name-keyed
 :class:`CompositeStats` whenever :attr:`CompositePredictor.stats` is
 read.
+
+For the paper's four components those two calls are the whole
+per-load step: they read and write the components' table columns
+directly through the closures :func:`repro.composite.step.bind_step`
+builds on the first ``predict`` (bound to a timing run's per-trace
+hash columns while ``bind_trace`` holds its trace), and call the
+monitor and the fusion controller on confident loads only.  Any other
+assembly (the footnote-1 LAP/SVP cells, subclassed components), and
+any load while fusion has tables fused, runs the method path, each
+component's own ``predict``/``train``, which stays the reference the
+step is tested against.
 """
 
 from __future__ import annotations
@@ -34,6 +45,11 @@ from repro.common.rng import DeterministicRng
 from repro.composite.accuracy_monitor import AccuracyMonitor, make_accuracy_monitor
 from repro.composite.config import CompositeConfig
 from repro.composite.fusion import FusionController
+from repro.composite.step import (
+    bind_step,
+    step_unsupported_reason,
+    verdict_error,
+)
 from repro.predictors import COMPONENT_NAMES, make_component
 from repro.predictors.base import ComponentPredictor
 from repro.predictors.types import (
@@ -271,10 +287,64 @@ class CompositePredictor:
             )
         return component
 
+    # ------------------------------------------------------------------
+    # The per-load step
+    # ------------------------------------------------------------------
+    #
+    # ``predict`` and ``validate_and_train`` run ``_predict_step`` and
+    # ``_train_step``: the bound step of repro.composite.step for the
+    # paper's components (which hands a load to the method path below
+    # while fusion has tables fused), or the method path itself for any
+    # other assembly.  Both are bound on the first call, as instance
+    # attributes over these class-level defaults, and dropped (rebound
+    # on the next call) when a timing run binds or releases its trace.
+    # They are never pickled: a restored predictor binds afresh.
+
+    #: The trace of the current whole-trace timing run, or None.
+    _trace = None
+    _STEP_STATE = ("_predict_step", "_train_step", "_trace")
+
     def bind_trace(self, trace) -> None:
-        """Hand every component the timing run's trace (or ``None``)."""
-        for component in self.components.values():
-            component.bind_trace(trace)
+        """Bind the trace of one whole-trace timing run (or ``None``).
+
+        The core model passes the trace before the run and ``None``
+        after it.  While a trace is bound, the step reads each load's
+        table indices and tags by its ordinal from the trace's
+        :func:`~repro.predictors.hash_columns.trace_hash_columns`;
+        without one it hashes the load's raw histories.
+        """
+        self._trace = trace
+        self._unbind_step()
+
+    def _bind_step(self) -> None:
+        # Plain functions taking the predictor first, not bound methods:
+        # the predictor's own __dict__ holds them, so a bound method
+        # would be a reference cycle.
+        if step_unsupported_reason(self) is None:
+            self._predict_step, self._train_step = bind_step(self, self._trace)
+        else:
+            self._predict_step = type(self)._predict_methods
+            self._train_step = type(self)._train_methods
+
+    def _unbind_step(self) -> None:
+        self.__dict__.pop("_predict_step", None)
+        self.__dict__.pop("_train_step", None)
+
+    @staticmethod
+    def _predict_step(host, *load) -> list:
+        host._bind_step()
+        return host._predict_step(host, *load)
+
+    @staticmethod
+    def _train_step(host, *validation) -> int:
+        host._bind_step()
+        return host._train_step(host, *validation)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for key in self._STEP_STATE:
+            state.pop(key, None)
+        return state
 
     # ------------------------------------------------------------------
     # Fetch side
@@ -286,6 +356,15 @@ class CompositePredictor:
     ) -> list:
         """Probe every live component for one fetched load; return its
         decision record."""
+        return self._predict_step(
+            self, pc, ordinal, direction, path, load_path, inflight
+        )
+
+    def _predict_methods(
+        self, pc: int, ordinal: int, direction: int, path: int,
+        load_path: int, inflight: int,
+    ) -> list:
+        """:meth:`predict` through each live component's ``predict``."""
         live = self._live
         fusion = self.fusion
         if fusion is not None:
@@ -330,12 +409,20 @@ class CompositePredictor:
         produced the correct value (for address predictors the host
         resolves the probe and the possibility of conflicting stores).
         """
+        self._train_operations += self._train_step(
+            self, decision, addr, size, value, correct
+        )
+
+    def _train_methods(
+        self, decision: list, addr: int, size: int, value: int,
+        correct: int,
+    ) -> int:
+        """:meth:`validate_and_train` through each component's
+        ``penalize``/``train``/``invalidate``; returns the number of
+        component-train operations."""
         confident = decision[CONFIDENT]
         if correct & ~confident:
-            raise ValueError(
-                f"verdict mask {correct:#x} has slots outside the "
-                f"confident mask {confident:#x}"
-            )
+            raise verdict_error(correct, confident)
         self._verdict_counts[confident << self._width | correct] += 1
         pc = decision[PC]
         ordinal = decision[ORDINAL]
@@ -373,25 +460,26 @@ class CompositePredictor:
                 # minimize warm-up.)
                 trained = wrong | self._trained_correct[correct]
                 invalidated = correct & self._invalidated & ~trained
+                operations = 0
                 for bit, _, component in live:
                     if trained & bit:
                         component.train(
                             pc, ordinal, direction, path, load_path,
                             inflight, addr, size, value,
                         )
-                        self._train_operations += 1
+                        operations += 1
                     elif invalidated & bit:
                         component.invalidate(
                             pc, ordinal, direction, path, load_path,
                             inflight, addr, size, value,
                         )
-                return
+                return operations
         for _, _, component in live:
             component.train(
                 pc, ordinal, direction, path, load_path, inflight,
                 addr, size, value,
             )
-        self._train_operations += len(live)
+        return len(live)
 
     def _live_slots(self) -> tuple:
         """The slots of the non-donor components, rebuilt only when the
@@ -474,11 +562,13 @@ class CompositePredictor:
         return stats
 
     def _fold_stats(self) -> None:
-        """Fold the pending counts into :attr:`stats` and clear them."""
+        """Fold the pending counts into :attr:`stats` and clear them
+        (in place: the bound step holds the count tables)."""
         self.fold_pending(self._stats)
-        self._fetch_counts = [0] * len(self._fetch_counts)
-        self._verdict_counts = [0] * len(self._verdict_counts)
-        self._used_counts = [0, 0]
+        for counts in (
+            self._fetch_counts, self._verdict_counts, self._used_counts
+        ):
+            counts[:] = [0] * len(counts)
         self._train_operations = 0
 
     # ------------------------------------------------------------------

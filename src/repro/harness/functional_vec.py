@@ -29,9 +29,11 @@ state a pure object run would have, with nothing to copy back.
 The history register states are the trace's shared
 :class:`~repro.branch.history.LoadHistories`, the same ones the timing
 model probes with.  :func:`precompute_load_batch` turns them and the
-loads' outcomes into the loop's int lists, and the batch and every
-table geometry's packed hash columns are memoized per trace
-(:mod:`repro.common.tracememo`), so a sweep over one trace computes
+loads' outcomes into the loop's int lists.  The batch is memoized per
+trace (:mod:`repro.common.tracememo`), and so is every table
+geometry's packed hash columns
+(:func:`repro.predictors.hash_columns.trace_hash_columns`, which the
+composite's timing step reads too), so a sweep over one trace computes
 them once.
 
 The per-instruction object interpreter in
@@ -62,76 +64,27 @@ Why this is bit-exact and not merely close:
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
 
 import numpy as np
 
 from repro.branch.history import load_histories
-from repro.common.bits import fold_bits_np, shr_np
+from repro.common.bits import fold_bits_np
 from repro.common.tracememo import trace_memo
-from repro.composite.accuracy_monitor import (
-    InfinitePcAm,
-    MAm,
-    NullAccuracyMonitor,
-    PcAm,
-    _PcAmEntry,
-)
+from repro.composite.accuracy_monitor import InfinitePcAm, MAm, PcAm, _PcAmEntry
 from repro.composite.composite import CompositePredictor
-from repro.composite.fusion import FusionController
+from repro.composite.step import step_unsupported_reason
 from repro.harness.functional import FunctionalResult
 from repro.isa.columns import FLAG_PREDICTABLE
 from repro.isa.instruction import OP_STORE
 from repro.memory.image import MemoryImage
-from repro.predictors.cap import CapPredictor
-from repro.predictors.cvp import CvpPredictor
-from repro.predictors.lvp import LvpPredictor
-from repro.predictors.sap import SapPredictor
+from repro.predictors.hash_columns import packed, trace_hash_columns
 
 _MASK49 = (1 << 49) - 1
-_TAG_BITS = 14
 _PC_AM_TAG_BITS = 10
-
-#: The component types the residual interpreter replays, by name.
-_COMPONENT_TYPES = {
-    "lvp": LvpPredictor,
-    "sap": SapPredictor,
-    "cvp": CvpPredictor,
-    "cap": CapPredictor,
-}
-_MONITOR_TYPES = (NullAccuracyMonitor, MAm, PcAm, InfinitePcAm)
 
 #: ``i.bit_length() - 1`` over the uint8 domain of the size column.
 _SIZE_LOG2 = np.array([i.bit_length() - 1 for i in range(256)], dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# Vectorized PC hashes (bit-identical to repro.common.hashing on every
-# element; the CVP and CAP column hashes live beside their scalar forms
-# in repro.predictors)
-# ----------------------------------------------------------------------
-
-
-def _pc_index_np(pc: np.ndarray, index_bits: int) -> np.ndarray:
-    """Element-wise ``hashing.pc_index`` (no history, no salt)."""
-    if index_bits == 0:
-        return np.zeros_like(pc)
-    base = (
-        shr_np(pc, 2)
-        ^ shr_np(pc, 2 + index_bits)
-        ^ shr_np(pc, 2 + 2 * index_bits + 3)
-    )
-    return base & np.uint64((1 << index_bits) - 1)
-
-
-def _pc_tag_np(pc: np.ndarray, tag_bits: int) -> np.ndarray:
-    """Element-wise ``hashing.pc_tag`` (no history, no salt)."""
-    base = (
-        shr_np(pc, 2)
-        ^ shr_np(pc, 2 + tag_bits)
-        ^ shr_np(pc, 2 + 2 * tag_bits + 1)
-    )
-    return fold_bits_np(base, tag_bits)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +96,7 @@ class _LoadBatch:
     """Everything the residual loop needs, precomputed per load."""
 
     __slots__ = (
-        "n_instructions", "histories", "pos", "pc", "value", "addr49",
+        "n_instructions", "histories", "pos", "value", "addr49",
         "size_log2", "store_pos", "store_addr", "store_size", "store_value",
     )
 
@@ -151,8 +104,10 @@ class _LoadBatch:
 def precompute_load_batch(trace) -> _LoadBatch:
     """Vectorized pass over ``trace``'s packed columns: the predictable
     loads' fetch-time histories (the trace's shared
-    :func:`~repro.branch.history.load_histories`), their PCs and
-    architectural outcomes as ints, and the store schedule."""
+    :func:`~repro.branch.history.load_histories`), their positions and
+    architectural outcomes as ints, and the store schedule.  Their PCs
+    stay a numpy column of the histories: only PC-AM-infinite reads
+    them as ints, per run."""
     histories = load_histories(trace)
     columns = trace.columns
     addr = np.frombuffer(columns.addr, dtype=np.uint64)
@@ -166,7 +121,6 @@ def precompute_load_batch(trace) -> _LoadBatch:
     batch.n_instructions = len(columns)
     batch.histories = histories
     batch.pos = load_pos.tolist()
-    batch.pc = histories.pc.tolist()
     batch.value = value[load_pos].tolist()
     batch.addr49 = (addr[load_pos] & np.uint64(_MASK49)).tolist()
     # size.bit_length() - 1, via a lookup over the uint8 size domain.
@@ -194,53 +148,22 @@ def _pc_am_hashes_np(
 # Per-trace precompute memo
 # ----------------------------------------------------------------------
 #
-# The load batch and hash columns are pure functions of the trace and
-# the table geometry -- never of predictor state -- so sweeps that
-# evaluate many configs / seeds / repeats over the same trace share
-# them through the per-trace memo (repro.common.tracememo).  A search
-# holds every trace it touches, each with a dozen table geometries, so
-# hash columns are kept as packed arrays rather than lists of ints (one
-# or two bytes per load, not ~36).
+# The load batch and the PC-AM hash columns are pure functions of the
+# trace (and the monitor's size) -- never of predictor state -- so
+# sweeps that evaluate many configs / seeds / repeats over the same
+# trace share them through the per-trace memo (repro.common.tracememo),
+# beside the components' hash columns
+# (repro.predictors.hash_columns).
 
 
-def _packed(*columns: np.ndarray) -> tuple[array, ...]:
-    """Hash columns as packed arrays of the narrowest unsigned type that
-    holds their values."""
-    out = []
-    for column in columns:
-        dtype = np.min_scalar_type(int(column.max()) if column.size else 0)
-        out.append(array(dtype.char, column.astype(dtype).tobytes()))
-    return tuple(out)
-
-
-def _cached_hashes(trace, key, compute):
+def _cached(trace, key, compute):
     return trace_memo(trace, ("functional",) + key, compute)
 
 
-def _cached_pc_hashes(trace, pc_np, index_bits):
-    return _cached_hashes(trace, ("pc", index_bits), lambda: _packed(
-        _pc_index_np(pc_np, index_bits), _pc_tag_np(pc_np, _TAG_BITS)
-    ))
-
-
-def _cached_cvp_hashes(trace, component, histories):
-    return _cached_hashes(trace, component.geometry_key, lambda: [
-        _packed(index, tag) for index, tag in component.hash_columns(
-            histories.pc, histories.direction, histories.path
-        )
-    ])
-
-
-def _cached_cap_hashes(trace, component, histories):
-    return _cached_hashes(trace, component.geometry_key, lambda: _packed(
-        *component.hash_columns(histories.pc, histories.load_path)
-    ))
-
-
 def _cached_pc_am_hashes(trace, pc_np, entries):
-    return _cached_hashes(
+    return _cached(
         trace, ("pcam", entries),
-        lambda: _packed(*_pc_am_hashes_np(pc_np, entries)),
+        lambda: packed(*_pc_am_hashes_np(pc_np, entries)),
     )
 
 
@@ -253,23 +176,14 @@ def vector_unsupported_reason(trace, predictor) -> str | None:
     """Why ``run_functional_vec`` cannot evaluate this pair, or None.
 
     The vector backend replays component/monitor/fusion semantics by
-    exact type; subclasses or third-party components could override
-    behaviour it has inlined, so anything but the known concrete types
-    is rejected.
+    exact type, as the composite's bound step does, and shares its
+    predicate (:func:`repro.composite.step.step_unsupported_reason`).
     """
     if getattr(trace, "columns", None) is None:
         return "trace has no packed columns"
-    if type(predictor) is CompositePredictor:
-        for name, component in predictor.components.items():
-            expected = _COMPONENT_TYPES.get(name)
-            if expected is None or type(component) is not expected:
-                return f"unsupported component {name!r} ({type(component).__name__})"
-        if type(predictor.monitor) not in _MONITOR_TYPES:
-            return f"unsupported accuracy monitor {type(predictor.monitor).__name__}"
-        if predictor.fusion is not None and type(predictor.fusion) is not FusionController:
-            return f"unsupported fusion controller {type(predictor.fusion).__name__}"
-        return None
-    return f"unsupported predictor type {type(predictor).__name__}"
+    if type(predictor) is not CompositePredictor:
+        return f"unsupported predictor type {type(predictor).__name__}"
+    return step_unsupported_reason(predictor)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +238,7 @@ def _run_composite(trace, predictor, mem, result):
     invalidated = predictor._invalidated
 
     # -- whole-trace precompute (shared across runs on this trace) -----
-    batch = _cached_hashes(
+    batch = _cached(
         trace, ("batch",), lambda: precompute_load_batch(trace)
     )
     pos = batch.pos
@@ -345,7 +259,7 @@ def _run_composite(trace, predictor, mem, result):
     if lvp is not None:
         lvp_tab = lvp._table
         lvp_t0, lvp_v0, lvp_c0 = lvp_tab.banks[0]
-        li, lt = _cached_pc_hashes(trace, pc_np, lvp_tab.index_bits)
+        ((li, lt),) = trace_hash_columns(trace, lvp)
         lvp_thr = lvp.confidence_threshold
         lvp_probs = lvp._float_probs
         lvp_cmax = lvp._conf_max
@@ -354,7 +268,7 @@ def _run_composite(trace, predictor, mem, result):
     if sap is not None:
         sap_tab = sap._table
         sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = sap_tab.banks[0]
-        si, st_ = _cached_pc_hashes(trace, pc_np, sap_tab.index_bits)
+        ((si, st_),) = trace_hash_columns(trace, sap)
         sap_thr = sap.confidence_threshold
         sap_probs = sap._float_probs
         sap_cmax = sap._conf_max
@@ -366,8 +280,9 @@ def _run_composite(trace, predictor, mem, result):
         cv0_t0, cv0_v0, cv0_c0 = cv0_tab.banks[0]
         cv1_t0, cv1_v0, cv1_c0 = cv1_tab.banks[0]
         cv2_t0, cv2_v0, cv2_c0 = cv2_tab.banks[0]
-        cvp_h = _cached_cvp_hashes(trace, cvp, histories)
-        (cv0i, cv0t), (cv1i, cv1t), (cv2i, cv2t) = cvp_h
+        (cv0i, cv0t), (cv1i, cv1t), (cv2i, cv2t) = trace_hash_columns(
+            trace, cvp
+        )
         cvp_thr = cvp.confidence_threshold
         cvp_probs = cvp._float_probs
         cvp_cmax = cvp._conf_max
@@ -376,7 +291,7 @@ def _run_composite(trace, predictor, mem, result):
     if cap is not None:
         cap_tab = cap._table
         cap_t0, cap_a0, cap_sz0, cap_c0 = cap_tab.banks[0]
-        cpi, cpt = _cached_cap_hashes(trace, cap, histories)
+        ((cpi, cpt),) = trace_hash_columns(trace, cap)
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max
@@ -397,6 +312,7 @@ def _run_composite(trace, predictor, mem, result):
         ami, amt = _cached_pc_am_hashes(trace, pc_np, monitor.entries)
     if m_inf:
         am_map = monitor._map
+        am_pcs = histories.pc.tolist()
     if m_pc or m_inf:
         am_thr = monitor.accuracy_threshold
 
@@ -442,7 +358,7 @@ def _run_composite(trace, predictor, mem, result):
     rep0 = repeat(0)
     rows = zip(
         pos,
-        batch.pc,
+        am_pcs if m_inf else rep0,
         batch.value,
         batch.addr49,
         batch.size_log2,

@@ -17,6 +17,8 @@ import numpy as np
 
 from repro.common.bits import mask
 
+_WORD_MASK = mask(64)
+
 
 class MemoryImage:
     """Sparse byte-accurate memory contents."""
@@ -29,31 +31,53 @@ class MemoryImage:
         self._words: dict[int, int] = {}
 
     def read(self, addr: int, size: int) -> int:
-        """Little-endian read of ``size`` bytes at ``addr`` (zero default)."""
-        if size == 8 and not addr & 0b111:
-            return self._words.get(addr >> self._WORD_SHIFT, 0)
-        value = 0
-        for i in range(size):
-            byte_addr = addr + i
-            word = self._words.get(byte_addr >> self._WORD_SHIFT, 0)
-            byte = (word >> ((byte_addr & 0b111) * 8)) & 0xFF
-            value |= byte << (i * 8)
-        return value
+        """Little-endian read of ``size`` bytes at ``addr`` (zero default).
+
+        An access inside one 8-byte word is one lookup, a shift and a
+        mask; a wider one assembles the words it spans.
+        """
+        shift = (addr & 7) << 3
+        bits = size << 3
+        if 0 < bits <= 64 - shift:
+            return self._words.get(addr >> 3, 0) >> shift & (1 << bits) - 1
+        if size <= 0:
+            return 0
+        get = self._words.get
+        span = 0
+        for offset, word in enumerate(range(addr >> 3, (addr + size + 7) >> 3)):
+            span |= (get(word, 0) & _WORD_MASK) << (offset << 6)
+        return span >> shift & (1 << bits) - 1
 
     def write(self, addr: int, size: int, value: int) -> None:
-        """Little-endian write of ``size`` bytes at ``addr``."""
-        value &= mask(size * 8)
-        if size == 8 and not addr & 0b111:
-            self._words[addr >> self._WORD_SHIFT] = value
+        """Little-endian write of ``size`` bytes at ``addr``.
+
+        Every word the bytes touch is stored, in address order, even if
+        it stays zero (``to_packed`` drops zero words).  An access
+        inside one 8-byte word is one lookup and one store.
+        """
+        shift = (addr & 7) << 3
+        bits = size << 3
+        words = self._words
+        if 0 < bits <= 64 - shift:
+            if bits == 64:
+                words[addr >> 3] = value & _WORD_MASK
+            else:
+                key = addr >> 3
+                field = (1 << bits) - 1
+                words[key] = (
+                    words.get(key, 0) & ~(field << shift)
+                    | (value & field) << shift
+                )
             return
-        for i in range(size):
-            byte_addr = addr + i
-            word_key = byte_addr >> self._WORD_SHIFT
-            shift = (byte_addr & 0b111) * 8
-            word = self._words.get(word_key, 0)
-            word &= ~(0xFF << shift)
-            word |= ((value >> (i * 8)) & 0xFF) << shift
-            self._words[word_key] = word
+        field = mask(bits) << shift  # a negative size raises, as in mask
+        if not field:
+            return
+        value = (value << shift) & field
+        get = words.get
+        for offset, word in enumerate(range(addr >> 3, (addr + size + 7) >> 3)):
+            low = offset << 6
+            part = field >> low & _WORD_MASK
+            words[word] = get(word, 0) & ~part | value >> low & part
 
     def write_words(self, base: int, values, stride: int = 8) -> None:
         """Bulk little-endian write of whole 8-byte words.

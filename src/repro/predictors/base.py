@@ -4,16 +4,23 @@ Every component speaks the plain-int contract of
 :mod:`repro.predictors.types`: ``predict`` takes a load's six fields
 and returns one int or ``None``; ``train``, ``penalize`` and
 ``invalidate`` take the same fields plus ``(addr, size, value)``.
+
+Inside a :class:`~repro.composite.composite.CompositePredictor`, the
+paper's four components (LVP, SAP, CVP, CAP) are not called per load:
+the composite's bound step (:mod:`repro.composite.step`) reads and
+writes their bank columns itself, with their table indices and tags
+from the per-trace :mod:`repro.predictors.hash_columns` in a timing
+run.  Their methods stay the reference that step is tested against,
+the path of every other component and of fused tables, and the
+lone-component API (``table5_listing1``).
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.branch.history import load_histories
 from repro.common.fpc import FpcVector
 from repro.common.rng import DeterministicRng
-from repro.common.tracememo import trace_memo
 from repro.predictors.types import PredictionKind
 
 
@@ -31,10 +38,12 @@ class ComponentPredictor(abc.ABC):
     ``(addr, size, value)``, so both operations index the same table
     entries.  The fields are ``pc``; ``ordinal``, the load's index
     among the trace's predictable loads during a whole-trace timing
-    run (``-1`` anywhere else); the raw ``direction``, ``path`` and
-    ``load_path`` histories; and ``inflight``, the number of older
-    in-flight instances of the same static load (SAP advances its
-    stride by it, the enhancement the paper borrows from EVES).
+    run (``-1`` anywhere else; the composite's step reads hash columns
+    by it, a component hashes the raw histories); the raw
+    ``direction``, ``path`` and ``load_path`` histories; and
+    ``inflight``, the number of older in-flight instances of the same
+    static load (SAP advances its stride by it, the enhancement the
+    paper borrows from EVES).
     """
 
     #: Short name used in reports ("lvp", "sap", "cvp", "cap", ...).
@@ -65,29 +74,6 @@ class ComponentPredictor(abc.ABC):
     # ------------------------------------------------------------------
     # Subclass interface
     # ------------------------------------------------------------------
-
-    #: Context-aware components build their per-load table hashes from
-    #: a trace's :class:`~repro.branch.history.LoadHistories` with this
-    #: method (one row per load, by ordinal); PC-only ones have none.
-    _hash_rows = None
-
-    def bind_trace(self, trace) -> None:
-        """Bind the trace of one whole-trace timing run.
-
-        The core model passes the trace before the run and ``None``
-        after it.  A context-aware component then looks its per-load
-        table hashes up by the load's ``ordinal`` in ``_rows``, built
-        once per trace and table geometry (``geometry_key``) and
-        memoized per trace (:mod:`repro.common.tracememo`); with no
-        trace bound (serve sessions, single RPCs, the test oracles) it
-        hashes each load's raw histories with its scalar reference
-        instead.  PC-only predictors ignore it.
-        """
-        if self._hash_rows is not None:
-            self._rows = None if trace is None else trace_memo(
-                trace, ("timing rows",) + self.geometry_key,
-                lambda: self._hash_rows(load_histories(trace)),
-            )
 
     @abc.abstractmethod
     def predict(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.bits import fold_bits_np, mask, shr_np
+from repro.common.bits import FOLD_PLANS, fold_bits_np, mask, shr_np
 from repro.common.hashing import mix64, mix64_np
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
@@ -24,7 +24,10 @@ from repro.predictors.table import INVALID_TAG, BankedTable
 from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
-_TAG_MASK = mask(_TAG_BITS)
+#: The 14-bit tag fold's halving plan (:func:`repro.common.bits.fold_plan`).
+_TAG_SPAN, _TAG_SPAN_MASK, _T1, _TS1, _T2, _TS2, _T3, _TS3 = (
+    FOLD_PLANS[_TAG_BITS]
+)
 _ADDR_BITS = 49
 _ADDR_MASK = mask(_ADDR_BITS)
 
@@ -55,15 +58,12 @@ class CapPredictor(ComponentPredictor):
         self._banks = self._table.banks
         self._bank0 = self._banks[0]
         self._index_bits = self._table.index_bits
-        self._index_mask = mask(self._index_bits)
         #: Everything the (index, tag) hashes depend on besides the
         #: load's own inputs: loads hash alike under an equal key.
         self.geometry_key = ("cap", self._index_bits)
         # One-entry hash memo; see _row.
         self._hash_memo_key: tuple[int, int] | None = None
         self._hash_memo: tuple[int, int] = (0, 0)
-        # Per-load hashes of the bound trace; see _row.
-        self._rows: list | None = None
 
     def _tables(self) -> list:
         return [self._table]
@@ -74,17 +74,28 @@ class CapPredictor(ComponentPredictor):
         The index folds ``pc >> 2``, ``pc >> (2 + bits)`` and the load
         path history down to ``bits`` bits (folding is XOR-linear, so
         one fold of their XOR equals the XOR of their folds); the tag
-        folds ``pc >> 2`` and the mixed load path down to 14.
+        folds ``pc >> 2`` and the mixed load path down to 14.  Both
+        fold by halving (:func:`~repro.common.bits.fold_plan`), exact
+        for every non-negative PC and history.
         """
         bits = self._index_bits
-        imask = self._index_mask
+        span, span_mask, m1, s1, m2, s2, m3, s3 = FOLD_PLANS[bits]
         pcx = pc >> 2
         v = pcx ^ (pc >> (2 + bits)) ^ load_path
+        while v >> span:
+            v = (v & span_mask) ^ (v >> span)
+        v = (v & m1) ^ (v >> s1)
+        v = (v & m2) ^ (v >> s2)
+        v = (v & m3) ^ (v >> s3)
+        imask = (1 << bits) - 1
         while v > imask:
             v = (v & imask) ^ (v >> bits)
         t = pcx ^ mix64(load_path + 0x9E37)
-        while t > _TAG_MASK:
-            t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
+        while t >> _TAG_SPAN:
+            t = (t & _TAG_SPAN_MASK) ^ (t >> _TAG_SPAN)
+        t = (t & _T1) ^ (t >> _TS1)
+        t = (t & _T2) ^ (t >> _TS2)
+        t = (t & _T3) ^ (t >> _TS3)
         return v, t
 
     def hash_columns(
@@ -101,21 +112,10 @@ class CapPredictor(ComponentPredictor):
         )
         return index, tag
 
-    def _hash_rows(self, histories) -> list:
-        """One ``(index, tag)`` row per load of ``histories`` (a
-        :class:`~repro.branch.history.LoadHistories`)."""
-        index, tag = self.hash_columns(histories.pc, histories.load_path)
-        return list(zip(index.tolist(), tag.tolist()))
-
-    def _row(self, pc: int, ordinal: int, load_path: int) -> tuple[int, int]:
-        """``(index, tag)`` of one load: looked up by ordinal in the
-        bound trace's rows during a whole-trace timing run,
-        computed by :meth:`_hashes` behind a one-entry memo anywhere
-        else (a load's ``train`` and ``penalize`` re-hash with the
-        load path its ``predict`` saw).  Bit-identical either way."""
-        rows = self._rows
-        if rows is not None and ordinal >= 0:
-            return rows[ordinal]
+    def _row(self, pc: int, load_path: int) -> tuple[int, int]:
+        """``(index, tag)`` of one load, computed by :meth:`_hashes`
+        behind a one-entry memo (a load's ``train`` and ``penalize``
+        re-hash with the load path its ``predict`` saw)."""
         key = (pc, load_path)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
@@ -126,11 +126,7 @@ class CapPredictor(ComponentPredictor):
         self, pc: int, ordinal: int, direction: int, path: int,
         load_path: int, inflight: int,
     ) -> int | None:
-        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
-        index, tag = (
-            rows[ordinal] if rows is not None and ordinal >= 0
-            else self._row(pc, ordinal, load_path)
-        )
+        index, tag = self._row(pc, load_path)
         if len(self._banks) == 1:
             tags, addrs, sizes, confs = self._bank0
             if tags[index] != tag:
@@ -150,7 +146,7 @@ class CapPredictor(ComponentPredictor):
     ) -> None:
         """Reset confidence after a wrong speculative value (the
         address may still match when an in-flight store conflicted)."""
-        index, tag = self._row(pc, ordinal, load_path)
+        index, tag = self._row(pc, load_path)
         bank = self._table.find(index, tag)
         if bank is not None:
             bank[-1][index] = 0
@@ -159,11 +155,7 @@ class CapPredictor(ComponentPredictor):
         self, pc: int, ordinal: int, direction: int, path: int,
         load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
-        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
-        index, tag = (
-            rows[ordinal] if rows is not None and ordinal >= 0
-            else self._row(pc, ordinal, load_path)
-        )
+        index, tag = self._row(pc, load_path)
         addr &= _ADDR_MASK
         size_log2 = size.bit_length() - 1
         if len(self._banks) == 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.bits import fold_bits_np, mask, shr_np
+from repro.common.bits import FOLD_PLANS, fold_bits_np, mask, shr_np
 from repro.common.hashing import mix64
 from repro.common.rng import DeterministicRng
 from repro.predictors.base import ComponentPredictor
@@ -30,7 +30,10 @@ from repro.predictors.table import INVALID_TAG, BankedTable
 from repro.predictors.types import PredictionKind
 
 _TAG_BITS = 14
-_TAG_MASK = mask(_TAG_BITS)
+#: The 14-bit tag fold's halving plan (:func:`repro.common.bits.fold_plan`).
+_TAG_SPAN, _TAG_SPAN_MASK, _T1, _TS1, _T2, _TS2, _T3, _TS3 = (
+    FOLD_PLANS[_TAG_BITS]
+)
 _VALUE_MASK = mask(64)
 _MASK64 = mask(64)
 _TAG_SCRAMBLE = 0x9E3779B97F4A7C15
@@ -106,8 +109,6 @@ class CvpPredictor(ComponentPredictor):
         # One-entry hash memo; see _row.
         self._hash_memo_key: tuple[int, int, int] | None = None
         self._hash_memo: list[tuple[int, int]] = []
-        # Per-load hashes of the bound trace; see _row.
-        self._rows: list | None = None
 
     def _tables(self) -> list:
         return self._banked
@@ -126,18 +127,29 @@ class CvpPredictor(ComponentPredictor):
         direction-history sample, the branch path history and its salt
         down to ``bits`` bits; its tag folds ``pc >> 2`` and the
         scrambled history sample down to 14.  Folding is XOR-linear, so
-        one fold of the terms' XOR equals the XOR of their folds.
+        one fold of the terms' XOR equals the XOR of their folds, and
+        it runs by halving (:func:`~repro.common.bits.fold_plan`),
+        exact for every non-negative PC and history.
         """
         pcx = pc >> 2
         out = []
         for bits, imask, hmask, isalt, tsalt in self._hash_consts:
+            span, span_mask, m1, s1, m2, s2, m3, s3 = FOLD_PLANS[bits]
             history = direction & hmask
             v = pcx ^ (pc >> (2 + bits)) ^ history ^ path ^ isalt
+            while v >> span:
+                v = (v & span_mask) ^ (v >> span)
+            v = (v & m1) ^ (v >> s1)
+            v = (v & m2) ^ (v >> s2)
+            v = (v & m3) ^ (v >> s3)
             while v > imask:
                 v = (v & imask) ^ (v >> bits)
             t = pcx ^ ((history ^ tsalt) * _TAG_SCRAMBLE & _MASK64)
-            while t > _TAG_MASK:
-                t = (t & _TAG_MASK) ^ (t >> _TAG_BITS)
+            while t >> _TAG_SPAN:
+                t = (t & _TAG_SPAN_MASK) ^ (t >> _TAG_SPAN)
+            t = (t & _T1) ^ (t >> _TS1)
+            t = (t & _T2) ^ (t >> _TS2)
+            t = (t & _T3) ^ (t >> _TS3)
             out.append((v, t))
         return out
 
@@ -163,37 +175,18 @@ class CvpPredictor(ComponentPredictor):
             out.append((index, tag))
         return out
 
-    def _hash_rows(self, histories) -> list:
-        """One row per load of ``histories`` (a
-        :class:`~repro.branch.history.LoadHistories`): its per-table
-        ``(index, tag)`` pairs, the shape :meth:`_hashes` returns."""
-        columns = self.hash_columns(
-            histories.pc, histories.direction, histories.path
-        )
-        return list(zip(*(
-            zip(index.tolist(), tag.tolist()) for index, tag in columns
-        )))
-
     # ------------------------------------------------------------------
     # Prediction / training
     # ------------------------------------------------------------------
 
     def _row(
-        self, pc: int, ordinal: int, direction: int, path: int
+        self, pc: int, direction: int, path: int
     ) -> list[tuple[int, int]]:
-        """Per-table ``(index, tag)`` pairs of one load.
-
-        A whole-trace timing run looks them up by ordinal in the bound
-        trace's rows.  Anywhere else (serve sessions, single
-        RPCs, the test oracles) :meth:`_hashes` computes them behind a
-        one-entry memo: a load's ``train`` re-probes with the exact
-        histories its ``predict`` saw, so its second hash is a tuple
-        compare away, and an interleaved in-flight load simply misses
-        and recomputes.  Bit-identical either way.
-        """
-        rows = self._rows
-        if rows is not None and ordinal >= 0:
-            return rows[ordinal]
+        """Per-table ``(index, tag)`` pairs of one load, computed by
+        :meth:`_hashes` behind a one-entry memo: a load's ``train``
+        re-probes with the exact histories its ``predict`` saw, so its
+        second hash is a tuple compare away, and an interleaved
+        in-flight load simply misses and recomputes."""
         key = (pc, direction, path)
         if key != self._hash_memo_key:
             self._hash_memo_key = key
@@ -204,11 +197,7 @@ class CvpPredictor(ComponentPredictor):
         self, pc: int, ordinal: int, direction: int, path: int,
         load_path: int, inflight: int,
     ) -> int | None:
-        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
-        hashes = (
-            rows[ordinal] if rows is not None and ordinal >= 0
-            else self._row(pc, ordinal, direction, path)
-        )
+        hashes = self._row(pc, direction, path)
         one_bank = len(self._t0_banks) == 1
         for table in range(len(hashes) - 1, -1, -1):
             index, tag = hashes[table]
@@ -229,11 +218,7 @@ class CvpPredictor(ComponentPredictor):
         load_path: int, inflight: int, addr: int, size: int, value: int,
     ) -> None:
         value &= _VALUE_MASK
-        rows = self._rows  # _row's ordinal lookup, inlined on the hot path
-        hashes = (
-            rows[ordinal] if rows is not None and ordinal >= 0
-            else self._row(pc, ordinal, direction, path)
-        )
+        hashes = self._row(pc, direction, path)
         one_bank = len(self._t0_banks) == 1
         for table, (index, tag) in enumerate(hashes):
             if one_bank:

@@ -60,6 +60,13 @@ class SapPredictor(ComponentPredictor):
     def _tables(self) -> list:
         return [self._table]
 
+    @property
+    def geometry_key(self) -> tuple:
+        """Everything the (index, tag) hashes depend on besides the
+        PC: loads hash alike under an equal key (LVP and SAP hash
+        alike)."""
+        return ("pc", self._table.index_bits)
+
     def _hashes(self, pc: int) -> tuple[int, int]:
         """(index, tag) memo -- both are pure functions of the PC."""
         cached = self._pc_hashes.get(pc)

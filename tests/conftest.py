@@ -9,7 +9,8 @@ from repro.common.rng import DeterministicRng
 from repro.predictors.types import CHOSEN, PREDICTED, slot_names
 
 #: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
-#: equivalence suite (``tests/test_fuzz_equivalence.py``), the shared
+#: equivalence suite (``tests/test_fuzz_equivalence.py``, the
+#: composite's bound step against its method path included), the shared
 #: load-history test (``tests/test_load_histories.py``), the branch
 #: hash-column test (``tests/test_branch_hash_columns.py``) and the
 #: memory-image packing test (``tests/test_image_serialization.py``)
@@ -48,6 +49,31 @@ def alone(name: str, entries: int):
     return build_predictor(
         {"kind": "component", "name": name, "entries": entries}
     )
+
+
+def method_path(host):
+    """``host``, a composite, on its method path: each component's class
+    swapped for a trivial subclass, which the bound step rejects
+    (:func:`repro.composite.step.step_unsupported_reason`), so every
+    load goes through the components' own ``predict`` and ``train``,
+    the reference the step is held to."""
+    from repro.composite.step import COMPONENT_TYPES, step_unsupported_reason
+
+    for component in host.components.values():
+        cls = type(component)
+        assert cls in COMPONENT_TYPES.values()
+        component.__class__ = _reference_type(cls)
+    assert step_unsupported_reason(host) is not None
+    return host
+
+
+_REFERENCE_TYPES: dict = {}
+
+
+def _reference_type(cls):
+    if cls not in _REFERENCE_TYPES:
+        _REFERENCE_TYPES[cls] = type(f"Reference{cls.__name__}", (cls,), {})
+    return _REFERENCE_TYPES[cls]
 
 
 def make_probe(
@@ -107,8 +133,8 @@ def train_strided(predictor, pc: int, base: int, stride: int, times: int,
 def memo_entries(trace, kind: str) -> dict:
     """``trace``'s entries of one kind in the per-trace memo
     (:mod:`repro.common.tracememo`), keyed by the rest of their key:
-    ``"frontend"`` streams, ``"hierarchy"`` recordings, ``"timing
-    rows"``, ``"functional"`` batches and columns, ``"load histories"``."""
+    ``"frontend"`` streams, ``"hierarchy"`` recordings, ``"hash
+    columns"``, ``"functional"`` batches, ``"load histories"``."""
     from repro.common import tracememo
 
     return {

@@ -1,5 +1,9 @@
 """Tests for the composite predictor (selection, stats, training policy)."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
 from conftest import make_probe, slots_named
 
@@ -180,3 +184,48 @@ class TestEpochs:
         composite.monitor.end_epoch = lambda: fired.append(1) or original()
         composite.tick_instructions(2500)
         assert len(fired) == 2
+
+
+class TestBoundStep:
+    """The per-load step is bound on the first load and is never part
+    of the predictor's state."""
+
+    CONFIGS = {
+        "step": CompositeConfig().homogeneous(64),
+        "method-path": CompositeConfig(
+            extra_components=(("lap", 64),)
+        ).homogeneous(64),
+    }
+
+    def _warm(self, host, loads=50):
+        for k in range(loads):
+            decision = host.predict(0x1000 + 4 * (k % 3), -1, k, 0, 0, 0)
+            host.validate_and_train(
+                decision, 0x8000, 8, k % 3, decision[CONFIDENT]
+            )
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_a_dropped_predictor_needs_no_cycle_collection(self, name):
+        host = CompositePredictor(self.CONFIGS[name])
+        self._warm(host)
+        assert "_predict_step" in vars(host)
+        ref = weakref.ref(host)
+        gc.disable()
+        try:
+            del host
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_a_restored_predictor_binds_afresh(self, name):
+        host = CompositePredictor(self.CONFIGS[name])
+        self._warm(host)
+        fresh = CompositePredictor(self.CONFIGS[name])
+        self._warm(fresh)
+        assert pickle.dumps(host) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(host))
+        assert "_predict_step" not in vars(restored)
+        for peer in (host, restored):
+            self._warm(peer, loads=30)
+        assert pickle.dumps(restored) == pickle.dumps(host)

@@ -30,17 +30,17 @@ def _off_by_one_set(index, tag, sets):
 
 
 def _run_both(trace, fault, monkeypatch):
-    exact = functional_vec._cached_pc_hashes
+    exact = functional_vec.trace_hash_columns
 
-    def faulty(trace, pc_np, index_bits):
-        index, tag = exact(trace, pc_np, index_bits)
-        return fault(index, tag, 1 << index_bits)
+    def faulty(trace, component):
+        ((index, tag),) = exact(trace, component)
+        return (fault(index, tag, 1 << component.geometry_key[1]),)
 
     config = CompositeConfig().with_entries(64, 0, 0, 0).plain()
     vec_host = CompositePredictor(config)
     obj_host = CompositePredictor(config)
     with monkeypatch.context() as patch:
-        patch.setattr(functional_vec, "_cached_pc_hashes", faulty)
+        patch.setattr(functional_vec, "trace_hash_columns", faulty)
         vec = asdict(functional_vec.run_functional_vec(trace, vec_host))
     obj = asdict(run_functional_objects(trace, obj_host))
 

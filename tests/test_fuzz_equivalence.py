@@ -23,22 +23,30 @@ places where a fast path could drift from its reference:
 Each program must give the same answer three ways: the columnar core
 loop against the object-path oracle, ``run_functional`` against the
 object interpreter, and a serve session fed the program's events
-against ``run_functional``.
+against ``run_functional``.  The composite's bound per-load step must
+also match its method path (each component's own ``predict`` and
+``train``), the reference it replaced, on every observable, in the
+timing model and in a serve session.
 """
 
 from dataclasses import asdict
 
+from conftest import method_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.composite.accuracy_monitor import _PcAmEntry
+from repro.composite.step import step_unsupported_reason
 from repro.harness.functional import run_functional
 from repro.harness.runner import build_predictor
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
 from repro.memory.image import MemoryImage
 from repro.pipeline.core import simulate
+from repro.predictors.sap import SapPredictor
 from repro.serve.loadgen import trace_to_events
 from repro.serve.session import PredictorSession, resolve_spec
+from repro.workloads.generator import generate_trace
 
 from oracles.core_loop import simulate_objects
 from oracles.functional_loop import run_functional_objects
@@ -108,9 +116,9 @@ _step = st.one_of(
 )
 
 
-def _build(body, repeats, tail) -> Trace:
+def _build(body, repeats, tail, limit=MAX_LENGTH) -> Trace:
     """``body`` ``repeats`` times, then ``tail``: a memory-consistent
-    trace of at most ``MAX_LENGTH`` instructions."""
+    trace of at most ``limit`` instructions."""
     initial = MemoryImage()
     for i, word in enumerate(WORDS):
         initial.write(word, 8, 0x0101010101010101 * (i + 1))
@@ -153,7 +161,7 @@ def _build(body, repeats, tail) -> Trace:
             op, target = step[2], step[3]
             out.append(Instruction(pc=pc, op=op, taken=True, target=target,
                                    is_call=op is not OpClass.BRANCH_RETURN))
-    trace = Trace("fuzz", out[:MAX_LENGTH])
+    trace = Trace("fuzz", out[:limit])
     trace.initial_memory = initial
     return trace
 
@@ -255,3 +263,174 @@ def test_context_aware_components_mispredict_in_the_cycle_model():
                     wrong[name] += count
     assert wrong["cvp"] >= 1, wrong
     assert wrong["cap"] >= 1, wrong
+
+
+# ----------------------------------------------------------------------
+# The composite's bound step against its method path
+# ----------------------------------------------------------------------
+
+#: Composites the bound step runs: every stock monitor, smart training
+#: on and off, confidence thresholds moved by +-1, heterogeneous
+#: allocations that leave slots out, and table fusion on 97-instruction
+#: epochs that fuses after two epochs and reverts two later (so a
+#: 600-instruction program sees both, and the step hands over to the
+#: method path while tables are fused and back).
+STEP_SPECS = (
+    {"kind": "composite", "entries": 64, "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "none",
+        "smart_training": False, "table_fusion": False}},
+    {"kind": "composite", "entries": 64, "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "m-am",
+        "table_fusion": False, "confidence_delta": -1}},
+    {"kind": "composite", "entries": 64, "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "pc-am",
+        "pc_am_entries": 64, "confidence_delta": 1,
+        "fusion_observe_epochs": 1, "fusion_revert_epochs": 2}},
+    {"kind": "composite", "entries": 64, "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "pc-am-infinite",
+        "smart_training": False, "fusion_observe_epochs": 1,
+        "fusion_revert_epochs": 2, "confidence_delta": -1}},
+    {"kind": "composite", "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "m-am",
+        "table_fusion": False, "lvp_entries": 64, "sap_entries": 0,
+        "cvp_entries": 128, "cap_entries": 32}},
+    {"kind": "composite", "config": {
+        "epoch_instructions": 97, "accuracy_monitor": "pc-am",
+        "smart_training": False, "table_fusion": False,
+        "lvp_entries": 0, "sap_entries": 64, "cvp_entries": 0,
+        "cap_entries": 64, "confidence_delta": 1}},
+)
+
+def _logged(host) -> list:
+    """Log every decision ``host`` returns and every verdict it is
+    handed, as plain copies."""
+    log = []
+    predict = host.predict
+    validate = host.validate_and_train
+
+    def logged_predict(*load):
+        decision = predict(*load)
+        log.append(("predict", list(decision)))
+        return decision
+
+    def logged_validate(decision, addr, size, value, correct):
+        log.append(("validate", list(decision), addr, size, value, correct))
+        validate(decision, addr, size, value, correct)
+
+    host.predict = logged_predict
+    host.validate_and_train = logged_validate
+    return log
+
+
+def _plain(value):
+    if isinstance(value, _PcAmEntry):
+        return (value.tag, value.correct, value.incorrect)
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def _observables(host) -> dict:
+    """Everything a composite's loads can change: statistics, tables,
+    coin-stream positions, the epoch clock, the monitor and fusion."""
+    fusion = host.fusion
+    return {
+        "stats": asdict(host.stats),
+        "tables": _table_state(host),
+        "coins": [c._rng.drawn for c in host.components.values()],
+        "epoch": host._instructions_in_epoch,
+        "monitor": {
+            key: _plain(value) for key, value in vars(host.monitor).items()
+            if key != "_keys"  # PC-AM's hash memo
+        },
+        "fusion": None if fusion is None else _plain({
+            key: asdict(value) if key == "state" else value
+            for key, value in vars(fusion).items() if key != "_components"
+        }),
+    }
+
+
+def _count_component_calls(host) -> list:
+    """Count calls of ``host``'s components' own methods."""
+    calls = [0]
+    for component in host.components.values():
+        for name in ("predict", "train", "penalize", "invalidate"):
+            method = getattr(component, name)
+
+            def counted(*args, _method=method):
+                calls[0] += 1
+                return _method(*args)
+
+            setattr(component, name, counted)
+    return calls
+
+
+def _assert_step_matches_method_path(trace, spec, seed=0):
+    # Timing model.
+    step, reference = _host(spec), method_path(_host(spec))
+    assert step_unsupported_reason(step) is None
+    step_log, reference_log = _logged(step), _logged(reference)
+    component_calls = _count_component_calls(step)
+    assert asdict(simulate(trace, step, seed=seed)) == asdict(
+        simulate(trace, reference, seed=seed)
+    )
+    assert step_log == reference_log
+    assert _observables(step) == _observables(reference)
+    if step.fusion is None or not step.fusion.state.fusions_performed:
+        # Only fused tables send the step's loads to the method path.
+        assert component_calls == [0]
+
+    # Serving.
+    sessions = [
+        PredictorSession(spec, initial_memory=trace.initial_memory)
+        for _ in range(2)
+    ]
+    method_path(sessions[1].predictor)
+    logs = [_logged(session.predictor) for session in sessions]
+    events = trace_to_events(trace)
+    results = [session.apply_batch(events) for session in sessions]
+    assert results[0] == results[1]
+    assert logs[0] == logs[1]
+    assert _observables(sessions[0].predictor) == _observables(
+        sessions[1].predictor
+    )
+    return step
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(
+    body=st.lists(_step, min_size=1, max_size=12),
+    repeats=st.integers(1, 60),
+    tail=st.lists(_step, max_size=8),
+    spec=st.sampled_from(STEP_SPECS),
+    seed=st.integers(0, 3),
+)
+def test_bound_step_matches_themethod_path(body, repeats, tail, spec, seed):
+    _assert_step_matches_method_path(
+        _build(body, repeats, tail, limit=2 * MAX_LENGTH), spec, seed
+    )
+
+
+def test_bound_step_matches_on_generated_programs(monkeypatch):
+    """Fixed programs on which the fusion specs above fuse and revert
+    (so the hand-over to the method path and back is covered) and smart
+    training invalidates correct SAP entries it does not train."""
+    invalidations = [0]
+    invalidate = SapPredictor.invalidate
+
+    def counted(self, *args):
+        invalidations[0] += 1
+        return invalidate(self, *args)
+
+    monkeypatch.setattr(SapPredictor, "invalidate", counted)
+    fused = 0
+    for workload in ("linpack", "coremark"):
+        trace = generate_trace(workload, 2000, 0)
+        for spec in STEP_SPECS:
+            host = _assert_step_matches_method_path(trace, spec)
+            if host.fusion is not None:
+                fused += host.fusion.state.reversions_performed > 0
+    assert fused >= 2
+    assert invalidations[0] > 0

@@ -1,10 +1,11 @@
-"""Per-trace CVP/CAP hash columns: kernels, timing lookups, memo lifetimes.
+"""Per-trace hash columns: kernels, timing lookups, memo lifetimes.
 
-CVP and CAP index their tables from the load PC and its fetch-time raw
-histories alone, so a whole trace's (index, tag) pairs can be hashed at
-once.  The timing model memoizes them per trace as rows that components
-look up by load ordinal; the functional backend memoizes the same
-columns per trace, packed.  These tests hold the column kernels to each
+Every component indexes its tables from the load PC and its fetch-time
+raw histories alone, so a whole trace's (index, tag) pairs can be
+hashed at once.  One per-trace derivation
+(:mod:`repro.predictors.hash_columns`) serves both the composite's
+bound step in a timing run, which looks them up by load ordinal, and
+the functional backend.  These tests hold the column kernels to each
 component's scalar reference, the column-fed timing run to the
 object-path oracle, and the per-trace memo to its lifetimes.
 """
@@ -15,9 +16,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from conftest import alone, memo_entries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch.history import load_histories
 from repro.common import tracememo
+from repro.common.bits import FOLD_PLANS, fold_bits
+from repro.common.hashing import mix64
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.harness import functional_vec
@@ -72,30 +77,99 @@ class TestKernelsMatchScalarHashes:
             assert cap._hashes(p, h) == (index[k], tag[k])
 
     def test_trace_rows_match_the_recorded_histories(self):
-        # The probes' direction history is 256 bits wide; the rows are
-        # built from its low 64, which must not change any hash: no
+        # The probes' direction history is 256 bits wide; the columns
+        # are built from its low 64, which must not change any hash: no
         # table reads further back than that.
         trace = generate_trace("gcc2k", 3000, 0)
         predictor = CompositePredictor(CompositeConfig().homogeneous(256))
         model = CoreModel(predictor=predictor)
         model.run(trace)
-        cvp = predictor.components["cvp"]
-        cap = predictor.components["cap"]
-        rows = memo_entries(trace, "timing rows")
-        assert set(rows) == {cvp.geometry_key, cap.geometry_key}
+        components = predictor.components
+        columns = memo_entries(trace, "hash columns")
+        assert set(columns) == {
+            component.geometry_key for component in components.values()
+        }
         assert max(HISTORY_LENGTHS) <= 64
-        cvp_rows = rows[cvp.geometry_key]
-        cap_rows = rows[cap.geometry_key]
         histories = load_histories(trace)
         pcs = histories.pc.tolist()
         directions, paths, load_paths = histories.snapshots()
-        assert len(cvp_rows) == len(cap_rows) == len(pcs) > 0
+        assert len(pcs) > 0
         assert any(d >> 64 for d in directions)
-        for k, pc in enumerate(pcs):
-            assert list(cvp_rows[k]) == cvp._hashes(
-                pc, directions[k], paths[k]
-            )
-            assert cap_rows[k] == cap._hashes(pc, load_paths[k])
+        lvp, cvp, cap = (components[name] for name in ("lvp", "cvp", "cap"))
+        for geometry, expected in (
+            (lvp, lambda k: [lvp._hashes(pcs[k])]),
+            (cvp, lambda k: cvp._hashes(pcs[k], directions[k], paths[k])),
+            (cap, lambda k: [cap._hashes(pcs[k], load_paths[k])]),
+        ):
+            tables = columns[geometry.geometry_key]
+            assert all(len(column) == len(pcs) for pair in tables
+                       for column in pair)
+            for k in range(len(pcs)):
+                assert [(index[k], tag[k]) for index, tag in tables] == (
+                    expected(k)
+                )
+
+
+class TestScalarHashesFoldExactly:
+    """The scalar references fold by halving; they must equal a plain
+    chunk-by-chunk :func:`~repro.common.bits.fold_bits` of the same
+    terms for every non-negative input, however wide (a serve client
+    may send any PC)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        total=st.sampled_from((8, 16, 64, 256, 4096, 1 << 16)),
+        pc=st.one_of(st.integers(0, 1 << 48), st.integers(0, 1 << 300)),
+        direction=st.integers(0, 1 << 256),
+        path=st.one_of(st.integers(0, 1 << 32), st.integers(0, 1 << 200)),
+    )
+    def test_cvp(self, total, pc, direction, path):
+        cvp = CvpPredictor(total)
+        expected = []
+        for bits, _, hmask, isalt, tsalt in cvp._hash_consts:
+            history = direction & hmask
+            expected.append((
+                fold_bits(
+                    (pc >> 2) ^ (pc >> (2 + bits)) ^ history ^ path ^ isalt,
+                    bits,
+                ),
+                fold_bits(
+                    (pc >> 2) ^ ((history ^ tsalt) * 0x9E3779B97F4A7C15
+                                 & (1 << 64) - 1),
+                    14,
+                ),
+            ))
+        assert cvp._hashes(pc, direction, path) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sets=st.sampled_from((2, 4, 64, 1024, 1 << 16)),
+        pc=st.one_of(st.integers(0, 1 << 48), st.integers(0, 1 << 300)),
+        load_path=st.one_of(st.integers(0, 1 << 64), st.integers(0, 1 << 200)),
+    )
+    def test_cap(self, sets, pc, load_path):
+        cap = CapPredictor(sets)
+        bits = cap._index_bits
+        assert cap._hashes(pc, load_path) == (
+            fold_bits((pc >> 2) ^ (pc >> (2 + bits)) ^ load_path, bits),
+            fold_bits((pc >> 2) ^ mix64(load_path + 0x9E37), 14),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 64), value=st.integers(0, 1 << 300))
+    def test_fold_plan(self, width, value):
+        span, span_mask, m1, s1, m2, s2, m3, s3 = FOLD_PLANS[width]
+        v = value
+        while v >> span:
+            v = (v & span_mask) ^ (v >> span)
+        v = (v & m1) ^ (v >> s1)
+        v = (v & m2) ^ (v >> s2)
+        v = (v & m3) ^ (v >> s3)
+        if width >= 8 and value >> 64 == 0:
+            assert v >> width == 0  # no chunk-by-chunk turn left
+        while v >> width:
+            v = (v & ((1 << width) - 1)) ^ (v >> width)
+        assert v == fold_bits(value, width)
 
 
 def _fused_composite():
@@ -139,8 +213,8 @@ class TestTimingRunWithColumns:
         assert len(calls) == 2
 
     def _assert_released(self, predictor):
-        for component in predictor.components.values():
-            assert getattr(component, "_rows", None) is None
+        assert predictor._trace is None
+        assert "_predict_step" not in vars(predictor)
 
     def test_release_after_return(self):
         trace = generate_trace("coremark", 2000, 0)
@@ -155,8 +229,11 @@ class TestTimingRunWithColumns:
         seen = []
 
         def interrupt(done):
-            # Fires inside the replay loop: the rows are bound by then.
-            seen.append(predictor.components["cvp"]._rows is not None)
+            # Fires inside the replay loop: the step is bound to the
+            # trace's columns by then.
+            seen.append(predictor._trace is trace and "bind_step" in (
+                vars(predictor)["_predict_step"].__qualname__
+            ))
             return True
 
         with pytest.raises(SimulationInterrupted):
@@ -197,6 +274,25 @@ class TestFunctionalPrecomputeMemo:
         self._sweep(traces)
         assert len(batches) == len(traces)
         assert len(hashes) == len(traces)
+
+    def test_a_pc_am_run_memoizes_no_pc_list(self):
+        """Only PC-AM-infinite reads the loads' PCs as ints, and it
+        takes them per run; a stock (PC-AM 64) run keeps none."""
+        trace = generate_trace("coremark", 1500, 0)
+        predictor = CompositePredictor(CompositeConfig().homogeneous(256))
+        assert predictor.config.accuracy_monitor == "pc-am"
+        functional_vec.run_functional_vec(trace, predictor)
+        pcs = load_histories(trace).pc.tolist()
+        held = []
+        for value in tracememo._memo[trace].values():
+            if isinstance(value, functional_vec._LoadBatch):
+                assert not hasattr(functional_vec._LoadBatch, "pc")
+                held += [getattr(value, slot) for slot in value.__slots__]
+            else:
+                held.append(value)
+        assert held and all(
+            not (isinstance(item, list) and item == pcs) for item in held
+        )
 
     def test_entries_die_with_their_trace_and_with_clear_caches(self):
         trace = generate_trace("coremark", 1500, 0)

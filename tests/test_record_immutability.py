@@ -10,7 +10,10 @@ read-only by convention; these tests hold every host to it:
   returned it (the same object, its items unchanged);
 * the verdict mask never sets a slot outside the decision's confident
   mask, and a host handed one raises ``ValueError``;
-* every live component's ``predict`` runs once per load;
+* a composite's bound step returns exactly the decision records its
+  method path (each live component's own ``predict``) returns, and a
+  host that probes its components one by one probes each once per
+  load;
 * a held decision keeps no record, dict or set alive beyond itself.
 
 The hosts are a plain composite, a PC-AM composite with smart training
@@ -23,7 +26,7 @@ from __future__ import annotations
 import sys
 
 import pytest
-from conftest import alone
+from conftest import alone, method_path
 
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
@@ -64,6 +67,8 @@ class DecisionGuard:
         self.predicts = 0
         self.component_predicts = 0
         self.confident_loads = 0
+        #: Every decision as returned, in order.
+        self.records: list[tuple] = []
         self._issued: dict[int, tuple] = {}
 
     def wrap_host(self, host) -> None:
@@ -97,6 +102,7 @@ class DecisionGuard:
             chosen = decision[CHOSEN]
             assert chosen == -1 or confident >> chosen & 1
             self.predicts += 1
+            self.records.append(tuple(decision))
             self._issued[id(decision)] = (decision, tuple(decision))
             return decision
 
@@ -124,7 +130,20 @@ def test_core_loop_leaves_records_unchanged(workload, host_name):
     guard.wrap_host(host)
     result = simulate(trace, host)
     assert guard.decisions == guard.predicts == result.predictable_loads > 0
-    if host_name != "pc-am-fusion":  # donors are not probed
+    if host_name in ("plain-composite", "pc-am-fusion"):
+        # The bound step probes no component method; its records are
+        # the method path's, load for load.
+        reference = method_path(HOSTS[host_name]())
+        reference_guard = DecisionGuard()
+        reference_guard.wrap_host(reference)
+        assert simulate(trace, reference) == result
+        assert guard.records == reference_guard.records
+        if host_name == "plain-composite":
+            assert guard.component_predicts == 0
+            assert reference_guard.component_predicts == (
+                guard.predicts * len(_components(host))
+            )
+    else:
         assert guard.component_predicts == (
             guard.predicts * len(_components(host))
         )
