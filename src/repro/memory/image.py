@@ -33,12 +33,15 @@ class MemoryImage:
     def read(self, addr: int, size: int) -> int:
         """Little-endian read of ``size`` bytes at ``addr`` (zero default).
 
-        An access inside one 8-byte word is one lookup, a shift and a
-        mask; a wider one assembles the words it spans.
+        An aligned 8-byte access returns the stored word as it is; one
+        inside one 8-byte word is one lookup, a shift and a mask; a wider
+        one assembles the words it spans.
         """
         shift = (addr & 7) << 3
         bits = size << 3
         if 0 < bits <= 64 - shift:
+            if bits == 64:
+                return self._words.get(addr >> 3, 0)
             return self._words.get(addr >> 3, 0) >> shift & (1 << bits) - 1
         if size <= 0:
             return 0
