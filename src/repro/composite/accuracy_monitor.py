@@ -183,6 +183,13 @@ class PcAm(AccuracyMonitor):
         # (index, tag) memo: both are pure functions of the PC.
         self._keys: dict[int, tuple[int, int]] = {}
 
+    @property
+    def geometry_key(self) -> tuple:
+        """What the (index, tag) hashes depend on besides the PC: the
+        key of the monitor's per-trace columns
+        (:func:`repro.predictors.hash_columns.trace_hash_columns`)."""
+        return ("pcam", self.entries)
+
     def _key(self, pc: int) -> tuple[int, int]:
         key = self._keys.get(pc)
         if key is None:

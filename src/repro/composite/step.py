@@ -26,7 +26,11 @@ The components' ``predict``, ``train``, ``penalize`` and
 them for every assembly :func:`step_unsupported_reason` rejects (the
 footnote-1 LAP/SVP cells and subclassed components) and for every load
 while fusion has tables fused, and ``tests/test_fuzz_equivalence.py``
-holds the step to that path on every observable.
+holds the step to that path on every observable.  That method path is
+the one implementation of lookup and training on fused banks: fused
+loads reach it through this step in timing runs and serve sessions,
+and the functional backend sends its fused loads through the
+composite's ``predict`` and ``validate_and_train`` too.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ def step_unsupported_reason(predictor) -> str | None:
     The step replays component, monitor and fusion semantics by exact
     type; a subclass or a third-party component could override what it
     has inlined, so anything but the known concrete types is rejected.
-    The functional backend inlines the same semantics and shares this
-    predicate (:func:`repro.harness.functional_vec.vector_unsupported_reason`).
+    The functional backend inlines the same bank-0 semantics and shares
+    this predicate (:func:`repro.harness.functional_vec.vector_unsupported_reason`).
     """
     for name, component in predictor.components.items():
         expected = COMPONENT_TYPES.get(name)

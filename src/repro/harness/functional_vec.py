@@ -10,8 +10,14 @@ serial dependency (confident predictions feeding training, which feeds
 the next prediction) runs as a tight Python loop over unboxed ints.
 That loop reads and writes the live predictor tables: a
 :class:`repro.predictors.table.BankedTable` keeps one plain list per
-entry field per bank, so the loop binds those columns once and rebinds
-only its multi-bank flags when table fusion fuses or reverts.
+entry field per bank, so the loop binds bank 0's columns once, the
+``_bank0``/``_bank0s`` lists the composite's bound step
+(:mod:`repro.composite.step`) binds too.  Bank 0 is every table's one
+bank while nothing is fused.  While fusion has tables fused, a load
+goes through the composite's own ``predict`` and
+``validate_and_train`` instead, as in a timing run, so fused banks
+have one implementation everywhere: the components' methods, which the
+step hands fused loads to.
 
 The loop speaks the composite's mask vocabulary
 (:mod:`repro.composite.composite`): each component's bit comes from
@@ -22,16 +28,17 @@ counters are updated in place, and the statistics go into the
 composite's pending ``(confident, used)`` and ``(confident, correct)``
 count tables; :meth:`CompositePredictor.fold_pending` turns those
 into the run's :class:`FunctionalResult`, the same fold that serves
-``predictor.stats``.  Only the per-component probe and train code is
-inlined.  A vector run therefore leaves the predictor in exactly the
-state a pure object run would have, with nothing to copy back.
+``predictor.stats``.  Only the per-component bank-0 probe and train
+code is inlined.  A vector run therefore leaves the predictor in
+exactly the state a pure object run would have, with nothing to copy
+back.
 
 The history register states are the trace's shared
 :class:`~repro.branch.history.LoadHistories`, the same ones the timing
 model probes with.  :func:`precompute_load_batch` turns them and the
 loads' outcomes into the loop's int lists.  The batch is memoized per
-trace (:mod:`repro.common.tracememo`), and so is every table
-geometry's packed hash columns
+trace (:mod:`repro.common.tracememo`), and so are every table
+geometry's and the finite PC-AM's packed hash columns
 (:func:`repro.predictors.hash_columns.trace_hash_columns`, which the
 composite's timing step reads too), so a sweep over one trace computes
 them once.
@@ -69,7 +76,6 @@ from itertools import repeat
 import numpy as np
 
 from repro.branch.history import load_histories
-from repro.common.bits import fold_bits_np
 from repro.common.tracememo import trace_memo
 from repro.composite.accuracy_monitor import InfinitePcAm, MAm, PcAm, _PcAmEntry
 from repro.composite.composite import CompositePredictor
@@ -78,10 +84,11 @@ from repro.harness.functional import FunctionalResult
 from repro.isa.columns import FLAG_PREDICTABLE
 from repro.isa.instruction import OP_STORE
 from repro.memory.image import MemoryImage
-from repro.predictors.hash_columns import packed, trace_hash_columns
+from repro.pipeline.vp import judge
+from repro.predictors.hash_columns import trace_hash_columns
+from repro.predictors.types import CONFIDENT, PREDICTED, address_of, size_of
 
 _MASK49 = (1 << 49) - 1
-_PC_AM_TAG_BITS = 10
 
 #: ``i.bit_length() - 1`` over the uint8 domain of the size column.
 _SIZE_LOG2 = np.array([i.bit_length() - 1 for i in range(256)], dtype=np.int64)
@@ -132,39 +139,6 @@ def precompute_load_batch(trace) -> _LoadBatch:
     batch.store_size = size[store_pos].tolist()
     batch.store_value = value[store_pos].tolist()
     return batch
-
-
-def _pc_am_hashes_np(
-    pc: np.ndarray, entries: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(index, tag) columns matching the PC-AM paper hashes."""
-    pcx = pc >> np.uint64(2)
-    index = (pcx ^ (pc >> np.uint64(8))) & np.uint64(entries - 1)
-    tag = fold_bits_np(pcx ^ (pc >> np.uint64(12)), _PC_AM_TAG_BITS)
-    return index, tag
-
-
-# ----------------------------------------------------------------------
-# Per-trace precompute memo
-# ----------------------------------------------------------------------
-#
-# The load batch and the PC-AM hash columns are pure functions of the
-# trace (and the monitor's size) -- never of predictor state -- so
-# sweeps that evaluate many configs / seeds / repeats over the same
-# trace share them through the per-trace memo (repro.common.tracememo),
-# beside the components' hash columns
-# (repro.predictors.hash_columns).
-
-
-def _cached(trace, key, compute):
-    return trace_memo(trace, ("functional",) + key, compute)
-
-
-def _cached_pc_am_hashes(trace, pc_np, entries):
-    return _cached(
-        trace, ("pcam", entries),
-        lambda: packed(*_pc_am_hashes_np(pc_np, entries)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +201,7 @@ def _run_composite(trace, predictor, mem, result):
     epoch_len = predictor.config.epoch_instructions
     names = predictor.slot_names
     width = len(names)
+    every_slot = (1 << width) - 1
     # Each component's slot bit; 0 for one the allocation left out.
     bit_of = {name: 1 << slot for slot, name in enumerate(names)}
     b_lvp = bit_of.get("lvp", 0)
@@ -238,8 +213,8 @@ def _run_composite(trace, predictor, mem, result):
     invalidated = predictor._invalidated
 
     # -- whole-trace precompute (shared across runs on this trace) -----
-    batch = _cached(
-        trace, ("batch",), lambda: precompute_load_batch(trace)
+    batch = trace_memo(
+        trace, ("functional", "batch"), lambda: precompute_load_batch(trace)
     )
     pos = batch.pos
     n_loads = len(pos)
@@ -250,36 +225,29 @@ def _run_composite(trace, predictor, mem, result):
     n_stores = len(spos)
     n_instr = batch.n_instructions
 
-    # The live tables: bank-0 columns stay valid for a table's lifetime
-    # (fusion flushes and re-banks in place), so only the multi-bank
-    # flags below follow fusion.  Every FPC draw goes through the
-    # component's own coin stream, one-bank or multi-bank.
+    # The live tables' bank-0 columns, the step's own bindings: every
+    # table's one bank while nothing is fused, and the same lists for
+    # the table's lifetime.  Every FPC draw goes through the
+    # component's own coin stream.
     histories = batch.histories
-    pc_np = histories.pc
     if lvp is not None:
-        lvp_tab = lvp._table
-        lvp_t0, lvp_v0, lvp_c0 = lvp_tab.banks[0]
+        lvp_t0, lvp_v0, lvp_c0 = lvp._bank0
         ((li, lt),) = trace_hash_columns(trace, lvp)
         lvp_thr = lvp.confidence_threshold
         lvp_probs = lvp._float_probs
         lvp_cmax = lvp._conf_max
         lvp_coin = lvp._rng.coin
-        lvp_bump = lvp._bump_confidence
     if sap is not None:
-        sap_tab = sap._table
-        sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = sap_tab.banks[0]
+        sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = sap._bank0
         ((si, st_),) = trace_hash_columns(trace, sap)
         sap_thr = sap.confidence_threshold
         sap_probs = sap._float_probs
         sap_cmax = sap._conf_max
         sap_coin = sap._rng.coin
-        sap_bump = sap._bump_confidence
     if cvp is not None:
-        # Fusion grants and revokes banks on all three tables together.
-        cv0_tab, cv1_tab, cv2_tab = cvp._tables()
-        cv0_t0, cv0_v0, cv0_c0 = cv0_tab.banks[0]
-        cv1_t0, cv1_v0, cv1_c0 = cv1_tab.banks[0]
-        cv2_t0, cv2_v0, cv2_c0 = cv2_tab.banks[0]
+        (cv0_t0, cv0_v0, cv0_c0), (cv1_t0, cv1_v0, cv1_c0), (
+            cv2_t0, cv2_v0, cv2_c0,
+        ) = cvp._bank0s
         (cv0i, cv0t), (cv1i, cv1t), (cv2i, cv2t) = trace_hash_columns(
             trace, cvp
         )
@@ -287,16 +255,13 @@ def _run_composite(trace, predictor, mem, result):
         cvp_probs = cvp._float_probs
         cvp_cmax = cvp._conf_max
         cvp_coin = cvp._rng.coin
-        cvp_bump = cvp._bump_confidence
     if cap is not None:
-        cap_tab = cap._table
-        cap_t0, cap_a0, cap_sz0, cap_c0 = cap_tab.banks[0]
+        cap_t0, cap_a0, cap_sz0, cap_c0 = cap._bank0
         ((cpi, cpt),) = trace_hash_columns(trace, cap)
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max
         cap_coin = cap._rng.coin
-        cap_bump = cap._bump_confidence
 
     # -- monitor bindings ----------------------------------------------
     mon_type = type(monitor)
@@ -309,28 +274,25 @@ def _run_composite(trace, predictor, mem, result):
         mam_mis = monitor._mispredictions
     if m_pc:
         am_table = monitor._table
-        ami, amt = _cached_pc_am_hashes(trace, pc_np, monitor.entries)
+        ((ami, amt),) = trace_hash_columns(trace, monitor)
     if m_inf:
         am_map = monitor._map
         am_pcs = histories.pc.tolist()
     if m_pc or m_inf:
         am_thr = monitor.accuracy_threshold
 
-    # -- fusion bindings -----------------------------------------------
-    def live_mask():
-        """The non-donor slots."""
-        donors = fusion.state.donors if fusion.state.fused else ()
-        return sum(bit for name, bit in bit_of.items() if name not in donors)
-
+    # -- fused loads: while fusion has tables fused (extra banks, donors
+    # out of play), a load goes through the composite's own predict and
+    # validate_and_train, whose step hands it to the method path.
+    # Fusion fuses and reverts only at an epoch end. -----------------
+    fused = False
     if fusion is not None:
         f_used = fusion._epoch_used
-        live = live_mask()
-    else:
-        live = (1 << width) - 1
-    lvp_multi = lvp is not None and lvp_tab.num_banks > 1
-    sap_multi = sap is not None and sap_tab.num_banks > 1
-    cvp_multi = cvp is not None and cv0_tab.num_banks > 1
-    cap_multi = cap is not None and cap_tab.num_banks > 1
+        f_state = fusion.state
+        fused = f_state.fused
+        predict = predictor.predict
+        validate = predictor.validate_and_train
+        address_slots = predictor.address_slots
 
     # -- memory fast paths ---------------------------------------------
     mem_words = mem._words
@@ -358,7 +320,9 @@ def _run_composite(trace, predictor, mem, result):
     rep0 = repeat(0)
     rows = zip(
         pos,
-        am_pcs if m_inf else rep0,
+        # The load's ordinal, for a fused load's histories and
+        # PC-AM-infinite's PC.
+        range(n_loads) if fusion is not None or m_inf else rep0,
         batch.value,
         batch.addr49,
         batch.size_log2,
@@ -377,18 +341,14 @@ def _run_composite(trace, predictor, mem, result):
         ami if m_pc else rep0,
         amt if m_pc else rep0,
     )
-    for (p, pc_j, lval, a49, sl, li_j, lt_j, si_j, st_j, c0i_j, c0t_j,
+    for (p, k, lval, a49, sl, li_j, lt_j, si_j, st_j, c0i_j, c0t_j,
          c1i_j, c1t_j, c2i_j, c2t_j, cpi_j, cpt_j, ami_j, amt_j) in rows:
-        # -- epoch clock (ticks batched between loads) -----------------
+        # -- epoch clock: the instructions since the previous load, its
+        # own included (ticks batched between loads) -------------------
         if track:
             iie += p - prev_tick
             prev_tick = p
             if iie >= epoch_len:
-                if fusion is not None:
-                    mark = (
-                        fusion.state.fusions_performed,
-                        fusion.state.reversions_performed,
-                    )
                 while iie >= epoch_len:
                     iie -= epoch_len
                     monitor.end_epoch()
@@ -398,18 +358,7 @@ def _run_composite(trace, predictor, mem, result):
                     mam_sil = monitor._silenced
                 if fusion is not None:
                     f_used = fusion._epoch_used
-                    if mark != (
-                        fusion.state.fusions_performed,
-                        fusion.state.reversions_performed,
-                    ):
-                        # Banks were flushed, granted or revoked in
-                        # place: refresh the live mask and multi-bank
-                        # flags.
-                        live = live_mask()
-                        lvp_multi = lvp is not None and lvp_tab.num_banks > 1
-                        sap_multi = sap is not None and sap_tab.num_banks > 1
-                        cvp_multi = cvp is not None and cv0_tab.num_banks > 1
-                        cap_multi = cap is not None and cap_tab.num_banks > 1
+                    fused = f_state.fused
 
         # -- apply older stores ----------------------------------------
         while sptr < n_stores and spos[sptr] < p:
@@ -421,112 +370,73 @@ def _run_composite(trace, predictor, mem, result):
                 mem_write(a, sz, s_val[sptr])
             sptr += 1
 
-        # -- probe every live component: confident and verdict masks ---
+        # -- a fused load: the composite's own two calls ---------------
+        if fused:
+            decision = predict(
+                int(histories.pc[k]), -1, int(histories.direction[k]),
+                int(histories.path[k]), int(histories.load_path[k]), 0,
+            )
+            conf = decision[CONFIDENT]
+            ok = judge(decision, lval, mem, address_slots)
+            validate(decision, a49, 1 << sl, lval, ok)
+            if conf & (conf - 1):
+                if ok:
+                    dis += ok != conf
+                else:
+                    # Every confident prediction wrong: they disagree
+                    # if they are not all one value.
+                    dis += len({
+                        mem_read(address_of(v), size_of(v))
+                        if address_slots >> slot & 1 else v
+                        for slot, v in enumerate(decision[PREDICTED:])
+                        if conf >> slot & 1
+                    }) > 1
+            continue
+
+        # -- probe every component: confident and verdict masks --------
         conf = ok = 0
-        if live & b_lvp:
-            i = li_j
-            t = lt_j
-            if not lvp_multi:
-                if lvp_t0[i] == t and lvp_c0[i] >= lvp_thr:
-                    conf = b_lvp
-                    v_lvp = lvp_v0[i]
-            else:
-                bk = lvp_tab.find(i, t)
-                if bk is not None and bk[2][i] >= lvp_thr:
-                    conf = b_lvp
-                    v_lvp = bk[1][i]
-            if conf and v_lvp == lval:
+        if b_lvp and lvp_t0[li_j] == lt_j and lvp_c0[li_j] >= lvp_thr:
+            conf = b_lvp
+            v_lvp = lvp_v0[li_j]
+            if v_lvp == lval:
                 ok = b_lvp
-        if live & b_sap:
-            i = si_j
-            t = st_j
-            a = -1
-            if not sap_multi:
-                if sap_t0[i] == t and sap_c0[i] >= sap_thr:
-                    stv = sap_st0[i]
-                    a = (
-                        sap_la0[i] + (stv if stv < 512 else stv - 1024)
-                    ) & _MASK49
-                    sz = 1 << sap_sz0[i]
-            else:
-                bk = sap_tab.find(i, t)
-                if bk is not None and bk[4][i] >= sap_thr:
-                    stv = bk[2][i]
-                    a = (
-                        bk[1][i] + (stv if stv < 512 else stv - 1024)
-                    ) & _MASK49
-                    sz = 1 << bk[3][i]
-            if a >= 0:
-                conf |= b_sap
-                v_sap = (
-                    mw_get(a >> 3, 0)
-                    if sz == 8 and not a & 7
-                    else mem_read(a, sz)
-                )
-                if v_sap == lval:
-                    ok |= b_sap
-        if live & b_cvp:
+        if b_sap and sap_t0[si_j] == st_j and sap_c0[si_j] >= sap_thr:
+            conf |= b_sap
+            stv = sap_st0[si_j]
+            a = (
+                sap_la0[si_j] + (stv if stv < 512 else stv - 1024)
+            ) & _MASK49
+            sz = 1 << sap_sz0[si_j]
+            v_sap = (
+                mw_get(a >> 3, 0) if sz == 8 and not a & 7
+                else mem_read(a, sz)
+            )
+            if v_sap == lval:
+                ok |= b_sap
+        if b_cvp:
             # Longest-history table first; a tag match that is not
             # confident does NOT stop the search (oracle semantics).
-            found = False
-            i = c2i_j
-            t = c2t_j
-            if cvp_multi:
-                bk = cv2_tab.find(i, t)
-                if bk is not None and bk[2][i] >= cvp_thr:
-                    v_cvp = bk[1][i]
-                    found = True
-            elif cv2_t0[i] == t and cv2_c0[i] >= cvp_thr:
-                v_cvp = cv2_v0[i]
-                found = True
-            if not found:
-                i = c1i_j
-                t = c1t_j
-                if cvp_multi:
-                    bk = cv1_tab.find(i, t)
-                    if bk is not None and bk[2][i] >= cvp_thr:
-                        v_cvp = bk[1][i]
-                        found = True
-                elif cv1_t0[i] == t and cv1_c0[i] >= cvp_thr:
-                    v_cvp = cv1_v0[i]
-                    found = True
-            if not found:
-                i = c0i_j
-                t = c0t_j
-                if cvp_multi:
-                    bk = cv0_tab.find(i, t)
-                    if bk is not None and bk[2][i] >= cvp_thr:
-                        v_cvp = bk[1][i]
-                        found = True
-                elif cv0_t0[i] == t and cv0_c0[i] >= cvp_thr:
-                    v_cvp = cv0_v0[i]
-                    found = True
-            if found:
+            if cv2_t0[c2i_j] == c2t_j and cv2_c0[c2i_j] >= cvp_thr:
                 conf |= b_cvp
-                if v_cvp == lval:
-                    ok |= b_cvp
-        if live & b_cap:
-            i = cpi_j
-            t = cpt_j
-            a = -1
-            if not cap_multi:
-                if cap_t0[i] == t and cap_c0[i] >= cap_thr:
-                    a = cap_a0[i]
-                    sz = 1 << cap_sz0[i]
-            else:
-                bk = cap_tab.find(i, t)
-                if bk is not None and bk[3][i] >= cap_thr:
-                    a = bk[1][i]
-                    sz = 1 << bk[2][i]
-            if a >= 0:
-                conf |= b_cap
-                v_cap = (
-                    mw_get(a >> 3, 0)
-                    if sz == 8 and not a & 7
-                    else mem_read(a, sz)
-                )
-                if v_cap == lval:
-                    ok |= b_cap
+                v_cvp = cv2_v0[c2i_j]
+            elif cv1_t0[c1i_j] == c1t_j and cv1_c0[c1i_j] >= cvp_thr:
+                conf |= b_cvp
+                v_cvp = cv1_v0[c1i_j]
+            elif cv0_t0[c0i_j] == c0t_j and cv0_c0[c0i_j] >= cvp_thr:
+                conf |= b_cvp
+                v_cvp = cv0_v0[c0i_j]
+            if conf & b_cvp and v_cvp == lval:
+                ok |= b_cvp
+        if b_cap and cap_t0[cpi_j] == cpt_j and cap_c0[cpi_j] >= cap_thr:
+            conf |= b_cap
+            a = cap_a0[cpi_j]
+            sz = 1 << cap_sz0[cpi_j]
+            v_cap = (
+                mw_get(a >> 3, 0) if sz == 8 and not a & 7
+                else mem_read(a, sz)
+            )
+            if v_cap == lval:
+                ok |= b_cap
 
         if conf:
             # -- AM squash, selection, statistics ----------------------
@@ -541,7 +451,7 @@ def _run_composite(trace, predictor, mem, result):
                 else:
                     used = conf
             elif m_inf:
-                am_entry = am_map.get(pc_j)
+                am_entry = am_map.get(am_pcs[k])
                 used = (
                     conf if am_entry is None
                     else conf ^ am_entry.squashed(conf, am_thr)
@@ -586,30 +496,15 @@ def _run_composite(trace, predictor, mem, result):
                 if m_pc:
                     am_table[ami_j] = _PcAmEntry(amt_j, width)
                 elif m_inf:
-                    am_map[pc_j] = _PcAmEntry(0, width)
+                    am_map[am_pcs[k]] = _PcAmEntry(0, width)
 
-            # -- penalize wrong confident address predictors -----------
+            # -- penalize wrong confident address predictors (their
+            # entries matched at the probe) ----------------------------
             wrong = conf ^ ok
             if wrong & b_sap:
-                i = si_j
-                t = st_j
-                if not sap_multi:
-                    if sap_t0[i] == t:
-                        sap_c0[i] = 0
-                else:
-                    bk = sap_tab.find(i, t)
-                    if bk is not None:
-                        bk[4][i] = 0
+                sap_c0[si_j] = 0
             if wrong & b_cap:
-                i = cpi_j
-                t = cpt_j
-                if not cap_multi:
-                    if cap_t0[i] == t:
-                        cap_c0[i] = 0
-                else:
-                    bk = cap_tab.find(i, t)
-                    if bk is not None:
-                        bk[3][i] = 0
+                cap_c0[cpi_j] = 0
 
         # -- training policy (Section V-D) -----------------------------
         if conf and smart:
@@ -617,191 +512,108 @@ def _run_composite(trace, predictor, mem, result):
             inv = ok & invalidated & ~trained
         else:
             # train-all (also smart training's no-confident rule)
-            trained = live
+            trained = every_slot
             inv = 0
 
         if trained & b_lvp:
             ops += 1
             i = li_j
-            t = lt_j
-            if not lvp_multi:
-                if lvp_t0[i] == t:
-                    if lvp_v0[i] == lval:
-                        lvl = lvp_c0[i]
-                        if lvl < lvp_cmax:
-                            pr = lvp_probs[lvl]
-                            if pr >= 1.0 or lvp_coin(pr):
-                                lvp_c0[i] = lvl + 1
-                    else:
-                        lvp_v0[i] = lval
-                        lvp_c0[i] = 0
+            if lvp_t0[i] == lt_j:
+                if lvp_v0[i] == lval:
+                    lvl = lvp_c0[i]
+                    if lvl < lvp_cmax:
+                        pr = lvp_probs[lvl]
+                        if pr >= 1.0 or lvp_coin(pr):
+                            lvp_c0[i] = lvl + 1
                 else:
-                    lvp_t0[i] = t
                     lvp_v0[i] = lval
                     lvp_c0[i] = 0
             else:
-                bk, hit = lvp_tab.find_or_victim(i, t)
-                if hit and bk[1][i] == lval:
-                    lvp_bump(bk[2], i)
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = lval
-                    bk[2][i] = 0
+                lvp_t0[i] = lt_j
+                lvp_v0[i] = lval
+                lvp_c0[i] = 0
         if trained & b_sap:
             ops += 1
             i = si_j
-            t = st_j
-            if not sap_multi:
-                if sap_t0[i] == t:
-                    ns = (a49 - sap_la0[i]) & 1023
-                    if ns == sap_st0[i]:
-                        lvl = sap_c0[i]
-                        if lvl < sap_cmax:
-                            pr = sap_probs[lvl]
-                            if pr >= 1.0 or sap_coin(pr):
-                                sap_c0[i] = lvl + 1
-                    else:
-                        sap_st0[i] = ns
-                        sap_c0[i] = 0
-                    sap_la0[i] = a49
-                    sap_sz0[i] = sl
+            if sap_t0[i] == st_j:
+                ns = (a49 - sap_la0[i]) & 1023
+                if ns == sap_st0[i]:
+                    lvl = sap_c0[i]
+                    if lvl < sap_cmax:
+                        pr = sap_probs[lvl]
+                        if pr >= 1.0 or sap_coin(pr):
+                            sap_c0[i] = lvl + 1
                 else:
-                    sap_t0[i] = t
-                    sap_la0[i] = a49
-                    sap_st0[i] = 0
-                    sap_sz0[i] = sl
+                    sap_st0[i] = ns
                     sap_c0[i] = 0
+                sap_la0[i] = a49
+                sap_sz0[i] = sl
             else:
-                bk, hit = sap_tab.find_or_victim(i, t)
-                if hit:
-                    ns = (a49 - bk[1][i]) & 1023
-                    if ns == bk[2][i]:
-                        sap_bump(bk[4], i)
-                    else:
-                        bk[2][i] = ns
-                        bk[4][i] = 0
-                    bk[1][i] = a49
-                    bk[3][i] = sl
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = a49
-                    bk[2][i] = 0
-                    bk[3][i] = sl
-                    bk[4][i] = 0
+                sap_t0[i] = st_j
+                sap_la0[i] = a49
+                sap_st0[i] = 0
+                sap_sz0[i] = sl
+                sap_c0[i] = 0
         if trained & b_cvp:
             ops += 1
             # Tables 0, 1, 2 in order: they share the component's coin
             # stream, so the bump order is architectural.
             i = c0i_j
-            t = c0t_j
-            if not cvp_multi:
-                if cv0_t0[i] == t and cv0_v0[i] == lval:
-                    lvl = cv0_c0[i]
-                    if lvl < cvp_cmax:
-                        pr = cvp_probs[lvl]
-                        if pr >= 1.0 or cvp_coin(pr):
-                            cv0_c0[i] = lvl + 1
-                else:
-                    cv0_t0[i] = t
-                    cv0_v0[i] = lval
-                    cv0_c0[i] = 0
+            if cv0_t0[i] == c0t_j and cv0_v0[i] == lval:
+                lvl = cv0_c0[i]
+                if lvl < cvp_cmax:
+                    pr = cvp_probs[lvl]
+                    if pr >= 1.0 or cvp_coin(pr):
+                        cv0_c0[i] = lvl + 1
             else:
-                bk, hit = cv0_tab.find_or_victim(i, t)
-                if hit and bk[1][i] == lval:
-                    cvp_bump(bk[2], i)
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = lval
-                    bk[2][i] = 0
+                cv0_t0[i] = c0t_j
+                cv0_v0[i] = lval
+                cv0_c0[i] = 0
             i = c1i_j
-            t = c1t_j
-            if not cvp_multi:
-                if cv1_t0[i] == t and cv1_v0[i] == lval:
-                    lvl = cv1_c0[i]
-                    if lvl < cvp_cmax:
-                        pr = cvp_probs[lvl]
-                        if pr >= 1.0 or cvp_coin(pr):
-                            cv1_c0[i] = lvl + 1
-                else:
-                    cv1_t0[i] = t
-                    cv1_v0[i] = lval
-                    cv1_c0[i] = 0
+            if cv1_t0[i] == c1t_j and cv1_v0[i] == lval:
+                lvl = cv1_c0[i]
+                if lvl < cvp_cmax:
+                    pr = cvp_probs[lvl]
+                    if pr >= 1.0 or cvp_coin(pr):
+                        cv1_c0[i] = lvl + 1
             else:
-                bk, hit = cv1_tab.find_or_victim(i, t)
-                if hit and bk[1][i] == lval:
-                    cvp_bump(bk[2], i)
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = lval
-                    bk[2][i] = 0
+                cv1_t0[i] = c1t_j
+                cv1_v0[i] = lval
+                cv1_c0[i] = 0
             i = c2i_j
-            t = c2t_j
-            if not cvp_multi:
-                if cv2_t0[i] == t and cv2_v0[i] == lval:
-                    lvl = cv2_c0[i]
-                    if lvl < cvp_cmax:
-                        pr = cvp_probs[lvl]
-                        if pr >= 1.0 or cvp_coin(pr):
-                            cv2_c0[i] = lvl + 1
-                else:
-                    cv2_t0[i] = t
-                    cv2_v0[i] = lval
-                    cv2_c0[i] = 0
+            if cv2_t0[i] == c2t_j and cv2_v0[i] == lval:
+                lvl = cv2_c0[i]
+                if lvl < cvp_cmax:
+                    pr = cvp_probs[lvl]
+                    if pr >= 1.0 or cvp_coin(pr):
+                        cv2_c0[i] = lvl + 1
             else:
-                bk, hit = cv2_tab.find_or_victim(i, t)
-                if hit and bk[1][i] == lval:
-                    cvp_bump(bk[2], i)
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = lval
-                    bk[2][i] = 0
+                cv2_t0[i] = c2t_j
+                cv2_v0[i] = lval
+                cv2_c0[i] = 0
         if trained & b_cap:
             ops += 1
             i = cpi_j
-            t = cpt_j
-            if not cap_multi:
-                if cap_t0[i] == t:
-                    if cap_a0[i] == a49 and cap_sz0[i] == sl:
-                        lvl = cap_c0[i]
-                        if lvl < cap_cmax:
-                            pr = cap_probs[lvl]
-                            if pr >= 1.0 or cap_coin(pr):
-                                cap_c0[i] = lvl + 1
-                    else:
-                        cap_a0[i] = a49
-                        cap_sz0[i] = sl
-                        cap_c0[i] = 0
+            if cap_t0[i] == cpt_j:
+                if cap_a0[i] == a49 and cap_sz0[i] == sl:
+                    lvl = cap_c0[i]
+                    if lvl < cap_cmax:
+                        pr = cap_probs[lvl]
+                        if pr >= 1.0 or cap_coin(pr):
+                            cap_c0[i] = lvl + 1
                 else:
-                    cap_t0[i] = t
                     cap_a0[i] = a49
                     cap_sz0[i] = sl
                     cap_c0[i] = 0
             else:
-                bk, hit = cap_tab.find_or_victim(i, t)
-                if hit and bk[1][i] == a49 and bk[2][i] == sl:
-                    cap_bump(bk[3], i)
-                else:
-                    bk[0][i] = t
-                    bk[1][i] = a49
-                    bk[2][i] = sl
-                    bk[3][i] = 0
-        if inv:
+                cap_t0[i] = cpt_j
+                cap_a0[i] = a49
+                cap_sz0[i] = sl
+                cap_c0[i] = 0
+        if inv and sap_t0[si_j] == st_j:
             # Correct-but-untrained SAP: its stride is broken anyway.
-            i = si_j
-            t = st_j
-            if not sap_multi:
-                if sap_t0[i] == t:
-                    sap_t0[i] = -1
-                    sap_c0[i] = 0
-            else:
-                bk = sap_tab.find(i, t)
-                if bk is not None:
-                    bk[0][i] = -1
-                    bk[4][i] = 0
-
-        if track:
-            iie += 1  # the load's own tick; drained at the next load
-            prev_tick = p + 1
+            sap_t0[si_j] = -1
+            sap_c0[si_j] = 0
 
     # -- finalize -------------------------------------------------------
     iie += n_instr - prev_tick
@@ -812,7 +624,8 @@ def _run_composite(trace, predictor, mem, result):
             fusion.end_epoch()
     predictor._instructions_in_epoch = iie
 
-    # Loads with no confident component were not counted in the loop.
+    # Loads with no confident component were not counted in the loop,
+    # except those that took the fused path.
     unconfident = n_loads - sum(fetch)
     fetch[0] += unconfident
     verdicts[0] += unconfident

@@ -10,7 +10,8 @@ from repro.predictors.types import CHOSEN, PREDICTED, slot_names
 
 #: ``pytest --hypothesis-profile=fuzz-wide`` widens the fuzzed
 #: equivalence suite (``tests/test_fuzz_equivalence.py``, the
-#: composite's bound step against its method path included), the shared
+#: composite's bound step against its method path and the functional
+#: backend under table fusion included), the shared
 #: load-history test (``tests/test_load_histories.py``), the branch
 #: hash-column test (``tests/test_branch_hash_columns.py``) and the
 #: memory-image packing test (``tests/test_image_serialization.py``)

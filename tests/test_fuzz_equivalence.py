@@ -11,7 +11,8 @@ places where a fast path could drift from its reference:
   source registers, some of them their own destination or never
   written;
 * stores of every size to a few addresses that later loads read,
-  at any byte offset, and strided loads;
+  at any byte offset, and strided loads, one stride of them SAP's
+  stride field at its sign bit;
 * runs of branches longer than the history lengths the tables read;
 * lengths that end mid-epoch (the assemblies run 97-instruction epochs);
 * every component alone (as a ``component`` spec and as the same
@@ -26,7 +27,9 @@ object interpreter, and a serve session fed the program's events
 against ``run_functional``.  The composite's bound per-load step must
 also match its method path (each component's own ``predict`` and
 ``train``), the reference it replaced, on every observable, in the
-timing model and in a serve session.
+timing model and in a serve session.  Under table fusion,
+``run_functional`` must match the object interpreter on every
+observable too: it hands fused loads to that method path.
 """
 
 from dataclasses import asdict
@@ -36,8 +39,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.composite.accuracy_monitor import _PcAmEntry
+from repro.composite.composite import CompositePredictor
 from repro.composite.step import step_unsupported_reason
 from repro.harness.functional import run_functional
+from repro.harness.presets import EXPLORE_GRIDS, SMOKE
 from repro.harness.runner import build_predictor
 from repro.isa.instruction import Instruction, OpClass
 from repro.isa.trace import Trace
@@ -60,6 +65,13 @@ PCS = tuple(0x1000 + 4 * i for i in range(4)) + tuple(
 )
 #: Three 8-byte words loads and stores share (plus one never stored).
 WORDS = (0x8000, 0x8008, 0x8040, 0x9000)
+#: A strided load steps by one of these per loop iteration, from
+#: ``STRIDE_BASE``.  -512 bytes is SAP's 10-bit stride field at 512,
+#: the one field value whose sign extension sits at the edge.
+STRIDES = (8, 24, 64, -512)
+STRIDE_BASE = 0x20000
+#: The words strided loads read, every one a distinct value.
+STRIDED_WORDS = range(STRIDE_BASE - 512 * 60, STRIDE_BASE + 64 * 61, 8)
 
 def _alone(name):
     """``name`` as a one-component plain composite of 64 entries."""
@@ -106,7 +118,7 @@ _step = st.one_of(
     st.tuples(st.just("store"), _pc, _addr, _size, st.integers(0, 2**64 - 1),
               st.integers(0, 2)),
     st.tuples(st.just("load"), _pc, _addr, _size, st.booleans()),
-    st.tuples(st.just("strided"), _pc, st.sampled_from((8, 24, 64))),
+    st.tuples(st.just("strided"), _pc, st.sampled_from(STRIDES)),
     st.tuples(st.just("branches"), _pc, st.lists(st.booleans(), min_size=1,
                                                  max_size=80)),
     st.tuples(st.just("jump"), _pc, st.sampled_from((
@@ -122,7 +134,9 @@ def _build(body, repeats, tail, limit=MAX_LENGTH) -> Trace:
     initial = MemoryImage()
     for i, word in enumerate(WORDS):
         initial.write(word, 8, 0x0101010101010101 * (i + 1))
-    initial.write_words(0xA000, range(1, 1 + 64 * 40))
+    initial.write_words(
+        STRIDED_WORDS.start, range(1, 1 + len(STRIDED_WORDS))
+    )
     memory = initial.copy()
     out = []
     steps = [(i, step) for i in range(repeats) for step in body]
@@ -148,7 +162,7 @@ def _build(body, repeats, tail, limit=MAX_LENGTH) -> Trace:
                                    value=memory.read(addr, size),
                                    no_predict=no_predict))
         elif kind == "strided":
-            addr = 0xA000 + step[2] * iteration
+            addr = STRIDE_BASE + step[2] * iteration
             out.append(Instruction(pc=pc, op=OpClass.LOAD, dest=pc % 8,
                                    addr=addr, size=8,
                                    value=memory.read(addr, 8)))
@@ -434,3 +448,94 @@ def test_bound_step_matches_on_generated_programs(monkeypatch):
                 fused += host.fusion.state.reversions_performed > 0
     assert fused >= 2
     assert invalidations[0] > 0
+
+
+# ----------------------------------------------------------------------
+# The functional backend under fusion
+# ----------------------------------------------------------------------
+
+#: The step specs whose composites fuse (observe one epoch, revert
+#: after two): at 97-instruction epochs a 600-instruction program sees
+#: fusion and reversion, where ``SPECS``' default of about ten epochs
+#: of observation never fuses within ``MAX_LENGTH``.
+FUSION_SPECS = tuple(spec for spec in STEP_SPECS if _host(spec).fusion)
+
+
+def _assert_functional_matches_oracle(trace, spec) -> tuple:
+    """``run_functional`` against the object interpreter on every
+    observable; returns the functional host and the number of its
+    components' own method calls."""
+    vec_host, obj_host = _host(spec), _host(spec)
+    component_calls = _count_component_calls(vec_host)
+    assert asdict(run_functional(trace, vec_host)) == asdict(
+        run_functional_objects(trace, obj_host)
+    )
+    assert _observables(vec_host) == _observables(obj_host)
+    return vec_host, component_calls[0]
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(
+    body=st.lists(_step, min_size=1, max_size=12),
+    repeats=st.integers(1, 60),
+    tail=st.lists(_step, max_size=8),
+    spec=st.sampled_from(FUSION_SPECS),
+)
+def test_functional_backend_matches_the_oracle_under_fusion(
+    body, repeats, tail, spec
+):
+    _assert_functional_matches_oracle(
+        _build(body, repeats, tail, limit=2 * MAX_LENGTH), spec
+    )
+
+
+def test_functional_backend_fuses_and_reverts_on_generated_programs():
+    """Fixed programs on which the fusion specs fuse and revert in
+    functional runs.  Like the step, a run calls its components' own
+    methods exactly when fusion has fused its tables."""
+    reverted = 0
+    for workload in ("linpack", "coremark"):
+        trace = generate_trace(workload, 2000, 0)
+        for spec in STEP_SPECS:
+            host, component_calls = _assert_functional_matches_oracle(
+                trace, spec
+            )
+            fused = host.fusion is not None and (
+                host.fusion.state.fusions_performed > 0
+            )
+            assert (component_calls > 0) == fused, spec
+            reverted += fused and host.fusion.state.reversions_performed > 0
+    assert reverted >= 2
+
+
+def test_table6_functional_runs_make_no_component_calls():
+    """The Table VI search never fuses, so none of its functional runs
+    leaves the bank-0 fast path."""
+    trace = generate_trace(SMOKE.workloads[0], SMOKE.trace_length, SMOKE.seed)
+    for point in EXPLORE_GRIDS["table6"].points:
+        host = CompositePredictor(point.config(SMOKE))
+        component_calls = _count_component_calls(host)
+        run_functional(trace, host)
+        assert component_calls == [0], point.label
+
+
+def test_sap_stride_field_512_is_minus_512_bytes():
+    """A load striding by -512 bytes stores SAP's 10-bit stride field
+    as 512, which sign-extends to -512: SAP predicts it right on every
+    path, the component methods, the bound step (timing and serving)
+    and the functional backend."""
+    # Divides between the loads keep few of them in flight at once, so
+    # the cycle model's SAP predicts most of them.
+    trace = _build(
+        [("strided", PCS[1], -512)]
+        + [("alu", PCS[2], 1, [1], OpClass.INT_DIV)] * 8,
+        60, [], limit=2 * MAX_LENGTH,
+    )
+    sap_alone = _alone("sap")
+    sap_alone["config"]["confidence_delta"] = -6
+    for spec in (sap_alone, SPECS[2]):
+        host = _assert_step_matches_method_path(trace, spec)
+        assert host.stats.correct_by["sap"] > 0, spec
+        functional, _ = _assert_functional_matches_oracle(trace, spec)
+        assert functional.stats.correct_by["sap"] > 0, spec
+        assert functional.stats.incorrect_by["sap"] == 0, spec

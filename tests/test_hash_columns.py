@@ -23,13 +23,16 @@ from repro.branch.history import load_histories
 from repro.common import tracememo
 from repro.common.bits import FOLD_PLANS, fold_bits
 from repro.common.hashing import mix64
+from repro.composite.accuracy_monitor import PcAm, _pc_am_index, _pc_am_tag
 from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.harness import functional_vec
+from repro.harness.presets import SMOKE
 from repro.harness.runner import clear_caches
 from repro.pipeline.core import CoreModel, SimulationInterrupted
 from repro.predictors.cap import CapPredictor
 from repro.predictors.cvp import HISTORY_LENGTHS, CvpPredictor
+from repro.predictors.hash_columns import trace_hash_columns
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
 from oracles.core_loop import simulate_objects
@@ -75,6 +78,19 @@ class TestKernelsMatchScalarHashes:
         index, tag = (c.tolist() for c in cap.hash_columns(pc, load_path))
         for k, (p, h) in enumerate(zip(pc.tolist(), load_path.tolist())):
             assert cap._hashes(p, h) == (index[k], tag[k])
+
+    def test_pc_am_on_the_smoke_traces(self):
+        # The finite PC-AM's columns, which the functional backend
+        # reads, against its scalar hashes on every load.
+        for workload in SMOKE.workloads:
+            trace = generate_trace(workload, SMOKE.trace_length, SMOKE.seed)
+            pcs = load_histories(trace).pc.tolist()
+            for entries in (64, 1024):
+                ((index, tag),) = trace_hash_columns(trace, PcAm(entries))
+                assert list(index) == [
+                    _pc_am_index(pc, entries) for pc in pcs
+                ]
+                assert list(tag) == [_pc_am_tag(pc) for pc in pcs]
 
     def test_trace_rows_match_the_recorded_histories(self):
         # The probes' direction history is 256 bits wide; the columns
