@@ -101,6 +101,11 @@ class CoinStream:
     so a stream checkpointed mid-block resumes identically.  Only a
     stream that draws nothing else may be one: any other draw would
     see the generator already past the buffered block.
+
+    ``_block`` stays one list for the stream's lifetime (``_refill``
+    refills it in place), so a hot loop may bind it and ``_refill``
+    once and draw ``(block.pop() if block else refill()) < p`` for
+    ``0 < p < 1``: the draw ``coin(p)`` makes.
     """
 
     __slots__ = ("_gen", "_block", "_fetched")
@@ -128,10 +133,10 @@ class CoinStream:
         return (block.pop() if block else self._refill()) < probability
 
     def _refill(self) -> float:
-        """Draw the next block and hand out its first double."""
+        """Draw the next block into the (empty) block list and hand out
+        its first double."""
         size = min(max(self._fetched, _FIRST_BLOCK), _MAX_BLOCK)
-        block = self._gen.random(size).tolist()
-        block.reverse()
+        block = self._block
+        block[:] = self._gen.random(size)[::-1].tolist()
         self._fetched += size
-        self._block = block
         return block.pop()

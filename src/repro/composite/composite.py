@@ -575,21 +575,19 @@ class CompositePredictor:
     # Epochs
     # ------------------------------------------------------------------
 
-    def tick_instructions(self, count: int = 1) -> None:
-        """Advance the instruction clock; fires epoch boundaries."""
+    def tick_instructions(self, count: int = 1) -> int:
+        """Advance the instruction clock by ``count``, firing every
+        epoch end it reaches; return the instructions left before the
+        next epoch end."""
         total = self._instructions_in_epoch + count
         epoch = self.config.epoch_instructions
-        if total < epoch:
-            # The common case -- once per instruction in the simulator
-            # loop -- touches no other attributes.
-            self._instructions_in_epoch = total
-            return
         while total >= epoch:
             total -= epoch
             self.monitor.end_epoch()
             if self.fusion is not None:
                 self.fusion.end_epoch()
         self._instructions_in_epoch = total
+        return epoch - total
 
     # ------------------------------------------------------------------
     # Accounting

@@ -10,10 +10,10 @@ selection and the statistics in one, the penalties, the training
 policy and the FPC bumps in the other, all on the components' bank-0
 columns (:class:`~repro.predictors.table.BankedTable`), with
 everything they touch bound once into closure cells -- the columns,
-thresholds, FPC probability tables and coin streams, the selection and
-smart-training tables and the composite's pending count tables.  The
-monitor and the fusion controller keep their own methods, which the
-step calls on confident loads only.
+thresholds, FPC probability tables and coin-stream blocks, the
+selection and smart-training tables and the composite's pending count
+tables.  The monitor and the fusion controller keep their own
+methods, which the step calls on confident loads only.
 
 The step reads a load's table indices and tags by its ordinal from the
 bound trace's :func:`~repro.predictors.hash_columns.trace_hash_columns`
@@ -35,6 +35,7 @@ composite's ``predict`` and ``validate_and_train`` too.
 
 from __future__ import annotations
 
+from repro.common.rng import CoinStream
 from repro.composite.accuracy_monitor import (
     InfinitePcAm,
     MAm,
@@ -77,8 +78,10 @@ def step_unsupported_reason(predictor) -> str | None:
     """Why the bound step cannot run ``predictor``'s assembly, or None.
 
     The step replays component, monitor and fusion semantics by exact
-    type; a subclass or a third-party component could override what it
-    has inlined, so anything but the known concrete types is rejected.
+    type, and reads each component's FPC draws from its
+    :class:`~repro.common.rng.CoinStream`'s block; a subclass or a
+    third-party component could override what it has inlined, so
+    anything but the known concrete types is rejected.
     The functional backend inlines the same bank-0 semantics and shares
     this predicate (:func:`repro.harness.functional_vec.vector_unsupported_reason`).
     """
@@ -86,6 +89,11 @@ def step_unsupported_reason(predictor) -> str | None:
         expected = COMPONENT_TYPES.get(name)
         if expected is None or type(component) is not expected:
             return f"unsupported component {name!r} ({type(component).__name__})"
+        if type(component._rng) is not CoinStream:
+            return (
+                f"unsupported FPC stream {type(component._rng).__name__} "
+                f"of {name!r}"
+            )
     if type(predictor.monitor) not in MONITOR_TYPES:
         return f"unsupported accuracy monitor {type(predictor.monitor).__name__}"
     fusion = predictor.fusion
@@ -164,7 +172,8 @@ def bind_step(predictor, trace) -> tuple:
         lvp_thr = lvp.confidence_threshold
         lvp_probs = lvp._float_probs
         lvp_cmax = lvp._conf_max
-        lvp_coin = lvp._rng.coin
+        lvp_blk = lvp._rng._block
+        lvp_refill = lvp._rng._refill
     sap = components.get("sap")
     b_sap = 0
     if sap is not None:
@@ -177,7 +186,8 @@ def bind_step(predictor, trace) -> tuple:
         sap_thr = sap.confidence_threshold
         sap_probs = sap._float_probs
         sap_cmax = sap._conf_max
-        sap_coin = sap._rng.coin
+        sap_blk = sap._rng._block
+        sap_refill = sap._rng._refill
     cvp = components.get("cvp")
     b_cvp = 0
     if cvp is not None:
@@ -191,7 +201,8 @@ def bind_step(predictor, trace) -> tuple:
         cvp_thr = cvp.confidence_threshold
         cvp_probs = cvp._float_probs
         cvp_cmax = cvp._conf_max
-        cvp_coin = cvp._rng.coin
+        cvp_blk = cvp._rng._block
+        cvp_refill = cvp._rng._refill
     cap = components.get("cap")
     b_cap = 0
     if cap is not None:
@@ -203,7 +214,8 @@ def bind_step(predictor, trace) -> tuple:
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max
-        cap_coin = cap._rng.coin
+        cap_blk = cap._rng._block
+        cap_refill = cap._rng._refill
     traced = trace is not None
 
     def predict(host, pc, ordinal, direction, path, load_path, inflight):
@@ -335,7 +347,9 @@ def bind_step(predictor, trace) -> tuple:
                 level = lvp_confs[i]
                 if level < lvp_cmax:
                     p = lvp_probs[level]
-                    if p >= 1.0 or lvp_coin(p):
+                    if p >= 1.0 or (
+                        lvp_blk.pop() if lvp_blk else lvp_refill()
+                    ) < p:
                         lvp_confs[i] = level + 1
             else:
                 lvp_tags[i] = t
@@ -358,7 +372,9 @@ def bind_step(predictor, trace) -> tuple:
                         level = sap_confs[i]
                         if level < sap_cmax:
                             p = sap_probs[level]
-                            if p >= 1.0 or sap_coin(p):
+                            if p >= 1.0 or (
+                                sap_blk.pop() if sap_blk else sap_refill()
+                            ) < p:
                                 sap_confs[i] = level + 1
                     else:
                         sap_strides[i] = stride
@@ -387,7 +403,9 @@ def bind_step(predictor, trace) -> tuple:
                 level = cv0_confs[i]
                 if level < cvp_cmax:
                     p = cvp_probs[level]
-                    if p >= 1.0 or cvp_coin(p):
+                    if p >= 1.0 or (
+                        cvp_blk.pop() if cvp_blk else cvp_refill()
+                    ) < p:
                         cv0_confs[i] = level + 1
             else:
                 cv0_tags[i] = t
@@ -402,7 +420,9 @@ def bind_step(predictor, trace) -> tuple:
                 level = cv1_confs[i]
                 if level < cvp_cmax:
                     p = cvp_probs[level]
-                    if p >= 1.0 or cvp_coin(p):
+                    if p >= 1.0 or (
+                        cvp_blk.pop() if cvp_blk else cvp_refill()
+                    ) < p:
                         cv1_confs[i] = level + 1
             else:
                 cv1_tags[i] = t
@@ -417,7 +437,9 @@ def bind_step(predictor, trace) -> tuple:
                 level = cv2_confs[i]
                 if level < cvp_cmax:
                     p = cvp_probs[level]
-                    if p >= 1.0 or cvp_coin(p):
+                    if p >= 1.0 or (
+                        cvp_blk.pop() if cvp_blk else cvp_refill()
+                    ) < p:
                         cv2_confs[i] = level + 1
             else:
                 cv2_tags[i] = t
@@ -440,7 +462,9 @@ def bind_step(predictor, trace) -> tuple:
                     level = cap_confs[i]
                     if level < cap_cmax:
                         p = cap_probs[level]
-                        if p >= 1.0 or cap_coin(p):
+                        if p >= 1.0 or (
+                            cap_blk.pop() if cap_blk else cap_refill()
+                        ) < p:
                             cap_confs[i] = level + 1
                 else:
                     cap_tags[i] = t

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from repro.common.rng import DeterministicRng
 from repro.eves.estride import EStridePredictor
 from repro.eves.evtage import EVtagePredictor
+from repro.pipeline.vp import NO_EPOCHS
 from repro.predictors.types import CONFIDENT, PredictionKind
 
 
@@ -35,7 +36,8 @@ class EvesPredictor:
     :class:`repro.pipeline.vp.ValuePredictorHost`) with one value slot,
     ``"eves"``: a confident prediction from either side is always the
     chosen one, and EVES has no epochs, so ``tick_instructions`` does
-    nothing.
+    nothing and asks for no tick before a run's end
+    (:data:`~repro.pipeline.vp.NO_EPOCHS`).
     """
 
     name = "eves"
@@ -85,8 +87,8 @@ class EvesPredictor:
         self.estride.train(*load, addr, size, value)
         self.evtage.train(*load, addr, size, value)
 
-    def tick_instructions(self, count: int) -> None:
-        pass
+    def tick_instructions(self, count: int) -> int:
+        return NO_EPOCHS
 
     def storage_bits(self) -> int:
         return self.estride.storage_bits() + self.evtage.storage_bits()

@@ -93,8 +93,8 @@ class _AttributingHost:
                 self._attribution.confident_unused[(kernel, name)] += 1
         self._inner.validate_and_train(decision, addr, size, value, correct)
 
-    def tick_instructions(self, count: int) -> None:
-        self._inner.tick_instructions(count)
+    def tick_instructions(self, count: int) -> int:
+        return self._inner.tick_instructions(count)
 
     def storage_bits(self) -> int:
         return self._inner.storage_bits()

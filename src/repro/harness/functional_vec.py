@@ -61,9 +61,10 @@ Why this is bit-exact and not merely close:
   as whole-column numpy expressions.
 * FPC confidence bumps draw from per-component coin streams in
   state-dependent order, so they cannot be batched; the residual loop
-  flips them through the live components' own
-  :class:`~repro.common.rng.CoinStream` in exactly the oracle's order
-  (the stream draws its doubles in blocks, which changes no draw).
+  draws them from the live components' own
+  :class:`~repro.common.rng.CoinStream` blocks, read in place, in
+  exactly the oracle's order (the stream draws its doubles in blocks,
+  which changes no draw).
 * Epoch ticks are batched between loads: boundary effects (accuracy
   monitor / fusion epochs) are only observable at the next predicted
   load, so firing them lazily is equivalent.
@@ -227,8 +228,8 @@ def _run_composite(trace, predictor, mem, result):
 
     # The live tables' bank-0 columns, the step's own bindings: every
     # table's one bank while nothing is fused, and the same lists for
-    # the table's lifetime.  Every FPC draw goes through the
-    # component's own coin stream.
+    # the table's lifetime.  Every FPC draw reads the component's own
+    # coin stream's block, refilled in place.
     histories = batch.histories
     if lvp is not None:
         lvp_t0, lvp_v0, lvp_c0 = lvp._bank0
@@ -236,14 +237,16 @@ def _run_composite(trace, predictor, mem, result):
         lvp_thr = lvp.confidence_threshold
         lvp_probs = lvp._float_probs
         lvp_cmax = lvp._conf_max
-        lvp_coin = lvp._rng.coin
+        lvp_blk = lvp._rng._block
+        lvp_refill = lvp._rng._refill
     if sap is not None:
         sap_t0, sap_la0, sap_st0, sap_sz0, sap_c0 = sap._bank0
         ((si, st_),) = trace_hash_columns(trace, sap)
         sap_thr = sap.confidence_threshold
         sap_probs = sap._float_probs
         sap_cmax = sap._conf_max
-        sap_coin = sap._rng.coin
+        sap_blk = sap._rng._block
+        sap_refill = sap._rng._refill
     if cvp is not None:
         (cv0_t0, cv0_v0, cv0_c0), (cv1_t0, cv1_v0, cv1_c0), (
             cv2_t0, cv2_v0, cv2_c0,
@@ -254,14 +257,16 @@ def _run_composite(trace, predictor, mem, result):
         cvp_thr = cvp.confidence_threshold
         cvp_probs = cvp._float_probs
         cvp_cmax = cvp._conf_max
-        cvp_coin = cvp._rng.coin
+        cvp_blk = cvp._rng._block
+        cvp_refill = cvp._rng._refill
     if cap is not None:
         cap_t0, cap_a0, cap_sz0, cap_c0 = cap._bank0
         ((cpi, cpt),) = trace_hash_columns(trace, cap)
         cap_thr = cap.confidence_threshold
         cap_probs = cap._float_probs
         cap_cmax = cap._conf_max
-        cap_coin = cap._rng.coin
+        cap_blk = cap._rng._block
+        cap_refill = cap._rng._refill
 
     # -- monitor bindings ----------------------------------------------
     mon_type = type(monitor)
@@ -523,7 +528,9 @@ def _run_composite(trace, predictor, mem, result):
                     lvl = lvp_c0[i]
                     if lvl < lvp_cmax:
                         pr = lvp_probs[lvl]
-                        if pr >= 1.0 or lvp_coin(pr):
+                        if pr >= 1.0 or (
+                            lvp_blk.pop() if lvp_blk else lvp_refill()
+                        ) < pr:
                             lvp_c0[i] = lvl + 1
                 else:
                     lvp_v0[i] = lval
@@ -541,7 +548,9 @@ def _run_composite(trace, predictor, mem, result):
                     lvl = sap_c0[i]
                     if lvl < sap_cmax:
                         pr = sap_probs[lvl]
-                        if pr >= 1.0 or sap_coin(pr):
+                        if pr >= 1.0 or (
+                            sap_blk.pop() if sap_blk else sap_refill()
+                        ) < pr:
                             sap_c0[i] = lvl + 1
                 else:
                     sap_st0[i] = ns
@@ -563,7 +572,9 @@ def _run_composite(trace, predictor, mem, result):
                 lvl = cv0_c0[i]
                 if lvl < cvp_cmax:
                     pr = cvp_probs[lvl]
-                    if pr >= 1.0 or cvp_coin(pr):
+                    if pr >= 1.0 or (
+                        cvp_blk.pop() if cvp_blk else cvp_refill()
+                    ) < pr:
                         cv0_c0[i] = lvl + 1
             else:
                 cv0_t0[i] = c0t_j
@@ -574,7 +585,9 @@ def _run_composite(trace, predictor, mem, result):
                 lvl = cv1_c0[i]
                 if lvl < cvp_cmax:
                     pr = cvp_probs[lvl]
-                    if pr >= 1.0 or cvp_coin(pr):
+                    if pr >= 1.0 or (
+                        cvp_blk.pop() if cvp_blk else cvp_refill()
+                    ) < pr:
                         cv1_c0[i] = lvl + 1
             else:
                 cv1_t0[i] = c1t_j
@@ -585,7 +598,9 @@ def _run_composite(trace, predictor, mem, result):
                 lvl = cv2_c0[i]
                 if lvl < cvp_cmax:
                     pr = cvp_probs[lvl]
-                    if pr >= 1.0 or cvp_coin(pr):
+                    if pr >= 1.0 or (
+                        cvp_blk.pop() if cvp_blk else cvp_refill()
+                    ) < pr:
                         cv2_c0[i] = lvl + 1
             else:
                 cv2_t0[i] = c2t_j
@@ -599,7 +614,9 @@ def _run_composite(trace, predictor, mem, result):
                     lvl = cap_c0[i]
                     if lvl < cap_cmax:
                         pr = cap_probs[lvl]
-                        if pr >= 1.0 or cap_coin(pr):
+                        if pr >= 1.0 or (
+                            cap_blk.pop() if cap_blk else cap_refill()
+                        ) < pr:
                             cap_c0[i] = lvl + 1
                 else:
                     cap_a0[i] = a49

@@ -70,14 +70,28 @@ calls in the same loop.  What depends on timing stays serial: the
 store-set predictor and the deferred predictor updates (applied once
 fetch passes a load's completion).
 
+The load body pays no host call per load beyond the predictor's
+``predict`` and ``validate_and_train`` (kept as method calls, so a
+profiler that wraps them still sees them).  The predictor's epoch
+clock is ticked at a run's start, at the first load at or past the
+next epoch end that ``tick_instructions`` reported, and at the run's
+end, so every epoch end fires before the first predict or train at or
+after it.  Store-to-load forwarding scans the load's words inline (one
+lookup for a load within one word), the store-set SSIT and LFST are
+read in place (:class:`StoreSetPredictor` clears them in place), and
+the enforced waits are added once after the loop.  A host with no
+slots (the no-VP baseline) is not probed: its loads are counted and
+the probe cursor advances, with no decision to validate or train.
+
 The reference oracle is the same pass over ``trace.instructions``
 driving a live :class:`~repro.branch.unit.BranchUnit` and a live
 :class:`~repro.memory.hierarchy.MemoryHierarchy`; it lives in
-``tests/oracles/core_loop.py``, funnels every stateful step (caches,
-predictor, memory probe resolution) through this module's load helpers
-with the same values in the same order, and must produce a
-bit-identical :class:`SimResult` (randomized and property-based tests
-in ``tests/test_columnar_equivalence.py``).
+``tests/oracles/core_loop.py``.  It ticks the predictor every
+instruction, asks the store-set predictor's ``load_wait_until``,
+resolves forwarding with its own ``load_complete``, shares
+``_validate_load`` with this module, and must produce a bit-identical
+:class:`SimResult` (randomized and property-based tests in
+``tests/test_columnar_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -334,6 +348,17 @@ class CoreModel:
             if cfg.memory_dependence == "store-sets"
             else None
         )
+        # The store-set tables, read in place (a flash-clear empties
+        # them in place); the loop counts the waits it enforces.
+        if memdep is not None:
+            ssit = memdep._ssit
+            lfst_get = memdep._lfst.get
+            ssit_shift = 2 + memdep._ssit_bits
+            ssit_mask = (1 << memdep._ssit_bits) - 1
+            memdep_note_store = memdep.note_store
+        else:
+            ssit = memdep_note_store = None
+        waits = 0
 
         inflight_loads: dict[int, deque[int]] = {}
 
@@ -351,7 +376,11 @@ class CoreModel:
         values = cols.value
         flags_col = cols.flags
         fetch_latency = hierarchy.fetch_latency
+        load_latency = hierarchy.load_latency
         store_latency_fn = hierarchy.store_latency
+        forward_latency = cfg.store_forward_latency
+        # A host with no slots is not probed: its loads get no decision.
+        predicting = bool(predictor.slot_names)
         predict = predictor.predict
         validate_and_train = predictor.validate_and_train
         tick_instructions = predictor.tick_instructions
@@ -363,16 +392,14 @@ class CoreModel:
         )
         branch = 0
         probe = 0
-        load_complete = self._load_complete
         validate_load = self._validate_load
         inflight_get = inflight_loads.get
+        store_info_get = store_info.get
         store_info_put = store_info.__setitem__
         pending_stores_append = pending_stores.append
         heappush = heapq.heappush
         heappop = heapq.heappop
         heapreplace = heapq.heapreplace
-        memdep_wait = memdep.load_wait_until if memdep is not None else None
-        memdep_note_store = memdep.note_store if memdep is not None else None
 
         # ``interrupt`` is polled when ``i + 1`` instructions have
         # started, every ``poll_step`` of them.
@@ -380,8 +407,10 @@ class CoreModel:
         poll_at = poll_step - 1 if interrupt else -1
         name = trace.name
         # Instructions before index ``ticked`` have been delivered to
-        # the predictor's epoch clock.
+        # the predictor's epoch clock, which needs its next tick once a
+        # load's index reaches ``tick_at``.
         ticked = 0
+        tick_at = tick_instructions(0)
 
         # Loop-owned result counters, accumulated in locals and folded
         # into ``result`` after the loop (attribute stores are not free
@@ -473,63 +502,84 @@ class CoreModel:
                 done[i] = complete
 
             elif kind == KIND_LOAD:
-                # Deliver the instruction ticks accumulated since the
-                # last predictor interaction.  Epoch boundaries fire in
-                # the same order relative to predict/train calls as the
-                # per-instruction oracle, so this is bit-identical --
-                # just fewer method calls.
-                if i > ticked:
-                    tick_instructions(i - ticked)
+                # Deliver the instructions before this load once they
+                # reach the predictor's next epoch boundary: it fires
+                # before the first predict or train at or after it, as
+                # in the per-instruction oracle.
+                if i >= tick_at:
+                    tick_at = i + tick_instructions(i - ticked)
                     ticked = i
                 # Apply predictor updates from loads that have completed
                 # by now -- the predictor state a fetch-time probe sees.
                 while pending_updates and pending_updates[0][0] <= fetch:
                     _, _, d, a, s, v, c = heappop(pending_updates)
                     validate_and_train(d, a, s, v, c)
+                # Completion cycles of this PC's older instances, in
+                # program order; those at the front done by fetch leave
+                # (only the front: EXPERIMENTS.md D8).
+                flights = inflight_get(pc)
+                if flights is None:
+                    flights = inflight_loads[pc] = deque(maxlen=ldq_cap)
                 decision = None
-                predictable = flags_col[i] & FLAG_PREDICTABLE
-                if predictable:
-                    # The fetch-time histories, as recorded in program
-                    # order (training reuses the decision's load fields
-                    # once the load completes).
-                    flights = inflight_get(pc)
-                    inflight = 0
-                    if flights:
+                if flags_col[i] & FLAG_PREDICTABLE:
+                    if predicting:
                         while flights and flights[0] <= fetch:
                             flights.popleft()
-                        inflight = len(flights)
-                    decision = predict(
-                        pc, probe, snap_directions[probe], snap_paths[probe],
-                        snap_load_paths[probe], inflight,
-                    )
+                        # The fetch-time histories, as recorded in
+                        # program order (training reuses the decision's
+                        # load fields once the load completes).
+                        decision = predict(
+                            pc, probe, snap_directions[probe],
+                            snap_paths[probe], snap_load_paths[probe],
+                            len(flights),
+                        )
                     probe += 1
                     n_predictable += 1
-                if memdep_wait is not None:
+                if ssit is not None:
                     # Predicted-dependent loads wait for their store set.
-                    wait_until = memdep_wait(pc)
-                    if wait_until > ready:
-                        ready = wait_until
+                    ssid = ssit[((pc >> 2) ^ (pc >> ssit_shift)) & ssit_mask]
+                    if ssid >= 0:
+                        wait_until = lfst_get(ssid, -1)
+                        if wait_until >= 0:
+                            waits += 1
+                            if wait_until > ready:
+                                ready = wait_until
                 earliest = ls_free[0]
                 issue = ready if ready > earliest else earliest
                 heapreplace(ls_free, issue + 1)
                 addr = addrs[i]
                 size = sizes[i]
-                complete, violation_store_pc, violation_ready = load_complete(
-                    pc, addr, size, issue, hierarchy, store_info, memdep, cfg
-                )
-                if violation_store_pc is not None:
-                    # Memory-order violation: the load speculated past a
-                    # store whose data was not ready.  Flush younger
-                    # work and teach the store-set predictor.
-                    n_violations += 1
-                    memdep.record_violation(pc, violation_store_pc)
-                    redirect = violation_ready + redirect_penalty
-                    if redirect > next_fetch_allowed:
-                        next_fetch_allowed = redirect
-                    current_block = -1
-                flights = inflight_get(pc)
-                if flights is None:
-                    flights = inflight_loads[pc] = deque(maxlen=ldq_cap)
+                # Store-to-load forwarding: the store to the load's
+                # words whose data is ready last, if any.
+                word = addr >> 3
+                info = store_info_get(word)
+                last_word = (addr + size - 1) >> 3
+                while word < last_word:
+                    word += 1
+                    other = store_info_get(word)
+                    if other is not None and (
+                        info is None or other[1] > info[1]
+                    ):
+                        info = other
+                if info is None:
+                    complete = issue + load_latency(pc, addr)
+                else:
+                    forward_from = info[1]
+                    if forward_from > issue:
+                        complete = forward_from + forward_latency
+                        if memdep is not None:
+                            # Memory-order violation: the load speculated
+                            # past a store whose data was not ready.
+                            # Flush younger work and teach the store-set
+                            # predictor (perfect disambiguation waits).
+                            n_violations += 1
+                            memdep.record_violation(pc, info[2])
+                            redirect = forward_from + redirect_penalty
+                            if redirect > next_fetch_allowed:
+                                next_fetch_allowed = redirect
+                            current_block = -1
+                    else:
+                        complete = issue + forward_latency
                 flights.append(complete)
                 n_loads += 1
                 # Value-prediction validation and training.
@@ -621,6 +671,8 @@ class CoreModel:
 
         if n > ticked:
             tick_instructions(n - ticked)
+        if memdep is not None:
+            memdep.waits_enforced += waits
 
         # Drain the remaining deferred predictor updates so predictor
         # statistics cover every predicted load in the trace.
@@ -682,40 +734,6 @@ class CoreModel:
     # ------------------------------------------------------------------
     # Load helpers
     # ------------------------------------------------------------------
-
-    def _load_complete(self, pc, addr, size, issue, hierarchy, store_info,
-                       memdep, cfg) -> tuple[int, int | None, int]:
-        """Execution of a demand load.
-
-        Returns ``(complete, violating_store_pc, store_data_ready)``.
-        The store PC is non-None when the load issued past an older
-        in-flight store to its address whose data was not ready -- a
-        memory-order violation under store-set speculation.  With the
-        perfect-disambiguation oracle the load silently waits instead.
-        """
-        word_lo = addr >> 3
-        word_hi = (addr + size - 1) >> 3
-        forward_from = -1
-        forward_pc = None
-        for word in range(word_lo, word_hi + 1):
-            info = store_info.get(word)
-            if info is not None and info[1] > forward_from:
-                forward_from = info[1]
-                forward_pc = info[2]
-        if forward_from >= 0:
-            if forward_from > issue and memdep is not None:
-                # Speculated past the store: violation, re-executed
-                # after the store's data arrives.
-                return (
-                    forward_from + cfg.store_forward_latency,
-                    forward_pc,
-                    forward_from,
-                )
-            # Store-to-load forwarding out of the STQ (data ready by
-            # issue, or the oracle made the load wait).
-            begin = issue if issue > forward_from else forward_from
-            return begin + cfg.store_forward_latency, None, 0
-        return issue + hierarchy.load_latency(pc, addr), None, 0
 
     def _validate_load(
         self, value, decision, dispatch, complete,

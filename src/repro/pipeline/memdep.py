@@ -106,7 +106,9 @@ class StoreSetPredictor:
     def _tick(self) -> None:
         self._ops_until_clear -= 1
         if self._ops_until_clear <= 0:
-            self._ssit = [_INVALID] * len(self._ssit)
+            # In place: the timing loop reads both tables through
+            # bindings made once per run.
+            self._ssit[:] = [_INVALID] * len(self._ssit)
             self._lfst.clear()
             self._ops_until_clear = self.clear_interval
 

@@ -16,6 +16,16 @@ fields and returns the decision record; the host that validates the
 load judges it into a verdict mask (:func:`judge`) and hands the
 decision back, unchanged, with the load's ``(addr, size, value)`` and
 that mask to ``validate_and_train``.
+
+``tick_instructions(count)`` advances the host's instruction clock by
+``count`` and returns how many more instructions may pass before the
+host needs its next tick: for a composite, the distance to its next
+epoch end, and :data:`NO_EPOCHS` for a host without epochs.  A caller
+may deliver instructions in any batches, provided each batch that
+reaches the returned distance is delivered before the host's next
+``predict`` or ``validate_and_train``: that is when an epoch end
+fires, and the core model ticks only then and at a run's start (a
+count of 0) and end.
 """
 
 from __future__ import annotations
@@ -29,6 +39,10 @@ from repro.predictors.types import (
     address_of,
     size_of,
 )
+
+#: What ``tick_instructions`` returns for a host without epochs: more
+#: instructions than any trace holds.
+NO_EPOCHS = 1 << 62
 
 
 @runtime_checkable
@@ -49,7 +63,7 @@ class ValuePredictorHost(Protocol):
         self, decision, addr: int, size: int, value: int, correct: int,
     ) -> None: ...
 
-    def tick_instructions(self, count: int) -> None: ...
+    def tick_instructions(self, count: int) -> int: ...
 
     def storage_bits(self) -> int: ...
 
@@ -91,8 +105,8 @@ class NoPredictor:
                            correct) -> None:
         pass
 
-    def tick_instructions(self, count: int) -> None:
-        pass
+    def tick_instructions(self, count: int) -> int:
+        return NO_EPOCHS
 
     def storage_bits(self) -> int:
         return 0

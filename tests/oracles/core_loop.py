@@ -6,10 +6,13 @@
 :class:`LaneScheduler` / :class:`WindowTracker` objects, and a live
 branch unit driven branch by branch (``tests/oracles/branch.py``: its own history registers,
 hashed by the scalar reference) instead of a replayed front-end
-stream.  It shares the model's load helpers (``_load_complete``,
-``_validate_load``) and its ``_finish``, so what it checks is the
-loop: ordering, the inlined schedulers and windows, tick batching and
-the front-end replay.  It
+stream.  It ticks the predictor once per instruction, asks the
+store-set predictor's ``load_wait_until`` and resolves forwarding with
+its own :func:`load_complete`, where the model inlines all three; it
+shares the model's ``_validate_load`` and ``_finish``, so what it
+checks is the loop: ordering, the inlined schedulers, windows,
+forwarding and store-set reads, tick batching and the front-end
+replay.  It
 drives a live :class:`MemoryHierarchy` of its own on every block change,
 refetches included, so it also checks the model's hierarchy replay.
 ``tests/test_columnar_equivalence.py`` requires its :class:`SimResult`
@@ -79,6 +82,57 @@ def live_branch_unit(model: CoreModel) -> LiveBranchUnit:
         model.tage_config, model.ittage_config,
         model.config.ras_entries, DeterministicRng(model.seed, "core"),
     )
+
+
+def inflight_count(flights, fetch: int) -> int:
+    """The in-flight count a load fetched at ``fetch`` is probed with.
+
+    ``flights`` (or None) holds the completion cycles of the load PC's
+    older instances in program order, and the front ones done by
+    ``fetch`` leave it.  Only the front leaves, so an instance done
+    behind an older one still in flight stays counted (EXPERIMENTS.md
+    D8), as in the model's loop.
+    """
+    if not flights:
+        return 0
+    while flights and flights[0] <= fetch:
+        flights.popleft()
+    return len(flights)
+
+
+def load_complete(pc, addr, size, issue, hierarchy, store_info, memdep,
+                  cfg) -> tuple[int, int | None, int]:
+    """Execution of a demand load.
+
+    Returns ``(complete, violating_store_pc, store_data_ready)``.
+    The store PC is non-None when the load issued past an older
+    in-flight store to its address whose data was not ready -- a
+    memory-order violation under store-set speculation.  With the
+    perfect-disambiguation oracle the load silently waits instead.
+    """
+    word_lo = addr >> 3
+    word_hi = (addr + size - 1) >> 3
+    forward_from = -1
+    forward_pc = None
+    for word in range(word_lo, word_hi + 1):
+        info = store_info.get(word)
+        if info is not None and info[1] > forward_from:
+            forward_from = info[1]
+            forward_pc = info[2]
+    if forward_from >= 0:
+        if forward_from > issue and memdep is not None:
+            # Speculated past the store: violation, re-executed
+            # after the store's data arrives.
+            return (
+                forward_from + cfg.store_forward_latency,
+                forward_pc,
+                forward_from,
+            )
+        # Store-to-load forwarding out of the STQ (data ready by
+        # issue, or the oracle made the load wait).
+        begin = issue if issue > forward_from else forward_from
+        return begin + cfg.store_forward_latency, None, 0
+    return issue + hierarchy.load_latency(pc, addr), None, 0
 
 
 def _warm_l3(hierarchy: MemoryHierarchy, trace: Trace) -> None:
@@ -211,15 +265,10 @@ def run_objects(
                 _, _, d, a, s, v, c = heapq.heappop(pending_updates)
                 predictor.validate_and_train(d, a, s, v, c)
             if inst.predictable:
-                flights = inflight_loads.get(inst.pc)
-                inflight = 0
-                if flights:
-                    while flights and flights[0] <= fetch:
-                        flights.popleft()
-                    inflight = len(flights)
                 decision = predictor.predict(
                     inst.pc, -1, histories.direction, histories.path,
-                    histories.load_path, inflight,
+                    histories.load_path,
+                    inflight_count(inflight_loads.get(inst.pc), fetch),
                 )
             branch_unit.note_memory_op(inst.pc)
         elif op is OpClass.STORE:
@@ -243,7 +292,7 @@ def run_objects(
             issue = generic_lanes.acquire(ready)
 
         if op is OpClass.LOAD:
-            complete, violation_store_pc, violation_ready = model._load_complete(
+            complete, violation_store_pc, violation_ready = load_complete(
                 inst.pc, inst.addr, inst.size, issue, hierarchy, store_info,
                 memdep, cfg,
             )

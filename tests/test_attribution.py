@@ -1,10 +1,16 @@
 """Tests for the attribution tooling."""
 
+from dataclasses import asdict
+
 from conftest import alone
 
 from repro.composite import CompositeConfig, CompositePredictor
-from repro.harness.attribution import attribute
+from repro.harness import attribution as attribution_module
+from repro.harness.attribution import _AttributingHost, attribute
+from repro.pipeline.vp import NO_EPOCHS, NoPredictor
 from repro.workloads import generate_trace
+
+from oracles.core_loop import simulate_objects
 
 
 def _composite():
@@ -63,3 +69,29 @@ class TestAttribution:
         for (kernel, component), count in attribution.top_mispredictors():
             assert isinstance(kernel, str) and isinstance(component, str)
             assert count > 0
+
+
+class TestTickHandOff:
+    def test_wrapper_relays_the_hosts_tick_distance(self):
+        host = _AttributingHost(_composite(), {}, None)
+        assert host.tick_instructions(2500) == 500
+        assert _AttributingHost(NoPredictor(), {}, None).tick_instructions(
+            7
+        ) == NO_EPOCHS
+
+    def test_matches_attribution_through_the_oracle(self, monkeypatch):
+        """The model ticks the wrapped host only at epoch ends, the
+        oracle every instruction; both attribute alike."""
+        config = CompositeConfig(
+            epoch_instructions=97, accuracy_monitor="m-am",
+            fusion_observe_epochs=1, fusion_revert_epochs=2,
+        ).homogeneous(64)
+        trace = generate_trace("sunspider", 4000)
+        attribution = attribute(trace, CompositePredictor(config))
+        monkeypatch.setattr(attribution_module, "simulate", simulate_objects)
+        reference = attribute(trace, CompositePredictor(config))
+        assert asdict(attribution.result) == asdict(reference.result)
+        assert attribution.used_correct == reference.used_correct
+        assert attribution.used_incorrect == reference.used_incorrect
+        assert attribution.confident_unused == reference.confident_unused
+        assert sum(attribution.used_correct.values()) > 0

@@ -26,6 +26,7 @@ from repro.composite.composite import CompositePredictor
 from repro.composite.config import CompositeConfig
 from repro.eves.eves import eves_8kb
 from repro.harness.functional import run_functional
+from repro.harness.presets import SMOKE
 from repro.harness.functional_vec import (
     run_functional_vec,
     vector_unsupported_reason,
@@ -39,8 +40,10 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import CoreModel, simulate
 from repro.workloads.generator import clear_trace_caches, generate_trace
 
+from oracles import core_loop
 from oracles.core_loop import run_objects, simulate_objects
 from oracles.functional_loop import run_functional_objects
+from test_fuzz_equivalence import STEP_SPECS, _host
 
 
 @pytest.fixture(autouse=True)
@@ -303,6 +306,78 @@ class TestDispatch:
                 interrupt_interval=256,
             )
         assert calls == [256, 512]
+
+
+class TestTickHandOff:
+    """The loop ticks the predictor's epoch clock at a run's start, at
+    the first load at or past each epoch end, and at the run's end; the
+    oracle ticks every instruction and still agrees bit for bit."""
+
+    @pytest.mark.parametrize("spec", STEP_SPECS,
+                             ids=[str(i) for i in range(len(STEP_SPECS))])
+    def test_ticks_only_at_epoch_ends(self, spec):
+        trace = generate_trace("coremark", 3000, 0)
+        host = _host(spec)
+        tick = host.tick_instructions
+        counts = []
+        host.tick_instructions = (
+            lambda count: counts.append(count) or tick(count)
+        )
+        result = simulate(trace, host)
+        epoch = spec["config"]["epoch_instructions"]
+        assert sum(counts) == len(trace)
+        assert len(counts) <= len(trace) // epoch + 2
+        reference = _host(spec)
+        assert asdict(result) == asdict(simulate_objects(trace, reference))
+        assert asdict(host.stats) == asdict(reference.stats)
+        assert _monitor_state(host.monitor) == _monitor_state(
+            reference.monitor
+        )
+        assert host._instructions_in_epoch == len(trace) % epoch
+
+    @pytest.mark.parametrize("make_predictor", (lambda: None, eves_8kb),
+                             ids=("no-vp", "eves"))
+    def test_hosts_without_epochs_tick_at_start_and_end(
+        self, make_predictor
+    ):
+        model = CoreModel(predictor=make_predictor())
+        tick = model.predictor.tick_instructions
+        counts = []
+        model.predictor.tick_instructions = (
+            lambda count: counts.append(count) or tick(count)
+        )
+        trace = generate_trace("mcf", 2000, 0)
+        model.run(trace)
+        assert counts == [0, len(trace)]
+
+
+class TestOpenFaults:
+    @pytest.mark.xfail(strict=True, reason=(
+        "EXPERIMENTS.md D8: the in-flight count drops finished older "
+        "instances only from the front; fixing it moves timing numbers"
+    ))
+    def test_inflight_count_excludes_finished_instances(self, monkeypatch):
+        """A probe's in-flight count is the older instances of its PC
+        that have not completed by its fetch."""
+        count = core_loop.inflight_count
+        seen = {"queued": 0, "miscounted": 0}
+
+        def checked(flights, fetch):
+            if flights:
+                seen["queued"] += 1
+                exact = sum(1 for done in flights if done > fetch)
+                inflight = count(flights, fetch)
+                seen["miscounted"] += inflight != exact
+                return inflight
+            return count(flights, fetch)
+
+        monkeypatch.setattr(core_loop, "inflight_count", checked)
+        config = CompositeConfig().homogeneous(256).plain()
+        for workload in SMOKE.workloads:
+            simulate_objects(generate_trace(workload, 5000, 0),
+                             CompositePredictor(config))
+        assert seen["queued"] > 0
+        assert seen["miscounted"] == 0
 
 
 # ----------------------------------------------------------------------

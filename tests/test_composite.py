@@ -185,6 +185,20 @@ class TestEpochs:
         composite.tick_instructions(2500)
         assert len(fired) == 2
 
+    def test_tick_returns_the_distance_to_the_next_epoch_end(self):
+        composite = CompositePredictor(_config(accuracy_monitor="m-am"))
+        fired = []
+        original = composite.monitor.end_epoch
+        composite.monitor.end_epoch = lambda: fired.append(1) or original()
+        assert composite.tick_instructions(0) == 1000
+        assert composite.tick_instructions(2500) == 500  # two epoch ends
+        assert composite.tick_instructions(499) == 1
+        assert len(fired) == 2
+        assert composite.tick_instructions(1) == 1000  # one more
+        assert len(fired) == 3
+        assert composite.tick_instructions(3999) == 1  # three more
+        assert len(fired) == 6
+
 
 class TestBoundStep:
     """The per-load step is bound on the first load and is never part

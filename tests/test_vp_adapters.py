@@ -4,7 +4,7 @@ one-component plain composite a ``component`` spec builds) and EVES."""
 from conftest import alone, chosen_prediction, make_outcome, make_probe
 
 from repro.eves import eves_8kb
-from repro.pipeline.vp import NoPredictor, ValuePredictorHost
+from repro.pipeline.vp import NO_EPOCHS, NoPredictor, ValuePredictorHost
 from repro.predictors.types import CHOSEN, CONFIDENT
 
 
@@ -17,6 +17,11 @@ class TestNoPredictor:
 
     def test_satisfies_protocol(self):
         assert isinstance(NoPredictor(), ValuePredictorHost)
+
+    def test_asks_for_no_tick_before_a_runs_end(self):
+        host = NoPredictor()
+        assert host.tick_instructions(0) == NO_EPOCHS
+        assert host.tick_instructions(5000) == NO_EPOCHS
 
 
 class TestLoneComponent:
@@ -75,3 +80,8 @@ class TestEves:
 
     def test_satisfies_protocol(self):
         assert isinstance(eves_8kb(), ValuePredictorHost)
+
+    def test_asks_for_no_tick_before_a_runs_end(self):
+        eves = eves_8kb()
+        assert eves.tick_instructions(0) == NO_EPOCHS
+        assert eves.tick_instructions(5000) == NO_EPOCHS
